@@ -11,8 +11,8 @@ from .regions import (AngularMask, AzimuthallySymmetric, BallPoint,
                       ProductMask, ProductSymmetric, RegionUnion, contains,
                       full_ball, solid_angle, volume)
 from .specfun import (QuadratureRule, gauss_laguerre_rule, gauss_legendre_rule,
-                      laguerre_K, radial_moment_integral, spherical_bessel_j,
-                      spherical_harmonic, wigner_3j, wigner_d_beta)
+                      laguerre_K, spherical_bessel_j, spherical_harmonic,
+                      wigner_d_beta)
 from .transforms import (SpatialGrid, analysis_fl, analysis_grid,
                          quality_measure, region_energy_grid, slepian_coeffs,
                          synthesis_fb, synthesis_fl, synthesis_fl_grid,
@@ -27,11 +27,11 @@ __all__ = [
     "contains", "fb_k_weights", "full_ball", "gauss_laguerre_rule",
     "gauss_legendre_rule", "kernel_fb_fixed_order", "kernel_fl_entry",
     "kernel_fl_mask", "laguerre_K", "quality_measure",
-    "radial_moment_integral", "region_energy_grid", "rotate_eigenfunction",
+    "region_energy_grid", "rotate_eigenfunction",
     "shannon_fb", "shannon_fl", "slepian_coeffs", "solid_angle", "solve_fb",
     "solve_fl", "space_limit", "spherical_bessel_j", "spherical_harmonic",
     "synthesis_fb", "synthesis_fl", "synthesis_fl_grid",
-    "truncate_reconstruct", "volume", "wigner_3j", "wigner_d_beta",
+    "truncate_reconstruct", "volume", "wigner_d_beta",
 ]
 
 __version__ = "0.1.0"

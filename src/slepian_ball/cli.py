@@ -16,7 +16,6 @@ Config precedence: command-line flags > config file (``key = value`` lines)
 echoed into meta.json.
 
 Exit codes: 0 success, 2 configuration/validation error, 1 numerical failure.
-``SLEPIAN_THREADS`` caps the linear-algebra thread pools.
 """
 
 from __future__ import annotations
@@ -457,11 +456,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("SLEPIAN_THREADS")
-    if threads:
-        # must land before numpy initializes its BLAS thread pools
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)

@@ -24,7 +24,7 @@ from . import kernels as ker
 from . import specfun
 from .kernels import FourierBesselBand, FourierLaguerreBand, SpectralBand, fb_k_weights
 from .regions import (AzimuthallySymmetric, ProductMask, ProductSymmetric,
-                      RegionUnion)
+                      RegionUnion, solid_angle)
 
 _CLAMP_TOL = 1e-9
 _SPACE_LIMIT_MIN_LAM = 1e-12
@@ -364,29 +364,12 @@ def solve_fb(region, band: FourierBesselBand, keep: int | None = None) -> EigenR
 # Shannon numbers (trace integrals, no eigen-solve)
 # ---------------------------------------------------------------------------
 
-def _radial_energy_sum(P: int, R1: float, R2: float) -> float:
-    """sum_p int_{R1}^{R2} K_p(r)^2 r^2 dr  (the radial Shannon number N^P)."""
-    if math.isinf(R2):
-        if R1 == 0.0:
-            return float(P)   # orthonormality on the half line
-        rule = specfun.gauss_legendre_rule(2 * P + 16, 0.0, R1)
-        Kt = specfun.laguerre_K_table(P - 1, rule.nodes)
-        inner = np.sum(rule.weights * rule.nodes ** 2 * Kt ** 2, axis=1)
-        return float(P - inner.sum())
-    rule = specfun.gauss_legendre_rule(2 * P + 16, R1, R2)
-    Kt = specfun.laguerre_K_table(P - 1, rule.nodes)
-    return float(np.sum(rule.weights * rule.nodes ** 2 * Kt ** 2))
-
-
 def shannon_fl(region, band: FourierLaguerreBand) -> float:
     """Fourier-Laguerre Shannon number N = L^2/(4 pi) sum_p int_R K_p^2 dv."""
     P, L = band.P, band.L
-    if isinstance(region, ProductSymmetric):
-        omega = 2.0 * math.pi * (math.cos(region.theta1) - math.cos(region.theta2))
-        return _radial_energy_sum(P, region.R1, region.R2) * L * L / (4.0 * math.pi) * omega
-    if isinstance(region, ProductMask):
-        return (_radial_energy_sum(P, region.R1, region.R2)
-                * L * L / (4.0 * math.pi) * region.mask.solid_angle)
+    if isinstance(region, (ProductSymmetric, ProductMask)):
+        radial = float(np.trace(ker.E_matrix(P, region.R1, region.R2)))
+        return radial * L * L / (4.0 * math.pi) * solid_angle(region)
     if isinstance(region, RegionUnion):
         return sum(shannon_fl(m, band) for m in region.members)
     if isinstance(region, AzimuthallySymmetric):
@@ -422,15 +405,11 @@ def shannon_fb(region, band: FourierBesselBand) -> float:
         R1, R2 = region.R1, region.R2
         if math.isinf(R2):
             return math.inf
-        if isinstance(region, ProductSymmetric):
-            omega = 2.0 * math.pi * (math.cos(region.theta1) - math.cos(region.theta2))
-        else:
-            omega = region.mask.solid_angle
         n = max(64, math.ceil(4.0 * K * R2 / math.pi) + 32)
         rule = specfun.gauss_legendre_rule(n, R1, R2)
         integ = np.sum(rule.weights * rule.nodes ** 2
                        * _fb_trace_radial(K, L, rule.nodes))
-        return pref * omega * float(integ)
+        return pref * solid_angle(region) * float(integ)
     if isinstance(region, AzimuthallySymmetric):
         rad = (_fb_trace_radial(K, L, region.r_nodes)
                * region.r_weights * region.r_nodes ** 2)
@@ -442,8 +421,12 @@ def shannon_fb(region, band: FourierBesselBand) -> float:
 
 
 def angular_shannon(L: int, theta1: float, theta2: float) -> float:
-    """N_L = sum over l < L, |m| <= l of G^m_{l,l} (equals L^2/2 (cos t1 - cos t2))."""
-    return ker.G_diag_sum(L, theta1, theta2)
+    """N_L = sum over l < L, |m| <= l of G^m_{l,l} = L^2/2 (cos t1 - cos t2).
+
+    The trace of the band projection: sum_{m,l} |Ybar_lm|^2 = L^2 / (4 pi)
+    at every point, integrated over the band's solid angle.
+    """
+    return L * L / 2.0 * (math.cos(theta1) - math.cos(theta2))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ with
     G^m_{l,l'}      = 2 pi int_{t1}^{t2} sin(t) Ybar_{lm}(t) Ybar_{l'm}(t) dt
     C_{l,l'}(k,k')  = (2/pi) k k' int_{R1}^{R2} r^2 j_l(kr) j_{l'}(k'r) dr.
 
-E has an exact expression through truncated exponential moments, G through
-Wigner-3j sums and Legendre differences, and C has closed forms on l = l'
-(both k = k' and k != k').  Every analytic path here is mirrored by a plain
-quadrature oracle in the test suite.
+All three are assembled by Gauss-Legendre quadrature in the integration
+variable (r for E and C, cos t for G).  The G rule is exact, the E and C
+rules resolve the exponential and oscillatory factors to rounding.  The
+test suite checks each against an analytic oracle (exponential moments in
+extended precision, Wigner-3j sums, Lommel closed forms).
 
 The continuous Fourier-Bessel spectrum is discretized on uniform samples
 k_n = n K / M; quadrature in k uses trapezoid weights (the k = 0 node
@@ -29,26 +30,28 @@ and fail the discretization-independence requirements.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import mpmath as mp
 
 from . import regions as reg_mod
 from . import specfun
 from .regions import (AngularMask, AzimuthallySymmetric, ProductMask,
                       ProductSymmetric)
 
-# float64 loses ~15 digits to cancellation in the alternating moment sum by
-# p+p' ~ 58, so the analytic E path runs in fixed extended precision.
-_E_ANALYTIC_DPS = 50
-_E_ANALYTIC_MAX_PPSUM = 60
-
 
 # ---------------------------------------------------------------------------
 # spectral bands and index maps
 # ---------------------------------------------------------------------------
+
+def _check_band_limits(**limits):
+    for name, value in limits.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"band limit {name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError("band limits must be >= 1")
+
 
 @dataclass(frozen=True)
 class FourierLaguerreBand:
@@ -58,8 +61,7 @@ class FourierLaguerreBand:
     L: int
 
     def __post_init__(self):
-        if self.P < 1 or self.L < 1:
-            raise ValueError("band limits must be >= 1")
+        _check_band_limits(P=self.P, L=self.L)
 
     @property
     def size(self) -> int:
@@ -93,8 +95,7 @@ class FourierBesselBand:
     def __post_init__(self):
         if self.K <= 0:
             raise ValueError("K must be positive")
-        if self.L < 1 or self.M < 1:
-            raise ValueError("band limits must be >= 1")
+        _check_band_limits(L=self.L, M=self.M)
 
     @property
     def dk(self) -> float:
@@ -158,74 +159,24 @@ class KernelMatrix:
 # radial coupling E
 # ---------------------------------------------------------------------------
 
-def _radial_moments_mp(nmax: int, R1: float, R2: float, dps: int) -> list:
-    with mp.workdps(dps):
-        b = mp.inf if math.isinf(R2) else mp.mpf(R2)
-        return [mp.gammainc(n + 1, mp.mpf(R1), b) for n in range(nmax + 1)]
-
-
-@lru_cache(maxsize=256)
-def _laguerre_coeffs_mp(p: int, dps: int) -> tuple:
-    """Signed coefficients of L_p^{(2)}: c_j = (-1)^j binom(p+2, p-j)/j! (exact)."""
-    with mp.workdps(dps):
-        return tuple(
-            (-1) ** j * mp.mpf(math.comb(p + 2, p - j)) / mp.factorial(j)
-            for j in range(p + 1)
-        )
-
-
-def _e_entry_analytic(p: int, q: int, moments: list, dps: int = _E_ANALYTIC_DPS) -> float:
-    cp, cq = _laguerre_coeffs_mp(p, dps), _laguerre_coeffs_mp(q, dps)
-    with mp.workdps(dps):
-        acc = mp.mpf(0)
-        for j in range(p + 1):
-            cj = cp[j]
-            for j2 in range(q + 1):
-                acc += cj * cq[j2] * moments[j + j2 + 2]
-        norm = mp.sqrt(mp.mpf((p + 1) * (p + 2)) * mp.mpf((q + 1) * (q + 2)))
-        return float(acc / norm)
-
-
-def _e_entry_quad(p: int, q: int, R1: float, R2: float) -> float:
-    rule = specfun.gauss_legendre_rule(2 * max(p, q) + 18, R1, R2)
-    Kt = specfun.laguerre_K_table(max(p, q), rule.nodes)
-    return float(np.sum(rule.weights * rule.nodes ** 2 * Kt[p] * Kt[q]))
-
-
 def E_matrix(P: int, R1: float, R2: float) -> np.ndarray:
     """Radial coupling E_{p,p'} = int_{R1}^{R2} r^2 K_p K_{p'} dr, p, p' < P.
 
-    Exact moment expansion (in extended precision, the alternating binomial
-    sum is hopeless in float64 at these degrees) up to p+p' = 60; plain
-    Gauss-Legendre quadrature above that.  Symmetric with spectrum in [0, 1].
+    Gauss-Legendre quadrature with 2P + 24 nodes: the integrand is e^{-r}
+    times a polynomial of degree <= 2P, and the extra nodes resolve the
+    exponential.  An infinite R2 uses orthonormality on the half line,
+    E = I - E(0, R1).  Symmetric with spectrum in [0, 1].
     """
     if P < 1:
         raise ValueError("P must be >= 1")
     if not (R2 > R1 >= 0.0):
         raise ValueError(f"need 0 <= R1 < R2, got R1={R1}, R2={R2}")
-    nmax = 2 * (P - 1) + 2
-    # quadrature cannot reach an infinite endpoint; scale the working
-    # precision with the degree instead (cancellation eats ~p+q/4 digits)
-    analytic_all = math.isinf(R2) or 2 * (P - 1) <= _E_ANALYTIC_MAX_PPSUM
-    dps = max(_E_ANALYTIC_DPS, 30 + nmax) if math.isinf(R2) else _E_ANALYTIC_DPS
-    n_mom = nmax if analytic_all else _E_ANALYTIC_MAX_PPSUM + 2
-    moments = _radial_moments_mp(n_mom, R1, R2, dps)
-    E = np.empty((P, P))
-    for p in range(P):
-        for q in range(p, P):
-            if analytic_all or p + q <= _E_ANALYTIC_MAX_PPSUM:
-                E[p, q] = _e_entry_analytic(p, q, moments, dps)
-            else:
-                E[p, q] = _e_entry_quad(p, q, R1, R2)
-            E[q, p] = E[p, q]
-    return E
-
-
-def E_entry(p: int, q: int, R1: float, R2: float) -> float:
-    """Single analytic E entry (moment expansion)."""
-    dps = max(_E_ANALYTIC_DPS, 30 + p + q + 2)
-    moments = _radial_moments_mp(p + q + 2, R1, R2, dps)
-    return _e_entry_analytic(p, q, moments, dps)
+    if math.isinf(R2):
+        return np.eye(P) - (E_matrix(P, 0.0, R1) if R1 > 0.0 else 0.0)
+    rule = specfun.gauss_legendre_rule(2 * P + 24, R1, R2)
+    # square-root weights: A A^T is exactly symmetric and positive semidefinite
+    A = specfun.laguerre_K_table(P - 1, rule.nodes) * (np.sqrt(rule.weights) * rule.nodes)
+    return A @ A.T
 
 
 # ---------------------------------------------------------------------------
@@ -235,67 +186,20 @@ def E_entry(p: int, q: int, R1: float, R2: float) -> float:
 def G_matrix(m: int, L: int, theta1: float, theta2: float) -> np.ndarray:
     """Angular coupling G^m_{l,l'} for l, l' in [m, L-1] over a colatitude band.
 
-    Wigner-3j sum with Legendre differences; the convention P_{-1} == 1
-    supplies the j = 0 term.  Symmetric, spectrum in [0, 1], and invariant
-    under m -> -m.
+    Gauss-Legendre quadrature with L nodes in cos(theta) on
+    [cos theta2, cos theta1].  Pbar_{lm} Pbar_{l'm} is a polynomial of
+    degree <= 2L - 2 in cos(theta), so the rule is exact.  Symmetric,
+    spectrum in [0, 1], and invariant under m -> -m.
     """
     m = abs(m)
     if not (0 <= m < L):
         raise ValueError(f"need 0 <= |m| < L, got m={m}, L={L}")
     if not (0.0 <= theta1 < theta2 <= math.pi):
         raise ValueError(f"need 0 <= theta1 < theta2 <= pi, got {theta1}, {theta2}")
-    x1, x2 = math.cos(theta1), math.cos(theta2)
-    jmax = 2 * (L - 1) + 1
-    P1 = specfun.legendre_P_table(jmax, x1)
-    P2 = specfun.legendre_P_table(jmax, x2)
-
-    def pleg(j: int, tab: np.ndarray) -> float:
-        return 1.0 if j == -1 else tab[j]
-
-    n = L - m
-    G = np.empty((n, n))
-    for i, l in enumerate(range(m, L)):
-        for i2 in range(i, n):
-            l2 = m + i2
-            total = 0.0
-            for j in range(abs(l - l2), l + l2 + 1):
-                c0 = specfun.wigner_3j(l, j, l2, 0, 0, 0)
-                if c0 == 0.0:
-                    continue
-                cm = specfun.wigner_3j(l, j, l2, m, 0, -m)
-                bracket = (pleg(j - 1, P2) + pleg(j + 1, P1)
-                           - pleg(j + 1, P2) - pleg(j - 1, P1))
-                total += c0 * cm * bracket
-            val = (-1.0) ** m * math.sqrt((2 * l + 1) * (2 * l2 + 1)) / 2.0 * total
-            G[i, i2] = G[i2, i] = val
-    return G
-
-
-def G_diag_sum(L: int, theta1: float, theta2: float) -> float:
-    """sum over all (l, m), |m| <= l < L, of G^m_{l,l} (the angular Shannon number)."""
-    total = 0.0
-    x1, x2 = math.cos(theta1), math.cos(theta2)
-    jmax = 2 * (L - 1) + 1
-    P1 = specfun.legendre_P_table(jmax, x1)
-    P2 = specfun.legendre_P_table(jmax, x2)
-
-    def pleg(j: int, tab: np.ndarray) -> float:
-        return 1.0 if j == -1 else tab[j]
-
-    for m in range(L):
-        mult = 2.0 if m > 0 else 1.0
-        for l in range(m, L):
-            s = 0.0
-            for j in range(0, 2 * l + 1):
-                c0 = specfun.wigner_3j(l, j, l, 0, 0, 0)
-                if c0 == 0.0:
-                    continue
-                cm = specfun.wigner_3j(l, j, l, m, 0, -m)
-                bracket = (pleg(j - 1, P2) + pleg(j + 1, P1)
-                           - pleg(j + 1, P2) - pleg(j - 1, P1))
-                s += c0 * cm * bracket
-            total += mult * (-1.0) ** m * (2 * l + 1) / 2.0 * s
-    return total
+    rule = specfun.gauss_legendre_rule(L, math.cos(theta2), math.cos(theta1))
+    Pb = specfun.norm_alf_table(L, m, np.arccos(rule.nodes))
+    A = Pb * np.sqrt(2.0 * math.pi * rule.weights)
+    return A @ A.T
 
 
 def G_mask_matrix(mask: AngularMask, L: int) -> np.ndarray:
@@ -339,13 +243,18 @@ def C_kernel(ell: int, ell2: int, k: float, k2: float, R1: float, R2: float) -> 
         return 0.0
     jl = specfun.spherical_bessel_j
     if ell == ell2:
+        # both antiderivatives vanish at R = 0, where j_{-1} diverges
         if k == k2:
             def T(R: float) -> float:
+                if R == 0.0:
+                    return 0.0
                 return R ** 3 * (jl(ell, k * R) ** 2
                                  - jl(ell - 1, k * R) * jl(ell + 1, k * R))
             return k * k / math.pi * (T(R2) - T(R1))
 
         def bracket(R: float) -> float:
+            if R == 0.0:
+                return 0.0
             return R * R * (k2 * jl(ell - 1, k2 * R) * jl(ell, k * R)
                             - k * jl(ell - 1, k * R) * jl(ell, k2 * R))
         return 2.0 * k * k2 / (math.pi * (k * k - k2 * k2)) * (bracket(R2) - bracket(R1))
@@ -359,52 +268,15 @@ def C_kernel(ell: int, ell2: int, k: float, k2: float, R1: float, R2: float) -> 
 def _c_tensor(band: FourierBesselBand, R1: float, R2: float) -> np.ndarray:
     """C[l, n, l', n'] over the full band at the k samples.
 
-    Off-degree blocks by a single vectorized quadrature contraction; the
-    l = l' blocks are overwritten with the closed forms.
+    One vectorized Gauss-Legendre contraction over r for all degree pairs.
     """
     L, M = band.L, band.M
     ks = band.k_samples
     rule = _c_quad_rule(band.K, R1, R2)
     r, w = rule.nodes, rule.weights
-    J = np.empty((L + 1, M, r.size))
-    from scipy.special import spherical_jn
-    kr = np.multiply.outer(ks, r)
-    for l in range(L + 1):
-        J[l] = spherical_jn(l, kr)
-    A = (J[:L] * ks[None, :, None]).reshape(L * M, r.size)
-    C = (2.0 / math.pi) * ((A * (w * r ** 2)) @ A.T)
-    C = C.reshape(L, M, L, M)
-
-    # closed forms on the same-degree blocks
-    for l in range(L):
-        if l == 0:
-            # j_{-1} only ever enters multiplied by R^3 or R^2; at R1 = 0
-            # those prefactors vanish, so a zero placeholder is safe.
-            jlm1_R1 = specfun.spherical_j_minus1(ks * R1) if R1 > 0 else np.zeros(M)
-            jlm1_R2 = specfun.spherical_j_minus1(ks * R2)
-        else:
-            jlm1_R1 = spherical_jn(l - 1, ks * R1)
-            jlm1_R2 = spherical_jn(l - 1, ks * R2)
-        jl_R1 = spherical_jn(l, ks * R1)
-        jl_R2 = spherical_jn(l, ks * R2)
-        jlp1_R1 = spherical_jn(l + 1, ks * R1)
-        jlp1_R2 = spherical_jn(l + 1, ks * R2)
-        T1 = R1 ** 3 * (jl_R1 ** 2 - jlm1_R1 * jlp1_R1)
-        T2 = R2 ** 3 * (jl_R2 ** 2 - jlm1_R2 * jlp1_R2)
-        diag = ks ** 2 / math.pi * (T2 - T1)
-
-        def brack(R, jl_R, jlm1_R):
-            return R * R * (np.outer(jl_R, ks * jlm1_R)
-                            - np.outer(ks * jlm1_R, jl_R))
-        num = brack(R2, jl_R2, jlm1_R2)
-        if R1 > 0.0:
-            num = num - brack(R1, jl_R1, jlm1_R1)
-        den = np.subtract.outer(ks ** 2, ks ** 2)
-        np.fill_diagonal(den, 1.0)
-        block = 2.0 * np.multiply.outer(ks, ks) / (math.pi * den) * num
-        np.einsum("ii->i", block)[:] = diag
-        C[l, :, l, :] = 0.5 * (block + block.T)
-    return C
+    J = specfun.spherical_jn_table(L - 1, np.multiply.outer(ks, r))
+    A = (J * ks[None, :, None] * (r * np.sqrt(w))).reshape(L * M, r.size)
+    return (2.0 / math.pi) * (A @ A.T).reshape(L, M, L, M)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +346,7 @@ def kernel_fl_entry(region, band: FourierLaguerreBand,
             return complex(float(l == l2 and m == m2 and p == p2))
         if m != m2:
             return 0.0
-        e = E_entry(p, p2, region.R1, region.R2) if math.isinf(region.R2) \
-            else float(E_matrix(max(p, p2) + 1, region.R1, region.R2)[p, p2])
+        e = float(E_matrix(max(p, p2) + 1, region.R1, region.R2)[p, p2])
         g = G_matrix(m, band.L, region.theta1, region.theta2)
         return complex(e * g[l - abs(m), l2 - abs(m)])
     if isinstance(region, ProductMask):

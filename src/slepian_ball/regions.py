@@ -231,9 +231,8 @@ class ProductSymmetric:
     orientation: tuple[float, float] | None = None
 
     def __post_init__(self):
-        # R1 == R2 is allowed as a degenerate (measure-zero) interval
-        if not (0.0 <= self.R1 <= self.R2):
-            raise ValueError(f"need 0 <= R1 <= R2, got R1={self.R1}, R2={self.R2}")
+        if not (0.0 <= self.R1 < self.R2):
+            raise ValueError(f"need 0 <= R1 < R2, got R1={self.R1}, R2={self.R2}")
         if not (0.0 <= self.theta1 < self.theta2 <= math.pi):
             raise ValueError(
                 f"need 0 <= theta1 < theta2 <= pi, got {self.theta1}, {self.theta2}")

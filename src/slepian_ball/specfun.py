@@ -10,20 +10,21 @@ the rest of the package:
   orthonormal under the measure ``r^2 dr`` on the half line;
 * orthonormal spherical harmonics with the Condon-Shortley phase carried
   by the associated Legendre recurrence;
-* Wigner 3j symbols (Racah single-sum, log-factorials) and real Wigner
-  d-matrix elements (Jacobi-polynomial form, stable at large degree).
+* real Wigner d-matrix elements (Jacobi-polynomial form, stable at large
+  degree);
+* Gauss-Legendre and Gauss-Laguerre quadrature rules, the only integration
+  route the kernels use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaincc, gammaln, spherical_jn
+from scipy.special import gammaln, spherical_jn
 
 
 # ---------------------------------------------------------------------------
@@ -214,59 +215,12 @@ def sph_harm_matrix(L: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def legendre_P_table(jmax: int, x: float) -> np.ndarray:
-    """Legendre polynomials P_j(x) for j = 0..jmax (plain recurrence)."""
-    P = np.empty(jmax + 1)
-    P[0] = 1.0
-    if jmax >= 1:
-        P[1] = x
-    for j in range(1, jmax):
-        P[j + 1] = ((2 * j + 1) * x * P[j] - j * P[j - 1]) / (j + 1)
-    return P
-
-
 # ---------------------------------------------------------------------------
 # Wigner symbols
 # ---------------------------------------------------------------------------
 
 def _lnf(n: int) -> float:
     return gammaln(n + 1)
-
-
-@lru_cache(maxsize=200_000)
-def wigner_3j(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> float:
-    """Wigner 3j symbol; returns 0 outside the selection rules.
-
-    Racah single-sum formula with log-factorials, safe far beyond the
-    degree range used by the angular kernels here.
-    """
-    if m1 + m2 + m3 != 0:
-        return 0.0
-    if l3 < abs(l1 - l2) or l3 > l1 + l2:
-        return 0.0
-    if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
-        return 0.0
-    if min(l1, l2, l3) < 0:
-        return 0.0
-    t_min = max(0, l2 - l3 - m1, l1 - l3 + m2)
-    t_max = min(l1 + l2 - l3, l1 - m1, l2 + m2)
-    if t_max < t_min:
-        return 0.0
-    pre = 0.5 * (
-        _lnf(l1 + l2 - l3) + _lnf(l1 - l2 + l3) + _lnf(-l1 + l2 + l3)
-        - _lnf(l1 + l2 + l3 + 1)
-        + _lnf(l1 + m1) + _lnf(l1 - m1)
-        + _lnf(l2 + m2) + _lnf(l2 - m2)
-        + _lnf(l3 + m3) + _lnf(l3 - m3)
-    )
-    total = 0.0
-    for t in range(t_min, t_max + 1):
-        lt = (
-            _lnf(t) + _lnf(l3 - l2 + t + m1) + _lnf(l3 - l1 + t - m2)
-            + _lnf(l1 + l2 - l3 - t) + _lnf(l1 - t - m1) + _lnf(l2 - t + m2)
-        )
-        total += (-1.0) ** t * math.exp(pre - lt)
-    return (-1.0) ** (l1 - l2 - m3) * total
 
 
 def _jacobi_poly(s: int, a: int, b: int, x: float) -> float:
@@ -305,62 +259,3 @@ def wigner_d_beta(ell: int, m: int, n: int, beta: float) -> float:
     lg = 0.5 * (_lnf(s) + _lnf(s + mu + nu) - _lnf(s + mu) - _lnf(s + nu))
     pref = xi * math.exp(lg) * math.sin(beta / 2.0) ** mu * math.cos(beta / 2.0) ** nu
     return pref * _jacobi_poly(s, mu, nu, math.cos(beta))
-
-
-# ---------------------------------------------------------------------------
-# truncated exponential moments
-# ---------------------------------------------------------------------------
-
-def _poisson_cdf(j: int, R: float) -> float:
-    """P[Poisson(R) <= j] = Q(j+1, R), with the degenerate endpoints."""
-    if R == 0.0:
-        return 1.0
-    if math.isinf(R):
-        return 0.0
-    return float(gammaincc(j + 1, R))
-
-
-def _log_poisson_tail(j: int, R: float) -> float:
-    """log P[Poisson(R) > j], summed directly in the log domain."""
-    if R == 0.0:
-        return -math.inf
-    logs = []
-    a = j + 1
-    first = a * math.log(R) - R - _lnf(a)
-    logs.append(first)
-    while True:
-        a += 1
-        lt = a * math.log(R) - R - _lnf(a)
-        logs.append(lt)
-        if lt < first - 45.0 and a > R:
-            break
-        if a > j + 200000:
-            break
-    mx = max(logs)
-    return mx + math.log(math.fsum(math.exp(t - mx) for t in logs))
-
-
-def radial_moment_integral(j: int, R1: float, R2: float) -> float:
-    """Truncated exponential moment  integral_{R1}^{R2} e^{-r} r^j dr.
-
-    Equals j! * sum_{a<=j} (e^{-R1} R1^a - e^{-R2} R2^a)/a!, i.e. a
-    difference of upper incomplete gamma functions.  Evaluated through
-    Poisson cumulative probabilities, switching to a log-domain tail sum
-    when both CDFs sit near 1 (interval far left of the integrand peak),
-    which is where the plain difference cancels.
-    """
-    if j < 0:
-        raise ValueError(f"moment degree must be >= 0, got {j}")
-    if not (R2 > R1) or R1 < 0:
-        raise ValueError(f"need 0 <= R1 < R2, got R1={R1}, R2={R2}")
-    s1, s2 = _poisson_cdf(j, R1), _poisson_cdf(j, R2)
-    if s2 > 0.99:
-        lt1 = _log_poisson_tail(j, R1)
-        lt2 = _log_poisson_tail(j, R2)
-        log_d = lt2 + math.log1p(-math.exp(lt1 - lt2)) if lt1 > -math.inf else lt2
-    else:
-        log_d = math.log(s1 - s2)
-    try:
-        return math.exp(_lnf(j) + log_d)
-    except OverflowError:
-        return math.inf  # true value exceeds the float64 range

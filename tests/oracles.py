@@ -1,0 +1,285 @@
+"""Analytic reference implementations of the kernel couplings.
+
+The library assembles E, G^m and C by Gauss-Legendre quadrature only.  The
+closed forms below compute the same quantities along independent routes and
+serve the tests as oracles:
+
+* E through truncated exponential moments, summed in 50-digit mpmath
+  (the alternating binomial sum is hopeless in float64 at these degrees);
+* G^m through Wigner-3j sums with Legendre differences;
+* truncated exponential moments in float64 through Poisson probabilities.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+
+import mpmath as mp
+import numpy as np
+from scipy.special import gammaincc, gammaln
+
+from slepian_ball import specfun
+
+# float64 loses ~15 digits to cancellation in the alternating moment sum by
+# p+p' ~ 58, so the analytic E path runs in fixed extended precision.
+_E_ANALYTIC_DPS = 50
+_E_ANALYTIC_MAX_PPSUM = 60
+
+
+# ---------------------------------------------------------------------------
+# Legendre polynomials and Wigner 3j symbols
+# ---------------------------------------------------------------------------
+
+def legendre_P_table(jmax: int, x: float) -> np.ndarray:
+    """Legendre polynomials P_j(x) for j = 0..jmax (plain recurrence)."""
+    P = np.empty(jmax + 1)
+    P[0] = 1.0
+    if jmax >= 1:
+        P[1] = x
+    for j in range(1, jmax):
+        P[j + 1] = ((2 * j + 1) * x * P[j] - j * P[j - 1]) / (j + 1)
+    return P
+
+
+def _lnf(n: int) -> float:
+    return gammaln(n + 1)
+
+
+@lru_cache(maxsize=200_000)
+def wigner_3j(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> float:
+    """Wigner 3j symbol; returns 0 outside the selection rules.
+
+    Racah single-sum formula with log-factorials, safe far beyond the
+    degree range used by the angular kernels here.
+    """
+    if m1 + m2 + m3 != 0:
+        return 0.0
+    if l3 < abs(l1 - l2) or l3 > l1 + l2:
+        return 0.0
+    if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
+        return 0.0
+    if min(l1, l2, l3) < 0:
+        return 0.0
+    t_min = max(0, l2 - l3 - m1, l1 - l3 + m2)
+    t_max = min(l1 + l2 - l3, l1 - m1, l2 + m2)
+    if t_max < t_min:
+        return 0.0
+    pre = 0.5 * (
+        _lnf(l1 + l2 - l3) + _lnf(l1 - l2 + l3) + _lnf(-l1 + l2 + l3)
+        - _lnf(l1 + l2 + l3 + 1)
+        + _lnf(l1 + m1) + _lnf(l1 - m1)
+        + _lnf(l2 + m2) + _lnf(l2 - m2)
+        + _lnf(l3 + m3) + _lnf(l3 - m3)
+    )
+    total = 0.0
+    for t in range(t_min, t_max + 1):
+        lt = (
+            _lnf(t) + _lnf(l3 - l2 + t + m1) + _lnf(l3 - l1 + t - m2)
+            + _lnf(l1 + l2 - l3 - t) + _lnf(l1 - t - m1) + _lnf(l2 - t + m2)
+        )
+        total += (-1.0) ** t * math.exp(pre - lt)
+    return (-1.0) ** (l1 - l2 - m3) * total
+
+
+# ---------------------------------------------------------------------------
+# angular coupling G by Wigner-3j sums
+# ---------------------------------------------------------------------------
+
+def G_matrix_3j(m: int, L: int, theta1: float, theta2: float) -> np.ndarray:
+    """Angular coupling G^m_{l,l'} for l, l' in [m, L-1] over a colatitude band.
+
+    Wigner-3j sum with Legendre differences; the convention P_{-1} == 1
+    supplies the j = 0 term.  Symmetric, spectrum in [0, 1], and invariant
+    under m -> -m.
+    """
+    m = abs(m)
+    if not (0 <= m < L):
+        raise ValueError(f"need 0 <= |m| < L, got m={m}, L={L}")
+    if not (0.0 <= theta1 < theta2 <= math.pi):
+        raise ValueError(f"need 0 <= theta1 < theta2 <= pi, got {theta1}, {theta2}")
+    x1, x2 = math.cos(theta1), math.cos(theta2)
+    jmax = 2 * (L - 1) + 1
+    P1 = legendre_P_table(jmax, x1)
+    P2 = legendre_P_table(jmax, x2)
+
+    def pleg(j: int, tab: np.ndarray) -> float:
+        return 1.0 if j == -1 else tab[j]
+
+    n = L - m
+    G = np.empty((n, n))
+    for i, l in enumerate(range(m, L)):
+        for i2 in range(i, n):
+            l2 = m + i2
+            total = 0.0
+            for j in range(abs(l - l2), l + l2 + 1):
+                c0 = wigner_3j(l, j, l2, 0, 0, 0)
+                if c0 == 0.0:
+                    continue
+                cm = wigner_3j(l, j, l2, m, 0, -m)
+                bracket = (pleg(j - 1, P2) + pleg(j + 1, P1)
+                           - pleg(j + 1, P2) - pleg(j - 1, P1))
+                total += c0 * cm * bracket
+            val = (-1.0) ** m * math.sqrt((2 * l + 1) * (2 * l2 + 1)) / 2.0 * total
+            G[i, i2] = G[i2, i] = val
+    return G
+
+
+def G_diag_sum_3j(L: int, theta1: float, theta2: float) -> float:
+    """sum over all (l, m), |m| <= l < L, of G^m_{l,l} (the angular Shannon number)."""
+    total = 0.0
+    x1, x2 = math.cos(theta1), math.cos(theta2)
+    jmax = 2 * (L - 1) + 1
+    P1 = legendre_P_table(jmax, x1)
+    P2 = legendre_P_table(jmax, x2)
+
+    def pleg(j: int, tab: np.ndarray) -> float:
+        return 1.0 if j == -1 else tab[j]
+
+    for m in range(L):
+        mult = 2.0 if m > 0 else 1.0
+        for l in range(m, L):
+            s = 0.0
+            for j in range(0, 2 * l + 1):
+                c0 = wigner_3j(l, j, l, 0, 0, 0)
+                if c0 == 0.0:
+                    continue
+                cm = wigner_3j(l, j, l, m, 0, -m)
+                bracket = (pleg(j - 1, P2) + pleg(j + 1, P1)
+                           - pleg(j + 1, P2) - pleg(j - 1, P1))
+                s += c0 * cm * bracket
+            total += mult * (-1.0) ** m * (2 * l + 1) / 2.0 * s
+    return total
+
+
+# ---------------------------------------------------------------------------
+# radial coupling E by exponential moments in extended precision
+# ---------------------------------------------------------------------------
+
+def _radial_moments_mp(nmax: int, R1: float, R2: float, dps: int) -> list:
+    with mp.workdps(dps):
+        b = mp.inf if math.isinf(R2) else mp.mpf(R2)
+        return [mp.gammainc(n + 1, mp.mpf(R1), b) for n in range(nmax + 1)]
+
+
+@lru_cache(maxsize=256)
+def _laguerre_coeffs_mp(p: int, dps: int) -> tuple:
+    """Signed coefficients of L_p^{(2)}: c_j = (-1)^j binom(p+2, p-j)/j! (exact)."""
+    with mp.workdps(dps):
+        return tuple(
+            (-1) ** j * mp.mpf(math.comb(p + 2, p - j)) / mp.factorial(j)
+            for j in range(p + 1)
+        )
+
+
+def _e_entry_analytic(p: int, q: int, moments: list, dps: int = _E_ANALYTIC_DPS) -> float:
+    cp, cq = _laguerre_coeffs_mp(p, dps), _laguerre_coeffs_mp(q, dps)
+    with mp.workdps(dps):
+        acc = mp.mpf(0)
+        for j in range(p + 1):
+            cj = cp[j]
+            for j2 in range(q + 1):
+                acc += cj * cq[j2] * moments[j + j2 + 2]
+        norm = mp.sqrt(mp.mpf((p + 1) * (p + 2)) * mp.mpf((q + 1) * (q + 2)))
+        return float(acc / norm)
+
+
+def _e_entry_quad(p: int, q: int, R1: float, R2: float) -> float:
+    rule = specfun.gauss_legendre_rule(2 * max(p, q) + 18, R1, R2)
+    Kt = specfun.laguerre_K_table(max(p, q), rule.nodes)
+    return float(np.sum(rule.weights * rule.nodes ** 2 * Kt[p] * Kt[q]))
+
+
+def E_matrix_mp(P: int, R1: float, R2: float) -> np.ndarray:
+    """Radial coupling E_{p,p'} = int_{R1}^{R2} r^2 K_p K_{p'} dr, p, p' < P.
+
+    Exact moment expansion (in extended precision, the alternating binomial
+    sum is hopeless in float64 at these degrees) up to p+p' = 60; plain
+    Gauss-Legendre quadrature above that.  Symmetric with spectrum in [0, 1].
+    """
+    if P < 1:
+        raise ValueError("P must be >= 1")
+    if not (R2 > R1 >= 0.0):
+        raise ValueError(f"need 0 <= R1 < R2, got R1={R1}, R2={R2}")
+    nmax = 2 * (P - 1) + 2
+    # quadrature cannot reach an infinite endpoint; scale the working
+    # precision with the degree instead (cancellation eats ~p+q/4 digits)
+    analytic_all = math.isinf(R2) or 2 * (P - 1) <= _E_ANALYTIC_MAX_PPSUM
+    dps = max(_E_ANALYTIC_DPS, 30 + nmax) if math.isinf(R2) else _E_ANALYTIC_DPS
+    n_mom = nmax if analytic_all else _E_ANALYTIC_MAX_PPSUM + 2
+    moments = _radial_moments_mp(n_mom, R1, R2, dps)
+    E = np.empty((P, P))
+    for p in range(P):
+        for q in range(p, P):
+            if analytic_all or p + q <= _E_ANALYTIC_MAX_PPSUM:
+                E[p, q] = _e_entry_analytic(p, q, moments, dps)
+            else:
+                E[p, q] = _e_entry_quad(p, q, R1, R2)
+            E[q, p] = E[p, q]
+    return E
+
+
+def E_entry(p: int, q: int, R1: float, R2: float) -> float:
+    """Single analytic E entry (moment expansion)."""
+    dps = max(_E_ANALYTIC_DPS, 30 + p + q + 2)
+    moments = _radial_moments_mp(p + q + 2, R1, R2, dps)
+    return _e_entry_analytic(p, q, moments, dps)
+
+
+# ---------------------------------------------------------------------------
+# truncated exponential moments in float64
+# ---------------------------------------------------------------------------
+
+def _poisson_cdf(j: int, R: float) -> float:
+    """P[Poisson(R) <= j] = Q(j+1, R), with the degenerate endpoints."""
+    if R == 0.0:
+        return 1.0
+    if math.isinf(R):
+        return 0.0
+    return float(gammaincc(j + 1, R))
+
+
+def _log_poisson_tail(j: int, R: float) -> float:
+    """log P[Poisson(R) > j], summed directly in the log domain."""
+    if R == 0.0:
+        return -math.inf
+    logs = []
+    a = j + 1
+    first = a * math.log(R) - R - _lnf(a)
+    logs.append(first)
+    while True:
+        a += 1
+        lt = a * math.log(R) - R - _lnf(a)
+        logs.append(lt)
+        if lt < first - 45.0 and a > R:
+            break
+        if a > j + 200000:
+            break
+    mx = max(logs)
+    return mx + math.log(math.fsum(math.exp(t - mx) for t in logs))
+
+
+def radial_moment_integral(j: int, R1: float, R2: float) -> float:
+    """Truncated exponential moment  integral_{R1}^{R2} e^{-r} r^j dr.
+
+    Equals j! * sum_{a<=j} (e^{-R1} R1^a - e^{-R2} R2^a)/a!, i.e. a
+    difference of upper incomplete gamma functions.  Evaluated through
+    Poisson cumulative probabilities, switching to a log-domain tail sum
+    when both CDFs sit near 1 (interval far left of the integrand peak),
+    which is where the plain difference cancels.
+    """
+    if j < 0:
+        raise ValueError(f"moment degree must be >= 0, got {j}")
+    if not (R2 > R1) or R1 < 0:
+        raise ValueError(f"need 0 <= R1 < R2, got R1={R1}, R2={R2}")
+    s1, s2 = _poisson_cdf(j, R1), _poisson_cdf(j, R2)
+    if s2 > 0.99:
+        lt1 = _log_poisson_tail(j, R1)
+        lt2 = _log_poisson_tail(j, R2)
+        log_d = lt2 + math.log1p(-math.exp(lt1 - lt2)) if lt1 > -math.inf else lt2
+    else:
+        log_d = math.log(s1 - s2)
+    try:
+        return math.exp(_lnf(j) + log_d)
+    except OverflowError:
+        return math.inf  # true value exceeds the float64 range

@@ -275,9 +275,27 @@ def test_main_in_process(tmp_path):
 
 
 def test_threads_env_respected(tmp_path):
-    env = dict(os.environ, SLEPIAN_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     rc = subprocess.run(
         [sys.executable, "-m", "slepian_ball", "shannon", "--domain", "fl",
          "--P", "4", "--L", "4", "--region", "fullball", "--out", str(tmp_path)],
         capture_output=True, text=True, env=env)
     assert rc.returncode == 0, rc.stderr
+
+
+@pytest.mark.parametrize("r1, r2", [(20.0, 20.0), (0.0, 0.0), (25.0, 15.0)])
+def test_empty_or_inverted_shell_rejected(tmp_path, capsys, r1, r2):
+    with pytest.raises(ValueError, match="R1 < R2"):
+        sb.ProductSymmetric(r1, r2, T1, T2)
+    rc = main(["shannon", "--region", f"product:{r1},{r2},{T1},{T2}",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "R1 < R2" in capsys.readouterr().err
+
+
+def test_import_leaves_mpmath_unloaded():
+    code = "import sys, slepian_ball; print('mpmath' in sys.modules)"
+    rc = subprocess.run([sys.executable, "-c", code],
+                        capture_output=True, text=True)
+    assert rc.returncode == 0, rc.stderr
+    assert rc.stdout.strip() == "False"

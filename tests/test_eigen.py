@@ -101,6 +101,14 @@ def test_reference_fl_spectrum(ref_fl):
     assert lo > -1e-9 and hi < 1 + 1e-9
 
 
+def test_scaled_fl_spectrum_bounds(ref_region):
+    # L = P = 64: the angular factors must stay inside the projection bounds
+    res = sb.solve_fl(ref_region, sb.FourierLaguerreBand(64, 64), keep=1)
+    lo, hi = res.raw_eigenvalue_range
+    assert lo >= -1e-9 and hi <= 1 + 1e-9
+    assert abs(res.eigenvalues.sum() - res.shannon) / res.shannon < 1e-6
+
+
 def test_eigenvalue_transition_width(ref_fl):
     n_half = int((ref_fl.eigenvalues >= 0.5).sum())
     assert abs(n_half - ref_fl.shannon) < 0.05 * ref_fl.shannon

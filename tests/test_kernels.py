@@ -1,8 +1,9 @@
 """Kernel assembly tests.
 
-Every analytic path (E moments, G Wigner-3j sums, C closed forms) is
-checked against an independent quadrature oracle built from the raw
-integral definitions.
+The library assembles E, G and C by quadrature.  Each is checked against an
+independent quadrature oracle built from the raw integral definitions and
+against the analytic oracles in tests/oracles.py (E moments in extended
+precision, G Wigner-3j sums, C closed forms).
 """
 
 import math
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 import slepian_ball as sb
+from oracles import E_matrix_mp, G_diag_sum_3j, G_matrix_3j
 from slepian_ball import specfun
-from slepian_ball.kernels import G_diag_sum, fb_k_weights
+from slepian_ball.kernels import _c_tensor, fb_k_weights
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
 
@@ -81,6 +83,24 @@ def test_index_map_errors():
         fband.flat_index(0, 0, 6)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: sb.FourierLaguerreBand(2.5, 3),
+    lambda: sb.FourierLaguerreBand(3, 4.0),
+    lambda: sb.FourierLaguerreBand(True, 3),
+    lambda: sb.FourierBesselBand(1.0, 3.5, 5),
+    lambda: sb.FourierBesselBand(1.0, 3, 5.0),
+    lambda: sb.FourierBesselBand(1.0, 3, False),
+])
+def test_band_limits_must_be_integers(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_band_limits_accept_numpy_integers():
+    assert sb.FourierLaguerreBand(np.int64(3), np.int32(4)).size == 48
+    assert sb.FourierBesselBand(1.0, np.int64(3), np.int64(5)).size == 45
+
+
 def test_fb_weights_trapezoid():
     band = sb.FourierBesselBand(1.0, 2, 10)
     w = fb_k_weights(band)
@@ -123,6 +143,14 @@ def test_e_matrix_spectrum_feasible():
         assert ev.max() < 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("P, R1, R2", [
+    (31, 15.0, 25.0), (20, 2.0, 80.0), (31, 15.0, math.inf)])
+def test_e_matrix_vs_moment_oracle(P, R1, R2):
+    # extended-precision exponential moments; R2 = inf covers I - E(0, R1)
+    E = sb.E_matrix(P, R1, R2)
+    assert np.abs(E - E_matrix_mp(P, R1, R2)).max() < 1e-13
+
+
 def test_e_matrix_domain_error():
     with pytest.raises(ValueError):
         sb.E_matrix(5, 10.0, 10.0)
@@ -131,8 +159,8 @@ def test_e_matrix_domain_error():
 
 
 def test_e_matrix_quadrature_switch_consistent():
-    # degrees above the analytic threshold switch to quadrature; both routes
-    # must agree where they meet
+    # degrees past p + p' = 60, where float64 moment sums would be hopeless,
+    # against an oracle with many more nodes
     E = sb.E_matrix(35, 10.0, 30.0)
     assert np.abs(E - e_quad_oracle(35, 10.0, 30.0)).max() < 1e-9
 
@@ -159,10 +187,30 @@ def test_g_vs_quadrature():
 
 
 def test_g_reference_diagonal_sum():
-    total = G_diag_sum(20, T1, T2)
+    total = G_diag_sum_3j(20, T1, T2)
     closed = 20 ** 2 / 2 * (math.cos(T1) - math.cos(T2))
     assert total == pytest.approx(108.24, abs=0.01)
     assert total == pytest.approx(closed, abs=1e-9)
+
+
+def test_g_vs_wigner_3j_oracle():
+    for m in range(20):
+        G3j = G_matrix_3j(m, 20, T1, T2)
+        assert np.abs(sb.G_matrix(m, 20, T1, T2) - G3j).max() < 1e-12
+
+
+@pytest.mark.parametrize("L", [32, 48, 64])
+def test_g_spectrum_bounds_scaled(L):
+    for m in range(L):
+        ev = np.linalg.eigvalsh(sb.G_matrix(m, L, T1, T2))
+        assert ev.min() >= -1e-14 and ev.max() <= 1 + 1e-14, m
+
+
+def test_g_full_sphere_identity_scaled():
+    # the L-node rule is exact: over the whole sphere G^m is the identity
+    for m in range(64):
+        G = sb.G_matrix(m, 64, 0.0, math.pi)
+        assert np.abs(G - np.eye(64 - m)).max() < 1e-13, m
 
 
 def test_g_negative_order_symmetry():
@@ -204,6 +252,17 @@ def test_c_closed_forms_vs_quadrature():
     # mixed degrees go through quadrature internally; cross-check anyway
     assert sb.C_kernel(1, 4, 0.7, 1.2, 15.0, 25.0) == pytest.approx(
         c_quad_oracle(1, 4, 0.7, 1.2, 15.0, 25.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("R1", [0.0, 15.0])
+def test_c_tensor_same_degree_vs_closed_forms(R1):
+    band = sb.FourierBesselBand(1.4, 6, 20)
+    ks = band.k_samples
+    C = _c_tensor(band, R1, 25.0)
+    for l in (0, 1, 3, 5):
+        for n, n2 in [(0, 0), (4, 11), (19, 19), (19, 2)]:
+            closed = sb.C_kernel(l, l, ks[n], ks[n2], R1, 25.0)
+            assert C[l, n, l, n2] == pytest.approx(closed, abs=1e-12)
 
 
 def test_c_empty_interval():

@@ -68,7 +68,9 @@ def test_volume_closed_form_and_monte_carlo(rng):
 def test_volume_trivia():
     assert sb.volume(sb.ProductSymmetric(0, 1, 0, math.pi)) == pytest.approx(
         4 * math.pi / 3, rel=1e-14)
-    assert sb.volume(sb.ProductSymmetric(2.0, 2.0, 0, math.pi)) == 0.0
+    # an empty radial interval is not a region
+    with pytest.raises(ValueError):
+        sb.ProductSymmetric(2.0, 2.0, 0, math.pi)
 
 
 def test_contains_product_region():

@@ -1,6 +1,10 @@
 """Special-function tests: every analytic value is checked against an
 independent oracle (ascending series, binomial sums, adaptive quadrature,
-sympy's exact Wigner symbols)."""
+sympy's exact Wigner symbols).
+
+The Wigner-3j symbols and truncated exponential moments live in
+tests/oracles.py, where they back the kernel oracles; their tests stay here.
+"""
 
 import math
 
@@ -11,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from oracles import radial_moment_integral, wigner_3j
 from slepian_ball import specfun
 from slepian_ball.specfun import (QuadratureRule, gauss_laguerre_rule,
                                   gauss_legendre_rule, laguerre_K,
-                                  radial_moment_integral, spherical_bessel_j,
-                                  spherical_harmonic, wigner_3j, wigner_d_beta)
+                                  spherical_bessel_j, spherical_harmonic,
+                                  wigner_d_beta)
 
 
 # ---------------------------------------------------------------------------
