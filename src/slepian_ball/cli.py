@@ -309,7 +309,7 @@ def cmd_eigen(cfg: RunConfig) -> int:
     solve = eigen.solve_fl if cfg.domain == "fl" else eigen.solve_fb
     res = solve(region, band, keep=keep)
     _write_text(os.path.join(cfg.out, "eigenvalues.csv"), _eigen_csv(res))
-    n_vec = min(max(cfg.count, 1), len(res))
+    n_vec = min(max(cfg.count, 1), res.stored)
     write_matrix(os.path.join(cfg.out, "eigenvectors.mat"), res.vectors(n_vec))
     _write_json(os.path.join(cfg.out, "shannon.json"), _meta(cfg, {
         "shannon": res.shannon,
@@ -321,8 +321,8 @@ def cmd_eigen(cfg: RunConfig) -> int:
             n_r, n_t = (int(v) for v in cfg.grid.split(","))
         except Exception as exc:
             raise ValueError(f"--grid needs 'nr,ntheta', got {cfg.grid!r}") from exc
-        ranks = [a for a in range(len(res))
-                 if cfg.order is None or res.infos[a].m == cfg.order][:cfg.count]
+        ranks = [a for a, info in enumerate(res.infos) if info.block
+                 and (cfg.order is None or info.m == cfg.order)][:cfg.count]
         r_max = getattr(region, "R2", None)
         r_max = 2.0 * r_max if r_max and not math.isinf(r_max) else 50.0
         rs = np.linspace(r_max / n_r, r_max, n_r)

@@ -28,6 +28,9 @@ from .regions import (AzimuthallySymmetric, ProductMask, ProductSymmetric,
 
 _CLAMP_TOL = 1e-9
 _SPACE_LIMIT_MIN_LAM = 1e-12
+# A Gram-side FB eigenvector F z / sqrt(mu) loses orthonormality like
+# eps / mu; at or above this floor the residual stays below 1e-10.
+_FB_VECTOR_FLOOR = 1e-5
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,8 @@ class EigenResult:
     """Sorted concentration spectrum plus lazily materialized eigenvectors."""
 
     def __init__(self, eigenvalues, infos, band, region, shannon,
-                 raw_range, materialize, k_weights=None, projector=None):
+                 raw_range, materialize, k_weights=None, projector=None,
+                 vector_floor=0.0):
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.infos = list(infos)
         self.band = band
@@ -76,6 +80,7 @@ class EigenResult:
         self._materialize = materialize
         self._projector = projector
         self.k_weights = k_weights
+        self.vector_floor = vector_floor
 
     def __len__(self) -> int:
         return self.eigenvalues.size
@@ -89,7 +94,9 @@ class EigenResult:
         """Coefficient vector of the alpha-th eigenfunction (0-based rank)."""
         info = self.infos[alpha]
         if not info.block:
-            raise IndexError(f"eigenvector {alpha} was not retained (keep= too small)")
+            why = (f"eigenvalue {info.lam:.1e} is in the numerical null space"
+                   if info.lam < self.vector_floor else "keep= too small")
+            raise IndexError(f"eigenvector {alpha} was not retained ({why})")
         return HarmonicCoeffs(self._materialize(info), self.band)
 
     def vectors(self, count: int) -> np.ndarray:
@@ -256,47 +263,52 @@ def solve_fl(region, band: FourierLaguerreBand, keep: int | None = None) -> Eige
     raise TypeError(f"unsupported region type {type(region)!r}")
 
 
-def _solve_fl_blocks(region, band: FourierLaguerreBand, keep) -> EigenResult:
-    """Dense fixed-order FL solve (azimuthally symmetric / union regions)."""
-    P, L = band.P, band.L
-    blocks = {}
-    entries = []
-    raw_lo, raw_hi = math.inf, -math.inf
-    for m in range(L):
-        km = ker.kernel_fl_fixed_order(m, band, region)
-        lam_raw, W = np.linalg.eigh(km.matrix)
-        lam_raw, W = lam_raw[::-1], W[:, ::-1]
-        raw_lo = min(raw_lo, float(lam_raw.min()))
-        raw_hi = max(raw_hi, float(lam_raw.max()))
-        lam, _ = _validate_and_clamp(lam_raw)
-        blocks[m] = W
-        for i in range(lam.size):
-            for ms in ((m,) if m == 0 else (-m, m)):
-                entries.append((lam[i], ms, i, 0))
+def _block_result(band, region, blocks, keep, raw_range, shannon, scale=1.0,
+                  **extra) -> EigenResult:
+    """Merge per-order spectra into one sorted EigenResult.
+
+    blocks[m] = (lam, Y): the order's clamped eigenvalues, descending, and
+    its retained vector columns over (l, radial index), divided by `scale`
+    on output.  Rank alpha keeps its vector if alpha < keep and Y has it.
+    """
+    L = band.L
+    stride = band.size // (L * L)
+    entries = [(lam[i], ms, i, 0) for m, (lam, _) in blocks.items()
+               for i in range(lam.size) for ms in ((m,) if m == 0 else (-m, m))]
     entries.sort(key=_sort_key)
     if keep is None:
         keep = len(entries)
     infos = [
-        EigenFunctionInfo(lam, ms, None, None,
-                          block=("blk", ms, i) if rank < keep else ())
+        EigenFunctionInfo(lam, ms, None, None, block=(
+            ("blk", ms, i) if rank < keep and i < blocks[abs(ms)][1].shape[1] else ()))
         for rank, (lam, ms, i, _) in enumerate(entries)
     ]
 
     def materialize(info: EigenFunctionInfo) -> np.ndarray:
         _, ms, i = info.block
-        m_abs = abs(ms)
-        W = blocks[m_abs]
-        vec = np.zeros(band.size, dtype=complex)
-        col = W[:, i]
-        for l in range(m_abs, L):
-            base = (l * l + l + ms) * P
-            vec[base:base + P] = col[(l - m_abs) * P:(l - m_abs + 1) * P]
-        return vec
+        ls = np.arange(abs(ms), L)
+        vec = np.zeros((L * L, stride), dtype=complex)
+        vec[ls * ls + ls + ms] = blocks[abs(ms)][1][:, i].reshape(-1, stride) / scale
+        return vec.ravel()
 
     lams = np.array([e[0] for e in entries])
-    shannon = shannon_fl(region, band)
-    return EigenResult(lams, infos, band, region, shannon,
-                       (raw_lo, raw_hi), materialize)
+    return EigenResult(lams, infos, band, region, shannon, raw_range, materialize,
+                       **extra)
+
+
+def _solve_fl_blocks(region, band: FourierLaguerreBand, keep) -> EigenResult:
+    """Dense fixed-order FL solve (azimuthally symmetric / union regions)."""
+    blocks = {}
+    raw_lo, raw_hi = math.inf, -math.inf
+    for m in range(band.L):
+        km = ker.kernel_fl_fixed_order(m, band, region)
+        lam_raw, W = np.linalg.eigh(km.matrix)
+        lam_raw, W = lam_raw[::-1], W[:, ::-1]
+        raw_lo = min(raw_lo, float(lam_raw.min()))
+        raw_hi = max(raw_hi, float(lam_raw.max()))
+        blocks[m] = (_validate_and_clamp(lam_raw)[0], W)
+    return _block_result(band, region, blocks, keep, (raw_lo, raw_hi),
+                         shannon_fl(region, band))
 
 
 # ---------------------------------------------------------------------------
@@ -306,58 +318,37 @@ def _solve_fl_blocks(region, band: FourierLaguerreBand, keep) -> EigenResult:
 def solve_fb(region, band: FourierBesselBand, keep: int | None = None) -> EigenResult:
     """Concentration spectrum of the discretized Fourier-Bessel kernel.
 
-    Solves the W-symmetrized per-order blocks; eigenvector entries are
-    mapped back to coefficient samples f_{lm}(k_n) through W^{-1/2}, so the
-    discrete quadrature of sum_lm int |f_lm(k)|^2 dk equals one.
+    Each order solves the W-symmetrized block B_m = F_m F_m^T through the
+    smaller side of its factor (`kernels._fb_factor`).  On the Gram side
+    F_m^T F_m the nonzero spectrum is the same, eigenvectors are
+    F_m z / sqrt(mu), and the rest of the block is padded with exact zeros,
+    so the spectrum keeps M L^2 entries.  `raw_eigenvalue_range` reports
+    the eigenvalues actually computed, and 0 when a block was padded.
+    Eigenvectors are built for the first `keep` ranks whose eigenvalue is at
+    least _FB_VECTOR_FLOOR; below it lies the numerical null space.  Vector
+    entries are mapped back to coefficient samples f_{lm}(k_n) through
+    W^{-1/2}, so the discrete quadrature of sum_lm int |f_lm(k)|^2 dk is one.
     """
     _require_base_frame(region)
-    if not isinstance(region, (ProductSymmetric, AzimuthallySymmetric)):
-        raise TypeError(
-            "Fourier-Bessel solve supports ProductSymmetric or AzimuthallySymmetric "
-            f"regions, got {type(region)!r}")
-    L, M = band.L, band.M
     w = fb_k_weights(band)
     blocks = {}
-    entries = []
     raw_lo, raw_hi = math.inf, -math.inf
-    for m in range(L):
-        km = ker.kernel_fb_fixed_order(m, band, region)
-        lam_raw, Y = np.linalg.eigh(km.matrix)
-        lam_raw, Y = lam_raw[::-1], Y[:, ::-1]
-        raw_lo = min(raw_lo, float(lam_raw.min()))
+    for m in range(band.L):
+        F = ker._fb_factor(m, band, region)
+        gram = 0 < F.shape[1] < F.shape[0]  # an empty region solves its zero block
+        lam_raw, Z = np.linalg.eigh(F.T @ F if gram else F @ F.T)
+        lam_raw, Z = lam_raw[::-1], Z[:, ::-1]
+        raw_lo = min(raw_lo, float(lam_raw.min()), 0.0 if gram else math.inf)
         raw_hi = max(raw_hi, float(lam_raw.max()))
         lam, _ = _validate_and_clamp(lam_raw)
-        if keep is not None:
-            Y = Y[:, :min(Y.shape[1], keep)].copy()
-        blocks[m] = Y
-        for i in range(lam.size):
-            for ms in ((m,) if m == 0 else (-m, m)):
-                entries.append((lam[i], ms, i, 0))
-    entries.sort(key=_sort_key)
-    if keep is None:
-        keep = len(entries)
-    infos = []
-    for rank, (lam, ms, i, _) in enumerate(entries):
-        retained = rank < keep and i < blocks[abs(ms)].shape[1]
-        infos.append(EigenFunctionInfo(
-            lam, ms, None, None, block=("fb", ms, i) if retained else ()))
-
-    sqrt_w = np.sqrt(w)
-
-    def materialize(info: EigenFunctionInfo) -> np.ndarray:
-        _, ms, i = info.block
-        m_abs = abs(ms)
-        col = blocks[m_abs][:, i]
-        vec = np.zeros(band.size, dtype=complex)
-        for l in range(m_abs, L):
-            base = (l * l + l + ms) * M
-            vec[base:base + M] = col[(l - m_abs) * M:(l - m_abs + 1) * M] / sqrt_w
-        return vec
-
-    lams = np.array([e[0] for e in entries])
-    shannon = shannon_fb(region, band)
-    return EigenResult(lams, infos, band, region, shannon,
-                       (raw_lo, raw_hi), materialize, k_weights=w)
+        n_vec = min(int(np.count_nonzero(lam_raw >= _FB_VECTOR_FLOOR)),
+                    lam.size if keep is None else keep)
+        Z = Z[:, :n_vec]
+        blocks[m] = (np.concatenate([lam, np.zeros(F.shape[0] - lam.size)]),
+                     F @ (Z / np.sqrt(lam_raw[:n_vec])) if gram else Z.copy())
+    return _block_result(band, region, blocks, keep, (raw_lo, raw_hi),
+                         shannon_fb(region, band), scale=np.sqrt(w), k_weights=w,
+                         vector_floor=_FB_VECTOR_FLOOR)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ with
 
 All three are assembled by Gauss-Legendre quadrature in the integration
 variable (r for E and C, cos t for G).  The G rule is exact, the E and C
-rules resolve the exponential and oscillatory factors to rounding.  The
-test suite checks each against an analytic oracle (exponential moments in
+rules resolve the exponential and oscillatory factors to rounding.  Each
+block is then a Gram matrix A A^T of square-root-weighted node values, and
+the Fourier-Bessel blocks are kept as that factor (`_fb_factor`).  The test
+suite checks each against an analytic oracle (exponential moments in
 extended precision, Wigner-3j sums, Lommel closed forms).
 
 The continuous Fourier-Bessel spectrum is discretized on uniform samples
@@ -29,6 +31,7 @@ and fail the discretization-independence requirements.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -183,6 +186,18 @@ def E_matrix(P: int, R1: float, R2: float) -> np.ndarray:
 # angular coupling G
 # ---------------------------------------------------------------------------
 
+def _g_factor(m: int, L: int, theta1: float, theta2: float) -> np.ndarray:
+    """Square-root-weighted Pbar_{lm} on the exact rule of G^m = A A^T."""
+    m = abs(m)
+    if not (0 <= m < L):
+        raise ValueError(f"need 0 <= |m| < L, got m={m}, L={L}")
+    if not (0.0 <= theta1 < theta2 <= math.pi):
+        raise ValueError(f"need 0 <= theta1 < theta2 <= pi, got {theta1}, {theta2}")
+    rule = specfun.gauss_legendre_rule(L, math.cos(theta2), math.cos(theta1))
+    Pb = specfun.norm_alf_table(L, m, np.arccos(rule.nodes))
+    return Pb * np.sqrt(2.0 * math.pi * rule.weights)
+
+
 def G_matrix(m: int, L: int, theta1: float, theta2: float) -> np.ndarray:
     """Angular coupling G^m_{l,l'} for l, l' in [m, L-1] over a colatitude band.
 
@@ -191,14 +206,7 @@ def G_matrix(m: int, L: int, theta1: float, theta2: float) -> np.ndarray:
     degree <= 2L - 2 in cos(theta), so the rule is exact.  Symmetric,
     spectrum in [0, 1], and invariant under m -> -m.
     """
-    m = abs(m)
-    if not (0 <= m < L):
-        raise ValueError(f"need 0 <= |m| < L, got m={m}, L={L}")
-    if not (0.0 <= theta1 < theta2 <= math.pi):
-        raise ValueError(f"need 0 <= theta1 < theta2 <= pi, got {theta1}, {theta2}")
-    rule = specfun.gauss_legendre_rule(L, math.cos(theta2), math.cos(theta1))
-    Pb = specfun.norm_alf_table(L, m, np.arccos(rule.nodes))
-    A = Pb * np.sqrt(2.0 * math.pi * rule.weights)
+    A = _g_factor(m, L, theta1, theta2)
     return A @ A.T
 
 
@@ -265,18 +273,55 @@ def C_kernel(ell: int, ell2: int, k: float, k2: float, R1: float, R2: float) -> 
     return 2.0 / math.pi * k * k2 * float(integ)
 
 
-def _c_tensor(band: FourierBesselBand, R1: float, R2: float) -> np.ndarray:
-    """C[l, n, l', n'] over the full band at the k samples.
-
-    One vectorized Gauss-Legendre contraction over r for all degree pairs.
-    """
-    L, M = band.L, band.M
+def _fb_bessel_table(band: FourierBesselBand, r: np.ndarray) -> np.ndarray:
+    """sqrt(2 w_n / pi) k_n j_l(k_n r) as (L, M, n_r): the Fourier-Bessel
+    radial functions with the square-root k weights folded in."""
     ks = band.k_samples
+    J = specfun.spherical_jn_table(band.L - 1, np.multiply.outer(ks, r))
+    return J * (np.sqrt(2.0 / math.pi * fb_k_weights(band)) * ks)[:, None]
+
+
+@functools.lru_cache(maxsize=8)
+def _fb_radial_modes(band: FourierBesselBand, R1: float, R2: float) -> np.ndarray:
+    """Radial factor T, (L, M, q), with W^{1/2} C W^{1/2} = T T^T: one thin SVD
+    of the Bessel table on the C nodes, cut to its numerical rank by the
+    numpy.linalg.matrix_rank default tolerance.  Read-only: it is cached."""
     rule = _c_quad_rule(band.K, R1, R2)
-    r, w = rule.nodes, rule.weights
-    J = specfun.spherical_jn_table(L - 1, np.multiply.outer(ks, r))
-    A = (J * ks[None, :, None] * (r * np.sqrt(w))).reshape(L * M, r.size)
-    return (2.0 / math.pi) * (A @ A.T).reshape(L, M, L, M)
+    X = (_fb_bessel_table(band, rule.nodes) * (rule.nodes * np.sqrt(rule.weights))
+         ).reshape(band.L * band.M, -1)
+    U, s, _ = np.linalg.svd(X, full_matrices=False)
+    q = int(np.count_nonzero(s > s[0] * max(X.shape) * np.finfo(float).eps))
+    T = (U[:, :q] * s[:q]).reshape(band.L, band.M, q)
+    T.flags.writeable = False
+    return T
+
+
+def _fb_factor(m: int, band: FourierBesselBand, region) -> np.ndarray:
+    """Factor F_m of the fixed-order Fourier-Bessel kernel, B_m = F_m F_m^T.
+
+    Rows run over (l, n) with l in [m, L-1] and n fast.  Product regions:
+    columns (radial mode, angular mode), from `_fb_radial_modes` and the
+    G^m factor reduced by QR to L - m columns.  Azimuthally symmetric
+    regions: one column per active (r, theta) grid node, under the square
+    root of its measure.  Unions stack their members' columns.
+    """
+    m, L, M = abs(m), band.L, band.M
+    if isinstance(region, reg_mod.RegionUnion):
+        return np.hstack([_fb_factor(m, band, s) for s in region.members])
+    if isinstance(region, ProductSymmetric):
+        T = _fb_radial_modes(band, region.R1, region.R2)[m:]
+        A = np.linalg.qr(_g_factor(m, L, region.theta1, region.theta2).T, mode="r").T
+        return (T[:, :, :, None] * A[:, None, None, :]).reshape((L - m) * M, -1)
+    if isinstance(region, AzimuthallySymmetric):
+        ir, it = np.nonzero(region.indicator)
+        r = region.r_nodes[ir]
+        meas = 2.0 * math.pi * region.r_weights[ir] * r ** 2 * region.theta_weights[it]
+        rad = _fb_bessel_table(band, region.r_nodes)[m:, :, ir]
+        Pb = specfun.norm_alf_table(L, m, region.theta_nodes)[:, None, it]
+        return (rad * Pb * np.sqrt(meas)).reshape((L - m) * M, ir.size)
+    raise TypeError(
+        "fixed-order FB kernels need a ProductSymmetric, AzimuthallySymmetric "
+        f"or RegionUnion region, got {type(region)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,48 +334,11 @@ def kernel_fb_fixed_order(m: int, band: FourierBesselBand, region) -> KernelMatr
     Rows/columns run over (l, n) with l in [m, L-1] (fast index n).  W holds
     the k-sample quadrature weights, so B is symmetric positive semidefinite
     and its eigenvectors map back to coefficient samples via W^{-1/2}.
+    Assembled as F F^T from `_fb_factor`, so symmetric by construction.
     """
-    m = abs(m)
-    if not (0 <= m < band.L):
-        raise ValueError(f"need 0 <= |m| < L, got m={m}, L={band.L}")
-    w = fb_k_weights(band)
-    if isinstance(region, ProductSymmetric):
-        C = _c_tensor(band, region.R1, region.R2)
-        G = G_matrix(m, band.L, region.theta1, region.theta2)
-        nl = band.L - m
-        dim = nl * band.M
-        Kmat = (C[m:, :, m:, :] * G[:, None, :, None]).reshape(dim, dim)
-    elif isinstance(region, AzimuthallySymmetric):
-        Kmat = _fb_fixed_order_azim(m, band, region)
-        nl = band.L - m
-    else:
-        raise TypeError(
-            "fixed-order FB kernels need a ProductSymmetric or "
-            f"AzimuthallySymmetric region, got {type(region)!r}")
-    ws = np.sqrt(np.tile(w, nl))
-    B = ws[:, None] * Kmat * ws[None, :]
-    B = 0.5 * (B + B.T)
-    return KernelMatrix(B, band, region, "FB-discretized", order=m, k_weights=w)
-
-
-def _fb_fixed_order_azim(m: int, band: FourierBesselBand,
-                         region: AzimuthallySymmetric) -> np.ndarray:
-    """Unweighted fixed-order kernel over an (r, theta) indicator grid."""
-    L, M = band.L, band.M
-    ks = band.k_samples
-    r, wr = region.r_nodes, region.r_weights
-    th, wt = region.theta_nodes, region.theta_weights
-    from scipy.special import spherical_jn
-    kr = np.multiply.outer(ks, r)
-    Jl = np.empty((L - m, M, r.size))
-    for i, l in enumerate(range(m, L)):
-        Jl[i] = spherical_jn(l, kr)
-    Pb = specfun.norm_alf_table(L, m, th)           # (L-m, n_theta)
-    rad = math.sqrt(2.0 / math.pi) * Jl * ks[None, :, None]   # (L-m, M, n_r)
-    # Gram over the grid measure 2 pi * wr * wt * I * r^2
-    A = np.einsum("inr,it->inrt", rad, Pb).reshape((L - m) * M, r.size * th.size)
-    meas = 2.0 * math.pi * np.outer(wr * r ** 2, wt) * region.indicator
-    return (A * meas.ravel()) @ A.T
+    F = _fb_factor(m, band, region)
+    return KernelMatrix(F @ F.T, band, region, "FB-discretized", order=abs(m),
+                        k_weights=fb_k_weights(band))
 
 
 def kernel_fl_entry(region, band: FourierLaguerreBand,
@@ -387,7 +395,6 @@ def kernel_fl_fixed_order(m: int, band: FourierLaguerreBand, region) -> KernelMa
         Kmat = (A * meas.ravel()) @ A.T
     else:
         raise TypeError(f"unsupported region type {type(region)!r}")
-    Kmat = 0.5 * (Kmat + Kmat.T)
     return KernelMatrix(Kmat, band, region, "FL", order=m)
 
 

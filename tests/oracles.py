@@ -7,7 +7,10 @@ serve the tests as oracles:
 * E through truncated exponential moments, summed in 50-digit mpmath
   (the alternating binomial sum is hopeless in float64 at these degrees);
 * G^m through Wigner-3j sums with Legendre differences;
-* truncated exponential moments in float64 through Poisson probabilities.
+* truncated exponential moments in float64 through Poisson probabilities;
+* the Fourier-Bessel fixed-order kernel assembled densely as C o G (and
+  over the grid of an azimuthally symmetric region) with its dense
+  per-order eigensolve.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from slepian_ball import specfun
+from slepian_ball.kernels import _c_quad_rule, fb_k_weights
+from slepian_ball.regions import AzimuthallySymmetric, ProductSymmetric
 
 # float64 loses ~15 digits to cancellation in the alternating moment sum by
 # p+p' ~ 58, so the analytic E path runs in fixed extended precision.
@@ -283,3 +288,72 @@ def radial_moment_integral(j: int, R1: float, R2: float) -> float:
         return math.exp(_lnf(j) + log_d)
     except OverflowError:
         return math.inf  # true value exceeds the float64 range
+
+
+# ---------------------------------------------------------------------------
+# dense Fourier-Bessel kernel and per-order solve
+# ---------------------------------------------------------------------------
+
+def _c_tensor(band, R1: float, R2: float) -> np.ndarray:
+    """C[l, n, l', n'] over the full band at the k samples.
+
+    One vectorized Gauss-Legendre contraction over r for all degree pairs.
+    """
+    L, M = band.L, band.M
+    ks = band.k_samples
+    rule = _c_quad_rule(band.K, R1, R2)
+    r, w = rule.nodes, rule.weights
+    J = specfun.spherical_jn_table(L - 1, np.multiply.outer(ks, r))
+    A = (J * ks[None, :, None] * (r * np.sqrt(w))).reshape(L * M, r.size)
+    return (2.0 / math.pi) * (A @ A.T).reshape(L, M, L, M)
+
+
+def _fb_fixed_order_azim(m: int, band, region) -> np.ndarray:
+    """Unweighted fixed-order kernel over an (r, theta) indicator grid."""
+    from scipy.special import spherical_jn
+    L, M = band.L, band.M
+    ks = band.k_samples
+    r, wr = region.r_nodes, region.r_weights
+    th, wt = region.theta_nodes, region.theta_weights
+    kr = np.multiply.outer(ks, r)
+    Jl = np.empty((L - m, M, r.size))
+    for i, l in enumerate(range(m, L)):
+        Jl[i] = spherical_jn(l, kr)
+    Pb = specfun.norm_alf_table(L, m, th)
+    rad = math.sqrt(2.0 / math.pi) * Jl * ks[None, :, None]
+    A = np.einsum("inr,it->inrt", rad, Pb).reshape((L - m) * M, r.size * th.size)
+    meas = 2.0 * math.pi * np.outer(wr * r ** 2, wt) * region.indicator
+    return (A * meas.ravel()) @ A.T
+
+
+def fb_dense_block(m: int, band, region) -> np.ndarray:
+    """Symmetrized W^{1/2} (C o G) W^{1/2} over (l, n), l in [m, L-1], n fast."""
+    from slepian_ball.kernels import G_matrix
+    nl = band.L - m
+    if isinstance(region, ProductSymmetric):
+        C = _c_tensor(band, region.R1, region.R2)
+        G = G_matrix(m, band.L, region.theta1, region.theta2)
+        Kmat = (C[m:, :, m:, :] * G[:, None, :, None]).reshape(nl * band.M, -1)
+    elif isinstance(region, AzimuthallySymmetric):
+        Kmat = _fb_fixed_order_azim(m, band, region)
+    else:
+        raise TypeError(f"no dense FB oracle for {type(region)!r}")
+    ws = np.sqrt(np.tile(fb_k_weights(band), nl))
+    B = ws[:, None] * Kmat * ws[None, :]
+    return 0.5 * (B + B.T)
+
+
+def fb_dense_solve(region, band):
+    """Dense per-order eigensolve of `fb_dense_block`.
+
+    Returns (blocks, order): blocks[m] = (lam, Y) with lam descending and Y
+    the matching eigenvector columns; order lists (lam, signed m) over the
+    whole spectrum, sorted lam descending, then m ascending.
+    """
+    blocks, order = {}, []
+    for m in range(band.L):
+        lam, Y = np.linalg.eigh(fb_dense_block(m, band, region))
+        blocks[m] = (lam[::-1], Y[:, ::-1])
+        order += [(x, ms) for x in lam for ms in ((m,) if m == 0 else (-m, m))]
+    order.sort(key=lambda e: (-e[0], e[1]))
+    return blocks, order

@@ -189,6 +189,25 @@ def test_eigen_command_grid_output(tmp_path):
     assert len(files[0].read_text().strip().splitlines()) == 1 + 10 * 8
 
 
+def test_eigen_command_fb_count_beyond_null_space(tmp_path):
+    # ranks in the numerical null space have no vector: they are left out
+    band = sb.FourierBesselBand(1.0, 3, 8)
+    res = sb.solve_fb(sb.ProductSymmetric(15, 25, T1, T2), band)
+    n_live = int(np.count_nonzero(res.eigenvalues >= res.vector_floor))
+    assert 0 < n_live < band.size
+    out = tmp_path / "fb"
+    rc = run_cli("eigen", "--domain", "fb", "--K", "1.0", "--L", "3", "--M", "8",
+                 "--region", REGION, "--count", str(band.size), "--out", str(out))
+    assert rc.returncode == 0, rc.stderr
+    assert read_matrix(out / "eigenvectors.mat").shape == (band.size, n_live)
+    rc = run_cli("eigen", "--domain", "fb", "--K", "1.0", "--L", "3", "--M", "8",
+                 "--region", REGION, "--count", str(band.size), "--order", "1",
+                 "--grid", "4,3", "--out", str(out))
+    assert rc.returncode == 0, rc.stderr
+    n_order = sum(1 for info in res.infos if info.m == 1 and info.block)
+    assert len(list(out.glob("eigenfunction_*.csv"))) == n_order
+
+
 def test_project_command_eigenfunction(tmp_path):
     band = sb.FourierLaguerreBand(5, 4)
     region = sb.ProductSymmetric(15, 25, T1, T2)

@@ -1,11 +1,13 @@
 """Eigen-solver tests: spectra, orthogonality, duals, rotation, ordering."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import slepian_ball as sb
+from oracles import fb_dense_solve
 from slepian_ball import specfun, transforms
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
@@ -296,6 +298,159 @@ def test_fb_azimuthally_symmetric_matches_product(ref_region):
     res_a = sb.solve_fb(reg_a, band)
     res_p = sb.solve_fb(prod, band)
     assert np.abs(res_a.eigenvalues - res_p.eigenvalues).max() < 1e-8
+
+
+def test_fb_empty_azimuthal_region():
+    region = sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: np.zeros_like(r), 15.0, 25.0, n_r=8, n_theta=6)
+    band = sb.FourierBesselBand(1.0, 3, 5)
+    res = sb.solve_fb(region, band)
+    assert len(res) == band.size and not res.eigenvalues.any()
+    assert res.raw_eigenvalue_range == (0.0, 0.0)
+
+
+def test_fb_raw_range_counts_padded_zeros(ref_region):
+    # a 2-degree band: every block is solved on its Gram side and padded
+    res = sb.solve_fb(ref_region, sb.FourierBesselBand(1.0, 2, 40))
+    lo, hi = res.raw_eigenvalue_range
+    assert -1e-15 <= lo <= 0.0 < hi < 1.0
+    assert len(res) == res.band.size
+
+
+def test_fb_m_independence_to_560(ref_region, ref_fb_fine):
+    s140 = ref_fb_fine.eigenvalues.sum()
+    s560 = sb.solve_fb(ref_region, sb.FourierBesselBand(1.4, 20, 560),
+                       keep=1).eigenvalues.sum()
+    assert abs(s560 - s140) / s140 < 0.002
+
+
+def _weighted_gram(res, ranks):
+    w = np.tile(res.k_weights, res.band.L ** 2)[:, None]
+    V = np.column_stack([res.coeffs(a).values for a in ranks])
+    return (V * w).conj().T @ V
+
+
+def test_fb_vector_floor_reference(ref_region):
+    with warnings.catch_warnings(), np.errstate(invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        res = sb.solve_fb(ref_region, sb.FourierBesselBand(1.4, 20, 70), keep=25)
+    assert res.stored == 25
+    assert np.abs(_weighted_gram(res, range(25)) - np.eye(25)).max() < 1e-10
+
+
+def test_fb_vector_floor_marks_null_space(ref_region):
+    # with no keep limit every vector down to the floor is built
+    res = sb.solve_fb(ref_region, sb.FourierBesselBand(1.0, 6, 25))
+    stored = [a for a, info in enumerate(res.infos) if info.block]
+    assert stored == list(range(len(stored)))
+    assert res.eigenvalues[len(stored) - 1] >= res.vector_floor > 0.0
+    assert res.eigenvalues[len(stored)] < res.vector_floor
+    for m in range(res.band.L):
+        ranks = [a for a in stored if res.infos[a].m == m]
+        gram = _weighted_gram(res, ranks)
+        assert np.abs(gram - np.eye(len(ranks))).max() < 1e-10
+    with pytest.raises(IndexError, match="null space"):
+        res.coeffs(len(stored))
+
+
+# (region, band, keep): the small product band, the reference band, and an
+# azimuthally symmetric shell whose m = 0 block takes the Gram side and the
+# others the direct side
+FB_ORACLE_CASES = {
+    "product-small": (lambda ref: ref, sb.FourierBesselBand(1.0, 6, 25), None),
+    "product-ref": (lambda ref: ref, sb.FourierBesselBand(1.4, 20, 70), 25),
+    "shell": (lambda ref: sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: np.ones_like(r), 15.0, 25.0, n_r=16, n_theta=8),
+        sb.FourierBesselBand(1.0, 6, 25), None),
+}
+
+
+@pytest.fixture(scope="module", params=list(FB_ORACLE_CASES))
+def fb_vs_dense(request, ref_region):
+    make, band, keep = FB_ORACLE_CASES[request.param]
+    region = make(ref_region)
+    return sb.solve_fb(region, band, keep=keep), fb_dense_solve(region, band)
+
+
+def _fb_block_vectors(res, m):
+    """Retained order-m eigenvectors in the W^{1/2}-weighted block basis."""
+    band = res.band
+    sw = np.sqrt(res.k_weights)
+    cols = []
+    for a, info in enumerate(res.infos):
+        if info.m == m and info.block:
+            c = res.coeffs(a).values
+            cols.append(np.concatenate([
+                c[(l * l + l + m) * band.M:(l * l + l + m + 1) * band.M] * sw
+                for l in range(m, band.L)]).real)
+    return np.column_stack(cols) if cols else np.zeros((0, 0))
+
+
+def test_fb_blocks_match_dense_oracle(fb_vs_dense):
+    res, (blocks, _) = fb_vs_dense
+    for m, (lam_dense, _) in blocks.items():
+        lam = np.sort([info.lam for info in res.infos if info.m == m])[::-1]
+        assert lam.size == lam_dense.size
+        assert np.abs(lam[:40] - lam_dense[:40]).max() < 1e-13
+        assert abs(lam.sum() - np.clip(lam_dense, 0.0, 1.0).sum()) < 1e-12
+
+
+def test_fb_projectors_match_dense_oracle(fb_vs_dense):
+    res, (blocks, _) = fb_vs_dense
+    for m, (lam_dense, Y_dense) in blocks.items():
+        Y = _fb_block_vectors(res, m)
+        for k in range(1, Y.shape[1] + 1):
+            if lam_dense[k - 1] - lam_dense[k] > 1e-8:
+                P_new = Y[:, :k] @ Y[:, :k].T
+                P_dense = Y_dense[:, :k] @ Y_dense[:, :k].T
+                assert np.abs(P_new - P_dense).max() < 1e-9, (m, k)
+
+
+def test_fb_global_order_matches_dense_oracle(fb_vs_dense):
+    res, (_, order) = fb_vs_dense
+    lam_dense = np.array([e[0] for e in order[:41]])
+    assert np.abs(res.eigenvalues[:40] - lam_dense[:40]).max() < 1e-13
+    # ranks split where the dense gap exceeds the agreement tolerance; inside
+    # a cluster (exact +-m ties, or orders degenerate to rounding) the orders
+    # must agree as a set
+    edges = [0] + [i for i in range(1, 41) if lam_dense[i - 1] - lam_dense[i] > 1e-13]
+    m_new = [info.m for info in res.infos]
+    m_dense = [e[1] for e in order]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        assert sorted(m_new[lo:hi]) == sorted(m_dense[lo:hi]), (lo, hi)
+
+
+FB_TABLE_REGIONS = {
+    "product": lambda: sb.ProductSymmetric(15.0, 25.0, T1, T2),
+    "azimuthal": lambda: sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: ((t > T1) & (t < T2)).astype(float), 15.0, 25.0,
+        n_r=32, n_theta=24),
+    "union": lambda: sb.RegionUnion((sb.ProductSymmetric(15.0, 19.0, T1, T2),
+                                     sb.ProductSymmetric(21.0, 25.0, 0.2, 0.9))),
+    "mask": lambda: sb.ProductMask(sb.AngularMask.band(T1, T2, 5), 15.0, 25.0),
+}
+
+
+@pytest.mark.parametrize("name", list(FB_TABLE_REGIONS))
+def test_fb_entry_points_by_region(name):
+    # every FB entry point either agrees with the others or raises TypeError
+    band = sb.FourierBesselBand(1.0, 5, 25)
+    region = FB_TABLE_REGIONS[name]()
+    shannon = sb.shannon_fb(region, band)
+    if name == "mask":
+        assert shannon == pytest.approx(
+            sb.shannon_fb(FB_TABLE_REGIONS["product"](), band), rel=1e-9)
+        with pytest.raises(TypeError):
+            sb.solve_fb(region, band)
+        with pytest.raises(TypeError):
+            sb.kernel_fb_fixed_order(0, band, region)
+        return
+    res = sb.solve_fb(region, band)
+    trace = sum((2.0 if m else 1.0) * sb.kernel_fb_fixed_order(m, band, region).trace
+                for m in range(band.L))
+    assert res.eigenvalues.sum() == pytest.approx(trace, rel=1e-10)
+    assert res.eigenvalues.sum() == pytest.approx(shannon, rel=0.01)
+    assert len(res) == band.size
 
 
 # ---------------------------------------------------------------------------

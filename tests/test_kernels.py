@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import slepian_ball as sb
-from oracles import E_matrix_mp, G_diag_sum_3j, G_matrix_3j
-from slepian_ball import specfun
-from slepian_ball.kernels import _c_tensor, fb_k_weights
+from oracles import E_matrix_mp, G_diag_sum_3j, G_matrix_3j, _c_tensor, fb_dense_block
+from slepian_ball import kernels, specfun
+from slepian_ball.kernels import fb_k_weights
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
 
@@ -339,6 +339,53 @@ def test_kernel_fb_trace_matches_shannon(ref_region):
         total += (2.0 if m > 0 else 1.0) * km.trace
     analytic = sb.shannon_fb(ref_region, band)
     assert total == pytest.approx(analytic, rel=0.01)
+
+
+def test_kernel_fb_fixed_order_matches_dense_oracle(ref_region):
+    band = sb.FourierBesselBand(1.0, 6, 20)
+    shell = sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: (t < 1.0).astype(float), 15.0, 25.0, n_r=24, n_theta=12)
+    for region in (ref_region, shell):
+        for m in (0, 2, 5):
+            B = sb.kernel_fb_fixed_order(m, band, region).matrix
+            assert np.abs(B - fb_dense_block(m, band, region)).max() < 1e-13
+
+
+def test_kernel_fb_union_is_sum_of_members():
+    band = sb.FourierBesselBand(1.0, 5, 15)
+    a = sb.ProductSymmetric(15.0, 19.0, T1, T2)
+    b = sb.ProductSymmetric(21.0, 25.0, 0.2, 0.9)
+    for m in (0, 3):
+        B = sb.kernel_fb_fixed_order(m, band, sb.RegionUnion((a, b))).matrix
+        parts = (sb.kernel_fb_fixed_order(m, band, a).matrix
+                 + sb.kernel_fb_fixed_order(m, band, b).matrix)
+        assert np.abs(B - parts).max() < 1e-14
+
+
+def test_kernel_fl_fixed_order_raw_blocks_pass_hermitian_check():
+    band = sb.FourierLaguerreBand(8, 6)
+    azim = sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: ((t > T1) & (t < T2)).astype(float), 15.0, 25.0,
+        n_r=32, n_theta=24)
+    union = sb.RegionUnion((sb.ProductSymmetric(15.0, 19.0, T1, T2),
+                            sb.ProductSymmetric(21.0, 25.0, 0.2, 0.9)))
+    for region in (azim, union):
+        for m in range(band.L):
+            K = kernels.kernel_fl_fixed_order(m, band, region).matrix
+            assert np.abs(K - K.T).max() <= 1e-12 * np.abs(K).max()
+
+
+def test_kernel_fl_fixed_order_check_sees_raw_assembly(monkeypatch):
+    # an asymmetric factor must reach the Hermitian check unsymmetrized
+    E_matrix = kernels.E_matrix
+
+    def skewed(P, R1, R2):
+        return E_matrix(P, R1, R2) + np.triu(np.full((P, P), 1e-6), 1)
+
+    monkeypatch.setattr(kernels, "E_matrix", skewed)
+    union = sb.RegionUnion((sb.ProductSymmetric(15.0, 19.0, T1, T2),))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        kernels.kernel_fl_fixed_order(0, sb.FourierLaguerreBand(6, 4), union)
 
 
 def test_kernel_fb_region_type_error():
