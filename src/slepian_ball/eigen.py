@@ -126,9 +126,37 @@ def _validate_and_clamp(raw: np.ndarray) -> tuple[np.ndarray, tuple[float, float
     return np.clip(raw, 0.0, 1.0), (mn, mx)
 
 
-def _sort_key(entry) -> tuple:
-    lam, m, i_rad, i_ang = entry
-    return (-lam, 0 if m is None else m, i_rad, i_ang)
+def _spectrum_order(lam, m, i, j) -> np.ndarray:
+    """Permutation that sorts spectrum entries by the ordering rule: lam
+    descending, then signed order m ascending, then radial index i, then
+    angular index j."""
+    return np.lexsort((j, i, m, -lam))
+
+
+def _descending_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    lam, V = np.linalg.eigh(a)
+    return lam[::-1], V[:, ::-1]
+
+
+def _factor_entries(lam1: np.ndarray, lam2: np.ndarray):
+    """Products lam2[j] * lam1[i] flattened with j slow, and their (i, j)."""
+    lam = np.outer(lam2, lam1).ravel()
+    j, i = np.divmod(np.arange(lam.size), lam1.size)
+    return lam, i, j
+
+
+def _mask_angular(mask, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of G_mask = A A^H, descending, from the pixel factor A.
+
+    With fewer active pixels than L^2 the full SVD A = V S W^H gives a
+    complete unitary V, and lam = s^2 padded with exact zeros past the pixel
+    count.  Otherwise the L^2 x L^2 Gram matrix is eigensolved directly.
+    """
+    A = ker._mask_factor(mask, L)
+    if A.shape[1] < A.shape[0]:
+        V, s, _ = np.linalg.svd(A, full_matrices=True)
+        return np.concatenate([s * s, np.zeros(A.shape[0] - s.size)]), V
+    return _descending_eigh(A @ A.conj().T)
 
 
 def _require_base_frame(region):
@@ -146,45 +174,44 @@ def solve_fl(region, band: FourierLaguerreBand, keep: int | None = None) -> Eige
     """Concentration spectrum of the Fourier-Laguerre kernel for `region`.
 
     ProductSymmetric regions use the separated E / G^m subproblems
-    (eigenvalues are exact products lam_radial * lam_angular); ProductMask
-    regions use the E / G_mask factorization; azimuthally symmetric and
-    union regions solve dense fixed-order blocks.  Orders m > 0 are
-    replicated to -m.
+    (eigenvalues are exact products lam_radial * lam_angular).  ProductMask
+    regions use the E / G_mask factorization, with the angular eigenbasis
+    read off the pixel factor G_mask = A A^H (`_mask_angular`): a full SVD
+    of A when the mask has fewer active pixels than L^2, so the largest
+    eigensolve is the P x P one of E.  Azimuthally symmetric and union
+    regions solve dense fixed-order blocks.  Orders m > 0 are replicated
+    to -m.
     """
     _require_base_frame(region)
     P, L = band.P, band.L
     if isinstance(region, ProductSymmetric):
-        E = ker.E_matrix(P, region.R1, region.R2)
-        lam1_raw, U = np.linalg.eigh(E)
-        lam1_raw, U = lam1_raw[::-1], U[:, ::-1]
+        lam1_raw, U = _descending_eigh(ker.E_matrix(P, region.R1, region.R2))
         lam1, _ = _validate_and_clamp(lam1_raw)
         angular = {}
         raw_lo, raw_hi = math.inf, -math.inf
-        entries = []
+        parts = []
         for m in range(L):
-            lam2_raw, V = np.linalg.eigh(
+            lam2_raw, V = _descending_eigh(
                 ker.G_matrix(m, L, region.theta1, region.theta2))
-            lam2_raw, V = lam2_raw[::-1], V[:, ::-1]
             lam2, _ = _validate_and_clamp(lam2_raw)
             angular[m] = (lam2, V)
             prods = np.outer(lam1_raw, lam2_raw)
             raw_lo = min(raw_lo, float(prods.min()))
             raw_hi = max(raw_hi, float(prods.max()))
-            for j in range(lam2.size):
-                for i in range(P):
-                    lam = lam1[i] * lam2[j]
-                    for ms in ((m,) if m == 0 else (-m, m)):
-                        entries.append((lam, ms, i, j))
-        entries.sort(key=_sort_key)
+            lam, i, j = _factor_entries(lam1, lam2)
+            parts += [(lam, np.full(lam.size, ms), i, j)
+                      for ms in ((m,) if m == 0 else (-m, m))]
+        lam, ms, i, j = (np.concatenate(c) for c in zip(*parts))
+        order = _spectrum_order(lam, ms, i, j)
+        lam, ms, i, j = lam[order], ms[order], i[order], j[order]
         if keep is None:
-            keep = len(entries)
-        infos = []
-        for rank, (lam, ms, i, j) in enumerate(entries):
-            lam2 = angular[abs(ms)][0][j]
-            infos.append(EigenFunctionInfo(
-                lam, ms, lam1[i], lam2,
-                block=("prod", ms, i, j) if rank < keep else (),
-            ))
+            keep = lam.size
+        infos = [
+            EigenFunctionInfo(x, s, lam1[a], angular[abs(s)][0][b],
+                              block=("prod", s, a, b) if rank < keep else ())
+            for rank, (x, s, a, b) in enumerate(
+                zip(lam.tolist(), ms.tolist(), i.tolist(), j.tolist()))
+        ]
 
         def materialize(info: EigenFunctionInfo) -> np.ndarray:
             _, ms, i, j = info.block
@@ -197,47 +224,35 @@ def solve_fl(region, band: FourierLaguerreBand, keep: int | None = None) -> Eige
             return vec
 
         def projector(values: np.ndarray) -> np.ndarray:
-            # factors are real, so <h, f^alpha> is a plain sandwich V^T H U
+            # factors are real, so <h, f^alpha> is a plain sandwich V^T H U,
+            # stacked over signed orders as S[ms + L - 1, j, i]
             H = values.reshape(L * L, P)
-            per_ms = {}
+            S = np.zeros((2 * L - 1, L, P), dtype=complex)
             for m in range(L):
-                V = angular[m][1]
-                rows = [l * l + l + m for l in range(m, L)]
-                per_ms[m] = V.T @ H[rows, :] @ U
-                if m > 0:
-                    rows_n = [l * l + l - m for l in range(m, L)]
-                    per_ms[-m] = V.T @ H[rows_n, :] @ U
-            out = np.empty(len(entries), dtype=complex)
-            for rank, (_, ms, i, j) in enumerate(entries):
-                out[rank] = per_ms[ms][j, i]
-            return out
+                ls = np.arange(m, L)
+                for sm in ((m,) if m == 0 else (-m, m)):
+                    S[sm + L - 1, :L - m] = angular[m][1].T @ H[ls * ls + ls + sm] @ U
+            return S[ms + L - 1, j, i]
 
-        lams = np.array([e[0] for e in entries])
-        shannon = shannon_fl(region, band)
-        return EigenResult(lams, infos, band, region, shannon,
+        return EigenResult(lam, infos, band, region, shannon_fl(region, band),
                            (raw_lo, raw_hi), materialize, projector=projector)
 
     if isinstance(region, ProductMask):
-        fac = ker.kernel_fl_mask(band, region)
-        lam1_raw, U = np.linalg.eigh(fac.E)
-        lam1_raw, U = lam1_raw[::-1], U[:, ::-1]
+        lam1_raw, U = _descending_eigh(ker.E_matrix(P, region.R1, region.R2))
         lam1, _ = _validate_and_clamp(lam1_raw)
-        lam2_raw, V = np.linalg.eigh(fac.G_angular)
-        lam2_raw, V = lam2_raw[::-1], V[:, ::-1]
+        lam2_raw, V = _mask_angular(region.mask, L)
         lam2, _ = _validate_and_clamp(lam2_raw)
         prods = np.outer(lam1_raw, lam2_raw)
         raw_range = (float(prods.min()), float(prods.max()))
-        entries = [
-            (lam1[i] * lam2[j], None, i, j)
-            for j in range(lam2.size) for i in range(P)
-        ]
-        entries.sort(key=_sort_key)
+        lam, i, j = _factor_entries(lam1, lam2)
+        order = _spectrum_order(lam, np.zeros_like(i), i, j)
+        lam, i, j = lam[order], i[order], j[order]
         if keep is None:
-            keep = len(entries)
+            keep = lam.size
         infos = [
-            EigenFunctionInfo(lam, None, lam1[i], lam2[j],
-                              block=("mask", i, j) if rank < keep else ())
-            for rank, (lam, _, i, j) in enumerate(entries)
+            EigenFunctionInfo(x, None, lam1[a], lam2[b],
+                              block=("mask", a, b) if rank < keep else ())
+            for rank, (x, a, b) in enumerate(zip(lam.tolist(), i.tolist(), j.tolist()))
         ]
 
         def materialize(info: EigenFunctionInfo) -> np.ndarray:
@@ -246,17 +261,10 @@ def solve_fl(region, band: FourierLaguerreBand, keep: int | None = None) -> Eige
 
         def projector(values: np.ndarray) -> np.ndarray:
             # <h, kron(V_j, U_i)> = (V^H H U)[j, i] with H = values as (L^2, P)
-            H = values.reshape(L * L, P)
-            S = V.conj().T @ H @ U
-            out = np.empty(len(entries), dtype=complex)
-            for rank, (_, _, i, j) in enumerate(entries):
-                out[rank] = S[j, i]
-            return out
+            return (V.conj().T @ values.reshape(L * L, P) @ U)[j, i]
 
-        lams = np.array([e[0] for e in entries])
-        shannon = shannon_fl(region, band)
-        return EigenResult(lams, infos, band, region, shannon, raw_range,
-                           materialize, projector=projector)
+        return EigenResult(lam, infos, band, region, shannon_fl(region, band),
+                           raw_range, materialize, projector=projector)
 
     if isinstance(region, (AzimuthallySymmetric, RegionUnion)):
         return _solve_fl_blocks(region, band, keep)
@@ -273,15 +281,18 @@ def _block_result(band, region, blocks, keep, raw_range, shannon, scale=1.0,
     """
     L = band.L
     stride = band.size // (L * L)
-    entries = [(lam[i], ms, i, 0) for m, (lam, _) in blocks.items()
-               for i in range(lam.size) for ms in ((m,) if m == 0 else (-m, m))]
-    entries.sort(key=_sort_key)
+    parts = [(lam, np.full(lam.size, ms), np.arange(lam.size))
+             for m, (lam, _) in blocks.items() for ms in ((m,) if m == 0 else (-m, m))]
+    lam, ms, i = (np.concatenate(c) for c in zip(*parts))
+    order = _spectrum_order(lam, ms, i, np.zeros_like(i))
+    lam, ms, i = lam[order], ms[order], i[order]
     if keep is None:
-        keep = len(entries)
+        keep = lam.size
+    n_vec = {m: Y.shape[1] for m, (_, Y) in blocks.items()}
     infos = [
-        EigenFunctionInfo(lam, ms, None, None, block=(
-            ("blk", ms, i) if rank < keep and i < blocks[abs(ms)][1].shape[1] else ()))
-        for rank, (lam, ms, i, _) in enumerate(entries)
+        EigenFunctionInfo(x, s, None, None, block=(
+            ("blk", s, a) if rank < keep and a < n_vec[abs(s)] else ()))
+        for rank, (x, s, a) in enumerate(zip(lam.tolist(), ms.tolist(), i.tolist()))
     ]
 
     def materialize(info: EigenFunctionInfo) -> np.ndarray:
@@ -291,8 +302,7 @@ def _block_result(band, region, blocks, keep, raw_range, shannon, scale=1.0,
         vec[ls * ls + ls + ms] = blocks[abs(ms)][1][:, i].reshape(-1, stride) / scale
         return vec.ravel()
 
-    lams = np.array([e[0] for e in entries])
-    return EigenResult(lams, infos, band, region, shannon, raw_range, materialize,
+    return EigenResult(lam, infos, band, region, shannon, raw_range, materialize,
                        **extra)
 
 
@@ -301,9 +311,7 @@ def _solve_fl_blocks(region, band: FourierLaguerreBand, keep) -> EigenResult:
     blocks = {}
     raw_lo, raw_hi = math.inf, -math.inf
     for m in range(band.L):
-        km = ker.kernel_fl_fixed_order(m, band, region)
-        lam_raw, W = np.linalg.eigh(km.matrix)
-        lam_raw, W = lam_raw[::-1], W[:, ::-1]
+        lam_raw, W = _descending_eigh(ker.kernel_fl_fixed_order(m, band, region).matrix)
         raw_lo = min(raw_lo, float(lam_raw.min()))
         raw_hi = max(raw_hi, float(lam_raw.max()))
         blocks[m] = (_validate_and_clamp(lam_raw)[0], W)
@@ -336,8 +344,7 @@ def solve_fb(region, band: FourierBesselBand, keep: int | None = None) -> EigenR
     for m in range(band.L):
         F = ker._fb_factor(m, band, region)
         gram = 0 < F.shape[1] < F.shape[0]  # an empty region solves its zero block
-        lam_raw, Z = np.linalg.eigh(F.T @ F if gram else F @ F.T)
-        lam_raw, Z = lam_raw[::-1], Z[:, ::-1]
+        lam_raw, Z = _descending_eigh(F.T @ F if gram else F @ F.T)
         raw_lo = min(raw_lo, float(lam_raw.min()), 0.0 if gram else math.inf)
         raw_hi = max(raw_hi, float(lam_raw.max()))
         lam, _ = _validate_and_clamp(lam_raw)

@@ -16,10 +16,13 @@ with
 All three are assembled by Gauss-Legendre quadrature in the integration
 variable (r for E and C, cos t for G).  The G rule is exact, the E and C
 rules resolve the exponential and oscillatory factors to rounding.  Each
-block is then a Gram matrix A A^T of square-root-weighted node values, and
-the Fourier-Bessel blocks are kept as that factor (`_fb_factor`).  The test
-suite checks each against an analytic oracle (exponential moments in
-extended precision, Wigner-3j sums, Lommel closed forms).
+block is then a Gram matrix A A^T of square-root-weighted node values.  The
+Fourier-Bessel blocks are kept as that factor (`_fb_factor`), and so is the
+angular coupling of a pixel mask, G_mask = A A^H with A the
+square-root-weighted Y_lm at the active pixels (`_mask_factor`); the
+solvers work on the smaller side of each factor.  The test suite checks
+each against an analytic oracle (exponential moments in extended
+precision, Wigner-3j sums, Lommel closed forms) or a dense eigensolve.
 
 The continuous Fourier-Bessel spectrum is discretized on uniform samples
 k_n = n K / M; quadrature in k uses trapezoid weights (the k = 0 node
@@ -135,6 +138,15 @@ def fb_k_weights(band: FourierBesselBand) -> np.ndarray:
     return w
 
 
+def _check_hermitian(a: np.ndarray):
+    """Raise ValueError unless a is Hermitian to 1e-12 of its largest entry."""
+    a = np.asarray(a)
+    herm = np.abs(a - a.conj().T).max()
+    scale = max(np.abs(a).max(), 1e-300)
+    if herm > 1e-12 * scale:
+        raise ValueError(f"kernel is not Hermitian: rel asymmetry {herm / scale:.2e}")
+
+
 @dataclass(frozen=True)
 class KernelMatrix:
     """Assembled Hermitian kernel (full band or one fixed order m)."""
@@ -147,11 +159,7 @@ class KernelMatrix:
     k_weights: np.ndarray | None = None  # FB symmetrization weights
 
     def __post_init__(self):
-        a = np.asarray(self.matrix)
-        herm = np.abs(a - a.conj().T).max()
-        scale = max(np.abs(a).max(), 1e-300)
-        if herm > 1e-12 * scale:
-            raise ValueError(f"kernel is not Hermitian: rel asymmetry {herm / scale:.2e}")
+        _check_hermitian(self.matrix)
 
     @property
     def trace(self) -> float:
@@ -210,19 +218,25 @@ def G_matrix(m: int, L: int, theta1: float, theta2: float) -> np.ndarray:
     return A @ A.T
 
 
+def _mask_factor(mask: AngularMask, L: int) -> np.ndarray:
+    """Factor A of the mask coupling, G_mask = A A^H: sqrt(w_i) Y_{lm}(pix_i)
+    over the active pixels, shape (L^2, n_active), rows l*l + l + m."""
+    if mask.L_grid < L:
+        raise ValueError(f"mask grid band-limit {mask.L_grid} is below L={L}")
+    active = mask.indicator > 0
+    Y = specfun.sph_harm_matrix(L, mask.theta[active], mask.phi[active])
+    return Y * np.sqrt(mask.weight[active])
+
+
 def G_mask_matrix(mask: AngularMask, L: int) -> np.ndarray:
     """Angular mask coupling over all (l, m): Hermitian L^2 x L^2 matrix.
 
     G_{(lm),(l'm')} = sum_pixels w_i I_i Y_{lm}(pix_i) Y*_{l'm'}(pix_i),
     exact for harmonic products when the mask grid band-limit covers L.
+    Assembled as A A^H from `_mask_factor`.
     """
-    if mask.L_grid < L:
-        raise ValueError(f"mask grid band-limit {mask.L_grid} is below L={L}")
-    active = mask.indicator > 0
-    Y = specfun.sph_harm_matrix(L, mask.theta[active], mask.phi[active])
-    w = mask.weight[active]
-    G = (Y * w) @ Y.conj().T
-    return 0.5 * (G + G.conj().T)
+    A = _mask_factor(mask, L)
+    return A @ A.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +373,8 @@ def kernel_fl_entry(region, band: FourierLaguerreBand,
         return complex(e * g[l - abs(m), l2 - abs(m)])
     if isinstance(region, ProductMask):
         e = float(E_matrix(max(p, p2) + 1, region.R1, region.R2)[p, p2])
-        G = G_mask_matrix(region.mask, band.L)
-        return complex(e * G[l * l + l + m, l2 * l2 + l2 + m2])
+        A = _mask_factor(region.mask, band.L)
+        return complex(e * (A[l * l + l + m] @ A[l2 * l2 + l2 + m2].conj()))
     if isinstance(region, AzimuthallySymmetric) and region.orientation is None:
         if m != m2:
             return 0.0
@@ -410,6 +424,10 @@ class FactoredKernelFL:
     band: FourierLaguerreBand
     region: ProductMask
 
+    def __post_init__(self):
+        _check_hermitian(self.E)
+        _check_hermitian(self.G_angular)
+
     def dense(self) -> np.ndarray:
         return np.kron(self.G_angular, self.E)
 
@@ -420,9 +438,5 @@ class FactoredKernelFL:
 
 def kernel_fl_mask(band: FourierLaguerreBand, region: ProductMask) -> FactoredKernelFL:
     """Factored FL kernel for an angular mask x radial interval region."""
-    if region.mask.L_grid < band.L:
-        raise ValueError(
-            f"mask grid band-limit {region.mask.L_grid} is below L={band.L}")
-    E = E_matrix(band.P, region.R1, region.R2)
     G = G_mask_matrix(region.mask, band.L)
-    return FactoredKernelFL(E, G, band, region)
+    return FactoredKernelFL(E_matrix(band.P, region.R1, region.R2), G, band, region)

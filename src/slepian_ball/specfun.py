@@ -18,13 +18,13 @@ the rest of the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln, spherical_jn
 
 
 # ---------------------------------------------------------------------------
@@ -60,13 +60,22 @@ class QuadratureRule:
         return np.asarray(values) @ self.weights
 
 
+@functools.lru_cache(maxsize=64)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard Gauss-Legendre nodes and weights on [-1, 1], read-only:
+    `leggauss` runs an eigensolve, and the kernels reuse a few n often."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Legendre rule with n nodes on [a, b]."""
     if n < 1:
         raise ValueError("need at least one node")
     if not (b > a):
         raise ValueError("interval must satisfy b > a")
-    x, w = leggauss(n)
+    x, w = _leggauss(n)
     mid, half = 0.5 * (b + a), 0.5 * (b - a)
     return QuadratureRule(mid + half * x, half * w, "gauss-legendre-on-interval")
 
@@ -97,11 +106,13 @@ def spherical_bessel_j(ell: int, x: float) -> float:
         return math.inf if x == 0.0 else math.cos(x) / x
     if x == 0.0:
         return 1.0 if ell == 0 else 0.0
+    from scipy.special import spherical_jn
     return float(spherical_jn(ell, x))
 
 
 def spherical_jn_table(lmax: int, x: np.ndarray) -> np.ndarray:
     """j_l(x) for l = 0..lmax over an array of arguments, shape (lmax+1,) + x.shape."""
+    from scipy.special import spherical_jn
     x = np.asarray(x, dtype=float)
     out = np.empty((lmax + 1,) + x.shape)
     for l in range(lmax + 1):
@@ -220,7 +231,7 @@ def sph_harm_matrix(L: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _lnf(n: int) -> float:
-    return gammaln(n + 1)
+    return math.lgamma(n + 1)
 
 
 def _jacobi_poly(s: int, a: int, b: int, x: float) -> float:

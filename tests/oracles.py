@@ -10,7 +10,10 @@ serve the tests as oracles:
 * truncated exponential moments in float64 through Poisson probabilities;
 * the Fourier-Bessel fixed-order kernel assembled densely as C o G (and
   over the grid of an azimuthally symmetric region) with its dense
-  per-order eigensolve.
+  per-order eigensolve;
+* the pixel-mask angular coupling assembled densely over all (l, m), with
+  its dense L^2 x L^2 eigensolve;
+* the spectrum ordering rule as a Python sort key over entry tuples.
 """
 
 from __future__ import annotations
@@ -357,3 +360,32 @@ def fb_dense_solve(region, band):
         order += [(x, ms) for x in lam for ms in ((m,) if m == 0 else (-m, m))]
     order.sort(key=lambda e: (-e[0], e[1]))
     return blocks, order
+
+
+# ---------------------------------------------------------------------------
+# dense pixel-mask angular coupling and its eigensolve
+# ---------------------------------------------------------------------------
+
+def G_mask_dense(mask, L: int) -> np.ndarray:
+    """sum_pixels w_i I_i Y_lm(pix_i) Y*_l'm'(pix_i), symmetrized."""
+    active = mask.indicator > 0
+    Y = specfun.sph_harm_matrix(L, mask.theta[active], mask.phi[active])
+    G = (Y * mask.weight[active]) @ Y.conj().T
+    return 0.5 * (G + G.conj().T)
+
+
+def mask_dense_angular(mask, L: int):
+    """Dense eigh of `G_mask_dense`: (lam, V) with lam descending."""
+    lam, V = np.linalg.eigh(G_mask_dense(mask, L))
+    return lam[::-1], V[:, ::-1]
+
+
+# ---------------------------------------------------------------------------
+# spectrum ordering rule
+# ---------------------------------------------------------------------------
+
+def spectrum_sort_key(entry) -> tuple:
+    """Sort key of a (lam, m, i_rad, i_ang) entry: lam descending, then
+    signed order m ascending (None as 0), then radial, then angular index."""
+    lam, m, i_rad, i_ang = entry
+    return (-lam, 0 if m is None else m, i_rad, i_ang)

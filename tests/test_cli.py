@@ -318,3 +318,19 @@ def test_import_leaves_mpmath_unloaded():
                         capture_output=True, text=True)
     assert rc.returncode == 0, rc.stderr
     assert rc.stdout.strip() == "False"
+
+
+def test_fl_solves_leave_scipy_special_unloaded():
+    # only the Fourier-Bessel Bessel helpers need scipy.special
+    code = (
+        "import sys, slepian_ball as sb\n"
+        "band = sb.FourierLaguerreBand(4, 6)\n"
+        "sb.solve_fl(sb.ProductSymmetric(15.0, 25.0, 0.3, 1.1), band)\n"
+        "mask = sb.AngularMask.full_sphere_grid(\n"
+        "    6, indicator=lambda t, p: ((t > 0.9) & (t < 1.3)).astype(float))\n"
+        "sb.solve_fl(sb.ProductMask(mask, 15.0, 25.0), band)\n"
+        "print('scipy.special' in sys.modules)\n")
+    rc = subprocess.run([sys.executable, "-c", code],
+                        capture_output=True, text=True)
+    assert rc.returncode == 0, rc.stderr
+    assert rc.stdout.strip() == "False"

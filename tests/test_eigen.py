@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import slepian_ball as sb
-from oracles import fb_dense_solve
-from slepian_ball import specfun, transforms
+from oracles import fb_dense_solve, mask_dense_angular, spectrum_sort_key
+from slepian_ball import eigen, specfun, transforms
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
 
@@ -451,6 +451,174 @@ def test_fb_entry_points_by_region(name):
     assert res.eigenvalues.sum() == pytest.approx(trace, rel=1e-10)
     assert res.eigenvalues.sum() == pytest.approx(shannon, rel=0.01)
     assert len(res) == band.size
+
+
+# ---------------------------------------------------------------------------
+# pixel-mask solve through the factor G_mask = A A^H
+# ---------------------------------------------------------------------------
+
+def _patch(t, p):
+    """The sparsity-demo patch 0.9 < theta < 1.3, 0.6 < phi < 1.3."""
+    return ((t > 0.9) & (t < 1.3) & (p > 0.6) & (p < 1.3)).astype(float)
+
+
+MASK_L = 16
+MASK_ORACLE_CASES = {
+    # (mask, solves through the SVD of A)
+    "patch": (lambda: sb.AngularMask.full_sphere_grid(MASK_L, indicator=_patch), True),
+    "cap": (lambda: sb.AngularMask.full_sphere_grid(
+        MASK_L, indicator=lambda t, p: (t < 1.3).astype(float)), True),
+    "hemisphere": (lambda: sb.AngularMask.full_sphere_grid(
+        MASK_L, indicator=lambda t, p: (t < math.pi / 2).astype(float)), False),
+    "band": (lambda: sb.AngularMask.band(T1, T2, MASK_L), False),
+}
+
+
+@pytest.fixture(scope="module", params=list(MASK_ORACLE_CASES))
+def mask_vs_dense(request):
+    make, svd_side = MASK_ORACLE_CASES[request.param]
+    mask = make()
+    assert (mask.indicator.sum() < MASK_L ** 2) == svd_side
+    return mask, eigen._mask_angular(mask, MASK_L), mask_dense_angular(mask, MASK_L)
+
+
+def test_mask_angular_spectrum_matches_dense_oracle(mask_vs_dense):
+    _, (lam, _), (lam_dense, _) = mask_vs_dense
+    assert lam.shape == lam_dense.shape == (MASK_L ** 2,)
+    assert np.all(np.diff(lam) <= 0.0)
+    assert np.abs(lam - lam_dense).max() < 1e-13
+
+
+def test_mask_angular_basis_is_complete_and_orthonormal(mask_vs_dense):
+    _, (_, V), _ = mask_vs_dense
+    assert V.shape == (MASK_L ** 2, MASK_L ** 2)
+    assert np.abs(V.conj().T @ V - np.eye(MASK_L ** 2)).max() < 1e-12
+
+
+def test_mask_angular_projectors_match_dense_oracle(mask_vs_dense):
+    # clusters split where the dense gap exceeds 1e-8; the null space of a
+    # small mask is one cluster.  A cluster projector moves by up to
+    # |dG| / gap under a rounding-level change dG of the matrix (Davis-Kahan),
+    # so two dense eigensolves already differ by ~1e-8 at gaps near 1e-8:
+    # 1e-9 is required where the gap exceeds 1e-6, error * gap < 1e-14 below
+    _, (_, V), (lam_dense, V_dense) = mask_vs_dense
+    n = lam_dense.size
+    edges = [0] + [k for k in range(1, n) if lam_dense[k - 1] - lam_dense[k] > 1e-8] + [n]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        gap = min(lam_dense[lo - 1] - lam_dense[lo] if lo > 0 else math.inf,
+                  lam_dense[hi - 1] - lam_dense[hi] if hi < n else math.inf)
+        P_new = V[:, lo:hi] @ V[:, lo:hi].conj().T
+        P_dense = V_dense[:, lo:hi] @ V_dense[:, lo:hi].conj().T
+        err = np.abs(P_new - P_dense).max()
+        assert err < (1e-9 if gap > 1e-6 else 1e-14 / gap), (lo, hi, gap)
+
+
+def test_mask_solve_matches_dense_oracle(mask_vs_dense, rng):
+    mask, _, (lam_dense, _) = mask_vs_dense
+    band = sb.FourierLaguerreBand(6, MASK_L)
+    res = sb.solve_fl(sb.ProductMask(mask, 15.0, 25.0), band)
+    lam1 = np.linalg.eigvalsh(sb.E_matrix(band.P, 15.0, 25.0))
+    expect = np.sort(np.outer(np.clip(lam1, 0, 1), np.clip(lam_dense, 0, 1)).ravel())[::-1]
+    assert np.abs(res.eigenvalues - expect).max() < 1e-13
+    lo, hi = res.raw_eigenvalue_range
+    assert -1e-9 <= lo and hi <= 1.0 + 1e-9
+    h = rng.normal(size=band.size) + 1j * rng.normal(size=band.size)
+    h_alpha = res.project(h)
+    assert h_alpha.size == band.size
+    assert abs(np.linalg.norm(h_alpha) - np.linalg.norm(h)) < 1e-12 * np.linalg.norm(h)
+    # the factored projector agrees with the materialized vectors
+    assert np.abs(h_alpha[:20] - res.vectors(20).conj().T @ h).max() < 1e-12
+
+
+def test_mask_solve_at_benchmark_size_matches_dense_oracle():
+    # the sparsity patch at P = L = 32: 28 active pixels of 2048
+    L = 32
+    mask = sb.AngularMask.full_sphere_grid(L, indicator=_patch)
+    assert mask.indicator.sum() == 28
+    lam, V = eigen._mask_angular(mask, L)
+    lam_dense, _ = mask_dense_angular(mask, L)
+    assert np.abs(lam - lam_dense).max() < 1e-13
+    assert np.count_nonzero(lam) <= 28
+    res = sb.solve_fl(sb.ProductMask(mask, 15.0, 25.0), sb.FourierLaguerreBand(L, L))
+    assert len(res) == 32 * L * L
+    lo, hi = res.raw_eigenvalue_range
+    assert -1e-9 <= lo and hi <= 1.0 + 1e-9
+    assert abs(res.eigenvalues.sum() - res.shannon) < 1e-6 * res.shannon
+
+
+def test_mask_solve_runs_no_eigensolve_larger_than_P(monkeypatch):
+    band = sb.FourierLaguerreBand(8, MASK_L)
+    mask = MASK_ORACLE_CASES["patch"][0]()
+    dims, svd_shapes = [], []
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+
+    def recording_eigh(a, *args, **kwargs):
+        dims.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    def recording_svd(a, *args, **kwargs):
+        svd_shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    res = sb.solve_fl(sb.ProductMask(mask, 15.0, 25.0), band)
+    assert dims and max(dims) <= band.P
+    assert svd_shapes == [(MASK_L ** 2, int(mask.indicator.sum()))]
+    assert len(res) == band.size
+
+
+def test_empty_mask_solves_to_zero_spectrum(rng):
+    band = sb.FourierLaguerreBand(4, 6)
+    mask = sb.AngularMask.full_sphere_grid(6, indicator=lambda t, p: np.zeros_like(t))
+    lam, V = eigen._mask_angular(mask, band.L)
+    assert np.all(lam == 0.0)
+    assert np.abs(V.conj().T @ V - np.eye(band.L ** 2)).max() < 1e-12
+    res = sb.solve_fl(sb.ProductMask(mask, 15.0, 25.0), band)
+    assert len(res) == band.size and np.all(res.eigenvalues == 0.0)
+    assert res.shannon == 0.0
+    h = rng.normal(size=band.size) + 1j * rng.normal(size=band.size)
+    assert abs(np.linalg.norm(res.project(h)) - np.linalg.norm(h)) < 1e-12 * np.linalg.norm(h)
+
+
+def test_mask_solve_rejects_coarse_grid():
+    mask = sb.AngularMask.full_sphere_grid(4)
+    with pytest.raises(ValueError, match="below L"):
+        sb.solve_fl(sb.ProductMask(mask, 1.0, 2.0), sb.FourierLaguerreBand(3, 6))
+
+
+# ---------------------------------------------------------------------------
+# spectrum ordering: one lexsort over arrays
+# ---------------------------------------------------------------------------
+
+ORDER_CASES = {
+    "fl-reference": lambda ref: sb.solve_fl(ref, sb.FourierLaguerreBand(31, 20)),
+    "mask-patch": lambda ref: sb.solve_fl(
+        sb.ProductMask(MASK_ORACLE_CASES["patch"][0](), 15.0, 25.0),
+        sb.FourierLaguerreBand(16, MASK_L)),
+    "fb-m70": lambda ref: sb.solve_fb(ref, sb.FourierBesselBand(1.4, 20, 70)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORDER_CASES))
+def test_spectrum_order_equals_tuple_sort(name, ref_region, monkeypatch):
+    calls = []
+    order_fn = eigen._spectrum_order
+
+    def recording_order(lam, m, i, j):
+        order = order_fn(lam, m, i, j)
+        calls.append((lam, m, i, j, order))
+        return order
+
+    monkeypatch.setattr(eigen, "_spectrum_order", recording_order)
+    res = ORDER_CASES[name](ref_region)
+    (lam, m, i, j, order), = calls
+    entries = list(zip(lam.tolist(), m.tolist(), i.tolist(), j.tolist()))
+    expect = sorted(range(len(entries)), key=lambda k: spectrum_sort_key(entries[k]))
+    assert order.tolist() == expect
+    assert np.array_equal(res.eigenvalues, lam[order])
+    if name != "mask-patch":
+        assert [info.m for info in res.infos] == m[order].tolist()
 
 
 # ---------------------------------------------------------------------------

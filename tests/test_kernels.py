@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import slepian_ball as sb
-from oracles import E_matrix_mp, G_diag_sum_3j, G_matrix_3j, _c_tensor, fb_dense_block
+from oracles import (E_matrix_mp, G_diag_sum_3j, G_mask_dense, G_matrix_3j, _c_tensor,
+                     fb_dense_block)
 from slepian_ball import kernels, specfun
 from slepian_ball.kernels import fb_k_weights
 
@@ -432,6 +433,40 @@ def test_kernel_fl_mask_factored_trace():
     dense = fac.dense()
     assert dense.shape == (band.size, band.size)
     assert np.trace(dense).real == pytest.approx(fac.trace, rel=1e-12)
+
+
+def test_g_mask_factor_matches_dense_oracle():
+    L = 10
+    mask = sb.AngularMask.full_sphere_grid(
+        12, indicator=lambda t, p: ((t > 0.7) & (t < 1.9) & (p < 4.0)).astype(float))
+    A = kernels._mask_factor(mask, L)
+    assert A.shape == (L * L, int(mask.indicator.sum()))
+    G = sb.G_mask_matrix(mask, L)
+    assert np.abs(G - G_mask_dense(mask, L)).max() < 1e-14
+    # A A^H is Hermitian without symmetrization
+    assert np.abs(G - G.conj().T).max() < 1e-15
+    band = sb.FourierLaguerreBand(3, L)
+    region = sb.ProductMask(mask, 15.0, 25.0)
+    E = sb.E_matrix(3, 15.0, 25.0)
+    for a, b in (((2, 1, 0), (2, 1, 0)), ((4, -3, 1), (7, 2, 2))):
+        row, col = a[0] ** 2 + a[0] + a[1], b[0] ** 2 + b[0] + b[1]
+        assert sb.kernel_fl_entry(region, band, a, b) == pytest.approx(
+            E[a[2], b[2]] * G[row, col], abs=1e-15)
+
+
+def test_factored_kernel_rejects_nonhermitian():
+    band = sb.FourierLaguerreBand(3, 4)
+    mask = sb.AngularMask.full_sphere_grid(4, indicator=lambda t, p: (t < 1.0).astype(float))
+    region = sb.ProductMask(mask, 15.0, 25.0)
+    fac = sb.kernel_fl_mask(band, region)
+    skewed = fac.G_angular.copy()
+    skewed[1, 2] += 1e-9 * np.abs(skewed).max()
+    with pytest.raises(ValueError, match="not Hermitian"):
+        kernels.FactoredKernelFL(fac.E, skewed, band, region)
+    E_skewed = fac.E.copy()
+    E_skewed[0, 1] += 1e-9
+    with pytest.raises(ValueError, match="not Hermitian"):
+        kernels.FactoredKernelFL(E_skewed, fac.G_angular, band, region)
 
 
 def test_kernel_fl_mask_grid_too_coarse():

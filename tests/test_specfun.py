@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oracles import radial_moment_integral, wigner_3j
-from slepian_ball import specfun
+from slepian_ball import kernels, specfun
 from slepian_ball.specfun import (QuadratureRule, gauss_laguerre_rule,
                                   gauss_legendre_rule, laguerre_K,
                                   spherical_bessel_j, spherical_harmonic,
@@ -331,6 +331,32 @@ def test_gauss_legendre_polynomial_exactness():
         exact = (b ** (deg + 1) - a ** (deg + 1)) / (deg + 1)
         got = rule.integrate(rule.nodes ** deg)
         assert got == pytest.approx(exact, rel=1e-12)
+
+
+def test_gauss_legendre_standard_rule_cached(monkeypatch):
+    # leggauss runs an eigensolve: once per n, whatever the interval
+    calls = []
+    leggauss = specfun.leggauss
+
+    def counting_leggauss(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(specfun, "leggauss", counting_leggauss)
+    specfun._leggauss.cache_clear()
+    rules = [gauss_legendre_rule(23, a, a + 1.5) for a in (-1.0, 0.0, 2.0)]
+    kernels.G_matrix(0, 23, 0.3, 1.2)
+    kernels.G_matrix(5, 23, 0.1, 2.2)
+    assert calls == [23]
+    x, w = leggauss(23)
+    for a, rule in zip((-1.0, 0.0, 2.0), rules):
+        assert np.array_equal(rule.nodes, (a + 0.75) + 0.75 * x)
+        assert np.array_equal(rule.weights, 0.75 * w)
+    # the cached standard rule is read-only; each rule owns its arrays
+    with pytest.raises(ValueError):
+        specfun._leggauss(23)[0][0] = 0.0
+    rules[0].nodes[0] = 99.0
+    assert gauss_legendre_rule(23, -1.0, 0.5).nodes[0] != 99.0
 
 
 def test_gauss_laguerre_exactness():
