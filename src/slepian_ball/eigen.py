@@ -146,17 +146,15 @@ def _factor_entries(lam1: np.ndarray, lam2: np.ndarray):
 
 
 def _mask_angular(mask, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of G_mask = A A^H, descending, from the pixel factor A.
-
-    With fewer active pixels than L^2 the full SVD A = V S W^H gives a
-    complete unitary V, and lam = s^2 padded with exact zeros past the pixel
-    count.  Otherwise the L^2 x L^2 Gram matrix is eigensolved directly.
+    """Eigenpairs of G_mask = A A^H, descending, from the SVD A = V S W^H of
+    the pixel factor: lam = s^2, padded with exact zeros when the mask has
+    fewer active pixels than L^2.  V is a complete unitary L^2 x L^2 basis:
+    a narrow A asks for the full SVD to complete it, a wide A has it already
+    and skips the n_active x n_active right factor.
     """
     A = ker._mask_factor(mask, L)
-    if A.shape[1] < A.shape[0]:
-        V, s, _ = np.linalg.svd(A, full_matrices=True)
-        return np.concatenate([s * s, np.zeros(A.shape[0] - s.size)]), V
-    return _descending_eigh(A @ A.conj().T)
+    V, s, _ = np.linalg.svd(A, full_matrices=A.shape[1] < A.shape[0])
+    return np.concatenate([s * s, np.zeros(A.shape[0] - s.size)]), V
 
 
 def _require_base_frame(region):
@@ -176,11 +174,10 @@ def solve_fl(region, band: FourierLaguerreBand, keep: int | None = None) -> Eige
     ProductSymmetric regions use the separated E / G^m subproblems
     (eigenvalues are exact products lam_radial * lam_angular).  ProductMask
     regions use the E / G_mask factorization, with the angular eigenbasis
-    read off the pixel factor G_mask = A A^H (`_mask_angular`): a full SVD
-    of A when the mask has fewer active pixels than L^2, so the largest
-    eigensolve is the P x P one of E.  Azimuthally symmetric and union
-    regions solve dense fixed-order blocks.  Orders m > 0 are replicated
-    to -m.
+    read off the SVD of the pixel factor A, G_mask = A A^H
+    (`_mask_angular`), so the largest eigensolve is the P x P one of E.
+    Azimuthally symmetric and union regions solve dense fixed-order blocks.
+    Orders m > 0 are replicated to -m.
     """
     _require_base_frame(region)
     P, L = band.P, band.L

@@ -19,8 +19,9 @@ rules resolve the exponential and oscillatory factors to rounding.  Each
 block is then a Gram matrix A A^T of square-root-weighted node values.  The
 Fourier-Bessel blocks are kept as that factor (`_fb_factor`), and so is the
 angular coupling of a pixel mask, G_mask = A A^H with A the
-square-root-weighted Y_lm at the active pixels (`_mask_factor`); the
-solvers work on the smaller side of each factor.  The test suite checks
+square-root-weighted Y_lm at the active pixels (`_mask_factor`).  The
+Fourier-Bessel solver eigensolves the smaller side of its factor, the mask
+solver takes the SVD of A.  The test suite checks
 each against an analytic oracle (exponential moments in extended
 precision, Wigner-3j sums, Lommel closed forms) or a dense eigensolve.
 

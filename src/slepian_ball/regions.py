@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+
+from .specfun import _leggauss
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ class AngularMask:
     @staticmethod
     def full_sphere_grid(L_grid: int, indicator=None) -> "AngularMask":
         """Sphere-wide exact grid; optional indicator(theta, phi) callable or array."""
-        x, w = leggauss(L_grid)
+        x, w = _leggauss(L_grid)
         theta_nodes = np.arccos(x[::-1])
         w_nodes = w[::-1]
         n_phi = 2 * L_grid
@@ -138,7 +139,7 @@ class AngularMask:
         """
         if not (0.0 <= theta1 < theta2 <= math.pi):
             raise ValueError(f"need 0 <= theta1 < theta2 <= pi, got {theta1}, {theta2}")
-        x, w = leggauss(L_grid)
+        x, w = _leggauss(L_grid)
         x1, x2 = math.cos(theta1), math.cos(theta2)
         mid, half = 0.5 * (x1 + x2), 0.5 * (x1 - x2)
         xs = mid + half * x
@@ -195,7 +196,7 @@ class AngularMask:
         if n_theta * n_phi != theta.size:
             raise ValueError("mask pixel list is not a full theta x phi grid")
         L_grid = n_theta
-        x, w = leggauss(L_grid)
+        x, w = _leggauss(L_grid)
         xs = np.sort(np.cos(th_unique))
         # solve for the cos-theta interval the nodes were generated on
         span = (xs[-1] - xs[0]) / (x[-1] - x[0])
@@ -266,10 +267,10 @@ class AzimuthallySymmetric:
     def from_indicator(fn, R1: float, R2: float, n_r: int = 64,
                        n_theta: int = 64) -> "AzimuthallySymmetric":
         """Sample indicator fn(r, theta) on a GL(r) x GL(cos theta) grid."""
-        xr, wr = leggauss(n_r)
+        xr, wr = _leggauss(n_r)
         r = 0.5 * (R2 - R1) * xr + 0.5 * (R2 + R1)
         wr = 0.5 * (R2 - R1) * wr
-        xt, wt = leggauss(n_theta)
+        xt, wt = _leggauss(n_theta)
         theta = np.arccos(xt[::-1])
         wt = wt[::-1]
         Rg, Tg = np.meshgrid(r, theta, indexing="ij")

@@ -63,7 +63,8 @@ class QuadratureRule:
 @functools.lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Standard Gauss-Legendre nodes and weights on [-1, 1], read-only:
-    `leggauss` runs an eigensolve, and the kernels reuse a few n often."""
+    `leggauss` runs an eigensolve, and the kernels and grids reuse a few n
+    often."""
     x, w = leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w

@@ -72,7 +72,7 @@ def analysis_grid(band: FourierLaguerreBand, radial_margin: int = 8) -> SpatialG
     exact_deg = 2 * n_r - 1 - 2   # degree of poly part after the r^2 factor
     if exact_deg < 2 * (P - 1):
         raise ValueError("radial rule too small for the band")
-    x, w = np.polynomial.legendre.leggauss(L)
+    x, w = specfun._leggauss(L)
     theta = np.arccos(x[::-1])
     wt = w[::-1]
     n_phi = 2 * L
@@ -99,7 +99,7 @@ def region_energy_grid(region, band) -> SpatialGrid:
     rule = specfun.gauss_legendre_rule(n_r, region.R1, region.R2)
     rw = rule.weights * rule.nodes ** 2
     x1, x2 = math.cos(region.theta1), math.cos(region.theta2)
-    xs, ws = np.polynomial.legendre.leggauss(L)
+    xs, ws = specfun._leggauss(L)
     mid, half = 0.5 * (x1 + x2), 0.5 * (x1 - x2)
     theta = np.arccos((mid + half * xs)[::-1])
     wt = (half * ws)[::-1]

@@ -464,21 +464,21 @@ def _patch(t, p):
 
 MASK_L = 16
 MASK_ORACLE_CASES = {
-    # (mask, solves through the SVD of A)
-    "patch": (lambda: sb.AngularMask.full_sphere_grid(MASK_L, indicator=_patch), True),
+    # (mask, active pixels): A narrower than, as wide as and wider than L^2
+    "patch": (lambda: sb.AngularMask.full_sphere_grid(MASK_L, indicator=_patch), 9),
     "cap": (lambda: sb.AngularMask.full_sphere_grid(
-        MASK_L, indicator=lambda t, p: (t < 1.3).astype(float)), True),
+        MASK_L, indicator=lambda t, p: (t < 1.3).astype(float)), 224),
     "hemisphere": (lambda: sb.AngularMask.full_sphere_grid(
-        MASK_L, indicator=lambda t, p: (t < math.pi / 2).astype(float)), False),
-    "band": (lambda: sb.AngularMask.band(T1, T2, MASK_L), False),
+        MASK_L, indicator=lambda t, p: (t < math.pi / 2).astype(float)), MASK_L ** 2),
+    "band": (lambda: sb.AngularMask.band(T1, T2, MASK_L), 2 * MASK_L ** 2),
 }
 
 
 @pytest.fixture(scope="module", params=list(MASK_ORACLE_CASES))
 def mask_vs_dense(request):
-    make, svd_side = MASK_ORACLE_CASES[request.param]
+    make, n_active = MASK_ORACLE_CASES[request.param]
     mask = make()
-    assert (mask.indicator.sum() < MASK_L ** 2) == svd_side
+    assert mask.indicator.sum() == n_active
     return mask, eigen._mask_angular(mask, MASK_L), mask_dense_angular(mask, MASK_L)
 
 
@@ -546,9 +546,10 @@ def test_mask_solve_at_benchmark_size_matches_dense_oracle():
     assert abs(res.eigenvalues.sum() - res.shannon) < 1e-6 * res.shannon
 
 
-def test_mask_solve_runs_no_eigensolve_larger_than_P(monkeypatch):
+@pytest.mark.parametrize("name", ["patch", "band"])
+def test_mask_solve_runs_no_eigensolve_larger_than_P(name, monkeypatch):
     band = sb.FourierLaguerreBand(8, MASK_L)
-    mask = MASK_ORACLE_CASES["patch"][0]()
+    mask = MASK_ORACLE_CASES[name][0]()
     dims, svd_shapes = [], []
     eigh, svd = np.linalg.eigh, np.linalg.svd
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oracles import radial_moment_integral, wigner_3j
-from slepian_ball import kernels, specfun
+from slepian_ball import kernels, regions, specfun, transforms
 from slepian_ball.specfun import (QuadratureRule, gauss_laguerre_rule,
                                   gauss_legendre_rule, laguerre_K,
                                   spherical_bessel_j, spherical_harmonic,
@@ -334,21 +334,33 @@ def test_gauss_legendre_polynomial_exactness():
 
 
 def test_gauss_legendre_standard_rule_cached(monkeypatch):
-    # leggauss runs an eigensolve: once per n, whatever the interval
+    # leggauss runs an eigvalsh of its n x n companion matrix: once per n,
+    # whatever the interval and whichever module asks for the rule
     calls = []
-    leggauss = specfun.leggauss
+    eigvalsh = np.linalg.eigvalsh
 
-    def counting_leggauss(n):
-        calls.append(n)
-        return leggauss(n)
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(specfun, "leggauss", counting_leggauss)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     specfun._leggauss.cache_clear()
     rules = [gauss_legendre_rule(23, a, a + 1.5) for a in (-1.0, 0.0, 2.0)]
     kernels.G_matrix(0, 23, 0.3, 1.2)
     kernels.G_matrix(5, 23, 0.1, 2.2)
-    assert calls == [23]
-    x, w = leggauss(23)
+    # the mask, region and transform grids share the same cache
+    regions.AngularMask.full_sphere_grid(23)
+    regions.AngularMask.band(0.3, 1.2, 23)
+    regions.AzimuthallySymmetric.from_indicator(
+        lambda r, t: np.ones_like(r), 1.0, 2.0, n_r=23, n_theta=23)
+    # radial rules add one eigensolve each: the analysis grid's 12-node
+    # Gauss-Laguerre rule and the energy grid's 2P + 16 = 22-node Legendre one
+    transforms.analysis_grid(kernels.FourierLaguerreBand(3, 23))
+    for _ in range(2):
+        transforms.region_energy_grid(
+            regions.ProductSymmetric(1.0, 2.0, 0.3, 1.2), kernels.FourierLaguerreBand(3, 23))
+    assert calls == [23, 12, 22]
+    x, w = np.polynomial.legendre.leggauss(23)
     for a, rule in zip((-1.0, 0.0, 2.0), rules):
         assert np.array_equal(rule.nodes, (a + 0.75) + 0.75 * x)
         assert np.array_equal(rule.weights, 0.75 * w)
