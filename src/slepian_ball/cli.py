@@ -77,6 +77,8 @@ class RunConfig:
                 raise ValueError(f"M must be >= 1, got {self.M}")
         if self.count < 0:
             raise ValueError(f"count must be >= 0, got {self.count}")
+        if self.order is not None and abs(self.order) >= self.L:
+            raise ValueError(f"order must satisfy |order| < L = {self.L}, got {self.order}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +291,13 @@ def cmd_kernel(cfg: RunConfig) -> int:
 
 
 def _eigen_csv(res) -> str:
+    def column(values, fmt=_fmt):
+        return [""] * len(res) if values is None else [fmt(v) for v in values.tolist()]
+
     lines = ["rank,lambda,m,lambda_radial,lambda_angular"]
-    for rank, info in enumerate(res.infos):
-        m = "" if info.m is None else str(info.m)
-        l1 = "" if info.lam_radial is None else _fmt(info.lam_radial)
-        l2 = "" if info.lam_angular is None else _fmt(info.lam_angular)
-        lines.append(f"{rank},{_fmt(info.lam)},{m},{l1},{l2}")
+    for rank, row in enumerate(zip(column(res.eigenvalues), column(res.orders, str),
+                                   column(res.lam_radial), column(res.lam_angular))):
+        lines.append(f"{rank},{','.join(row)}")
     return "\n".join(lines) + "\n"
 
 
@@ -305,11 +308,11 @@ def cmd_eigen(cfg: RunConfig) -> int:
     band = _band(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     # an order filter needs ranks beyond the first `count`, so retain all
-    keep = None if (cfg.grid and cfg.order is not None) else max(cfg.count, 1)
+    keep = None if (cfg.grid and cfg.order is not None) else cfg.count
     solve = eigen.solve_fl if cfg.domain == "fl" else eigen.solve_fb
     res = solve(region, band, keep=keep)
     _write_text(os.path.join(cfg.out, "eigenvalues.csv"), _eigen_csv(res))
-    n_vec = min(max(cfg.count, 1), res.stored)
+    n_vec = min(cfg.count, res.stored)
     write_matrix(os.path.join(cfg.out, "eigenvectors.mat"), res.vectors(n_vec))
     _write_json(os.path.join(cfg.out, "shannon.json"), _meta(cfg, {
         "shannon": res.shannon,
@@ -321,15 +324,16 @@ def cmd_eigen(cfg: RunConfig) -> int:
             n_r, n_t = (int(v) for v in cfg.grid.split(","))
         except Exception as exc:
             raise ValueError(f"--grid needs 'nr,ntheta', got {cfg.grid!r}") from exc
-        ranks = [a for a, info in enumerate(res.infos) if info.block
-                 and (cfg.order is None or info.m == cfg.order)][:cfg.count]
+        ranks = np.arange(res.stored)
+        if cfg.order is not None:
+            ranks = ranks[res.orders[:res.stored] == cfg.order]
         r_max = getattr(region, "R2", None)
         r_max = 2.0 * r_max if r_max and not math.isinf(r_max) else 50.0
         rs = np.linspace(r_max / n_r, r_max, n_r)
         ts = np.linspace(0.0, math.pi, n_t)
         Rg, Tg = np.meshgrid(rs, ts, indexing="ij")
         pts = np.column_stack([Rg.ravel(), Tg.ravel(), np.zeros(Rg.size)])
-        for rank in ranks:
+        for rank in ranks[:cfg.count].tolist():
             coeffs = res.coeffs(rank)
             if cfg.domain == "fl":
                 vals = transforms.synthesis_fl(coeffs, pts)
@@ -456,15 +460,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    from .regions import ProductMask
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
-        region_check = cfg.region  # parsed lazily per command; validate now
-        parse_region(region_check)
-    except (ValueError, TypeError, OSError, KeyError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        region = parse_region(cfg.region)  # parsed again per command; validate now
+        if cfg.order is not None and isinstance(region, ProductMask):
+            raise ValueError("--order selects an azimuthal order; mask regions have none")
         return _COMMANDS[cfg.command](cfg)
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

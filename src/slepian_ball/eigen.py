@@ -7,6 +7,12 @@ G^m; a combined eigenvalue is the product lam = lam_radial * lam_angular
 and the eigenvector is the outer product of the factors, so the full
 spectrum is available without ever forming the dense P L^2 kernel.
 
+Every solver hands its per-order blocks (a mask's one block spans the band)
+to one merge, `EigenResult`, whose per-rank state is arrays: `eigenvalues`,
+`orders` (signed m; None for a mask, whose eigenfunctions have no order), and
+`lam_radial`, `lam_angular` (None unless the solve separates).  The first
+`stored` ranks have eigenvectors.
+
 Eigenvalues are validated against the projection-operator bounds
 [-1e-9, 1 + 1e-9] before being clamped to [0, 1]; anything outside fails
 the solve.  Ordering is deterministic: lam descending, then signed order m
@@ -16,7 +22,7 @@ ascending, then radial index, then angular index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,92 +63,142 @@ class HarmonicCoeffs:
 
 
 @dataclass(frozen=True)
-class EigenFunctionInfo:
-    lam: float
-    m: int | None              # fixed azimuthal order, when the problem has one
-    lam_radial: float | None = None
-    lam_angular: float | None = None
-    block: tuple = field(default=(), repr=False)  # internal factor pointers
+class _Block:
+    """One signed order's spectrum on band rows l^2 + l + m (a mask: every row).
+
+    Entry k has eigenvalue lam[k] and ordering keys (i[k], j[k]).  Factored
+    blocks hold eigenpairs (radial, U), (angular, V); entry (i, j) is V_j (x) U_i.
+    Dense blocks hold their first vectors as columns Y over (l, radial index).
+    """
+
+    m: int | None
+    rows: np.ndarray
+    lam: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    U: np.ndarray | None = None
+    V: np.ndarray | None = None
+    radial: np.ndarray | None = None
+    angular: np.ndarray | None = None
+    Y: np.ndarray | None = None
+
+    def vectors(self, k: np.ndarray) -> np.ndarray:
+        """Vectors of entries k on the block's rows, (k.size, rows, radial)."""
+        if self.Y is None:
+            V, U = self.V[:, self.j[k]], self.U[:, self.i[k]]
+            return V.T[:, :, None] * U.T[:, None, :]
+        return self.Y[:, k].T.reshape(k.size, self.rows.size, -1)
+
+
+def _order_blocks(m: int | None, L: int, lam, keys=None, **vectors) -> list[_Block]:
+    """Blocks of orders -m and m (all rows if m is None) sharing lam, keys and vectors."""
+    i, j = keys or (np.arange(lam.size), np.zeros(lam.size, dtype=int))
+    if m is None:
+        return [_Block(None, np.arange(L * L), lam, i, j, **vectors)]
+    ls = np.arange(m, L)
+    return [_Block(s, ls * ls + ls + s, lam, i, j, **vectors)
+            for s in ((m,) if m == 0 else (-m, m))]
 
 
 class EigenResult:
-    """Sorted concentration spectrum plus lazily materialized eigenvectors."""
+    """Sorted spectrum merged from per-order blocks; see the module docstring."""
 
-    def __init__(self, eigenvalues, infos, band, region, shannon,
-                 raw_range, materialize, k_weights=None, projector=None,
-                 vector_floor=0.0):
-        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-        self.infos = list(infos)
+    def __init__(self, blocks, band, region, shannon, raw, keep,
+                 k_weights=None, vector_floor=0.0):
+        lam, m, i, j = (np.concatenate(c) for c in zip(*(
+            (b.lam, np.full(b.lam.size, b.m or 0), b.i, b.j) for b in blocks)))
+        order = _spectrum_order(lam, m, i, j)
+        self.eigenvalues = lam[order]
+        self.orders = None if blocks[0].m is None else m[order]
+        self.lam_radial = self.lam_angular = None
+        if blocks[0].Y is None:
+            self.lam_radial = np.concatenate([b.radial[b.i] for b in blocks])[order]
+            self.lam_angular = np.concatenate([b.angular[b.j] for b in blocks])[order]
+        # each block's vectors belong to its largest eigenvalues, so the
+        # retained vectors are a prefix of the ranks
+        n_vectors = sum(b.lam.size if b.Y is None else b.Y.shape[1] for b in blocks)
+        self.stored = min(len(self) if keep is None else keep, n_vectors)
+        rank = np.argsort(order)  # the inverse permutation
+        self._blocks = blocks
+        self._ranks = np.split(rank, np.cumsum([b.lam.size for b in blocks])[:-1])
         self.band = band
         self.region = region
         self.shannon = float(shannon)
-        self.raw_eigenvalue_range = raw_range
-        self._materialize = materialize
-        self._projector = projector
+        # the range of the eigenvalues the solve computed, before clamping
+        self.raw_eigenvalue_range = (min(float(r.min()) for r in raw),
+                                     max(float(r.max()) for r in raw))
         self.k_weights = k_weights
         self.vector_floor = vector_floor
 
     def __len__(self) -> int:
         return self.eigenvalues.size
 
-    @property
-    def stored(self) -> int:
-        """Number of eigenvectors that can be materialized."""
-        return sum(1 for info in self.infos if info.block)
+    def _require_stored(self, alpha: int):
+        if not 0 <= alpha < len(self):
+            raise IndexError(f"rank {alpha} is outside the spectrum 0..{len(self) - 1}")
+        if alpha >= self.stored:
+            lam = self.eigenvalues[alpha]
+            why = (f"eigenvalue {lam:.1e} is in the numerical null space"
+                   if lam < self.vector_floor else "keep= too small")
+            raise IndexError(f"eigenvector {alpha} was not retained ({why})")
+
+    def _stack(self, lo: int, hi: int) -> np.ndarray:
+        """Eigenvectors of ranks lo..hi-1 as the rows of a (hi - lo, size) array."""
+        if hi != lo:
+            self._require_stored(hi - 1)
+        L = self.band.L
+        out = np.zeros((hi - lo, L * L, self.band.size // (L * L)), dtype=complex)
+        for block, ranks in zip(self._blocks, self._ranks):
+            k = np.flatnonzero((ranks >= lo) & (ranks < hi))
+            if k.size:
+                out[np.ix_(ranks[k] - lo, block.rows)] = block.vectors(k)
+        return out.reshape(hi - lo, self.band.size)
 
     def coeffs(self, alpha: int) -> HarmonicCoeffs:
         """Coefficient vector of the alpha-th eigenfunction (0-based rank)."""
-        info = self.infos[alpha]
-        if not info.block:
-            why = (f"eigenvalue {info.lam:.1e} is in the numerical null space"
-                   if info.lam < self.vector_floor else "keep= too small")
-            raise IndexError(f"eigenvector {alpha} was not retained ({why})")
-        return HarmonicCoeffs(self._materialize(info), self.band)
+        return HarmonicCoeffs(self._stack(alpha, alpha + 1)[0], self.band)
 
     def vectors(self, count: int) -> np.ndarray:
         """First `count` eigenvector columns as a (band.size, count) matrix."""
-        return np.column_stack([self.coeffs(a).values for a in range(count)])
+        return self._stack(0, count).T
 
     def project(self, values: np.ndarray, count: int | None = None) -> np.ndarray:
         """Inner products <values, f^alpha> for alpha = 0..count-1.
 
-        Factored bases (product and mask regions) project the whole spectrum
-        with a couple of small matrix products; block bases fall back to the
-        retained eigenvectors.
+        One product per block, V^H H_rows U (factored) or Y^H vec(H_rows)
+        (dense), with H = values as (L^2, radial).  By default separated bases
+        project the whole spectrum, block bases the `stored` ranks.
         """
-        values = np.asarray(values, dtype=complex)
-        if count is None:
-            count = len(self) if self._projector is not None else self.stored
-        if self._projector is not None:
-            return self._projector(values)[:count]
-        return np.array([np.vdot(self.coeffs(a).values, values) for a in range(count)])
+        H = np.asarray(values, dtype=complex).reshape(self.band.L ** 2, -1)
+        limit = self.stored if self.lam_radial is None else len(self)
+        count = limit if count is None else count
+        if count > limit:
+            self._require_stored(count - 1)
+        out = np.zeros(len(self), dtype=complex)
+        for block, ranks in zip(self._blocks, self._ranks):
+            if block.Y is None:
+                out[ranks] = (block.V.conj().T @ H[block.rows] @ block.U)[block.j, block.i]
+            else:
+                out[ranks[:block.Y.shape[1]]] = block.Y.conj().T @ H[block.rows].ravel()
+        return out[:count]
 
 
-def _validate_and_clamp(raw: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
+def _validate_and_clamp(raw: np.ndarray) -> np.ndarray:
     mn, mx = float(raw.min()), float(raw.max())
     if mn < -_CLAMP_TOL or mx > 1.0 + _CLAMP_TOL:
         raise ArithmeticError(
             f"eigenvalue outside projection bounds [-1e-9, 1+1e-9]: min={mn}, max={mx}")
-    return np.clip(raw, 0.0, 1.0), (mn, mx)
+    return np.clip(raw, 0.0, 1.0)
 
 
 def _spectrum_order(lam, m, i, j) -> np.ndarray:
-    """Permutation that sorts spectrum entries by the ordering rule: lam
-    descending, then signed order m ascending, then radial index i, then
-    angular index j."""
+    """Permutation that sorts spectrum entries by the module's ordering rule."""
     return np.lexsort((j, i, m, -lam))
 
 
 def _descending_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lam, V = np.linalg.eigh(a)
     return lam[::-1], V[:, ::-1]
-
-
-def _factor_entries(lam1: np.ndarray, lam2: np.ndarray):
-    """Products lam2[j] * lam1[i] flattened with j slow, and their (i, j)."""
-    lam = np.outer(lam2, lam1).ravel()
-    j, i = np.divmod(np.arange(lam.size), lam1.size)
-    return lam, i, j
 
 
 def _mask_angular(mask, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,139 +237,34 @@ def solve_fl(region, band: FourierLaguerreBand, keep: int | None = None) -> Eige
     """
     _require_base_frame(region)
     P, L = band.P, band.L
-    if isinstance(region, ProductSymmetric):
-        lam1_raw, U = _descending_eigh(ker.E_matrix(P, region.R1, region.R2))
-        lam1, _ = _validate_and_clamp(lam1_raw)
-        angular = {}
-        raw_lo, raw_hi = math.inf, -math.inf
-        parts = []
-        for m in range(L):
-            lam2_raw, V = _descending_eigh(
-                ker.G_matrix(m, L, region.theta1, region.theta2))
-            lam2, _ = _validate_and_clamp(lam2_raw)
-            angular[m] = (lam2, V)
-            prods = np.outer(lam1_raw, lam2_raw)
-            raw_lo = min(raw_lo, float(prods.min()))
-            raw_hi = max(raw_hi, float(prods.max()))
-            lam, i, j = _factor_entries(lam1, lam2)
-            parts += [(lam, np.full(lam.size, ms), i, j)
-                      for ms in ((m,) if m == 0 else (-m, m))]
-        lam, ms, i, j = (np.concatenate(c) for c in zip(*parts))
-        order = _spectrum_order(lam, ms, i, j)
-        lam, ms, i, j = lam[order], ms[order], i[order], j[order]
-        if keep is None:
-            keep = lam.size
-        infos = [
-            EigenFunctionInfo(x, s, lam1[a], angular[abs(s)][0][b],
-                              block=("prod", s, a, b) if rank < keep else ())
-            for rank, (x, s, a, b) in enumerate(
-                zip(lam.tolist(), ms.tolist(), i.tolist(), j.tolist()))
-        ]
-
-        def materialize(info: EigenFunctionInfo) -> np.ndarray:
-            _, ms, i, j = info.block
-            m_abs = abs(ms)
-            vec = np.zeros(band.size, dtype=complex)
-            V = angular[m_abs][1]
-            for l in range(m_abs, L):
-                base = (l * l + l + ms) * P
-                vec[base:base + P] = V[l - m_abs, j] * U[:, i]
-            return vec
-
-        def projector(values: np.ndarray) -> np.ndarray:
-            # factors are real, so <h, f^alpha> is a plain sandwich V^T H U,
-            # stacked over signed orders as S[ms + L - 1, j, i]
-            H = values.reshape(L * L, P)
-            S = np.zeros((2 * L - 1, L, P), dtype=complex)
-            for m in range(L):
-                ls = np.arange(m, L)
-                for sm in ((m,) if m == 0 else (-m, m)):
-                    S[sm + L - 1, :L - m] = angular[m][1].T @ H[ls * ls + ls + sm] @ U
-            return S[ms + L - 1, j, i]
-
-        return EigenResult(lam, infos, band, region, shannon_fl(region, band),
-                           (raw_lo, raw_hi), materialize, projector=projector)
-
+    if not isinstance(region, (ProductSymmetric, ProductMask)):
+        return _solve_fl_blocks(region, band, keep)  # its kernel rejects other types
+    lam1_raw, U = _descending_eigh(ker.E_matrix(P, region.R1, region.R2))
+    lam1 = _validate_and_clamp(lam1_raw)
     if isinstance(region, ProductMask):
-        lam1_raw, U = _descending_eigh(ker.E_matrix(P, region.R1, region.R2))
-        lam1, _ = _validate_and_clamp(lam1_raw)
-        lam2_raw, V = _mask_angular(region.mask, L)
-        lam2, _ = _validate_and_clamp(lam2_raw)
-        prods = np.outer(lam1_raw, lam2_raw)
-        raw_range = (float(prods.min()), float(prods.max()))
-        lam, i, j = _factor_entries(lam1, lam2)
-        order = _spectrum_order(lam, np.zeros_like(i), i, j)
-        lam, i, j = lam[order], i[order], j[order]
-        if keep is None:
-            keep = lam.size
-        infos = [
-            EigenFunctionInfo(x, None, lam1[a], lam2[b],
-                              block=("mask", a, b) if rank < keep else ())
-            for rank, (x, a, b) in enumerate(zip(lam.tolist(), i.tolist(), j.tolist()))
-        ]
-
-        def materialize(info: EigenFunctionInfo) -> np.ndarray:
-            _, i, j = info.block
-            return np.kron(V[:, j], U[:, i])
-
-        def projector(values: np.ndarray) -> np.ndarray:
-            # <h, kron(V_j, U_i)> = (V^H H U)[j, i] with H = values as (L^2, P)
-            return (V.conj().T @ values.reshape(L * L, P) @ U)[j, i]
-
-        return EigenResult(lam, infos, band, region, shannon_fl(region, band),
-                           raw_range, materialize, projector=projector)
-
-    if isinstance(region, (AzimuthallySymmetric, RegionUnion)):
-        return _solve_fl_blocks(region, band, keep)
-    raise TypeError(f"unsupported region type {type(region)!r}")
-
-
-def _block_result(band, region, blocks, keep, raw_range, shannon, scale=1.0,
-                  **extra) -> EigenResult:
-    """Merge per-order spectra into one sorted EigenResult.
-
-    blocks[m] = (lam, Y): the order's clamped eigenvalues, descending, and
-    its retained vector columns over (l, radial index), divided by `scale`
-    on output.  Rank alpha keeps its vector if alpha < keep and Y has it.
-    """
-    L = band.L
-    stride = band.size // (L * L)
-    parts = [(lam, np.full(lam.size, ms), np.arange(lam.size))
-             for m, (lam, _) in blocks.items() for ms in ((m,) if m == 0 else (-m, m))]
-    lam, ms, i = (np.concatenate(c) for c in zip(*parts))
-    order = _spectrum_order(lam, ms, i, np.zeros_like(i))
-    lam, ms, i = lam[order], ms[order], i[order]
-    if keep is None:
-        keep = lam.size
-    n_vec = {m: Y.shape[1] for m, (_, Y) in blocks.items()}
-    infos = [
-        EigenFunctionInfo(x, s, None, None, block=(
-            ("blk", s, a) if rank < keep and a < n_vec[abs(s)] else ()))
-        for rank, (x, s, a) in enumerate(zip(lam.tolist(), ms.tolist(), i.tolist()))
-    ]
-
-    def materialize(info: EigenFunctionInfo) -> np.ndarray:
-        _, ms, i = info.block
-        ls = np.arange(abs(ms), L)
-        vec = np.zeros((L * L, stride), dtype=complex)
-        vec[ls * ls + ls + ms] = blocks[abs(ms)][1][:, i].reshape(-1, stride) / scale
-        return vec.ravel()
-
-    return EigenResult(lam, infos, band, region, shannon, raw_range, materialize,
-                       **extra)
+        angular = {None: _mask_angular(region.mask, L)}
+    else:
+        angular = {m: _descending_eigh(ker.G_matrix(m, L, region.theta1, region.theta2))
+                   for m in range(L)}
+    blocks, raw = [], []
+    for m, (lam2_raw, V) in angular.items():
+        raw.append(np.outer(lam1_raw, lam2_raw))
+        lam2 = _validate_and_clamp(lam2_raw)
+        # entry (i, j) pairs radial vector i with angular vector j, j slow
+        lam = np.outer(lam2, lam1).ravel()
+        j, i = np.divmod(np.arange(lam.size), lam1.size)
+        blocks += _order_blocks(m, L, lam, (i, j), U=U, V=V, radial=lam1, angular=lam2)
+    return EigenResult(blocks, band, region, shannon_fl(region, band), raw, keep)
 
 
 def _solve_fl_blocks(region, band: FourierLaguerreBand, keep) -> EigenResult:
     """Dense fixed-order FL solve (azimuthally symmetric / union regions)."""
-    blocks = {}
-    raw_lo, raw_hi = math.inf, -math.inf
+    blocks, raw = [], []
     for m in range(band.L):
         lam_raw, W = _descending_eigh(ker.kernel_fl_fixed_order(m, band, region).matrix)
-        raw_lo = min(raw_lo, float(lam_raw.min()))
-        raw_hi = max(raw_hi, float(lam_raw.max()))
-        blocks[m] = (_validate_and_clamp(lam_raw)[0], W)
-    return _block_result(band, region, blocks, keep, (raw_lo, raw_hi),
-                         shannon_fl(region, band))
+        raw.append(lam_raw)
+        blocks += _order_blocks(m, band.L, _validate_and_clamp(lam_raw), Y=W)
+    return EigenResult(blocks, band, region, shannon_fl(region, band), raw, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -336,23 +287,21 @@ def solve_fb(region, band: FourierBesselBand, keep: int | None = None) -> EigenR
     """
     _require_base_frame(region)
     w = fb_k_weights(band)
-    blocks = {}
-    raw_lo, raw_hi = math.inf, -math.inf
+    blocks, raw = [], []
     for m in range(band.L):
         F = ker._fb_factor(m, band, region)
         gram = 0 < F.shape[1] < F.shape[0]  # an empty region solves its zero block
         lam_raw, Z = _descending_eigh(F.T @ F if gram else F @ F.T)
-        raw_lo = min(raw_lo, float(lam_raw.min()), 0.0 if gram else math.inf)
-        raw_hi = max(raw_hi, float(lam_raw.max()))
-        lam, _ = _validate_and_clamp(lam_raw)
+        raw.append(np.append(lam_raw, 0.0) if gram else lam_raw)
+        lam = _validate_and_clamp(lam_raw)
         n_vec = min(int(np.count_nonzero(lam_raw >= _FB_VECTOR_FLOOR)),
                     lam.size if keep is None else keep)
         Z = Z[:, :n_vec]
-        blocks[m] = (np.concatenate([lam, np.zeros(F.shape[0] - lam.size)]),
-                     F @ (Z / np.sqrt(lam_raw[:n_vec])) if gram else Z.copy())
-    return _block_result(band, region, blocks, keep, (raw_lo, raw_hi),
-                         shannon_fb(region, band), scale=np.sqrt(w), k_weights=w,
-                         vector_floor=_FB_VECTOR_FLOOR)
+        Y = F @ (Z / np.sqrt(lam_raw[:n_vec])) if gram else Z
+        lam = np.concatenate([lam, np.zeros(F.shape[0] - lam.size)])
+        blocks += _order_blocks(m, band.L, lam, Y=Y / np.tile(np.sqrt(w), band.L - m)[:, None])
+    return EigenResult(blocks, band, region, shannon_fb(region, band), raw, keep,
+                       k_weights=w, vector_floor=_FB_VECTOR_FLOOR)
 
 
 # ---------------------------------------------------------------------------

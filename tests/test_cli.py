@@ -204,7 +204,7 @@ def test_eigen_command_fb_count_beyond_null_space(tmp_path):
                  "--region", REGION, "--count", str(band.size), "--order", "1",
                  "--grid", "4,3", "--out", str(out))
     assert rc.returncode == 0, rc.stderr
-    n_order = sum(1 for info in res.infos if info.m == 1 and info.block)
+    n_order = int(np.count_nonzero(res.orders[:res.stored] == 1))
     assert len(list(out.glob("eigenfunction_*.csv"))) == n_order
 
 
@@ -334,3 +334,36 @@ def test_fl_solves_leave_scipy_special_unloaded():
                         capture_output=True, text=True)
     assert rc.returncode == 0, rc.stderr
     assert rc.stdout.strip() == "False"
+
+
+def test_eigen_command_count_zero_writes_no_vectors(tmp_path):
+    out = tmp_path / "z"
+    rc = main(["eigen", "--domain", "fl", "--P", "3", "--L", "3", "--region", REGION,
+               "--count", "0", "--out", str(out)])
+    assert rc == 0
+    assert read_matrix(out / "eigenvectors.mat").shape == (27, 0)
+    assert len((out / "eigenvalues.csv").read_text().splitlines()) == 1 + 27
+
+
+@pytest.mark.parametrize("order", [7, 4, -4])
+def test_order_outside_band_rejected(tmp_path, capsys, order):
+    out = tmp_path / "o"
+    rc = main(["eigen", "--domain", "fl", "--P", "3", "--L", "4", "--region", REGION,
+               "--order", str(order), "--grid", "3,3", "--out", str(out)])
+    assert rc == 2
+    assert "|order| < L = 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eigen", "kernel"])
+def test_order_on_mask_region_rejected(tmp_path, capsys, command):
+    mpath = tmp_path / "band.txt"
+    sb.AngularMask.band(T1, T2, 4).to_text(mpath)
+    out = tmp_path / "o"
+    rc = main([command, "--domain", "fl", "--P", "3", "--L", "4",
+               "--region", f"mask:{mpath},15,25", "--order", "1",
+               "--grid", "3,3", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "mask regions have none" in err
+    assert not out.exists()

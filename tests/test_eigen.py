@@ -8,7 +8,7 @@ import pytest
 
 import slepian_ball as sb
 from oracles import fb_dense_solve, mask_dense_angular, spectrum_sort_key
-from slepian_ball import eigen, specfun, transforms
+from slepian_ball import eigen, kernels, specfun, transforms
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
 
@@ -37,8 +37,9 @@ def test_full_ball_identity_kernel():
 def test_product_eigenvalues_are_factor_products(ref_region):
     band = sb.FourierLaguerreBand(6, 5)
     res = sb.solve_fl(ref_region, band)
-    for info in res.infos[:40]:
-        assert info.lam == pytest.approx(info.lam_radial * info.lam_angular, abs=1e-15)
+    for a in range(40):
+        assert res.eigenvalues[a] == pytest.approx(
+            res.lam_radial[a] * res.lam_angular[a], abs=1e-15)
 
 
 def test_product_matches_dense_fixed_order_solve(ref_region):
@@ -50,7 +51,7 @@ def test_product_matches_dense_fixed_order_solve(ref_region):
     dense = np.kron(G, E)
     lam_dense = np.linalg.eigvalsh(dense)[::-1]
     res = sb.solve_fl(ref_region, band)
-    lam_sep = np.sort([info.lam for info in res.infos if info.m == m])[::-1]
+    lam_sep = np.sort(res.eigenvalues[res.orders == m])[::-1]
     assert np.abs(lam_dense - lam_sep).max() < 1e-8
 
 
@@ -71,7 +72,7 @@ def test_degenerate_clusters_as_projectors(ref_region):
     lam_dense, W = np.linalg.eigh(np.kron(G, E))
     lam_dense, W = lam_dense[::-1], W[:, ::-1]
     res = sb.solve_fl(ref_region, band)
-    picks = [(info.lam, a) for a, info in enumerate(res.infos) if info.m == m]
+    picks = [(res.eigenvalues[a], a) for a in np.flatnonzero(res.orders == m)]
     lam_sep = np.array([p[0] for p in picks])
     # cluster boundaries where the gap exceeds the degeneracy tolerance
     edges = [0]
@@ -139,8 +140,7 @@ def test_deterministic_ordering(ref_region):
     r1 = sb.solve_fl(ref_region, band)
     r2 = sb.solve_fl(ref_region, band)
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
-    for a, b in zip(r1.infos, r2.infos):
-        assert (a.m, a.lam) == (b.m, b.lam)
+    assert np.array_equal(r1.orders, r2.orders)
     # lam descending, m ascending within exact ties
     lams = r1.eigenvalues
     assert np.all(np.diff(lams) <= 1e-15)
@@ -233,12 +233,45 @@ def test_solver_rejects_oriented_region():
         sb.solve_fl(reg, band)
 
 
+@pytest.mark.parametrize("solve, band", [(sb.solve_fl, sb.FourierLaguerreBand(3, 3)),
+                                         (sb.solve_fb, sb.FourierBesselBand(1.0, 3, 5))])
+def test_solver_rejects_unsupported_region(solve, band):
+    with pytest.raises(TypeError, match="class 'object'"):
+        solve(object(), band)
+
+
 def test_keep_limits_materialization(ref_region):
     band = sb.FourierLaguerreBand(4, 4)
     res = sb.solve_fl(ref_region, band, keep=5)
     res.coeffs(4)
+    assert res.vectors(0).shape == (band.size, 0)
     with pytest.raises(IndexError):
         res.coeffs(5)
+
+
+NEGATIVE_RANK_CASES = {
+    "fl": lambda ref: sb.solve_fl(ref, sb.FourierLaguerreBand(4, 4)),
+    "fl-keep": lambda ref: sb.solve_fl(ref, sb.FourierLaguerreBand(4, 4), keep=5),
+    "fb": lambda ref: sb.solve_fb(ref, sb.FourierBesselBand(1.0, 3, 8)),
+}
+
+
+@pytest.mark.parametrize("name", list(NEGATIVE_RANK_CASES))
+def test_ranks_outside_the_spectrum_raise(name, ref_region):
+    res = NEGATIVE_RANK_CASES[name](ref_region)
+    for alpha in (-1, -len(res), len(res)):
+        with pytest.raises(IndexError, match="outside the spectrum"):
+            res.coeffs(alpha)
+    with pytest.raises(IndexError, match="outside the spectrum"):
+        res.vectors(-1)
+
+
+def _check_projector(res, rng):
+    # the block-matmul projector agrees with the materialized vectors
+    h = rng.normal(size=res.band.size) + 1j * rng.normal(size=res.band.size)
+    n = res.stored
+    assert n > 0
+    assert np.abs(res.project(h)[:n] - res.vectors(n).conj().T @ h).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +374,13 @@ def test_fb_vector_floor_reference(ref_region):
 def test_fb_vector_floor_marks_null_space(ref_region):
     # with no keep limit every vector down to the floor is built
     res = sb.solve_fb(ref_region, sb.FourierBesselBand(1.0, 6, 25))
-    stored = [a for a, info in enumerate(res.infos) if info.block]
-    assert stored == list(range(len(stored)))
+    stored = list(range(res.stored))
+    # the retained vectors are a prefix of the ranks
+    assert res.vectors(res.stored).shape == (res.band.size, res.stored)
     assert res.eigenvalues[len(stored) - 1] >= res.vector_floor > 0.0
     assert res.eigenvalues[len(stored)] < res.vector_floor
     for m in range(res.band.L):
-        ranks = [a for a in stored if res.infos[a].m == m]
+        ranks = [a for a in stored if res.orders[a] == m]
         gram = _weighted_gram(res, ranks)
         assert np.abs(gram - np.eye(len(ranks))).max() < 1e-10
     with pytest.raises(IndexError, match="null space"):
@@ -377,19 +411,18 @@ def _fb_block_vectors(res, m):
     band = res.band
     sw = np.sqrt(res.k_weights)
     cols = []
-    for a, info in enumerate(res.infos):
-        if info.m == m and info.block:
-            c = res.coeffs(a).values
-            cols.append(np.concatenate([
-                c[(l * l + l + m) * band.M:(l * l + l + m + 1) * band.M] * sw
-                for l in range(m, band.L)]).real)
+    for a in np.flatnonzero(res.orders[:res.stored] == m):
+        c = res.coeffs(a).values
+        cols.append(np.concatenate([
+            c[(l * l + l + m) * band.M:(l * l + l + m + 1) * band.M] * sw
+            for l in range(m, band.L)]).real)
     return np.column_stack(cols) if cols else np.zeros((0, 0))
 
 
 def test_fb_blocks_match_dense_oracle(fb_vs_dense):
     res, (blocks, _) = fb_vs_dense
     for m, (lam_dense, _) in blocks.items():
-        lam = np.sort([info.lam for info in res.infos if info.m == m])[::-1]
+        lam = np.sort(res.eigenvalues[res.orders == m])[::-1]
         assert lam.size == lam_dense.size
         assert np.abs(lam[:40] - lam_dense[:40]).max() < 1e-13
         assert abs(lam.sum() - np.clip(lam_dense, 0.0, 1.0).sum()) < 1e-12
@@ -414,7 +447,7 @@ def test_fb_global_order_matches_dense_oracle(fb_vs_dense):
     # a cluster (exact +-m ties, or orders degenerate to rounding) the orders
     # must agree as a set
     edges = [0] + [i for i in range(1, 41) if lam_dense[i - 1] - lam_dense[i] > 1e-13]
-    m_new = [info.m for info in res.infos]
+    m_new = res.orders.tolist()
     m_dense = [e[1] for e in order]
     for lo, hi in zip(edges[:-1], edges[1:]):
         assert sorted(m_new[lo:hi]) == sorted(m_dense[lo:hi]), (lo, hi)
@@ -432,7 +465,7 @@ FB_TABLE_REGIONS = {
 
 
 @pytest.mark.parametrize("name", list(FB_TABLE_REGIONS))
-def test_fb_entry_points_by_region(name):
+def test_fb_entry_points_by_region(name, rng):
     # every FB entry point either agrees with the others or raises TypeError
     band = sb.FourierBesselBand(1.0, 5, 25)
     region = FB_TABLE_REGIONS[name]()
@@ -451,6 +484,24 @@ def test_fb_entry_points_by_region(name):
     assert res.eigenvalues.sum() == pytest.approx(trace, rel=1e-10)
     assert res.eigenvalues.sum() == pytest.approx(shannon, rel=0.01)
     assert len(res) == band.size
+    _check_projector(res, rng)
+
+
+@pytest.mark.parametrize("name", list(FB_TABLE_REGIONS))
+def test_fl_entry_points_by_region(name, rng):
+    # the FL twin: the solver, the kernel builders and shannon_fl agree
+    band = sb.FourierLaguerreBand(6, 5)
+    region = FB_TABLE_REGIONS[name]()
+    res = sb.solve_fl(region, band)
+    if name == "mask":
+        trace = sb.kernel_fl_mask(band, region).trace
+    else:
+        trace = sum((2.0 if m else 1.0) * kernels.kernel_fl_fixed_order(m, band, region).trace
+                    for m in range(band.L))
+    assert res.eigenvalues.sum() == pytest.approx(trace, rel=1e-10)
+    assert res.eigenvalues.sum() == pytest.approx(sb.shannon_fl(region, band), rel=1e-9)
+    assert len(res) == band.size
+    _check_projector(res, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +669,10 @@ def test_spectrum_order_equals_tuple_sort(name, ref_region, monkeypatch):
     expect = sorted(range(len(entries)), key=lambda k: spectrum_sort_key(entries[k]))
     assert order.tolist() == expect
     assert np.array_equal(res.eigenvalues, lam[order])
-    if name != "mask-patch":
-        assert [info.m for info in res.infos] == m[order].tolist()
+    if name == "mask-patch":
+        assert res.orders is None
+    else:
+        assert res.orders.tolist() == m[order].tolist()
 
 
 # ---------------------------------------------------------------------------
