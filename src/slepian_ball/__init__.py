@@ -16,7 +16,7 @@ from .specfun import (QuadratureRule, gauss_laguerre_rule, gauss_legendre_rule,
 from .transforms import (SpatialGrid, analysis_fl, analysis_grid,
                          quality_measure, region_energy_grid, slepian_coeffs,
                          synthesis_fb, synthesis_fl, synthesis_fl_grid,
-                         truncate_reconstruct)
+                         synthesis_separable, truncate_reconstruct)
 
 __all__ = [
     "AngularMask", "AzimuthallySymmetric", "BallPoint", "C_kernel",
@@ -30,7 +30,7 @@ __all__ = [
     "region_energy_grid", "rotate_eigenfunction",
     "shannon_fb", "shannon_fl", "slepian_coeffs", "solid_angle", "solve_fb",
     "solve_fl", "space_limit", "spherical_bessel_j", "spherical_harmonic",
-    "synthesis_fb", "synthesis_fl", "synthesis_fl_grid",
+    "synthesis_fb", "synthesis_fl", "synthesis_fl_grid", "synthesis_separable",
     "truncate_reconstruct", "volume", "wigner_d_beta",
 ]
 

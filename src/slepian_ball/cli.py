@@ -4,9 +4,10 @@ Persistence formats
 -------------------
 Binary matrices (.mat): 8-byte magic "SLEPB001", then u32 rows, u32 cols,
 u8 scalar tag (0 = float64, 1 = complex as interleaved float64), all
-little-endian, followed by the row-major payload.  CSV output carries 17
-significant digits so doubles round-trip.  All files are written atomically
-(temp file + rename).
+little-endian, followed by the row-major payload.  A complex matrix whose
+imaginary parts are all zero is written as float64 (tag 0).  CSV output
+carries 17 significant digits so doubles round-trip.  All files are written
+atomically (temp file + rename).
 
 Region descriptors: ``product:R1,R2,theta1,theta2`` (radians),
 ``mask:<path>,R1,R2`` (pixel list ``theta phi indicator``), ``fullball``.
@@ -71,8 +72,8 @@ class RunConfig:
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
         if self.domain == "fb":
-            if self.K <= 0:
-                raise ValueError(f"K must be > 0, got {self.K}")
+            if not 0 < self.K < math.inf:
+                raise ValueError(f"K must be positive and finite, got {self.K}")
             if self.M < 1:
                 raise ValueError(f"M must be >= 1, got {self.M}")
         if self.count < 0:
@@ -103,10 +104,10 @@ def write_matrix(path: str, arr):
     a = np.atleast_2d(np.asarray(arr))
     if a.ndim != 2:
         raise ValueError("only matrices and vectors are supported")
-    if np.iscomplexobj(a):
+    if np.iscomplexobj(a) and a.imag.any():
         tag, payload = 1, np.ascontiguousarray(a, dtype="<c16").tobytes()
     else:
-        tag, payload = 0, np.ascontiguousarray(a, dtype="<f8").tobytes()
+        tag, payload = 0, np.ascontiguousarray(a.real, dtype="<f8").tobytes()
     header = MAGIC + struct.pack("<IIB", a.shape[0], a.shape[1], tag)
     _atomic_write(path, header + payload)
 
@@ -126,8 +127,25 @@ def _write_text(path: str, text: str):
     _atomic_write(path, text.encode())
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
+_CSV_FORMATS = {"f": "%.17g", "i": "%d", "U": "%s"}
+
+
+def _csv_rows(*columns) -> str:
+    """CSV lines of equal-length columns, one line per row.
+
+    Float columns print as %.17g (17 significant digits, so doubles
+    round-trip), integer columns as %d and string columns as they are; a
+    None column stays empty.  All rows go through one %-format.
+    """
+    import numpy as np
+    columns = [None if c is None else np.asarray(c) for c in columns]
+    present = [c for c in columns if c is not None]
+    n = len(present[0])
+    row = ",".join("" if c is None else _CSV_FORMATS[c.dtype.kind] for c in columns) + "\n"
+    cells = np.empty((n, len(present)), dtype=object)
+    for j, c in enumerate(present):
+        cells[:, j] = c
+    return (row * n) % tuple(cells.ravel().tolist())
 
 
 def _write_json(path: str, obj):
@@ -240,7 +258,7 @@ def cmd_shannon(cfg: RunConfig) -> int:
         else eigen.shannon_fb(region, band)
     out = os.path.join(cfg.out, "shannon.json")
     _write_json(out, _meta(cfg, {"shannon": n}))
-    print(f"shannon {cfg.domain}: {_fmt(n)}")
+    print(f"shannon {cfg.domain}: {n:.17g}")
     return 0
 
 
@@ -291,14 +309,9 @@ def cmd_kernel(cfg: RunConfig) -> int:
 
 
 def _eigen_csv(res) -> str:
-    def column(values, fmt=_fmt):
-        return [""] * len(res) if values is None else [fmt(v) for v in values.tolist()]
-
-    lines = ["rank,lambda,m,lambda_radial,lambda_angular"]
-    for rank, row in enumerate(zip(column(res.eigenvalues), column(res.orders, str),
-                                   column(res.lam_radial), column(res.lam_angular))):
-        lines.append(f"{rank},{','.join(row)}")
-    return "\n".join(lines) + "\n"
+    import numpy as np
+    return "rank,lambda,m,lambda_radial,lambda_angular\n" + _csv_rows(
+        np.arange(len(res)), res.eigenvalues, res.orders, res.lam_radial, res.lam_angular)
 
 
 def cmd_eigen(cfg: RunConfig) -> int:
@@ -332,18 +345,13 @@ def cmd_eigen(cfg: RunConfig) -> int:
         rs = np.linspace(r_max / n_r, r_max, n_r)
         ts = np.linspace(0.0, math.pi, n_t)
         Rg, Tg = np.meshgrid(rs, ts, indexing="ij")
-        pts = np.column_stack([Rg.ravel(), Tg.ravel(), np.zeros(Rg.size)])
-        for rank in ranks[:cfg.count].tolist():
-            coeffs = res.coeffs(rank)
-            if cfg.domain == "fl":
-                vals = transforms.synthesis_fl(coeffs, pts)
-            else:
-                vals = transforms.synthesis_fb(coeffs, pts)
-            rows = ["r,theta,value"]
-            for (rr, tt, vv) in zip(Rg.ravel(), Tg.ravel(), vals.real):
-                rows.append(f"{_fmt(rr)},{_fmt(tt)},{_fmt(vv)}")
+        prefix = np.array(_csv_rows(Rg.ravel(), Tg.ravel()).splitlines())
+        ranks = ranks[:cfg.count].tolist()
+        values = np.array([res.coeffs(rank).values for rank in ranks]).reshape(-1, band.size)
+        maps = transforms.synthesis_separable(values, band, rs, ts, np.zeros(n_t))
+        for rank, vals in zip(ranks, maps):
             _write_text(os.path.join(cfg.out, f"eigenfunction_{rank:04d}.csv"),
-                        "\n".join(rows) + "\n")
+                        "r,theta,value\n" + _csv_rows(prefix, vals.real.ravel()))
     return 0
 
 
@@ -377,22 +385,20 @@ def cmd_project(cfg: RunConfig) -> int:
     J = min(J, h_alpha.size)
     fl_sorted = np.sort(np.abs(h.values))[::-1]
     sl_sorted = np.sort(np.abs(h_alpha))[::-1]
-    lines = ["index,abs_fl_sorted,abs_slepian_sorted"]
-    for i in range(fl_sorted.size):
-        lines.append(f"{i + 1},{_fmt(fl_sorted[i])},{_fmt(sl_sorted[i])}")
-    _write_text(os.path.join(cfg.out, "decay.csv"), "\n".join(lines) + "\n")
+    _write_text(os.path.join(cfg.out, "decay.csv"), "index,abs_fl_sorted,abs_slepian_sorted\n"
+                + _csv_rows(np.arange(1, fl_sorted.size + 1), fl_sorted, sl_sorted))
     q_rows = {str(j): transforms.quality_measure(h_alpha, res, j)
               for j in sorted({J, h_alpha.size, max(J // 2, 1)})}
     _write_json(os.path.join(cfg.out, "q.json"), _meta(cfg, {
         "J": J, "shannon": res.shannon, "Q": q_rows,
     }))
-    print(f"Q({J}) = {_fmt(q_rows[str(J)])}")
+    print(f"Q({J}) = {q_rows[str(J)]:.17g}")
     return 0
 
 
 def cmd_synth(cfg: RunConfig) -> int:
     import numpy as np
-    from . import eigen, transforms
+    from . import transforms
     if not cfg.signal:
         raise ValueError("synth needs --signal <coefficient .mat file>")
     band = _band(cfg)
@@ -401,7 +407,6 @@ def cmd_synth(cfg: RunConfig) -> int:
     if vec.size != band.size:
         raise ValueError(
             f"signal file has {vec.size} coefficients, band needs {band.size}")
-    coeffs = eigen.HarmonicCoeffs(vec.astype(complex), band)
     if not cfg.grid:
         raise ValueError("synth needs --grid nr,ntheta,nphi")
     try:
@@ -412,13 +417,9 @@ def cmd_synth(cfg: RunConfig) -> int:
     ts = np.linspace(0.0, math.pi, n_t)
     ps = np.linspace(0.0, 2 * math.pi, n_p, endpoint=False)
     Rg, Tg, Pg = np.meshgrid(rs, ts, ps, indexing="ij")
-    pts = np.column_stack([Rg.ravel(), Tg.ravel(), Pg.ravel()])
-    synth = transforms.synthesis_fl if cfg.domain == "fl" else transforms.synthesis_fb
-    vals = synth(coeffs, pts)
-    rows = ["r,theta,phi,re,im"]
-    for (rr, tt, pp, vv) in zip(Rg.ravel(), Tg.ravel(), Pg.ravel(), vals):
-        rows.append(f"{_fmt(rr)},{_fmt(tt)},{_fmt(pp)},{_fmt(vv.real)},{_fmt(vv.imag)}")
-    _write_text(os.path.join(cfg.out, "values.csv"), "\n".join(rows) + "\n")
+    vals = transforms.synthesis_separable(vec[None], band, rs, Tg[0].ravel(), Pg[0].ravel())
+    _write_text(os.path.join(cfg.out, "values.csv"), "r,theta,phi,re,im\n" + _csv_rows(
+        Rg.ravel(), Tg.ravel(), Pg.ravel(), vals.real.ravel(), vals.imag.ravel()))
     return 0
 
 

@@ -100,8 +100,8 @@ class FourierBesselBand:
     M: int
 
     def __post_init__(self):
-        if self.K <= 0:
-            raise ValueError("K must be positive")
+        if not 0 < self.K < math.inf:
+            raise ValueError(f"K must be positive and finite, got {self.K!r}")
         _check_band_limits(L=self.L, M=self.M)
 
     @property
@@ -324,6 +324,8 @@ def _fb_factor(m: int, band: FourierBesselBand, region) -> np.ndarray:
     if isinstance(region, reg_mod.RegionUnion):
         return np.hstack([_fb_factor(m, band, s) for s in region.members])
     if isinstance(region, ProductSymmetric):
+        if math.isinf(region.R2):
+            raise ValueError("Fourier-Bessel kernels need a bounded region, got R2 = inf")
         T = _fb_radial_modes(band, region.R1, region.R2)[m:]
         A = np.linalg.qr(_g_factor(m, L, region.theta1, region.theta2).T, mode="r").T
         return (T[:, :, :, None] * A[:, None, None, :]).reshape((L - m) * M, -1)

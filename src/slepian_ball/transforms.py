@@ -7,6 +7,15 @@ degree <= 2P), the angular rule is Gauss-Legendre in cos(theta) times a
 uniform phi grid.  Quadrature exactness is bookkept at grid construction,
 not assumed.
 
+Synthesis in both bands first sums each coefficient vector against a
+radial table (K_p(r) for Fourier-Laguerre, the k-weighted j_l(k_n r) of
+`kernels._fb_bessel_table` for Fourier-Bessel), then against Y_lm.  On a
+separable set of points, radial nodes x angular points, `synthesis_separable`
+does this for a whole stack of vectors with one table of each kind and one
+matrix product; `synthesis_fl_grid` and the CLI's eigenfunction maps and
+`synth` grids go through it.  `synthesis_fl` and `synthesis_fb` evaluate
+one vector at scattered points with the same radial tables.
+
 Slepian projection: for a band-limited signal h with coefficient vector
 h_band and a concentration eigenbasis {f^alpha}, the Slepian coefficients
 are h_alpha = <h_band, f^alpha>; truncating the expansion at the Shannon
@@ -25,7 +34,8 @@ import numpy as np
 
 from . import specfun
 from .eigen import EigenResult, HarmonicCoeffs
-from .kernels import FourierBesselBand, FourierLaguerreBand, fb_k_weights
+from .kernels import (FourierBesselBand, FourierLaguerreBand, _fb_bessel_table,
+                      fb_k_weights)
 from .regions import BallPoint
 
 
@@ -123,35 +133,67 @@ def _points_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return r, th, ph
 
 
+def _radial_sums(values, band, r) -> np.ndarray:
+    """Radial sums of a stack of coefficient vectors at radii r, (count, L^2, n_r).
+
+    Fourier-Laguerre: sum_p f_{lmp} K_p(r).  Fourier-Bessel: the discretized
+    k integral sqrt(2/pi) sum_n w_n k_n f_{lm}(k_n) j_l(k_n r).
+    """
+    L = band.L
+    C = np.asarray(values, dtype=complex).reshape(-1, L * L, band.size // (L * L))
+    if isinstance(band, FourierLaguerreBand):
+        return C @ specfun.laguerre_K_table(band.P - 1, r)
+    T = _fb_bessel_table(band, r) * np.sqrt(fb_k_weights(band))[:, None]  # (L, M, n_r)
+    return np.concatenate([C[:, l * l:(l + 1) ** 2] @ T[l] for l in range(L)], axis=1)
+
+
+def synthesis_separable(values, band, r, theta, phi) -> np.ndarray:
+    """Evaluate a stack of coefficient vectors on radial nodes x angular points.
+
+    `values` is (count, band.size) in either band; the angular points are
+    the pairs (theta[i], phi[i]).  Returns (count, r.size, theta.size):
+    one radial table and one Y_lm table serve every vector.
+    """
+    if np.shape(values)[-1] != band.size:
+        raise ValueError(f"coefficient vectors have length {np.shape(values)[-1]}, "
+                         f"band needs {band.size}")
+    r = np.asarray(r, dtype=float).ravel()
+    rad = _radial_sums(values, band, r)                      # (count, L^2, n_r)
+    Y = specfun.sph_harm_matrix(band.L, theta, phi)          # (L^2, n_ang)
+    count, n_ang = rad.shape[0], Y.shape[1]
+    out = rad.transpose(0, 2, 1).reshape(-1, band.L ** 2) @ Y
+    return out.reshape(count, r.size, n_ang)
+
+
+def _synthesis_points(coeffs: HarmonicCoeffs, points) -> np.ndarray:
+    r, th, ph = _points_arrays(points)
+    out = np.empty(r.size, dtype=complex)
+    # chunks bound the Fourier-Bessel radial table, L * M * 8 bytes per point
+    for c in (slice(s, s + 512) for s in range(0, r.size, 512)):
+        Y = specfun.sph_harm_matrix(coeffs.band.L, th[c], ph[c])
+        out[c] = np.einsum("qn,qn->n", Y, _radial_sums(coeffs.values, coeffs.band, r[c])[0])
+    return out
+
+
 def synthesis_fl(coeffs: HarmonicCoeffs, points) -> np.ndarray:
     """Evaluate f(r) = sum f_{lmp} K_p(r) Y_{lm}(theta, phi) at points.
 
     `points` is a list of BallPoint or an (N, 3) array of (r, theta, phi).
     """
-    band = coeffs.band
-    if not isinstance(band, FourierLaguerreBand):
+    if not isinstance(coeffs.band, FourierLaguerreBand):
         raise TypeError("synthesis_fl needs Fourier-Laguerre coefficients")
-    r, th, ph = _points_arrays(points)
-    P, L = band.P, band.L
-    C = coeffs.values.reshape(L * L, P)
-    Kt = specfun.laguerre_K_table(P - 1, r)           # (P, N)
-    Y = specfun.sph_harm_matrix(L, th, ph)            # (L^2, N)
-    return np.einsum("qn,qn->n", Y, C @ Kt)
+    return _synthesis_points(coeffs, points)
 
 
 def synthesis_fl_grid(coeffs: HarmonicCoeffs, grid: SpatialGrid) -> np.ndarray:
     """Synthesis on a separable grid; returns (n_r, n_theta, n_phi) values."""
-    band = coeffs.band
-    P, L = band.P, band.L
-    if grid.angular_band < L:
+    if not isinstance(coeffs.band, FourierLaguerreBand):
+        raise TypeError("synthesis_fl_grid needs Fourier-Laguerre coefficients")
+    if grid.angular_band < coeffs.band.L:
         raise ValueError("grid angular band below coefficient band")
-    C = coeffs.values.reshape(L * L, P)
-    Kt = specfun.laguerre_K_table(P - 1, grid.radial_nodes)   # (P, n_r)
     th, ph = grid.angular_points()
-    Y = specfun.sph_harm_matrix(L, th, ph)                    # (L^2, n_ang)
-    vals = Y.T @ (C @ Kt)                                     # (n_ang, n_r)
-    n_t, n_p = grid.theta_nodes.size, grid.phi_nodes.size
-    return np.moveaxis(vals.reshape(n_t, n_p, grid.radial_nodes.size), 2, 0)
+    vals = synthesis_separable(coeffs.values, coeffs.band, grid.radial_nodes, th, ph)
+    return vals.reshape(grid.radial_nodes.size, grid.theta_nodes.size, grid.phi_nodes.size)
 
 
 def analysis_fl(values: np.ndarray, grid: SpatialGrid,
@@ -187,24 +229,9 @@ def synthesis_fb(coeffs: HarmonicCoeffs, points) -> np.ndarray:
     weights used in kernel symmetrization so energy identities transfer to
     the discrete setting.
     """
-    band = coeffs.band
-    if not isinstance(band, FourierBesselBand):
+    if not isinstance(coeffs.band, FourierBesselBand):
         raise TypeError("synthesis_fb needs Fourier-Bessel coefficients")
-    r, th, ph = _points_arrays(points)
-    L, M = band.L, band.M
-    ks = band.k_samples
-    w = fb_k_weights(band)
-    C = coeffs.values.reshape(L * L, M) * w                   # fold weights in
-    kr = np.multiply.outer(ks, r)                             # (M, N)
-    from scipy.special import spherical_jn
-    out = np.zeros(r.size, dtype=complex)
-    Y = specfun.sph_harm_matrix(L, th, ph)                    # (L^2, N)
-    pref = math.sqrt(2.0 / math.pi)
-    for l in range(L):
-        Jl = spherical_jn(l, kr) * ks[:, None]                # (M, N)
-        rad = C[l * l:(l + 1) * (l + 1), :] @ Jl              # (2l+1, N)
-        out += pref * np.einsum("qn,qn->n", Y[l * l:(l + 1) * (l + 1), :], rad)
-    return out
+    return _synthesis_points(coeffs, points)
 
 
 # ---------------------------------------------------------------------------

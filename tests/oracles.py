@@ -13,7 +13,11 @@ serve the tests as oracles:
   per-order eigensolve;
 * the pixel-mask angular coupling assembled densely over all (l, m), with
   its dense L^2 x L^2 eigensolve;
-* the spectrum ordering rule as a Python sort key over entry tuples.
+* the spectrum ordering rule as a Python sort key over entry tuples;
+* synthesis at scattered points: Fourier-Laguerre one coefficient at a
+  time through the scalar K_p and Y_lm, Fourier-Bessel one degree at a time
+  through scipy's spherical_jn;
+* the CLI's CSV writers as one f"{x:.17g}" per value.
 """
 
 from __future__ import annotations
@@ -389,3 +393,72 @@ def spectrum_sort_key(entry) -> tuple:
     signed order m ascending (None as 0), then radial, then angular index."""
     lam, m, i_rad, i_ang = entry
     return (-lam, 0 if m is None else m, i_rad, i_ang)
+
+
+# ---------------------------------------------------------------------------
+# CSV writers, one value at a time
+# ---------------------------------------------------------------------------
+
+def _fmt(x) -> str:
+    return f"{x:.17g}"
+
+
+def eigen_csv_per_value(res) -> str:
+    """eigenvalues.csv of an EigenResult, formatted one value at a time."""
+    def column(values, fmt=_fmt):
+        return [""] * len(res) if values is None else [fmt(v) for v in values.tolist()]
+
+    lines = ["rank,lambda,m,lambda_radial,lambda_angular"]
+    for rank, row in enumerate(zip(column(res.eigenvalues), column(res.orders, str),
+                                   column(res.lam_radial), column(res.lam_angular))):
+        lines.append(f"{rank},{','.join(row)}")
+    return "\n".join(lines) + "\n"
+
+
+def csv_rows_per_value(*columns) -> str:
+    """CSV lines of equal-length columns: _fmt per float, str per integer or
+    string, an empty cell for a None column."""
+    n = max(len(c) for c in columns if c is not None)
+
+    def column(values):
+        if values is None:
+            return [""] * n
+        return [_fmt(v) if isinstance(v, float) else str(v)
+                for v in np.asarray(values).tolist()]
+
+    return "".join(",".join(row) + "\n" for row in zip(*map(column, columns)))
+
+
+# ---------------------------------------------------------------------------
+# synthesis at scattered points
+# ---------------------------------------------------------------------------
+
+def synthesis_fl_scalar(coeffs, points) -> np.ndarray:
+    """sum_{lmp} f_{lmp} K_p(r) Y_lm(theta, phi) at (N, 3) points, term by term."""
+    band = coeffs.band
+    out = np.zeros(len(points), dtype=complex)
+    for k, (r, theta, phi) in enumerate(points):
+        for flat, c in enumerate(coeffs.values):
+            l, m, p = band.triple(flat)
+            out[k] += c * specfun.laguerre_K(p, r) * specfun.spherical_harmonic(l, m, theta, phi)
+    return out
+
+
+def synthesis_fb_per_degree(coeffs, points) -> np.ndarray:
+    """sqrt(2/pi) sum_{lmn} w_n k_n f_lm(k_n) j_l(k_n r) Y_lm at (N, 3) points,
+    one spherical_jn call per degree."""
+    from scipy.special import spherical_jn
+    band = coeffs.band
+    r, th, ph = points[:, 0], points[:, 1], points[:, 2]
+    L, M = band.L, band.M
+    ks = band.k_samples
+    C = coeffs.values.reshape(L * L, M) * fb_k_weights(band)
+    kr = np.multiply.outer(ks, r)
+    out = np.zeros(r.size, dtype=complex)
+    Y = specfun.sph_harm_matrix(L, th, ph)
+    pref = math.sqrt(2.0 / math.pi)
+    for l in range(L):
+        Jl = spherical_jn(l, kr) * ks[:, None]
+        rad = C[l * l:(l + 1) * (l + 1), :] @ Jl
+        out += pref * np.einsum("qn,qn->n", Y[l * l:(l + 1) * (l + 1), :], rad)
+    return out

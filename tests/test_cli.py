@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import slepian_ball as sb
-from slepian_ball.cli import main, parse_region, read_matrix, write_matrix
+from oracles import csv_rows_per_value, eigen_csv_per_value
+from slepian_ball.cli import (_csv_rows, _eigen_csv, main, parse_region, read_matrix,
+                              write_matrix)
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
 REGION = f"product:15,25,{T1},{T2}"
@@ -367,3 +369,179 @@ def test_order_on_mask_region_rejected(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "mask regions have none" in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# CSV writers, eigenfunction maps and real eigenvectors
+# ---------------------------------------------------------------------------
+
+def _mat_tag(path) -> int:
+    with open(path, "rb") as fh:
+        return fh.read(17)[16]
+
+
+def test_csv_rows_matches_per_value_writer(rng):
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1e-310, sys.float_info.max, -sys.float_info.max,
+               0.1, 1 / 3, 1e16, 1e22, 123456789012345678.0, 1.0, -2.5]
+    bits = rng.integers(0, 2 ** 64, size=20_000, dtype=np.uint64).view(np.float64)
+    floats = np.concatenate([special, bits, rng.normal(size=5_000)])
+    n = floats.size
+    ints = rng.integers(-2 ** 62, 2 ** 62, size=n)
+    strings = np.array([f"s{i}" for i in range(n)])
+    columns = (ints, floats, None, floats[::-1].copy(), strings, None)
+    assert _csv_rows(*columns) == csv_rows_per_value(*columns)
+    assert _csv_rows(np.arange(3), None) == "0,\n1,\n2,\n"
+    assert _csv_rows(np.zeros(0), np.zeros(0, dtype=int)) == ""
+
+
+def _mask_region(tmp_path, L):
+    mpath = tmp_path / "band.txt"
+    sb.AngularMask.band(T1, T2, L).to_text(mpath)
+    return f"mask:{mpath},15,25"
+
+
+@pytest.mark.parametrize("case", ["fl", "fb", "mask"])
+def test_eigen_csv_matches_per_value_writer(tmp_path, case):
+    # product FL fills every column; FB leaves the factor columns empty and
+    # a mask the m column
+    if case == "fb":
+        res = sb.solve_fb(sb.ProductSymmetric(15, 25, T1, T2), sb.FourierBesselBand(1.0, 3, 8))
+    elif case == "fl":
+        res = sb.solve_fl(sb.ProductSymmetric(15, 25, T1, T2), sb.FourierLaguerreBand(5, 4))
+    else:
+        res = sb.solve_fl(parse_region(_mask_region(tmp_path, 4)), sb.FourierLaguerreBand(3, 4))
+        assert res.orders is None
+    assert _eigen_csv(res) == eigen_csv_per_value(res)
+
+
+def _read_map(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == "r,theta,value"
+    return np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
+@pytest.mark.parametrize("domain", ["fl", "fb"])
+def test_eigen_grid_maps_match_pointwise_synthesis(tmp_path, domain):
+    # n_r != n_theta, so a map with its r and theta axes swapped cannot pass
+    n_r, n_t = 7, 5
+    band_args = ["--P", "4", "--L", "4"] if domain == "fl" else ["--K", "1.0", "--L", "4", "--M", "6"]
+    out = tmp_path / domain
+    rc = main(["eigen", "--domain", domain, *band_args, "--region", REGION,
+               "--count", "4", "--order", "1", "--grid", f"{n_r},{n_t}", "--out", str(out)])
+    assert rc == 0
+    region = sb.ProductSymmetric(15, 25, T1, T2)
+    if domain == "fl":
+        res, synth = sb.solve_fl(region, sb.FourierLaguerreBand(4, 4)), sb.synthesis_fl
+    else:
+        res, synth = sb.solve_fb(region, sb.FourierBesselBand(1.0, 4, 6)), sb.synthesis_fb
+    ranks = np.flatnonzero(res.orders[:res.stored] == 1)[:4]
+    files = sorted(out.glob("eigenfunction_*.csv"))
+    assert [f.name for f in files] == [f"eigenfunction_{k:04d}.csv" for k in ranks]
+    Rg, Tg = np.meshgrid(np.linspace(50.0 / n_r, 50.0, n_r), np.linspace(0.0, math.pi, n_t),
+                         indexing="ij")
+    pts = np.column_stack([Rg.ravel(), Tg.ravel(), np.zeros(Rg.size)])
+    for rank, path in zip(ranks, files):
+        got = _read_map(path)
+        assert np.array_equal(got[:, 0], Rg.ravel()) and np.array_equal(got[:, 1], Tg.ravel())
+        want = synth(res.coeffs(rank), pts).real
+        assert np.abs(got[:, 2] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_eigen_command_count_zero_with_grid_writes_no_maps(tmp_path):
+    out = tmp_path / "z"
+    rc = main(["eigen", "--domain", "fl", "--P", "3", "--L", "3", "--region", REGION,
+               "--count", "0", "--grid", "4,3", "--out", str(out)])
+    assert rc == 0
+    assert not list(out.glob("eigenfunction_*.csv"))
+    res = sb.solve_fl(sb.ProductSymmetric(15, 25, T1, T2), sb.FourierLaguerreBand(3, 3))
+    assert (out / "eigenvalues.csv").read_text() == eigen_csv_per_value(res)
+
+
+def test_fl_eigen_grid_leaves_scipy_special_unloaded(tmp_path):
+    code = (
+        "import sys\n"
+        "from slepian_ball.cli import main\n"
+        f"rc = main(['eigen', '--domain', 'fl', '--P', '4', '--L', '4', '--region', "
+        f"'{REGION}', '--count', '3', '--grid', '5,4', '--out', {str(tmp_path)!r}])\n"
+        "print(rc, 'scipy.special' in sys.modules)\n")
+    rc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert rc.returncode == 0, rc.stderr
+    assert rc.stdout.strip() == "0 False"
+    assert len(list(tmp_path.glob("eigenfunction_*.csv"))) == 3
+
+
+def test_synth_command_fb_matches_library(tmp_path, rng):
+    band = sb.FourierBesselBand(1.2, 3, 5)
+    vec = rng.normal(size=band.size) + 1j * rng.normal(size=band.size)
+    sig = tmp_path / "c.mat"
+    write_matrix(sig, vec.reshape(-1, 1))
+    out = tmp_path / "s"
+    rc = main(["synth", "--domain", "fb", "--K", "1.2", "--L", "3", "--M", "5",
+               "--signal", str(sig), "--grid", "4,3,5", "--out", str(out)])
+    assert rc == 0
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in (out / "values.csv").read_text().splitlines()[1:]])
+    want = sb.synthesis_fb(sb.HarmonicCoeffs(vec, band), rows[:, :3])
+    got = rows[:, 3] + 1j * rows[:, 4]
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case, tag", [("fl", 0), ("fb", 0), ("mask", 1)])
+def test_eigenvectors_mat_real_when_vectors_are_real(tmp_path, case, tag):
+    out = tmp_path / case
+    if case == "fb":
+        args = ["--domain", "fb", "--K", "1.0", "--L", "3", "--M", "8", "--region", REGION]
+        res = sb.solve_fb(sb.ProductSymmetric(15, 25, T1, T2), sb.FourierBesselBand(1.0, 3, 8))
+    else:
+        region = REGION if case == "fl" else _mask_region(tmp_path, 4)
+        args = ["--domain", "fl", "--P", "3", "--L", "4", "--region", region]
+        res = sb.solve_fl(parse_region(region), sb.FourierLaguerreBand(3, 4))
+    assert main(["eigen", *args, "--count", "5", "--out", str(out)]) == 0
+    path = out / "eigenvectors.mat"
+    assert _mat_tag(path) == tag
+    vecs = read_matrix(path)
+    assert vecs.dtype == (np.float64 if tag == 0 else np.complex128)
+    assert np.array_equal(vecs, res.vectors(5))
+    assert path.stat().st_size == 17 + vecs.size * (8 if tag == 0 else 16)
+
+
+# ---------------------------------------------------------------------------
+# rejected Fourier-Bessel inputs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("K", ["nan", "inf", "-inf"])
+def test_non_finite_K_rejected(tmp_path, capsys, K):
+    with pytest.raises(ValueError, match="positive and finite"):
+        sb.FourierBesselBand(float(K), 3, 8)
+    out = tmp_path / "o"
+    rc = main(["eigen", "--domain", "fb", f"--K={K}", "--L", "3", "--M", "8",
+               "--region", REGION, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "K must be positive and finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("region", [
+    sb.full_ball(),
+    sb.ProductSymmetric(15.0, math.inf, T1, T2),
+    sb.RegionUnion((sb.ProductSymmetric(2.0, 5.0, T1, T2),
+                    sb.ProductSymmetric(15.0, math.inf, T1, T2))),
+], ids=["full-ball", "open-shell", "union"])
+def test_fb_unbounded_region_rejected(region):
+    band = sb.FourierBesselBand(1.0, 3, 8)
+    with pytest.raises(ValueError, match="bounded region"):
+        sb.solve_fb(region, band)
+    with pytest.raises(ValueError, match="bounded region"):
+        sb.kernel_fb_fixed_order(1, band, region)
+    assert sb.shannon_fb(region, band) == math.inf
+
+
+@pytest.mark.parametrize("command", ["eigen", "kernel"])
+def test_fb_default_region_exits_2(tmp_path, capsys, command):
+    # the default region is the full ball, which has no finite radius
+    rc = main([command, "--domain", "fb", "--K", "1.0", "--L", "3", "--M", "8",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "bounded region" in capsys.readouterr().err

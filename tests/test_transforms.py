@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import slepian_ball as sb
 from slepian_ball import transforms
+from oracles import synthesis_fb_per_degree, synthesis_fl_scalar
 from slepian_ball.kernels import fb_k_weights
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
@@ -121,6 +122,35 @@ def test_fb_synthesis_linearity(rng):
     lhs = sb.synthesis_fb(sb.HarmonicCoeffs(a * x.values + b * y.values, band), pts)
     rhs = a * sb.synthesis_fb(x, pts) + b * sb.synthesis_fb(y, pts)
     assert np.abs(lhs - rhs).max() < 1e-13 * max(1.0, np.abs(rhs).max())
+
+
+@pytest.mark.parametrize("band", [sb.FourierLaguerreBand(3, 3), sb.FourierBesselBand(1.2, 3, 5)],
+                         ids=["fl", "fb"])
+def test_synthesis_separable_matches_pointwise_oracles(band, rng):
+    values = np.array([random_coeffs(band, rng).values for _ in range(3)])
+    r = np.array([2.0, 7.5, 13.0, 21.0])
+    theta, phi = np.linspace(0.1, 3.0, 5), np.linspace(0.0, 5.0, 5)
+    got = transforms.synthesis_separable(values, band, r, theta, phi)
+    assert got.shape == (3, r.size, theta.size)
+    fl = isinstance(band, sb.FourierLaguerreBand)
+    oracle = synthesis_fl_scalar if fl else synthesis_fb_per_degree
+    pointwise = sb.synthesis_fl if fl else sb.synthesis_fb
+    pts = np.column_stack([np.repeat(r, theta.size), np.tile(theta, r.size),
+                           np.tile(phi, r.size)])
+    for c, vals in enumerate(values):
+        want = oracle(sb.HarmonicCoeffs(vals, band), pts)
+        tol = 1e-13 * np.abs(want).max()
+        assert np.abs(got[c].ravel() - want).max() <= tol
+        assert np.abs(pointwise(sb.HarmonicCoeffs(vals, band), pts) - want).max() <= tol
+    # the pointwise path works through more points than one chunk
+    theta, phi = np.linspace(0.05, 3.1, 300), np.linspace(0.0, 6.0, 300)
+    grid = transforms.synthesis_separable(values[:1], band, r[:2], theta, phi)[0]
+    pts = np.column_stack([np.repeat(r[:2], 300), np.tile(theta, 2), np.tile(phi, 2)])
+    got = pointwise(sb.HarmonicCoeffs(values[0], band), pts)
+    assert np.abs(got - grid.ravel()).max() <= 1e-13 * np.abs(grid).max()
+    assert transforms.synthesis_separable(values[:0], band, r, theta, phi).shape == (0, 4, 300)
+    with pytest.raises(ValueError, match="band needs"):
+        transforms.synthesis_separable(values[:, 1:], band, r, theta, phi)
 
 
 # ---------------------------------------------------------------------------
