@@ -7,6 +7,10 @@ G^m; a combined eigenvalue is the product lam = lam_radial * lam_angular
 and the eigenvector is the outer product of the factors, so the full
 spectrum is available without ever forming the dense P L^2 kernel.
 
+In both bands, azimuthally symmetric and union regions (and Fourier-Bessel
+product regions) solve per-order blocks B_m = F_m F_m^T through one block
+solver, `_solve_blocks`, on the smaller side of the factor F_m.
+
 Every solver hands its per-order blocks (a mask's one block spans the band)
 to one merge, `EigenResult`, whose per-rank state is arrays: `eigenvalues`,
 `orders` (signed m; None for a mask, whose eigenfunctions have no order), and
@@ -34,9 +38,9 @@ from .regions import (AzimuthallySymmetric, ProductMask, ProductSymmetric,
 
 _CLAMP_TOL = 1e-9
 _SPACE_LIMIT_MIN_LAM = 1e-12
-# A Gram-side FB eigenvector F z / sqrt(mu) loses orthonormality like
+# A Gram-side block eigenvector F z / sqrt(mu) loses orthonormality like
 # eps / mu; at or above this floor the residual stays below 1e-10.
-_FB_VECTOR_FLOOR = 1e-5
+_VECTOR_FLOOR = 1e-5
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,9 @@ class HarmonicCoeffs:
 class _Block:
     """One signed order's spectrum on band rows l^2 + l + m (a mask: every row).
 
-    Entry k has eigenvalue lam[k] and ordering keys (i[k], j[k]).  Factored
+    Entry k has eigenvalue lam[k] and ordering keys (i[k], j[k]).  Separated
     blocks hold eigenpairs (radial, U), (angular, V); entry (i, j) is V_j (x) U_i.
-    Dense blocks hold their first vectors as columns Y over (l, radial index).
+    Fixed-order blocks hold their first vectors as columns Y over (l, radial index).
     """
 
     m: int | None
@@ -165,8 +169,8 @@ class EigenResult:
     def project(self, values: np.ndarray, count: int | None = None) -> np.ndarray:
         """Inner products <values, f^alpha> for alpha = 0..count-1.
 
-        One product per block, V^H H_rows U (factored) or Y^H vec(H_rows)
-        (dense), with H = values as (L^2, radial).  By default separated bases
+        One product per block, V^H H_rows U (separated) or Y^H vec(H_rows)
+        (fixed-order), with H = values as (L^2, radial).  By default separated bases
         project the whole spectrum, block bases the `stored` ranks.
         """
         H = np.asarray(values, dtype=complex).reshape(self.band.L ** 2, -1)
@@ -213,11 +217,34 @@ def _mask_angular(mask, L: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([s * s, np.zeros(A.shape[0] - s.size)]), V
 
 
-def _require_base_frame(region):
-    if getattr(region, "orientation", None) is not None:
-        raise ValueError(
-            "solvers work in the region's base frame; solve the unrotated region "
-            "and apply rotate_eigenfunction for oriented results")
+def _solve_blocks(region, band: SpectralBand, keep, w=None) -> tuple[list, list]:
+    """Solve every fixed-order block B_m = F_m F_m^T (`kernels._block_factor`).
+
+    Each block is eigensolved on the smaller side of F_m.  On the Gram side
+    F_m^T F_m the nonzero spectrum is the same, eigenvectors are
+    F_m z / sqrt(mu), and the rest of the block is padded with exact zeros,
+    so the spectrum keeps one entry per row.  The raw range gains a 0 when
+    a block was padded.  Vectors are built for the first `keep` eigenvalues
+    of at least _VECTOR_FLOOR; below it lies the numerical null space.  With
+    FB weights w, vectors are mapped back to coefficient samples by W^{-1/2}.
+    Returns (blocks, raw eigenvalues).
+    """
+    blocks, raw = [], []
+    for m in range(band.L):
+        F = ker._block_factor(m, band, region)
+        gram = 0 < F.shape[1] < F.shape[0]  # an empty region solves its zero block
+        lam_raw, Z = _descending_eigh(F.T @ F if gram else F @ F.T)
+        raw.append(np.append(lam_raw, 0.0) if gram else lam_raw)
+        lam = _validate_and_clamp(lam_raw)
+        n_vec = min(int(np.count_nonzero(lam_raw >= _VECTOR_FLOOR)),
+                    lam.size if keep is None else keep)
+        Z = Z[:, :n_vec]
+        Y = F @ (Z / np.sqrt(lam_raw[:n_vec])) if gram else Z
+        if w is not None:
+            Y = Y / np.tile(np.sqrt(w), band.L - m)[:, None]
+        lam = np.concatenate([lam, np.zeros(F.shape[0] - lam.size)])
+        blocks += _order_blocks(m, band.L, lam, Y=Y)
+    return blocks, raw
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +259,17 @@ def solve_fl(region, band: FourierLaguerreBand, keep: int | None = None) -> Eige
     regions use the E / G_mask factorization, with the angular eigenbasis
     read off the SVD of the pixel factor A, G_mask = A A^H
     (`_mask_angular`), so the largest eigensolve is the P x P one of E.
-    Azimuthally symmetric and union regions solve dense fixed-order blocks.
-    Orders m > 0 are replicated to -m.
+    Azimuthally symmetric and union regions solve their fixed-order blocks
+    through the block factor (`_solve_blocks`), so they store vectors only
+    for eigenvalues of at least _VECTOR_FLOOR.  Orders m > 0 are replicated
+    to -m.
     """
-    _require_base_frame(region)
+    ker._require_base_frame(region)
     P, L = band.P, band.L
     if not isinstance(region, (ProductSymmetric, ProductMask)):
-        return _solve_fl_blocks(region, band, keep)  # its kernel rejects other types
+        blocks, raw = _solve_blocks(region, band, keep)  # the factor rejects other types
+        return EigenResult(blocks, band, region, shannon_fl(region, band), raw, keep,
+                           vector_floor=_VECTOR_FLOOR)
     lam1_raw, U = _descending_eigh(ker.E_matrix(P, region.R1, region.R2))
     lam1 = _validate_and_clamp(lam1_raw)
     if isinstance(region, ProductMask):
@@ -257,16 +288,6 @@ def solve_fl(region, band: FourierLaguerreBand, keep: int | None = None) -> Eige
     return EigenResult(blocks, band, region, shannon_fl(region, band), raw, keep)
 
 
-def _solve_fl_blocks(region, band: FourierLaguerreBand, keep) -> EigenResult:
-    """Dense fixed-order FL solve (azimuthally symmetric / union regions)."""
-    blocks, raw = [], []
-    for m in range(band.L):
-        lam_raw, W = _descending_eigh(ker.kernel_fl_fixed_order(m, band, region).matrix)
-        raw.append(lam_raw)
-        blocks += _order_blocks(m, band.L, _validate_and_clamp(lam_raw), Y=W)
-    return EigenResult(blocks, band, region, shannon_fl(region, band), raw, keep)
-
-
 # ---------------------------------------------------------------------------
 # Fourier-Bessel solve
 # ---------------------------------------------------------------------------
@@ -274,34 +295,16 @@ def _solve_fl_blocks(region, band: FourierLaguerreBand, keep) -> EigenResult:
 def solve_fb(region, band: FourierBesselBand, keep: int | None = None) -> EigenResult:
     """Concentration spectrum of the discretized Fourier-Bessel kernel.
 
-    Each order solves the W-symmetrized block B_m = F_m F_m^T through the
-    smaller side of its factor (`kernels._fb_factor`).  On the Gram side
-    F_m^T F_m the nonzero spectrum is the same, eigenvectors are
-    F_m z / sqrt(mu), and the rest of the block is padded with exact zeros,
-    so the spectrum keeps M L^2 entries.  `raw_eigenvalue_range` reports
-    the eigenvalues actually computed, and 0 when a block was padded.
-    Eigenvectors are built for the first `keep` ranks whose eigenvalue is at
-    least _FB_VECTOR_FLOOR; below it lies the numerical null space.  Vector
-    entries are mapped back to coefficient samples f_{lm}(k_n) through
-    W^{-1/2}, so the discrete quadrature of sum_lm int |f_lm(k)|^2 dk is one.
+    Each order solves the W-symmetrized block B_m = F_m F_m^T through
+    `_solve_blocks`; `raw_eigenvalue_range` reports the eigenvalues actually
+    computed, and 0 when a block was padded.  Vector entries are mapped back
+    to coefficient samples f_{lm}(k_n) through W^{-1/2}, so the discrete
+    quadrature of sum_lm int |f_lm(k)|^2 dk is one.
     """
-    _require_base_frame(region)
     w = fb_k_weights(band)
-    blocks, raw = [], []
-    for m in range(band.L):
-        F = ker._fb_factor(m, band, region)
-        gram = 0 < F.shape[1] < F.shape[0]  # an empty region solves its zero block
-        lam_raw, Z = _descending_eigh(F.T @ F if gram else F @ F.T)
-        raw.append(np.append(lam_raw, 0.0) if gram else lam_raw)
-        lam = _validate_and_clamp(lam_raw)
-        n_vec = min(int(np.count_nonzero(lam_raw >= _FB_VECTOR_FLOOR)),
-                    lam.size if keep is None else keep)
-        Z = Z[:, :n_vec]
-        Y = F @ (Z / np.sqrt(lam_raw[:n_vec])) if gram else Z
-        lam = np.concatenate([lam, np.zeros(F.shape[0] - lam.size)])
-        blocks += _order_blocks(m, band.L, lam, Y=Y / np.tile(np.sqrt(w), band.L - m)[:, None])
+    blocks, raw = _solve_blocks(region, band, keep, w)
     return EigenResult(blocks, band, region, shannon_fb(region, band), raw, keep,
-                       k_weights=w, vector_floor=_FB_VECTOR_FLOOR)
+                       k_weights=w, vector_floor=_VECTOR_FLOOR)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,13 @@ All three are assembled by Gauss-Legendre quadrature in the integration
 variable (r for E and C, cos t for G).  The G rule is exact, the E and C
 rules resolve the exponential and oscillatory factors to rounding.  Each
 block is then a Gram matrix A A^T of square-root-weighted node values.  The
-Fourier-Bessel blocks are kept as that factor (`_fb_factor`), and so is the
-angular coupling of a pixel mask, G_mask = A A^H with A the
-square-root-weighted Y_lm at the active pixels (`_mask_factor`).  The
-Fourier-Bessel solver eigensolves the smaller side of its factor, the mask
-solver takes the SVD of A.  The test suite checks
-each against an analytic oracle (exponential moments in extended
-precision, Wigner-3j sums, Lommel closed forms) or a dense eigensolve.
+fixed-order blocks of both bands are kept as such a factor, B_m = F_m F_m^T
+(`_block_factor`), and so is the angular coupling of a pixel mask,
+G_mask = A A^H with A the square-root-weighted Y_lm at the active pixels
+(`_mask_factor`).  The block solver eigensolves the smaller side of F_m,
+the mask solver takes the SVD of A.  The test suite checks each against an
+analytic oracle (exponential moments in extended precision, Wigner-3j sums,
+Lommel closed forms) or a dense assembly and eigensolve.
 
 The continuous Fourier-Bessel spectrum is discretized on uniform samples
 k_n = n K / M; quadrature in k uses trapezoid weights (the k = 0 node
@@ -311,33 +311,60 @@ def _fb_radial_modes(band: FourierBesselBand, R1: float, R2: float) -> np.ndarra
     return T
 
 
-def _fb_factor(m: int, band: FourierBesselBand, region) -> np.ndarray:
-    """Factor F_m of the fixed-order Fourier-Bessel kernel, B_m = F_m F_m^T.
+def _e_factor(P: int, R1: float, R2: float) -> np.ndarray:
+    """Factor of E = X X^T, (P, q): the eigenvectors of E scaled by sqrt(lam),
+    cut to its numerical rank by the numpy.linalg.matrix_rank default
+    tolerance.  E comes from `E_matrix`, so R2 = inf keeps its I - E(0, R1)
+    form."""
+    E = E_matrix(P, R1, R2)
+    _check_hermitian(E)  # eigh reads one triangle and would hide a skew
+    lam, U = np.linalg.eigh(E)
+    keep = lam > lam[-1] * P * np.finfo(float).eps
+    return U[:, keep] * np.sqrt(lam[keep])
 
-    Rows run over (l, n) with l in [m, L-1] and n fast.  Product regions:
-    columns (radial mode, angular mode), from `_fb_radial_modes` and the
-    G^m factor reduced by QR to L - m columns.  Azimuthally symmetric
-    regions: one column per active (r, theta) grid node, under the square
-    root of its measure.  Unions stack their members' columns.
+
+def _require_base_frame(region):
+    if getattr(region, "orientation", None) is not None:
+        raise ValueError(
+            "solvers work in the region's base frame; solve the unrotated region "
+            "and apply rotate_eigenfunction for oriented results")
+
+
+def _block_factor(m: int, band: SpectralBand, region) -> np.ndarray:
+    """Factor F_m of the fixed-order kernel block, B_m = F_m F_m^T, in either band.
+
+    Rows run over (l, radial index) with l in [m, L-1] and the radial index
+    (p, or the k sample n) fast.  Product regions: columns (radial mode,
+    angular mode), the radial modes from `_fb_radial_modes` (FB) or the
+    rank-cut `_e_factor` repeated over l (FL), times the G^m factor reduced
+    by QR to L - m columns.  Azimuthally symmetric regions: one column per
+    active (r, theta) grid node, under the square root of its measure.
+    Unions stack their members' columns.  FB rows carry the W^{1/2} weights.
     """
-    m, L, M = abs(m), band.L, band.M
+    m, L = abs(m), band.L
+    fb = isinstance(band, FourierBesselBand)
     if isinstance(region, reg_mod.RegionUnion):
-        return np.hstack([_fb_factor(m, band, s) for s in region.members])
+        return np.hstack([_block_factor(m, band, s) for s in region.members])
+    _require_base_frame(region)
+    if not (0 <= m < L):
+        raise ValueError(f"need 0 <= |m| < L, got m={m}, L={L}")
     if isinstance(region, ProductSymmetric):
-        if math.isinf(region.R2):
+        if fb and math.isinf(region.R2):
             raise ValueError("Fourier-Bessel kernels need a bounded region, got R2 = inf")
-        T = _fb_radial_modes(band, region.R1, region.R2)[m:]
+        T = (_fb_radial_modes(band, region.R1, region.R2)[m:] if fb
+             else _e_factor(band.P, region.R1, region.R2)[None])
         A = np.linalg.qr(_g_factor(m, L, region.theta1, region.theta2).T, mode="r").T
-        return (T[:, :, :, None] * A[:, None, None, :]).reshape((L - m) * M, -1)
+        return (T[:, :, :, None] * A[:, None, None, :]).reshape((L - m) * T.shape[1], -1)
     if isinstance(region, AzimuthallySymmetric):
         ir, it = np.nonzero(region.indicator)
         r = region.r_nodes[ir]
         meas = 2.0 * math.pi * region.r_weights[ir] * r ** 2 * region.theta_weights[it]
-        rad = _fb_bessel_table(band, region.r_nodes)[m:, :, ir]
+        rad = (_fb_bessel_table(band, region.r_nodes)[m:] if fb
+               else specfun.laguerre_K_table(band.P - 1, region.r_nodes)[None])[:, :, ir]
         Pb = specfun.norm_alf_table(L, m, region.theta_nodes)[:, None, it]
-        return (rad * Pb * np.sqrt(meas)).reshape((L - m) * M, ir.size)
+        return (rad * Pb * np.sqrt(meas)).reshape((L - m) * rad.shape[1], ir.size)
     raise TypeError(
-        "fixed-order FB kernels need a ProductSymmetric, AzimuthallySymmetric "
+        "fixed-order kernels need a ProductSymmetric, AzimuthallySymmetric "
         f"or RegionUnion region, got {type(region)!r}")
 
 
@@ -351,9 +378,9 @@ def kernel_fb_fixed_order(m: int, band: FourierBesselBand, region) -> KernelMatr
     Rows/columns run over (l, n) with l in [m, L-1] (fast index n).  W holds
     the k-sample quadrature weights, so B is symmetric positive semidefinite
     and its eigenvectors map back to coefficient samples via W^{-1/2}.
-    Assembled as F F^T from `_fb_factor`, so symmetric by construction.
+    Assembled as F F^T from `_block_factor`, so symmetric by construction.
     """
-    F = _fb_factor(m, band, region)
+    F = _block_factor(m, band, region)
     return KernelMatrix(F @ F.T, band, region, "FB-discretized", order=abs(m),
                         k_weights=fb_k_weights(band))
 
@@ -388,31 +415,13 @@ def kernel_fl_entry(region, band: FourierLaguerreBand,
 
 
 def kernel_fl_fixed_order(m: int, band: FourierLaguerreBand, region) -> KernelMatrix:
-    """Fixed-order Fourier-Laguerre kernel over (l, p), l in [m, L-1]."""
-    m = abs(m)
-    if not (0 <= m < band.L):
-        raise ValueError(f"need 0 <= |m| < L, got m={m}, L={band.L}")
-    P, L = band.P, band.L
-    if isinstance(region, ProductSymmetric) and region.orientation is None:
-        E = E_matrix(P, region.R1, region.R2)
-        G = G_matrix(m, L, region.theta1, region.theta2)
-        Kmat = np.kron(G, E)
-    elif isinstance(region, reg_mod.RegionUnion):
-        Kmat = sum(
-            np.kron(G_matrix(m, L, s.theta1, s.theta2), E_matrix(P, s.R1, s.R2))
-            for s in region.members
-        )
-    elif isinstance(region, AzimuthallySymmetric) and region.orientation is None:
-        r, wr = region.r_nodes, region.r_weights
-        th, wt = region.theta_nodes, region.theta_weights
-        Kt = specfun.laguerre_K_table(P - 1, r)      # (P, n_r)
-        Pb = specfun.norm_alf_table(L, m, th)        # (L-m, n_theta)
-        A = np.einsum("it,pr->iprt", Pb, Kt).reshape((L - m) * P, r.size * th.size)
-        meas = 2.0 * math.pi * np.outer(wr * r ** 2, wt) * region.indicator
-        Kmat = (A * meas.ravel()) @ A.T
-    else:
-        raise TypeError(f"unsupported region type {type(region)!r}")
-    return KernelMatrix(Kmat, band, region, "FL", order=m)
+    """Fixed-order Fourier-Laguerre kernel over (l, p), l in [m, L-1] (fast index p).
+
+    Assembled as F F^T from `_block_factor`, so symmetric by construction.
+    A product member contributes G^m (x) E with E cut to its numerical rank.
+    """
+    F = _block_factor(m, band, region)
+    return KernelMatrix(F @ F.T, band, region, "FL", order=abs(m))
 
 
 @dataclass(frozen=True)

@@ -113,21 +113,8 @@ class AngularMask:
     @staticmethod
     def full_sphere_grid(L_grid: int, indicator=None) -> "AngularMask":
         """Sphere-wide exact grid; optional indicator(theta, phi) callable or array."""
-        x, w = _leggauss(L_grid)
-        theta_nodes = np.arccos(x[::-1])
-        w_nodes = w[::-1]
-        n_phi = 2 * L_grid
-        phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-        T, P = np.meshgrid(theta_nodes, phis, indexing="ij")
-        W = np.repeat(w_nodes[:, None], n_phi, axis=1) * (2.0 * math.pi / n_phi)
-        if indicator is None:
-            ind = np.ones(T.size)
-        elif callable(indicator):
-            ind = np.asarray(indicator(T, P), dtype=float).ravel()
-        else:
-            ind = np.asarray(indicator, dtype=float).ravel()
-        return AngularMask(T.ravel(), P.ravel(), W.ravel(), ind,
-                           L_grid, L_grid, n_phi)
+        grid = AngularMask.band(0.0, math.pi, L_grid)
+        return grid if indicator is None else grid.with_indicator(indicator)
 
     @staticmethod
     def band(theta1: float, theta2: float, L_grid: int) -> "AngularMask":

@@ -36,7 +36,7 @@ from . import specfun
 from .eigen import EigenResult, HarmonicCoeffs
 from .kernels import (FourierBesselBand, FourierLaguerreBand, _fb_bessel_table,
                       fb_k_weights)
-from .regions import BallPoint
+from .regions import AngularMask, BallPoint, ProductSymmetric
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,13 @@ class SpatialGrid:
         return T.ravel(), P.ravel()
 
 
+def _angular_rule(theta1: float, theta2: float, L: int):
+    """(theta nodes, phi nodes, pixel weights) of `AngularMask.band`: L
+    Gauss-Legendre colatitudes in cos(theta) on the band x 2L azimuths."""
+    mask = AngularMask.band(theta1, theta2, L)
+    return mask.theta[::mask.n_phi], mask.phi[:mask.n_phi], mask.weight
+
+
 def analysis_grid(band: FourierLaguerreBand, radial_margin: int = 8) -> SpatialGrid:
     """Exact analysis grid for the given band.
 
@@ -82,13 +89,7 @@ def analysis_grid(band: FourierLaguerreBand, radial_margin: int = 8) -> SpatialG
     exact_deg = 2 * n_r - 1 - 2   # degree of poly part after the r^2 factor
     if exact_deg < 2 * (P - 1):
         raise ValueError("radial rule too small for the band")
-    x, w = specfun._leggauss(L)
-    theta = np.arccos(x[::-1])
-    wt = w[::-1]
-    n_phi = 2 * L
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    ang_w = np.repeat(wt[:, None], n_phi, axis=1) * (2.0 * math.pi / n_phi)
-    return SpatialGrid(r, rw, theta, phi, ang_w.ravel(), exact_deg, L)
+    return SpatialGrid(r, rw, *_angular_rule(0.0, math.pi, L), exact_deg, L)
 
 
 def region_energy_grid(region, band) -> SpatialGrid:
@@ -98,7 +99,6 @@ def region_energy_grid(region, band) -> SpatialGrid:
     [R1, R2], Gauss-Legendre-in-cos(theta) on the colatitude band, uniform
     phi.
     """
-    from .regions import ProductSymmetric
     if not isinstance(region, ProductSymmetric) or region.orientation is not None:
         raise TypeError("energy grids are built for unrotated ProductSymmetric regions")
     if isinstance(band, FourierLaguerreBand):
@@ -108,15 +108,8 @@ def region_energy_grid(region, band) -> SpatialGrid:
     L = band.L
     rule = specfun.gauss_legendre_rule(n_r, region.R1, region.R2)
     rw = rule.weights * rule.nodes ** 2
-    x1, x2 = math.cos(region.theta1), math.cos(region.theta2)
-    xs, ws = specfun._leggauss(L)
-    mid, half = 0.5 * (x1 + x2), 0.5 * (x1 - x2)
-    theta = np.arccos((mid + half * xs)[::-1])
-    wt = (half * ws)[::-1]
-    n_phi = 2 * L
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    ang_w = np.repeat(wt[:, None], n_phi, axis=1) * (2.0 * math.pi / n_phi)
-    return SpatialGrid(rule.nodes, rw, theta, phi, ang_w.ravel(), 2 * n_r - 3, L)
+    ang = _angular_rule(region.theta1, region.theta2, L)
+    return SpatialGrid(rule.nodes, rw, *ang, 2 * n_r - 3, L)
 
 
 # ---------------------------------------------------------------------------

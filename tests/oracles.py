@@ -8,8 +8,9 @@ serve the tests as oracles:
   (the alternating binomial sum is hopeless in float64 at these degrees);
 * G^m through Wigner-3j sums with Legendre differences;
 * truncated exponential moments in float64 through Poisson probabilities;
-* the Fourier-Bessel fixed-order kernel assembled densely as C o G (and
-  over the grid of an azimuthally symmetric region) with its dense
+* the fixed-order kernels assembled densely, Fourier-Bessel as C o G and
+  Fourier-Laguerre as a sum of G^m (x) E over union members (both also
+  over the grid of an azimuthally symmetric region), with their dense
   per-order eigensolve;
 * the pixel-mask angular coupling assembled densely over all (l, m), with
   its dense L^2 x L^2 eigensolve;
@@ -30,8 +31,8 @@ import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from slepian_ball import specfun
-from slepian_ball.kernels import _c_quad_rule, fb_k_weights
-from slepian_ball.regions import AzimuthallySymmetric, ProductSymmetric
+from slepian_ball.kernels import FourierLaguerreBand, _c_quad_rule, fb_k_weights
+from slepian_ball.regions import AzimuthallySymmetric, ProductSymmetric, RegionUnion
 
 # float64 loses ~15 digits to cancellation in the alternating moment sum by
 # p+p' ~ 58, so the analytic E path runs in fixed extended precision.
@@ -298,7 +299,7 @@ def radial_moment_integral(j: int, R1: float, R2: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dense Fourier-Bessel kernel and per-order solve
+# dense fixed-order kernels and per-order solve
 # ---------------------------------------------------------------------------
 
 def _c_tensor(band, R1: float, R2: float) -> np.ndarray:
@@ -350,16 +351,38 @@ def fb_dense_block(m: int, band, region) -> np.ndarray:
     return 0.5 * (B + B.T)
 
 
-def fb_dense_solve(region, band):
-    """Dense per-order eigensolve of `fb_dense_block`.
+def fl_dense_block(m: int, band, region) -> np.ndarray:
+    """Fixed-order Fourier-Laguerre kernel over (l, p), l in [m, L-1], p fast:
+    sum over members of kron(G^m, E), or the (r, theta) grid assembly."""
+    from slepian_ball.kernels import E_matrix, G_matrix
+    P, L = band.P, band.L
+    if isinstance(region, (ProductSymmetric, RegionUnion)):
+        members = region.members if isinstance(region, RegionUnion) else (region,)
+        return sum(np.kron(G_matrix(m, L, s.theta1, s.theta2), E_matrix(P, s.R1, s.R2))
+                   for s in members)
+    if isinstance(region, AzimuthallySymmetric):
+        r, wr = region.r_nodes, region.r_weights
+        th, wt = region.theta_nodes, region.theta_weights
+        Kt = specfun.laguerre_K_table(P - 1, r)      # (P, n_r)
+        Pb = specfun.norm_alf_table(L, m, th)        # (L-m, n_theta)
+        A = np.einsum("it,pr->iprt", Pb, Kt).reshape((L - m) * P, r.size * th.size)
+        meas = 2.0 * math.pi * np.outer(wr * r ** 2, wt) * region.indicator
+        return (A * meas.ravel()) @ A.T
+    raise TypeError(f"no dense FL oracle for {type(region)!r}")
+
+
+def dense_solve(region, band):
+    """Dense per-order eigensolve of `fb_dense_block` or `fl_dense_block`.
 
     Returns (blocks, order): blocks[m] = (lam, Y) with lam descending and Y
     the matching eigenvector columns; order lists (lam, signed m) over the
     whole spectrum, sorted lam descending, then m ascending.
     """
+    dense_block = (fl_dense_block if isinstance(band, FourierLaguerreBand)
+                   else fb_dense_block)
     blocks, order = {}, []
     for m in range(band.L):
-        lam, Y = np.linalg.eigh(fb_dense_block(m, band, region))
+        lam, Y = np.linalg.eigh(dense_block(m, band, region))
         blocks[m] = (lam[::-1], Y[:, ::-1])
         order += [(x, ms) for x in lam for ms in ((m,) if m == 0 else (-m, m))]
     order.sort(key=lambda e: (-e[0], e[1]))

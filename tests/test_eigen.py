@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import slepian_ball as sb
-from oracles import fb_dense_solve, mask_dense_angular, spectrum_sort_key
+from oracles import dense_solve, mask_dense_angular, spectrum_sort_key
 from slepian_ball import eigen, kernels, specfun, transforms
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
@@ -358,7 +358,7 @@ def test_fb_m_independence_to_560(ref_region, ref_fb_fine):
 
 
 def _weighted_gram(res, ranks):
-    w = np.tile(res.k_weights, res.band.L ** 2)[:, None]
+    w = 1.0 if res.k_weights is None else np.tile(res.k_weights, res.band.L ** 2)[:, None]
     V = np.column_stack([res.coeffs(a).values for a in ranks])
     return (V * w).conj().T @ V
 
@@ -372,30 +372,72 @@ def test_fb_vector_floor_reference(ref_region):
 
 
 def test_fb_vector_floor_marks_null_space(ref_region):
-    # with no keep limit every vector down to the floor is built
-    res = sb.solve_fb(ref_region, sb.FourierBesselBand(1.0, 6, 25))
-    stored = list(range(res.stored))
-    # the retained vectors are a prefix of the ranks
-    assert res.vectors(res.stored).shape == (res.band.size, res.stored)
-    assert res.eigenvalues[len(stored) - 1] >= res.vector_floor > 0.0
-    assert res.eigenvalues[len(stored)] < res.vector_floor
-    for m in range(res.band.L):
-        ranks = [a for a in stored if res.orders[a] == m]
-        gram = _weighted_gram(res, ranks)
-        assert np.abs(gram - np.eye(len(ranks))).max() < 1e-10
-    with pytest.raises(IndexError, match="null space"):
-        res.coeffs(len(stored))
+    # with no keep limit every vector down to the floor is built; FL union
+    # blocks go through the same block solver and floor
+    union = FB_TABLE_REGIONS["union"]()
+    for res in (sb.solve_fb(ref_region, sb.FourierBesselBand(1.0, 6, 25)),
+                sb.solve_fl(union, sb.FourierLaguerreBand(12, 6))):
+        stored = list(range(res.stored))
+        # the retained vectors are a prefix of the ranks
+        assert res.vectors(res.stored).shape == (res.band.size, res.stored)
+        assert res.eigenvalues[len(stored) - 1] >= res.vector_floor > 0.0
+        assert res.eigenvalues[len(stored)] < res.vector_floor
+        for m in range(res.band.L):
+            ranks = [a for a in stored if res.orders[a] == m]
+            gram = _weighted_gram(res, ranks)
+            assert np.abs(gram - np.eye(len(ranks))).max() < 1e-10
+        with pytest.raises(IndexError, match="null space"):
+            res.coeffs(len(stored))
+
+
+def test_fl_block_solve_runs_no_eigensolve_larger_than_factor(monkeypatch):
+    # every reference-band union block is eigensolved on the smaller side of
+    # its factor (620 x 360 at m = 0), never as a dense (L - m) P block
+    band = sb.FourierLaguerreBand(31, 20)
+    sides, dims, depth = [], [], []
+    eigh, block_factor = np.linalg.eigh, kernels._block_factor
+
+    def recording_factor(m, band, region):
+        depth.append(m)  # union members recurse through this wrapper
+        F = block_factor(m, band, region)
+        depth.pop()
+        if not depth:
+            sides.append(min(F.shape))
+        return F
+
+    def recording_eigh(a, *args, **kwargs):
+        if not depth:  # the E factors' own P x P eigh run inside the factor
+            dims.append((a.shape[0], sides[-1]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_block_factor", recording_factor)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    res = sb.solve_fl(FB_TABLE_REGIONS["union"](), band)
+    assert len(dims) == band.L and sides[0] == 360
+    assert all(dim <= side for dim, side in dims), dims
+    assert len(res) == band.size
 
 
 # (region, band, keep): the small product band, the reference band, and an
 # azimuthally symmetric shell whose m = 0 block takes the Gram side and the
-# others the direct side
+# others the direct side; then FL blocks: an azimuthally symmetric band
+# (Gram side up to m = 5, direct side above), a union (Gram side), and a
+# union with an open shell, whose E factors fill the direct side
 FB_ORACLE_CASES = {
     "product-small": (lambda ref: ref, sb.FourierBesselBand(1.0, 6, 25), None),
     "product-ref": (lambda ref: ref, sb.FourierBesselBand(1.4, 20, 70), 25),
     "shell": (lambda ref: sb.AzimuthallySymmetric.from_indicator(
         lambda r, t: np.ones_like(r), 15.0, 25.0, n_r=16, n_theta=8),
         sb.FourierBesselBand(1.0, 6, 25), None),
+    "fl-azimuthal": (lambda ref: sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: ((t > T1) & (t < T2)).astype(float), 15.0, 25.0,
+        n_r=16, n_theta=8), sb.FourierLaguerreBand(12, 8), None),
+    "fl-union": (lambda ref: sb.RegionUnion((
+        sb.ProductSymmetric(15.0, 19.0, T1, T2), sb.ProductSymmetric(21.0, 25.0, 0.2, 0.9))),
+        sb.FourierLaguerreBand(31, 10), None),
+    "fl-open-union": (lambda ref: sb.RegionUnion((
+        sb.ProductSymmetric(2.0, 5.0, T1, T2), sb.ProductSymmetric(15.0, math.inf, T1, T2))),
+        sb.FourierLaguerreBand(31, 10), None),
 }
 
 
@@ -403,18 +445,20 @@ FB_ORACLE_CASES = {
 def fb_vs_dense(request, ref_region):
     make, band, keep = FB_ORACLE_CASES[request.param]
     region = make(ref_region)
-    return sb.solve_fb(region, band, keep=keep), fb_dense_solve(region, band)
+    solve = sb.solve_fl if isinstance(band, sb.FourierLaguerreBand) else sb.solve_fb
+    return solve(region, band, keep=keep), dense_solve(region, band)
 
 
 def _fb_block_vectors(res, m):
-    """Retained order-m eigenvectors in the W^{1/2}-weighted block basis."""
+    """Retained order-m eigenvectors in the block basis, W^{1/2}-weighted for FB."""
     band = res.band
-    sw = np.sqrt(res.k_weights)
+    n = band.size // band.L ** 2
+    sw = 1.0 if res.k_weights is None else np.sqrt(res.k_weights)
     cols = []
     for a in np.flatnonzero(res.orders[:res.stored] == m):
         c = res.coeffs(a).values
         cols.append(np.concatenate([
-            c[(l * l + l + m) * band.M:(l * l + l + m + 1) * band.M] * sw
+            c[(l * l + l + m) * n:(l * l + l + m + 1) * n] * sw
             for l in range(m, band.L)]).real)
     return np.column_stack(cols) if cols else np.zeros((0, 0))
 
@@ -430,10 +474,13 @@ def test_fb_blocks_match_dense_oracle(fb_vs_dense):
 
 def test_fb_projectors_match_dense_oracle(fb_vs_dense):
     res, (blocks, _) = fb_vs_dense
+    # a dense FL block's own vectors drift like eps / gap inside the clusters
+    # of E's spectrum near 1 (an open shell), so FL compares across wider gaps
+    gap = 1e-8 if res.k_weights is not None else 1e-6
     for m, (lam_dense, Y_dense) in blocks.items():
         Y = _fb_block_vectors(res, m)
         for k in range(1, Y.shape[1] + 1):
-            if lam_dense[k - 1] - lam_dense[k] > 1e-8:
+            if lam_dense[k - 1] - lam_dense[k] > gap:
                 P_new = Y[:, :k] @ Y[:, :k].T
                 P_dense = Y_dense[:, :k] @ Y_dense[:, :k].T
                 assert np.abs(P_new - P_dense).max() < 1e-9, (m, k)

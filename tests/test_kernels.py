@@ -6,6 +6,7 @@ against the analytic oracles in tests/oracles.py (E moments in extended
 precision, G Wigner-3j sums, C closed forms).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import slepian_ball as sb
 from oracles import (E_matrix_mp, G_diag_sum_3j, G_mask_dense, G_matrix_3j, _c_tensor,
-                     fb_dense_block)
+                     fb_dense_block, fl_dense_block)
 from slepian_ball import kernels, specfun
 from slepian_ball.kernels import fb_k_weights
 
@@ -387,6 +388,38 @@ def test_kernel_fl_fixed_order_check_sees_raw_assembly(monkeypatch):
     union = sb.RegionUnion((sb.ProductSymmetric(15.0, 19.0, T1, T2),))
     with pytest.raises(ValueError, match="not Hermitian"):
         kernels.kernel_fl_fixed_order(0, sb.FourierLaguerreBand(6, 4), union)
+
+
+def test_kernel_fl_fixed_order_matches_dense_oracle(ref_region):
+    # F F^T of the block factor against the kron-sum and grid assemblies
+    band = sb.FourierLaguerreBand(31, 8)
+    azim = sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: ((t > T1) & (t < T2)).astype(float), 15.0, 25.0,
+        n_r=24, n_theta=12)
+    union = sb.RegionUnion((sb.ProductSymmetric(15.0, 19.0, T1, T2),
+                            sb.ProductSymmetric(21.0, 25.0, 0.2, 0.9)))
+    open_union = sb.RegionUnion((sb.ProductSymmetric(2.0, 5.0, T1, T2),
+                                 sb.ProductSymmetric(15.0, math.inf, T1, T2)))
+    for region in (ref_region, azim, union, open_union):
+        for m in (0, 2, 5):
+            K = kernels.kernel_fl_fixed_order(m, band, region).matrix
+            dense = fl_dense_block(m, band, region)
+            assert np.abs(K - dense).max() < 1e-13 * np.abs(dense).max(), (region, m)
+
+
+@pytest.mark.parametrize("kernel, band", [
+    (kernels.kernel_fb_fixed_order, sb.FourierBesselBand(1.0, 4, 10)),
+    (kernels.kernel_fl_fixed_order, sb.FourierLaguerreBand(6, 4)),
+], ids=["fb", "fl"])
+@pytest.mark.parametrize("name", ["product", "azimuthal"])
+def test_fixed_order_kernels_reject_oriented_regions(kernel, band, name):
+    # an oriented region has no fixed-order blocks in its rotated frame
+    base = {"product": sb.ProductSymmetric(15.0, 25.0, T1, T2),
+            "azimuthal": sb.AzimuthallySymmetric.from_indicator(
+                lambda r, t: (t < 1.0).astype(float), 15.0, 25.0, n_r=8, n_theta=6)}[name]
+    region = dataclasses.replace(base, orientation=(0.4, 0.1))
+    with pytest.raises(ValueError, match="base frame"):
+        kernel(1, band, region)
 
 
 def test_kernel_fb_region_type_error():
