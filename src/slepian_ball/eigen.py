@@ -218,7 +218,7 @@ def _mask_angular(mask, L: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_blocks(region, band: SpectralBand, keep, w=None) -> tuple[list, list]:
-    """Solve every fixed-order block B_m = F_m F_m^T (`kernels._block_factor`).
+    """Solve every fixed-order block B_m = F_m F_m^T (`kernels._order_factors`).
 
     Each block is eigensolved on the smaller side of F_m.  On the Gram side
     F_m^T F_m the nonzero spectrum is the same, eigenvectors are
@@ -230,8 +230,9 @@ def _solve_blocks(region, band: SpectralBand, keep, w=None) -> tuple[list, list]
     Returns (blocks, raw eigenvalues).
     """
     blocks, raw = [], []
+    factor = ker._order_factors(band, region)
     for m in range(band.L):
-        F = ker._block_factor(m, band, region)
+        F = factor(m)
         gram = 0 < F.shape[1] < F.shape[0]  # an empty region solves its zero block
         lam_raw, Z = _descending_eigh(F.T @ F if gram else F @ F.T)
         raw.append(np.append(lam_raw, 0.0) if gram else lam_raw)

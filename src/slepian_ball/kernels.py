@@ -18,7 +18,7 @@ variable (r for E and C, cos t for G).  The G rule is exact, the E and C
 rules resolve the exponential and oscillatory factors to rounding.  Each
 block is then a Gram matrix A A^T of square-root-weighted node values.  The
 fixed-order blocks of both bands are kept as such a factor, B_m = F_m F_m^T
-(`_block_factor`), and so is the angular coupling of a pixel mask,
+(`_order_factors`), and so is the angular coupling of a pixel mask,
 G_mask = A A^H with A the square-root-weighted Y_lm at the active pixels
 (`_mask_factor`).  The block solver eigensolves the smaller side of F_m,
 the mask solver takes the SVD of A.  The test suite checks each against an
@@ -283,8 +283,8 @@ def C_kernel(ell: int, ell2: int, k: float, k2: float, R1: float, R2: float) -> 
         return 2.0 * k * k2 / (math.pi * (k * k - k2 * k2)) * (bracket(R2) - bracket(R1))
     rule = _c_quad_rule(max(k, k2), R1, R2)
     r, w = rule.nodes, rule.weights
-    from scipy.special import spherical_jn
-    integ = np.sum(w * r ** 2 * spherical_jn(ell, k * r) * spherical_jn(ell2, k2 * r))
+    J = specfun.spherical_jn_table(max(ell, ell2), np.array([k * r, k2 * r]))
+    integ = np.sum(w * r ** 2 * J[ell, 0] * J[ell2, 1])
     return 2.0 / math.pi * k * k2 * float(integ)
 
 
@@ -330,8 +330,9 @@ def _require_base_frame(region):
             "and apply rotate_eigenfunction for oriented results")
 
 
-def _block_factor(m: int, band: SpectralBand, region) -> np.ndarray:
-    """Factor F_m of the fixed-order kernel block, B_m = F_m F_m^T, in either band.
+def _order_factors(band: SpectralBand, region):
+    """Builder of the fixed-order kernel factors: returns m -> F_m, with
+    B_m = F_m F_m^T, in either band.
 
     Rows run over (l, radial index) with l in [m, L-1] and the radial index
     (p, or the k sample n) fast.  Product regions: columns (radial mode,
@@ -340,29 +341,55 @@ def _block_factor(m: int, band: SpectralBand, region) -> np.ndarray:
     by QR to L - m columns.  Azimuthally symmetric regions: one column per
     active (r, theta) grid node, under the square root of its measure.
     Unions stack their members' columns.  FB rows carry the W^{1/2} weights.
+    The radial parts do not depend on m: each member's is built here, once,
+    so a solve over all orders assembles and factors E once per member.
     """
-    m, L = abs(m), band.L
     fb = isinstance(band, FourierBesselBand)
-    if isinstance(region, reg_mod.RegionUnion):
-        return np.hstack([_block_factor(m, band, s) for s in region.members])
+    members = region.members if isinstance(region, reg_mod.RegionUnion) else (region,)
+    parts = [_member_factors(band, s, fb) for s in members]
+
+    def factor(m: int) -> np.ndarray:
+        m = abs(m)
+        if not (0 <= m < band.L):
+            raise ValueError(f"need 0 <= |m| < L, got m={m}, L={band.L}")
+        if len(parts) == 1:
+            return parts[0](m)
+        return np.hstack([part(m) for part in parts])
+    return factor
+
+
+def _member_factors(band: SpectralBand, region, fb: bool):
+    """`_order_factors` for one product or azimuthally symmetric region."""
     _require_base_frame(region)
-    if not (0 <= m < L):
-        raise ValueError(f"need 0 <= |m| < L, got m={m}, L={L}")
+    L = band.L
     if isinstance(region, ProductSymmetric):
         if fb and math.isinf(region.R2):
             raise ValueError("Fourier-Bessel kernels need a bounded region, got R2 = inf")
-        T = (_fb_radial_modes(band, region.R1, region.R2)[m:] if fb
-             else _e_factor(band.P, region.R1, region.R2)[None])
-        A = np.linalg.qr(_g_factor(m, L, region.theta1, region.theta2).T, mode="r").T
-        return (T[:, :, :, None] * A[:, None, None, :]).reshape((L - m) * T.shape[1], -1)
+        if fb:
+            T = _fb_radial_modes(band, region.R1, region.R2)
+        else:  # the E factor, the same at every degree l
+            T = _e_factor(band.P, region.R1, region.R2)
+            T = np.broadcast_to(T, (L,) + T.shape)
+
+        def product(m: int) -> np.ndarray:
+            A = np.linalg.qr(_g_factor(m, L, region.theta1, region.theta2).T, mode="r").T
+            return (T[m:, :, :, None] * A[:, None, None, :]).reshape((L - m) * T.shape[1], -1)
+        return product
     if isinstance(region, AzimuthallySymmetric):
         ir, it = np.nonzero(region.indicator)
         r = region.r_nodes[ir]
-        meas = 2.0 * math.pi * region.r_weights[ir] * r ** 2 * region.theta_weights[it]
-        rad = (_fb_bessel_table(band, region.r_nodes)[m:] if fb
-               else specfun.laguerre_K_table(band.P - 1, region.r_nodes)[None])[:, :, ir]
-        Pb = specfun.norm_alf_table(L, m, region.theta_nodes)[:, None, it]
-        return (rad * Pb * np.sqrt(meas)).reshape((L - m) * rad.shape[1], ir.size)
+        sqrt_meas = np.sqrt(2.0 * math.pi * region.r_weights[ir] * r ** 2
+                            * region.theta_weights[it])
+        if fb:
+            rad = _fb_bessel_table(band, region.r_nodes)[:, :, ir]
+        else:  # K_p(r), the same at every degree l
+            rad = specfun.laguerre_K_table(band.P - 1, region.r_nodes)[:, ir]
+            rad = np.broadcast_to(rad, (L,) + rad.shape)
+
+        def azimuthal(m: int) -> np.ndarray:
+            Pb = specfun.norm_alf_table(L, m, region.theta_nodes)[:, None, it]
+            return (rad[m:] * Pb * sqrt_meas).reshape((L - m) * rad.shape[1], ir.size)
+        return azimuthal
     raise TypeError(
         "fixed-order kernels need a ProductSymmetric, AzimuthallySymmetric "
         f"or RegionUnion region, got {type(region)!r}")
@@ -378,9 +405,9 @@ def kernel_fb_fixed_order(m: int, band: FourierBesselBand, region) -> KernelMatr
     Rows/columns run over (l, n) with l in [m, L-1] (fast index n).  W holds
     the k-sample quadrature weights, so B is symmetric positive semidefinite
     and its eigenvectors map back to coefficient samples via W^{-1/2}.
-    Assembled as F F^T from `_block_factor`, so symmetric by construction.
+    Assembled as F F^T from `_order_factors`, so symmetric by construction.
     """
-    F = _block_factor(m, band, region)
+    F = _order_factors(band, region)(m)
     return KernelMatrix(F @ F.T, band, region, "FB-discretized", order=abs(m),
                         k_weights=fb_k_weights(band))
 
@@ -417,10 +444,10 @@ def kernel_fl_entry(region, band: FourierLaguerreBand,
 def kernel_fl_fixed_order(m: int, band: FourierLaguerreBand, region) -> KernelMatrix:
     """Fixed-order Fourier-Laguerre kernel over (l, p), l in [m, L-1] (fast index p).
 
-    Assembled as F F^T from `_block_factor`, so symmetric by construction.
+    Assembled as F F^T from `_order_factors`, so symmetric by construction.
     A product member contributes G^m (x) E with E cut to its numerical rank.
     """
-    F = _block_factor(m, band, region)
+    F = _order_factors(band, region)(m)
     return KernelMatrix(F @ F.T, band, region, "FL", order=abs(m))
 
 

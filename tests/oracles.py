@@ -15,6 +15,9 @@ serve the tests as oracles:
 * the pixel-mask angular coupling assembled densely over all (l, m), with
   its dense L^2 x L^2 eigensolve;
 * the spectrum ordering rule as a Python sort key over entry tuples;
+* the spherical Bessel table j_l(x), l = 0..lmax, one scipy spherical_jn
+  call per degree (`spherical_jn_per_degree`), against the library's
+  downward recurrence;
 * synthesis at scattered points: Fourier-Laguerre one coefficient at a
   time through the scalar K_p and Y_lm, Fourier-Bessel one degree at a time
   through scipy's spherical_jn;
@@ -28,7 +31,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaincc, gammaln
+from scipy.special import gammaincc, gammaln, spherical_jn
 
 from slepian_ball import specfun
 from slepian_ball.kernels import FourierLaguerreBand, _c_quad_rule, fb_k_weights
@@ -299,6 +302,20 @@ def radial_moment_integral(j: int, R1: float, R2: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# spherical Bessel table
+# ---------------------------------------------------------------------------
+
+def spherical_jn_per_degree(lmax: int, x) -> np.ndarray:
+    """j_l(x) for l = 0..lmax, shape (lmax+1,) + x.shape: one scipy
+    spherical_jn call per degree."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((lmax + 1,) + x.shape)
+    for l in range(lmax + 1):
+        out[l] = spherical_jn(l, x)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # dense fixed-order kernels and per-order solve
 # ---------------------------------------------------------------------------
 
@@ -311,22 +328,18 @@ def _c_tensor(band, R1: float, R2: float) -> np.ndarray:
     ks = band.k_samples
     rule = _c_quad_rule(band.K, R1, R2)
     r, w = rule.nodes, rule.weights
-    J = specfun.spherical_jn_table(L - 1, np.multiply.outer(ks, r))
+    J = spherical_jn_per_degree(L - 1, np.multiply.outer(ks, r))
     A = (J * ks[None, :, None] * (r * np.sqrt(w))).reshape(L * M, r.size)
     return (2.0 / math.pi) * (A @ A.T).reshape(L, M, L, M)
 
 
 def _fb_fixed_order_azim(m: int, band, region) -> np.ndarray:
     """Unweighted fixed-order kernel over an (r, theta) indicator grid."""
-    from scipy.special import spherical_jn
     L, M = band.L, band.M
     ks = band.k_samples
     r, wr = region.r_nodes, region.r_weights
     th, wt = region.theta_nodes, region.theta_weights
-    kr = np.multiply.outer(ks, r)
-    Jl = np.empty((L - m, M, r.size))
-    for i, l in enumerate(range(m, L)):
-        Jl[i] = spherical_jn(l, kr)
+    Jl = spherical_jn_per_degree(L - 1, np.multiply.outer(ks, r))[m:]
     Pb = specfun.norm_alf_table(L, m, th)
     rad = math.sqrt(2.0 / math.pi) * Jl * ks[None, :, None]
     A = np.einsum("inr,it->inrt", rad, Pb).reshape((L - m) * M, r.size * th.size)
@@ -470,7 +483,6 @@ def synthesis_fl_scalar(coeffs, points) -> np.ndarray:
 def synthesis_fb_per_degree(coeffs, points) -> np.ndarray:
     """sqrt(2/pi) sum_{lmn} w_n k_n f_lm(k_n) j_l(k_n r) Y_lm at (N, 3) points,
     one spherical_jn call per degree."""
-    from scipy.special import spherical_jn
     band = coeffs.band
     r, th, ph = points[:, 0], points[:, 1], points[:, 2]
     L, M = band.L, band.M

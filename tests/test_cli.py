@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,7 +325,7 @@ def test_import_leaves_mpmath_unloaded():
 
 
 def test_fl_solves_leave_scipy_special_unloaded():
-    # only the Fourier-Bessel Bessel helpers need scipy.special
+    # FL solves run on numpy alone (as FB ones do, below)
     code = (
         "import sys, slepian_ball as sb\n"
         "band = sb.FourierLaguerreBand(4, 6)\n"
@@ -336,6 +338,29 @@ def test_fl_solves_leave_scipy_special_unloaded():
                         capture_output=True, text=True)
     assert rc.returncode == 0, rc.stderr
     assert rc.stdout.strip() == "False"
+
+
+def test_fb_solve_and_eigen_command_leave_scipy_unloaded(tmp_path):
+    # the spherical Bessel table is numpy alone: no Fourier-Bessel path loads scipy
+    code = (
+        "import math, sys, slepian_ball as sb\n"
+        "from slepian_ball.cli import main\n"
+        "region = sb.ProductSymmetric(15.0, 25.0, math.pi / 8, 3 * math.pi / 8)\n"
+        "sb.solve_fb(region, sb.FourierBesselBand(1.4, 20, 70), keep=25)\n"
+        f"rc = main(['eigen', '--domain', 'fb', '--K', '1.0', '--L', '3', '--M', '8', "
+        f"'--region', '{REGION}', '--count', '2', '--out', {str(tmp_path)!r}])\n"
+        "print(rc, 'scipy' in sys.modules)\n")
+    rc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert rc.returncode == 0, rc.stderr
+    assert rc.stdout.strip() == "0 False"
+
+
+def test_package_source_never_imports_scipy():
+    src = Path(sb.__file__).parent
+    lines = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if re.match(r"\s*(import scipy|from scipy)\b", line)]
+    assert not lines
 
 
 def test_eigen_command_count_zero_writes_no_vectors(tmp_path):

@@ -394,23 +394,26 @@ def test_fl_block_solve_runs_no_eigensolve_larger_than_factor(monkeypatch):
     # every reference-band union block is eigensolved on the smaller side of
     # its factor (620 x 360 at m = 0), never as a dense (L - m) P block
     band = sb.FourierLaguerreBand(31, 20)
-    sides, dims, depth = [], [], []
-    eigh, block_factor = np.linalg.eigh, kernels._block_factor
+    sides, dims, building = [], [], []
+    eigh, order_factors = np.linalg.eigh, kernels._order_factors
 
-    def recording_factor(m, band, region):
-        depth.append(m)  # union members recurse through this wrapper
-        F = block_factor(m, band, region)
-        depth.pop()
-        if not depth:
+    def recording_factors(band, region):
+        building.append(True)  # the E factors' own P x P eigh run here
+        factor = order_factors(band, region)
+        building.pop()
+
+        def recording_factor(m):
+            F = factor(m)
             sides.append(min(F.shape))
-        return F
+            return F
+        return recording_factor
 
     def recording_eigh(a, *args, **kwargs):
-        if not depth:  # the E factors' own P x P eigh run inside the factor
+        if not building:
             dims.append((a.shape[0], sides[-1]))
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(kernels, "_block_factor", recording_factor)
+    monkeypatch.setattr(kernels, "_order_factors", recording_factors)
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     res = sb.solve_fl(FB_TABLE_REGIONS["union"](), band)
     assert len(dims) == band.L and sides[0] == 360
@@ -418,11 +421,26 @@ def test_fl_block_solve_runs_no_eigensolve_larger_than_factor(monkeypatch):
     assert len(res) == band.size
 
 
+def test_fl_union_solve_builds_each_members_E_once(monkeypatch):
+    # E and its factor do not depend on the order: the blocks build each
+    # member's once per solve (not once per order), the Shannon trace once more
+    calls, E_matrix = [], kernels.E_matrix
+
+    def counting(P, R1, R2):
+        calls.append((R1, R2))
+        return E_matrix(P, R1, R2)
+
+    monkeypatch.setattr(kernels, "E_matrix", counting)
+    sb.solve_fl(FB_TABLE_REGIONS["union"](), sb.FourierLaguerreBand(8, 6))
+    assert sorted(calls) == [(15.0, 19.0)] * 2 + [(21.0, 25.0)] * 2
+
+
 # (region, band, keep): the small product band, the reference band, and an
 # azimuthally symmetric shell whose m = 0 block takes the Gram side and the
 # others the direct side; then FL blocks: an azimuthally symmetric band
-# (Gram side up to m = 5, direct side above), a union (Gram side), and a
-# union with an open shell, whose E factors fill the direct side
+# (Gram side up to m = 5, direct side above), a union (Gram side), a union
+# with an open shell, whose E factors fill the direct side, and a small
+# union with no null space, which stores every vector of every block
 FB_ORACLE_CASES = {
     "product-small": (lambda ref: ref, sb.FourierBesselBand(1.0, 6, 25), None),
     "product-ref": (lambda ref: ref, sb.FourierBesselBand(1.4, 20, 70), 25),
@@ -438,6 +456,9 @@ FB_ORACLE_CASES = {
     "fl-open-union": (lambda ref: sb.RegionUnion((
         sb.ProductSymmetric(2.0, 5.0, T1, T2), sb.ProductSymmetric(15.0, math.inf, T1, T2))),
         sb.FourierLaguerreBand(31, 10), None),
+    "fl-full-union": (lambda ref: sb.RegionUnion((
+        sb.ProductSymmetric(0.0, 12.0, 0.0, 2.0), sb.ProductSymmetric(14.0, 30.0, 0.5, math.pi))),
+        sb.FourierLaguerreBand(4, 4), None),
 }
 
 
@@ -480,7 +501,9 @@ def test_fb_projectors_match_dense_oracle(fb_vs_dense):
     for m, (lam_dense, Y_dense) in blocks.items():
         Y = _fb_block_vectors(res, m)
         for k in range(1, Y.shape[1] + 1):
-            if lam_dense[k - 1] - lam_dense[k] > gap:
+            # with every vector of the block stored there is no gap below
+            # the last one: the full projectors must agree
+            if k == lam_dense.size or lam_dense[k - 1] - lam_dense[k] > gap:
                 P_new = Y[:, :k] @ Y[:, :k].T
                 P_dense = Y_dense[:, :k] @ Y_dense[:, :k].T
                 assert np.abs(P_new - P_dense).max() < 1e-9, (m, k)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oracles import radial_moment_integral, wigner_3j
+from oracles import radial_moment_integral, spherical_jn_per_degree, wigner_3j
 from slepian_ball import kernels, regions, specfun, transforms
 from slepian_ball.specfun import (QuadratureRule, gauss_laguerre_rule,
                                   gauss_legendre_rule, laguerre_K,
@@ -36,6 +36,27 @@ def bessel_series_oracle(l, x, terms=50):
             tot += ((-1) ** s * xm ** (l + 2 * s)
                     / (mp.mpf(2) ** s * mp.factorial(s) * mp.fac2(2 * l + 2 * s + 1)))
         return float(tot)
+
+
+def bessel_mp_oracle(l, x):
+    """j_l(x) = sqrt(pi / 2x) J_{l+1/2}(x) in 40-digit mpmath."""
+    if x == 0.0:
+        return 1.0 if l == 0 else 0.0
+    with mp.workdps(40):
+        return float(mp.sqrt(mp.pi / (2 * mp.mpf(x))) * mp.besselj(l + mp.mpf(1) / 2, x))
+
+
+def naive_downward_table(lmax, x, top):
+    """Unscaled Miller recurrence from `top`, normalised by the sum rule."""
+    out = np.empty((lmax + 1, x.size))
+    above, cur, norm = np.zeros_like(x), np.ones_like(x), (2 * top + 1) * np.ones_like(x)
+    for l in range(top, 0, -1):
+        if l <= lmax:
+            out[l] = cur
+        above, cur = cur, (2 * l + 1) / x * cur - above
+        norm += (2 * l - 1) * cur * cur
+    out[0] = cur
+    return out / np.sqrt(norm)
 
 
 def laguerre_binomial_oracle(p, r):
@@ -93,6 +114,72 @@ def test_bessel_recurrence_residual():
     for l in range(1, 40):
         resid = np.abs(J[l - 1] + J[l + 1] - (2 * l + 1) / xs * J[l])
         assert resid.max() <= 1e-10 * scale
+
+
+def test_bessel_table_matches_scipy_and_mpmath():
+    # within 1e-13 of the envelope min(1, 1/x) against the per-degree scipy
+    # table on a dense grid and against 40-digit values at sampled points
+    rng = np.random.default_rng(3)
+    for lmax, xmax in ((20, 36.0), (64, 130.0)):
+        xs = np.concatenate([[0.0, 1e-9, 1e-3, 0.5], np.linspace(0.0, xmax, 401),
+                             rng.uniform(0.0, xmax, 8)])
+        J = specfun.spherical_jn_table(lmax, xs)
+        env = np.minimum(1.0, 1.0 / np.maximum(xs, 1e-300))
+        assert (np.abs(J - spherical_jn_per_degree(lmax, xs)) / env).max() < 1e-13
+        for i in (0, 1, 2, 3, *range(xs.size - 8, xs.size)):
+            ref = np.array([bessel_mp_oracle(l, float(xs[i])) for l in range(lmax + 1)])
+            assert np.abs(J[:, i] - ref).max() < 1e-13 * env[i], (lmax, xs[i])
+
+
+def test_bessel_table_accuracy_large_orders():
+    # the scalar's requirement, read off one table: l <= 100, x <= 200
+    rng = np.random.default_rng(7)
+    ls = rng.integers(0, 101, 40)
+    xs = rng.uniform(1e-3, 200.0, 40)
+    J = specfun.spherical_jn_table(100, xs)
+    for i, (l, x) in enumerate(zip(ls, xs)):
+        assert abs(J[l, i] - bessel_mp_oracle(int(l), float(x))) < 1e-12
+
+
+def test_bessel_table_edge_arguments():
+    # x = 0 and tiny x take the series limit x^l/(2l+1)!!, large x needs a
+    # long recurrence; none may overflow, divide by zero or underflow
+    xs = np.array([0.0, 1e-300, 1e-20, 5e3])
+    with np.errstate(all="raise"):
+        J = specfun.spherical_jn_table(30, xs)
+    assert np.all(np.isfinite(J))
+    assert J[0, 0] == 1.0 and not J[1:, 0].any()
+    assert J[0, 1] == 1.0 and J[1, 1] == pytest.approx(1e-300 / 3, rel=1e-15)
+    assert not J[2:, 1].any()
+    ref = np.array([bessel_mp_oracle(l, 1e-20) for l in range(31)])
+    assert np.allclose(J[:, 2], ref, rtol=1e-15, atol=1e-300)
+    # rounding accumulates over the ~5200 recurrence steps: 2.4e-13 of the
+    # envelope here, against 1.1e-14 at x <= 130
+    ref = np.array([bessel_mp_oracle(l, 5e3) for l in range(31)])
+    assert np.abs(J[:, 3] - ref).max() < 1e-12 / 5e3
+
+
+def test_bessel_table_tiny_argument_breaks_naive_recurrence():
+    # the series limit is needed: the plain recurrence overflows at tiny x
+    x = np.array([1e-300])
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        naive_downward_table(30, x, top=60)
+    with np.errstate(all="raise"):
+        J = specfun.spherical_jn_table(30, x)
+    assert J[0, 0] == 1.0
+
+
+def test_bessel_table_keeps_argument_shape():
+    x = np.linspace(0.0, 30.0, 12).reshape(3, 4)
+    J = specfun.spherical_jn_table(9, x)
+    assert J.shape == (10, 3, 4)
+    assert np.array_equal(J.reshape(10, -1), specfun.spherical_jn_table(9, x.ravel()))
+
+
+@pytest.mark.parametrize("bad", [-0.5, -1e-300, np.nan, np.inf, -np.inf])
+def test_bessel_table_rejects_bad_arguments(bad):
+    with pytest.raises(ValueError):
+        specfun.spherical_jn_table(4, np.array([1.0, bad]))
 
 
 # ---------------------------------------------------------------------------
