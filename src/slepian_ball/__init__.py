@@ -9,7 +9,7 @@ from .kernels import (C_kernel, E_matrix, FourierBesselBand,
                       kernel_fl_entry, kernel_fl_mask)
 from .regions import (AngularMask, AzimuthallySymmetric, BallPoint,
                       ProductMask, ProductSymmetric, RegionUnion, contains,
-                      full_ball, solid_angle, volume)
+                      contains_points, full_ball, solid_angle, volume)
 from .specfun import (QuadratureRule, gauss_laguerre_rule, gauss_legendre_rule,
                       laguerre_K, spherical_bessel_j, spherical_harmonic,
                       wigner_d_beta)
@@ -24,7 +24,8 @@ __all__ = [
     "G_mask_matrix", "G_matrix", "HarmonicCoeffs", "KernelMatrix",
     "ProductMask", "ProductSymmetric", "QuadratureRule", "RegionUnion",
     "SpatialGrid", "analysis_fl", "analysis_grid", "angular_shannon",
-    "contains", "fb_k_weights", "full_ball", "gauss_laguerre_rule",
+    "contains", "contains_points", "fb_k_weights", "full_ball",
+    "gauss_laguerre_rule",
     "gauss_legendre_rule", "kernel_fb_fixed_order", "kernel_fl_entry",
     "kernel_fl_mask", "laguerre_K", "quality_measure",
     "region_energy_grid", "rotate_eigenfunction",

@@ -9,7 +9,11 @@ spectrum is available without ever forming the dense P L^2 kernel.
 
 In both bands, azimuthally symmetric and union regions (and Fourier-Bessel
 product regions) solve per-order blocks B_m = F_m F_m^T through one block
-solver, `_solve_blocks`, on the smaller side of the factor F_m.
+solver, `_solve_blocks`, on the smaller side of the factor F_m.  A
+Fourier-Bessel product region's factor separates by degree,
+F_m[(l, n), (a, b)] = T[l, n, a] A_m[l, b], with radial modes T and the
+rank-cut factor A_m of G^m, so its Gram side sum_l S_l (x) a_l a_l^T
+(S_l = T_l^T T_l) and its vectors T_l (A_m z) are formed without F_m.
 
 Every solver hands its per-order blocks (a mask's one block spans the band)
 to one merge, `EigenResult`, whose per-rank state is arrays: `eigenvalues`,
@@ -26,6 +30,7 @@ ascending, then radial index, then angular index.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +39,7 @@ from . import kernels as ker
 from . import specfun
 from .kernels import FourierBesselBand, FourierLaguerreBand, SpectralBand, fb_k_weights
 from .regions import (AzimuthallySymmetric, ProductMask, ProductSymmetric,
-                      RegionUnion, solid_angle)
+                      RegionUnion, contains_points, solid_angle)
 
 _CLAMP_TOL = 1e-9
 _SPACE_LIMIT_MIN_LAM = 1e-12
@@ -187,6 +192,15 @@ class EigenResult:
         return out[:count]
 
 
+def _check_keep(keep):
+    if keep is None:
+        return
+    if isinstance(keep, bool) or not isinstance(keep, numbers.Integral):
+        raise TypeError(f"keep must be None or an integer, got {keep!r}")
+    if keep < 0:
+        raise ValueError(f"keep must be >= 0, got {keep}")
+
+
 def _validate_and_clamp(raw: np.ndarray) -> np.ndarray:
     mn, mx = float(raw.min()), float(raw.max())
     if mn < -_CLAMP_TOL or mx > 1.0 + _CLAMP_TOL:
@@ -221,12 +235,14 @@ def _solve_blocks(region, band: SpectralBand, keep, w=None) -> tuple[list, list]
     """Solve every fixed-order block B_m = F_m F_m^T (`kernels._order_factors`).
 
     Each block is eigensolved on the smaller side of F_m.  On the Gram side
-    F_m^T F_m the nonzero spectrum is the same, eigenvectors are
-    F_m z / sqrt(mu), and the rest of the block is padded with exact zeros,
-    so the spectrum keeps one entry per row.  The raw range gains a 0 when
+    F_m^T F_m (`F.gram()`) the nonzero spectrum is the same, eigenvectors
+    are F_m z / sqrt(mu) (`F @ z`), and the rest of the block is padded
+    with exact zeros, so the spectrum keeps one entry per row.  The raw range gains a 0 when
     a block was padded.  Vectors are built for the first `keep` eigenvalues
     of at least _VECTOR_FLOOR; below it lies the numerical null space.  With
     FB weights w, vectors are mapped back to coefficient samples by W^{-1/2}.
+    Only the direct side F_m F_m^T asks for the dense F_m (`F.dense()`): a
+    product region's Gram side and vectors come from its per-degree parts.
     Returns (blocks, raw eigenvalues).
     """
     blocks, raw = [], []
@@ -234,7 +250,12 @@ def _solve_blocks(region, band: SpectralBand, keep, w=None) -> tuple[list, list]
     for m in range(band.L):
         F = factor(m)
         gram = 0 < F.shape[1] < F.shape[0]  # an empty region solves its zero block
-        lam_raw, Z = _descending_eigh(F.T @ F if gram else F @ F.T)
+        if gram:
+            side = F.gram()
+        else:
+            D = F.dense()
+            side = D @ D.T
+        lam_raw, Z = _descending_eigh(side)
         raw.append(np.append(lam_raw, 0.0) if gram else lam_raw)
         lam = _validate_and_clamp(lam_raw)
         n_vec = min(int(np.count_nonzero(lam_raw >= _VECTOR_FLOOR)),
@@ -263,8 +284,10 @@ def solve_fl(region, band: FourierLaguerreBand, keep: int | None = None) -> Eige
     Azimuthally symmetric and union regions solve their fixed-order blocks
     through the block factor (`_solve_blocks`), so they store vectors only
     for eigenvalues of at least _VECTOR_FLOOR.  Orders m > 0 are replicated
-    to -m.
+    to -m.  `keep` caps the stored eigenvectors: None or an integer >= 0,
+    anything else raises TypeError or ValueError.
     """
+    _check_keep(keep)
     ker._require_base_frame(region)
     P, L = band.P, band.L
     if not isinstance(region, (ProductSymmetric, ProductMask)):
@@ -298,10 +321,16 @@ def solve_fb(region, band: FourierBesselBand, keep: int | None = None) -> EigenR
 
     Each order solves the W-symmetrized block B_m = F_m F_m^T through
     `_solve_blocks`; `raw_eigenvalue_range` reports the eigenvalues actually
-    computed, and 0 when a block was padded.  Vector entries are mapped back
-    to coefficient samples f_{lm}(k_n) through W^{-1/2}, so the discrete
-    quadrature of sum_lm int |f_lm(k)|^2 dk is one.
+    computed, and 0 when a block was padded.  For a product region the
+    order-m Gram side is q r_m wide (q radial modes, r_m the numerical rank
+    of G^m) and comes from the per-degree radial Grams and A_m, never from
+    the dense (L - m) M x q r_m factor; the direct side F_m F_m^T is taken
+    when it is the smaller one.  Vector entries are mapped back to
+    coefficient samples f_{lm}(k_n) through W^{-1/2}, so the discrete
+    quadrature of sum_lm int |f_lm(k)|^2 dk is one.  `keep` is None (every
+    vector down to _VECTOR_FLOOR) or an integer >= 0, as for `solve_fl`.
     """
+    _check_keep(keep)
     w = fb_k_weights(band)
     blocks, raw = _solve_blocks(region, band, keep, w)
     return EigenResult(blocks, band, region, shannon_fb(region, band), raw, keep,
@@ -401,14 +430,13 @@ class SpaceLimited:
 
     def evaluate(self, points) -> np.ndarray:
         from . import transforms
-        from .regions import contains
         if isinstance(self.source.band, FourierLaguerreBand):
             vals = transforms.synthesis_fl(self.source, points)
         else:
             raise NotImplementedError("pointwise duals are provided for the "
                                       "Fourier-Laguerre band")
-        mask = np.array([contains(self.region, p) for p in points], dtype=float)
-        return vals * mask / math.sqrt(self.lam)
+        inside = contains_points(self.region, *transforms._points_arrays(points))
+        return vals * inside / math.sqrt(self.lam)
 
 
 def space_limit(f: HarmonicCoeffs, lam: float, region) -> SpaceLimited:

@@ -20,10 +20,15 @@ block is then a Gram matrix A A^T of square-root-weighted node values.  The
 fixed-order blocks of both bands are kept as such a factor, B_m = F_m F_m^T
 (`_order_factors`), and so is the angular coupling of a pixel mask,
 G_mask = A A^H with A the square-root-weighted Y_lm at the active pixels
-(`_mask_factor`).  The block solver eigensolves the smaller side of F_m,
-the mask solver takes the SVD of A.  The test suite checks each against an
-analytic oracle (exponential moments in extended precision, Wigner-3j sums,
-Lommel closed forms) or a dense assembly and eigensolve.
+(`_mask_factor`).  E and G^m enter the block factors cut to their numerical
+rank (`_rank_factor`: eigh, eigenpairs above lam_max n eps, U sqrt(lam)),
+and a product member's F_m stays the pair of radial modes T and angular
+factor A_m (`_ProductFactor`), whose Gram side is sum_l S_l (x) a_l a_l^T
+with per-degree radial Grams S_l = T_l^T T_l.  The block solver eigensolves
+the smaller side of F_m, the mask solver takes the SVD of A.  The test
+suite checks each against an analytic oracle (exponential moments in
+extended precision, Wigner-3j sums, Lommel closed forms) or a dense
+assembly and eigensolve.
 
 The continuous Fourier-Bessel spectrum is discretized on uniform samples
 k_n = n K / M; quadrature in k uses trapezoid weights (the k = 0 node
@@ -195,27 +200,23 @@ def E_matrix(P: int, R1: float, R2: float) -> np.ndarray:
 # angular coupling G
 # ---------------------------------------------------------------------------
 
-def _g_factor(m: int, L: int, theta1: float, theta2: float) -> np.ndarray:
-    """Square-root-weighted Pbar_{lm} on the exact rule of G^m = A A^T."""
+def G_matrix(m: int, L: int, theta1: float, theta2: float) -> np.ndarray:
+    """Angular coupling G^m_{l,l'} for l, l' in [m, L-1] over a colatitude band.
+
+    Gauss-Legendre quadrature with L nodes in cos(theta) on
+    [cos theta2, cos theta1].  Pbar_{lm} Pbar_{l'm} is a polynomial of
+    degree <= 2L - 2 in cos(theta), so the rule is exact.  Assembled as
+    A A^T from the square-root-weighted Pbar_{lm} at the nodes: symmetric,
+    spectrum in [0, 1], and invariant under m -> -m.
+    """
     m = abs(m)
     if not (0 <= m < L):
         raise ValueError(f"need 0 <= |m| < L, got m={m}, L={L}")
     if not (0.0 <= theta1 < theta2 <= math.pi):
         raise ValueError(f"need 0 <= theta1 < theta2 <= pi, got {theta1}, {theta2}")
     rule = specfun.gauss_legendre_rule(L, math.cos(theta2), math.cos(theta1))
-    Pb = specfun.norm_alf_table(L, m, np.arccos(rule.nodes))
-    return Pb * np.sqrt(2.0 * math.pi * rule.weights)
-
-
-def G_matrix(m: int, L: int, theta1: float, theta2: float) -> np.ndarray:
-    """Angular coupling G^m_{l,l'} for l, l' in [m, L-1] over a colatitude band.
-
-    Gauss-Legendre quadrature with L nodes in cos(theta) on
-    [cos theta2, cos theta1].  Pbar_{lm} Pbar_{l'm} is a polynomial of
-    degree <= 2L - 2 in cos(theta), so the rule is exact.  Symmetric,
-    spectrum in [0, 1], and invariant under m -> -m.
-    """
-    A = _g_factor(m, L, theta1, theta2)
+    A = specfun.norm_alf_table(L, m, np.arccos(rule.nodes)) * np.sqrt(
+        2.0 * math.pi * rule.weights)
     return A @ A.T
 
 
@@ -311,15 +312,13 @@ def _fb_radial_modes(band: FourierBesselBand, R1: float, R2: float) -> np.ndarra
     return T
 
 
-def _e_factor(P: int, R1: float, R2: float) -> np.ndarray:
-    """Factor of E = X X^T, (P, q): the eigenvectors of E scaled by sqrt(lam),
-    cut to its numerical rank by the numpy.linalg.matrix_rank default
-    tolerance.  E comes from `E_matrix`, so R2 = inf keeps its I - E(0, R1)
-    form."""
-    E = E_matrix(P, R1, R2)
-    _check_hermitian(E)  # eigh reads one triangle and would hide a skew
-    lam, U = np.linalg.eigh(E)
-    keep = lam > lam[-1] * P * np.finfo(float).eps
+def _rank_factor(a: np.ndarray) -> np.ndarray:
+    """Factor X of a symmetric positive semidefinite a = X X^T, (n, r): the
+    eigenvectors of a scaled by sqrt(lam), cut to its numerical rank by the
+    numpy.linalg.matrix_rank default tolerance."""
+    _check_hermitian(a)  # eigh reads one triangle and would hide a skew
+    lam, U = np.linalg.eigh(a)
+    keep = lam > lam[-1] * a.shape[0] * np.finfo(float).eps
     return U[:, keep] * np.sqrt(lam[keep])
 
 
@@ -330,31 +329,79 @@ def _require_base_frame(region):
             "and apply rotate_eigenfunction for oriented results")
 
 
+class _DenseFactor:
+    """A fixed-order block factor F held as one array."""
+
+    def __init__(self, F: np.ndarray):
+        self.F = F
+        self.shape = F.shape
+
+    def dense(self) -> np.ndarray:
+        return self.F
+
+    def gram(self) -> np.ndarray:
+        return self.F.T @ self.F
+
+    def __matmul__(self, Z: np.ndarray) -> np.ndarray:
+        return self.F @ Z
+
+
+class _ProductFactor:
+    """The factor of a product member at order m, kept as its two parts:
+    F[(l, n), (a, b)] = T[l, n, a] A[l, b] over l in [m, L-1].
+
+    Its Gram side is sum_l S_l (x) a_l a_l^T, with S_l = T_l^T T_l and a_l
+    the rows of A, and F Z is T_l (A Z) degree by degree, so neither needs
+    the (L - m) n x q r array, which `dense` builds on request.
+    """
+
+    def __init__(self, T: np.ndarray, S: np.ndarray, A: np.ndarray):
+        self.T, self.S, self.A = T, S, A
+        self.shape = (T.shape[0] * T.shape[1], T.shape[2] * A.shape[1])
+
+    def dense(self) -> np.ndarray:
+        return (self.T[:, :, :, None] * self.A[:, None, None, :]).reshape(self.shape)
+
+    def gram(self) -> np.ndarray:
+        (nl, q, _), r = self.S.shape, self.A.shape[1]
+        AA = (self.A[:, :, None] * self.A[:, None, :]).reshape(nl, r * r)
+        G = self.S.reshape(nl, q * q).T @ AA  # rows (a, a'), columns (b, b')
+        return G.reshape(q, q, r, r).transpose(0, 2, 1, 3).reshape(self.shape[1], -1)
+
+    def __matmul__(self, Z: np.ndarray) -> np.ndarray:
+        q, r = self.S.shape[1], self.A.shape[1]
+        AZ = (self.A @ Z.reshape(q, r, -1)).transpose(1, 0, 2)  # (l, a, k)
+        return (self.T @ AZ).reshape(self.shape[0], -1)
+
+
 def _order_factors(band: SpectralBand, region):
     """Builder of the fixed-order kernel factors: returns m -> F_m, with
     B_m = F_m F_m^T, in either band.
 
     Rows run over (l, radial index) with l in [m, L-1] and the radial index
     (p, or the k sample n) fast.  Product regions: columns (radial mode,
-    angular mode), the radial modes from `_fb_radial_modes` (FB) or the
-    rank-cut `_e_factor` repeated over l (FL), times the G^m factor reduced
-    by QR to L - m columns.  Azimuthally symmetric regions: one column per
-    active (r, theta) grid node, under the square root of its measure.
-    Unions stack their members' columns.  FB rows carry the W^{1/2} weights.
-    The radial parts do not depend on m: each member's is built here, once,
-    so a solve over all orders assembles and factors E once per member.
+    angular mode), the radial modes T from `_fb_radial_modes` (FB) or the
+    rank-cut E factor repeated over l (FL), the angular modes the rank-cut
+    factor A_m of G^m (`_rank_factor`); such a member's F_m is a
+    `_ProductFactor`, whose Gram side and products never build F_m.
+    Azimuthally symmetric regions: one column per active (r, theta) grid
+    node, under the square root of its measure.  Unions stack their
+    members' dense columns.  FB rows carry the W^{1/2} weights.  The radial
+    parts do not depend on m: each member's (with its per-degree Grams
+    S_l = T_l^T T_l) is built here, once, so a solve over all orders
+    assembles and factors E once per member.
     """
     fb = isinstance(band, FourierBesselBand)
     members = region.members if isinstance(region, reg_mod.RegionUnion) else (region,)
     parts = [_member_factors(band, s, fb) for s in members]
 
-    def factor(m: int) -> np.ndarray:
+    def factor(m: int):
         m = abs(m)
         if not (0 <= m < band.L):
             raise ValueError(f"need 0 <= |m| < L, got m={m}, L={band.L}")
         if len(parts) == 1:
             return parts[0](m)
-        return np.hstack([part(m) for part in parts])
+        return _DenseFactor(np.hstack([part(m).dense() for part in parts]))
     return factor
 
 
@@ -368,12 +415,13 @@ def _member_factors(band: SpectralBand, region, fb: bool):
         if fb:
             T = _fb_radial_modes(band, region.R1, region.R2)
         else:  # the E factor, the same at every degree l
-            T = _e_factor(band.P, region.R1, region.R2)
+            T = _rank_factor(E_matrix(band.P, region.R1, region.R2))
             T = np.broadcast_to(T, (L,) + T.shape)
+        S = T.transpose(0, 2, 1) @ T
 
-        def product(m: int) -> np.ndarray:
-            A = np.linalg.qr(_g_factor(m, L, region.theta1, region.theta2).T, mode="r").T
-            return (T[m:, :, :, None] * A[:, None, None, :]).reshape((L - m) * T.shape[1], -1)
+        def product(m: int) -> _ProductFactor:
+            A = _rank_factor(G_matrix(m, L, region.theta1, region.theta2))
+            return _ProductFactor(T[m:], S[m:], A)
         return product
     if isinstance(region, AzimuthallySymmetric):
         ir, it = np.nonzero(region.indicator)
@@ -386,9 +434,10 @@ def _member_factors(band: SpectralBand, region, fb: bool):
             rad = specfun.laguerre_K_table(band.P - 1, region.r_nodes)[:, ir]
             rad = np.broadcast_to(rad, (L,) + rad.shape)
 
-        def azimuthal(m: int) -> np.ndarray:
+        def azimuthal(m: int) -> _DenseFactor:
             Pb = specfun.norm_alf_table(L, m, region.theta_nodes)[:, None, it]
-            return (rad[m:] * Pb * sqrt_meas).reshape((L - m) * rad.shape[1], ir.size)
+            return _DenseFactor(
+                (rad[m:] * Pb * sqrt_meas).reshape((L - m) * rad.shape[1], ir.size))
         return azimuthal
     raise TypeError(
         "fixed-order kernels need a ProductSymmetric, AzimuthallySymmetric "
@@ -407,7 +456,7 @@ def kernel_fb_fixed_order(m: int, band: FourierBesselBand, region) -> KernelMatr
     and its eigenvectors map back to coefficient samples via W^{-1/2}.
     Assembled as F F^T from `_order_factors`, so symmetric by construction.
     """
-    F = _order_factors(band, region)(m)
+    F = _order_factors(band, region)(m).dense()
     return KernelMatrix(F @ F.T, band, region, "FB-discretized", order=abs(m),
                         k_weights=fb_k_weights(band))
 
@@ -447,7 +496,7 @@ def kernel_fl_fixed_order(m: int, band: FourierLaguerreBand, region) -> KernelMa
     Assembled as F F^T from `_order_factors`, so symmetric by construction.
     A product member contributes G^m (x) E with E cut to its numerical rank.
     """
-    F = _order_factors(band, region)(m)
+    F = _order_factors(band, region)(m).dense()
     return KernelMatrix(F @ F.T, band, region, "FL", order=abs(m))
 
 

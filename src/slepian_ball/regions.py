@@ -58,18 +58,16 @@ def _rotation_matrix(theta0: float, phi0: float) -> np.ndarray:
     return rz @ ry
 
 
-def _to_base_frame(point: BallPoint, orientation) -> BallPoint:
-    """Map a point into the unrotated frame of an oriented region."""
+def _base_frame(r, theta, phi, orientation):
+    """(r, theta) of points in the unrotated frame of an oriented region."""
     if orientation is None:
-        return point
-    theta0, phi0 = orientation
-    xyz = _rotation_matrix(theta0, phi0).T @ point.cartesian()
-    r = float(np.linalg.norm(xyz))
-    if r == 0.0:
-        return BallPoint(0.0, 0.0, 0.0)
-    theta = math.acos(min(1.0, max(-1.0, xyz[2] / r)))
-    phi = math.atan2(xyz[1], xyz[0]) % (2.0 * math.pi)
-    return BallPoint(r, theta, phi)
+        return r, theta
+    st = np.sin(theta)
+    xyz = (r[..., None] * np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)],
+                                   axis=-1)) @ _rotation_matrix(*orientation)
+    rb = np.linalg.norm(xyz, axis=-1)
+    z = np.divide(xyz[..., 2], rb, out=np.ones_like(rb), where=rb > 0.0)
+    return rb, np.arccos(np.clip(z, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +150,14 @@ class AngularMask:
         return AngularMask(self.theta, self.phi, self.weight, ind,
                            self.L_grid, self.n_theta, self.n_phi)
 
-    def nearest_pixel(self, theta: float, phi: float) -> int:
-        th = self.theta.reshape(self.n_theta, self.n_phi)
-        ph = self.phi.reshape(self.n_theta, self.n_phi)
-        i = int(np.argmin(np.abs(th[:, 0] - theta)))
-        dphi = np.abs((ph[0, :] - phi + math.pi) % (2.0 * math.pi) - math.pi)
-        j = int(np.argmin(dphi))
-        return i * self.n_phi + j
+    def nearest_pixel(self, theta, phi):
+        """Flat index of the pixel nearest (theta, phi), elementwise over arrays."""
+        theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+        th = self.theta.reshape(self.n_theta, self.n_phi)[:, 0]
+        ph = self.phi.reshape(self.n_theta, self.n_phi)[0, :]
+        i = np.argmin(np.abs(th - theta[..., None]), axis=-1)
+        dphi = np.abs((ph - phi[..., None] + math.pi) % (2.0 * math.pi) - math.pi)
+        return i * self.n_phi + np.argmin(dphi, axis=-1)
 
     def to_text(self, path):
         rows = np.column_stack([self.theta, self.phi, self.indicator])
@@ -347,23 +346,30 @@ def volume(region) -> float:
 
 
 def contains(region, point: BallPoint) -> bool:
-    """Closed-set membership test."""
+    """Closed-set membership test of one point (`contains_points`)."""
+    return bool(contains_points(region, point.r, point.theta, point.phi))
+
+
+def contains_points(region, r, theta, phi) -> np.ndarray:
+    """Closed-set membership of the points (r, theta, phi), elementwise over
+    arrays of one shape.  Masks and sampled regions answer from the nearest
+    pixel or grid node."""
+    r, theta, phi = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                          for x in (r, theta, phi)))
     if isinstance(region, ProductSymmetric):
-        p = _to_base_frame(point, region.orientation)
-        return (region.R1 <= p.r <= region.R2
-                and region.theta1 <= p.theta <= region.theta2)
+        r, theta = _base_frame(r, theta, phi, region.orientation)
+        return ((region.R1 <= r) & (r <= region.R2)
+                & (region.theta1 <= theta) & (theta <= region.theta2))
     if isinstance(region, ProductMask):
-        if not (region.R1 <= point.r <= region.R2):
-            return False
-        idx = region.mask.nearest_pixel(point.theta, point.phi)
-        return bool(region.mask.indicator[idx] > 0)
+        idx = region.mask.nearest_pixel(theta, phi)
+        return (region.R1 <= r) & (r <= region.R2) & (region.mask.indicator[idx] > 0)
     if isinstance(region, RegionUnion):
-        return any(contains(m, point) for m in region.members)
+        return np.logical_or.reduce([contains_points(m, r, theta, phi)
+                                     for m in region.members])
     if isinstance(region, AzimuthallySymmetric):
-        p = _to_base_frame(point, region.orientation)
-        if not (region.r_nodes[0] - 1e-12 <= p.r <= region.r_nodes[-1] + 1e-12):
-            return False
-        i = int(np.argmin(np.abs(region.r_nodes - p.r)))
-        j = int(np.argmin(np.abs(region.theta_nodes - p.theta)))
-        return bool(region.indicator[i, j] > 0)
+        r, theta = _base_frame(r, theta, phi, region.orientation)
+        i = np.argmin(np.abs(region.r_nodes - r[..., None]), axis=-1)
+        j = np.argmin(np.abs(region.theta_nodes - theta[..., None]), axis=-1)
+        return ((region.r_nodes[0] - 1e-12 <= r) & (r <= region.r_nodes[-1] + 1e-12)
+                & (region.indicator[i, j] > 0))
     raise TypeError(f"unsupported region type {type(region)!r}")

@@ -21,7 +21,9 @@ serve the tests as oracles:
 * synthesis at scattered points: Fourier-Laguerre one coefficient at a
   time through the scalar K_p and Y_lm, Fourier-Bessel one degree at a time
   through scipy's spherical_jn;
-* the CLI's CSV writers as one f"{x:.17g}" per value.
+* the CLI's CSV writers as one f"{x:.17g}" per value;
+* region membership one point at a time (`contains_per_point`), against
+  the library's array form.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from scipy.special import gammaincc, gammaln, spherical_jn
 
 from slepian_ball import specfun
 from slepian_ball.kernels import FourierLaguerreBand, _c_quad_rule, fb_k_weights
-from slepian_ball.regions import AzimuthallySymmetric, ProductSymmetric, RegionUnion
+from slepian_ball.regions import (AzimuthallySymmetric, ProductMask, ProductSymmetric,
+                                  RegionUnion, _rotation_matrix)
 
 # float64 loses ~15 digits to cancellation in the alternating moment sum by
 # p+p' ~ 58, so the analytic E path runs in fixed extended precision.
@@ -497,3 +500,44 @@ def synthesis_fb_per_degree(coeffs, points) -> np.ndarray:
         rad = C[l * l:(l + 1) * (l + 1), :] @ Jl
         out += pref * np.einsum("qn,qn->n", Y[l * l:(l + 1) * (l + 1), :], rad)
     return out
+
+
+# ---------------------------------------------------------------------------
+# region membership, one point at a time
+# ---------------------------------------------------------------------------
+
+def _base_frame_point(point, orientation) -> tuple[float, float]:
+    """(r, theta) of a BallPoint in the unrotated frame of an oriented region."""
+    if orientation is None:
+        return point.r, point.theta
+    xyz = _rotation_matrix(*orientation).T @ point.cartesian()
+    r = float(np.linalg.norm(xyz))
+    if r == 0.0:
+        return 0.0, 0.0
+    return r, math.acos(min(1.0, max(-1.0, xyz[2] / r)))
+
+
+def contains_per_point(region, point) -> bool:
+    """Closed-set membership of one BallPoint, in scalar Python."""
+    if isinstance(region, ProductSymmetric):
+        r, theta = _base_frame_point(point, region.orientation)
+        return region.R1 <= r <= region.R2 and region.theta1 <= theta <= region.theta2
+    if isinstance(region, ProductMask):
+        if not (region.R1 <= point.r <= region.R2):
+            return False
+        mask = region.mask
+        th = mask.theta.reshape(mask.n_theta, mask.n_phi)
+        ph = mask.phi.reshape(mask.n_theta, mask.n_phi)
+        i = int(np.argmin(np.abs(th[:, 0] - point.theta)))
+        dphi = np.abs((ph[0, :] - point.phi + math.pi) % (2.0 * math.pi) - math.pi)
+        return bool(mask.indicator[i * mask.n_phi + int(np.argmin(dphi))] > 0)
+    if isinstance(region, RegionUnion):
+        return any(contains_per_point(m, point) for m in region.members)
+    if isinstance(region, AzimuthallySymmetric):
+        r, theta = _base_frame_point(point, region.orientation)
+        if not (region.r_nodes[0] - 1e-12 <= r <= region.r_nodes[-1] + 1e-12):
+            return False
+        i = int(np.argmin(np.abs(region.r_nodes - r)))
+        j = int(np.argmin(np.abs(region.theta_nodes - theta)))
+        return bool(region.indicator[i, j] > 0)
+    raise TypeError(f"unsupported region type {type(region)!r}")

@@ -240,6 +240,20 @@ def test_solver_rejects_unsupported_region(solve, band):
         solve(object(), band)
 
 
+@pytest.mark.parametrize("solve, band", [(sb.solve_fl, sb.FourierLaguerreBand(3, 3)),
+                                         (sb.solve_fb, sb.FourierBesselBand(1.0, 3, 5))])
+def test_solvers_reject_bad_keep(solve, band):
+    # a negative keep used to drop each block's last vector (stored == -1)
+    region = sb.ProductSymmetric(15, 16, 0.1, 0.2)
+    with pytest.raises(ValueError, match="keep must be >= 0"):
+        solve(region, band, keep=-1)
+    for keep in (True, 2.0, "3", np.float64(1.0)):
+        with pytest.raises(TypeError, match="keep must be None or an integer"):
+            solve(region, band, keep=keep)
+    assert solve(region, band, keep=np.int64(2)).stored == 2
+    assert solve(region, band, keep=0).stored == 0
+
+
 def test_keep_limits_materialization(ref_region):
     band = sb.FourierLaguerreBand(4, 4)
     res = sb.solve_fl(ref_region, band, keep=5)
@@ -390,20 +404,22 @@ def test_fb_vector_floor_marks_null_space(ref_region):
             res.coeffs(len(stored))
 
 
-def test_fl_block_solve_runs_no_eigensolve_larger_than_factor(monkeypatch):
-    # every reference-band union block is eigensolved on the smaller side of
-    # its factor (620 x 360 at m = 0), never as a dense (L - m) P block
-    band = sb.FourierLaguerreBand(31, 20)
+def _record_block_eighs(monkeypatch):
+    """Record (eigh size, smaller side of F_m) for every block eigensolve;
+    the eighs that build the factors (E's and each G^m's rank cut) are not
+    block eigensolves and are left out."""
     sides, dims, building = [], [], []
     eigh, order_factors = np.linalg.eigh, kernels._order_factors
 
     def recording_factors(band, region):
-        building.append(True)  # the E factors' own P x P eigh run here
+        building.append(True)
         factor = order_factors(band, region)
         building.pop()
 
         def recording_factor(m):
+            building.append(True)
             F = factor(m)
+            building.pop()
             sides.append(min(F.shape))
             return F
         return recording_factor
@@ -415,10 +431,30 @@ def test_fl_block_solve_runs_no_eigensolve_larger_than_factor(monkeypatch):
 
     monkeypatch.setattr(kernels, "_order_factors", recording_factors)
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    return sides, dims
+
+
+def test_fl_block_solve_runs_no_eigensolve_larger_than_factor(monkeypatch):
+    # every reference-band union block is eigensolved on the smaller side of
+    # its factor (620 x 225 at m = 0), never as a dense (L - m) P block
+    band = sb.FourierLaguerreBand(31, 20)
+    sides, dims = _record_block_eighs(monkeypatch)
     res = sb.solve_fl(FB_TABLE_REGIONS["union"](), band)
-    assert len(dims) == band.L and sides[0] == 360
+    assert len(dims) == band.L and sides[0] == 225
     assert all(dim <= side for dim, side in dims), dims
     assert len(res) == band.size
+
+
+def test_fb_product_block_solve_runs_no_eigensolve_larger_than_q_r(monkeypatch, ref_region):
+    # the m = 0 Gram side is q r_0 = 20 x 13: the rank cut of G^0 (13 of 20)
+    # shrinks it from the 400 of a full angular factor
+    band = sb.FourierBesselBand(1.4, 20, 140)
+    sides, dims = _record_block_eighs(monkeypatch)
+    res = sb.solve_fb(ref_region, band, keep=1)
+    assert len(dims) == band.L and sides[0] == 260
+    assert all(dim <= side for dim, side in dims), dims
+    assert max(dim for dim, _ in dims) == 260
+    assert res.stored == 1
 
 
 def test_fl_union_solve_builds_each_members_E_once(monkeypatch):
@@ -435,7 +471,8 @@ def test_fl_union_solve_builds_each_members_E_once(monkeypatch):
     assert sorted(calls) == [(15.0, 19.0)] * 2 + [(21.0, 25.0)] * 2
 
 
-# (region, band, keep): the small product band, the reference band, and an
+# (region, band, keep): the small product band, the reference band, a band
+# so small that every product block takes the direct side, an
 # azimuthally symmetric shell whose m = 0 block takes the Gram side and the
 # others the direct side; then FL blocks: an azimuthally symmetric band
 # (Gram side up to m = 5, direct side above), a union (Gram side), a union
@@ -444,6 +481,7 @@ def test_fl_union_solve_builds_each_members_E_once(monkeypatch):
 FB_ORACLE_CASES = {
     "product-small": (lambda ref: ref, sb.FourierBesselBand(1.0, 6, 25), None),
     "product-ref": (lambda ref: ref, sb.FourierBesselBand(1.4, 20, 70), 25),
+    "product-direct": (lambda ref: ref, sb.FourierBesselBand(1.0, 3, 8), None),
     "shell": (lambda ref: sb.AzimuthallySymmetric.from_indicator(
         lambda r, t: np.ones_like(r), 15.0, 25.0, n_r=16, n_theta=8),
         sb.FourierBesselBand(1.0, 6, 25), None),
@@ -846,6 +884,9 @@ def test_space_limit_pointwise_evaluation(ref_region):
     f_in = transforms.synthesis_fl(res.coeffs(0), [inside])[0]
     assert vals[0] == pytest.approx(f_in / math.sqrt(res.eigenvalues[0]), rel=1e-12)
     assert vals[1] == 0.0
+    # the (N, 3) array form of the points gives the same values
+    rows = np.array([[p.r, p.theta, p.phi] for p in (inside, outside)])
+    assert np.array_equal(g.evaluate(rows), vals)
 
 
 def test_space_limit_rejects_null_eigenvalue(ref_region):

@@ -364,6 +364,25 @@ def test_kernel_fb_union_is_sum_of_members():
         assert np.abs(B - parts).max() < 1e-14
 
 
+def test_product_factor_gram_side_matches_dense_factor(ref_region):
+    # sum_l S_l (x) a_l a_l^T and T_l (A z) against F^T F and F z of the
+    # dense factor, at the reference band
+    band = sb.FourierBesselBand(1.4, 20, 140)
+    factor = kernels._order_factors(band, ref_region)
+    rng = np.random.default_rng(7)
+    for m in (0, 5, 19):
+        F = factor(m)
+        D = F.dense()
+        gram = D.T @ D
+        assert np.abs(F.gram() - gram).max() < 1e-13 * np.abs(gram).max(), m
+        Z = rng.normal(size=(F.shape[1], 3))
+        assert np.abs(F @ Z - D @ Z).max() < 1e-13 * np.abs(D @ Z).max(), m
+    # the FB oracle case "product-direct" relies on every block of this
+    # band being no wider than it is tall (q r_m >= (L - m) M)
+    small = kernels._order_factors(sb.FourierBesselBand(1.0, 3, 8), ref_region)
+    assert all(small(m).shape[1] >= small(m).shape[0] for m in range(3))
+
+
 def test_kernel_fl_fixed_order_raw_blocks_pass_hermitian_check():
     band = sb.FourierLaguerreBand(8, 6)
     azim = sb.AzimuthallySymmetric.from_indicator(

@@ -1,11 +1,13 @@
 """Region measure and membership tests, with Monte-Carlo volume oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import slepian_ball as sb
+from oracles import contains_per_point
 from slepian_ball.regions import _rotation_matrix
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
@@ -80,6 +82,39 @@ def test_contains_product_region():
     # closed-region convention at the boundary
     assert sb.contains(reg, sb.BallPoint(15.0, math.pi / 4, 1.0))
     assert sb.contains(reg, sb.BallPoint(25.0, T1, 0.0))
+
+
+CONTAINS_REGIONS = {
+    "product": lambda: sb.ProductSymmetric(15, 25, T1, T2),
+    "oriented-product": lambda: sb.ProductSymmetric(10, 25, 0.2, 1.1, orientation=(1.0, 2.5)),
+    "oriented-cap": lambda: sb.ProductSymmetric(0, 12, 0, 0.8, orientation=(1.2, 4.0)),
+    "mask": lambda: sb.ProductMask(sb.AngularMask.full_sphere_grid(
+        12, indicator=lambda t, p: ((t > 0.5) & (t < 1.8) & (p < 2.0)).astype(float)),
+        12.0, 24.0),
+    "azimuthal": lambda: sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: ((t > 0.3 + r / 40) & (t < 2.0)).astype(float), 10.0, 25.0,
+        n_r=16, n_theta=12),
+    "oriented-azimuthal": lambda: dataclasses.replace(
+        CONTAINS_REGIONS["azimuthal"](), orientation=(2.0, 0.7)),
+    "union": lambda: sb.RegionUnion((sb.ProductSymmetric(5, 12, 0.2, 1.0),
+                                     sb.ProductSymmetric(14, 28, 1.0, 2.5))),
+}
+
+
+@pytest.mark.parametrize("name", list(CONTAINS_REGIONS))
+def test_contains_points_matches_scalar_form(name, rng):
+    region = CONTAINS_REGIONS[name]()
+    r = np.append(rng.uniform(0, 30, 599), 0.0)  # the origin sits in a cap's base frame
+    theta = rng.uniform(0, math.pi, 600)
+    phi = rng.uniform(0, 2 * math.pi, 600)
+    inside = sb.contains_points(region, r, theta, phi)
+    points = [sb.BallPoint(*p) for p in zip(r, theta, phi)]
+    assert inside.dtype == bool and inside.shape == (600,)
+    assert inside.tolist() == [contains_per_point(region, p) for p in points]
+    assert inside.tolist() == [sb.contains(region, p) for p in points]
+    assert 20 < inside.sum() < 580  # both outcomes occur
+    grid = sb.contains_points(region, *(x.reshape(20, 30) for x in (r, theta, phi)))
+    assert np.array_equal(grid.ravel(), inside)
 
 
 def test_zero_rotation_is_identity(rng):
