@@ -249,9 +249,8 @@ def _meta(cfg: RunConfig, extra: dict | None = None) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_shannon(cfg: RunConfig) -> int:
+def cmd_shannon(cfg: RunConfig, region) -> int:
     from . import eigen
-    region = parse_region(cfg.region)
     band = _band(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     n = eigen.shannon_fl(region, band) if cfg.domain == "fl" \
@@ -262,11 +261,10 @@ def cmd_shannon(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_kernel(cfg: RunConfig) -> int:
+def cmd_kernel(cfg: RunConfig, region) -> int:
     import numpy as np
     from . import eigen, kernels
     from .regions import ProductMask, ProductSymmetric
-    region = parse_region(cfg.region)
     band = _band(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     traces = {}
@@ -314,10 +312,9 @@ def _eigen_csv(res) -> str:
         np.arange(len(res)), res.eigenvalues, res.orders, res.lam_radial, res.lam_angular)
 
 
-def cmd_eigen(cfg: RunConfig) -> int:
+def cmd_eigen(cfg: RunConfig, region) -> int:
     import numpy as np
     from . import eigen, transforms
-    region = parse_region(cfg.region)
     band = _band(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     # an order filter needs ranks beyond the first `count`, so retain all
@@ -355,14 +352,13 @@ def cmd_eigen(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_project(cfg: RunConfig) -> int:
+def cmd_project(cfg: RunConfig, region) -> int:
     import numpy as np
     from . import eigen, transforms
     if cfg.domain != "fl":
         raise ValueError("projection is provided for the Fourier-Laguerre domain")
     if not cfg.signal:
         raise ValueError("project needs --signal <coefficient .mat file>")
-    region = parse_region(cfg.region)
     band = _band(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     raw = read_matrix(cfg.signal)
@@ -465,10 +461,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
-        region = parse_region(cfg.region)  # parsed again per command; validate now
+        region = parse_region(cfg.region)
         if cfg.order is not None and isinstance(region, ProductMask):
             raise ValueError("--order selects an azimuthal order; mask regions have none")
-        return _COMMANDS[cfg.command](cfg)
+        if cfg.command == "synth":
+            return cmd_synth(cfg)
+        return _COMMANDS[cfg.command](cfg, region)
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

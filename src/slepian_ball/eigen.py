@@ -186,7 +186,9 @@ class EigenResult:
         out = np.zeros(len(self), dtype=complex)
         for block, ranks in zip(self._blocks, self._ranks):
             if block.Y is None:
-                out[ranks] = (block.V.conj().T @ H[block.rows] @ block.U)[block.j, block.i]
+                # (H^H V)^H: no conjugate copy of the L^2-row basis V
+                out[ranks] = ((H[block.rows].conj().T @ block.V).conj().T
+                              @ block.U)[block.j, block.i]
             else:
                 out[ranks[:block.Y.shape[1]]] = block.Y.conj().T @ H[block.rows].ravel()
         return out[:count]

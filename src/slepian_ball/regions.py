@@ -159,6 +159,17 @@ class AngularMask:
         dphi = np.abs((ph - phi[..., None] + math.pi) % (2.0 * math.pi) - math.pi)
         return i * self.n_phi + np.argmin(dphi, axis=-1)
 
+    def covers(self, theta):
+        """Whether colatitudes lie in the band the grid spans, elementwise.
+
+        The Gauss-Legendre weights of the theta rows add up to the
+        cos(theta) span of the band and have their centroid at its middle.
+        """
+        w = self.weight.reshape(self.n_theta, self.n_phi).sum(axis=1)
+        mid = w @ np.cos(self.theta[::self.n_phi]) / w.sum()
+        half = w.sum() / (4.0 * math.pi)
+        return np.abs(np.cos(theta) - mid) <= half + 1e-12
+
     def to_text(self, path):
         rows = np.column_stack([self.theta, self.phi, self.indicator])
         header = f"L_grid={self.L_grid} n_theta={self.n_theta} n_phi={self.n_phi}"
@@ -353,7 +364,8 @@ def contains(region, point: BallPoint) -> bool:
 def contains_points(region, r, theta, phi) -> np.ndarray:
     """Closed-set membership of the points (r, theta, phi), elementwise over
     arrays of one shape.  Masks and sampled regions answer from the nearest
-    pixel or grid node."""
+    pixel or grid node; a mask holds no point outside the colatitude band
+    its grid spans."""
     r, theta, phi = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                           for x in (r, theta, phi)))
     if isinstance(region, ProductSymmetric):
@@ -362,7 +374,8 @@ def contains_points(region, r, theta, phi) -> np.ndarray:
                 & (region.theta1 <= theta) & (theta <= region.theta2))
     if isinstance(region, ProductMask):
         idx = region.mask.nearest_pixel(theta, phi)
-        return (region.R1 <= r) & (r <= region.R2) & (region.mask.indicator[idx] > 0)
+        return ((region.R1 <= r) & (r <= region.R2) & region.mask.covers(theta)
+                & (region.mask.indicator[idx] > 0))
     if isinstance(region, RegionUnion):
         return np.logical_or.reduce([contains_points(m, r, theta, phi)
                                      for m in region.members])

@@ -16,6 +16,11 @@ matrix product; `synthesis_fl_grid` and the CLI's eigenfunction maps and
 `synth` grids go through it.  `synthesis_fl` and `synthesis_fb` evaluate
 one vector at scattered points with the same radial tables.
 
+Fourier-Laguerre analysis takes the quadrature sum one axis at a time and
+never holds a Y_lm table of the grid: the weighted K_p(r) table contracts
+the radii, an FFT over the uniform azimuths gives every order m at once,
+and one Pbar_lm(cos theta) table per order contracts the colatitudes.
+
 Slepian projection: for a band-limited signal h with coefficient vector
 h_band and a concentration eigenbasis {f^alpha}, the Slepian coefficients
 are h_alpha = <h_band, f^alpha>; truncating the expansion at the Shannon
@@ -193,21 +198,38 @@ def analysis_fl(values: np.ndarray, grid: SpatialGrid,
                 band: FourierLaguerreBand) -> HarmonicCoeffs:
     """Fourier-Laguerre coefficients f_{lmp} = <f, K_p Y_lm> from grid samples.
 
-    Exact when `values` samples a signal band-limited within `band` and the
-    grid's exactness covers it.
+    `values` holds the samples as (n_r, n_theta * n_phi) or (n_r, n_theta,
+    n_phi).  The quadrature sum is taken one axis at a time: the weighted
+    radial table K_p(r_i) contracts the radii, the angular weights scale
+    each pixel, an FFT over phi gives sum_j f e^{-i m phi_j} for every m,
+    and for each order m one table Pbar_{lm}(cos theta) contracts the
+    colatitudes, for +m and (with the factor (-1)^m) for -m.  The FFT needs
+    the azimuths phi_j = 2 pi j / n_phi with n_phi >= 2L - 1; other grids
+    raise ValueError.  Exact when `values` samples a signal band-limited
+    within `band` and the grid's exactness covers it.
     """
     P, L = band.P, band.L
     if grid.angular_band < L:
         raise ValueError(f"grid angular band {grid.angular_band} below L={L}")
     if grid.radial_exact_degree < 2 * (P - 1):
         raise ValueError("grid radial rule is not exact for this band")
-    n_r = grid.radial_nodes.size
-    vals = np.asarray(values, dtype=complex).reshape(n_r, -1)
-    th, ph = grid.angular_points()
-    Y = specfun.sph_harm_matrix(L, th, ph)
-    ang = (Y.conj() * grid.angular_weights) @ vals.T          # (L^2, n_r)
-    Kt = specfun.laguerre_K_table(P - 1, grid.radial_nodes)   # (P, n_r)
-    C = ang @ (Kt * grid.radial_weights).T                    # (L^2, P)
+    n_r, n_t, n_p = grid.radial_nodes.size, grid.theta_nodes.size, grid.phi_nodes.size
+    if n_p < 2 * L - 1:
+        raise ValueError(f"grid has {n_p} azimuths, L={L} needs at least {2 * L - 1}")
+    if np.abs(grid.phi_nodes - 2.0 * math.pi * np.arange(n_p) / n_p).max() > 1e-12:
+        raise ValueError("grid azimuths are not 2 pi j / n_phi, as the FFT needs")
+    vals = np.asarray(values, dtype=complex).reshape(n_r, n_t * n_p)
+    Kt = specfun.laguerre_K_table(P - 1, grid.radial_nodes) * grid.radial_weights
+    F = Kt @ vals                                             # (P, n_theta n_phi)
+    F *= grid.angular_weights
+    F = np.fft.fft(F.reshape(P, n_t, n_p), axis=2)            # (P, n_theta, m)
+    C = np.empty((L * L, P), dtype=complex)
+    for m in range(L):
+        pb = specfun.norm_alf_table(L, m, grid.theta_nodes)   # (L - m, n_theta)
+        ls = np.arange(m, L)
+        C[ls * ls + ls + m] = pb @ F[:, :, m].T
+        if m > 0:
+            C[ls * ls + ls - m] = (-1) ** m * (pb @ F[:, :, -m].T)
     return HarmonicCoeffs(C.reshape(-1), band)
 
 

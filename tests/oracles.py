@@ -21,6 +21,8 @@ serve the tests as oracles:
 * synthesis at scattered points: Fourier-Laguerre one coefficient at a
   time through the scalar K_p and Y_lm, Fourier-Bessel one degree at a time
   through scipy's spherical_jn;
+* Fourier-Laguerre analysis on a grid through the dense (L^2, n_theta n_phi)
+  table of conj(Y_lm), against the library's FFT and per-order sums;
 * the CLI's CSV writers as one f"{x:.17g}" per value;
 * region membership one point at a time (`contains_per_point`), against
   the library's array form.
@@ -483,6 +485,17 @@ def synthesis_fl_scalar(coeffs, points) -> np.ndarray:
     return out
 
 
+def analysis_fl_dense(values, grid, band) -> np.ndarray:
+    """f_{lmp} = sum_{i,pix} w_i w_pix K_p(r_i) conj(Y_lm(pix)) f(r_i, pix), with
+    the whole Y_lm table of the angular grid in memory; (L^2 P,) flat."""
+    n_r = grid.radial_nodes.size
+    vals = np.asarray(values, dtype=complex).reshape(n_r, -1)
+    Y = specfun.sph_harm_matrix(band.L, *grid.angular_points())
+    ang = (Y.conj() * grid.angular_weights) @ vals.T                   # (L^2, n_r)
+    Kt = specfun.laguerre_K_table(band.P - 1, grid.radial_nodes)
+    return (ang @ (Kt * grid.radial_weights).T).reshape(-1)
+
+
 def synthesis_fb_per_degree(coeffs, points) -> np.ndarray:
     """sqrt(2/pi) sum_{lmn} w_n k_n f_lm(k_n) j_l(k_n r) Y_lm at (N, 3) points,
     one spherical_jn call per degree."""
@@ -526,6 +539,15 @@ def contains_per_point(region, point) -> bool:
         if not (region.R1 <= point.r <= region.R2):
             return False
         mask = region.mask
+        # the grid's Gauss-Legendre weights per theta row add up to the
+        # cos(theta) span of its band and have their centroid at its middle
+        rows = [math.fsum(mask.weight[i * mask.n_phi:(i + 1) * mask.n_phi]) / (2 * math.pi)
+                for i in range(mask.n_theta)]
+        half = math.fsum(rows) / 2.0
+        mid = math.fsum(w * math.cos(mask.theta[i * mask.n_phi])
+                        for i, w in enumerate(rows)) / (2.0 * half)
+        if abs(math.cos(point.theta) - mid) > half + 1e-12:
+            return False
         th = mask.theta.reshape(mask.n_theta, mask.n_phi)
         ph = mask.phi.reshape(mask.n_theta, mask.n_phi)
         i = int(np.argmin(np.abs(th[:, 0] - point.theta)))

@@ -117,6 +117,24 @@ def test_contains_points_matches_scalar_form(name, rng):
     assert np.array_equal(grid.ravel(), inside)
 
 
+def test_mask_holds_no_point_outside_its_grid_band():
+    band_mask = sb.ProductMask(sb.AngularMask.band(T1, T2, 16), 15, 25)
+    band_region = sb.ProductSymmetric(15, 25, T1, T2)
+    for theta in (math.pi / 2, 3.0, 0.2, T1, T2, 0.9):
+        p = sb.BallPoint(20.0, theta, 0.3)
+        want = sb.contains(band_region, p)
+        assert sb.contains(band_mask, p) == want
+        assert contains_per_point(band_mask, p) == want
+    # a full-sphere grid still answers every pixel centre, and both poles
+    full = CONTAINS_REGIONS["mask"]()
+    mask = full.mask
+    inside = sb.contains_points(full, np.full(mask.theta.size, 20.0), mask.theta, mask.phi)
+    assert np.array_equal(inside, mask.indicator > 0)
+    whole = sb.ProductMask(sb.AngularMask.full_sphere_grid(12), 12.0, 24.0)
+    assert sb.contains_points(whole, 20.0, np.array([0.0, math.pi]), 0.0).all()
+    assert all(contains_per_point(whole, sb.BallPoint(20.0, t, 0.0)) for t in (0.0, math.pi))
+
+
 def test_zero_rotation_is_identity(rng):
     base = sb.ProductSymmetric(15, 25, T1, T2)
     rot = sb.ProductSymmetric(15, 25, T1, T2, orientation=(0.0, 0.0))

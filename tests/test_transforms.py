@@ -1,6 +1,8 @@
 """Transform and Slepian-representation tests."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import slepian_ball as sb
 from slepian_ball import transforms
-from oracles import synthesis_fb_per_degree, synthesis_fl_scalar
+from oracles import analysis_fl_dense, synthesis_fb_per_degree, synthesis_fl_scalar
 from slepian_ball.kernels import fb_k_weights
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
@@ -91,6 +93,50 @@ def test_analysis_grid_band_mismatch():
                      grid.theta_nodes.size * grid.phi_nodes.size))
     with pytest.raises(ValueError):
         sb.analysis_fl(vals, grid, band_big)
+
+
+@pytest.mark.parametrize("P, L", [(4, 3), (16, 8), (32, 32)])
+def test_analysis_matches_dense_oracle(P, L, rng):
+    # samples off the band: the sums must agree, not only round-trip
+    band = sb.FourierLaguerreBand(P, L)
+    grid = transforms.analysis_grid(band)
+    shape = (grid.radial_nodes.size, grid.theta_nodes.size, grid.phi_nodes.size)
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    want = analysis_fl_dense(vals, grid, band)
+    got = sb.analysis_fl(vals, grid, band).values
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    flat = sb.analysis_fl(vals.reshape(shape[0], -1), grid, band).values
+    assert np.array_equal(flat, got)
+
+
+def test_analysis_memory_stays_below_the_harmonic_table():
+    # the (L^2, 2 L^2) complex Y_lm table alone is 32 MB at this band
+    band = sb.FourierLaguerreBand(32, 32)
+    grid = transforms.analysis_grid(band)
+    vals = np.ones((grid.radial_nodes.size, grid.angular_weights.size), dtype=complex)
+    tracemalloc.start()
+    try:
+        sb.analysis_fl(vals, grid, band)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_analysis_rejects_grids_the_fft_cannot_serve():
+    band = sb.FourierLaguerreBand(4, 4)
+    grid = transforms.analysis_grid(band)
+    vals = np.ones((grid.radial_nodes.size, grid.angular_weights.size))
+    shifted = dataclasses.replace(grid, phi_nodes=grid.phi_nodes + 0.1)
+    with pytest.raises(ValueError, match="azimuths are not"):
+        sb.analysis_fl(vals, shifted, band)
+    n_t, n_p = grid.theta_nodes.size, 2 * band.L - 2
+    coarse = dataclasses.replace(
+        grid, phi_nodes=2 * math.pi * np.arange(n_p) / n_p,
+        angular_weights=np.repeat(grid.angular_weights[::grid.phi_nodes.size],
+                                  n_p) * grid.phi_nodes.size / n_p)
+    with pytest.raises(ValueError, match="needs at least 7"):
+        sb.analysis_fl(vals[:, :n_t * n_p], coarse, band)
 
 
 # ---------------------------------------------------------------------------
