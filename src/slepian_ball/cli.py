@@ -5,9 +5,14 @@ Persistence formats
 Binary matrices (.mat): 8-byte magic "SLEPB001", then u32 rows, u32 cols,
 u8 scalar tag (0 = float64, 1 = complex as interleaved float64), all
 little-endian, followed by the row-major payload.  A complex matrix whose
-imaginary parts are all zero is written as float64 (tag 0).  CSV output
-carries 17 significant digits so doubles round-trip.  All files are written
-atomically (temp file + rename).
+imaginary parts are all zero is written as float64 (tag 0).  The payload is
+written from the array's own buffer: a C-contiguous float64 or complex128
+array is written with no copy, any other input is copied once.  Eigenvector
+stacks are real for every region but a pixel mask, so `eigenvectors.mat`
+is tag 0 and costs no copy.  Reading checks the payload length against the
+header and fills the array in one read.  CSV output carries 17 significant
+digits so doubles round-trip.  All files are written atomically (temp file
++ rename).
 
 Region descriptors: ``product:R1,R2,theta1,theta2`` (radians),
 ``mask:<path>,R1,R2`` (pixel list ``theta phi indicator``), ``fullball``.
@@ -86,12 +91,14 @@ class RunConfig:
 # atomic IO and the binary matrix format
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, data: bytes):
+def _atomic_write(path: str, *chunks):
+    """Write the buffers `chunks` in turn to `path`, through a temp file and a rename."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -105,22 +112,29 @@ def write_matrix(path: str, arr):
     if a.ndim != 2:
         raise ValueError("only matrices and vectors are supported")
     if np.iscomplexobj(a) and a.imag.any():
-        tag, payload = 1, np.ascontiguousarray(a, dtype="<c16").tobytes()
+        tag, payload = 1, np.ascontiguousarray(a, dtype="<c16")
     else:
-        tag, payload = 0, np.ascontiguousarray(a.real, dtype="<f8").tobytes()
+        tag, payload = 0, np.ascontiguousarray(a.real, dtype="<f8")
     header = MAGIC + struct.pack("<IIB", a.shape[0], a.shape[1], tag)
-    _atomic_write(path, header + payload)
+    _atomic_write(path, header, payload)
 
 
 def read_matrix(path: str):
     import numpy as np
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != MAGIC:
-        raise ValueError(f"{path}: bad magic, not a SLEPB001 matrix")
-    rows, cols, tag = struct.unpack("<IIB", blob[8:17])
-    dtype = "<c16" if tag == 1 else "<f8"
-    return np.frombuffer(blob[17:], dtype=dtype).reshape(rows, cols).copy()
+        header = fh.read(17)
+        if header[:8] != MAGIC:
+            raise ValueError(f"{path}: bad magic, not a SLEPB001 matrix")
+        if len(header) < 17:
+            raise ValueError(f"{path}: truncated SLEPB001 header")
+        rows, cols, tag = struct.unpack("<IIB", header[8:])
+        dtype = np.dtype("<c16" if tag == 1 else "<f8")
+        # checked before the array is allocated, so a corrupt header allocates nothing
+        if os.fstat(fh.fileno()).st_size - 17 != dtype.itemsize * rows * cols:
+            raise ValueError(f"{path}: payload is not {rows} x {cols} values of {dtype}")
+        out = np.empty((rows, cols), dtype=dtype)
+        fh.readinto(out)
+    return out
 
 
 def _write_text(path: str, text: str):
@@ -343,10 +357,9 @@ def cmd_eigen(cfg: RunConfig, region) -> int:
         ts = np.linspace(0.0, math.pi, n_t)
         Rg, Tg = np.meshgrid(rs, ts, indexing="ij")
         prefix = np.array(_csv_rows(Rg.ravel(), Tg.ravel()).splitlines())
-        ranks = ranks[:cfg.count].tolist()
-        values = np.array([res.coeffs(rank).values for rank in ranks]).reshape(-1, band.size)
-        maps = transforms.synthesis_separable(values, band, rs, ts, np.zeros(n_t))
-        for rank, vals in zip(ranks, maps):
+        ranks = ranks[:cfg.count]
+        maps = transforms.synthesis_separable(res._stack(ranks).T, band, rs, ts, np.zeros(n_t))
+        for rank, vals in zip(ranks.tolist(), maps):
             _write_text(os.path.join(cfg.out, f"eigenfunction_{rank:04d}.csv"),
                         "r,theta,value\n" + _csv_rows(prefix, vals.real.ravel()))
     return 0

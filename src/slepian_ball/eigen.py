@@ -19,7 +19,9 @@ Every solver hands its per-order blocks (a mask's one block spans the band)
 to one merge, `EigenResult`, whose per-rank state is arrays: `eigenvalues`,
 `orders` (signed m; None for a mask, whose eigenfunctions have no order), and
 `lam_radial`, `lam_angular` (None unless the solve separates).  The first
-`stored` ranks have eigenvectors.
+`stored` ranks have eigenvectors, gathered into one row-major
+(band.size, n) stack in the blocks' dtype: real for every region but a
+pixel mask.
 
 Eigenvalues are validated against the projection-operator bounds
 [-1e-9, 1 + 1e-9] before being clamped to [0, 1]; anything outside fails
@@ -92,11 +94,10 @@ class _Block:
     Y: np.ndarray | None = None
 
     def vectors(self, k: np.ndarray) -> np.ndarray:
-        """Vectors of entries k on the block's rows, (k.size, rows, radial)."""
+        """Vectors of entries k on the block's rows, (rows, radial, k.size)."""
         if self.Y is None:
-            V, U = self.V[:, self.j[k]], self.U[:, self.i[k]]
-            return V.T[:, :, None] * U.T[:, None, :]
-        return self.Y[:, k].T.reshape(k.size, self.rows.size, -1)
+            return self.V[:, None, self.j[k]] * self.U[None, :, self.i[k]]
+        return self.Y[:, k].reshape(self.rows.size, -1, k.size)
 
 
 def _order_blocks(m: int | None, L: int, lam, keys=None, **vectors) -> list[_Block]:
@@ -151,25 +152,48 @@ class EigenResult:
                    if lam < self.vector_floor else "keep= too small")
             raise IndexError(f"eigenvector {alpha} was not retained ({why})")
 
-    def _stack(self, lo: int, hi: int) -> np.ndarray:
-        """Eigenvectors of ranks lo..hi-1 as the rows of a (hi - lo, size) array."""
-        if hi != lo:
-            self._require_stored(hi - 1)
+    def _stack(self, ranks) -> np.ndarray:
+        """Eigenvectors of `ranks` as the columns of a (band.size, ranks.size) array.
+
+        The array is C-contiguous and filled as (L^2, radial, ranks.size), so
+        row-major it is the (band.size, n) matrix `cli.write_matrix` writes
+        without a copy.  Its dtype is that of the block vectors: float64 for
+        product, azimuthally symmetric and union regions in either band,
+        complex128 for a pixel mask.  One inverse-position array maps every
+        requested rank to its column, so each block is visited once.
+        """
+        ranks = np.asarray(ranks)
+        if ranks.size:
+            self._require_stored(int(ranks.min()))
+            self._require_stored(int(ranks.max()))
+        column = np.full(self.stored, -1)
+        column[ranks] = np.arange(ranks.size)
         L = self.band.L
-        out = np.zeros((hi - lo, L * L, self.band.size // (L * L)), dtype=complex)
-        for block, ranks in zip(self._blocks, self._ranks):
-            k = np.flatnonzero((ranks >= lo) & (ranks < hi))
+        # U (radial) is real in every separated solve; V or Y sets the dtype
+        dtype = np.result_type(*{(b.V if b.Y is None else b.Y).dtype for b in self._blocks})
+        out = np.zeros((L * L, self.band.size // (L * L), ranks.size), dtype=dtype)
+        radial = np.arange(out.shape[1])
+        for block, rank in zip(self._blocks, self._ranks):
+            k = np.flatnonzero(rank < self.stored)
+            col = column[rank[k]]
+            k, col = k[col >= 0], col[col >= 0]
             if k.size:
-                out[np.ix_(ranks[k] - lo, block.rows)] = block.vectors(k)
-        return out.reshape(hi - lo, self.band.size)
+                out[np.ix_(block.rows, radial, col)] = block.vectors(k)
+        return out.reshape(self.band.size, ranks.size)
 
     def coeffs(self, alpha: int) -> HarmonicCoeffs:
         """Coefficient vector of the alpha-th eigenfunction (0-based rank)."""
-        return HarmonicCoeffs(self._stack(alpha, alpha + 1)[0], self.band)
+        return HarmonicCoeffs(self._stack([alpha])[:, 0], self.band)
 
     def vectors(self, count: int) -> np.ndarray:
-        """First `count` eigenvector columns as a (band.size, count) matrix."""
-        return self._stack(0, count).T
+        """First `count` eigenvectors as the columns of a (band.size, count) matrix.
+
+        C-contiguous, float64 unless the region is a pixel mask (complex128);
+        see `_stack`.
+        """
+        if count < 0:
+            raise IndexError(f"count {count} is outside the spectrum 0..{len(self)}")
+        return self._stack(np.arange(count))
 
     def project(self, values: np.ndarray, count: int | None = None) -> np.ndarray:
         """Inner products <values, f^alpha> for alpha = 0..count-1.
@@ -331,6 +355,7 @@ def solve_fb(region, band: FourierBesselBand, keep: int | None = None) -> EigenR
     coefficient samples f_{lm}(k_n) through W^{-1/2}, so the discrete
     quadrature of sum_lm int |f_lm(k)|^2 dk is one.  `keep` is None (every
     vector down to _VECTOR_FLOOR) or an integer >= 0, as for `solve_fl`.
+    Raises ValueError when dk * R_max > pi (`kernels._check_k_sampling`).
     """
     _check_keep(keep)
     w = fb_k_weights(band)

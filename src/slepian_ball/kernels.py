@@ -394,6 +394,8 @@ def _order_factors(band: SpectralBand, region):
     fb = isinstance(band, FourierBesselBand)
     members = region.members if isinstance(region, reg_mod.RegionUnion) else (region,)
     parts = [_member_factors(band, s, fb) for s in members]
+    if fb:
+        _check_k_sampling(band, max(_outer_radius(s) for s in members))
 
     def factor(m: int):
         m = abs(m)
@@ -403,6 +405,25 @@ def _order_factors(band: SpectralBand, region):
             return parts[0](m)
         return _DenseFactor(np.hstack([part(m).dense() for part in parts]))
     return factor
+
+
+def _outer_radius(region) -> float:
+    """Largest radius of a product region, or of an azimuthal region's active nodes."""
+    if isinstance(region, ProductSymmetric):
+        return region.R2
+    return float(region.r_nodes[region.indicator.any(axis=1)].max(initial=0.0))
+
+
+def _check_k_sampling(band: FourierBesselBand, r_max: float):
+    """Reject k samples too coarse for the region: past dk * r_max = pi the
+    sampled k integral aliases radii r and 2 pi / dk - r, and the kernel is
+    no longer a projection (eigenvalues above one)."""
+    m_min = math.ceil(band.K * r_max / math.pi)
+    if band.M < m_min:
+        raise ValueError(
+            f"Fourier-Bessel k sampling too coarse: dk * R_max = {band.dk * r_max:.4g} "
+            f"exceeds pi (dk = K/M = {band.dk:.4g}, R_max = {r_max:g}); "
+            f"use M >= {m_min}")
 
 
 def _member_factors(band: SpectralBand, region, fb: bool):
@@ -455,6 +476,7 @@ def kernel_fb_fixed_order(m: int, band: FourierBesselBand, region) -> KernelMatr
     the k-sample quadrature weights, so B is symmetric positive semidefinite
     and its eigenvectors map back to coefficient samples via W^{-1/2}.
     Assembled as F F^T from `_order_factors`, so symmetric by construction.
+    Raises ValueError when dk * R_max > pi (`_check_k_sampling`).
     """
     F = _order_factors(band, region)(m).dense()
     return KernelMatrix(F @ F.T, band, region, "FB-discretized", order=abs(m),

@@ -179,7 +179,7 @@ class AngularMask:
     def from_text(path) -> "AngularMask":
         """Load a `theta phi indicator` pixel list written against a known grid.
 
-        The grid geometry is rebuilt from the unique theta rows; pixel
+        The grid geometry is rebuilt from the distinct theta rows; pixel
         centers must match a Gauss-Legendre x uniform-phi layout, otherwise
         the weights could not be reconstructed and loading fails.
         """
@@ -187,8 +187,7 @@ class AngularMask:
         if data.ndim == 1:
             data = data[None, :]
         theta, phi, ind = data[:, 0], data[:, 1], data[:, 2]
-        th_unique = np.unique(theta)
-        ph_unique = np.unique(phi)
+        th_unique, ph_unique = _distinct(theta), _distinct(phi)
         n_theta, n_phi = th_unique.size, ph_unique.size
         if n_theta * n_phi != theta.size:
             raise ValueError("mask pixel list is not a full theta x phi grid")
@@ -208,6 +207,13 @@ class AngularMask:
         order = np.lexsort((phi, theta))
         return AngularMask(theta[order], phi[order], weight[order], ind[order],
                            L_grid, n_theta, n_phi)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of `a`: a sort and a neighbour diff, as
+    np.unique takes them, without its first-call import of numpy.ma."""
+    s = np.sort(a)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
 # ---------------------------------------------------------------------------

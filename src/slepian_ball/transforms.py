@@ -138,7 +138,9 @@ def _radial_sums(values, band, r) -> np.ndarray:
     k integral sqrt(2/pi) sum_n w_n k_n f_{lm}(k_n) j_l(k_n r).
     """
     L = band.L
-    C = np.asarray(values, dtype=complex).reshape(-1, L * L, band.size // (L * L))
+    # contiguous, so the products (and their rounding) do not depend on the
+    # layout of `values`: a transposed stack would reshape to a strided view
+    C = np.ascontiguousarray(values, dtype=complex).reshape(-1, L * L, band.size // (L * L))
     if isinstance(band, FourierLaguerreBand):
         return C @ specfun.laguerre_K_table(band.P - 1, r)
     T = _fb_bessel_table(band, r) * np.sqrt(fb_k_weights(band))[:, None]  # (L, M, n_r)

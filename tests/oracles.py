@@ -24,6 +24,10 @@ serve the tests as oracles:
 * Fourier-Laguerre analysis on a grid through the dense (L^2, n_theta n_phi)
   table of conj(Y_lm), against the library's FFT and per-order sums;
 * the CLI's CSV writers as one f"{x:.17g}" per value;
+* the CLI's binary matrix file as one bytes object, the way it was built
+  before the writer streamed the array buffer (`matrix_file_bytes`);
+* the eigenvector stack as a complex array built one rank at a time from
+  the solve's blocks (`complex_vector_stack`);
 * region membership one point at a time (`contains_per_point`), against
   the library's array form.
 """
@@ -31,6 +35,7 @@ serve the tests as oracles:
 from __future__ import annotations
 
 import math
+import struct
 from functools import lru_cache
 
 import mpmath as mp
@@ -468,6 +473,36 @@ def csv_rows_per_value(*columns) -> str:
                 for v in np.asarray(values).tolist()]
 
     return "".join(",".join(row) + "\n" for row in zip(*map(column, columns)))
+
+
+# ---------------------------------------------------------------------------
+# binary matrix files and eigenvector stacks
+# ---------------------------------------------------------------------------
+
+def matrix_file_bytes(arr) -> bytes:
+    """The SLEPB001 file of a matrix: a real copy, `tobytes` and a joined header."""
+    a = np.atleast_2d(np.asarray(arr))
+    if np.iscomplexobj(a) and a.imag.any():
+        tag, payload = 1, np.ascontiguousarray(a, dtype="<c16").tobytes()
+    else:
+        tag, payload = 0, np.ascontiguousarray(a.real, dtype="<f8").tobytes()
+    return b"SLEPB001" + struct.pack("<IIB", a.shape[0], a.shape[1], tag) + payload
+
+
+def complex_vector_stack(res, count: int) -> np.ndarray:
+    """The first `count` eigenvectors of an EigenResult as complex columns,
+    (band.size, count), one rank at a time: separated blocks as V_j (x) U_i,
+    fixed-order blocks from their column Y."""
+    L = res.band.L
+    out = np.zeros((L * L, res.band.size // (L * L), count), dtype=complex)
+    for block, ranks in zip(res._blocks, res._ranks):
+        for k in np.flatnonzero(ranks < count).tolist():
+            if block.Y is None:
+                vec = np.outer(block.V[:, block.j[k]], block.U[:, block.i[k]])
+            else:
+                vec = block.Y[:, k].reshape(block.rows.size, -1)
+            out[block.rows, :, ranks[k]] = vec
+    return out.reshape(res.band.size, count)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import slepian_ball as sb
-from oracles import csv_rows_per_value, eigen_csv_per_value
+from oracles import csv_rows_per_value, eigen_csv_per_value, matrix_file_bytes
 from slepian_ball.cli import (_csv_rows, _eigen_csv, main, parse_region, read_matrix,
                               write_matrix)
 
@@ -65,6 +66,65 @@ def test_matrix_bad_magic(tmp_path):
     path.write_bytes(b"NOTSLEPB" + b"\0" * 32)
     with pytest.raises(ValueError):
         read_matrix(path)
+
+
+MATRIX_CASES = {
+    "real": lambda rng: rng.normal(size=(7, 3)),
+    "complex": lambda rng: rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5)),
+    "complex-zero-imag": lambda rng: rng.normal(size=(4, 5)).astype(complex),
+    "fortran-real": lambda rng: np.asfortranarray(rng.normal(size=(6, 4))),
+    "fortran-complex": lambda rng: (rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))).T,
+    "zero-columns": lambda rng: np.zeros((27, 0)),
+    "vector": lambda rng: rng.normal(size=5),
+}
+
+
+@pytest.mark.parametrize("case", list(MATRIX_CASES))
+def test_matrix_file_bytes_match_oracle(tmp_path, rng, case):
+    a = MATRIX_CASES[case](rng)
+    path = tmp_path / "a.mat"
+    write_matrix(path, a)
+    assert path.read_bytes() == matrix_file_bytes(a)
+    assert np.array_equal(read_matrix(path), np.atleast_2d(a))
+
+
+def test_matrix_payload_length_checked(tmp_path, rng):
+    path = tmp_path / "a.mat"
+    write_matrix(path, rng.normal(size=(3, 2)))
+    blob = path.read_bytes()
+    for bad in (blob[:-8], blob[:-1], blob[:17], blob + b"\0", blob + bytes(8)):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match="payload is not 3 x 2 values"):
+            read_matrix(path)
+    path.write_bytes(blob[:12])
+    with pytest.raises(ValueError, match="truncated"):
+        read_matrix(path)
+
+
+def test_fb_reference_vectors_write_and_read_hold_one_payload(tmp_path, ref_region):
+    # the acceptance FB solve at M = 140: the real row-major stack is the
+    # file's payload, written from its buffer and read back in one array
+    res = sb.solve_fb(ref_region, sb.FourierBesselBand(1.4, 20, 140), keep=25)
+    payload = res.band.size * 25 * 8
+    path = tmp_path / "v.mat"
+    tracemalloc.start()
+    try:
+        vecs = res.vectors(25)
+        stack_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        write_matrix(path, vecs)
+        write_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        back = read_matrix(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert stack_peak <= 1.05 * payload
+    assert write_peak < 1e6
+    assert read_peak <= 1.05 * payload
+    assert path.stat().st_size == 17 + payload
+    assert np.array_equal(back, vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +510,7 @@ def _read_map(path):
 def test_eigen_grid_maps_match_pointwise_synthesis(tmp_path, domain):
     # n_r != n_theta, so a map with its r and theta axes swapped cannot pass
     n_r, n_t = 7, 5
-    band_args = ["--P", "4", "--L", "4"] if domain == "fl" else ["--K", "1.0", "--L", "4", "--M", "6"]
+    band_args = ["--P", "4", "--L", "4"] if domain == "fl" else ["--K", "1.0", "--L", "4", "--M", "8"]
     out = tmp_path / domain
     rc = main(["eigen", "--domain", domain, *band_args, "--region", REGION,
                "--count", "4", "--order", "1", "--grid", f"{n_r},{n_t}", "--out", str(out)])
@@ -459,7 +519,7 @@ def test_eigen_grid_maps_match_pointwise_synthesis(tmp_path, domain):
     if domain == "fl":
         res, synth = sb.solve_fl(region, sb.FourierLaguerreBand(4, 4)), sb.synthesis_fl
     else:
-        res, synth = sb.solve_fb(region, sb.FourierBesselBand(1.0, 4, 6)), sb.synthesis_fb
+        res, synth = sb.solve_fb(region, sb.FourierBesselBand(1.0, 4, 8)), sb.synthesis_fb
     ranks = np.flatnonzero(res.orders[:res.stored] == 1)[:4]
     files = sorted(out.glob("eigenfunction_*.csv"))
     assert [f.name for f in files] == [f"eigenfunction_{k:04d}.csv" for k in ranks]
@@ -561,6 +621,38 @@ def test_fb_unbounded_region_rejected(region):
     with pytest.raises(ValueError, match="bounded region"):
         sb.kernel_fb_fixed_order(1, band, region)
     assert sb.shannon_fb(region, band) == math.inf
+
+
+AZIMUTHAL_SHELL = sb.AzimuthallySymmetric.from_indicator(
+    lambda r, t: ((r < 20.0) & (t < 1.0)).astype(float), 15.0, 25.0, n_r=16, n_theta=8)
+
+
+@pytest.mark.parametrize("region, r_max", [
+    (sb.ProductSymmetric(15.0, 25.0, T1, T2), 25.0),
+    (sb.RegionUnion((sb.ProductSymmetric(2.0, 5.0, T1, T2),
+                     sb.ProductSymmetric(15.0, 25.0, T1, T2))), 25.0),
+    (AZIMUTHAL_SHELL, AZIMUTHAL_SHELL.r_nodes[AZIMUTHAL_SHELL.r_nodes < 20.0].max()),
+], ids=["product", "union", "azimuthal"])
+def test_fb_k_sampling_past_pi_rejected(region, r_max):
+    # past dk * R_max = pi the sampled kernel is no projection: at the
+    # reference with M = 8 its top eigenvalue was 1.47
+    m_min = math.ceil(1.4 * r_max / math.pi)
+    band = sb.FourierBesselBand(1.4, 4, m_min - 1)
+    with pytest.raises(ValueError, match=f"use M >= {m_min}$"):
+        sb.solve_fb(region, band)
+    with pytest.raises(ValueError, match=f"use M >= {m_min}$"):
+        sb.kernel_fb_fixed_order(1, band, region)
+    assert 0 < sb.shannon_fb(region, band) < math.inf
+    lo, hi = sb.solve_fb(region, sb.FourierBesselBand(1.4, 4, m_min), keep=0).raw_eigenvalue_range
+    assert -1e-9 <= lo and hi <= 1 + 1e-9
+
+
+@pytest.mark.parametrize("command", ["eigen", "kernel"])
+def test_fb_k_sampling_past_pi_exits_2(tmp_path, capsys, command):
+    rc = main([command, "--domain", "fb", "--K", "1.4", "--L", "20", "--M", "8",
+               "--region", REGION, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "use M >= 12" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eigen", "kernel"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import slepian_ball as sb
-from oracles import dense_solve, mask_dense_angular, spectrum_sort_key
+from oracles import complex_vector_stack, dense_solve, mask_dense_angular, spectrum_sort_key
 from slepian_ball import eigen, kernels, specfun, transforms
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
@@ -241,7 +241,7 @@ def test_solver_rejects_unsupported_region(solve, band):
 
 
 @pytest.mark.parametrize("solve, band", [(sb.solve_fl, sb.FourierLaguerreBand(3, 3)),
-                                         (sb.solve_fb, sb.FourierBesselBand(1.0, 3, 5))])
+                                         (sb.solve_fb, sb.FourierBesselBand(1.0, 3, 6))])
 def test_solvers_reject_bad_keep(solve, band):
     # a negative keep used to drop each block's last vector (stored == -1)
     region = sb.ProductSymmetric(15, 16, 0.1, 0.2)
@@ -278,6 +278,34 @@ def test_ranks_outside_the_spectrum_raise(name, ref_region):
             res.coeffs(alpha)
     with pytest.raises(IndexError, match="outside the spectrum"):
         res.vectors(-1)
+
+
+VECTOR_STACK_CASES = {
+    "fb-product": (lambda ref: sb.solve_fb(ref, sb.FourierBesselBand(1.0, 4, 10), keep=7),
+                   np.float64),
+    "fl-product": (lambda ref: sb.solve_fl(ref, sb.FourierLaguerreBand(4, 4), keep=7),
+                   np.float64),
+    "fl-azimuthal": (lambda ref: sb.solve_fl(sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: ((t > T1) & (t < T2)).astype(float), 15.0, 25.0, n_r=16, n_theta=8),
+        sb.FourierLaguerreBand(4, 4), keep=7), np.float64),
+    "fl-mask": (lambda ref: sb.solve_fl(sb.ProductMask(sb.AngularMask.full_sphere_grid(
+        4, indicator=lambda t, p: ((t < 1.2) & (p < 2.0)).astype(float)), 15.0, 25.0),
+        sb.FourierLaguerreBand(4, 4), keep=7), np.complex128),
+}
+
+
+@pytest.mark.parametrize("name", list(VECTOR_STACK_CASES))
+def test_vector_stack_is_row_major_in_the_blocks_dtype(name, ref_region):
+    solve, dtype = VECTOR_STACK_CASES[name]
+    res = solve(ref_region)
+    assert res.stored == 7
+    F = res.vectors(7)
+    assert F.dtype == dtype and F.flags.c_contiguous
+    assert np.array_equal(F, complex_vector_stack(res, 7))
+    # one gather serves any set of ranks, in any order
+    ranks = np.array([6, 2, 3, 0])
+    assert np.array_equal(res._stack(ranks), F[:, ranks])
+    assert np.array_equal(res.coeffs(5).values, F[:, 5])
 
 
 def _check_projector(res, rng):

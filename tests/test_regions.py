@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -216,6 +218,15 @@ def test_band_mask_text_round_trip(tmp_path):
     mask.to_text(path)
     back = sb.AngularMask.from_text(path)
     assert back.solid_angle == pytest.approx(BAND_OMEGA, abs=1e-10)
+
+
+def test_mask_from_text_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 10 ms of a mask load
+    path = tmp_path / "mask.txt"
+    sb.AngularMask.band(T1, T2, 6).to_text(path)
+    code = ("import sys; import slepian_ball as sb; sb.AngularMask.from_text(sys.argv[1]); "
+            "sys.exit('numpy.ma' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code, str(path)]).returncode == 0
 
 
 def test_mask_from_text_rejects_non_grid(tmp_path):
