@@ -6,13 +6,11 @@ from .eigen import (EigenResult, HarmonicCoeffs, angular_shannon,
 from .kernels import (C_kernel, E_matrix, FourierBesselBand,
                       FourierLaguerreBand, G_mask_matrix, G_matrix,
                       KernelMatrix, fb_k_weights, kernel_fb_fixed_order,
-                      kernel_fl_entry, kernel_fl_mask)
+                      kernel_fl_mask)
 from .regions import (AngularMask, AzimuthallySymmetric, BallPoint,
                       ProductMask, ProductSymmetric, RegionUnion, contains,
                       contains_points, full_ball, solid_angle, volume)
-from .specfun import (QuadratureRule, gauss_laguerre_rule, gauss_legendre_rule,
-                      laguerre_K, spherical_bessel_j, spherical_harmonic,
-                      wigner_d_beta)
+from .specfun import QuadratureRule, gauss_laguerre_rule, gauss_legendre_rule
 from .transforms import (SpatialGrid, analysis_fl, analysis_grid,
                          quality_measure, region_energy_grid, slepian_coeffs,
                          synthesis_fb, synthesis_fl, synthesis_fl_grid,
@@ -25,14 +23,12 @@ __all__ = [
     "ProductMask", "ProductSymmetric", "QuadratureRule", "RegionUnion",
     "SpatialGrid", "analysis_fl", "analysis_grid", "angular_shannon",
     "contains", "contains_points", "fb_k_weights", "full_ball",
-    "gauss_laguerre_rule",
-    "gauss_legendre_rule", "kernel_fb_fixed_order", "kernel_fl_entry",
-    "kernel_fl_mask", "laguerre_K", "quality_measure",
-    "region_energy_grid", "rotate_eigenfunction",
-    "shannon_fb", "shannon_fl", "slepian_coeffs", "solid_angle", "solve_fb",
-    "solve_fl", "space_limit", "spherical_bessel_j", "spherical_harmonic",
-    "synthesis_fb", "synthesis_fl", "synthesis_fl_grid", "synthesis_separable",
-    "truncate_reconstruct", "volume", "wigner_d_beta",
+    "gauss_laguerre_rule", "gauss_legendre_rule", "kernel_fb_fixed_order",
+    "kernel_fl_mask", "quality_measure", "region_energy_grid",
+    "rotate_eigenfunction", "shannon_fb", "shannon_fl", "slepian_coeffs",
+    "solid_angle", "solve_fb", "solve_fl", "space_limit", "synthesis_fb",
+    "synthesis_fl", "synthesis_fl_grid", "synthesis_separable",
+    "truncate_reconstruct", "volume",
 ]
 
 __version__ = "0.1.0"

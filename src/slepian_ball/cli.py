@@ -128,6 +128,9 @@ def read_matrix(path: str):
         if len(header) < 17:
             raise ValueError(f"{path}: truncated SLEPB001 header")
         rows, cols, tag = struct.unpack("<IIB", header[8:])
+        if tag not in (0, 1):
+            raise ValueError(f"{path}: scalar tag {tag} is neither 0 (float64) "
+                             "nor 1 (complex128)")
         dtype = np.dtype("<c16" if tag == 1 else "<f8")
         # checked before the array is allocated, so a corrupt header allocates nothing
         if os.fstat(fh.fileno()).st_size - 17 != dtype.itemsize * rows * cols:
@@ -195,8 +198,12 @@ def parse_region(spec: str):
         if t == "fullball":
             return reg.full_ball()
         if t == "product":
-            return reg.ProductSymmetric(desc["R1"], desc["R2"],
-                                        desc["theta1"], desc["theta2"])
+            orientation = desc.get("orientation")
+            if orientation is not None:
+                theta0, phi0 = map(float, orientation)
+                orientation = (theta0, phi0)
+            return reg.ProductSymmetric(desc["R1"], desc["R2"], desc["theta1"],
+                                        desc["theta2"], orientation)
         if t == "mask":
             mask = reg.AngularMask.from_text(desc["path"])
             return reg.ProductMask(mask, desc["R1"], desc["R2"])
@@ -279,6 +286,7 @@ def cmd_kernel(cfg: RunConfig, region) -> int:
     import numpy as np
     from . import eigen, kernels
     from .regions import ProductMask, ProductSymmetric
+    kernels._require_base_frame(region)
     band = _band(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     traces = {}

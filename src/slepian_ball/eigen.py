@@ -475,25 +475,18 @@ def space_limit(f: HarmonicCoeffs, lam: float, region) -> SpaceLimited:
 
 
 def rotate_eigenfunction(f: HarmonicCoeffs, theta0: float, phi0: float) -> HarmonicCoeffs:
-    """Rotate a Fourier-Laguerre coefficient vector by R_z(phi0) R_y(theta0).
+    """Rotate a coefficient vector of either band by R_z(phi0) R_y(theta0).
 
     Degree-by-degree Wigner rotation of the angular indices,
-    f'_{lmp} = sum_n e^{-i m phi0} d^l_{mn}(theta0) f_{lnp}; the radial
-    index is untouched.
+    f'_{lm.} = sum_n e^{-i m phi0} d^l_{mn}(theta0) f_{ln.}, with one
+    d^l matrix per degree (`specfun.wigner_d_matrix`); the radial index
+    (p in Fourier-Laguerre, the k sample in Fourier-Bessel) is untouched.
     """
-    band = f.band
-    if not isinstance(band, FourierLaguerreBand):
-        raise TypeError("rotation acts on Fourier-Laguerre coefficients")
-    P, L = band.P, band.L
-    out = np.empty_like(f.values)
+    L = f.band.L
+    blocks = f.values.reshape(L * L, -1)  # rows l*l + l + m, radial index fast
+    out = np.empty_like(blocks)
     for l in range(L):
-        dim = 2 * l + 1
-        base = l * l * P
-        block = f.values[base:base + dim * P].reshape(dim, P)
-        D = np.empty((dim, dim), dtype=complex)
-        for im, m in enumerate(range(-l, l + 1)):
-            phase = np.exp(-1j * m * phi0)
-            for i_n, n in enumerate(range(-l, l + 1)):
-                D[im, i_n] = phase * specfun.wigner_d_beta(l, m, n, theta0)
-        out[base:base + dim * P] = (D @ block).reshape(dim * P)
-    return HarmonicCoeffs(out, band)
+        phase = np.exp(-1j * phi0 * np.arange(-l, l + 1))
+        D = phase[:, None] * specfun.wigner_d_matrix(l, theta0)
+        out[l * l:(l + 1) * (l + 1)] = D @ blocks[l * l:(l + 1) * (l + 1)]
+    return HarmonicCoeffs(out.reshape(-1), f.band)

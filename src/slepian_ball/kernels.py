@@ -27,8 +27,9 @@ factor A_m (`_ProductFactor`), whose Gram side is sum_l S_l (x) a_l a_l^T
 with per-degree radial Grams S_l = T_l^T T_l.  The block solver eigensolves
 the smaller side of F_m, the mask solver takes the SVD of A.  The test
 suite checks each against an analytic oracle (exponential moments in
-extended precision, Wigner-3j sums, Lommel closed forms) or a dense
-assembly and eigensolve.
+extended precision, Wigner-3j sums, Lommel closed forms for C) or a dense
+assembly and eigensolve.  `C_kernel` evaluates one entry of C through the
+same Gauss-Legendre rule.
 
 The continuous Fourier-Bessel spectrum is discretized on uniform samples
 k_n = n K / M; quadrature in k uses trapezoid weights (the k = 0 node
@@ -253,9 +254,8 @@ def _c_quad_rule(K: float, R1: float, R2: float) -> specfun.QuadratureRule:
 def C_kernel(ell: int, ell2: int, k: float, k2: float, R1: float, R2: float) -> float:
     """C_{l,l'}(k,k') = (2/pi) k k' int_{R1}^{R2} r^2 j_l(kr) j_{l'}(k'r) dr.
 
-    Closed forms on l = l' (Lommel cross product for k != k', and the
-    T(l,k,R2) - T(l,k,R1) form with T = R^3 (j_l^2 - j_{l-1} j_{l+1}) for
-    k = k'); oscillation-resolving Gauss-Legendre otherwise.
+    Oscillation-resolving Gauss-Legendre (`_c_quad_rule`) over one
+    `spherical_jn_table`, the rule the Fourier-Bessel factors use.
     """
     if ell < 0 or ell2 < 0:
         raise ValueError("degrees must be >= 0")
@@ -265,23 +265,6 @@ def C_kernel(ell: int, ell2: int, k: float, k2: float, R1: float, R2: float) -> 
         raise ValueError(f"need 0 <= R1 <= R2, got R1={R1}, R2={R2}")
     if R1 == R2:
         return 0.0
-    jl = specfun.spherical_bessel_j
-    if ell == ell2:
-        # both antiderivatives vanish at R = 0, where j_{-1} diverges
-        if k == k2:
-            def T(R: float) -> float:
-                if R == 0.0:
-                    return 0.0
-                return R ** 3 * (jl(ell, k * R) ** 2
-                                 - jl(ell - 1, k * R) * jl(ell + 1, k * R))
-            return k * k / math.pi * (T(R2) - T(R1))
-
-        def bracket(R: float) -> float:
-            if R == 0.0:
-                return 0.0
-            return R * R * (k2 * jl(ell - 1, k2 * R) * jl(ell, k * R)
-                            - k * jl(ell - 1, k * R) * jl(ell, k2 * R))
-        return 2.0 * k * k2 / (math.pi * (k * k - k2 * k2)) * (bracket(R2) - bracket(R1))
     rule = _c_quad_rule(max(k, k2), R1, R2)
     r, w = rule.nodes, rule.weights
     J = specfun.spherical_jn_table(max(ell, ell2), np.array([k * r, k2 * r]))
@@ -445,6 +428,12 @@ def _member_factors(band: SpectralBand, region, fb: bool):
             return _ProductFactor(T[m:], S[m:], A)
         return product
     if isinstance(region, AzimuthallySymmetric):
+        # with fewer colatitude nodes than L the grid's Gram of the Pbar_lm
+        # over the whole sphere is no longer I, and the region's can exceed it
+        if region.theta_nodes.size < L:
+            raise ValueError(
+                f"azimuthally symmetric region has {region.theta_nodes.size} colatitude "
+                f"nodes; the band L = {L} needs at least {L}")
         ir, it = np.nonzero(region.indicator)
         r = region.r_nodes[ir]
         sqrt_meas = np.sqrt(2.0 * math.pi * region.r_weights[ir] * r ** 2
@@ -481,35 +470,6 @@ def kernel_fb_fixed_order(m: int, band: FourierBesselBand, region) -> KernelMatr
     F = _order_factors(band, region)(m).dense()
     return KernelMatrix(F @ F.T, band, region, "FB-discretized", order=abs(m),
                         k_weights=fb_k_weights(band))
-
-
-def kernel_fl_entry(region, band: FourierLaguerreBand,
-                    idx: tuple[int, int, int], idx2: tuple[int, int, int]) -> complex:
-    """Single Fourier-Laguerre kernel entry int_R Z_{lmp} Z*_{l'm'p'} dv."""
-    l, m, p = idx
-    l2, m2, p2 = idx2
-    band.flat_index(l, m, p)
-    band.flat_index(l2, m2, p2)
-    if isinstance(region, ProductSymmetric) and region.orientation is None:
-        if region.R1 == 0.0 and math.isinf(region.R2) \
-                and region.theta1 == 0.0 and region.theta2 == math.pi:
-            return complex(float(l == l2 and m == m2 and p == p2))
-        if m != m2:
-            return 0.0
-        e = float(E_matrix(max(p, p2) + 1, region.R1, region.R2)[p, p2])
-        g = G_matrix(m, band.L, region.theta1, region.theta2)
-        return complex(e * g[l - abs(m), l2 - abs(m)])
-    if isinstance(region, ProductMask):
-        e = float(E_matrix(max(p, p2) + 1, region.R1, region.R2)[p, p2])
-        A = _mask_factor(region.mask, band.L)
-        return complex(e * (A[l * l + l + m] @ A[l2 * l2 + l2 + m2].conj()))
-    if isinstance(region, AzimuthallySymmetric) and region.orientation is None:
-        if m != m2:
-            return 0.0
-        blk = kernel_fl_fixed_order(abs(m), band, region)
-        P = band.P
-        return complex(blk.matrix[(l - abs(m)) * P + p, (l2 - abs(m)) * P + p2])
-    raise TypeError(f"unsupported region type {type(region)!r}")
 
 
 def kernel_fl_fixed_order(m: int, band: FourierLaguerreBand, region) -> KernelMatrix:

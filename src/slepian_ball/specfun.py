@@ -5,7 +5,7 @@ the rest of the package:
 
 * spherical Bessel ``j_ell`` of the first kind, extended to ``ell = -1``
   by ``j_{-1}(x) = cos(x)/x`` (needed by the ell=0 term of the
-  Fourier-Bessel Shannon number and the equal-degree radial closed forms).
+  Fourier-Bessel Shannon number).
   Every value comes from one table, built by Miller's downward recurrence
   ``j_{l-1}(x) = (2l+1)/x j_l(x) - j_{l+1}(x)``: started from 0 and 1 at a
   degree past ``max(lmax, x)`` (where j_l is the recurrence's decaying
@@ -18,10 +18,13 @@ the rest of the package:
   orthonormal under the measure ``r^2 dr`` on the half line;
 * orthonormal spherical harmonics with the Condon-Shortley phase carried
   by the associated Legendre recurrence;
-* real Wigner d-matrix elements (Jacobi-polynomial form, stable at large
-  degree);
+* the real Wigner d-matrix of one degree, from the eigendecomposition of
+  the angular-momentum component J_y;
 * Gauss-Legendre and Gauss-Laguerre quadrature rules, the only integration
   route the kernels use.
+
+Each quantity is computed as a table over all degrees (and all points) at
+once; the scalar one-value-at-a-time forms serve the tests as oracles.
 """
 
 from __future__ import annotations
@@ -100,21 +103,6 @@ def gauss_laguerre_rule(n: int) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 # spherical Bessel functions
 # ---------------------------------------------------------------------------
-
-def spherical_bessel_j(ell: int, x: float) -> float:
-    """Spherical Bessel function of the first kind, j_ell(x).
-
-    ell = -1 uses the analytic continuation j_{-1}(x) = cos(x)/x.
-    At x = 0 the series limits apply: j_0(0) = 1, j_ell(0) = 0 for ell >= 1.
-    """
-    if ell < -1:
-        raise ValueError(f"degree must be >= -1, got {ell}")
-    if x < 0:
-        raise ValueError(f"argument must be >= 0, got {x}")
-    if ell == -1:
-        return math.inf if x == 0.0 else math.cos(x) / x
-    return float(spherical_jn_table(ell, np.array([x]))[ell, 0])
-
 
 # below this argument x^l/(2l+1)!! is j_l(x) to rounding: the next series
 # term is smaller by x^2/(4l+6) <= 2e-17
@@ -211,15 +199,6 @@ def laguerre_K_table(pmax: int, r: np.ndarray) -> np.ndarray:
     return L * np.exp(-r / 2.0) * norms[(slice(None),) + (None,) * r.ndim]
 
 
-def laguerre_K(p: int, r) -> float | np.ndarray:
-    """K_p(r) = sqrt(p!/(p+2)!) e^{-r/2} L_p^{(2)}(r)."""
-    if p < 0:
-        raise ValueError(f"degree must be >= 0, got {p}")
-    scalar = np.isscalar(r)
-    val = laguerre_K_table(p, np.atleast_1d(np.asarray(r, dtype=float)))[p]
-    return float(val[0]) if scalar else val
-
-
 # ---------------------------------------------------------------------------
 # spherical harmonics
 # ---------------------------------------------------------------------------
@@ -252,18 +231,6 @@ def norm_alf_table(L: int, m: int, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def spherical_harmonic(ell: int, m: int, theta: float, phi: float) -> complex:
-    """Orthonormal spherical harmonic Y_{ell m}(theta, phi), Condon-Shortley phase."""
-    if ell < 0 or abs(m) > ell:
-        raise ValueError(f"indices must satisfy |m| <= ell, ell >= 0; got ell={ell}, m={m}")
-    ma = abs(m)
-    pbar = float(norm_alf_table(ell + 1, ma, np.asarray(theta))[ell - ma])
-    y = pbar * complex(math.cos(ma * phi), math.sin(ma * phi))
-    if m < 0:
-        y = (-1) ** ma * y.conjugate()
-    return y
-
-
 def sph_harm_matrix(L: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """All Y_{l m} with l < L at given points; shape (L*L, npts).
 
@@ -283,46 +250,25 @@ def sph_harm_matrix(L: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Wigner symbols
+# Wigner rotation matrices
 # ---------------------------------------------------------------------------
 
-def _lnf(n: int) -> float:
-    return math.lgamma(n + 1)
+def wigner_d_matrix(ell: int, beta: float) -> np.ndarray:
+    """Real rotation matrix d^ell(beta), rows m and columns n in -ell..ell.
 
-
-def _jacobi_poly(s: int, a: int, b: int, x: float) -> float:
-    """Jacobi polynomial P_s^{(a,b)}(x) by the three-term recurrence."""
-    if s == 0:
-        return 1.0
-    p0 = 1.0
-    p1 = 0.5 * (a - b + (a + b + 2) * x)
-    for k in range(1, s):
-        c1 = 2.0 * (k + 1) * (k + a + b + 1) * (2 * k + a + b)
-        c2 = (2 * k + a + b + 1) * (a * a - b * b)
-        c3 = (2 * k + a + b) * (2 * k + a + b + 1) * (2 * k + a + b + 2)
-        c4 = 2.0 * (k + a) * (k + b) * (2 * k + a + b + 2)
-        p0, p1 = p1, ((c2 + c3 * x) * p1 - c4 * p0) / c1
-    return p1
-
-
-def wigner_d_beta(ell: int, m: int, n: int, beta: float) -> float:
-    """Real rotation matrix element d^ell_{m n}(beta).
-
-    Jacobi-polynomial form: with mu = |m-n|, nu = |m+n|, s = ell-(mu+nu)/2,
-
-        d = xi * sqrt(s!(s+mu+nu)!/((s+mu)!(s+nu)!))
-              * sin(beta/2)^mu cos(beta/2)^nu * P_s^{(mu,nu)}(cos beta),
-
-    xi = (-1)^{m-n} for n < m else 1.  No alternating factorial sums, so
-    this stays accurate at large ell (rows orthonormal to ~1e-13 at ell=72).
+    d^ell_{mn}(beta) = <ell m| exp(-i beta J_y) |ell n>, built from the
+    eigendecomposition J_y = V diag(mu) V^H of the Hermitian tridiagonal
+    <m+1|J_y|m> = -i/2 sqrt((ell-m)(ell+m+1)) as Re(V diag(e^{-i beta mu}) V^H)
+    (Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307, 2015).  No factorial
+    sums or recurrences in the degree, so it stays accurate at large ell
+    (rows orthonormal to 2e-15 at ell = 72).
     """
-    if abs(m) > ell or abs(n) > ell:
-        raise ValueError(f"need |m|,|n| <= ell; got ell={ell}, m={m}, n={n}")
-    if beta == 0.0:
-        return 1.0 if m == n else 0.0
-    mu, nu = abs(m - n), abs(m + n)
-    s = ell - (mu + nu) // 2
-    xi = 1.0 if n >= m else (-1.0) ** (m - n)
-    lg = 0.5 * (_lnf(s) + _lnf(s + mu + nu) - _lnf(s + mu) - _lnf(s + nu))
-    pref = xi * math.exp(lg) * math.sin(beta / 2.0) ** mu * math.cos(beta / 2.0) ** nu
-    return pref * _jacobi_poly(s, mu, nu, math.cos(beta))
+    if ell < 0:
+        raise ValueError(f"degree must be >= 0, got {ell}")
+    m = np.arange(-ell, ell)
+    Jy = np.zeros((2 * ell + 1, 2 * ell + 1), dtype=complex)
+    below = -0.5j * np.sqrt((ell - m) * (ell + m + 1.0))
+    Jy[m + ell + 1, m + ell] = below
+    Jy[m + ell, m + ell + 1] = below.conj()
+    mu, V = np.linalg.eigh(Jy)
+    return ((V * np.exp(-1j * beta * mu)) @ V.conj().T).real

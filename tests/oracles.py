@@ -8,6 +8,13 @@ serve the tests as oracles:
   (the alternating binomial sum is hopeless in float64 at these degrees);
 * G^m through Wigner-3j sums with Legendre differences;
 * truncated exponential moments in float64 through Poisson probabilities;
+* C on equal degrees through the Lommel closed forms (`C_closed_form`),
+  against the library's quadrature;
+* the scalar j_l (through scipy, with j_{-1} = cos(x)/x), K_p and Y_lm,
+  one value at a time;
+* Wigner d elements through Jacobi polynomials (`wigner_d_beta`), and
+  rotation through them (`rotate_jacobi`), against the library's J_y
+  eigendecomposition;
 * the fixed-order kernels assembled densely, Fourier-Bessel as C o G and
   Fourier-Laguerre as a sum of G^m (x) E over union members (both also
   over the grid of an azimuthally symmetric region), with their dense
@@ -326,6 +333,125 @@ def spherical_jn_per_degree(lmax: int, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# scalar special functions, one value at a time
+# ---------------------------------------------------------------------------
+
+def spherical_bessel_j(ell: int, x: float) -> float:
+    """j_ell(x) through scipy, with j_{-1}(x) = cos(x)/x."""
+    if ell == -1:
+        return math.inf if x == 0.0 else math.cos(x) / x
+    return float(spherical_jn(ell, x))
+
+
+def laguerre_K(p: int, r) -> float | np.ndarray:
+    """K_p(r) = sqrt(p!/(p+2)!) e^{-r/2} L_p^{(2)}(r), read off the table."""
+    scalar = np.isscalar(r)
+    val = specfun.laguerre_K_table(p, np.atleast_1d(np.asarray(r, dtype=float)))[p]
+    return float(val[0]) if scalar else val
+
+
+def spherical_harmonic(ell: int, m: int, theta: float, phi: float) -> complex:
+    """Orthonormal Y_{ell m}(theta, phi), Condon-Shortley phase, with the
+    m < 0 harmonic from Y_{l,-m} = (-1)^m conj(Y_{lm})."""
+    ma = abs(m)
+    pbar = float(specfun.norm_alf_table(ell + 1, ma, np.asarray(theta))[ell - ma])
+    y = pbar * complex(math.cos(ma * phi), math.sin(ma * phi))
+    return (-1) ** ma * y.conjugate() if m < 0 else y
+
+
+# ---------------------------------------------------------------------------
+# equal-degree radial Fourier-Bessel coupling C by Lommel closed forms
+# ---------------------------------------------------------------------------
+
+def C_closed_form(ell: int, k: float, k2: float, R1: float, R2: float) -> float:
+    """C_{l,l}(k,k') = (2/pi) k k' int_{R1}^{R2} r^2 j_l(kr) j_l(k'r) dr.
+
+    k = k': the antiderivative T(R) = R^3 (j_l^2 - j_{l-1} j_{l+1}) (kR);
+    k != k': the Lommel cross product R^2 (k' j_{l-1}(k'R) j_l(kR)
+    - k j_{l-1}(kR) j_l(k'R)).  Both vanish at R = 0, where j_{-1} diverges.
+    """
+    jl = spherical_bessel_j
+    if k == k2:
+        def T(R: float) -> float:
+            if R == 0.0:
+                return 0.0
+            return R ** 3 * (jl(ell, k * R) ** 2 - jl(ell - 1, k * R) * jl(ell + 1, k * R))
+        return k * k / math.pi * (T(R2) - T(R1))
+
+    def bracket(R: float) -> float:
+        if R == 0.0:
+            return 0.0
+        return R * R * (k2 * jl(ell - 1, k2 * R) * jl(ell, k * R)
+                        - k * jl(ell - 1, k * R) * jl(ell, k2 * R))
+    return 2.0 * k * k2 / (math.pi * (k * k - k2 * k2)) * (bracket(R2) - bracket(R1))
+
+
+# ---------------------------------------------------------------------------
+# Wigner d elements by Jacobi polynomials, and rotation through them
+# ---------------------------------------------------------------------------
+
+def _jacobi_poly(s, a, b, x: float) -> np.ndarray:
+    """Jacobi polynomials P_s^{(a,b)}(x) by the three-term recurrence,
+    elementwise over integer arrays s, a, b (each entry stops at its s)."""
+    s, a, b = (np.asarray(v, dtype=float) for v in np.broadcast_arrays(s, a, b))
+    p0 = np.ones_like(s)
+    p1 = 0.5 * (a - b + (a + b + 2) * x)
+    for k in range(1, int(s.max(initial=0))):
+        c1 = 2.0 * (k + 1) * (k + a + b + 1) * (2 * k + a + b)
+        c2 = (2 * k + a + b + 1) * (a * a - b * b)
+        c3 = (2 * k + a + b) * (2 * k + a + b + 1) * (2 * k + a + b + 2)
+        c4 = 2.0 * (k + a) * (k + b) * (2 * k + a + b + 2)
+        p0, p1 = p1, np.where(k < s, ((c2 + c3 * x) * p1 - c4 * p0) / c1, p1)
+    return np.where(s == 0, 1.0, p1)
+
+
+def wigner_d_beta(ell: int, m, n, beta: float):
+    """Real rotation matrix elements d^ell_{m n}(beta), elementwise over
+    integer m and n (a float for scalar m and n).
+
+    Jacobi-polynomial form: with mu = |m-n|, nu = |m+n|, s = ell-(mu+nu)/2,
+
+        d = xi * sqrt(s!(s+mu+nu)!/((s+mu)!(s+nu)!))
+              * sin(beta/2)^mu cos(beta/2)^nu * P_s^{(mu,nu)}(cos beta),
+
+    xi = (-1)^{m-n} for n < m else 1.  No alternating factorial sums, so
+    this stays accurate at large ell (rows orthonormal to ~1e-13 at ell=72).
+    """
+    m, n = np.broadcast_arrays(np.asarray(m), np.asarray(n))
+    if np.any(np.abs(m) > ell) or np.any(np.abs(n) > ell):
+        raise ValueError(f"need |m|,|n| <= ell; got ell={ell}, m={m}, n={n}")
+    if beta == 0.0:
+        d = (m == n).astype(float)
+    else:
+        mu, nu = np.abs(m - n), np.abs(m + n)
+        s = ell - (mu + nu) // 2
+        xi = np.where(n >= m, 1.0, (-1.0) ** (m - n))
+        lg = 0.5 * (_lnf(s) + _lnf(s + mu + nu) - _lnf(s + mu) - _lnf(s + nu))
+        d = (xi * np.exp(lg) * math.sin(beta / 2.0) ** mu * math.cos(beta / 2.0) ** nu
+             * _jacobi_poly(s, mu, nu, math.cos(beta)))
+    return float(d) if d.ndim == 0 else d
+
+
+def wigner_d_jacobi(ell: int, beta: float) -> np.ndarray:
+    """d^ell(beta) with rows m and columns n in -ell..ell, from `wigner_d_beta`."""
+    idx = np.arange(-ell, ell + 1)
+    return wigner_d_beta(ell, idx[:, None], idx[None, :], beta)
+
+
+def rotate_jacobi(values, band, theta0: float, phi0: float) -> np.ndarray:
+    """f'_{lm.} = sum_n e^{-i m phi0} d^l_{mn}(theta0) f_{ln.} over a flat
+    coefficient vector of either band, with the Jacobi-form d^l."""
+    L = band.L
+    f = np.asarray(values, dtype=complex).reshape(L * L, -1)
+    out = np.empty_like(f)
+    for l in range(L):
+        phase = np.exp(-1j * phi0 * np.arange(-l, l + 1))
+        rows = slice(l * l, (l + 1) * (l + 1))
+        out[rows] = (phase[:, None] * wigner_d_jacobi(l, theta0)) @ f[rows]
+    return out.reshape(-1)
+
+
+# ---------------------------------------------------------------------------
 # dense fixed-order kernels and per-order solve
 # ---------------------------------------------------------------------------
 
@@ -516,7 +642,7 @@ def synthesis_fl_scalar(coeffs, points) -> np.ndarray:
     for k, (r, theta, phi) in enumerate(points):
         for flat, c in enumerate(coeffs.values):
             l, m, p = band.triple(flat)
-            out[k] += c * specfun.laguerre_K(p, r) * specfun.spherical_harmonic(l, m, theta, phi)
+            out[k] += c * laguerre_K(p, r) * spherical_harmonic(l, m, theta, phi)
     return out
 
 

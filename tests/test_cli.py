@@ -101,6 +101,22 @@ def test_matrix_payload_length_checked(tmp_path, rng):
         read_matrix(path)
 
 
+def test_matrix_unknown_scalar_tag_rejected(tmp_path, capsys):
+    # tag 2 over a payload that fits 3 x 1 float64 values: neither float64
+    # nor complex128, so it is refused, not read as float64
+    path = tmp_path / "c.mat"
+    write_matrix(path, np.ones((3, 1)))
+    blob = bytearray(path.read_bytes())
+    blob[16] = 2
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="scalar tag 2"):
+        read_matrix(path)
+    rc = main(["synth", "--domain", "fl", "--P", "3", "--L", "1", "--signal", str(path),
+               "--grid", "2,2,2", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "scalar tag 2" in capsys.readouterr().err
+
+
 def test_fb_reference_vectors_write_and_read_hold_one_payload(tmp_path, ref_region):
     # the acceptance FB solve at M = 140: the real row-major stack is the
     # file's payload, written from its buffer and read back in one array
@@ -148,6 +164,28 @@ def test_parse_region_grammar(tmp_path):
     assert isinstance(reg3, sb.ProductSymmetric)
     with pytest.raises(ValueError):
         parse_region("sphere:1,2")
+
+
+def test_json_product_orientation(tmp_path, capsys):
+    # the descriptor's orientation reaches the region: shannon serves the
+    # oriented region, the solvers and the kernel export refuse it
+    desc = tmp_path / "r.json"
+    desc.write_text(json.dumps({"type": "product", "R1": 15, "R2": 25, "theta1": T1,
+                                "theta2": T2, "orientation": [0.7, 1.3]}))
+    region = parse_region(f"json:{desc}")
+    assert region == sb.ProductSymmetric(15, 25, T1, T2, orientation=(0.7, 1.3))
+    band = sb.FourierLaguerreBand(4, 3)
+    args = ["--domain", "fl", "--P", "4", "--L", "3", "--region", f"json:{desc}"]
+    assert main(["shannon", *args, "--out", str(tmp_path / "s")]) == 0
+    data = json.loads((tmp_path / "s" / "shannon.json").read_text())
+    assert data["shannon"] == sb.shannon_fl(region, band)
+    sig = tmp_path / "c.mat"
+    write_matrix(sig, np.ones((band.size, 1)))
+    capsys.readouterr()
+    for command in ("eigen", "project", "kernel"):
+        rc = main([command, *args, "--signal", str(sig), "--out", str(tmp_path / command)])
+        assert rc == 2, command
+        assert "base frame" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import slepian_ball as sb
-from oracles import complex_vector_stack, dense_solve, mask_dense_angular, spectrum_sort_key
+from oracles import (complex_vector_stack, dense_solve, mask_dense_angular, rotate_jacobi,
+                     spectrum_sort_key)
 from slepian_ball import eigen, kernels, specfun, transforms
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
@@ -971,3 +972,59 @@ def test_rotation_concentration_covariance(ref_region):
     vals = transforms.synthesis_fl(rot, pts)
     energy = region_quadrature_inner(vals, vals, grid).real
     assert energy == pytest.approx(lam, abs=1e-6)
+
+
+def _unit_complex_normal(rng, n):
+    return (rng.normal(size=n) + 1j * rng.normal(size=n)) / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("L", [20, 40])
+def test_rotation_matches_jacobi_oracle(L, rng):
+    # one J_y-eigendecomposition d^l per degree against the Jacobi-form
+    # elements; the oracle's own rows are orthonormal only to ~1e-13 at l = 72
+    band = sb.FourierLaguerreBand(3, L)
+    c = sb.HarmonicCoeffs(_unit_complex_normal(rng, band.size), band)
+    for th0, ph0 in [(0.8, 2.1), (2.9, -0.4)]:
+        out = sb.rotate_eigenfunction(c, th0, ph0)
+        assert np.abs(out.values - rotate_jacobi(c.values, band, th0, ph0)).max() < 1e-13
+
+
+def test_fb_rotation_equals_fl_rotation(rng):
+    # rotation acts on the angular index only: an FB vector rotates as the FL
+    # vector with the same (L^2, radial) array
+    fb, fl = sb.FourierBesselBand(1.0, 6, 5), sb.FourierLaguerreBand(5, 6)
+    vals = _unit_complex_normal(rng, fb.size)
+    out_fb = sb.rotate_eigenfunction(sb.HarmonicCoeffs(vals, fb), 0.8, 2.1)
+    out_fl = sb.rotate_eigenfunction(sb.HarmonicCoeffs(vals, fl), 0.8, 2.1)
+    assert out_fb.band == fb
+    assert np.array_equal(out_fb.values, out_fl.values)
+    assert abs(out_fb.norm() - np.linalg.norm(vals)) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# azimuthally symmetric regions and the colatitude grid
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("band", [
+    sb.FourierLaguerreBand(8, 20), sb.FourierBesselBand(1.4, 20, 70)], ids=["fl", "fb"])
+def test_azimuthal_region_needs_L_colatitude_nodes(band):
+    # below L nodes the grid's Pbar_lm Gram over the sphere is not I: the top
+    # eigenvalue was 1.4-2.35 and the solve raised ArithmeticError
+    solve = sb.solve_fl if isinstance(band, sb.FourierLaguerreBand) else sb.solve_fb
+    kernel = (kernels.kernel_fl_fixed_order if isinstance(band, sb.FourierLaguerreBand)
+              else sb.kernel_fb_fixed_order)
+
+    def indicator(r, t):
+        return ((r < 20.0) & (t < 1.0)).astype(float)
+    for n_theta in (8, 16):
+        region = sb.AzimuthallySymmetric.from_indicator(indicator, 15.0, 25.0, n_r=16,
+                                                        n_theta=n_theta)
+        with pytest.raises(ValueError, match=f"{n_theta} colatitude nodes.*at least 20"):
+            solve(region, band, keep=0)
+        with pytest.raises(ValueError, match="at least 20"):
+            kernel(3, band, region)
+    for n_theta in (20, 24):
+        region = sb.AzimuthallySymmetric.from_indicator(indicator, 15.0, 25.0, n_r=16,
+                                                        n_theta=n_theta)
+        lo, hi = solve(region, band, keep=0).raw_eigenvalue_range
+        assert -1e-9 <= lo and hi <= 1 + 1e-9

@@ -3,7 +3,7 @@
 The library assembles E, G and C by quadrature.  Each is checked against an
 independent quadrature oracle built from the raw integral definitions and
 against the analytic oracles in tests/oracles.py (E moments in extended
-precision, G Wigner-3j sums, C closed forms).
+precision, G Wigner-3j sums, C Lommel closed forms).
 """
 
 import dataclasses
@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import slepian_ball as sb
-from oracles import (E_matrix_mp, G_diag_sum_3j, G_mask_dense, G_matrix_3j, _c_tensor,
-                     fb_dense_block, fl_dense_block)
+from oracles import (C_closed_form, E_matrix_mp, G_diag_sum_3j, G_mask_dense, G_matrix_3j,
+                     _c_tensor, fb_dense_block, fl_dense_block)
 from slepian_ball import kernels, specfun
 from slepian_ball.kernels import fb_k_weights
 
@@ -247,11 +247,13 @@ def test_c_equal_degree_equal_k_elementary():
 
 
 def test_c_closed_forms_vs_quadrature():
-    assert sb.C_kernel(2, 2, 0.8, 1.1, 15.0, 25.0) == pytest.approx(
-        c_quad_oracle(2, 2, 0.8, 1.1, 15.0, 25.0), abs=1e-9)
-    assert sb.C_kernel(5, 5, 1.3, 1.3, 15.0, 25.0) == pytest.approx(
-        c_quad_oracle(5, 5, 1.3, 1.3, 15.0, 25.0), abs=1e-9)
-    # mixed degrees go through quadrature internally; cross-check anyway
+    # the library's quadrature against the Lommel closed forms (cross-k and
+    # equal-k) and the independent quadrature oracle
+    for l, k, k2 in [(2, 0.8, 1.1), (5, 1.3, 1.3)]:
+        c = sb.C_kernel(l, l, k, k2, 15.0, 25.0)
+        assert c == pytest.approx(C_closed_form(l, k, k2, 15.0, 25.0), abs=1e-12)
+        assert c == pytest.approx(c_quad_oracle(l, l, k, k2, 15.0, 25.0), abs=1e-9)
+    # mixed degrees have no closed form
     assert sb.C_kernel(1, 4, 0.7, 1.2, 15.0, 25.0) == pytest.approx(
         c_quad_oracle(1, 4, 0.7, 1.2, 15.0, 25.0), abs=1e-10)
 
@@ -263,8 +265,10 @@ def test_c_tensor_same_degree_vs_closed_forms(R1):
     C = _c_tensor(band, R1, 25.0)
     for l in (0, 1, 3, 5):
         for n, n2 in [(0, 0), (4, 11), (19, 19), (19, 2)]:
-            closed = sb.C_kernel(l, l, ks[n], ks[n2], R1, 25.0)
+            closed = C_closed_form(l, ks[n], ks[n2], R1, 25.0)
             assert C[l, n, l, n2] == pytest.approx(closed, abs=1e-12)
+            assert sb.C_kernel(l, l, ks[n], ks[n2], R1, 25.0) == pytest.approx(
+                closed, abs=1e-12)
 
 
 def test_c_empty_interval():
@@ -283,21 +287,26 @@ def test_c_domain_errors():
 # ---------------------------------------------------------------------------
 
 def test_kernel_fl_entry_full_ball_identity():
+    # every fixed-order block of the full ball is the identity
     band = sb.FourierLaguerreBand(3, 3)
-    region = sb.full_ball()
-    for idx in [(0, 0, 0), (1, -1, 2), (2, 2, 1)]:
-        assert sb.kernel_fl_entry(region, band, idx, idx) == pytest.approx(1.0)
-        assert sb.kernel_fl_entry(region, band, idx, (2, 1, 0)) == (
-            pytest.approx(1.0) if idx == (2, 1, 0) else pytest.approx(0.0))
+    for m in range(band.L):
+        K = kernels.kernel_fl_fixed_order(m, band, sb.full_ball()).matrix
+        assert np.abs(K - np.eye((band.L - m) * band.P)).max() < 1e-12
 
 
 def test_kernel_fl_entry_azimuthal_orthogonality():
-    band = sb.FourierLaguerreBand(4, 4)
-    region = sb.ProductSymmetric(15, 25, T1, T2)
-    assert sb.kernel_fl_entry(region, band, (2, 1, 0), (2, 2, 0)) == 0.0
+    # an azimuthally symmetric band couples no two different orders m, m'
+    L = 4
+    G = sb.G_mask_matrix(sb.AngularMask.band(T1, T2, L), L)
+    m_of_row = np.concatenate([np.arange(-l, l + 1) for l in range(L)])
+    cross = m_of_row[:, None] != m_of_row[None, :]
+    assert np.abs(G[cross]).max() < 1e-15
+    assert np.abs(G[2 * 2 + 2 + 1, 2 * 2 + 2 + 2]) < 1e-15
 
 
 def test_kernel_fl_entry_vs_2d_quadrature():
+    # entries of the fixed-order blocks against a tensor quadrature of
+    # int_R Z_lmp Z*_l'mp' dv
     band = sb.FourierLaguerreBand(5, 5)
     region = sb.ProductSymmetric(15, 25, T1, T2)
     rrule = specfun.gauss_legendre_rule(60, 15.0, 25.0)
@@ -313,14 +322,15 @@ def test_kernel_fl_entry_vs_2d_quadrature():
             trule.weights * np.sin(trule.nodes)
             * Pb[l - abs(m)] * Pb[l2 - abs(m)]))
         expect = rad * ang
-        got = sb.kernel_fl_entry(region, band, idx1, idx2)
+        K = kernels.kernel_fl_fixed_order(abs(m), band, region).matrix
+        got = K[(l - abs(m)) * band.P + p, (l2 - abs(m)) * band.P + p2]
         assert got == pytest.approx(expect, abs=1e-10)
 
 
 def test_kernel_fl_entry_band_errors():
     band = sb.FourierLaguerreBand(3, 3)
     with pytest.raises(IndexError):
-        sb.kernel_fl_entry(sb.full_ball(), band, (3, 0, 0), (0, 0, 0))
+        band.flat_index(3, 0, 0)
 
 
 def test_kernel_fb_fixed_order_symmetric_and_bounded(ref_region):
@@ -497,12 +507,14 @@ def test_g_mask_factor_matches_dense_oracle():
     assert np.abs(G - G_mask_dense(mask, L)).max() < 1e-14
     # A A^H is Hermitian without symmetrization
     assert np.abs(G - G.conj().T).max() < 1e-15
+    # the dense FL mask kernel is E (x) G_mask over the band's index map
     band = sb.FourierLaguerreBand(3, L)
     region = sb.ProductMask(mask, 15.0, 25.0)
     E = sb.E_matrix(3, 15.0, 25.0)
+    K = sb.kernel_fl_mask(band, region).dense()
     for a, b in (((2, 1, 0), (2, 1, 0)), ((4, -3, 1), (7, 2, 2))):
         row, col = a[0] ** 2 + a[0] + a[1], b[0] ** 2 + b[0] + b[1]
-        assert sb.kernel_fl_entry(region, band, a, b) == pytest.approx(
+        assert K[band.flat_index(*a), band.flat_index(*b)] == pytest.approx(
             E[a[2], b[2]] * G[row, col], abs=1e-15)
 
 

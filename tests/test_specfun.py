@@ -2,8 +2,10 @@
 independent oracle (ascending series, binomial sums, adaptive quadrature,
 sympy's exact Wigner symbols).
 
-The Wigner-3j symbols and truncated exponential moments live in
-tests/oracles.py, where they back the kernel oracles; their tests stay here.
+The library computes each function as a table; the scalar forms, the
+Wigner-3j symbols, the Jacobi-polynomial Wigner d and the truncated
+exponential moments live in tests/oracles.py, where they back the kernel
+oracles; their tests stay here.
 """
 
 import math
@@ -15,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oracles import radial_moment_integral, spherical_jn_per_degree, wigner_3j
+from oracles import (radial_moment_integral, spherical_jn_per_degree, wigner_3j,
+                     wigner_d_beta, wigner_d_jacobi)
 from slepian_ball import kernels, regions, specfun, transforms
 from slepian_ball.specfun import (QuadratureRule, gauss_laguerre_rule,
-                                  gauss_legendre_rule, laguerre_K,
-                                  spherical_bessel_j, spherical_harmonic,
-                                  wigner_d_beta)
+                                  gauss_legendre_rule, laguerre_K_table,
+                                  sph_harm_matrix, spherical_jn_table,
+                                  wigner_d_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -71,39 +74,41 @@ def laguerre_binomial_oracle(p, r):
 # ---------------------------------------------------------------------------
 
 def test_bessel_series_limits():
-    assert spherical_bessel_j(0, 0.0) == 1.0
-    assert spherical_bessel_j(1, 0.0) == 0.0
-    assert abs(spherical_bessel_j(0, math.pi)) < 1e-15
+    J = spherical_jn_table(1, np.array([0.0, math.pi]))
+    assert J[0, 0] == 1.0
+    assert J[1, 0] == 0.0
+    assert abs(J[0, 1]) < 1e-15
 
 
 def test_bessel_vs_series_oracle():
     # frozen from the 50-term ascending series: j_5(10) = -0.055534511621452181
-    assert abs(spherical_bessel_j(5, 10.0) - (-0.055534511621452181)) < 1e-12
+    assert abs(spherical_jn_table(5, np.array([10.0]))[5, 0]
+               - (-0.055534511621452181)) < 1e-12
     for l, x in [(0, 0.5), (3, 2.0), (5, 10.0), (12, 7.5), (20, 15.0)]:
-        assert abs(spherical_bessel_j(l, x) - bessel_series_oracle(l, x)) < 1e-12
+        j = spherical_jn_table(l, np.array([x]))[l, 0]
+        assert abs(j - bessel_series_oracle(l, x)) < 1e-12
 
 
 def test_bessel_minus_one_convention():
-    for x in (0.3, 1.7, 25.0):
-        assert spherical_bessel_j(-1, x) == pytest.approx(math.cos(x) / x, abs=1e-15)
+    xs = np.array([0.3, 1.7, 25.0])
+    assert np.allclose(specfun.spherical_j_minus1(xs), np.cos(xs) / xs, rtol=0, atol=1e-15)
 
 
 def test_bessel_domain_errors():
     with pytest.raises(ValueError):
-        spherical_bessel_j(-2, 1.0)
-    with pytest.raises(ValueError):
-        spherical_bessel_j(0, -0.5)
+        spherical_jn_table(0, np.array([-0.5]))
 
 
 def test_bessel_accuracy_large_orders():
-    # spot checks against arbitrary-precision values over l <= 100, x <= 200
+    # spot checks against arbitrary-precision values over l <= 100, x <= 200,
+    # each from a table that stops at its own degree: the recurrence's start
+    # depends on lmax, unlike in test_bessel_table_accuracy_large_orders
     rng = np.random.default_rng(7)
-    with mp.workdps(40):
-        for _ in range(40):
-            l = int(rng.integers(0, 101))
-            x = float(rng.uniform(1e-3, 200.0))
-            ref = float(mp.sqrt(mp.pi / (2 * mp.mpf(x))) * mp.besselj(l + mp.mpf(1) / 2, x))
-            assert abs(spherical_bessel_j(l, x) - ref) < 1e-12
+    for _ in range(40):
+        l = int(rng.integers(0, 101))
+        x = float(rng.uniform(1e-3, 200.0))
+        assert abs(spherical_jn_table(l, np.array([x]))[l, 0]
+                   - bessel_mp_oracle(l, x)) < 1e-12
 
 
 def test_bessel_recurrence_residual():
@@ -187,17 +192,19 @@ def test_bessel_table_rejects_bad_arguments(bad):
 # ---------------------------------------------------------------------------
 
 def test_laguerre_zero_degree():
-    for r in (0.0, 1.0, 7.3, 40.0):
-        assert laguerre_K(0, r) == pytest.approx(math.exp(-r / 2) / math.sqrt(2), rel=1e-14)
+    r = np.array([0.0, 1.0, 7.3, 40.0])
+    assert np.allclose(laguerre_K_table(0, r)[0], np.exp(-r / 2) / math.sqrt(2),
+                       rtol=1e-14, atol=0)
 
 
 def test_laguerre_binomial_oracle_low_degree():
     # frozen binomial-sum value at (3, 2.5)
-    assert abs(laguerre_K(3, 2.5) - (-0.12679416491170742)) < 1e-12
+    assert abs(laguerre_K_table(3, np.array([2.5]))[3, 0] - (-0.12679416491170742)) < 1e-12
+    rs = (0.4, 3.0, 11.0)
+    K = laguerre_K_table(7, np.array(rs))
     for p in range(8):
-        for r in (0.4, 3.0, 11.0):
-            assert laguerre_K(p, r) == pytest.approx(
-                laguerre_binomial_oracle(p, r), abs=1e-12)
+        for i, r in enumerate(rs):
+            assert K[p, i] == pytest.approx(laguerre_binomial_oracle(p, r), abs=1e-12)
 
 
 def test_laguerre_orthonormality():
@@ -211,8 +218,9 @@ def test_laguerre_orthonormality():
 
 
 def test_laguerre_decay():
+    K = laguerre_K_table(40, np.array([500.0]))
     for p in (0, 10, 40):
-        assert abs(laguerre_K(p, 500.0)) < 1e-50
+        assert abs(K[p, 0]) < 1e-50
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +228,20 @@ def test_laguerre_decay():
 # ---------------------------------------------------------------------------
 
 def test_harmonic_constant():
-    for th, ph in [(0.1, 0.2), (2.0, 4.0), (3.0, 0.0)]:
-        assert spherical_harmonic(0, 0, th, ph) == pytest.approx(
-            1.0 / math.sqrt(4 * math.pi), rel=1e-15)
+    Y = sph_harm_matrix(1, np.array([0.1, 2.0, 3.0]), np.array([0.2, 4.0, 0.0]))
+    assert np.allclose(Y[0], 1.0 / math.sqrt(4 * math.pi), rtol=1e-15, atol=0)
 
 
 def test_harmonic_conjugate_symmetry(rng):
-    for _ in range(100):
-        l = int(rng.integers(0, 12))
-        m = int(rng.integers(-l, l + 1))
-        th = float(rng.uniform(0, math.pi))
-        ph = float(rng.uniform(0, 2 * math.pi))
-        lhs = spherical_harmonic(l, m, th, ph)
-        rhs = (-1) ** m * np.conj(spherical_harmonic(l, -m, th, ph))
-        assert abs(lhs - rhs) < 1e-13
+    L = 12
+    th = rng.uniform(0, math.pi, 100)
+    ph = rng.uniform(0, 2 * math.pi, 100)
+    Y = sph_harm_matrix(L, th, ph)
+    for l in range(L):
+        for m in range(-l, l + 1):
+            lhs = Y[l * l + l + m]
+            rhs = (-1) ** m * np.conj(Y[l * l + l - m])
+            assert np.abs(lhs - rhs).max() < 1e-13
 
 
 def test_harmonic_quadrature_orthonormality():
@@ -252,21 +260,22 @@ def test_harmonic_quadrature_orthonormality():
 
 def test_harmonic_matches_scipy(rng):
     from scipy.special import sph_harm_y
-    for _ in range(30):
-        l = int(rng.integers(0, 15))
-        m = int(rng.integers(-l, l + 1))
-        th = float(rng.uniform(0, math.pi))
-        ph = float(rng.uniform(0, 2 * math.pi))
-        mine = spherical_harmonic(l, m, th, ph)
-        ref = complex(sph_harm_y(l, m, th, ph))
-        assert abs(mine - ref) < 1e-12
+    L = 15
+    th = rng.uniform(0, math.pi, 30)
+    ph = rng.uniform(0, 2 * math.pi, 30)
+    Y = sph_harm_matrix(L, th, ph)
+    for l in range(L):
+        for m in range(-l, l + 1):
+            ref = sph_harm_y(l, m, th, ph)
+            assert np.abs(Y[l * l + l + m] - ref).max() < 1e-12
 
 
 def test_harmonic_domain_errors():
+    # the Legendre table serves orders 0 <= m < L only
     with pytest.raises(ValueError):
-        spherical_harmonic(2, 3, 0.5, 0.5)
+        specfun.norm_alf_table(3, 3, np.array([0.5]))
     with pytest.raises(ValueError):
-        spherical_harmonic(-1, 0, 0.5, 0.5)
+        specfun.norm_alf_table(3, -1, np.array([0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +332,15 @@ def test_wigner3j_column_permutation(l1, l2, data):
 # ---------------------------------------------------------------------------
 
 def test_wigner_d_identity_rotation():
-    for (l, m, n) in [(3, 2, 2), (3, 2, 1), (7, -4, -4), (7, -4, 3)]:
-        assert wigner_d_beta(l, m, n, 0.0) == (1.0 if m == n else 0.0)
+    for l in (0, 1, 3, 7, 40):
+        assert np.abs(wigner_d_matrix(l, 0.0) - np.eye(2 * l + 1)).max() < 1e-14
 
 
 def test_wigner_d_closed_forms():
     for beta in (0.3, 1.2, 2.8):
-        assert wigner_d_beta(1, 0, 0, beta) == pytest.approx(math.cos(beta), abs=1e-14)
-        assert wigner_d_beta(1, 1, 0, beta) == pytest.approx(
-            -math.sin(beta) / math.sqrt(2), abs=1e-14)
+        d = wigner_d_matrix(1, beta)  # rows and columns m, n = -1, 0, 1
+        assert d[1, 1] == pytest.approx(math.cos(beta), abs=1e-14)
+        assert d[2, 1] == pytest.approx(-math.sin(beta) / math.sqrt(2), abs=1e-14)
 
 
 def test_wigner_d_vs_sympy():
@@ -341,27 +350,34 @@ def test_wigner_d_vs_sympy():
     cases = [(2, 2, -1, 1.1), (3, 1, -2, 0.4), (5, 4, 0, 2.2), (7, -3, 5, 0.9)]
     for (l, m, n, b) in cases:
         ref = float(re(sN(Rotation.d(l, m, n, b).doit(), 20)))
+        assert abs(wigner_d_matrix(l, b)[m + l, n + l] - ref) < 1e-13
         assert abs(wigner_d_beta(l, m, n, b) - ref) < 1e-13
+
+
+@pytest.mark.parametrize("beta", [0.7, 2.3])
+def test_wigner_d_matrix_vs_jacobi_oracle(beta):
+    for l in range(73):
+        assert np.abs(wigner_d_matrix(l, beta) - wigner_d_jacobi(l, beta)).max() < 1e-13, l
 
 
 def test_wigner_d_row_unitarity(rng):
     for _ in range(12):
         l = int(rng.integers(1, 30))
-        m = int(rng.integers(-l, l + 1))
         beta = float(rng.uniform(0.01, math.pi - 0.01))
-        row = np.array([wigner_d_beta(l, m, n, beta) for n in range(-l, l + 1)])
-        assert abs(row @ row - 1.0) < 1e-12
+        d = wigner_d_matrix(l, beta)
+        assert np.abs(np.einsum("mn,mn->m", d, d) - 1.0).max() < 1e-12
 
 
 def test_wigner_d_orthonormal_rows_high_degree():
     l, beta = 72, 1.234
-    D = np.array([[wigner_d_beta(l, m, n, beta) for n in range(-l, l + 1)]
-                  for m in range(-l, l + 1)])
+    D = wigner_d_matrix(l, beta)
     assert np.abs(D @ D.T - np.eye(2 * l + 1)).max() < 1e-12
 
 
 def test_wigner_d_domain_error():
     with pytest.raises(ValueError):
+        wigner_d_matrix(-1, 0.5)
+    with pytest.raises(ValueError):  # the oracle's |m| <= ell check
         wigner_d_beta(2, 3, 0, 0.5)
 
 
