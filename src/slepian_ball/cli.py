@@ -15,7 +15,11 @@ digits so doubles round-trip.  All files are written atomically (temp file
 + rename).
 
 Region descriptors: ``product:R1,R2,theta1,theta2`` (radians),
-``mask:<path>,R1,R2`` (pixel list ``theta phi indicator``), ``fullball``.
+``mask:<path>,R1,R2`` (pixel list ``theta phi indicator``), ``fullball``,
+or ``json:<path>``, a file holding one object whose ``type`` is
+``product`` (keys ``R1``, ``R2``, ``theta1``, ``theta2`` and an optional
+``orientation`` ``[theta0, phi0]``), ``mask`` (keys ``path``, ``R1``,
+``R2``) or ``fullball``.
 
 Config precedence: command-line flags > config file (``key = value`` lines)
 > built-in defaults; the effective configuration, defaults included, is
@@ -34,6 +38,12 @@ import struct
 import sys
 import tempfile
 from dataclasses import dataclass, asdict
+
+import numpy as np
+
+from . import eigen, kernels, transforms
+from .kernels import FourierBesselBand, FourierLaguerreBand
+from .regions import AngularMask, ProductMask, ProductSymmetric, full_ball
 
 MAGIC = b"SLEPB001"
 
@@ -107,7 +117,6 @@ def _atomic_write(path: str, *chunks):
 
 
 def write_matrix(path: str, arr):
-    import numpy as np
     a = np.atleast_2d(np.asarray(arr))
     if a.ndim != 2:
         raise ValueError("only matrices and vectors are supported")
@@ -120,7 +129,6 @@ def write_matrix(path: str, arr):
 
 
 def read_matrix(path: str):
-    import numpy as np
     with open(path, "rb") as fh:
         header = fh.read(17)
         if header[:8] != MAGIC:
@@ -154,7 +162,6 @@ def _csv_rows(*columns) -> str:
     round-trip), integer columns as %d and string columns as they are; a
     None column stays empty.  All rows go through one %-format.
     """
-    import numpy as np
     columns = [None if c is None else np.asarray(c) for c in columns]
     present = [c for c in columns if c is not None]
     n = len(present[0])
@@ -174,39 +181,34 @@ def _write_json(path: str, obj):
 # ---------------------------------------------------------------------------
 
 def parse_region(spec: str):
-    from . import regions as reg
     if spec == "fullball":
-        return reg.full_ball()
+        return full_ball()
     kind, _, rest = spec.partition(":")
     if kind == "product":
         parts = rest.split(",")
         if len(parts) != 4:
             raise ValueError(f"region 'product' needs R1,R2,theta1,theta2; got {rest!r}")
         r1, r2, t1, t2 = map(float, parts)
-        return reg.ProductSymmetric(r1, r2, t1, t2)
+        return ProductSymmetric(r1, r2, t1, t2)
     if kind == "mask":
         parts = rest.rsplit(",", 2)
         if len(parts) != 3:
             raise ValueError(f"region 'mask' needs <path>,R1,R2; got {rest!r}")
         path, r1, r2 = parts[0], float(parts[1]), float(parts[2])
-        mask = reg.AngularMask.from_text(path)
-        return reg.ProductMask(mask, r1, r2)
+        mask = AngularMask.from_text(path)
+        return ProductMask(mask, r1, r2)
     if kind == "json":
         with open(rest) as fh:
             desc = json.load(fh)
         t = desc.get("type")
         if t == "fullball":
-            return reg.full_ball()
+            return full_ball()
         if t == "product":
-            orientation = desc.get("orientation")
-            if orientation is not None:
-                theta0, phi0 = map(float, orientation)
-                orientation = (theta0, phi0)
-            return reg.ProductSymmetric(desc["R1"], desc["R2"], desc["theta1"],
-                                        desc["theta2"], orientation)
+            return ProductSymmetric(desc["R1"], desc["R2"], desc["theta1"],
+                                    desc["theta2"], desc.get("orientation"))
         if t == "mask":
-            mask = reg.AngularMask.from_text(desc["path"])
-            return reg.ProductMask(mask, desc["R1"], desc["R2"])
+            mask = AngularMask.from_text(desc["path"])
+            return ProductMask(mask, desc["R1"], desc["R2"])
         raise ValueError(f"unknown region type in {rest}: {t!r}")
     raise ValueError(f"unknown region descriptor {spec!r} "
                      "(expected product:..., mask:..., json:..., or fullball)")
@@ -252,8 +254,18 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _grid_counts(grid: str, names: str) -> list[int]:
+    """The positive point counts of a `--grid` value, one per name in `names`."""
+    try:
+        counts = [int(v) for v in grid.split(",")]
+    except ValueError:
+        counts = []
+    if len(counts) != len(names.split(",")) or min(counts) < 1:
+        raise ValueError(f"--grid needs positive integers '{names}', got {grid!r}")
+    return counts
+
+
 def _band(cfg: RunConfig):
-    from .kernels import FourierBesselBand, FourierLaguerreBand
     if cfg.domain == "fl":
         return FourierLaguerreBand(cfg.P, cfg.L)
     return FourierBesselBand(cfg.K, cfg.L, cfg.M)
@@ -271,7 +283,6 @@ def _meta(cfg: RunConfig, extra: dict | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_shannon(cfg: RunConfig, region) -> int:
-    from . import eigen
     band = _band(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     n = eigen.shannon_fl(region, band) if cfg.domain == "fl" \
@@ -283,9 +294,6 @@ def cmd_shannon(cfg: RunConfig, region) -> int:
 
 
 def cmd_kernel(cfg: RunConfig, region) -> int:
-    import numpy as np
-    from . import eigen, kernels
-    from .regions import ProductMask, ProductSymmetric
     kernels._require_base_frame(region)
     band = _band(cfg)
     os.makedirs(cfg.out, exist_ok=True)
@@ -329,14 +337,13 @@ def cmd_kernel(cfg: RunConfig, region) -> int:
 
 
 def _eigen_csv(res) -> str:
-    import numpy as np
     return "rank,lambda,m,lambda_radial,lambda_angular\n" + _csv_rows(
         np.arange(len(res)), res.eigenvalues, res.orders, res.lam_radial, res.lam_angular)
 
 
 def cmd_eigen(cfg: RunConfig, region) -> int:
-    import numpy as np
-    from . import eigen, transforms
+    if cfg.grid:
+        n_r, n_t = _grid_counts(cfg.grid, "nr,ntheta")
     band = _band(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     # an order filter needs ranks beyond the first `count`, so retain all
@@ -352,10 +359,6 @@ def cmd_eigen(cfg: RunConfig, region) -> int:
         "raw_eigenvalue_range": list(res.raw_eigenvalue_range),
     }))
     if cfg.grid:
-        try:
-            n_r, n_t = (int(v) for v in cfg.grid.split(","))
-        except Exception as exc:
-            raise ValueError(f"--grid needs 'nr,ntheta', got {cfg.grid!r}") from exc
         ranks = np.arange(res.stored)
         if cfg.order is not None:
             ranks = ranks[res.orders[:res.stored] == cfg.order]
@@ -374,8 +377,6 @@ def cmd_eigen(cfg: RunConfig, region) -> int:
 
 
 def cmd_project(cfg: RunConfig, region) -> int:
-    import numpy as np
-    from . import eigen, transforms
     if cfg.domain != "fl":
         raise ValueError("projection is provided for the Fourier-Laguerre domain")
     if not cfg.signal:
@@ -414,22 +415,17 @@ def cmd_project(cfg: RunConfig, region) -> int:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    import numpy as np
-    from . import transforms
     if not cfg.signal:
         raise ValueError("synth needs --signal <coefficient .mat file>")
+    if not cfg.grid:
+        raise ValueError("synth needs --grid nr,ntheta,nphi")
+    n_r, n_t, n_p = _grid_counts(cfg.grid, "nr,ntheta,nphi")
     band = _band(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     vec = read_matrix(cfg.signal).reshape(-1)
     if vec.size != band.size:
         raise ValueError(
             f"signal file has {vec.size} coefficients, band needs {band.size}")
-    if not cfg.grid:
-        raise ValueError("synth needs --grid nr,ntheta,nphi")
-    try:
-        n_r, n_t, n_p = (int(v) for v in cfg.grid.split(","))
-    except Exception as exc:
-        raise ValueError(f"--grid needs 'nr,ntheta,nphi', got {cfg.grid!r}") from exc
     rs = np.linspace(50.0 / n_r, 50.0, n_r)
     ts = np.linspace(0.0, math.pi, n_t)
     ps = np.linspace(0.0, 2 * math.pi, n_p, endpoint=False)
@@ -478,7 +474,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    from .regions import ProductMask
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)

@@ -67,11 +67,6 @@ class HarmonicCoeffs:
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
-    def inner(self, other: "HarmonicCoeffs") -> complex:
-        if self.band != other.band:
-            raise ValueError("bands differ")
-        return complex(np.vdot(other.values, self.values))
-
 
 @dataclass(frozen=True)
 class _Block:
@@ -443,7 +438,7 @@ class SpaceLimited:
 
     `coeffs` holds the in-band spectral coefficients sqrt(lam) * f (valid on
     the band only; g itself is band-unlimited).  `evaluate` gives pointwise
-    spatial values.
+    spatial values in either band.
     """
 
     source: HarmonicCoeffs
@@ -457,11 +452,7 @@ class SpaceLimited:
 
     def evaluate(self, points) -> np.ndarray:
         from . import transforms
-        if isinstance(self.source.band, FourierLaguerreBand):
-            vals = transforms.synthesis_fl(self.source, points)
-        else:
-            raise NotImplementedError("pointwise duals are provided for the "
-                                      "Fourier-Laguerre band")
+        vals = transforms._synthesis_points(self.source, points)
         inside = contains_points(self.region, *transforms._points_arrays(points))
         return vals * inside / math.sqrt(self.lam)
 

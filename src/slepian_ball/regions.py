@@ -13,17 +13,19 @@ kernels.  Supported shapes:
 Regions are closed sets (boundary points count as inside) and immutable.
 Angular masks live on exact-quadrature pixel grids so kernel entries over
 masks are computed by exact quadrature of band-limited integrands rather
-than approximate pixel sums.
+than approximate pixel sums; a mask holds that grid once, as rows.  An
+`orientation` is two finite floats (theta0, phi0) or None.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _leggauss
+from .specfun import gauss_legendre_rule
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,19 @@ def _rotation_matrix(theta0: float, phi0: float) -> np.ndarray:
     return rz @ ry
 
 
+def _orientation(value) -> tuple[float, float] | None:
+    """A region's `orientation` as two finite floats (theta0, phi0), or None."""
+    if value is None:
+        return None
+    try:
+        angles = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        angles = np.empty(0)
+    if angles.shape != (2,) or not np.all(np.isfinite(angles)):
+        raise ValueError(f"orientation must be two finite angles (theta0, phi0), got {value!r}")
+    return float(angles[0]), float(angles[1])
+
+
 def _base_frame(r, theta, phi, orientation):
     """(r, theta) of points in the unrotated frame of an oriented region."""
     if orientation is None:
@@ -76,33 +91,62 @@ def _base_frame(r, theta, phi, orientation):
 
 @dataclass(frozen=True)
 class AngularMask:
-    """Pixelized angular region with per-pixel quadrature weights.
+    """Pixelized angular region on a Gauss-Legendre x uniform-azimuth grid.
 
-    Pixels sit on a Gauss-Legendre (in cos theta) x uniform-phi grid; the
-    rule integrates spherical-harmonic products up to combined degree
-    2*L_grid - 2 exactly, so kernel entries over the mask are exact
-    quadratures of band-limited integrands.
+    Each Gauss-Legendre row (in cos theta) holds n_phi pixels at the
+    azimuths 2 pi j / n_phi.  The rule integrates harmonic products below
+    degree L_grid = min(n_theta, (n_phi + 1) // 2) exactly (the rows are
+    exact to degree 2 n_theta - 1 in cos theta, the azimuths for orders
+    m - m' below n_phi), so kernel entries over the mask are exact.
     """
 
-    theta: np.ndarray       # pixel colatitudes, flat
-    phi: np.ndarray         # pixel azimuths, flat
-    weight: np.ndarray      # quadrature weight per pixel (solid-angle measure)
-    indicator: np.ndarray   # 0/1 per pixel
-    L_grid: int
-    n_theta: int
-    n_phi: int
+    theta_nodes: np.ndarray     # ascending pixel-row colatitudes
+    theta_weights: np.ndarray   # Gauss-Legendre weights of the rows in cos(theta)
+    n_phi: int                  # uniform azimuths per row
+    indicator: np.ndarray       # 0/1 per pixel, flat, theta-slow
 
     def __post_init__(self):
-        for name in ("theta", "phi", "weight"):
+        for name in ("theta_nodes", "theta_weights", "indicator"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "indicator", np.asarray(self.indicator, dtype=float))
-        npix = self.theta.size
-        if not (self.phi.size == self.weight.size == self.indicator.size == npix):
-            raise ValueError("mask arrays must have equal length")
+        th = self.theta_nodes
+        if th.ndim != 1 or th.size == 0 or self.theta_weights.shape != th.shape:
+            raise ValueError("mask rows need one weight per colatitude node")
+        if not (th[0] >= 0.0 and th[-1] <= math.pi and np.all(np.diff(th) > 0)):
+            raise ValueError("mask colatitude nodes must ascend strictly within [0, pi]")
+        if not np.all(self.theta_weights > 0):
+            raise ValueError("mask weights must be positive")
+        object.__setattr__(self, "n_phi", operator.index(self.n_phi))
+        if self.n_phi < 1 or self.indicator.shape != (th.size * self.n_phi,):
+            raise ValueError("mask needs n_phi >= 1 and one flat indicator entry per pixel")
         if not np.all((self.indicator == 0.0) | (self.indicator == 1.0)):
             raise ValueError("mask indicator must be binary")
-        if not np.all(self.weight > 0):
-            raise ValueError("mask weights must be positive")
+
+    @property
+    def n_theta(self) -> int:
+        return self.theta_nodes.size
+
+    @property
+    def phi_nodes(self) -> np.ndarray:
+        return 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
+
+    @property
+    def L_grid(self) -> int:
+        return min(self.n_theta, (self.n_phi + 1) // 2)
+
+    @property
+    def theta(self) -> np.ndarray:
+        """Pixel colatitudes, flat."""
+        return np.repeat(self.theta_nodes, self.n_phi)
+
+    @property
+    def phi(self) -> np.ndarray:
+        """Pixel azimuths, flat."""
+        return np.tile(self.phi_nodes, self.n_theta)
+
+    @property
+    def weight(self) -> np.ndarray:
+        """Quadrature weight per pixel (solid-angle measure), flat."""
+        return np.repeat(self.theta_weights, self.n_phi) * (2.0 * math.pi / self.n_phi)
 
     @property
     def solid_angle(self) -> float:
@@ -118,57 +162,37 @@ class AngularMask:
     def band(theta1: float, theta2: float, L_grid: int) -> "AngularMask":
         """Colatitude band encoded as pixels, with weights exact on the band.
 
-        Gauss-Legendre nodes in cos(theta) restricted to [cos t2, cos t1],
-        so sums over the mask reproduce band integrals of harmonic products
-        exactly (the band-as-mask oracle for G matrices).
+        L_grid Gauss-Legendre nodes in cos(theta) on [cos t2, cos t1] x
+        2 L_grid azimuths, so sums over the mask reproduce band integrals
+        of harmonic products exactly (the band-as-mask oracle for G matrices).
         """
         if not (0.0 <= theta1 < theta2 <= math.pi):
             raise ValueError(f"need 0 <= theta1 < theta2 <= pi, got {theta1}, {theta2}")
-        x, w = _leggauss(L_grid)
-        x1, x2 = math.cos(theta1), math.cos(theta2)
-        mid, half = 0.5 * (x1 + x2), 0.5 * (x1 - x2)
-        xs = mid + half * x
-        ws = half * w
-        theta_nodes = np.arccos(xs[::-1])
-        w_nodes = ws[::-1]
-        n_phi = 2 * L_grid
-        phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-        T, P = np.meshgrid(theta_nodes, phis, indexing="ij")
-        W = np.repeat(w_nodes[:, None], n_phi, axis=1) * (2.0 * math.pi / n_phi)
-        return AngularMask(T.ravel(), P.ravel(), W.ravel(), np.ones(T.size),
-                           L_grid, L_grid, n_phi)
+        rule = gauss_legendre_rule(L_grid, math.cos(theta2), math.cos(theta1))
+        return AngularMask(np.arccos(rule.nodes[::-1]), rule.weights[::-1], 2 * L_grid,
+                           np.ones(2 * L_grid * L_grid))
 
     def with_indicator(self, indicator) -> "AngularMask":
         if callable(indicator):
-            ind = np.asarray(
-                indicator(self.theta.reshape(self.n_theta, self.n_phi),
-                          self.phi.reshape(self.n_theta, self.n_phi)),
-                dtype=float,
-            ).ravel()
-        else:
-            ind = np.asarray(indicator, dtype=float).ravel()
-        return AngularMask(self.theta, self.phi, self.weight, ind,
-                           self.L_grid, self.n_theta, self.n_phi)
+            indicator = indicator(*np.meshgrid(self.theta_nodes, self.phi_nodes, indexing="ij"))
+        return AngularMask(self.theta_nodes, self.theta_weights, self.n_phi, np.ravel(indicator))
 
     def nearest_pixel(self, theta, phi):
         """Flat index of the pixel nearest (theta, phi), elementwise over arrays."""
         theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-        th = self.theta.reshape(self.n_theta, self.n_phi)[:, 0]
-        ph = self.phi.reshape(self.n_theta, self.n_phi)[0, :]
-        i = np.argmin(np.abs(th - theta[..., None]), axis=-1)
-        dphi = np.abs((ph - phi[..., None] + math.pi) % (2.0 * math.pi) - math.pi)
+        i = np.argmin(np.abs(self.theta_nodes - theta[..., None]), axis=-1)
+        dphi = np.abs((self.phi_nodes - phi[..., None] + math.pi) % (2.0 * math.pi) - math.pi)
         return i * self.n_phi + np.argmin(dphi, axis=-1)
 
     def covers(self, theta):
         """Whether colatitudes lie in the band the grid spans, elementwise.
 
-        The Gauss-Legendre weights of the theta rows add up to the
-        cos(theta) span of the band and have their centroid at its middle.
+        The Gauss-Legendre weights of the rows add up to the cos(theta)
+        span of the band and have their centroid at its middle.
         """
-        w = self.weight.reshape(self.n_theta, self.n_phi).sum(axis=1)
-        mid = w @ np.cos(self.theta[::self.n_phi]) / w.sum()
-        half = w.sum() / (4.0 * math.pi)
-        return np.abs(np.cos(theta) - mid) <= half + 1e-12
+        w = self.theta_weights
+        mid = w @ np.cos(self.theta_nodes) / w.sum()
+        return np.abs(np.cos(theta) - mid) <= 0.5 * w.sum() + 1e-12
 
     def to_text(self, path):
         rows = np.column_stack([self.theta, self.phi, self.indicator])
@@ -179,41 +203,34 @@ class AngularMask:
     def from_text(path) -> "AngularMask":
         """Load a `theta phi indicator` pixel list written against a known grid.
 
-        The grid geometry is rebuilt from the distinct theta rows; pixel
-        centers must match a Gauss-Legendre x uniform-phi layout, otherwise
-        the weights could not be reconstructed and loading fails.
+        Sorted by (theta, phi), the pixels must form full rows of one
+        colatitude each, at the azimuths 2 pi j / n_phi, and the row
+        colatitudes must be Gauss-Legendre nodes in cos(theta) on some
+        interval (both to 1e-9).  The rows take the weights of that rule by
+        position; any other layout fails to load with ValueError.
         """
-        data = np.loadtxt(path)
-        if data.ndim == 1:
-            data = data[None, :]
-        theta, phi, ind = data[:, 0], data[:, 1], data[:, 2]
-        th_unique, ph_unique = _distinct(theta), _distinct(phi)
-        n_theta, n_phi = th_unique.size, ph_unique.size
-        if n_theta * n_phi != theta.size:
+        data = np.loadtxt(path, ndmin=2)
+        if data.shape[1] != 3:
+            raise ValueError("mask pixel list needs the three columns theta phi indicator")
+        theta, phi, ind = np.ascontiguousarray(data[np.lexsort((data[:, 1], data[:, 0]))].T)
+        starts = np.flatnonzero(np.concatenate(([True], theta[1:] != theta[:-1])))
+        n_theta = starts.size
+        n_phi = theta.size // n_theta
+        if n_phi * n_theta != theta.size or not np.array_equal(starts, n_phi * np.arange(n_theta)):
             raise ValueError("mask pixel list is not a full theta x phi grid")
-        L_grid = n_theta
-        x, w = _leggauss(L_grid)
-        xs = np.sort(np.cos(th_unique))
-        # solve for the cos-theta interval the nodes were generated on
+        if np.abs(phi.reshape(n_theta, n_phi) - 2.0 * math.pi * np.arange(n_phi) / n_phi).max() > 1e-9:
+            raise ValueError("mask azimuths are not 2 pi j / n_phi in every theta row")
+        if n_theta < 2:
+            raise ValueError("one theta row cannot fix the Gauss-Legendre grid of a mask")
+        # the cos(theta) interval the rows were generated on: cos(theta)
+        # descends over the ascending rows, the standard nodes x ascend
+        rule = gauss_legendre_rule(n_theta, -1.0, 1.0)
+        x, w = rule.nodes, rule.weights
+        xs = np.cos(theta[starts])[::-1]
         span = (xs[-1] - xs[0]) / (x[-1] - x[0])
-        mid = xs[0] - span * x[0]
-        expect = np.sort(mid + span * x)
-        if not np.allclose(expect, xs, atol=1e-9):
+        if not np.allclose(xs[0] + span * (x - x[0]), xs, atol=1e-9):
             raise ValueError("mask theta rows do not match a Gauss-Legendre grid")
-        w_nodes = {}
-        for xv, wv in zip(mid + span * x, span * w):
-            w_nodes[round(math.acos(min(1.0, max(-1.0, xv))), 12)] = wv
-        weight = np.array([w_nodes[round(t, 12)] for t in theta]) * (2.0 * math.pi / n_phi)
-        order = np.lexsort((phi, theta))
-        return AngularMask(theta[order], phi[order], weight[order], ind[order],
-                           L_grid, n_theta, n_phi)
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of `a`: a sort and a neighbour diff, as
-    np.unique takes them, without its first-call import of numpy.ma."""
-    s = np.sort(a)
-    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+        return AngularMask(theta[starts], (span * w)[::-1], n_phi, ind)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +257,7 @@ class ProductSymmetric:
         if not (0.0 <= self.theta1 < self.theta2 <= math.pi):
             raise ValueError(
                 f"need 0 <= theta1 < theta2 <= pi, got {self.theta1}, {self.theta2}")
+        object.__setattr__(self, "orientation", _orientation(self.orientation))
 
 
 @dataclass(frozen=True)
@@ -265,20 +283,18 @@ class AzimuthallySymmetric:
             raise ValueError("indicator shape must be (n_r, n_theta)")
         if not np.all((self.indicator == 0.0) | (self.indicator == 1.0)):
             raise ValueError("indicator must be binary")
+        object.__setattr__(self, "orientation", _orientation(self.orientation))
 
     @staticmethod
     def from_indicator(fn, R1: float, R2: float, n_r: int = 64,
                        n_theta: int = 64) -> "AzimuthallySymmetric":
         """Sample indicator fn(r, theta) on a GL(r) x GL(cos theta) grid."""
-        xr, wr = _leggauss(n_r)
-        r = 0.5 * (R2 - R1) * xr + 0.5 * (R2 + R1)
-        wr = 0.5 * (R2 - R1) * wr
-        xt, wt = _leggauss(n_theta)
-        theta = np.arccos(xt[::-1])
-        wt = wt[::-1]
-        Rg, Tg = np.meshgrid(r, theta, indexing="ij")
-        ind = np.asarray(fn(Rg, Tg), dtype=float)
-        return AzimuthallySymmetric(r, wr, theta, wt, ind)
+        radial = gauss_legendre_rule(n_r, R1, R2)
+        ct = gauss_legendre_rule(n_theta, -1.0, 1.0)
+        theta = np.arccos(ct.nodes[::-1])
+        Rg, Tg = np.meshgrid(radial.nodes, theta, indexing="ij")
+        return AzimuthallySymmetric(radial.nodes, radial.weights, theta, ct.weights[::-1],
+                                    fn(Rg, Tg))
 
 
 @dataclass(frozen=True)

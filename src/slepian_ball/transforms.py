@@ -62,10 +62,6 @@ class SpatialGrid:
     radial_exact_degree: int      # exact for e^{-r} poly(deg) r^2 integrands
     angular_band: int             # exact for harmonic products below this L
 
-    @property
-    def n_points(self) -> int:
-        return self.radial_nodes.size * self.theta_nodes.size * self.phi_nodes.size
-
     def angular_points(self) -> tuple[np.ndarray, np.ndarray]:
         T, P = np.meshgrid(self.theta_nodes, self.phi_nodes, indexing="ij")
         return T.ravel(), P.ravel()
@@ -75,7 +71,7 @@ def _angular_rule(theta1: float, theta2: float, L: int):
     """(theta nodes, phi nodes, pixel weights) of `AngularMask.band`: L
     Gauss-Legendre colatitudes in cos(theta) on the band x 2L azimuths."""
     mask = AngularMask.band(theta1, theta2, L)
-    return mask.theta[::mask.n_phi], mask.phi[:mask.n_phi], mask.weight
+    return mask.theta_nodes, mask.phi_nodes, mask.weight
 
 
 def analysis_grid(band: FourierLaguerreBand, radial_margin: int = 8) -> SpatialGrid:

@@ -188,6 +188,17 @@ def test_json_product_orientation(tmp_path, capsys):
         assert "base frame" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("orientation", [[0.7], [math.nan, 0.0], [0.1, 0.2, 0.3]])
+def test_json_product_orientation_checked_by_the_region(tmp_path, capsys, orientation):
+    desc = tmp_path / "r.json"
+    desc.write_text(json.dumps({"type": "product", "R1": 15, "R2": 25, "theta1": T1,
+                                "theta2": T2, "orientation": orientation}))
+    rc = main(["shannon", "--domain", "fl", "--P", "4", "--L", "3",
+               "--region", f"json:{desc}", "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "orientation must be two finite angles" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -478,6 +489,39 @@ def test_order_outside_band_rejected(tmp_path, capsys, order):
     assert rc == 2
     assert "|order| < L = 4" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, grid", [
+    ("eigen", "0,5"), ("eigen", "3,0"), ("eigen", "4,-1"), ("eigen", "3"), ("eigen", "3,x"),
+    ("synth", "0,3,3"), ("synth", "2,3,0"), ("synth", "2,3"), ("synth", "2.5,3,3")])
+def test_grid_counts_must_be_positive_integers(tmp_path, capsys, command, grid):
+    sig = tmp_path / "c.mat"
+    write_matrix(sig, np.ones((sb.FourierLaguerreBand(3, 2).size, 1)))
+    out = tmp_path / "o"
+    rc = main([command, "--domain", "fl", "--P", "3", "--L", "2", "--region", REGION,
+               "--signal", str(sig), "--grid", grid, "--out", str(out)])
+    assert rc == 2
+    assert "--grid needs positive integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eigen", "kernel", "shannon"])
+def test_mask_with_coarse_azimuths(tmp_path, capsys, command):
+    # 12 Gauss-Legendre rows x 6 azimuths are exact below degree 3 only, so
+    # a solve or kernel at L = 12 is refused; the Shannon number needs no
+    # harmonics of the grid and is still given
+    band = sb.AngularMask.band(0.0, math.pi, 12)
+    T, P = np.meshgrid(band.theta[::band.n_phi], 2 * math.pi * np.arange(6) / 6, indexing="ij")
+    mpath = tmp_path / "coarse.txt"
+    np.savetxt(mpath, np.column_stack([T.ravel(), P.ravel(), np.ones(T.size)]), fmt="%.17g")
+    rc = main([command, "--domain", "fl", "--P", "3", "--L", "12",
+               "--region", f"mask:{mpath},15,25", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if command == "shannon":
+        assert rc == 0, err
+    else:
+        assert rc == 2
+        assert "band-limit 3 is below L=12" in err
 
 
 @pytest.mark.parametrize("command", ["eigen", "kernel"])

@@ -918,6 +918,19 @@ def test_space_limit_pointwise_evaluation(ref_region):
     assert np.array_equal(g.evaluate(rows), vals)
 
 
+def test_space_limit_pointwise_evaluation_fb(ref_region):
+    # a Fourier-Bessel dual is the FB synthesis cut to the region
+    res = sb.solve_fb(ref_region, sb.FourierBesselBand(1.0, 3, 8))
+    f, lam = res.coeffs(0), res.eigenvalues[0]
+    points = np.array([[20.0, math.pi / 4, 0.3], [5.0, math.pi / 4, 0.3],
+                       [24.0, 1.1, 5.0], [20.0, 2.0, 1.0]])
+    inside = sb.contains_points(ref_region, *points.T)
+    assert inside.tolist() == [True, False, True, False]
+    expect = transforms.synthesis_fb(f, points) * inside / math.sqrt(lam)
+    assert np.array_equal(sb.space_limit(f, lam, ref_region).evaluate(points), expect)
+    assert np.abs(expect[0]) > 0.0
+
+
 def test_space_limit_rejects_null_eigenvalue(ref_region):
     band = sb.FourierLaguerreBand(4, 4)
     res = sb.solve_fl(ref_region, band)

@@ -10,6 +10,7 @@ import pytest
 
 import slepian_ball as sb
 from oracles import contains_per_point
+from slepian_ball import kernels
 from slepian_ball.regions import _rotation_matrix
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
@@ -234,6 +235,98 @@ def test_mask_from_text_rejects_non_grid(tmp_path):
     path.write_text("0.1 0.0 1\n0.2 0.0 1\n0.3 0.0 1\n")
     with pytest.raises(ValueError):
         sb.AngularMask.from_text(path)
+
+
+def _pixel_file(path, theta_rows, phi_row, fmt="%.17g"):
+    """Write a `theta phi indicator` list of the grid theta_rows x phi_row."""
+    T, P = np.meshgrid(theta_rows, phi_row, indexing="ij")
+    np.savetxt(path, np.column_stack([T.ravel(), P.ravel(), np.ones(T.size)]), fmt=fmt)
+
+
+@pytest.mark.parametrize("name", ["band", "full", "indicator"])
+def test_mask_text_round_trip_keeps_every_field(tmp_path, name):
+    mask = {"band": lambda: sb.AngularMask.band(T1, T2, 7),
+            "full": lambda: sb.AngularMask.full_sphere_grid(5),
+            "indicator": lambda: sb.AngularMask.full_sphere_grid(
+                6, indicator=lambda t, p: ((t < 1.2) & (p > 0.5)).astype(float))}[name]()
+    path = tmp_path / "mask.txt"
+    mask.to_text(path)
+    back = sb.AngularMask.from_text(path)
+    assert (back.n_theta, back.n_phi, back.L_grid) == (mask.n_theta, mask.n_phi, mask.L_grid)
+    for field in ("theta", "phi", "indicator"):
+        assert np.array_equal(getattr(back, field), getattr(mask, field)), field
+    assert np.abs(back.weight - mask.weight).max() <= 1e-14 * mask.weight.max()
+    assert back.solid_angle == pytest.approx(mask.solid_angle, rel=1e-13)
+
+
+def test_mask_text_at_eleven_digits_loads(tmp_path):
+    # rounded colatitudes still fit the Gauss-Legendre rule to 1e-9, and
+    # each row takes its weight by position, not by its printed value
+    mask = sb.AngularMask.band(T1, T2, 10)
+    rows = {}
+    for digits in (11, 17):
+        _pixel_file(tmp_path / f"m{digits}.txt", mask.theta[::mask.n_phi],
+                    mask.phi[:mask.n_phi], fmt=f"%.{digits}g")
+        rows[digits] = sb.AngularMask.from_text(tmp_path / f"m{digits}.txt")
+    assert np.abs(rows[11].weight - rows[17].weight).max() < 1e-9
+    assert np.array_equal(rows[11].phi, rows[17].phi)
+    assert rows[11].solid_angle == pytest.approx(BAND_OMEGA, abs=1e-9)
+
+
+@pytest.mark.parametrize("phi_row", [[0.0, 1.0, 2.0, 4.0],
+                                     0.1 + 2 * math.pi * np.arange(4) / 4])
+def test_mask_from_text_rejects_uneven_azimuths(tmp_path, phi_row):
+    path = tmp_path / "uneven.txt"
+    _pixel_file(path, sb.AngularMask.band(T1, T2, 4).theta[::8], phi_row)
+    with pytest.raises(ValueError, match="azimuths"):
+        sb.AngularMask.from_text(path)
+
+
+@pytest.mark.parametrize("n_theta, n_phi, L_grid", [(12, 6, 3), (12, 7, 4), (4, 20, 4),
+                                                    (5, 10, 5)])
+def test_mask_band_limit_follows_both_axes(tmp_path, n_theta, n_phi, L_grid):
+    # n_phi uniform azimuths separate orders m - m' below n_phi only, so a
+    # grid with few azimuths is exact to a lower degree than its rows allow
+    path = tmp_path / "grid.txt"
+    band = sb.AngularMask.band(0.0, math.pi, n_theta)
+    _pixel_file(path, band.theta[::band.n_phi], 2 * math.pi * np.arange(n_phi) / n_phi)
+    mask = sb.AngularMask.from_text(path)
+    assert (mask.n_theta, mask.n_phi, mask.L_grid) == (n_theta, n_phi, L_grid)
+    assert dataclasses.replace(band, n_phi=n_phi, indicator=mask.indicator).L_grid == L_grid
+    # the pixel factor is exact below L_grid: its Gram matrix is the identity
+    A = kernels._mask_factor(mask, L_grid)
+    assert np.abs(A @ A.conj().T - np.eye(L_grid ** 2)).max() < 1e-12
+
+
+def test_mask_rows_checked_at_construction():
+    band = sb.AngularMask.band(T1, T2, 4)
+    rows = dict(theta_nodes=band.theta_nodes, theta_weights=band.theta_weights, n_phi=8,
+                indicator=band.indicator)
+    assert sb.AngularMask(**rows).solid_angle == pytest.approx(BAND_OMEGA, rel=1e-12)
+    for bad in [dict(theta_nodes=band.theta_nodes[::-1]), dict(theta_weights=-band.theta_weights),
+                dict(theta_weights=band.theta_weights[:3]), dict(n_phi=0), dict(n_phi=7),
+                dict(indicator=band.indicator[:-1]), dict(indicator=2 * band.indicator),
+                dict(theta_nodes=band.theta_nodes + 3.0)]:
+        with pytest.raises(ValueError):
+            sb.AngularMask(**{**rows, **bad})
+    with pytest.raises(TypeError):
+        sb.AngularMask(**{**rows, "n_phi": 8.0})
+
+
+@pytest.mark.parametrize("make", [
+    lambda o: sb.ProductSymmetric(15, 25, 0.1, 0.9, orientation=o),
+    lambda o: dataclasses.replace(sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: np.ones_like(r), 15.0, 25.0, n_r=4, n_theta=4), orientation=o),
+], ids=["product", "azimuthal"])
+def test_orientation_checked_at_construction(make):
+    for bad in [(0.7,), (math.nan, 0.0), (0.1, math.inf), (1.0, 2.0, 3.0), "12", 0.7,
+                [[0.1, 0.2]], ("a", 0.1)]:
+        with pytest.raises(ValueError, match="orientation"):
+            make(bad)
+    region = make([np.float32(0.5), 1])
+    assert region.orientation == (float(np.float32(0.5)), 1.0)
+    assert all(type(a) is float for a in region.orientation)
+    assert make(None).orientation is None
 
 
 def test_product_mask_region():
