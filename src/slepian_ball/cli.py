@@ -21,11 +21,15 @@ or ``json:<path>``, a file holding one object whose ``type`` is
 ``orientation`` ``[theta0, phi0]``), ``mask`` (keys ``path``, ``R1``,
 ``R2``) or ``fullball``.
 
-Config precedence: command-line flags > config file (``key = value`` lines)
-> built-in defaults; the effective configuration, defaults included, is
-echoed into meta.json.
+Options: every `RunConfig` field after ``command`` is both a flag
+``--<name>`` and a config-file key ``<name>``, parsed as the type its
+annotation names, with the field's default as the built-in default.
+Precedence: flags > config file (``--config``, ``key = value`` lines) >
+defaults; the effective configuration, defaults included, is echoed into
+meta.json.  ``J`` must be >= 0.
 
-Exit codes: 0 success, 2 configuration/validation error, 1 numerical failure.
+Exit codes: 0 success, 2 configuration/validation error, 1 numerical
+failure (an ArithmeticError or numpy.linalg.LinAlgError).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import os
 import struct
 import sys
 import tempfile
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -47,54 +51,42 @@ from .regions import AngularMask, ProductMask, ProductSymmetric, full_ball
 
 MAGIC = b"SLEPB001"
 
-_DEFAULTS = {
-    "domain": "fl",
-    "P": 16,
-    "L": 16,
-    "K": 1.0,
-    "M": 50,
-    "region": "fullball",
-    "out": ".",
-    "order": None,
-    "count": 12,
-    "grid": None,
-    "J": None,
-    "signal": None,
-}
-
 
 @dataclass
 class RunConfig:
+    """One run's options: each field after `command` is the flag ``--<name>``
+    and the config-file key ``<name>``, with its default as built-in default."""
+
     command: str
-    domain: str
-    P: int
-    L: int
-    K: float
-    M: int
-    region: str
-    out: str
-    order: int | None
-    count: int
-    grid: str | None
-    J: int | None
-    signal: str | None
+    domain: str = "fl"
+    P: int = 16
+    L: int = 16
+    K: float = 1.0
+    M: int = 50
+    region: str = "fullball"
+    out: str = "."
+    order: int | None = None
+    count: int = 12
+    grid: str | None = None
+    J: int | None = None
+    signal: str | None = None
 
     def validate(self):
+        """The checks no library type makes; the band checks K and M."""
         if self.domain not in ("fl", "fb"):
             raise ValueError(f"domain must be 'fl' or 'fb', got {self.domain!r}")
-        if self.P < 1:
-            raise ValueError(f"P must be >= 1, got {self.P}")
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
-        if self.domain == "fb":
-            if not 0 < self.K < math.inf:
-                raise ValueError(f"K must be positive and finite, got {self.K}")
-            if self.M < 1:
-                raise ValueError(f"M must be >= 1, got {self.M}")
+        kernels._check_band_limits(P=self.P, L=self.L)
         if self.count < 0:
             raise ValueError(f"count must be >= 0, got {self.count}")
+        if self.J is not None and self.J < 0:
+            raise ValueError(f"J must be >= 0, got {self.J}")
         if self.order is not None and abs(self.order) >= self.L:
             raise ValueError(f"order must satisfy |order| < L = {self.L}, got {self.order}")
+
+
+# the value parser of each option, from the type its RunConfig annotation names
+_OPTIONS = {f.name: {"int": int, "float": float}.get(f.type.split(" |")[0], str)
+            for f in fields(RunConfig) if f.name != "command"}
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +164,10 @@ def _csv_rows(*columns) -> str:
     return (row * n) % tuple(cells.ravel().tolist())
 
 
-def _write_json(path: str, obj):
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _write_meta(path: str, cfg: RunConfig, **results):
+    """The effective configuration and a run's results, as sorted JSON."""
+    _write_text(path, json.dumps({"config": asdict(cfg), **results}, indent=2,
+                                 sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -215,41 +209,27 @@ def parse_region(spec: str):
 
 
 def _read_config_file(path: str) -> dict:
+    """The options of a ``key = value`` config file, parsed."""
     out = {}
     with open(path) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, val = (part.strip() for part in line.partition("="))
+            if not eq:
                 raise ValueError(f"bad config line (need key = value): {line!r}")
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
+            if key not in _OPTIONS:
+                raise ValueError(f"unknown config key {key!r}")
+            out[key] = _OPTIONS[key](val)
     return out
 
 
-_INT_KEYS = {"P", "L", "M", "order", "count", "J"}
-_FLOAT_KEYS = {"K"}
-
-
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        raw = _read_config_file(args.config)
-        for key, val in raw.items():
-            if key not in merged:
-                raise ValueError(f"unknown config key {key!r}")
-            if key in _INT_KEYS:
-                merged[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                merged[key] = float(val)
-            else:
-                merged[key] = val
-    for key in merged:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-    cfg = RunConfig(command=args.command, **merged)
+    """Flags over config file over the RunConfig defaults, validated."""
+    values = _read_config_file(args.config) if args.config else {}
+    values.update((key, v) for key in _OPTIONS if (v := getattr(args, key)) is not None)
+    cfg = RunConfig(args.command, **values)
     cfg.validate()
     return cfg
 
@@ -265,37 +245,21 @@ def _grid_counts(grid: str, names: str) -> list[int]:
     return counts
 
 
-def _band(cfg: RunConfig):
-    if cfg.domain == "fl":
-        return FourierLaguerreBand(cfg.P, cfg.L)
-    return FourierBesselBand(cfg.K, cfg.L, cfg.M)
-
-
-def _meta(cfg: RunConfig, extra: dict | None = None) -> dict:
-    meta = {"config": asdict(cfg)}
-    if extra:
-        meta.update(extra)
-    return meta
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_shannon(cfg: RunConfig, region) -> int:
-    band = _band(cfg)
+def cmd_shannon(cfg: RunConfig, region, band) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     n = eigen.shannon_fl(region, band) if cfg.domain == "fl" \
         else eigen.shannon_fb(region, band)
-    out = os.path.join(cfg.out, "shannon.json")
-    _write_json(out, _meta(cfg, {"shannon": n}))
+    _write_meta(os.path.join(cfg.out, "shannon.json"), cfg, shannon=n)
     print(f"shannon {cfg.domain}: {n:.17g}")
     return 0
 
 
-def cmd_kernel(cfg: RunConfig, region) -> int:
+def cmd_kernel(cfg: RunConfig, region, band) -> int:
     kernels._require_base_frame(region)
-    band = _band(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     traces = {}
     if cfg.domain == "fl":
@@ -332,7 +296,7 @@ def cmd_kernel(cfg: RunConfig, region) -> int:
         if cfg.order is None:
             traces["kernel"] = total
         traces["shannon"] = eigen.shannon_fb(region, band)
-    _write_json(os.path.join(cfg.out, "meta.json"), _meta(cfg, {"traces": traces}))
+    _write_meta(os.path.join(cfg.out, "meta.json"), cfg, traces=traces)
     return 0
 
 
@@ -341,10 +305,9 @@ def _eigen_csv(res) -> str:
         np.arange(len(res)), res.eigenvalues, res.orders, res.lam_radial, res.lam_angular)
 
 
-def cmd_eigen(cfg: RunConfig, region) -> int:
+def cmd_eigen(cfg: RunConfig, region, band) -> int:
     if cfg.grid:
         n_r, n_t = _grid_counts(cfg.grid, "nr,ntheta")
-    band = _band(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     # an order filter needs ranks beyond the first `count`, so retain all
     keep = None if (cfg.grid and cfg.order is not None) else cfg.count
@@ -353,11 +316,9 @@ def cmd_eigen(cfg: RunConfig, region) -> int:
     _write_text(os.path.join(cfg.out, "eigenvalues.csv"), _eigen_csv(res))
     n_vec = min(cfg.count, res.stored)
     write_matrix(os.path.join(cfg.out, "eigenvectors.mat"), res.vectors(n_vec))
-    _write_json(os.path.join(cfg.out, "shannon.json"), _meta(cfg, {
-        "shannon": res.shannon,
-        "eigenvalue_sum": float(res.eigenvalues.sum()),
-        "raw_eigenvalue_range": list(res.raw_eigenvalue_range),
-    }))
+    _write_meta(os.path.join(cfg.out, "shannon.json"), cfg, shannon=res.shannon,
+                eigenvalue_sum=float(res.eigenvalues.sum()),
+                raw_eigenvalue_range=list(res.raw_eigenvalue_range))
     if cfg.grid:
         ranks = np.arange(res.stored)
         if cfg.order is not None:
@@ -376,12 +337,11 @@ def cmd_eigen(cfg: RunConfig, region) -> int:
     return 0
 
 
-def cmd_project(cfg: RunConfig, region) -> int:
+def cmd_project(cfg: RunConfig, region, band) -> int:
     if cfg.domain != "fl":
         raise ValueError("projection is provided for the Fourier-Laguerre domain")
     if not cfg.signal:
         raise ValueError("project needs --signal <coefficient .mat file>")
-    band = _band(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     raw = read_matrix(cfg.signal)
     if raw.size == band.size:
@@ -407,20 +367,17 @@ def cmd_project(cfg: RunConfig, region) -> int:
                 + _csv_rows(np.arange(1, fl_sorted.size + 1), fl_sorted, sl_sorted))
     q_rows = {str(j): transforms.quality_measure(h_alpha, res, j)
               for j in sorted({J, h_alpha.size, max(J // 2, 1)})}
-    _write_json(os.path.join(cfg.out, "q.json"), _meta(cfg, {
-        "J": J, "shannon": res.shannon, "Q": q_rows,
-    }))
+    _write_meta(os.path.join(cfg.out, "q.json"), cfg, J=J, shannon=res.shannon, Q=q_rows)
     print(f"Q({J}) = {q_rows[str(J)]:.17g}")
     return 0
 
 
-def cmd_synth(cfg: RunConfig) -> int:
+def cmd_synth(cfg: RunConfig, region, band) -> int:
     if not cfg.signal:
         raise ValueError("synth needs --signal <coefficient .mat file>")
     if not cfg.grid:
         raise ValueError("synth needs --grid nr,ntheta,nphi")
     n_r, n_t, n_p = _grid_counts(cfg.grid, "nr,ntheta,nphi")
-    band = _band(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     vec = read_matrix(cfg.signal).reshape(-1)
     if vec.size != band.size:
@@ -449,18 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--domain", choices=("fl", "fb"))
-        p.add_argument("--P", type=int)
-        p.add_argument("--L", type=int)
-        p.add_argument("--K", type=float)
-        p.add_argument("--M", type=int)
-        p.add_argument("--region")
-        p.add_argument("--out")
-        p.add_argument("--order", type=int)
-        p.add_argument("--count", type=int)
-        p.add_argument("--grid")
-        p.add_argument("--J", type=int)
-        p.add_argument("--signal")
+        for key, parse in _OPTIONS.items():
+            p.add_argument(f"--{key}", type=parse)
     return parser
 
 
@@ -480,20 +427,16 @@ def main(argv=None) -> int:
         region = parse_region(cfg.region)
         if cfg.order is not None and isinstance(region, ProductMask):
             raise ValueError("--order selects an azimuthal order; mask regions have none")
-        if cfg.command == "synth":
-            return cmd_synth(cfg)
-        return _COMMANDS[cfg.command](cfg, region)
+        band = FourierLaguerreBand(cfg.P, cfg.L) if cfg.domain == "fl" \
+            else FourierBesselBand(cfg.K, cfg.L, cfg.M)
+        return _COMMANDS[cfg.command](cfg, region, band)
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        # before ValueError, of which LinAlgError is a subclass
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # numpy.linalg.LinAlgError and kin
-        if type(exc).__name__ == "LinAlgError":
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return 1
-        raise
 
 
 if __name__ == "__main__":

@@ -63,7 +63,7 @@ def _check_band_limits(**limits):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise TypeError(f"band limit {name} must be an integer, got {value!r}")
         if value < 1:
-            raise ValueError("band limits must be >= 1")
+            raise ValueError(f"band limit {name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,6 +73,23 @@ def _orientation(value) -> tuple[float, float] | None:
     return float(angles[0]), float(angles[1])
 
 
+def _check_rule(name: str, nodes: np.ndarray, weights: np.ndarray, hi: float):
+    """ValueError unless `nodes` ascend strictly within [0, hi], one positive weight each."""
+    if nodes.ndim != 1 or nodes.size == 0 or weights.shape != nodes.shape:
+        raise ValueError(f"{name} grid needs one weight per node")
+    if not (nodes[0] >= 0.0 and nodes[-1] <= hi and np.all(np.diff(nodes) > 0)):
+        raise ValueError(f"{name} nodes must ascend strictly within [0, {hi:.6g}]")
+    if not np.all(weights > 0):
+        raise ValueError(f"{name} weights must be positive")
+
+
+def _value_eq(self, other):
+    """Dataclass equality that compares array fields by value."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
 def _base_frame(r, theta, phi, orientation):
     """(r, theta) of points in the unrotated frame of an oriented region."""
     if orientation is None:
@@ -108,18 +125,14 @@ class AngularMask:
     def __post_init__(self):
         for name in ("theta_nodes", "theta_weights", "indicator"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        th = self.theta_nodes
-        if th.ndim != 1 or th.size == 0 or self.theta_weights.shape != th.shape:
-            raise ValueError("mask rows need one weight per colatitude node")
-        if not (th[0] >= 0.0 and th[-1] <= math.pi and np.all(np.diff(th) > 0)):
-            raise ValueError("mask colatitude nodes must ascend strictly within [0, pi]")
-        if not np.all(self.theta_weights > 0):
-            raise ValueError("mask weights must be positive")
+        _check_rule("mask colatitude", self.theta_nodes, self.theta_weights, math.pi)
         object.__setattr__(self, "n_phi", operator.index(self.n_phi))
-        if self.n_phi < 1 or self.indicator.shape != (th.size * self.n_phi,):
+        if self.n_phi < 1 or self.indicator.shape != (self.n_theta * self.n_phi,):
             raise ValueError("mask needs n_phi >= 1 and one flat indicator entry per pixel")
         if not np.all((self.indicator == 0.0) | (self.indicator == 1.0)):
             raise ValueError("mask indicator must be binary")
+
+    __eq__ = _value_eq
 
     @property
     def n_theta(self) -> int:
@@ -276,14 +289,17 @@ class AzimuthallySymmetric:
     orientation: tuple[float, float] | None = None
 
     def __post_init__(self):
-        for name in ("r_nodes", "r_weights", "theta_nodes", "theta_weights"):
+        for name in ("r_nodes", "r_weights", "theta_nodes", "theta_weights", "indicator"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "indicator", np.asarray(self.indicator, dtype=float))
+        _check_rule("radial", self.r_nodes, self.r_weights, math.inf)
+        _check_rule("colatitude", self.theta_nodes, self.theta_weights, math.pi)
         if self.indicator.shape != (self.r_nodes.size, self.theta_nodes.size):
             raise ValueError("indicator shape must be (n_r, n_theta)")
         if not np.all((self.indicator == 0.0) | (self.indicator == 1.0)):
             raise ValueError("indicator must be binary")
         object.__setattr__(self, "orientation", _orientation(self.orientation))
+
+    __eq__ = _value_eq
 
     @staticmethod
     def from_indicator(fn, R1: float, R2: float, n_r: int = 64,

@@ -1,5 +1,6 @@
 """CLI surface tests: formats, exit codes, golden parity with the library."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,8 +15,8 @@ import pytest
 
 import slepian_ball as sb
 from oracles import csv_rows_per_value, eigen_csv_per_value, matrix_file_bytes
-from slepian_ball.cli import (_csv_rows, _eigen_csv, main, parse_region, read_matrix,
-                              write_matrix)
+from slepian_ball.cli import (RunConfig, _csv_rows, _eigen_csv, main, parse_region,
+                              read_matrix, write_matrix)
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
 REGION = f"product:15,25,{T1},{T2}"
@@ -744,3 +745,83 @@ def test_fb_default_region_exits_2(tmp_path, capsys, command):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "bounded region" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# options and exit codes
+# ---------------------------------------------------------------------------
+
+# a non-default value of every option, as typed and as RunConfig holds it
+OPTION_VALUES = {"domain": ("fb", "fb"), "P": ("3", 3), "L": ("4", 4), "K": ("1.5", 1.5),
+                 "M": ("7", 7), "region": (REGION, REGION), "order": ("2", 2),
+                 "count": ("5", 5), "grid": ("3,3", "3,3"), "J": ("2", 2),
+                 "signal": ("c.mat", "c.mat")}
+
+
+def test_every_option_is_a_flag_and_a_config_key(tmp_path):
+    names = [f.name for f in dataclasses.fields(RunConfig) if f.name != "command"]
+    assert sorted(OPTION_VALUES) == sorted(set(names) - {"out"})
+    echoed = {}
+    for how in ("flag", "config"):
+        out = tmp_path / how
+        if how == "flag":
+            args = [a for k, (text, _) in OPTION_VALUES.items() for a in (f"--{k}", text)]
+            args += ["--out", str(out)]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{k} = {text}\n" for k, (text, _) in OPTION_VALUES.items())
+                           + f"out = {out}\n")
+            args = ["--config", str(cfg)]
+        assert main(["shannon", *args]) == 0
+        echoed[how] = json.loads((out / "shannon.json").read_text())["config"]
+        assert echoed[how].pop("out") == str(out)
+        assert echoed[how].pop("command") == "shannon"
+    for key, (_, value) in OPTION_VALUES.items():
+        for how in ("flag", "config"):
+            got = echoed[how][key]
+            assert got == value and type(got) is type(value), (how, key, got)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--config", "{cfg}"], "invalid literal for int"),
+    (["--domain", "xx"], "domain must be 'fl' or 'fb'"),
+], ids=["unparsable-config", "unknown-domain"])
+def test_bad_option_value_exits_2_before_output(tmp_path, capsys, args, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("P = x\n")
+    out = tmp_path / "o"
+    rc = main(["shannon", *[a.format(cfg=cfg) for a in args], "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+def test_negative_J_rejected_before_output(tmp_path, capsys):
+    # the solve used to run and write decay.csv before J was found out of range
+    sig = tmp_path / "c.mat"
+    write_matrix(sig, np.ones((sb.FourierLaguerreBand(3, 3).size, 1)))
+    out = tmp_path / "o"
+    rc = main(["project", "--domain", "fl", "--P", "3", "--L", "3", "--region", REGION,
+               "--signal", str(sig), "--J", "-1", "--out", str(out)])
+    assert rc == 2
+    assert "J must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_band_limit_message_names_the_limit(tmp_path, capsys):
+    rc = main(["shannon", "--P", "0", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "band limit P must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_linalg_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, so it used to exit 2 as a configuration error
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(sb.eigen, "solve_fl", fail)
+    rc = main(["eigen", "--domain", "fl", "--P", "3", "--L", "3", "--region", REGION,
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "numerical failure: Eigenvalues did not converge" in capsys.readouterr().err

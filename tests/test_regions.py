@@ -336,3 +336,36 @@ def test_product_mask_region():
         sb.volume(sb.ProductSymmetric(15, 25, T1, T2)), rel=1e-10)
     assert sb.contains(pm, sb.BallPoint(20.0, math.pi / 4, 0.1))
     assert not sb.contains(pm, sb.BallPoint(5.0, math.pi / 4, 0.1))
+
+
+AZIMUTHAL = sb.AzimuthallySymmetric.from_indicator(
+    lambda r, t: ((r < 20.0) & (t < 1.0)).astype(float), 15.0, 25.0, n_r=4, n_theta=4)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(r_weights=-AZIMUTHAL.r_weights), dict(theta_weights=-AZIMUTHAL.theta_weights),
+    dict(r_weights=AZIMUTHAL.r_weights[:3]), dict(theta_weights=AZIMUTHAL.theta_weights[:, None]),
+    dict(r_nodes=AZIMUTHAL.r_nodes[::-1]), dict(r_nodes=AZIMUTHAL.r_nodes - 16.0),
+    dict(theta_nodes=AZIMUTHAL.theta_nodes[::-1]), dict(theta_nodes=AZIMUTHAL.theta_nodes + 1.0),
+], ids=["neg-r-weights", "neg-theta-weights", "short-r-weights", "2d-theta-weights",
+        "reversed-r", "negative-r", "reversed-theta", "theta-past-pi"])
+def test_azimuthal_grid_checked_at_construction(bad):
+    # negative r_weights gave a negative volume, reversed r_nodes a region
+    # holding no point; both now fail where the region is made
+    assert sb.volume(AZIMUTHAL) > 0
+    with pytest.raises(ValueError):
+        dataclasses.replace(AZIMUTHAL, **bad)
+
+
+def test_masks_and_sampled_regions_compare_by_value():
+    mask = sb.AngularMask.band(0.3, 1.2, 4)
+    other = mask.with_indicator(np.r_[0.0, mask.indicator[1:]])
+    assert mask == sb.AngularMask.band(0.3, 1.2, 4)
+    assert mask != other
+    assert sb.ProductMask(mask, 15, 25) == sb.ProductMask(sb.AngularMask.band(0.3, 1.2, 4), 15, 25)
+    assert sb.ProductMask(mask, 15, 25) != sb.ProductMask(other, 15, 25)
+    twin = sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: ((r < 20.0) & (t < 1.0)).astype(float), 15.0, 25.0, n_r=4, n_theta=4)
+    assert AZIMUTHAL == twin
+    assert AZIMUTHAL != dataclasses.replace(twin, indicator=1.0 - twin.indicator)
+    assert AZIMUTHAL != dataclasses.replace(twin, orientation=(0.1, 0.2))
