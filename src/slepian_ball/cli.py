@@ -226,9 +226,9 @@ def _read_config_file(path: str) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """Flags over config file over the RunConfig defaults, validated."""
+    """Flags over config file over the RunConfig defaults, parsed alike and validated."""
     values = _read_config_file(args.config) if args.config else {}
-    values.update((key, v) for key in _OPTIONS if (v := getattr(args, key)) is not None)
+    values.update((k, _OPTIONS[k](v)) for k in _OPTIONS if (v := getattr(args, k)) is not None)
     cfg = RunConfig(args.command, **values)
     cfg.validate()
     return cfg
@@ -330,7 +330,7 @@ def cmd_eigen(cfg: RunConfig, region, band) -> int:
         Rg, Tg = np.meshgrid(rs, ts, indexing="ij")
         prefix = np.array(_csv_rows(Rg.ravel(), Tg.ravel()).splitlines())
         ranks = ranks[:cfg.count]
-        maps = transforms.synthesis_separable(res._stack(ranks).T, band, rs, ts, np.zeros(n_t))
+        maps = transforms.synthesis_separable(res._stack(ranks).T, band, rs, ts, 1)
         for rank, vals in zip(ranks.tolist(), maps):
             _write_text(os.path.join(cfg.out, f"eigenfunction_{rank:04d}.csv"),
                         "r,theta,value\n" + _csv_rows(prefix, vals.real.ravel()))
@@ -342,7 +342,6 @@ def cmd_project(cfg: RunConfig, region, band) -> int:
         raise ValueError("projection is provided for the Fourier-Laguerre domain")
     if not cfg.signal:
         raise ValueError("project needs --signal <coefficient .mat file>")
-    os.makedirs(cfg.out, exist_ok=True)
     raw = read_matrix(cfg.signal)
     if raw.size == band.size:
         h = eigen.HarmonicCoeffs(raw.reshape(-1).astype(complex), band)
@@ -357,6 +356,7 @@ def cmd_project(cfg: RunConfig, region, band) -> int:
                 f"{band.size} nor the analysis grid "
                 f"({grid.radial_nodes.size}, {n_ang})")
         h = transforms.analysis_fl(raw.astype(complex), grid, band)
+    os.makedirs(cfg.out, exist_ok=True)
     res = eigen.solve_fl(region, band)
     h_alpha = transforms.slepian_coeffs(h, res)
     J = cfg.J if cfg.J is not None else int(math.floor(res.shannon))
@@ -378,16 +378,16 @@ def cmd_synth(cfg: RunConfig, region, band) -> int:
     if not cfg.grid:
         raise ValueError("synth needs --grid nr,ntheta,nphi")
     n_r, n_t, n_p = _grid_counts(cfg.grid, "nr,ntheta,nphi")
-    os.makedirs(cfg.out, exist_ok=True)
     vec = read_matrix(cfg.signal).reshape(-1)
     if vec.size != band.size:
         raise ValueError(
             f"signal file has {vec.size} coefficients, band needs {band.size}")
+    os.makedirs(cfg.out, exist_ok=True)
     rs = np.linspace(50.0 / n_r, 50.0, n_r)
     ts = np.linspace(0.0, math.pi, n_t)
     ps = np.linspace(0.0, 2 * math.pi, n_p, endpoint=False)
-    Rg, Tg, Pg = np.meshgrid(rs, ts, ps, indexing="ij")
-    vals = transforms.synthesis_separable(vec[None], band, rs, Tg[0].ravel(), Pg[0].ravel())
+    vals = transforms.synthesis_separable(vec[None], band, rs, ts, n_p)
+    Rg, Tg, Pg = np.meshgrid(rs, ts, ps, indexing="ij")   # the columns of values.csv
     _write_text(os.path.join(cfg.out, "values.csv"), "r,theta,phi,re,im\n" + _csv_rows(
         Rg.ravel(), Tg.ravel(), Pg.ravel(), vals.real.ravel(), vals.imag.ravel()))
     return 0
@@ -406,8 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", help="key = value config file")
-        for key, parse in _OPTIONS.items():
-            p.add_argument(f"--{key}", type=parse)
+        for key in _OPTIONS:
+            p.add_argument(f"--{key}")
     return parser
 
 

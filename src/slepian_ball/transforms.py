@@ -10,9 +10,12 @@ not assumed.
 Synthesis in both bands first sums each coefficient vector against a
 radial table (K_p(r) for Fourier-Laguerre, the k-weighted j_l(k_n r) of
 `kernels._fb_bessel_table` for Fourier-Bessel), then against Y_lm.  On a
-separable set of points, radial nodes x angular points, `synthesis_separable`
-does this for a whole stack of vectors with one table of each kind and one
-matrix product; `synthesis_fl_grid` and the CLI's eigenfunction maps and
+separable grid, radial nodes x colatitudes x uniform azimuths,
+`synthesis_separable` is the analysis route below run backwards for a whole
+stack of vectors: the radial sums in the stack's own dtype, one
+Pbar_lm(cos theta) table per order m contracting the degrees into azimuthal
+bin m mod n_phi, and one inverse FFT over the bins.  No Y_lm table of the
+grid is built.  `synthesis_fl_grid` and the CLI's eigenfunction maps and
 `synth` grids go through it.  `synthesis_fl` and `synthesis_fb` evaluate
 one vector at scattered points with the same radial tables.
 
@@ -134,31 +137,50 @@ def _radial_sums(values, band, r) -> np.ndarray:
     k integral sqrt(2/pi) sum_n w_n k_n f_{lm}(k_n) j_l(k_n r).
     """
     L = band.L
-    # contiguous, so the products (and their rounding) do not depend on the
-    # layout of `values`: a transposed stack would reshape to a strided view
-    C = np.ascontiguousarray(values, dtype=complex).reshape(-1, L * L, band.size // (L * L))
+    # contiguous in the stack's own dtype, so the products (and their rounding) do
+    # not depend on the layout of `values`: a transposed stack would reshape to a strided view
+    C = np.ascontiguousarray(values, dtype=np.result_type(values, float))
+    C = C.reshape(-1, L * L, band.size // (L * L))
     if isinstance(band, FourierLaguerreBand):
         return C @ specfun.laguerre_K_table(band.P - 1, r)
     T = _fb_bessel_table(band, r) * np.sqrt(fb_k_weights(band))[:, None]  # (L, M, n_r)
     return np.concatenate([C[:, l * l:(l + 1) ** 2] @ T[l] for l in range(L)], axis=1)
 
 
-def synthesis_separable(values, band, r, theta, phi) -> np.ndarray:
-    """Evaluate a stack of coefficient vectors on radial nodes x angular points.
+def _fft_azimuths(phi) -> int:
+    """The count n_phi of azimuths phi_j = 2 pi j / n_phi; other azimuths,
+    which an FFT over phi cannot serve, raise ValueError."""
+    n = phi.size
+    if n < 1 or np.abs(phi - 2.0 * math.pi * np.arange(n) / n).max() > 1e-12:
+        raise ValueError("grid azimuths are not 2 pi j / n_phi, as the FFT needs")
+    return n
 
-    `values` is (count, band.size) in either band; the angular points are
-    the pairs (theta[i], phi[i]).  Returns (count, r.size, theta.size):
-    one radial table and one Y_lm table serve every vector.
+
+def synthesis_separable(values, band, r, theta, n_phi: int) -> np.ndarray:
+    """Evaluate a stack of coefficient vectors on radii x colatitudes x azimuths.
+
+    `values` is (count, band.size) in either band; the azimuths are
+    phi_j = 2 pi j / n_phi.  Returns (count, r.size, theta.size, n_phi).  After
+    the radial sums, in the stack's dtype, one table Pbar_{lm}(cos theta) per
+    order m contracts the degrees of +m into azimuthal bin m mod n_phi and,
+    times (-1)^m, those of -m into bin -m mod n_phi; an unnormalized inverse
+    FFT over the bins gives sum_m e^{i m phi_j}, exact at any n_phi >= 1.
     """
     if np.shape(values)[-1] != band.size:
         raise ValueError(f"coefficient vectors have length {np.shape(values)[-1]}, "
                          f"band needs {band.size}")
-    r = np.asarray(r, dtype=float).ravel()
-    rad = _radial_sums(values, band, r)                      # (count, L^2, n_r)
-    Y = specfun.sph_harm_matrix(band.L, theta, phi)          # (L^2, n_ang)
-    count, n_ang = rad.shape[0], Y.shape[1]
-    out = rad.transpose(0, 2, 1).reshape(-1, band.L ** 2) @ Y
-    return out.reshape(count, r.size, n_ang)
+    if n_phi < 1:
+        raise ValueError(f"n_phi must be >= 1, got {n_phi}")
+    L, theta = band.L, np.asarray(theta, dtype=float).ravel()
+    rad = _radial_sums(values, band, np.asarray(r, dtype=float).ravel())  # (count, L^2, n_r)
+    out = np.zeros((rad.shape[0], rad.shape[2], theta.size, n_phi), dtype=complex)
+    for m in range(L):
+        pb = specfun.norm_alf_table(L, m, theta)                 # (L - m, n_theta)
+        ls = np.arange(m, L)
+        out[..., m % n_phi] += rad[:, ls * ls + ls + m].transpose(0, 2, 1) @ pb
+        if m > 0:
+            out[..., -m % n_phi] += (-1) ** m * (rad[:, ls * ls + ls - m].transpose(0, 2, 1) @ pb)
+    return np.fft.ifft(out, axis=-1, norm="forward")
 
 
 def _synthesis_points(coeffs: HarmonicCoeffs, points) -> np.ndarray:
@@ -182,14 +204,14 @@ def synthesis_fl(coeffs: HarmonicCoeffs, points) -> np.ndarray:
 
 
 def synthesis_fl_grid(coeffs: HarmonicCoeffs, grid: SpatialGrid) -> np.ndarray:
-    """Synthesis on a separable grid; returns (n_r, n_theta, n_phi) values."""
+    """Synthesis on a separable grid whose azimuths are 2 pi j / n_phi (others
+    raise ValueError); returns (n_r, n_theta, n_phi) values."""
     if not isinstance(coeffs.band, FourierLaguerreBand):
         raise TypeError("synthesis_fl_grid needs Fourier-Laguerre coefficients")
     if grid.angular_band < coeffs.band.L:
         raise ValueError("grid angular band below coefficient band")
-    th, ph = grid.angular_points()
-    vals = synthesis_separable(coeffs.values, coeffs.band, grid.radial_nodes, th, ph)
-    return vals.reshape(grid.radial_nodes.size, grid.theta_nodes.size, grid.phi_nodes.size)
+    return synthesis_separable(coeffs.values[None], coeffs.band, grid.radial_nodes,
+                               grid.theta_nodes, _fft_azimuths(grid.phi_nodes))[0]
 
 
 def analysis_fl(values: np.ndarray, grid: SpatialGrid,
@@ -211,11 +233,9 @@ def analysis_fl(values: np.ndarray, grid: SpatialGrid,
         raise ValueError(f"grid angular band {grid.angular_band} below L={L}")
     if grid.radial_exact_degree < 2 * (P - 1):
         raise ValueError("grid radial rule is not exact for this band")
-    n_r, n_t, n_p = grid.radial_nodes.size, grid.theta_nodes.size, grid.phi_nodes.size
+    n_r, n_t, n_p = grid.radial_nodes.size, grid.theta_nodes.size, _fft_azimuths(grid.phi_nodes)
     if n_p < 2 * L - 1:
         raise ValueError(f"grid has {n_p} azimuths, L={L} needs at least {2 * L - 1}")
-    if np.abs(grid.phi_nodes - 2.0 * math.pi * np.arange(n_p) / n_p).max() > 1e-12:
-        raise ValueError("grid azimuths are not 2 pi j / n_phi, as the FFT needs")
     vals = np.asarray(values, dtype=complex).reshape(n_r, n_t * n_p)
     Kt = specfun.laguerre_K_table(P - 1, grid.radial_nodes) * grid.radial_weights
     F = Kt @ vals                                             # (P, n_theta n_phi)

@@ -30,6 +30,9 @@ serve the tests as oracles:
   through scipy's spherical_jn;
 * Fourier-Laguerre analysis on a grid through the dense (L^2, n_theta n_phi)
   table of conj(Y_lm), against the library's FFT and per-order sums;
+* synthesis of a stack of vectors on radial nodes x angular points through
+  the dense (L^2, n_ang) table of Y_lm (`synthesis_separable_dense`),
+  against the library's per-order sums and inverse FFT;
 * the CLI's CSV writers as one f"{x:.17g}" per value;
 * the CLI's binary matrix file as one bytes object, the way it was built
   before the writer streamed the array buffer (`matrix_file_bytes`);
@@ -53,6 +56,7 @@ from slepian_ball import specfun
 from slepian_ball.kernels import FourierLaguerreBand, _c_quad_rule, fb_k_weights
 from slepian_ball.regions import (AzimuthallySymmetric, ProductMask, ProductSymmetric,
                                   RegionUnion, _rotation_matrix)
+from slepian_ball.transforms import _radial_sums
 
 # float64 loses ~15 digits to cancellation in the alternating moment sum by
 # p+p' ~ 58, so the analytic E path runs in fixed extended precision.
@@ -655,6 +659,17 @@ def analysis_fl_dense(values, grid, band) -> np.ndarray:
     ang = (Y.conj() * grid.angular_weights) @ vals.T                   # (L^2, n_r)
     Kt = specfun.laguerre_K_table(band.P - 1, grid.radial_nodes)
     return (ang @ (Kt * grid.radial_weights).T).reshape(-1)
+
+
+def synthesis_separable_dense(values, band, r, theta, phi) -> np.ndarray:
+    """A stack of coefficient vectors on radial nodes x the angular points
+    (theta[i], phi[i]), through the library's radial sums and the whole
+    (L^2, n_ang) Y_lm table of the points; (count, r.size, theta.size)."""
+    r = np.asarray(r, dtype=float).ravel()
+    rad = _radial_sums(values, band, r)                      # (count, L^2, n_r)
+    Y = specfun.sph_harm_matrix(band.L, theta, phi)          # (L^2, n_ang)
+    out = rad.transpose(0, 2, 1).reshape(-1, band.L ** 2) @ Y
+    return out.reshape(rad.shape[0], r.size, Y.shape[1])
 
 
 def synthesis_fb_per_degree(coeffs, points) -> np.ndarray:

@@ -784,16 +784,37 @@ def test_every_option_is_a_flag_and_a_config_key(tmp_path):
 
 @pytest.mark.parametrize("args, message", [
     (["--config", "{cfg}"], "invalid literal for int"),
+    (["--P", "x"], "invalid literal for int"),
     (["--domain", "xx"], "domain must be 'fl' or 'fb'"),
-], ids=["unparsable-config", "unknown-domain"])
+], ids=["unparsable-config", "unparsable-flag", "unknown-domain"])
 def test_bad_option_value_exits_2_before_output(tmp_path, capsys, args, message):
+    # a flag and a config key with the same bad value take the same route out of main
     cfg = tmp_path / "run.cfg"
     cfg.write_text("P = x\n")
     out = tmp_path / "o"
     rc = main(["shannon", *[a.format(cfg=cfg) for a in args], "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and message in err
+    assert err.count("\n") == 1 and err.startswith("configuration error: ") and message in err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["shannon", "--help"])
+    assert exc.value.code == 0
+    assert "--P" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, extra", [("project", []), ("synth", ["--grid", "2,2,2"])])
+def test_bad_signal_exits_2_before_output(tmp_path, capsys, command, extra):
+    sig = tmp_path / "c.mat"
+    write_matrix(sig, np.ones((5, 1)))
+    out = tmp_path / "o"
+    rc = main([command, "--P", "3", "--L", "3", "--region", REGION, "--signal", str(sig),
+               *extra, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
     assert not out.exists()
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import slepian_ball as sb
 from slepian_ball import specfun, transforms
 from oracles import (analysis_fl_dense, laguerre_K, spherical_bessel_j, spherical_harmonic,
-                     synthesis_fb_per_degree, synthesis_fl_scalar)
+                     synthesis_fb_per_degree, synthesis_fl_scalar, synthesis_separable_dense)
 from slepian_ball.kernels import fb_k_weights
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
@@ -171,33 +171,95 @@ def test_fb_synthesis_linearity(rng):
     assert np.abs(lhs - rhs).max() < 1e-13 * max(1.0, np.abs(rhs).max())
 
 
+def _azimuths(n_phi):
+    return 2 * math.pi * np.arange(n_phi) / n_phi
+
+
+def _grid_points(r, theta, n_phi):
+    """(N, 3) points (r, theta, phi) of radii x colatitudes x uniform azimuths, C order."""
+    R, T, Ph = np.meshgrid(r, theta, _azimuths(n_phi), indexing="ij")
+    return np.column_stack([R.ravel(), T.ravel(), Ph.ravel()])
+
+
 @pytest.mark.parametrize("band", [sb.FourierLaguerreBand(3, 3), sb.FourierBesselBand(1.2, 3, 5)],
                          ids=["fl", "fb"])
 def test_synthesis_separable_matches_pointwise_oracles(band, rng):
     values = np.array([random_coeffs(band, rng).values for _ in range(3)])
     r = np.array([2.0, 7.5, 13.0, 21.0])
-    theta, phi = np.linspace(0.1, 3.0, 5), np.linspace(0.0, 5.0, 5)
-    got = transforms.synthesis_separable(values, band, r, theta, phi)
-    assert got.shape == (3, r.size, theta.size)
+    theta, n_phi = np.linspace(0.1, 3.0, 5), 3
+    got = transforms.synthesis_separable(values, band, r, theta, n_phi)
+    assert got.shape == (3, r.size, theta.size, n_phi)
     fl = isinstance(band, sb.FourierLaguerreBand)
     oracle = synthesis_fl_scalar if fl else synthesis_fb_per_degree
     pointwise = sb.synthesis_fl if fl else sb.synthesis_fb
-    pts = np.column_stack([np.repeat(r, theta.size), np.tile(theta, r.size),
-                           np.tile(phi, r.size)])
+    pts = _grid_points(r, theta, n_phi)
     for c, vals in enumerate(values):
         want = oracle(sb.HarmonicCoeffs(vals, band), pts)
         tol = 1e-13 * np.abs(want).max()
         assert np.abs(got[c].ravel() - want).max() <= tol
         assert np.abs(pointwise(sb.HarmonicCoeffs(vals, band), pts) - want).max() <= tol
     # the pointwise path works through more points than one chunk
-    theta, phi = np.linspace(0.05, 3.1, 300), np.linspace(0.0, 6.0, 300)
-    grid = transforms.synthesis_separable(values[:1], band, r[:2], theta, phi)[0]
-    pts = np.column_stack([np.repeat(r[:2], 300), np.tile(theta, 2), np.tile(phi, 2)])
+    theta = np.linspace(0.05, 3.1, 300)
+    grid = transforms.synthesis_separable(values[:1], band, r[:2], theta, 2)[0]
+    pts = _grid_points(r[:2], theta, 2)
+    assert pts.shape[0] > 512
     got = pointwise(sb.HarmonicCoeffs(values[0], band), pts)
     assert np.abs(got - grid.ravel()).max() <= 1e-13 * np.abs(grid).max()
-    assert transforms.synthesis_separable(values[:0], band, r, theta, phi).shape == (0, 4, 300)
+    assert transforms.synthesis_separable(values[:0], band, r, theta, 2).shape == (0, 4, 300, 2)
     with pytest.raises(ValueError, match="band needs"):
-        transforms.synthesis_separable(values[:, 1:], band, r, theta, phi)
+        transforms.synthesis_separable(values[:, 1:], band, r, theta, 2)
+    with pytest.raises(ValueError, match="n_phi must be >= 1"):
+        transforms.synthesis_separable(values, band, r, theta, 0)
+
+
+@pytest.mark.parametrize("n_phi", [1, 3, 10], ids=["one", "folded", "2L"])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("band", [sb.FourierLaguerreBand(4, 5), sb.FourierBesselBand(1.2, 5, 6)],
+                         ids=["fl", "fb"])
+def test_synthesis_separable_matches_dense_route(band, dtype, n_phi, rng):
+    # n_phi = 3 < 2L - 1 folds the orders +-3 and +-4 onto the bins of others
+    values = rng.normal(size=(3, band.size)).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.normal(size=values.shape)
+    r, theta = np.array([1.5, 6.0, 17.0]), np.linspace(0.05, 3.1, 7)
+    T, Ph = np.meshgrid(theta, _azimuths(n_phi), indexing="ij")
+    want = synthesis_separable_dense(values, band, r, T.ravel(), Ph.ravel())
+    got = transforms.synthesis_separable(values, band, r, theta, n_phi)
+    assert got.shape == (3, r.size, theta.size, n_phi)
+    assert np.abs(got.reshape(want.shape) - want).max() <= 1e-13 * np.abs(want).max()
+    empty = transforms.synthesis_separable(values[:0], band, r, theta, n_phi)
+    assert empty.shape == (0, r.size, theta.size, n_phi)
+
+
+def test_synthesis_fl_grid_folds_coarse_azimuths_and_rejects_others(rng):
+    band = sb.FourierLaguerreBand(4, 4)
+    c = random_coeffs(band, rng)
+    grid = transforms.analysis_grid(band)
+    n_p = 3
+    coarse = dataclasses.replace(grid, phi_nodes=_azimuths(n_p))
+    got = sb.synthesis_fl_grid(c, coarse)
+    assert got.shape == (grid.radial_nodes.size, grid.theta_nodes.size, n_p)
+    want = synthesis_fl_scalar(c, _grid_points(grid.radial_nodes[:2], grid.theta_nodes, n_p))
+    assert np.abs(got[:2].ravel() - want).max() <= 1e-13 * np.abs(want).max()
+    shifted = dataclasses.replace(grid, phi_nodes=grid.phi_nodes + 0.1)
+    with pytest.raises(ValueError, match="azimuths are not"):
+        sb.synthesis_fl_grid(c, shifted)
+
+
+def test_scaled_grid_synthesis_bounded_memory_round_trip(rng):
+    # P = L = 64: the dense Y_lm route traced about 526 MB here
+    band = sb.FourierLaguerreBand(64, 64)
+    c = random_coeffs(band, rng)
+    grid = transforms.analysis_grid(band)
+    tracemalloc.start()
+    try:
+        vals = sb.synthesis_fl_grid(c, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    back = sb.analysis_fl(vals, grid, band)
+    assert np.abs(back.values - c.values).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
