@@ -195,11 +195,18 @@ class EigenResult:
 
         One product per block, V^H H_rows U (separated) or Y^H vec(H_rows)
         (fixed-order), with H = values as (L^2, radial).  By default separated bases
-        project the whole spectrum, block bases the `stored` ranks.
+        project the whole spectrum, block bases the `stored` ranks.  `values`
+        of another length than band.size raise ValueError, a negative
+        `count` IndexError.
         """
-        H = np.asarray(values, dtype=complex).reshape(self.band.L ** 2, -1)
+        H = np.asarray(values, dtype=complex)
+        if H.size != self.band.size:
+            raise ValueError(f"values have length {H.size}, band needs {self.band.size}")
+        H = H.reshape(self.band.L ** 2, -1)
         limit = self.stored if self.lam_radial is None else len(self)
         count = limit if count is None else count
+        if count < 0:
+            raise IndexError(f"count {count} is outside the spectrum 0..{len(self)}")
         if count > limit:
             self._require_stored(count - 1)
         out = np.zeros(len(self), dtype=complex)
@@ -342,14 +349,11 @@ def solve_fb(region, band: FourierBesselBand, keep: int | None = None) -> EigenR
 
     Each order solves the W-symmetrized block B_m = F_m F_m^T through
     `_solve_blocks`; `raw_eigenvalue_range` reports the eigenvalues actually
-    computed, and 0 when a block was padded.  For a product region the
-    order-m Gram side is q r_m wide (q radial modes, r_m the numerical rank
-    of G^m) and comes from the per-degree radial Grams and A_m, never from
-    the dense (L - m) M x q r_m factor; the direct side F_m F_m^T is taken
-    when it is the smaller one.  Vector entries are mapped back to
-    coefficient samples f_{lm}(k_n) through W^{-1/2}, so the discrete
-    quadrature of sum_lm int |f_lm(k)|^2 dk is one.  `keep` is None (every
-    vector down to _VECTOR_FLOOR) or an integer >= 0, as for `solve_fl`.
+    computed, and 0 when a block was padded.  A product region's order-m
+    Gram side is q r_m wide (q radial modes, r_m the rank of G^m).  Vector
+    entries are mapped back to coefficient samples f_{lm}(k_n) through
+    W^{-1/2}, so the discrete quadrature of sum_lm int |f_lm(k)|^2 dk is one.
+    `keep` is None (every vector down to _VECTOR_FLOOR) or an integer >= 0.
     Raises ValueError when dk * R_max > pi (`kernels._check_k_sampling`).
     """
     _check_keep(keep)
@@ -363,60 +367,43 @@ def solve_fb(region, band: FourierBesselBand, keep: int | None = None) -> EigenR
 # Shannon numbers (trace integrals, no eigen-solve)
 # ---------------------------------------------------------------------------
 
-def shannon_fl(region, band: FourierLaguerreBand) -> float:
-    """Fourier-Laguerre Shannon number N = L^2/(4 pi) sum_p int_R K_p^2 dv."""
-    P, L = band.P, band.L
-    if isinstance(region, (ProductSymmetric, ProductMask)):
-        radial = float(np.trace(ker.E_matrix(P, region.R1, region.R2)))
-        return radial * L * L / (4.0 * math.pi) * solid_angle(region)
-    if isinstance(region, RegionUnion):
-        return sum(shannon_fl(m, band) for m in region.members)
-    if isinstance(region, AzimuthallySymmetric):
-        Kt = specfun.laguerre_K_table(P - 1, region.r_nodes)
-        rad = np.sum(Kt ** 2, axis=0) * region.r_weights * region.r_nodes ** 2
-        vol_int = 2.0 * math.pi * float(rad @ region.indicator @ region.theta_weights)
-        return L * L / (4.0 * math.pi) * vol_int
-    raise TypeError(f"unsupported region type {type(region)!r}")
-
-
-def _fb_trace_radial(K: float, L: int, r: np.ndarray) -> np.ndarray:
-    """sum_l (2l+1) [j_l(Kr)^2 - j_{l-1}(Kr) j_{l+1}(Kr)] at the given radii."""
-    x = K * r
-    J = specfun.spherical_jn_table(L, x)
-    Jm1 = specfun.spherical_j_minus1(x)
+def _trace_density(band: SpectralBand, r: np.ndarray) -> np.ndarray:
+    """The band's kernel diagonal at radii r, the same at every angle:
+    L^2/(4 pi) sum_p K_p(r)^2 (FL), or the k-integrated Bessel sum
+    K^3/(4 pi^2) sum_l (2l+1)(j_l^2 - j_{l-1} j_{l+1})(Kr) (FB), with
+    j_{-1}(x) = cos(x)/x supplying the l = 0 term."""
+    if isinstance(band, FourierLaguerreBand):
+        K2 = specfun.laguerre_K_table(band.P - 1, r) ** 2
+        return band.L ** 2 / (4.0 * math.pi) * np.sum(K2, axis=0)
+    x = band.K * r
+    J = specfun.spherical_jn_table(band.L, x)
     out = np.zeros_like(x)
-    for l in range(L):
-        lower = Jm1 if l == 0 else J[l - 1]
+    for l in range(band.L):
+        lower = specfun.spherical_j_minus1(x) if l == 0 else J[l - 1]
         out += (2 * l + 1) * (J[l] ** 2 - lower * J[l + 1])
-    return out
+    return band.K ** 3 / (4.0 * math.pi ** 2) * out
 
 
-def shannon_fb(region, band: FourierBesselBand) -> float:
-    """Fourier-Bessel Shannon number from the analytic k-integrated trace.
-
-    N = K^3/(4 pi^2) int_R dv sum_l (2l+1)(j_l(Kr)^2 - j_{l-1} j_{l+1}),
-    with j_{-1}(x) = cos(x)/x supplying the l = 0 term.  No spectral
-    discretization enters.
-    """
-    K, L = band.K, band.L
-    pref = K ** 3 / (4.0 * math.pi ** 2)
-    if isinstance(region, (ProductSymmetric, ProductMask)):
-        R1, R2 = region.R1, region.R2
-        if math.isinf(R2):
-            return math.inf
-        n = max(64, math.ceil(4.0 * K * R2 / math.pi) + 32)
-        rule = specfun.gauss_legendre_rule(n, R1, R2)
-        integ = np.sum(rule.weights * rule.nodes ** 2
-                       * _fb_trace_radial(K, L, rule.nodes))
-        return pref * solid_angle(region) * float(integ)
-    if isinstance(region, AzimuthallySymmetric):
-        rad = (_fb_trace_radial(K, L, region.r_nodes)
-               * region.r_weights * region.r_nodes ** 2)
-        return pref * 2.0 * math.pi * float(
-            rad @ region.indicator @ region.theta_weights)
+def shannon(region, band: SpectralBand) -> float:
+    """Shannon number N = int_R rho dv (`_trace_density`) in either band:
+    product and mask regions on `kernels._radial_rule` times their solid
+    angle, azimuthal ones on their grid; in FB, N = inf for R2 = inf."""
     if isinstance(region, RegionUnion):
-        return sum(shannon_fb(m, band) for m in region.members)
+        return sum(shannon(m, band) for m in region.members)
+    if isinstance(region, (ProductSymmetric, ProductMask)):
+        if isinstance(band, FourierBesselBand) and math.isinf(region.R2):
+            return math.inf
+        rule = ker._radial_rule(band, region.R1, region.R2)
+        radial = rule.weights * rule.nodes ** 2 @ _trace_density(band, rule.nodes)
+        return solid_angle(region) * float(radial)
+    if isinstance(region, AzimuthallySymmetric):
+        rad = _trace_density(band, region.r_nodes) * region.r_weights * region.r_nodes ** 2
+        return 2.0 * math.pi * float(rad @ region.indicator @ region.theta_weights)
     raise TypeError(f"unsupported region type {type(region)!r}")
+
+
+# the band-named entry points the solvers call
+shannon_fl = shannon_fb = shannon
 
 
 def angular_shannon(L: int, theta1: float, theta2: float) -> float:

@@ -13,23 +13,23 @@ with
     G^m_{l,l'}      = 2 pi int_{t1}^{t2} sin(t) Ybar_{lm}(t) Ybar_{l'm}(t) dt
     C_{l,l'}(k,k')  = (2/pi) k k' int_{R1}^{R2} r^2 j_l(kr) j_{l'}(k'r) dr.
 
-All three are assembled by Gauss-Legendre quadrature in the integration
-variable (r for E and C, cos t for G).  The G rule is exact, the E and C
-rules resolve the exponential and oscillatory factors to rounding.  Each
-block is then a Gram matrix A A^T of square-root-weighted node values.  The
-fixed-order blocks of both bands are kept as such a factor, B_m = F_m F_m^T
+All three are quadrature sums: G Gauss-Legendre in cos t, exact, and every
+radial integral (E, the FB radial modes, the Shannon trace, energy grids)
+on the band's one rule for [R1, R2], `_radial_rule`.  Each block is then a
+Gram matrix A A^T of square-root-weighted node values.  The fixed-order
+blocks of both bands are kept as such a factor, B_m = F_m F_m^T
 (`_order_factors`), and so is the angular coupling of a pixel mask,
 G_mask = A A^H with A the square-root-weighted Y_lm at the active pixels
-(`_mask_factor`).  E and G^m enter the block factors cut to their numerical
-rank (`_rank_factor`: eigh, eigenpairs above lam_max n eps, U sqrt(lam)),
-and a product member's F_m stays the pair of radial modes T and angular
-factor A_m (`_ProductFactor`), whose Gram side is sum_l S_l (x) a_l a_l^T
+(`_mask_factor`).  E, G^m and the FB radial modes enter the block factors
+cut to their numerical rank by one rule (`_above_rank_floor`), and a product
+member's F_m stays the pair of radial modes T and angular factor A_m
+(`_ProductFactor`), whose Gram side is sum_l S_l (x) a_l a_l^T
 with per-degree radial Grams S_l = T_l^T T_l.  The block solver eigensolves
 the smaller side of F_m, the mask solver takes the SVD of A.  The test
 suite checks each against an analytic oracle (exponential moments in
 extended precision, Wigner-3j sums, Lommel closed forms for C) or a dense
-assembly and eigensolve.  `C_kernel` evaluates one entry of C through the
-same Gauss-Legendre rule.
+assembly and eigensolve.  `C_kernel` evaluates one entry of C through
+`_c_quad_rule` at its own k.
 
 The continuous Fourier-Bessel spectrum is discretized on uniform samples
 k_n = n K / M; quadrature in k uses trapezoid weights (the k = 0 node
@@ -150,7 +150,7 @@ def _check_hermitian(a: np.ndarray):
     a = np.asarray(a)
     herm = np.abs(a - a.conj().T).max()
     scale = max(np.abs(a).max(), 1e-300)
-    if herm > 1e-12 * scale:
+    if not herm <= 1e-12 * scale:  # a NaN entry fails too
         raise ValueError(f"kernel is not Hermitian: rel asymmetry {herm / scale:.2e}")
 
 
@@ -177,22 +177,29 @@ class KernelMatrix:
 # radial coupling E
 # ---------------------------------------------------------------------------
 
-def E_matrix(P: int, R1: float, R2: float) -> np.ndarray:
-    """Radial coupling E_{p,p'} = int_{R1}^{R2} r^2 K_p K_{p'} dr, p, p' < P.
+def _radial_rule(band: SpectralBand, R1: float, R2: float) -> specfun.QuadratureRule:
+    """The rule for int_{R1}^{R2} f(r) dr behind every radial integral of a band.
 
-    Gauss-Legendre quadrature with 2P + 24 nodes: the integrand is e^{-r}
-    times a polynomial of degree <= 2P, and the extra nodes resolve the
-    exponential.  An infinite R2 uses orthonormality on the half line,
-    E = I - E(0, R1).  Symmetric with spectrum in [0, 1].
+    FL integrands are e^{-r} poly(2P): Gauss-Legendre with 2P + 24 nodes
+    resolves them to rounding, and on [R1, inf) the scaled Gauss-Laguerre
+    rule with P + 1 nodes is exact.  FB: `_c_quad_rule` at K, bounded only.
     """
-    if P < 1:
-        raise ValueError("P must be >= 1")
+    if isinstance(band, FourierBesselBand):
+        if math.isinf(R2):
+            raise ValueError("Fourier-Bessel kernels need a bounded region, got R2 = inf")
+        return _c_quad_rule(band.K, R1, R2)
+    if math.isinf(R2):
+        return specfun.gauss_laguerre_scaled_rule(band.P + 1, R1)
+    return specfun.gauss_legendre_rule(2 * band.P + 24, R1, R2)
+
+
+def E_matrix(P: int, R1: float, R2: float) -> np.ndarray:
+    """Radial coupling E_{p,p'} = int_{R1}^{R2} r^2 K_p K_{p'} dr, p, p' < P:
+    A A^T of the square-root-weighted r K_p on the `_radial_rule` nodes, for
+    R2 finite or not, so symmetric positive semidefinite, spectrum in [0, 1]."""
     if not (R2 > R1 >= 0.0):
         raise ValueError(f"need 0 <= R1 < R2, got R1={R1}, R2={R2}")
-    if math.isinf(R2):
-        return np.eye(P) - (E_matrix(P, 0.0, R1) if R1 > 0.0 else 0.0)
-    rule = specfun.gauss_legendre_rule(2 * P + 24, R1, R2)
-    # square-root weights: A A^T is exactly symmetric and positive semidefinite
+    rule = _radial_rule(FourierLaguerreBand(P, 1), R1, R2)
     A = specfun.laguerre_K_table(P - 1, rule.nodes) * (np.sqrt(rule.weights) * rule.nodes)
     return A @ A.T
 
@@ -282,26 +289,31 @@ def _fb_bessel_table(band: FourierBesselBand, r: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _fb_radial_modes(band: FourierBesselBand, R1: float, R2: float) -> np.ndarray:
-    """Radial factor T, (L, M, q), with W^{1/2} C W^{1/2} = T T^T: one thin SVD
-    of the Bessel table on the C nodes, cut to its numerical rank by the
-    numpy.linalg.matrix_rank default tolerance.  Read-only: it is cached."""
-    rule = _c_quad_rule(band.K, R1, R2)
+    """Radial factor T, (L, M, q), with W^{1/2} C W^{1/2} = T T^T: the thin SVD
+    of the Bessel table X on the `_radial_rule` nodes, cut as `_rank_factor`
+    cuts X X^T.  Read-only: it is cached."""
+    rule = _radial_rule(band, R1, R2)
     X = (_fb_bessel_table(band, rule.nodes) * (rule.nodes * np.sqrt(rule.weights))
          ).reshape(band.L * band.M, -1)
     U, s, _ = np.linalg.svd(X, full_matrices=False)
-    q = int(np.count_nonzero(s > s[0] * max(X.shape) * np.finfo(float).eps))
+    q = int(np.count_nonzero(_above_rank_floor(s * s, X.shape[0])))
     T = (U[:, :q] * s[:q]).reshape(band.L, band.M, q)
     T.flags.writeable = False
     return T
 
 
+def _above_rank_floor(lam: np.ndarray, n: int) -> np.ndarray:
+    """Eigenvalues of an n x n PSD matrix above numpy.linalg.matrix_rank's
+    default tolerance lam_max n eps: the rank cut of E, G^m and the FB modes."""
+    return lam > lam.max() * n * np.finfo(float).eps
+
+
 def _rank_factor(a: np.ndarray) -> np.ndarray:
     """Factor X of a symmetric positive semidefinite a = X X^T, (n, r): the
-    eigenvectors of a scaled by sqrt(lam), cut to its numerical rank by the
-    numpy.linalg.matrix_rank default tolerance."""
+    eigenvectors of a above `_above_rank_floor`, scaled by sqrt(lam)."""
     _check_hermitian(a)  # eigh reads one triangle and would hide a skew
     lam, U = np.linalg.eigh(a)
-    keep = lam > lam[-1] * a.shape[0] * np.finfo(float).eps
+    keep = _above_rank_floor(lam, a.shape[0])
     return U[:, keep] * np.sqrt(lam[keep])
 
 
@@ -365,8 +377,7 @@ def _order_factors(band: SpectralBand, region):
     (p, or the k sample n) fast.  Product regions: columns (radial mode,
     angular mode), the radial modes T from `_fb_radial_modes` (FB) or the
     rank-cut E factor repeated over l (FL), the angular modes the rank-cut
-    factor A_m of G^m (`_rank_factor`); such a member's F_m is a
-    `_ProductFactor`, whose Gram side and products never build F_m.
+    factor A_m of G^m; such a member's F_m is a `_ProductFactor`.
     Azimuthally symmetric regions: one column per active (r, theta) grid
     node, under the square root of its measure.  Unions stack their
     members' dense columns.  FB rows carry the W^{1/2} weights.  The radial
@@ -414,8 +425,6 @@ def _member_factors(band: SpectralBand, region, fb: bool):
     _require_base_frame(region)
     L = band.L
     if isinstance(region, ProductSymmetric):
-        if fb and math.isinf(region.R2):
-            raise ValueError("Fourier-Bessel kernels need a bounded region, got R2 = inf")
         if fb:
             T = _fb_radial_modes(band, region.R1, region.R2)
         else:  # the E factor, the same at every degree l

@@ -372,25 +372,20 @@ def solid_angle(region_or_mask) -> float:
     if isinstance(region_or_mask, RegionUnion):
         return sum(solid_angle(m) for m in region_or_mask.members)
     if isinstance(region_or_mask, AzimuthallySymmetric):
-        reg = region_or_mask
-        covered = (reg.indicator.max(axis=0) > 0)
-        return 2.0 * math.pi * float(reg.theta_weights @ covered)
+        covered = region_or_mask.indicator.max(axis=0) > 0
+        return 2.0 * math.pi * float(region_or_mask.theta_weights @ covered)
     raise TypeError(f"unsupported region type {type(region_or_mask)!r}")
 
 
 def volume(region) -> float:
     """Region volume under the measure r^2 sin(theta) dr dtheta dphi."""
-    if isinstance(region, ProductSymmetric):
-        radial = (region.R2 ** 3 - region.R1 ** 3) / 3.0
-        return radial * solid_angle(region)
-    if isinstance(region, ProductMask):
-        return (region.R2 ** 3 - region.R1 ** 3) / 3.0 * region.mask.solid_angle
+    if isinstance(region, (ProductSymmetric, ProductMask)):
+        return (region.R2 ** 3 - region.R1 ** 3) / 3.0 * solid_angle(region)
     if isinstance(region, RegionUnion):
         return sum(volume(m) for m in region.members)
     if isinstance(region, AzimuthallySymmetric):
-        reg = region
-        rad = reg.r_weights * reg.r_nodes ** 2
-        return 2.0 * math.pi * float(rad @ reg.indicator @ reg.theta_weights)
+        rad = region.r_weights * region.r_nodes ** 2
+        return 2.0 * math.pi * float(rad @ region.indicator @ region.theta_weights)
     raise TypeError(f"unsupported region type {type(region)!r}")
 
 

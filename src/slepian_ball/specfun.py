@@ -21,7 +21,8 @@ the rest of the package:
 * the real Wigner d-matrix of one degree, from the eigendecomposition of
   the angular-momentum component J_y;
 * Gauss-Legendre and Gauss-Laguerre quadrature rules, the only integration
-  route the kernels use.
+  route the kernels use; every Gauss-Laguerre rule comes from one routine,
+  `gauss_laguerre_scaled_rule`, whose weights w_i e^{x_i} do not underflow.
 
 Each quantity is computed as a table over all degrees (and all points) at
 once; the scalar one-value-at-a-time forms serve the tests as oracles.
@@ -34,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
 
@@ -46,9 +46,10 @@ from numpy.polynomial.legendre import leggauss
 class QuadratureRule:
     """Nodes and positive weights of a fixed quadrature rule.
 
-    kind is either "gauss-legendre-on-interval" (exact for polynomials of
-    degree <= 2n-1 on [a, b]) or "gauss-laguerre-weighted" (exact for
-    e^{-r} * polynomial of degree <= 2n-1 on the half line).
+    kind is "gauss-legendre-on-interval" (exact for polynomials of degree
+    <= 2n-1 on [a, b]), "gauss-laguerre-weighted" (exact for e^{-r} *
+    polynomial of degree <= 2n-1 on the half line) or "gauss-laguerre-scaled"
+    (f itself sampled on [a, inf), exact for f = e^{-r} * such polynomials).
     """
 
     nodes: np.ndarray
@@ -64,8 +65,8 @@ class QuadratureRule:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("quadrature nodes must be strictly increasing")
-        if not np.all(weights > 0):
-            raise ValueError("quadrature weights must be positive")
+        if not np.all((weights > 0) & (weights < math.inf)):
+            raise ValueError("quadrature weights must be positive and finite")
 
     def integrate(self, values: np.ndarray):
         return np.asarray(values) @ self.weights
@@ -85,6 +86,8 @@ def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Legendre rule with n nodes on [a, b]."""
     if n < 1:
         raise ValueError("need at least one node")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"Gauss-Legendre needs finite bounds, got [{a}, {b}]")
     if not (b > a):
         raise ValueError("interval must satisfy b > a")
     x, w = _leggauss(n)
@@ -92,12 +95,38 @@ def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule(mid + half * x, half * w, "gauss-legendre-on-interval")
 
 
-def gauss_laguerre_rule(n: int) -> QuadratureRule:
-    """Gauss-Laguerre rule (weight e^{-r}) with n nodes on [0, inf)."""
+def gauss_laguerre_scaled_rule(n: int, a: float) -> QuadratureRule:
+    """Gauss-Laguerre rule on [a, inf) with scaled weights W_i = w_i e^{x_i}:
+    sum_i W_i f(a + x_i) = int_a^inf f dr for f = e^{-r} poly(2n - 1).
+
+    Golub-Welsch nodes after one Newton step, L_n' = n (L_n - L_{n-1}) / x,
+    and Christoffel weights W_i = 1 / sum_{k<n} (e^{-x_i/2} L_k(x_i))^2.
+    The recurrence runs on d_k = L_k - L_{k-1}, accurate near x = 0 where
+    L_{k+1} - L_k cancels, and from e^{-x/4}: |e^{-x/2} L_k| <= 1 keeps every
+    value below e^{x/4}, finite for nodes up to 2800 (n up to about 700).
+    """
     if n < 1:
         raise ValueError("need at least one node")
-    x, w = laggauss(n)
-    return QuadratureRule(x, w, "gauss-laguerre-weighted")
+    off = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) - np.diag(off, 1) - np.diag(off, -1))
+    for newton in (True, False):  # polish the nodes, then weigh them
+        q = np.exp(-x / 4.0)
+        cur, diff, total = q.copy(), np.zeros_like(x), np.zeros_like(x)
+        for k in range(n):
+            total += (cur * q) ** 2
+            diff = (k * diff - x * cur) / (k + 1)
+            cur = cur + diff
+        if newton:
+            x = x - x * cur / (n * diff)
+    return QuadratureRule(a + x, 1.0 / total, "gauss-laguerre-scaled")
+
+
+def gauss_laguerre_rule(n: int) -> QuadratureRule:
+    """Gauss-Laguerre rule (weight e^{-r}) with n nodes on [0, inf): the
+    scaled rule's weights times e^{-x_i}, which underflow past about n = 180."""
+    rule = gauss_laguerre_scaled_rule(n, 0.0)
+    return QuadratureRule(rule.nodes, rule.weights * np.exp(-rule.nodes),
+                          "gauss-laguerre-weighted")
 
 
 # ---------------------------------------------------------------------------
@@ -174,29 +203,33 @@ def spherical_j_minus1(x: np.ndarray) -> np.ndarray:
 # radial Laguerre basis functions
 # ---------------------------------------------------------------------------
 
-def laguerre_poly2_table(pmax: int, r: np.ndarray) -> np.ndarray:
-    """Generalized Laguerre polynomials L_p^{(2)}(r) for p = 0..pmax.
-
-    Three-term recurrence (n+1) L_{n+1} = (2n+3-r) L_n - (n+2) L_{n-1};
-    stable, unlike the alternating binomial sum which cancels badly for
-    p beyond ~20.
-    """
-    r = np.asarray(r, dtype=float)
-    out = np.empty((pmax + 1,) + r.shape)
-    out[0] = 1.0
-    if pmax >= 1:
-        out[1] = 3.0 - r
-    for n in range(1, pmax):
-        out[n + 1] = ((2 * n + 3 - r) * out[n] - (n + 2) * out[n - 1]) / (n + 1)
-    return out
+# the Laguerre recurrence divides a column past e^400 by that; one step grows
+# it by about 2 + r / n, so it stays finite
+_LAGUERRE_RESCALE = math.exp(400.0)
 
 
 def laguerre_K_table(pmax: int, r: np.ndarray) -> np.ndarray:
-    """Orthonormal radial functions K_p(r) for p = 0..pmax over an array."""
+    """Orthonormal radial functions K_p(r) for p = 0..pmax over an array.
+
+    L_p^{(2)} comes from the three-term recurrence (n+1) L_{n+1} =
+    (2n+3-r) L_n - (n+2) L_{n-1}, stable where the alternating binomial sum
+    cancels badly (p beyond ~20).  A column past e^400 is divided by it, and
+    400 joins its exponent of e^{-r/2}: K_p is finite at every p and r.
+    """
     r = np.asarray(r, dtype=float)
-    L = laguerre_poly2_table(pmax, r)
+    L = np.empty((pmax + 1,) + r.shape)
+    shift = np.zeros(r.shape)  # the log of what each column was divided by
+    L[0] = 1.0
+    if pmax >= 1:
+        L[1] = 3.0 - r
+    for n in range(1, pmax):
+        L[n + 1] = ((2 * n + 3 - r) * L[n] - (n + 2) * L[n - 1]) / (n + 1)
+        big = np.abs(L[n + 1]) > _LAGUERRE_RESCALE
+        if big.any():
+            L[:n + 2, big] /= _LAGUERRE_RESCALE
+            shift[big] += 400.0
     norms = 1.0 / np.sqrt([(p + 1) * (p + 2) for p in range(pmax + 1)])
-    return L * np.exp(-r / 2.0) * norms[(slice(None),) + (None,) * r.ndim]
+    return L * np.exp(shift - r / 2.0) * norms[(slice(None),) + (None,) * r.ndim]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,8 @@
 """Transforms on the ball and Slepian-basis representation.
 
 The Fourier-Laguerre analysis/synthesis pair here is exact for band-limited
-signals: the radial rule is Gauss-Laguerre with the integrand rewritten as
-e^{-r} * [e^{r} f(r) K_p(r) r^2] (a weight-times-polynomial product of
-degree <= 2P), the angular rule is Gauss-Legendre in cos(theta) times a
-uniform phi grid.  Quadrature exactness is bookkept at grid construction,
-not assumed.
+signals: radially the scaled Gauss-Laguerre rule samples f K_p r^2, e^{-r}
+poly(2P), as it is; angularly Gauss-Legendre in cos(theta) times uniform phi.
 
 Synthesis in both bands first sums each coefficient vector against a
 radial table (K_p(r) for Fourier-Laguerre, the k-weighted j_l(k_n r) of
@@ -43,7 +40,7 @@ import numpy as np
 from . import specfun
 from .eigen import EigenResult, HarmonicCoeffs
 from .kernels import (FourierBesselBand, FourierLaguerreBand, _fb_bessel_table,
-                      fb_k_weights)
+                      _radial_rule, fb_k_weights)
 from .regions import AngularMask, BallPoint, ProductSymmetric
 
 
@@ -52,9 +49,8 @@ class SpatialGrid:
     """Separable ball grid: radial nodes x (theta x phi) angular grid.
 
     radial_weights integrate f -> int f(r) r^2 dr over the radial support;
-    angular_weights integrate over solid angle.  `radial_exact_degree` and
-    `angular_band` record what the rules are exact for; constructors check
-    the declared band against them.
+    angular_weights integrate over solid angle.  `angular_band` records what
+    the angular rule is exact for; the transforms check the band against it.
     """
 
     radial_nodes: np.ndarray
@@ -62,7 +58,6 @@ class SpatialGrid:
     theta_nodes: np.ndarray
     phi_nodes: np.ndarray
     angular_weights: np.ndarray   # per (theta, phi) pixel, flattened C-order
-    radial_exact_degree: int      # exact for e^{-r} poly(deg) r^2 integrands
     angular_band: int             # exact for harmonic products below this L
 
     def angular_points(self) -> tuple[np.ndarray, np.ndarray]:
@@ -70,50 +65,34 @@ class SpatialGrid:
         return T.ravel(), P.ravel()
 
 
-def _angular_rule(theta1: float, theta2: float, L: int):
-    """(theta nodes, phi nodes, pixel weights) of `AngularMask.band`: L
+def _separable_grid(rule, theta1: float, theta2: float, L: int) -> SpatialGrid:
+    """The radial `rule` (weights w_i r_i^2) times `AngularMask.band`: L
     Gauss-Legendre colatitudes in cos(theta) on the band x 2L azimuths."""
     mask = AngularMask.band(theta1, theta2, L)
-    return mask.theta_nodes, mask.phi_nodes, mask.weight
+    return SpatialGrid(rule.nodes, rule.weights * rule.nodes ** 2, mask.theta_nodes,
+                       mask.phi_nodes, mask.weight, L)
 
 
-def analysis_grid(band: FourierLaguerreBand, radial_margin: int = 8) -> SpatialGrid:
-    """Exact analysis grid for the given band.
-
-    Radial: Gauss-Laguerre with ceil((2P+1)/2) + margin nodes (the product
-    K_p K_q r^2 e^{r} is a polynomial of degree 2P, integrated exactly).
-    Angular: L Gauss-Legendre colatitudes x 2L azimuths.
+def analysis_grid(band: FourierLaguerreBand) -> SpatialGrid:
+    """Exact analysis grid for the given band: L Gauss-Legendre colatitudes x
+    2L azimuths, and radially the scaled Gauss-Laguerre rule with weights
+    W_i r_i^2 on n_r = P + 9 nodes.  K_p K_q r^2 is e^{-r} poly(2P), so P + 1
+    nodes would be exact; n_r stays P + 9, the row count of `project`'s
+    sampled-signal files.
     """
-    P, L = band.P, band.L
-    n_r = math.ceil((2 * P + 1) / 2) + radial_margin
-    rule = specfun.gauss_laguerre_rule(n_r)
-    r = rule.nodes
-    # weights for int f r^2 dr = sum w_i e^{r_i} r_i^2 f(r_i)
-    rw = rule.weights * np.exp(r) * r ** 2
-    exact_deg = 2 * n_r - 1 - 2   # degree of poly part after the r^2 factor
-    if exact_deg < 2 * (P - 1):
-        raise ValueError("radial rule too small for the band")
-    return SpatialGrid(r, rw, *_angular_rule(0.0, math.pi, L), exact_deg, L)
+    return _separable_grid(specfun.gauss_laguerre_scaled_rule(band.P + 9, 0.0), 0.0, math.pi,
+                           band.L)
 
 
 def region_energy_grid(region, band) -> SpatialGrid:
-    """Grid whose weighted sums give int_R |f|^2 dv for band-limited f.
-
-    Works for ProductSymmetric regions: Gauss-Legendre radial rule on
-    [R1, R2], Gauss-Legendre-in-cos(theta) on the colatitude band, uniform
-    phi.
+    """Grid whose weighted sums give int_R |f|^2 dv for band-limited f, on an
+    unrotated ProductSymmetric region: the band's `kernels._radial_rule`
+    (FB rejects R2 = inf) with weights w_i r_i^2, times `AngularMask.band`.
     """
     if not isinstance(region, ProductSymmetric) or region.orientation is not None:
         raise TypeError("energy grids are built for unrotated ProductSymmetric regions")
-    if isinstance(band, FourierLaguerreBand):
-        n_r = 2 * band.P + 16
-    else:
-        n_r = max(64, math.ceil(4.0 * band.K * region.R2 / math.pi) + 32)
-    L = band.L
-    rule = specfun.gauss_legendre_rule(n_r, region.R1, region.R2)
-    rw = rule.weights * rule.nodes ** 2
-    ang = _angular_rule(region.theta1, region.theta2, L)
-    return SpatialGrid(rule.nodes, rw, *ang, 2 * n_r - 3, L)
+    return _separable_grid(_radial_rule(band, region.R1, region.R2), region.theta1,
+                           region.theta2, band.L)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +210,7 @@ def analysis_fl(values: np.ndarray, grid: SpatialGrid,
     P, L = band.P, band.L
     if grid.angular_band < L:
         raise ValueError(f"grid angular band {grid.angular_band} below L={L}")
-    if grid.radial_exact_degree < 2 * (P - 1):
+    if grid.radial_nodes.size <= P:  # a Gauss-Laguerre rule needs P + 1 nodes
         raise ValueError("grid radial rule is not exact for this band")
     n_r, n_t, n_p = grid.radial_nodes.size, grid.theta_nodes.size, _fft_azimuths(grid.phi_nodes)
     if n_p < 2 * L - 1:
@@ -285,11 +264,7 @@ def truncate_reconstruct(h_alpha: np.ndarray, basis: EigenResult,
     h_alpha = np.asarray(h_alpha)
     if J < 0 or J > h_alpha.size:
         raise ValueError(f"truncation rank {J} out of range 0..{h_alpha.size}")
-    vec = np.zeros(basis.band.size, dtype=complex)
-    if J > 0:
-        F = basis.vectors(J)
-        vec = F @ h_alpha[:J]
-    return HarmonicCoeffs(vec, basis.band)
+    return HarmonicCoeffs(basis.vectors(J) @ h_alpha[:J], basis.band)
 
 
 def quality_measure(h_alpha: np.ndarray, basis: EigenResult, J: int) -> float:

@@ -247,13 +247,22 @@ def E_matrix_mp(P: int, R1: float, R2: float) -> np.ndarray:
     moments = _radial_moments_mp(n_mom, R1, R2, dps)
     E = np.empty((P, P))
     for p in range(P):
-        for q in range(p, P):
-            if analytic_all or p + q <= _E_ANALYTIC_MAX_PPSUM:
-                E[p, q] = _e_entry_analytic(p, q, moments, dps)
-            else:
-                E[p, q] = _e_entry_quad(p, q, R1, R2)
-            E[q, p] = E[p, q]
-    return E
+        q_end = P if analytic_all else min(P, _E_ANALYTIC_MAX_PPSUM - p + 1)
+        for q in range(q_end, P):
+            E[p, q] = _e_entry_quad(p, q, R1, R2)
+        if p >= q_end:
+            continue
+        cp = _laguerre_coeffs_mp(p, dps)
+        with mp.workdps(dps):
+            # row p against every monomial r^{k+2}, then each q's coefficients:
+            # O(P) per entry instead of the O(p q) double sum of `_e_entry_analytic`
+            row = [mp.fsum(c * moments[j + k + 2] for j, c in enumerate(cp))
+                   for k in range(q_end)]
+            for q in range(q_end):
+                acc = mp.fsum(c * row[k] for k, c in enumerate(_laguerre_coeffs_mp(q, dps)))
+                norm = mp.sqrt(mp.mpf((p + 1) * (p + 2)) * mp.mpf((q + 1) * (q + 2)))
+                E[p, q] = float(acc / norm)
+    return np.triu(E) + np.triu(E, 1).T
 
 
 def E_entry(p: int, q: int, R1: float, R2: float) -> float:

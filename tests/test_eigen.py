@@ -35,6 +35,14 @@ def test_full_ball_identity_kernel():
     assert res.shannon == pytest.approx(band.size, rel=1e-12)
 
 
+def test_full_ball_identity_kernel_at_large_P():
+    # the half-line rule's outer nodes reach r = 1594 at P = 400
+    band = sb.FourierLaguerreBand(400, 2)
+    assert sb.shannon_fl(sb.full_ball(), band) == pytest.approx(1600.0, rel=1e-13)
+    res = sb.solve_fl(sb.full_ball(), band)
+    assert np.abs(res.eigenvalues - 1.0).max() < 1e-10
+
+
 def test_product_eigenvalues_are_factor_products(ref_region):
     band = sb.FourierLaguerreBand(6, 5)
     res = sb.solve_fl(ref_region, band)
@@ -279,6 +287,17 @@ def test_ranks_outside_the_spectrum_raise(name, ref_region):
             res.coeffs(alpha)
     with pytest.raises(IndexError, match="outside the spectrum"):
         res.vectors(-1)
+    with pytest.raises(IndexError, match="outside the spectrum"):
+        res.project(np.zeros(res.band.size), -1)
+
+
+@pytest.mark.parametrize("name", list(NEGATIVE_RANK_CASES))
+def test_project_rejects_values_of_another_length(name, ref_region):
+    res = NEGATIVE_RANK_CASES[name](ref_region)
+    n = res.band.size
+    for length in (n - 1, n + 1):
+        with pytest.raises(ValueError, match=f"length {length}, band needs {n}"):
+            res.project(np.zeros(length))
 
 
 VECTOR_STACK_CASES = {
@@ -475,20 +494,22 @@ def test_fl_block_solve_runs_no_eigensolve_larger_than_factor(monkeypatch):
 
 
 def test_fb_product_block_solve_runs_no_eigensolve_larger_than_q_r(monkeypatch, ref_region):
-    # the m = 0 Gram side is q r_0 = 20 x 13: the rank cut of G^0 (13 of 20)
-    # shrinks it from the 400 of a full angular factor
+    # the m = 0 Gram side is q r_0 = 13 x 13: the rank cut of the radial
+    # modes (13 of the Bessel table's) and of G^0 (13 of 20) shrinks it from
+    # the 400 of full factors
     band = sb.FourierBesselBand(1.4, 20, 140)
     sides, dims = _record_block_eighs(monkeypatch)
     res = sb.solve_fb(ref_region, band, keep=1)
-    assert len(dims) == band.L and sides[0] == 260
+    assert len(dims) == band.L and sides[0] == 169
     assert all(dim <= side for dim, side in dims), dims
-    assert max(dim for dim, _ in dims) == 260
+    assert max(dim for dim, _ in dims) == 169
     assert res.stored == 1
 
 
 def test_fl_union_solve_builds_each_members_E_once(monkeypatch):
     # E and its factor do not depend on the order: the blocks build each
-    # member's once per solve (not once per order), the Shannon trace once more
+    # member's once per solve (not once per order); the Shannon number
+    # integrates the trace density on the radial rule and builds no E
     calls, E_matrix = [], kernels.E_matrix
 
     def counting(P, R1, R2):
@@ -497,7 +518,7 @@ def test_fl_union_solve_builds_each_members_E_once(monkeypatch):
 
     monkeypatch.setattr(kernels, "E_matrix", counting)
     sb.solve_fl(FB_TABLE_REGIONS["union"](), sb.FourierLaguerreBand(8, 6))
-    assert sorted(calls) == [(15.0, 19.0)] * 2 + [(21.0, 25.0)] * 2
+    assert sorted(calls) == [(15.0, 19.0), (21.0, 25.0)]
 
 
 # (region, band, keep): the small product band, the reference band, a band

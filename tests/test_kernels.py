@@ -153,6 +153,28 @@ def test_e_matrix_vs_moment_oracle(P, R1, R2):
     assert np.abs(E - E_matrix_mp(P, R1, R2)).max() < 1e-13
 
 
+@pytest.mark.parametrize("P, R1", [(31, 15.0), (31, 40.0), (64, 15.0)])
+def test_e_matrix_open_interval_vs_moment_oracle(P, R1):
+    # the shifted Gauss-Laguerre rule with P + 1 nodes is exact on [R1, inf)
+    E = sb.E_matrix(P, R1, math.inf)
+    assert np.abs(E - E_matrix_mp(P, R1, math.inf)).max() < 3e-15
+
+
+@pytest.mark.parametrize("P", [4, 31, 64])
+def test_e_matrix_half_line_is_identity_to_rounding(P):
+    assert np.abs(sb.E_matrix(P, 0.0, math.inf) - np.eye(P)).max() < 2e-15
+
+
+def test_e_matrix_open_interval_at_large_P():
+    # P = 400 puts the shifted Laguerre nodes past r = 1594, where
+    # L_p^(2)(r) alone overflows; the rescaled K table stays finite
+    assert np.abs(sb.E_matrix(400, 0.0, math.inf) - np.eye(400)).max() < 5e-14
+    E = sb.E_matrix(400, 15.0, math.inf)
+    assert np.isfinite(E).all()
+    lam = np.linalg.eigvalsh(E)
+    assert lam.min() > -2e-15 and lam.max() < 1.0 + 1e-13
+
+
 def test_e_matrix_domain_error():
     with pytest.raises(ValueError):
         sb.E_matrix(5, 10.0, 10.0)

@@ -223,6 +223,18 @@ def test_laguerre_decay():
         assert abs(K[p, 0]) < 1e-50
 
 
+@pytest.mark.parametrize("r", [900.0, 1594.4833371599432, 2700.0])
+def test_laguerre_rescaled_at_large_radius_vs_mpmath(r):
+    # L_p^(2)(r) passes the float range here; K_p(r) is of order 1e-5
+    ps = [100, 200, 399, 600, 699]
+    K = laguerre_K_table(699, np.array([r]))[:, 0]
+    assert np.isfinite(K).all()
+    with mp.workdps(60):
+        ref = [float(mp.exp(-mp.mpf(r) / 2) * mp.laguerre(p, 2, mp.mpf(r))
+                     / mp.sqrt((p + 1) * (p + 2))) for p in ps]
+    assert K[ps] == pytest.approx(ref, rel=2e-14)
+
+
 # ---------------------------------------------------------------------------
 # spherical harmonics
 # ---------------------------------------------------------------------------
@@ -457,12 +469,12 @@ def test_gauss_legendre_standard_rule_cached(monkeypatch):
     regions.AzimuthallySymmetric.from_indicator(
         lambda r, t: np.ones_like(r), 1.0, 2.0, n_r=23, n_theta=23)
     # radial rules add one eigensolve each: the analysis grid's 12-node
-    # Gauss-Laguerre rule and the energy grid's 2P + 16 = 22-node Legendre one
+    # Gauss-Laguerre rule and the energy grid's 2P + 24 = 30-node Legendre one
     transforms.analysis_grid(kernels.FourierLaguerreBand(3, 23))
     for _ in range(2):
         transforms.region_energy_grid(
             regions.ProductSymmetric(1.0, 2.0, 0.3, 1.2), kernels.FourierLaguerreBand(3, 23))
-    assert calls == [23, 12, 22]
+    assert calls == [23, 12, 30]
     x, w = np.polynomial.legendre.leggauss(23)
     for a, rule in zip((-1.0, 0.0, 2.0), rules):
         assert np.array_equal(rule.nodes, (a + 0.75) + 0.75 * x)
@@ -479,6 +491,36 @@ def test_gauss_laguerre_exactness():
     for deg in (0, 3, 23):
         assert rule.integrate(rule.nodes ** deg) == pytest.approx(
             math.factorial(deg), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 12, 65])
+def test_gauss_laguerre_scaled_rule_matches_numpy(n):
+    # the same nodes and weights as numpy's laggauss, where its weights are finite
+    x, w = np.polynomial.laguerre.laggauss(n)
+    rule = specfun.gauss_laguerre_scaled_rule(n, 2.5)
+    assert rule.kind == "gauss-laguerre-scaled"
+    assert np.abs(rule.nodes - 2.5 - x).max() < 1e-14 * x.max()
+    assert np.abs(rule.weights * np.exp(-x) / w - 1.0)[w > 1e-250].max() < 1e-11
+    assert np.array_equal(gauss_laguerre_rule(n).nodes,
+                          specfun.gauss_laguerre_scaled_rule(n, 0.0).nodes)
+
+
+def test_gauss_laguerre_scaled_rule_is_exact_past_the_plain_weights():
+    # at n = 400 the plain weights w_i underflow; W_i = w_i e^{x_i} integrate
+    # e^{-r} r^j on [a, inf) to e^{-a} times a Poisson tail j! Q(j + 1, a)
+    rule = specfun.gauss_laguerre_scaled_rule(400, 0.0)
+    assert np.all(np.isfinite(rule.weights)) and rule.weights.min() > 0
+    for j in (0, 1, 5, 40):
+        assert rule.integrate(np.exp(-rule.nodes) * rule.nodes ** j) == pytest.approx(
+            math.factorial(j), rel=1e-13)
+    with pytest.raises(ValueError, match="weights must be positive"):
+        gauss_laguerre_rule(400)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
+def test_gauss_legendre_rule_rejects_non_finite_bounds(a, b):
+    with pytest.raises(ValueError, match="Gauss-Legendre needs finite bounds"):
+        gauss_legendre_rule(8, a, b)
 
 
 def test_quadrature_rule_validation():

@@ -49,6 +49,33 @@ def test_round_trip_random_band_limited(rng):
         assert np.abs(back.values - c.values).max() < 1e-10
 
 
+def test_analysis_grid_round_trip_at_large_P(rng):
+    # P = 256 puts the radial nodes past r = 1000, where the plain
+    # Gauss-Laguerre weights w_i underflow; the scaled ones do not.  At
+    # P = 400 (nodes to r = 1594) L_p^(2)(r) itself passes the float range
+    for P in (256, 400):
+        band = sb.FourierLaguerreBand(P, 2)
+        grid = transforms.analysis_grid(band)
+        assert grid.radial_nodes.size == band.P + 9
+        c = random_coeffs(band, rng)
+        back = sb.analysis_fl(sb.synthesis_fl_grid(c, grid), grid, band)
+        assert np.abs(back.values - c.values).max() < 1e-10
+
+
+def test_region_energy_grid_on_open_intervals(rng):
+    # FL on [R1, inf) takes the exact scaled Gauss-Laguerre rule: the full
+    # ball's energy is the coefficient norm; FB needs a bounded region
+    band = sb.FourierLaguerreBand(6, 4)
+    grid = transforms.region_energy_grid(sb.full_ball(), band)
+    assert grid.radial_nodes.size == band.P + 1
+    c = random_coeffs(band, rng)
+    vals = sb.synthesis_fl_grid(c, grid).reshape(grid.radial_nodes.size, -1)
+    energy = (np.abs(vals) ** 2 @ grid.angular_weights) @ grid.radial_weights
+    assert energy == pytest.approx(c.norm() ** 2, rel=1e-13)
+    with pytest.raises(ValueError, match="need a bounded region"):
+        transforms.region_energy_grid(sb.full_ball(), sb.FourierBesselBand(1.0, 4, 10))
+
+
 def test_parseval(rng):
     band = sb.FourierLaguerreBand(10, 8)
     c = random_coeffs(band, rng)
