@@ -69,11 +69,50 @@ class HarmonicCoeffs:
 
 
 @dataclass(frozen=True)
+class _AngularBasis:
+    """Unitary n x n basis: its r range columns V, then Q[:, r:] for the
+    Householder QR V = Q R, with Q = I - W T W^H in compact WY form and only
+    the columns asked for built.  A complete V (r = n) has empty W and T."""
+
+    V: np.ndarray
+    W: np.ndarray
+    T: np.ndarray
+
+    @classmethod
+    def complete(cls, V: np.ndarray) -> _AngularBasis:
+        n, r = V.shape
+        if r == n:
+            return cls(V, np.zeros((n, 0), V.dtype), np.zeros((0, 0), V.dtype))
+        h, tau = np.linalg.qr(V, mode="raw")
+        W = np.tril(h.T, -1)
+        W[np.arange(r), np.arange(r)] = tau != 0  # tau = 0: an identity reflector
+        # T^{-1} = diag(1/tau) + the strict upper triangle of W^H W
+        inv_tau = np.divide(1.0, tau, out=np.ones_like(tau), where=tau != 0)
+        return cls(V, W, np.linalg.inv(np.triu(W.conj().T @ W, 1) + np.diag(inv_tau)))
+
+    def columns(self, j: np.ndarray) -> np.ndarray:
+        """Basis columns j, (n, j.size)."""
+        null = j >= self.V.shape[1]
+        out = np.zeros((self.V.shape[0], j.size), np.result_type(self.V, self.W))
+        out[:, ~null] = self.V[:, j[~null]]
+        out[:, null] = -self.W @ (self.T @ self.W[j[null]].conj().T)
+        out[j[null], np.flatnonzero(null)] += 1.0
+        return out
+
+    def adjoint(self, H: np.ndarray) -> np.ndarray:
+        """Basis^H H: V^H H on the range rows, (Q^H H)[r:] on the null rows."""
+        Hh, r = H.conj().T, self.V.shape[1]  # (H^H V)^H: no conjugate copy of V or W
+        return np.concatenate([(Hh @ self.V).conj().T,
+                               H[r:] - self.W[r:] @ (Hh @ self.W @ self.T).conj().T])
+
+
+@dataclass(frozen=True)
 class _Block:
     """One signed order's spectrum on band rows l^2 + l + m (a mask: every row).
 
     Entry k has eigenvalue lam[k] and ordering keys (i[k], j[k]).  Separated
-    blocks hold eigenpairs (radial, U), (angular, V); entry (i, j) is V_j (x) U_i.
+    blocks hold eigenpairs (radial, U), (angular, V), V an `_AngularBasis`
+    (reflectors complete a narrow mask's); entry (i, j) is V_j (x) U_i.
     Fixed-order blocks hold their first vectors as columns Y over (l, radial index).
     """
 
@@ -83,7 +122,7 @@ class _Block:
     i: np.ndarray
     j: np.ndarray
     U: np.ndarray | None = None
-    V: np.ndarray | None = None
+    V: _AngularBasis | None = None
     radial: np.ndarray | None = None
     angular: np.ndarray | None = None
     Y: np.ndarray | None = None
@@ -91,7 +130,7 @@ class _Block:
     def vectors(self, k: np.ndarray) -> np.ndarray:
         """Vectors of entries k on the block's rows, (rows, radial, k.size)."""
         if self.Y is None:
-            return self.V[:, None, self.j[k]] * self.U[None, :, self.i[k]]
+            return self.V.columns(self.j[k])[:, None, :] * self.U[None, :, self.i[k]]
         return self.Y[:, k].reshape(self.rows.size, -1, k.size)
 
 
@@ -165,7 +204,7 @@ class EigenResult:
         column[ranks] = np.arange(ranks.size)
         L = self.band.L
         # U (radial) is real in every separated solve; V or Y sets the dtype
-        dtype = np.result_type(*{(b.V if b.Y is None else b.Y).dtype for b in self._blocks})
+        dtype = np.result_type(*{(b.V.V if b.Y is None else b.Y).dtype for b in self._blocks})
         out = np.zeros((L * L, self.band.size // (L * L), ranks.size), dtype=dtype)
         radial = np.arange(out.shape[1])
         for block, rank in zip(self._blocks, self._ranks):
@@ -194,7 +233,9 @@ class EigenResult:
         """Inner products <values, f^alpha> for alpha = 0..count-1.
 
         One product per block, V^H H_rows U (separated) or Y^H vec(H_rows)
-        (fixed-order), with H = values as (L^2, radial).  By default separated bases
+        (fixed-order), with H = values as (L^2, radial).  A narrow mask's V^H
+        applies its reflectors' Q^H once; coefficients with lam = 0 depend on
+        that completion, those with lam > 0 do not.  By default separated bases
         project the whole spectrum, block bases the `stored` ranks.  `values`
         of another length than band.size raise ValueError, a negative
         `count` IndexError.
@@ -212,9 +253,7 @@ class EigenResult:
         out = np.zeros(len(self), dtype=complex)
         for block, ranks in zip(self._blocks, self._ranks):
             if block.Y is None:
-                # (H^H V)^H: no conjugate copy of the L^2-row basis V
-                out[ranks] = ((H[block.rows].conj().T @ block.V).conj().T
-                              @ block.U)[block.j, block.i]
+                out[ranks] = (block.V.adjoint(H[block.rows]) @ block.U)[block.j, block.i]
             else:
                 out[ranks[:block.Y.shape[1]]] = block.Y.conj().T @ H[block.rows].ravel()
         return out[:count]
@@ -248,14 +287,14 @@ def _descending_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mask_angular(mask, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of G_mask = A A^H, descending, from the SVD A = V S W^H of
-    the pixel factor: lam = s^2, padded with exact zeros when the mask has
-    fewer active pixels than L^2.  V is a complete unitary L^2 x L^2 basis:
-    a narrow A asks for the full SVD to complete it, a wide A has it already
-    and skips the n_active x n_active right factor.
+    """Eigenpairs of G_mask = A A^H, descending, from the thin SVD A = V S W^H
+    of the pixel factor: lam = s^2, padded with exact zeros when the mask has
+    fewer active pixels than L^2.  A wide A gives a complete V, a narrow one
+    its range columns, which Householder reflectors complete (one completion
+    of many; `_AngularBasis.complete`) in place of a dense L^2 x L^2 basis.
     """
     A = ker._mask_factor(mask, L)
-    V, s, _ = np.linalg.svd(A, full_matrices=A.shape[1] < A.shape[0])
+    V, s, _ = np.linalg.svd(A, full_matrices=False)
     return np.concatenate([s * s, np.zeros(A.shape[0] - s.size)]), V
 
 
@@ -307,8 +346,9 @@ def solve_fl(region, band: FourierLaguerreBand, keep: int | None = None) -> Eige
     ProductSymmetric regions use the separated E / G^m subproblems
     (eigenvalues are exact products lam_radial * lam_angular).  ProductMask
     regions use the E / G_mask factorization, with the angular eigenbasis
-    read off the SVD of the pixel factor A, G_mask = A A^H
-    (`_mask_angular`), so the largest eigensolve is the P x P one of E.
+    read off the thin SVD of the pixel factor A, G_mask = A A^H
+    (`_mask_angular`) and completed by Householder reflectors
+    (`_AngularBasis`), so the largest eigensolve is the P x P one of E.
     Azimuthally symmetric and union regions solve their fixed-order blocks
     through the block factor (`_solve_blocks`), so they store vectors only
     for eigenvalues of at least _VECTOR_FLOOR.  Orders m > 0 are replicated
@@ -336,7 +376,8 @@ def solve_fl(region, band: FourierLaguerreBand, keep: int | None = None) -> Eige
         # entry (i, j) pairs radial vector i with angular vector j, j slow
         lam = np.outer(lam2, lam1).ravel()
         j, i = np.divmod(np.arange(lam.size), lam1.size)
-        blocks += _order_blocks(m, L, lam, (i, j), U=U, V=V, radial=lam1, angular=lam2)
+        blocks += _order_blocks(m, L, lam, (i, j), U=U, V=_AngularBasis.complete(V),
+                                radial=lam1, angular=lam2)
     return EigenResult(blocks, band, region, shannon_fl(region, band), raw, keep)
 
 

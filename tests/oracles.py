@@ -631,13 +631,14 @@ def matrix_file_bytes(arr) -> bytes:
 def complex_vector_stack(res, count: int) -> np.ndarray:
     """The first `count` eigenvectors of an EigenResult as complex columns,
     (band.size, count), one rank at a time: separated blocks as V_j (x) U_i,
-    fixed-order blocks from their column Y."""
+    with V_j read off the angular basis one column at a time, fixed-order
+    blocks from their column Y."""
     L = res.band.L
     out = np.zeros((L * L, res.band.size // (L * L), count), dtype=complex)
     for block, ranks in zip(res._blocks, res._ranks):
         for k in np.flatnonzero(ranks < count).tolist():
             if block.Y is None:
-                vec = np.outer(block.V[:, block.j[k]], block.U[:, block.i[k]])
+                vec = np.outer(block.V.columns(block.j[k:k + 1]), block.U[:, block.i[k]])
             else:
                 vec = block.Y[:, k].reshape(block.rows.size, -1)
             out[block.rows, :, ranks[k]] = vec

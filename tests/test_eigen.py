@@ -1,6 +1,7 @@
 """Eigen-solver tests: spectra, orthogonality, duals, rotation, ordering."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -699,9 +700,27 @@ def test_mask_angular_spectrum_matches_dense_oracle(mask_vs_dense):
 
 
 def test_mask_angular_basis_is_complete_and_orthonormal(mask_vs_dense):
-    _, (_, V), _ = mask_vs_dense
-    assert V.shape == (MASK_L ** 2, MASK_L ** 2)
-    assert np.abs(V.conj().T @ V - np.eye(MASK_L ** 2)).max() < 1e-12
+    mask, (_, V), _ = mask_vs_dense
+    assert V.shape == (MASK_L ** 2, min(int(mask.indicator.sum()), MASK_L ** 2))
+    # the range columns, then the reflectors' completion, column by column
+    Q = eigen._AngularBasis.complete(V).columns(np.arange(MASK_L ** 2))
+    assert np.array_equal(Q[:, :V.shape[1]], V)
+    assert np.abs(Q.conj().T @ Q - np.eye(MASK_L ** 2)).max() < 1e-12
+
+
+def test_angular_basis_drops_identity_reflectors():
+    # geqrf gives tau = 0 for a column already on e_k: that reflector is the
+    # identity, and the completion still holds
+    V = np.eye(8, 3, dtype=complex)
+    V[3:, 2] = V[2, 2] = 0.6
+    V[:, 2] /= np.linalg.norm(V[:, 2])
+    basis = eigen._AngularBasis.complete(V)
+    assert np.count_nonzero(np.linalg.qr(V, mode="raw")[1] == 0) == 2
+    Q = basis.columns(np.arange(8))
+    assert np.abs(Q.conj().T @ Q - np.eye(8)).max() < 1e-14
+    assert np.array_equal(Q[:, :3], V)
+    H = np.arange(16.0).reshape(8, 2) + 1j
+    assert np.abs(basis.adjoint(H) - Q.conj().T @ H).max() < 1e-13
 
 
 def test_mask_angular_projectors_match_dense_oracle(mask_vs_dense):
@@ -709,14 +728,19 @@ def test_mask_angular_projectors_match_dense_oracle(mask_vs_dense):
     # small mask is one cluster.  A cluster projector moves by up to
     # |dG| / gap under a rounding-level change dG of the matrix (Davis-Kahan),
     # so two dense eigensolves already differ by ~1e-8 at gaps near 1e-8:
-    # 1e-9 is required where the gap exceeds 1e-6, error * gap < 1e-14 below
+    # 1e-9 is required where the gap exceeds 1e-6, error * gap < 1e-14 below.
+    # V holds the range columns only; the last cluster, which holds the null
+    # space, is compared as the complement I - V V^H of the ones before it
     _, (_, V), (lam_dense, V_dense) = mask_vs_dense
     n = lam_dense.size
     edges = [0] + [k for k in range(1, n) if lam_dense[k - 1] - lam_dense[k] > 1e-8] + [n]
     for lo, hi in zip(edges[:-1], edges[1:]):
         gap = min(lam_dense[lo - 1] - lam_dense[lo] if lo > 0 else math.inf,
                   lam_dense[hi - 1] - lam_dense[hi] if hi < n else math.inf)
-        P_new = V[:, lo:hi] @ V[:, lo:hi].conj().T
+        if hi < n:
+            P_new = V[:, lo:hi] @ V[:, lo:hi].conj().T
+        else:
+            P_new = np.eye(n) - V[:, :lo] @ V[:, :lo].conj().T
         P_dense = V_dense[:, lo:hi] @ V_dense[:, lo:hi].conj().T
         err = np.abs(P_new - P_dense).max()
         assert err < (1e-9 if gap > 1e-6 else 1e-14 / gap), (lo, hi, gap)
@@ -737,6 +761,40 @@ def test_mask_solve_matches_dense_oracle(mask_vs_dense, rng):
     assert abs(np.linalg.norm(h_alpha) - np.linalg.norm(h)) < 1e-12 * np.linalg.norm(h)
     # the factored projector agrees with the materialized vectors
     assert np.abs(h_alpha[:20] - res.vectors(20).conj().T @ h).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", list(MASK_ORACLE_CASES))
+def test_mask_project_matches_vectors_at_every_rank(name, rng):
+    # the null ranks too: project applies the reflectors to the signal,
+    # vectors builds their columns, and both must be the one basis
+    mask = MASK_ORACLE_CASES[name][0]()
+    band = sb.FourierLaguerreBand(3, MASK_L)
+    res = sb.solve_fl(sb.ProductMask(mask, 15.0, 25.0), band)
+    n_null = band.P * max(MASK_L ** 2 - int(mask.indicator.sum()), 0)
+    assert np.count_nonzero(res.eigenvalues == 0.0) >= n_null
+    h = rng.normal(size=band.size) + 1j * rng.normal(size=band.size)
+    F = res.vectors(len(res))
+    assert np.abs(F.conj().T @ F - np.eye(band.size)).max() < 1e-12
+    assert np.abs(res.project(h) - F.conj().T @ h).max() < 1e-12
+
+
+def test_mask_solve_and_project_stay_below_half_a_dense_basis(rng):
+    # the sparsity patch at P = L = 64: 112 active pixels of 8192.  A complete
+    # dense angular basis is one complex 4096 x 4096 matrix, 256 MiB; the
+    # traced peak must stay below half of it
+    L = 64
+    mask = sb.AngularMask.full_sphere_grid(L, indicator=_patch)
+    assert mask.indicator.sum() == 112
+    band = sb.FourierLaguerreBand(L, L)
+    h = rng.normal(size=band.size) + 1j * rng.normal(size=band.size)
+    tracemalloc.start()
+    try:
+        h_alpha = sb.solve_fl(sb.ProductMask(mask, 15.0, 25.0), band).project(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2 ** 20
+    assert abs(np.linalg.norm(h_alpha) - np.linalg.norm(h)) < 1e-12 * np.linalg.norm(h)
 
 
 def test_mask_solve_at_benchmark_size_matches_dense_oracle():
@@ -782,8 +840,11 @@ def test_empty_mask_solves_to_zero_spectrum(rng):
     band = sb.FourierLaguerreBand(4, 6)
     mask = sb.AngularMask.full_sphere_grid(6, indicator=lambda t, p: np.zeros_like(t))
     lam, V = eigen._mask_angular(mask, band.L)
-    assert np.all(lam == 0.0)
-    assert np.abs(V.conj().T @ V - np.eye(band.L ** 2)).max() < 1e-12
+    assert np.all(lam == 0.0) and V.shape == (band.L ** 2, 0)
+    # no range columns and no reflectors: the basis is the identity
+    basis = eigen._AngularBasis.complete(V)
+    assert basis.W.shape == (band.L ** 2, 0)
+    assert np.array_equal(basis.columns(np.arange(band.L ** 2)), np.eye(band.L ** 2))
     res = sb.solve_fl(sb.ProductMask(mask, 15.0, 25.0), band)
     assert len(res) == band.size and np.all(res.eigenvalues == 0.0)
     assert res.shannon == 0.0
