@@ -6,13 +6,17 @@ Binary matrices (.mat): 8-byte magic "SLEPB001", then u32 rows, u32 cols,
 u8 scalar tag (0 = float64, 1 = complex as interleaved float64), all
 little-endian, followed by the row-major payload.  A complex matrix whose
 imaginary parts are all zero is written as float64 (tag 0).  The payload is
-written from the array's own buffer: a C-contiguous float64 or complex128
-array is written with no copy, any other input is copied once.  Eigenvector
-stacks are real for every region but a pixel mask, so `eigenvectors.mat`
-is tag 0 and costs no copy.  Reading checks the payload length against the
-header and fills the array in one read.  CSV output carries 17 significant
-digits so doubles round-trip.  All files are written atomically (temp file
-+ rename).
+written in row blocks, each from its own buffer: a C-contiguous float64 or
+complex128 block is written with no copy, any other block is copied once.
+`write_matrix` writes a whole array as one block.  `eigen` writes
+`eigenvectors.mat` one degree's row slab at a time (`EigenResult._slabs`),
+so no whole eigenvector stack is held; the slabs are real for every region
+but a pixel mask, whose tag is decided from its slabs before the header is
+written.  Reading checks the payload length against the header and fills
+the array in one read.  CSV output carries 17 significant digits so doubles
+round-trip, and is formatted and written `_CSV_CHUNK` rows at a time.  All
+files are written atomically (temp file + rename) with mode 0o666 less the
+umask, as `open` would create them.
 
 Region descriptors: ``product:R1,R2,theta1,theta2`` (radians),
 ``mask:<path>,R1,R2`` (pixel list ``theta phi indicator``), ``fullball``,
@@ -35,6 +39,7 @@ failure (an ArithmeticError or numpy.linalg.LinAlgError).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -93,12 +98,17 @@ _OPTIONS = {f.name: {"int": int, "float": float}.get(f.type.split(" |")[0], str)
 # atomic IO and the binary matrix format
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, *chunks):
-    """Write the buffers `chunks` in turn to `path`, through a temp file and a rename."""
+def _atomic_write(path: str, chunks):
+    """Write the buffers of the iterable `chunks` in turn to `path`, through a
+    temp file and a rename.  The file gets mode 0o666 less the umask, not the
+    temp file's 0o600."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
@@ -108,16 +118,32 @@ def _atomic_write(path: str, *chunks):
         raise
 
 
+def _complex_tag(blocks) -> int:
+    """The scalar tag of a matrix given as row blocks: 1 if some imaginary
+    part is nonzero, else 0.  The first block's dtype settles a real matrix,
+    a complex one stops at its first block with a nonzero imaginary part."""
+    for b in blocks:
+        if not np.iscomplexobj(b):
+            return 0
+        if b.imag.any():
+            return 1
+    return 0
+
+
+def _matrix_chunks(rows: int, cols: int, blocks, tag: int):
+    """The SLEPB001 header of a rows x cols matrix, then the payload of each
+    of its row blocks in turn, as scalars of `tag`."""
+    yield MAGIC + struct.pack("<IIB", rows, cols, tag)
+    for b in blocks:
+        yield np.ascontiguousarray(b, dtype="<c16") if tag else \
+            np.ascontiguousarray(b.real, dtype="<f8")
+
+
 def write_matrix(path: str, arr):
     a = np.atleast_2d(np.asarray(arr))
     if a.ndim != 2:
         raise ValueError("only matrices and vectors are supported")
-    if np.iscomplexobj(a) and a.imag.any():
-        tag, payload = 1, np.ascontiguousarray(a, dtype="<c16")
-    else:
-        tag, payload = 0, np.ascontiguousarray(a.real, dtype="<f8")
-    header = MAGIC + struct.pack("<IIB", a.shape[0], a.shape[1], tag)
-    _atomic_write(path, header, payload)
+    _atomic_write(path, _matrix_chunks(*a.shape, [a], _complex_tag([a])))
 
 
 def read_matrix(path: str):
@@ -140,34 +166,38 @@ def read_matrix(path: str):
     return out
 
 
-def _write_text(path: str, text: str):
-    _atomic_write(path, text.encode())
-
-
 _CSV_FORMATS = {"f": "%.17g", "i": "%d", "U": "%s"}
+_CSV_CHUNK = 512  # rows formatted and encoded at a time
 
 
-def _csv_rows(*columns) -> str:
-    """CSV lines of equal-length columns, one line per row.
+def _csv_rows(*columns):
+    """CSV lines of equal-length columns, one line per row, as encoded
+    chunks of _CSV_CHUNK rows.
 
     Float columns print as %.17g (17 significant digits, so doubles
     round-trip), integer columns as %d and string columns as they are; a
-    None column stays empty.  All rows go through one %-format.
+    None column stays empty.  All rows of a chunk go through one %-format.
     """
     columns = [None if c is None else np.asarray(c) for c in columns]
     present = [c for c in columns if c is not None]
     n = len(present[0])
     row = ",".join("" if c is None else _CSV_FORMATS[c.dtype.kind] for c in columns) + "\n"
-    cells = np.empty((n, len(present)), dtype=object)
-    for j, c in enumerate(present):
-        cells[:, j] = c
-    return (row * n) % tuple(cells.ravel().tolist())
+    for start in range(0, n, _CSV_CHUNK):
+        cells = np.empty((min(_CSV_CHUNK, n - start), len(present)), dtype=object)
+        for j, c in enumerate(present):
+            cells[:, j] = c[start:start + _CSV_CHUNK]
+        yield ((row * len(cells)) % tuple(cells.ravel().tolist())).encode()
+
+
+def _csv(header: str, *columns):
+    """The chunks of a CSV file: its `header` line, then `_csv_rows(*columns)`."""
+    return itertools.chain([(header + "\n").encode()], _csv_rows(*columns))
 
 
 def _write_meta(path: str, cfg: RunConfig, **results):
     """The effective configuration and a run's results, as sorted JSON."""
-    _write_text(path, json.dumps({"config": asdict(cfg), **results}, indent=2,
-                                 sort_keys=True) + "\n")
+    text = json.dumps({"config": asdict(cfg), **results}, indent=2, sort_keys=True) + "\n"
+    _atomic_write(path, [text.encode()])
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +330,9 @@ def cmd_kernel(cfg: RunConfig, region, band) -> int:
     return 0
 
 
-def _eigen_csv(res) -> str:
-    return "rank,lambda,m,lambda_radial,lambda_angular\n" + _csv_rows(
-        np.arange(len(res)), res.eigenvalues, res.orders, res.lam_radial, res.lam_angular)
+def _eigen_csv(res):
+    return _csv("rank,lambda,m,lambda_radial,lambda_angular", np.arange(len(res)),
+                res.eigenvalues, res.orders, res.lam_radial, res.lam_angular)
 
 
 def cmd_eigen(cfg: RunConfig, region, band) -> int:
@@ -313,9 +343,12 @@ def cmd_eigen(cfg: RunConfig, region, band) -> int:
     keep = None if (cfg.grid and cfg.order is not None) else cfg.count
     solve = eigen.solve_fl if cfg.domain == "fl" else eigen.solve_fb
     res = solve(region, band, keep=keep)
-    _write_text(os.path.join(cfg.out, "eigenvalues.csv"), _eigen_csv(res))
-    n_vec = min(cfg.count, res.stored)
-    write_matrix(os.path.join(cfg.out, "eigenvectors.mat"), res.vectors(n_vec))
+    _atomic_write(os.path.join(cfg.out, "eigenvalues.csv"), _eigen_csv(res))
+    # the first `count` eigenvectors, written one degree's row slab at a time
+    vec_ranks = np.arange(min(cfg.count, res.stored))
+    tag = _complex_tag(res._slabs(vec_ranks))
+    _atomic_write(os.path.join(cfg.out, "eigenvectors.mat"), _matrix_chunks(
+        band.size, vec_ranks.size, res._slabs(vec_ranks), tag))
     _write_meta(os.path.join(cfg.out, "shannon.json"), cfg, shannon=res.shannon,
                 eigenvalue_sum=float(res.eigenvalues.sum()),
                 raw_eigenvalue_range=list(res.raw_eigenvalue_range))
@@ -328,12 +361,12 @@ def cmd_eigen(cfg: RunConfig, region, band) -> int:
         rs = np.linspace(r_max / n_r, r_max, n_r)
         ts = np.linspace(0.0, math.pi, n_t)
         Rg, Tg = np.meshgrid(rs, ts, indexing="ij")
-        prefix = np.array(_csv_rows(Rg.ravel(), Tg.ravel()).splitlines())
+        prefix = np.array(b"".join(_csv_rows(Rg.ravel(), Tg.ravel())).decode().splitlines())
         ranks = ranks[:cfg.count]
         maps = transforms.synthesis_separable(res._stack(ranks).T, band, rs, ts, 1)
         for rank, vals in zip(ranks.tolist(), maps):
-            _write_text(os.path.join(cfg.out, f"eigenfunction_{rank:04d}.csv"),
-                        "r,theta,value\n" + _csv_rows(prefix, vals.real.ravel()))
+            _atomic_write(os.path.join(cfg.out, f"eigenfunction_{rank:04d}.csv"),
+                          _csv("r,theta,value", prefix, vals.real.ravel()))
     return 0
 
 
@@ -344,7 +377,7 @@ def cmd_project(cfg: RunConfig, region, band) -> int:
         raise ValueError("project needs --signal <coefficient .mat file>")
     raw = read_matrix(cfg.signal)
     if raw.size == band.size:
-        h = eigen.HarmonicCoeffs(raw.reshape(-1).astype(complex), band)
+        h = eigen.HarmonicCoeffs(raw.reshape(-1), band)
     else:
         # sampled-signal file: rows are radial nodes of the band's analysis
         # grid, columns the flattened angular grid
@@ -355,7 +388,8 @@ def cmd_project(cfg: RunConfig, region, band) -> int:
                 f"signal file shape {raw.shape} matches neither the band size "
                 f"{band.size} nor the analysis grid "
                 f"({grid.radial_nodes.size}, {n_ang})")
-        h = transforms.analysis_fl(raw.astype(complex), grid, band)
+        h = transforms.analysis_fl(raw, grid, band)
+    del raw  # not alive through the solve
     os.makedirs(cfg.out, exist_ok=True)
     res = eigen.solve_fl(region, band)
     h_alpha = transforms.slepian_coeffs(h, res)
@@ -363,8 +397,9 @@ def cmd_project(cfg: RunConfig, region, band) -> int:
     J = min(J, h_alpha.size)
     fl_sorted = np.sort(np.abs(h.values))[::-1]
     sl_sorted = np.sort(np.abs(h_alpha))[::-1]
-    _write_text(os.path.join(cfg.out, "decay.csv"), "index,abs_fl_sorted,abs_slepian_sorted\n"
-                + _csv_rows(np.arange(1, fl_sorted.size + 1), fl_sorted, sl_sorted))
+    _atomic_write(os.path.join(cfg.out, "decay.csv"), _csv(
+        "index,abs_fl_sorted,abs_slepian_sorted",
+        np.arange(1, fl_sorted.size + 1), fl_sorted, sl_sorted))
     q_rows = {str(j): transforms.quality_measure(h_alpha, res, j)
               for j in sorted({J, h_alpha.size, max(J // 2, 1)})}
     _write_meta(os.path.join(cfg.out, "q.json"), cfg, J=J, shannon=res.shannon, Q=q_rows)
@@ -388,8 +423,9 @@ def cmd_synth(cfg: RunConfig, region, band) -> int:
     ps = np.linspace(0.0, 2 * math.pi, n_p, endpoint=False)
     vals = transforms.synthesis_separable(vec[None], band, rs, ts, n_p)
     Rg, Tg, Pg = np.meshgrid(rs, ts, ps, indexing="ij")   # the columns of values.csv
-    _write_text(os.path.join(cfg.out, "values.csv"), "r,theta,phi,re,im\n" + _csv_rows(
-        Rg.ravel(), Tg.ravel(), Pg.ravel(), vals.real.ravel(), vals.imag.ravel()))
+    _atomic_write(os.path.join(cfg.out, "values.csv"), _csv(
+        "r,theta,phi,re,im", Rg.ravel(), Tg.ravel(), Pg.ravel(), vals.real.ravel(),
+        vals.imag.ravel()))
     return 0
 
 

@@ -19,9 +19,9 @@ Every solver hands its per-order blocks (a mask's one block spans the band)
 to one merge, `EigenResult`, whose per-rank state is arrays: `eigenvalues`,
 `orders` (signed m; None for a mask, whose eigenfunctions have no order), and
 `lam_radial`, `lam_angular` (None unless the solve separates).  The first
-`stored` ranks have eigenvectors, gathered into one row-major
-(band.size, n) stack in the blocks' dtype: real for every region but a
-pixel mask.
+`stored` ranks have eigenvectors, gathered one degree at a time into row
+slabs of the row-major (band.size, n) stack (`EigenResult._slabs`), in the
+blocks' dtype: real for every region but a pixel mask.
 
 Eigenvalues are validated against the projection-operator bounds
 [-1e-9, 1 + 1e-9] before being clamped to [0, 1]; anything outside fails
@@ -127,11 +127,15 @@ class _Block:
     angular: np.ndarray | None = None
     Y: np.ndarray | None = None
 
-    def vectors(self, k: np.ndarray) -> np.ndarray:
-        """Vectors of entries k on the block's rows, (rows, radial, k.size)."""
+    def vectors(self, k: np.ndarray):
+        """Vectors of entries k as a function of a range lo:hi of the block's
+        rows, (hi - lo, radial, k.size).  The angular columns of a separated
+        block are built once, here; each range only takes products or a gather."""
         if self.Y is None:
-            return self.V.columns(self.j[k])[:, None, :] * self.U[None, :, self.i[k]]
-        return self.Y[:, k].reshape(self.rows.size, -1, k.size)
+            ang, rad = self.V.columns(self.j[k]), self.U[:, self.i[k]]
+            return lambda lo, hi: ang[lo:hi, None, :] * rad[None]
+        Y = self.Y.reshape(self.rows.size, -1, self.Y.shape[1])
+        return lambda lo, hi: Y[lo:hi][:, :, k]
 
 
 def _order_blocks(m: int | None, L: int, lam, keys=None, **vectors) -> list[_Block]:
@@ -186,15 +190,19 @@ class EigenResult:
                    if lam < self.vector_floor else "keep= too small")
             raise IndexError(f"eigenvector {alpha} was not retained ({why})")
 
-    def _stack(self, ranks) -> np.ndarray:
-        """Eigenvectors of `ranks` as the columns of a (band.size, ranks.size) array.
+    def _slabs(self, ranks, out=None):
+        """Eigenvectors of `ranks` one degree at a time, l = 0 .. L-1: the
+        rows l^2 radial .. (l+1)^2 radial - 1 of the row-major
+        (band.size, ranks.size) stack, as one ((2l + 1) radial, ranks.size)
+        array per degree.
 
-        The array is C-contiguous and filled as (L^2, radial, ranks.size), so
-        row-major it is the (band.size, n) matrix `cli.write_matrix` writes
-        without a copy.  Its dtype is that of the block vectors: float64 for
-        product, azimuthally symmetric and union regions in either band,
-        complex128 for a pixel mask.  One inverse-position array maps every
-        requested rank to its column, so each block is visited once.
+        This is the one gather route of the eigenvectors.  Each block's
+        vectors for the requested ranks are built once (`_Block.vectors`),
+        before the first slab; one inverse-position array maps every rank to
+        its column, and one search of a block's sorted rows gives its rows of
+        each degree.  Slabs are fresh arrays, or, with `out` (a zero
+        (L^2, radial, ranks.size) array), views of `out` filled in place.
+        Their dtype is that of the block vectors (`_vector_dtype`).
         """
         ranks = np.asarray(ranks)
         if ranks.size:
@@ -203,16 +211,46 @@ class EigenResult:
         column = np.full(self.stored, -1)
         column[ranks] = np.arange(ranks.size)
         L = self.band.L
-        # U (radial) is real in every separated solve; V or Y sets the dtype
-        dtype = np.result_type(*{(b.V.V if b.Y is None else b.Y).dtype for b in self._blocks})
-        out = np.zeros((L * L, self.band.size // (L * L), ranks.size), dtype=dtype)
-        radial = np.arange(out.shape[1])
+        radial = np.arange(self.band.size // (L * L))
+        parts = []
         for block, rank in zip(self._blocks, self._ranks):
             k = np.flatnonzero(rank < self.stored)
             col = column[rank[k]]
             k, col = k[col >= 0], col[col >= 0]
             if k.size:
-                out[np.ix_(block.rows, radial, col)] = block.vectors(k)
+                bounds = np.searchsorted(block.rows, np.arange(L + 1) ** 2)
+                parts.append((block.rows, bounds, col, block.vectors(k)))
+        dtype = self._vector_dtype()
+
+        def slabs():
+            for l in range(L):
+                shape = (2 * l + 1, radial.size, ranks.size)
+                slab = np.zeros(shape, dtype) if out is None else out[l * l:(l + 1) ** 2]
+                for rows, bounds, col, vectors in parts:
+                    lo, hi = bounds[l], bounds[l + 1]
+                    if lo < hi:
+                        slab[np.ix_(rows[lo:hi] - l * l, radial, col)] = vectors(lo, hi)
+                yield slab.reshape(shape[0] * shape[1], shape[2])
+        return slabs()
+
+    def _vector_dtype(self) -> np.dtype:
+        """float64 for product, azimuthally symmetric and union regions in
+        either band, complex128 for a pixel mask."""
+        # U (radial) is real in every separated solve; V or Y sets the dtype
+        return np.result_type(*{(b.V.V if b.Y is None else b.Y).dtype for b in self._blocks})
+
+    def _stack(self, ranks) -> np.ndarray:
+        """Eigenvectors of `ranks` as the columns of a (band.size, ranks.size) array.
+
+        The array is C-contiguous and filled slab by slab in place
+        (`_slabs`), so row-major it is the (band.size, n) matrix
+        `cli.write_matrix` writes without a copy.
+        """
+        ranks = np.asarray(ranks)
+        L = self.band.L
+        out = np.zeros((L * L, self.band.size // (L * L), ranks.size), self._vector_dtype())
+        for _slab in self._slabs(ranks, out):  # each slab is a view of `out`
+            pass
         return out.reshape(self.band.size, ranks.size)
 
     def coeffs(self, alpha: int) -> HarmonicCoeffs:

@@ -15,8 +15,9 @@ import pytest
 
 import slepian_ball as sb
 from oracles import csv_rows_per_value, eigen_csv_per_value, matrix_file_bytes
-from slepian_ball.cli import (RunConfig, _csv_rows, _eigen_csv, main, parse_region,
-                              read_matrix, write_matrix)
+from slepian_ball import cli, eigen, transforms
+from slepian_ball.cli import (RunConfig, _complex_tag, _csv_rows, _eigen_csv, _matrix_chunks,
+                              main, parse_region, read_matrix, write_matrix)
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
 REGION = f"product:15,25,{T1},{T2}"
@@ -87,6 +88,23 @@ def test_matrix_file_bytes_match_oracle(tmp_path, rng, case):
     write_matrix(path, a)
     assert path.read_bytes() == matrix_file_bytes(a)
     assert np.array_equal(read_matrix(path), np.atleast_2d(a))
+
+
+def _late_imaginary(rng):
+    a = rng.normal(size=(6, 3)).astype(complex)
+    a[5, 1] += 1e-300j  # only the last row block is complex
+    return a
+
+
+@pytest.mark.parametrize("case", [*MATRIX_CASES, "late-imaginary"])
+def test_matrix_row_blocks_match_whole_array_file(rng, case):
+    # a matrix written in uneven row blocks, some of them empty, is the
+    # whole-array file; the tag comes from the blocks
+    a = np.atleast_2d(_late_imaginary(rng) if case == "late-imaginary"
+                      else MATRIX_CASES[case](rng))
+    blocks = np.split(a, [1, 1, 4], axis=0)
+    blob = b"".join(_matrix_chunks(*a.shape, blocks, _complex_tag(blocks)))
+    assert blob == matrix_file_bytes(a)
 
 
 def test_matrix_payload_length_checked(tmp_path, rng):
@@ -558,9 +576,14 @@ def test_csv_rows_matches_per_value_writer(rng):
     ints = rng.integers(-2 ** 62, 2 ** 62, size=n)
     strings = np.array([f"s{i}" for i in range(n)])
     columns = (ints, floats, None, floats[::-1].copy(), strings, None)
-    assert _csv_rows(*columns) == csv_rows_per_value(*columns)
-    assert _csv_rows(np.arange(3), None) == "0,\n1,\n2,\n"
-    assert _csv_rows(np.zeros(0), np.zeros(0, dtype=int)) == ""
+    chunks = list(_csv_rows(*columns))
+    assert b"".join(chunks).decode() == csv_rows_per_value(*columns)
+    # full chunks, then one short one: n is not a multiple of the chunk size
+    assert n % cli._CSV_CHUNK
+    assert [c.count(b"\n") for c in chunks] == \
+        [cli._CSV_CHUNK] * (n // cli._CSV_CHUNK) + [n % cli._CSV_CHUNK]
+    assert list(_csv_rows(np.arange(3), None)) == [b"0,\n1,\n2,\n"]
+    assert list(_csv_rows(np.zeros(0), np.zeros(0, dtype=int))) == []
 
 
 def _mask_region(tmp_path, L):
@@ -580,7 +603,7 @@ def test_eigen_csv_matches_per_value_writer(tmp_path, case):
     else:
         res = sb.solve_fl(parse_region(_mask_region(tmp_path, 4)), sb.FourierLaguerreBand(3, 4))
         assert res.orders is None
-    assert _eigen_csv(res) == eigen_csv_per_value(res)
+    assert b"".join(_eigen_csv(res)).decode() == eigen_csv_per_value(res)
 
 
 def _read_map(path):
@@ -672,6 +695,122 @@ def test_eigenvectors_mat_real_when_vectors_are_real(tmp_path, case, tag):
     assert vecs.dtype == (np.float64 if tag == 0 else np.complex128)
     assert np.array_equal(vecs, res.vectors(5))
     assert path.stat().st_size == 17 + vecs.size * (8 if tag == 0 else 16)
+
+
+# ---------------------------------------------------------------------------
+# streamed outputs: byte-identical to the whole-array writers
+# ---------------------------------------------------------------------------
+
+FB_SMALL = sb.FourierBesselBand(1.0, 4, 10)
+
+# region and band; the mask's vectors are complex (tag 1), all others real
+STREAMED_EIGEN_CASES = {
+    "fl-product": (lambda tmp: sb.ProductSymmetric(15, 25, T1, T2), sb.FourierLaguerreBand(4, 4)),
+    "fl-mask": (lambda tmp: parse_region(_mask_region(tmp, 4)), sb.FourierLaguerreBand(3, 4)),
+    "fb-product": (lambda tmp: sb.ProductSymmetric(15, 25, T1, T2), FB_SMALL),
+    "fb-union": (lambda tmp: sb.RegionUnion((sb.ProductSymmetric(15, 20, 0.3, 1.0),
+                                             sb.ProductSymmetric(20, 25, 1.2, 1.8))), FB_SMALL),
+    "fb-azimuthal": (lambda tmp: sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: ((t > T1) & (t < T2 + 0.02 * (r - 15))).astype(float), 15.0, 25.0,
+        n_r=16, n_theta=8), FB_SMALL),
+}
+
+
+@pytest.mark.parametrize("count", [0, 5, 10_000])
+@pytest.mark.parametrize("case", list(STREAMED_EIGEN_CASES))
+def test_streamed_eigen_files_match_whole_array_writers(tmp_path, monkeypatch, case, count):
+    # 7 rows a chunk, so eigenvalues.csv spans chunks and ends in a short one;
+    # count 10_000 lies beyond every case's stored vectors
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
+    region_of, band = STREAMED_EIGEN_CASES[case]
+    region = region_of(tmp_path)
+    fl = isinstance(band, sb.FourierLaguerreBand)
+    out = tmp_path / "out"
+    cfg = RunConfig("eigen", domain="fl" if fl else "fb", count=count, out=str(out))
+    assert cli.cmd_eigen(cfg, region, band) == 0
+    res = (sb.solve_fl if fl else sb.solve_fb)(region, band, keep=count)
+    assert len(res) % 7 and res.stored < 10_000
+    whole = tmp_path / "whole.mat"
+    write_matrix(whole, res.vectors(min(count, res.stored)))
+    assert (out / "eigenvectors.mat").read_bytes() == whole.read_bytes()
+    assert _mat_tag(whole) == (1 if case == "fl-mask" and count else 0)
+    assert (out / "eigenvalues.csv").read_text() == eigen_csv_per_value(res)
+
+
+def test_streamed_maps_values_and_decay_match_per_value_writer(tmp_path, monkeypatch, rng):
+    # every file has a row count that is not a multiple of the 7-row chunk
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
+    band = sb.FourierLaguerreBand(4, 4)
+    region = sb.ProductSymmetric(15, 25, T1, T2)
+    vec = rng.normal(size=band.size) + 1j * rng.normal(size=band.size)
+    sig = tmp_path / "c.mat"
+    write_matrix(sig, vec.reshape(-1, 1))
+    flags = ["--domain", "fl", "--P", "4", "--L", "4", "--region", REGION]
+    out = tmp_path / "out"
+    assert main(["eigen", *flags, "--count", "3", "--grid", "5,3", "--out", str(out)]) == 0
+    assert main(["synth", *flags, "--signal", str(sig), "--grid", "4,3,5",
+                 "--out", str(out)]) == 0
+    assert main(["project", *flags, "--signal", str(sig), "--out", str(out)]) == 0
+
+    rs, ts = np.linspace(50.0 / 5, 50.0, 5), np.linspace(0.0, math.pi, 3)
+    Rg, Tg = np.meshgrid(rs, ts, indexing="ij")
+    res = sb.solve_fl(region, band, keep=3)
+    maps = transforms.synthesis_separable(res.vectors(3).T, band, rs, ts, 1)
+    for rank, vals in enumerate(maps):
+        assert (out / f"eigenfunction_{rank:04d}.csv").read_text() == "r,theta,value\n" + \
+            csv_rows_per_value(Rg.ravel(), Tg.ravel(), vals.real.ravel())
+
+    rs, ps = np.linspace(50.0 / 4, 50.0, 4), np.linspace(0.0, 2 * math.pi, 5, endpoint=False)
+    vals = transforms.synthesis_separable(vec[None], band, rs, ts, 5)
+    Rg, Tg, Pg = np.meshgrid(rs, ts, ps, indexing="ij")
+    assert (out / "values.csv").read_text() == "r,theta,phi,re,im\n" + csv_rows_per_value(
+        Rg.ravel(), Tg.ravel(), Pg.ravel(), vals.real.ravel(), vals.imag.ravel())
+
+    h = sb.HarmonicCoeffs(vec, band)
+    h_alpha = transforms.slepian_coeffs(h, sb.solve_fl(region, band))
+    assert (out / "decay.csv").read_text() == "index,abs_fl_sorted,abs_slepian_sorted\n" + \
+        csv_rows_per_value(np.arange(1, band.size + 1), np.sort(np.abs(vec))[::-1],
+                           np.sort(np.abs(h_alpha))[::-1])
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_eigen_output_files_honour_the_umask(tmp_path, umask, mode):
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        rc = main(["eigen", "--domain", "fl", "--P", "3", "--L", "3", "--region", REGION,
+                   "--count", "2", "--grid", "2,2", "--out", str(out)])
+    finally:
+        os.umask(old)
+    assert rc == 0
+    modes = {f.name: f.stat().st_mode & 0o777 for f in out.iterdir()}
+    assert {"eigenvalues.csv", "eigenvectors.mat", "shannon.json",
+            "eigenfunction_0000.csv"} <= set(modes)
+    assert set(modes.values()) == {mode}
+
+
+def test_fb_reference_eigen_command_holds_no_whole_output(tmp_path, monkeypatch):
+    # the acceptance FB solve at M = 140 with --count 25: from the end of the
+    # solve to exit the CLI holds slabs and chunks only; the 11.2 MB vector
+    # stack or the 5.6 MB eigenvalues.csv as one string would not fit
+    solve = eigen.solve_fb
+
+    def solve_then_trace(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        tracemalloc.start()
+        return res
+
+    monkeypatch.setattr(eigen, "solve_fb", solve_then_trace)
+    out = tmp_path / "out"
+    try:
+        rc = main(["eigen", "--domain", "fb", "--K", "1.4", "--L", "20", "--M", "140",
+                   "--region", REGION, "--count", "25", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert (out / "eigenvectors.mat").stat().st_size == 17 + 140 * 20 ** 2 * 25 * 8
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------
