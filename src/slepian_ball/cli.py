@@ -32,6 +32,9 @@ Precedence: flags > config file (``--config``, ``key = value`` lines) >
 defaults; the effective configuration, defaults included, is echoed into
 meta.json.  ``J`` must be >= 0.
 
+JSON outputs are strict JSON: `shannon` rejects an infinite (FB, R2 = inf)
+Shannon number with exit code 2 before writing anything.
+
 Exit codes: 0 success, 2 configuration/validation error, 1 numerical
 failure (an ArithmeticError or numpy.linalg.LinAlgError).
 """
@@ -195,8 +198,10 @@ def _csv(header: str, *columns):
 
 
 def _write_meta(path: str, cfg: RunConfig, **results):
-    """The effective configuration and a run's results, as sorted JSON."""
-    text = json.dumps({"config": asdict(cfg), **results}, indent=2, sort_keys=True) + "\n"
+    """The effective configuration and a run's results, as sorted strict JSON
+    (a non-finite float raises ValueError)."""
+    text = json.dumps({"config": asdict(cfg), **results}, indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     _atomic_write(path, [text.encode()])
 
 
@@ -280,9 +285,11 @@ def _grid_counts(grid: str, names: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def cmd_shannon(cfg: RunConfig, region, band) -> int:
+    n = eigen.shannon(region, band)
+    if math.isinf(n):  # FB, R2 = inf
+        raise ValueError("the Fourier-Bessel Shannon number of an unbounded region is "
+                         "infinite; need a bounded region")
     os.makedirs(cfg.out, exist_ok=True)
-    n = eigen.shannon_fl(region, band) if cfg.domain == "fl" \
-        else eigen.shannon_fb(region, band)
     _write_meta(os.path.join(cfg.out, "shannon.json"), cfg, shannon=n)
     print(f"shannon {cfg.domain}: {n:.17g}")
     return 0

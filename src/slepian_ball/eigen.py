@@ -9,11 +9,11 @@ spectrum is available without ever forming the dense P L^2 kernel.
 
 In both bands, azimuthally symmetric and union regions (and Fourier-Bessel
 product regions) solve per-order blocks B_m = F_m F_m^T through one block
-solver, `_solve_blocks`, on the smaller side of the factor F_m.  A
-Fourier-Bessel product region's factor separates by degree,
-F_m[(l, n), (a, b)] = T[l, n, a] A_m[l, b], with radial modes T and the
-rank-cut factor A_m of G^m, so its Gram side sum_l S_l (x) a_l a_l^T
-(S_l = T_l^T T_l) and its vectors T_l (A_m z) are formed without F_m.
+solver, `_solve_blocks`.  Every region's factor has one form,
+F_m = (direct sum over l of Q_l) K_m, with Q_l an orthonormal radial basis
+per degree and K_m a small dense array (`kernels._order_factors`), so each
+block is eigensolved on the smaller side of K_m and its vectors are lifted
+degree by degree through Q_l.
 
 Every solver hands its per-order blocks (a mask's one block spans the band)
 to one merge, `EigenResult`, whose per-rank state is arrays: `eigenvalues`,
@@ -337,40 +337,34 @@ def _mask_angular(mask, L: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_blocks(region, band: SpectralBand, keep, w=None) -> tuple[list, list]:
-    """Solve every fixed-order block B_m = F_m F_m^T (`kernels._order_factors`).
+    """Solve every fixed-order block B_m = F_m F_m^T, F_m = (sum Q_l) K_m
+    (`kernels._order_factors`).
 
-    Each block is eigensolved on the smaller side of F_m.  On the Gram side
-    F_m^T F_m (`F.gram()`) the nonzero spectrum is the same, eigenvectors
-    are F_m z / sqrt(mu) (`F @ z`), and the rest of the block is padded
-    with exact zeros, so the spectrum keeps one entry per row.  The raw range gains a 0 when
-    a block was padded.  Vectors are built for the first `keep` eigenvalues
-    of at least _VECTOR_FLOOR; below it lies the numerical null space.  With
-    FB weights w, vectors are mapped back to coefficient samples by W^{-1/2}.
-    Only the direct side F_m F_m^T asks for the dense F_m (`F.dense()`): a
-    product region's Gram side and vectors come from its per-degree parts.
-    Returns (blocks, raw eigenvalues).
+    The Q_l are orthonormal, so the nonzero spectrum of B_m is that of the
+    smaller side of K_m: on K_m K_m^T the eigenvectors are Q_l z, on the
+    Gram side K_m^T K_m they are Q_l (K_m z) / sqrt(mu).  The rest of the
+    block is padded with exact zeros, so the spectrum keeps one entry per
+    row, and the raw range counts those zeros.  Vectors are built for the
+    first `keep` eigenvalues of at least _VECTOR_FLOOR; below it lies the
+    numerical null space.  With FB weights w, vectors are mapped back to
+    coefficient samples by W^{-1/2}.  Returns (blocks, each block's raw
+    eigenvalue range as an array [min, max]).
     """
     blocks, raw = [], []
-    factor = ker._order_factors(band, region)
+    Q, factor = ker._order_factors(band, region)
     for m in range(band.L):
-        F = factor(m)
-        gram = 0 < F.shape[1] < F.shape[0]  # an empty region solves its zero block
-        if gram:
-            side = F.gram()
-        else:
-            D = F.dense()
-            side = D @ D.T
-        lam_raw, Z = _descending_eigh(side)
-        raw.append(np.append(lam_raw, 0.0) if gram else lam_raw)
-        lam = _validate_and_clamp(lam_raw)
+        K = factor(m)
+        gram = K.shape[1] < K.shape[0]
+        lam_raw, Z = _descending_eigh(K.T @ K if gram else K @ K.T)
         n_vec = min(int(np.count_nonzero(lam_raw >= _VECTOR_FLOOR)),
-                    lam.size if keep is None else keep)
+                    lam_raw.size if keep is None else keep)
         Z = Z[:, :n_vec]
-        Y = F @ (Z / np.sqrt(lam_raw[:n_vec])) if gram else Z
+        Y = ker._lift(Q[m:], K @ (Z / np.sqrt(lam_raw[:n_vec])) if gram else Z)
         if w is not None:
             Y = Y / np.tile(np.sqrt(w), band.L - m)[:, None]
-        lam = np.concatenate([lam, np.zeros(F.shape[0] - lam.size)])
-        blocks += _order_blocks(m, band.L, lam, Y=Y)
+        lam_raw = np.concatenate([lam_raw, np.zeros((band.L - m) * Q.shape[1] - lam_raw.size)])
+        raw.append(np.array([lam_raw.min(), lam_raw.max()]))
+        blocks += _order_blocks(m, band.L, _validate_and_clamp(lam_raw), Y=Y)
     return blocks, raw
 
 

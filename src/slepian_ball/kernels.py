@@ -17,19 +17,22 @@ All three are quadrature sums: G Gauss-Legendre in cos t, exact, and every
 radial integral (E, the FB radial modes, the Shannon trace, energy grids)
 on the band's one rule for [R1, R2], `_radial_rule`.  Each block is then a
 Gram matrix A A^T of square-root-weighted node values.  The fixed-order
-blocks of both bands are kept as such a factor, B_m = F_m F_m^T
-(`_order_factors`), and so is the angular coupling of a pixel mask,
-G_mask = A A^H with A the square-root-weighted Y_lm at the active pixels
-(`_mask_factor`).  E, G^m and the FB radial modes enter the block factors
-cut to their numerical rank by one rule (`_above_rank_floor`), and a product
-member's F_m stays the pair of radial modes T and angular factor A_m
-(`_ProductFactor`), whose Gram side is sum_l S_l (x) a_l a_l^T
-with per-degree radial Grams S_l = T_l^T T_l.  The block solver eigensolves
-the smaller side of F_m, the mask solver takes the SVD of A.  The test
-suite checks each against an analytic oracle (exponential moments in
-extended precision, Wigner-3j sums, Lommel closed forms for C) or a dense
-assembly and eigensolve.  `C_kernel` evaluates one entry of C through
-`_c_quad_rule` at its own k.
+blocks of both bands are kept as such a factor, B_m = F_m F_m^T, and so is
+the angular coupling of a pixel mask, G_mask = A A^H with A the
+square-root-weighted Y_lm at the active pixels (`_mask_factor`).  Every
+region's F_m has one form (`_order_factors`): F_m = (direct sum over l of
+Q_l) K_m, with Q_l one orthonormal radial basis per degree, the QR of the
+members' radial modes side by side, and K_m a small dense array over
+(l, radial mode).  The radial modes are E's factor (FL) or the Bessel
+table's thin SVD (FB) for a product member, and the thin SVD of the
+radial table on the grid's radii for an azimuthally symmetric region; E,
+G^m and these tables are cut to their numerical rank by one rule
+(`_above_rank_floor`).  The block solver eigensolves the smaller side of
+K_m, the mask solver takes the SVD of A.  The test suite checks each
+against an analytic oracle (exponential moments in extended precision,
+Wigner-3j sums, Lommel closed forms for C) or a dense assembly and
+eigensolve.  `C_kernel` evaluates one entry of C through `_c_quad_rule`
+at its own k.
 
 The continuous Fourier-Bessel spectrum is discretized on uniform samples
 k_n = n K / M; quadrature in k uses trapezoid weights (the k = 0 node
@@ -303,8 +306,9 @@ def _fb_radial_modes(band: FourierBesselBand, R1: float, R2: float) -> np.ndarra
 
 
 def _above_rank_floor(lam: np.ndarray, n: int) -> np.ndarray:
-    """Eigenvalues of an n x n PSD matrix above numpy.linalg.matrix_rank's
-    default tolerance lam_max n eps: the rank cut of E, G^m and the FB modes."""
+    """Values above numpy.linalg.matrix_rank's default tolerance lam_max n eps:
+    the rank cut of the eigenvalues of E, G^m and the FB modes' Gram (n x n),
+    and of the singular values of an azimuthal region's radial table."""
     return lam > lam.max() * n * np.finfo(float).eps
 
 
@@ -324,81 +328,48 @@ def _require_base_frame(region):
             "and apply rotate_eigenfunction for oriented results")
 
 
-class _DenseFactor:
-    """A fixed-order block factor F held as one array."""
-
-    def __init__(self, F: np.ndarray):
-        self.F = F
-        self.shape = F.shape
-
-    def dense(self) -> np.ndarray:
-        return self.F
-
-    def gram(self) -> np.ndarray:
-        return self.F.T @ self.F
-
-    def __matmul__(self, Z: np.ndarray) -> np.ndarray:
-        return self.F @ Z
-
-
-class _ProductFactor:
-    """The factor of a product member at order m, kept as its two parts:
-    F[(l, n), (a, b)] = T[l, n, a] A[l, b] over l in [m, L-1].
-
-    Its Gram side is sum_l S_l (x) a_l a_l^T, with S_l = T_l^T T_l and a_l
-    the rows of A, and F Z is T_l (A Z) degree by degree, so neither needs
-    the (L - m) n x q r array, which `dense` builds on request.
-    """
-
-    def __init__(self, T: np.ndarray, S: np.ndarray, A: np.ndarray):
-        self.T, self.S, self.A = T, S, A
-        self.shape = (T.shape[0] * T.shape[1], T.shape[2] * A.shape[1])
-
-    def dense(self) -> np.ndarray:
-        return (self.T[:, :, :, None] * self.A[:, None, None, :]).reshape(self.shape)
-
-    def gram(self) -> np.ndarray:
-        (nl, q, _), r = self.S.shape, self.A.shape[1]
-        AA = (self.A[:, :, None] * self.A[:, None, :]).reshape(nl, r * r)
-        G = self.S.reshape(nl, q * q).T @ AA  # rows (a, a'), columns (b, b')
-        return G.reshape(q, q, r, r).transpose(0, 2, 1, 3).reshape(self.shape[1], -1)
-
-    def __matmul__(self, Z: np.ndarray) -> np.ndarray:
-        q, r = self.S.shape[1], self.A.shape[1]
-        AZ = (self.A @ Z.reshape(q, r, -1)).transpose(1, 0, 2)  # (l, a, k)
-        return (self.T @ AZ).reshape(self.shape[0], -1)
-
-
 def _order_factors(band: SpectralBand, region):
-    """Builder of the fixed-order kernel factors: returns m -> F_m, with
-    B_m = F_m F_m^T, in either band.
+    """The fixed-order kernel factors of either band: returns (Q, m -> K_m),
+    with B_m = F_m F_m^T and F_m = (direct sum over l in [m, L-1] of Q_l) K_m.
 
-    Rows run over (l, radial index) with l in [m, L-1] and the radial index
-    (p, or the k sample n) fast.  Product regions: columns (radial mode,
-    angular mode), the radial modes T from `_fb_radial_modes` (FB) or the
-    rank-cut E factor repeated over l (FL), the angular modes the rank-cut
-    factor A_m of G^m; such a member's F_m is a `_ProductFactor`.
-    Azimuthally symmetric regions: one column per active (r, theta) grid
-    node, under the square root of its measure.  Unions stack their
-    members' dense columns.  FB rows carry the W^{1/2} weights.  The radial
-    parts do not depend on m: each member's (with its per-degree Grams
-    S_l = T_l^T T_l) is built here, once, so a solve over all orders
-    assembles and factors E once per member.
+    Rows of F_m run over (l, radial index), the radial index (p, or the k
+    sample n) fast; FB rows carry the W^{1/2} weights.  Each member's own
+    factor is T_l C_l per degree, radial modes T, (L, n_rad, q_i), times a
+    coupling C_l:
+    * product: T from `_fb_radial_modes` (FB) or the rank-cut E factor at
+      every degree (FL), and C_l = I (x) a_l, a_l the rows of the rank-cut
+      factor A_m of G^m (columns: radial mode, angular mode);
+    * azimuthally symmetric: T = U S of the thin SVD U S V^T of the radial
+      table on the grid's radii under the square root of their measure, cut
+      by its singular values, and C_l one column per active (r, theta)
+      node, V^T at r times Pbar_lm(theta) sqrt(theta weight).
+    Q_l R_l is the QR of all members' T_l side by side, so Q, (L, n_rad, q),
+    is one orthonormal radial basis per degree, and member i's columns of
+    K_m, ((L - m) q, n_cols), are R_l^(i) C_l^(i).  Q, R and T do not depend
+    on m: a solve over all orders builds them once.
     """
     fb = isinstance(band, FourierBesselBand)
     members = region.members if isinstance(region, reg_mod.RegionUnion) else (region,)
     parts = [_member_factors(band, s, fb) for s in members]
     if fb:
         _check_k_sampling(band, max(_outer_radius(s) for s in members))
+    Q, R = np.linalg.qr(np.concatenate([T for T, _ in parts], axis=2))
+    Rs = np.split(R, np.cumsum([T.shape[2] for T, _ in parts])[:-1], axis=2)
 
-    def factor(m: int):
+    def factor(m: int) -> np.ndarray:
         m = abs(m)
         if not (0 <= m < band.L):
             raise ValueError(f"need 0 <= |m| < L, got m={m}, L={band.L}")
-        if len(parts) == 1:
-            return parts[0](m)
-        return _DenseFactor(np.hstack([part(m).dense() for part in parts]))
-    return factor
+        cols = [columns(m, Ri[m:]) for Ri, (_, columns) in zip(Rs, parts)]
+        K = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=2)
+        return K.reshape(K.shape[0] * K.shape[1], K.shape[2])
+    return Q, factor
+
+
+def _lift(Q: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """(direct sum over l of Q_l) Z: rows (l, c) of Z to rows (l, radial index)."""
+    (nl, n, q), k = Q.shape, Z.shape[1]
+    return (Q @ Z.reshape(nl, q, k)).reshape(nl * n, k)
 
 
 def _outer_radius(region) -> float:
@@ -421,7 +392,9 @@ def _check_k_sampling(band: FourierBesselBand, r_max: float):
 
 
 def _member_factors(band: SpectralBand, region, fb: bool):
-    """`_order_factors` for one product or azimuthally symmetric region."""
+    """One product or azimuthally symmetric region's part of `_order_factors`:
+    its radial modes T, (L, n_rad, q_i), and the map (m, R) -> its columns of
+    K_m as (L - m, q, n_cols), R being its columns of R_l, l in [m, L-1]."""
     _require_base_frame(region)
     L = band.L
     if isinstance(region, ProductSymmetric):
@@ -430,12 +403,12 @@ def _member_factors(band: SpectralBand, region, fb: bool):
         else:  # the E factor, the same at every degree l
             T = _rank_factor(E_matrix(band.P, region.R1, region.R2))
             T = np.broadcast_to(T, (L,) + T.shape)
-        S = T.transpose(0, 2, 1) @ T
 
-        def product(m: int) -> _ProductFactor:
+        def product(m: int, R: np.ndarray) -> np.ndarray:
             A = _rank_factor(G_matrix(m, L, region.theta1, region.theta2))
-            return _ProductFactor(T[m:], S[m:], A)
-        return product
+            return (R[:, :, :, None] * A[:, None, None, :]).reshape(
+                R.shape[:2] + (R.shape[2] * A.shape[1],))
+        return T, product
     if isinstance(region, AzimuthallySymmetric):
         # with fewer colatitude nodes than L the grid's Gram of the Pbar_lm
         # over the whole sphere is no longer I, and the region's can exceed it
@@ -443,21 +416,26 @@ def _member_factors(band: SpectralBand, region, fb: bool):
             raise ValueError(
                 f"azimuthally symmetric region has {region.theta_nodes.size} colatitude "
                 f"nodes; the band L = {L} needs at least {L}")
-        ir, it = np.nonzero(region.indicator)
-        r = region.r_nodes[ir]
-        sqrt_meas = np.sqrt(2.0 * math.pi * region.r_weights[ir] * r ** 2
-                            * region.theta_weights[it])
+        r = region.r_nodes
+        sqrt_meas = r * np.sqrt(2.0 * math.pi * region.r_weights * region.indicator.any(axis=1))
         if fb:
-            rad = _fb_bessel_table(band, region.r_nodes)[:, :, ir]
+            rad = _fb_bessel_table(band, r)
         else:  # K_p(r), the same at every degree l
-            rad = specfun.laguerre_K_table(band.P - 1, region.r_nodes)[:, ir]
-            rad = np.broadcast_to(rad, (L,) + rad.shape)
+            rad = specfun.laguerre_K_table(band.P - 1, r)[None]
+        X = (rad * sqrt_meas).reshape(-1, r.size)
+        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        # node columns see the dropped modes at first order: cut s, not s^2
+        q = int(np.count_nonzero(_above_rank_floor(s, max(X.shape))))
+        T = np.broadcast_to((U[:, :q] * s[:q]).reshape(rad.shape[:2] + (q,)),
+                            (L, rad.shape[1], q))
+        ir, it = np.nonzero(region.indicator)
+        V = Vt[:q, ir]
+        sqrt_wt = np.sqrt(region.theta_weights[it])
 
-        def azimuthal(m: int) -> _DenseFactor:
-            Pb = specfun.norm_alf_table(L, m, region.theta_nodes)[:, None, it]
-            return _DenseFactor(
-                (rad[m:] * Pb * sqrt_meas).reshape((L - m) * rad.shape[1], ir.size))
-        return azimuthal
+        def azimuthal(m: int, R: np.ndarray) -> np.ndarray:
+            Pb = specfun.norm_alf_table(L, m, region.theta_nodes)[:, it] * sqrt_wt
+            return (R @ V) * Pb[:, None, :]
+        return T, azimuthal
     raise TypeError(
         "fixed-order kernels need a ProductSymmetric, AzimuthallySymmetric "
         f"or RegionUnion region, got {type(region)!r}")
@@ -467,16 +445,23 @@ def _member_factors(band: SpectralBand, region, fb: bool):
 # assembled kernels
 # ---------------------------------------------------------------------------
 
+def _fixed_order_factor(m: int, band: SpectralBand, region) -> np.ndarray:
+    """F_m = (direct sum over l of Q_l) K_m of `_order_factors`, as one array."""
+    Q, factor = _order_factors(band, region)
+    K = factor(m)
+    return _lift(Q[abs(m):], K)
+
+
 def kernel_fb_fixed_order(m: int, band: FourierBesselBand, region) -> KernelMatrix:
     """Symmetrized fixed-order Fourier-Bessel kernel B = W^{1/2} (C o G) W^{1/2}.
 
     Rows/columns run over (l, n) with l in [m, L-1] (fast index n).  W holds
     the k-sample quadrature weights, so B is symmetric positive semidefinite
     and its eigenvectors map back to coefficient samples via W^{-1/2}.
-    Assembled as F F^T from `_order_factors`, so symmetric by construction.
+    Assembled as F F^T from `_fixed_order_factor`, so symmetric by construction.
     Raises ValueError when dk * R_max > pi (`_check_k_sampling`).
     """
-    F = _order_factors(band, region)(m).dense()
+    F = _fixed_order_factor(m, band, region)
     return KernelMatrix(F @ F.T, band, region, "FB-discretized", order=abs(m),
                         k_weights=fb_k_weights(band))
 
@@ -484,10 +469,10 @@ def kernel_fb_fixed_order(m: int, band: FourierBesselBand, region) -> KernelMatr
 def kernel_fl_fixed_order(m: int, band: FourierLaguerreBand, region) -> KernelMatrix:
     """Fixed-order Fourier-Laguerre kernel over (l, p), l in [m, L-1] (fast index p).
 
-    Assembled as F F^T from `_order_factors`, so symmetric by construction.
+    Assembled as F F^T from `_fixed_order_factor`, so symmetric by construction.
     A product member contributes G^m (x) E with E cut to its numerical rank.
     """
-    F = _order_factors(band, region)(m).dense()
+    F = _fixed_order_factor(m, band, region)
     return KernelMatrix(F @ F.T, band, region, "FL", order=abs(m))
 
 

@@ -9,10 +9,10 @@ radial table (K_p(r) for Fourier-Laguerre, the k-weighted j_l(k_n r) of
 `kernels._fb_bessel_table` for Fourier-Bessel), then against Y_lm.  On a
 separable grid, radial nodes x colatitudes x uniform azimuths,
 `synthesis_separable` is the analysis route below run backwards for a whole
-stack of vectors: the radial sums in the stack's own dtype, one
-Pbar_lm(cos theta) table per order m contracting the degrees into azimuthal
-bin m mod n_phi, and one inverse FFT over the bins.  No Y_lm table of the
-grid is built.  `synthesis_fl_grid` and the CLI's eigenfunction maps and
+stack of vectors: the radial sums, one degree at a time in the stack's own
+dtype, one Pbar_lm(cos theta) table per order m contracting the degrees
+into azimuthal bin m mod n_phi, and one inverse FFT over the bins.  No Y_lm
+table of the grid is built.  `synthesis_fl_grid` and the CLI's eigenfunction maps and
 `synth` grids go through it.  `synthesis_fl` and `synthesis_fb` evaluate
 one vector at scattered points with the same radial tables.
 
@@ -113,17 +113,24 @@ def _radial_sums(values, band, r) -> np.ndarray:
     """Radial sums of a stack of coefficient vectors at radii r, (count, L^2, n_r).
 
     Fourier-Laguerre: sum_p f_{lmp} K_p(r).  Fourier-Bessel: the discretized
-    k integral sqrt(2/pi) sum_n w_n k_n f_{lm}(k_n) j_l(k_n r).
+    k integral sqrt(2/pi) sum_n w_n k_n f_{lm}(k_n) j_l(k_n r).  `values`,
+    (count, band.size), is read one degree at a time, each degree's rows
+    made contiguous in the stack's own dtype: a transposed stack is not
+    copied whole, and the products (and their rounding) do not depend on
+    its layout.
     """
     L = band.L
-    # contiguous in the stack's own dtype, so the products (and their rounding) do
-    # not depend on the layout of `values`: a transposed stack would reshape to a strided view
-    C = np.ascontiguousarray(values, dtype=np.result_type(values, float))
-    C = C.reshape(-1, L * L, band.size // (L * L))
+    C = np.asarray(values).reshape(-1, L * L, band.size // (L * L))
     if isinstance(band, FourierLaguerreBand):
-        return C @ specfun.laguerre_K_table(band.P - 1, r)
-    T = _fb_bessel_table(band, r) * np.sqrt(fb_k_weights(band))[:, None]  # (L, M, n_r)
-    return np.concatenate([C[:, l * l:(l + 1) ** 2] @ T[l] for l in range(L)], axis=1)
+        T = np.broadcast_to(specfun.laguerre_K_table(band.P - 1, r), (L, band.P, r.size))
+    else:
+        T = _fb_bessel_table(band, r) * np.sqrt(fb_k_weights(band))[:, None]  # (L, M, n_r)
+    dtype = np.result_type(C, float)
+    out = np.empty((C.shape[0], L * L, r.size), dtype)
+    for l in range(L):
+        rows = slice(l * l, (l + 1) ** 2)
+        out[:, rows] = np.ascontiguousarray(C[:, rows], dtype=dtype) @ T[l]
+    return out
 
 
 def _fft_azimuths(phi) -> int:

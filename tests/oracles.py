@@ -497,9 +497,12 @@ def _fb_fixed_order_azim(m: int, band, region) -> np.ndarray:
 
 
 def fb_dense_block(m: int, band, region) -> np.ndarray:
-    """Symmetrized W^{1/2} (C o G) W^{1/2} over (l, n), l in [m, L-1], n fast."""
+    """Symmetrized W^{1/2} (C o G) W^{1/2} over (l, n), l in [m, L-1], n fast;
+    a union's is the sum of its members'."""
     from slepian_ball.kernels import G_matrix
     nl = band.L - m
+    if isinstance(region, RegionUnion):
+        return sum(fb_dense_block(m, band, s) for s in region.members)
     if isinstance(region, ProductSymmetric):
         C = _c_tensor(band, region.R1, region.R2)
         G = G_matrix(m, band.L, region.theta1, region.theta2)

@@ -813,6 +813,68 @@ def test_fb_reference_eigen_command_holds_no_whole_output(tmp_path, monkeypatch)
     assert peak < 4e6
 
 
+def test_fl_eigen_grid_holds_one_vector_stack(tmp_path, monkeypatch):
+    # --grid at P = L = 64 with --count 25 holds one stack of 64^3 x 25
+    # doubles (52 MB) and its 13 MB of radial sums; the radial sums read the
+    # transposed stack one degree at a time, with no second whole copy
+    solve = eigen.solve_fl
+
+    def solve_then_trace(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        tracemalloc.start()
+        return res
+
+    monkeypatch.setattr(eigen, "solve_fl", solve_then_trace)
+    out = tmp_path / "out"
+    try:
+        rc = main(["eigen", "--domain", "fl", "--P", "64", "--L", "64", "--count", "25",
+                   "--region", REGION, "--grid", "16,12", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert len(list(out.glob("eigenfunction_*.csv"))) == 25
+    stack = 64 ** 3 * 25 * 8
+    assert peak < 1.5 * stack
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_every_json_output_is_strict_json(tmp_path, rng):
+    # RFC 8259 has no NaN or Infinity: each JSON file of each command parses
+    # with those constants rejected
+    band = sb.FourierLaguerreBand(4, 3)
+    sig = tmp_path / "c.mat"
+    write_matrix(sig, rng.normal(size=(band.size, 1)))
+    fl = ["--domain", "fl", "--P", "4", "--L", "3", "--region", REGION]
+    fb = ["--domain", "fb", "--K", "1.0", "--L", "3", "--M", "12", "--region", REGION]
+    runs = [["shannon", *fl], ["shannon", *fb], ["shannon", "--domain", "fl", "--L", "2"],
+            ["eigen", *fl], ["eigen", *fb], ["kernel", *fl], ["kernel", *fb],
+            ["project", *fl, "--signal", str(sig)]]
+    for i, run in enumerate(runs):
+        assert main([*run, "--out", str(tmp_path / str(i))]) == 0, run
+    files = sorted(tmp_path.glob("*/*.json"))
+    assert len(files) == len(runs)
+    for path in files:
+        data = json.loads(path.read_text(), parse_constant=_reject_constant)
+        assert data["config"]["out"] == str(path.parent)
+
+
+@pytest.mark.parametrize("region", ["fullball", f"product:15,inf,{T1},{T2}"])
+def test_fb_infinite_shannon_exits_2_before_any_output(tmp_path, capsys, region):
+    # the library keeps shannon_fb = inf; the CLI has no finite number to write
+    out = tmp_path / "o"
+    rc = main(["shannon", "--domain", "fb", "--K", "1.0", "--L", "3", "--M", "8",
+               "--region", region, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "need a bounded region" in err
+    assert not out.exists()
+    assert sb.shannon_fb(parse_region(region), sb.FourierBesselBand(1.0, 3, 8)) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # rejected Fourier-Bessel inputs
 # ---------------------------------------------------------------------------

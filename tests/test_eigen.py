@@ -15,6 +15,14 @@ from slepian_ball import eigen, kernels, specfun, transforms
 T1, T2 = math.pi / 8, 3 * math.pi / 8
 
 
+def _sloped_band(n: int):
+    """0.3 + 0.02 (r - 15) < theta < 1.2 on [15, 25], n x n nodes: an
+    azimuthally symmetric region whose colatitudes depend on the radius."""
+    return sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: ((t > 0.3 + 0.02 * (r - 15.0)) & (t < 1.2)).astype(float),
+        15.0, 25.0, n_r=n, n_theta=n)
+
+
 def region_quadrature_inner(values_a, values_b, grid):
     """int_R f g* dv from samples on a region energy grid."""
     n_r = grid.radial_nodes.size
@@ -454,24 +462,26 @@ def test_fb_vector_floor_marks_null_space(ref_region):
 
 
 def _record_block_eighs(monkeypatch):
-    """Record (eigh size, smaller side of F_m) for every block eigensolve;
-    the eighs that build the factors (E's and each G^m's rank cut) are not
-    block eigensolves and are left out."""
-    sides, dims, building = [], [], []
+    """Record (eigh size, smaller side of K_m) for every block eigensolve, and
+    the width q of each solve's radial basis Q; the eighs that build the
+    factors (E's and each G^m's rank cut) are not block eigensolves and are
+    left out."""
+    sides, dims, qs, building = [], [], [], []
     eigh, order_factors = np.linalg.eigh, kernels._order_factors
 
     def recording_factors(band, region):
         building.append(True)
-        factor = order_factors(band, region)
+        Q, factor = order_factors(band, region)
         building.pop()
+        qs.append(Q.shape[2])
 
         def recording_factor(m):
             building.append(True)
-            F = factor(m)
+            K = factor(m)
             building.pop()
-            sides.append(min(F.shape))
-            return F
-        return recording_factor
+            sides.append(min(K.shape))
+            return K
+        return Q, recording_factor
 
     def recording_eigh(a, *args, **kwargs):
         if not building:
@@ -480,14 +490,14 @@ def _record_block_eighs(monkeypatch):
 
     monkeypatch.setattr(kernels, "_order_factors", recording_factors)
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    return sides, dims
+    return sides, dims, qs
 
 
 def test_fl_block_solve_runs_no_eigensolve_larger_than_factor(monkeypatch):
     # every reference-band union block is eigensolved on the smaller side of
     # its factor (620 x 225 at m = 0), never as a dense (L - m) P block
     band = sb.FourierLaguerreBand(31, 20)
-    sides, dims = _record_block_eighs(monkeypatch)
+    sides, dims, _ = _record_block_eighs(monkeypatch)
     res = sb.solve_fl(FB_TABLE_REGIONS["union"](), band)
     assert len(dims) == band.L and sides[0] == 225
     assert all(dim <= side for dim, side in dims), dims
@@ -499,11 +509,25 @@ def test_fb_product_block_solve_runs_no_eigensolve_larger_than_q_r(monkeypatch, 
     # modes (13 of the Bessel table's) and of G^0 (13 of 20) shrinks it from
     # the 400 of full factors
     band = sb.FourierBesselBand(1.4, 20, 140)
-    sides, dims = _record_block_eighs(monkeypatch)
+    sides, dims, _ = _record_block_eighs(monkeypatch)
     res = sb.solve_fb(ref_region, band, keep=1)
     assert len(dims) == band.L and sides[0] == 169
     assert all(dim <= side for dim, side in dims), dims
     assert max(dim for dim, _ in dims) == 169
+    assert res.stored == 1
+
+
+def test_fb_azimuthal_block_solve_runs_no_eigensolve_wider_than_radial_basis(monkeypatch):
+    # the sloped band on 64 x 64 nodes has 1,025 active nodes; its blocks are
+    # solved on K_m, no wider than (L - m) q with q = 20 radial modes of the
+    # Bessel table on its 64 radii, not on the 1,025-wide node Gram side
+    band = sb.FourierBesselBand(1.4, 20, 140)
+    sides, dims, qs = _record_block_eighs(monkeypatch)
+    res = sb.solve_fb(_sloped_band(64), band, keep=1)
+    (q,) = qs
+    assert len(dims) == band.L and q < band.M
+    assert all(dim <= (band.L - m) * q for m, (dim, _) in enumerate(dims)), dims
+    assert all(dim <= side for dim, side in dims), dims
     assert res.stored == 1
 
 
@@ -525,16 +549,21 @@ def test_fl_union_solve_builds_each_members_E_once(monkeypatch):
 # (region, band, keep): the small product band, the reference band, a band
 # so small that every product block takes the direct side, an
 # azimuthally symmetric shell whose m = 0 block takes the Gram side and the
-# others the direct side; then FL blocks: an azimuthally symmetric band
-# (Gram side up to m = 5, direct side above), a union (Gram side), a union
-# with an open shell, whose E factors fill the direct side, and a small
-# union with no null space, which stores every vector of every block
+# others the direct side, a sloped azimuthal band (its radial basis cut from
+# the table on its radii), and an FB union; then FL blocks: an azimuthally
+# symmetric band (Gram side up to m = 5, direct side above), a union (Gram
+# side), a union with an open shell, whose E factors fill the direct side,
+# and a small union with no null space, which stores every vector of every block
 FB_ORACLE_CASES = {
     "product-small": (lambda ref: ref, sb.FourierBesselBand(1.0, 6, 25), None),
     "product-ref": (lambda ref: ref, sb.FourierBesselBand(1.4, 20, 70), 25),
     "product-direct": (lambda ref: ref, sb.FourierBesselBand(1.0, 3, 8), None),
     "shell": (lambda ref: sb.AzimuthallySymmetric.from_indicator(
         lambda r, t: np.ones_like(r), 15.0, 25.0, n_r=16, n_theta=8),
+        sb.FourierBesselBand(1.0, 6, 25), None),
+    "fb-azimuthal": (lambda ref: _sloped_band(16), sb.FourierBesselBand(1.0, 6, 25), None),
+    "fb-union": (lambda ref: sb.RegionUnion((
+        sb.ProductSymmetric(15.0, 19.0, T1, T2), sb.ProductSymmetric(21.0, 25.0, 0.2, 0.9))),
         sb.FourierBesselBand(1.0, 6, 25), None),
     "fl-azimuthal": (lambda ref: sb.AzimuthallySymmetric.from_indicator(
         lambda r, t: ((t > T1) & (t < T2)).astype(float), 15.0, 25.0,

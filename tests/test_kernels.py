@@ -397,21 +397,27 @@ def test_kernel_fb_union_is_sum_of_members():
 
 
 def test_product_factor_gram_side_matches_dense_factor(ref_region):
-    # sum_l S_l (x) a_l a_l^T and T_l (A z) against F^T F and F z of the
-    # dense factor, at the reference band
+    # F_m = (sum Q_l) K_m with orthonormal Q_l, against the dense product
+    # factor D[(l, n), (a, b)] = T[l, n, a] A_m[l, b] of the radial modes T and
+    # the rank-cut factor A_m of G^m: F_m is D, and K_m^T K_m is its Gram side
     band = sb.FourierBesselBand(1.4, 20, 140)
-    factor = kernels._order_factors(band, ref_region)
-    rng = np.random.default_rng(7)
+    Q, factor = kernels._order_factors(band, ref_region)
+    T = kernels._fb_radial_modes(band, ref_region.R1, ref_region.R2)
+    assert Q.shape == T.shape
+    gram_Q = Q.transpose(0, 2, 1) @ Q
+    assert np.abs(gram_Q - np.eye(Q.shape[2])).max() < 1e-14
     for m in (0, 5, 19):
-        F = factor(m)
-        D = F.dense()
+        A = kernels._rank_factor(sb.G_matrix(m, band.L, T1, T2))
+        D = (T[m:, :, :, None] * A[:, None, None, :]).reshape((band.L - m) * band.M, -1)
+        K = factor(m)
+        assert K.shape == ((band.L - m) * Q.shape[2], D.shape[1])
+        F = kernels._lift(Q[m:], K)
+        assert np.abs(F - D).max() < 1e-13 * np.abs(D).max(), m
         gram = D.T @ D
-        assert np.abs(F.gram() - gram).max() < 1e-13 * np.abs(gram).max(), m
-        Z = rng.normal(size=(F.shape[1], 3))
-        assert np.abs(F @ Z - D @ Z).max() < 1e-13 * np.abs(D @ Z).max(), m
-    # the FB oracle case "product-direct" relies on every block of this
-    # band being no wider than it is tall (q r_m >= (L - m) M)
-    small = kernels._order_factors(sb.FourierBesselBand(1.0, 3, 8), ref_region)
+        assert np.abs(K.T @ K - gram).max() < 1e-13 * np.abs(gram).max(), m
+    # the FB oracle case "product-direct" relies on every K_m of this band
+    # being no wider than it is tall ((L - m) q <= q r_m)
+    _, small = kernels._order_factors(sb.FourierBesselBand(1.0, 3, 8), ref_region)
     assert all(small(m).shape[1] >= small(m).shape[0] for m in range(3))
 
 
