@@ -360,8 +360,7 @@ def _order_factors(band: SpectralBand, region):
         m = abs(m)
         if not (0 <= m < band.L):
             raise ValueError(f"need 0 <= |m| < L, got m={m}, L={band.L}")
-        cols = [columns(m, Ri[m:]) for Ri, (_, columns) in zip(Rs, parts)]
-        K = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=2)
+        K = np.concatenate([columns(m, Ri[m:]) for Ri, (_, columns) in zip(Rs, parts)], axis=2)
         return K.reshape(K.shape[0] * K.shape[1], K.shape[2])
     return Q, factor
 
