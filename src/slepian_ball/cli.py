@@ -298,7 +298,7 @@ def cmd_shannon(cfg: RunConfig, region, band) -> int:
 def cmd_kernel(cfg: RunConfig, region, band) -> int:
     kernels._require_base_frame(region)
     os.makedirs(cfg.out, exist_ok=True)
-    traces = {}
+    traces, orders = {}, (range(band.L) if cfg.order is None else [cfg.order])
     if cfg.domain == "fl":
         if isinstance(region, ProductMask):
             fac = kernels.kernel_fl_mask(band, region)
@@ -312,7 +312,6 @@ def cmd_kernel(cfg: RunConfig, region, band) -> int:
             write_matrix(os.path.join(cfg.out, "E.mat"), E)
             traces["E"] = float(np.trace(E))
             gsum = 0.0
-            orders = range(band.L) if cfg.order is None else [cfg.order]
             for m in orders:
                 G = kernels.G_matrix(m, band.L, region.theta1, region.theta2)
                 write_matrix(os.path.join(cfg.out, f"G_m{m}.mat"), G)
@@ -322,9 +321,7 @@ def cmd_kernel(cfg: RunConfig, region, band) -> int:
                 traces["kernel"] = traces["E"] * gsum
         else:
             raise ValueError("kernel export supports product and mask regions")
-        traces["shannon"] = eigen.shannon_fl(region, band)
     else:
-        orders = range(band.L) if cfg.order is None else [cfg.order]
         total = 0.0
         for m in orders:
             km = kernels.kernel_fb_fixed_order(m, band, region)
@@ -332,7 +329,7 @@ def cmd_kernel(cfg: RunConfig, region, band) -> int:
             total += (2.0 if m > 0 else 1.0) * km.trace
         if cfg.order is None:
             traces["kernel"] = total
-        traces["shannon"] = eigen.shannon_fb(region, band)
+    traces["shannon"] = eigen.shannon(region, band)
     _write_meta(os.path.join(cfg.out, "meta.json"), cfg, traces=traces)
     return 0
 

@@ -1,27 +1,29 @@
 """Concentration eigenproblems: solve, order, normalize; Shannon numbers; duals.
 
 Eigenfunctions are returned in spectral form (coefficient vectors over the
-band's index map).  For product regions the Fourier-Laguerre problem
-separates into a radial eigenproblem on E and per-order angular problems on
-G^m; a combined eigenvalue is the product lam = lam_radial * lam_angular
-and the eigenvector is the outer product of the factors, so the full
-spectrum is available without ever forming the dense P L^2 kernel.
+band's index map) by one solve, `solve` (alias `solve_fl`, `solve_fb`).
+For product and mask regions the Fourier-Laguerre problem separates into a
+radial eigenproblem on E and angular ones on G^m (or G_mask); a combined
+eigenvalue is the product lam = lam_radial * lam_angular and the
+eigenvector is the outer product of the factors, so the full spectrum is
+available without ever forming the dense P L^2 kernel.
 
-In both bands, azimuthally symmetric and union regions (and Fourier-Bessel
-product regions) solve per-order blocks B_m = F_m F_m^T through one block
-solver, `_solve_blocks`.  Every region's factor has one form,
-F_m = (direct sum over l of Q_l) K_m, with Q_l an orthonormal radial basis
-per degree and K_m a small dense array (`kernels._order_factors`), so each
-block is eigensolved on the smaller side of K_m and its vectors are lifted
-degree by degree through Q_l.
+Every other case, in either band, solves per-order blocks B_m = F_m F_m^T
+through one block solver, `_solve_blocks`.  Every region's factor has one
+form, F_m = (direct sum over l of Q_l) K_m, with Q_l an orthonormal radial
+basis per degree and K_m a small dense array (`kernels._order_factors`),
+so each block is eigensolved on the smaller side of K_m and its vectors
+are lifted degree by degree through Q_l.
 
-Every solver hands its per-order blocks (a mask's one block spans the band)
+Both routes hand their per-order blocks (a mask's one block spans the band)
 to one merge, `EigenResult`, whose per-rank state is arrays: `eigenvalues`,
 `orders` (signed m; None for a mask, whose eigenfunctions have no order), and
 `lam_radial`, `lam_angular` (None unless the solve separates).  The first
 `stored` ranks have eigenvectors, gathered one degree at a time into row
 slabs of the row-major (band.size, n) stack (`EigenResult._slabs`), in the
-blocks' dtype: real for every region but a pixel mask.
+blocks' dtype: real for every region but a pixel mask.  Fourier-Bessel
+vectors are coefficient samples f(k_n) with sum_n w_n |f(k_n)|^2 = 1 over
+the k weights, and `project` takes inner products under the same weights.
 
 Eigenvalues are validated against the projection-operator bounds
 [-1e-9, 1 + 1e-9] before being clamped to [0, 1]; anything outside fails
@@ -39,11 +41,10 @@ import numpy as np
 
 from . import kernels as ker
 from . import specfun
-from .kernels import FourierBesselBand, FourierLaguerreBand, SpectralBand, fb_k_weights
+from .kernels import _CLAMP_TOL, FourierBesselBand, FourierLaguerreBand, SpectralBand
 from .regions import (AzimuthallySymmetric, ProductMask, ProductSymmetric,
                       RegionUnion, contains_points, solid_angle)
 
-_CLAMP_TOL = 1e-9
 _SPACE_LIMIT_MIN_LAM = 1e-12
 # A Gram-side block eigenvector F z / sqrt(mu) loses orthonormality like
 # eps / mu; at or above this floor the residual stays below 1e-10.
@@ -151,8 +152,7 @@ def _order_blocks(m: int | None, L: int, lam, keys=None, **vectors) -> list[_Blo
 class EigenResult:
     """Sorted spectrum merged from per-order blocks; see the module docstring."""
 
-    def __init__(self, blocks, band, region, shannon, raw, keep,
-                 k_weights=None, vector_floor=0.0):
+    def __init__(self, blocks, band, region, shannon, raw, keep):
         lam, m, i, j = (np.concatenate(c) for c in zip(*(
             (b.lam, np.full(b.lam.size, b.m or 0), b.i, b.j) for b in blocks)))
         order = _spectrum_order(lam, m, i, j)
@@ -175,8 +175,9 @@ class EigenResult:
         # the range of the eigenvalues the solve computed, before clamping
         self.raw_eigenvalue_range = (min(float(r.min()) for r in raw),
                                      max(float(r.max()) for r in raw))
-        self.k_weights = k_weights
-        self.vector_floor = vector_floor
+        self.k_weights = ker.fb_k_weights(band)  # of the band's inner product
+        # block solves store vectors down to a floor, separated ones all
+        self.vector_floor = 0.0 if blocks[0].Y is None else _VECTOR_FLOOR
 
     def __len__(self) -> int:
         return self.eigenvalues.size
@@ -268,10 +269,11 @@ class EigenResult:
         return self._stack(np.arange(count))
 
     def project(self, values: np.ndarray, count: int | None = None) -> np.ndarray:
-        """Inner products <values, f^alpha> for alpha = 0..count-1.
+        """Inner products <values, f^alpha> for alpha = 0..count-1 in the
+        band's inner product, weighting FB k samples by w_n.
 
         One product per block, V^H H_rows U (separated) or Y^H vec(H_rows)
-        (fixed-order), with H = values as (L^2, radial).  A narrow mask's V^H
+        (fixed-order), with H = w values as (L^2, radial).  A narrow mask's V^H
         applies its reflectors' Q^H once; coefficients with lam = 0 depend on
         that completion, those with lam > 0 do not.  By default separated bases
         project the whole spectrum, block bases the `stored` ranks.  `values`
@@ -282,6 +284,8 @@ class EigenResult:
         if H.size != self.band.size:
             raise ValueError(f"values have length {H.size}, band needs {self.band.size}")
         H = H.reshape(self.band.L ** 2, -1)
+        if self.k_weights is not None:
+            H = H * self.k_weights
         limit = self.stored if self.lam_radial is None else len(self)
         count = limit if count is None else count
         if count < 0:
@@ -336,7 +340,7 @@ def _mask_angular(mask, L: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([s * s, np.zeros(A.shape[0] - s.size)]), V
 
 
-def _solve_blocks(region, band: SpectralBand, keep, w=None) -> tuple[list, list]:
+def _solve_blocks(region, band: SpectralBand, keep) -> tuple[list, list]:
     """Solve every fixed-order block B_m = F_m F_m^T, F_m = (sum Q_l) K_m
     (`kernels._order_factors`).
 
@@ -345,13 +349,13 @@ def _solve_blocks(region, band: SpectralBand, keep, w=None) -> tuple[list, list]
     Gram side K_m^T K_m they are Q_l (K_m z) / sqrt(mu).  The rest of the
     block is padded with exact zeros, so the spectrum keeps one entry per
     row, and the raw range counts those zeros.  Vectors are built for the
-    first `keep` eigenvalues of at least _VECTOR_FLOOR; below it lies the
-    numerical null space.  With FB weights w, vectors are mapped back to
-    coefficient samples by W^{-1/2}.  Returns (blocks, each block's raw
-    eigenvalue range as an array [min, max]).
+    first `keep` eigenvalues of at least _VECTOR_FLOOR, above the numerical
+    null space; FB vectors map back to coefficient samples by W^{-1/2}.
+    Returns (blocks, each block's raw eigenvalue range as [min, max]).
     """
     blocks, raw = [], []
     Q, factor = ker._order_factors(band, region)
+    w = ker.fb_k_weights(band)
     for m in range(band.L):
         K = factor(m)
         gram = K.shape[1] < K.shape[0]
@@ -369,38 +373,19 @@ def _solve_blocks(region, band: SpectralBand, keep, w=None) -> tuple[list, list]
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Laguerre solve
+# the solve
 # ---------------------------------------------------------------------------
 
-def solve_fl(region, band: FourierLaguerreBand, keep: int | None = None) -> EigenResult:
-    """Concentration spectrum of the Fourier-Laguerre kernel for `region`.
-
-    ProductSymmetric regions use the separated E / G^m subproblems
-    (eigenvalues are exact products lam_radial * lam_angular).  ProductMask
-    regions use the E / G_mask factorization, with the angular eigenbasis
-    read off the thin SVD of the pixel factor A, G_mask = A A^H
-    (`_mask_angular`) and completed by Householder reflectors
-    (`_AngularBasis`), so the largest eigensolve is the P x P one of E.
-    Azimuthally symmetric and union regions solve their fixed-order blocks
-    through the block factor (`_solve_blocks`), so they store vectors only
-    for eigenvalues of at least _VECTOR_FLOOR.  Orders m > 0 are replicated
-    to -m.  `keep` caps the stored eigenvectors: None or an integer >= 0,
-    anything else raises TypeError or ValueError.
-    """
-    _check_keep(keep)
-    ker._require_base_frame(region)
-    P, L = band.P, band.L
-    if not isinstance(region, (ProductSymmetric, ProductMask)):
-        blocks, raw = _solve_blocks(region, band, keep)  # the factor rejects other types
-        return EigenResult(blocks, band, region, shannon_fl(region, band), raw, keep,
-                           vector_floor=_VECTOR_FLOOR)
-    lam1_raw, U = _descending_eigh(ker.E_matrix(P, region.R1, region.R2))
+def _solve_separated(region, band: FourierLaguerreBand) -> tuple[list, list]:
+    """Blocks of a FL product or mask region: E's eigenpairs times those of each
+    G^m or of G_mask (`_mask_angular`), so the largest eigensolve is E's."""
+    lam1_raw, U = _descending_eigh(ker.E_matrix(band.P, region.R1, region.R2))
     lam1 = _validate_and_clamp(lam1_raw)
     if isinstance(region, ProductMask):
-        angular = {None: _mask_angular(region.mask, L)}
+        angular = {None: _mask_angular(region.mask, band.L)}
     else:
-        angular = {m: _descending_eigh(ker.G_matrix(m, L, region.theta1, region.theta2))
-                   for m in range(L)}
+        angular = {m: _descending_eigh(ker.G_matrix(m, band.L, region.theta1, region.theta2))
+                   for m in range(band.L)}
     blocks, raw = [], []
     for m, (lam2_raw, V) in angular.items():
         raw.append(np.outer(lam1_raw, lam2_raw))
@@ -408,32 +393,33 @@ def solve_fl(region, band: FourierLaguerreBand, keep: int | None = None) -> Eige
         # entry (i, j) pairs radial vector i with angular vector j, j slow
         lam = np.outer(lam2, lam1).ravel()
         j, i = np.divmod(np.arange(lam.size), lam1.size)
-        blocks += _order_blocks(m, L, lam, (i, j), U=U, V=_AngularBasis.complete(V),
+        blocks += _order_blocks(m, band.L, lam, (i, j), U=U, V=_AngularBasis.complete(V),
                                 radial=lam1, angular=lam2)
+    return blocks, raw
+
+
+def solve(region, band: SpectralBand, keep: int | None = None) -> EigenResult:
+    """Concentration spectrum of `region` in either band.
+
+    FL ProductSymmetric and ProductMask regions separate (`_solve_separated`;
+    every vector stored), all else solves fixed-order blocks (`_solve_blocks`;
+    vectors down to _VECTOR_FLOOR).  Orders m > 0 are replicated to -m.
+    `keep` caps the stored eigenvectors: None or an integer >= 0, anything
+    else raises TypeError or ValueError.  FB raises ValueError when
+    dk * R_max > pi (`kernels._check_k_sampling`).
+    """
+    _check_keep(keep)
+    ker._require_base_frame(region)
+    if isinstance(band, FourierLaguerreBand) and isinstance(region, (ProductSymmetric,
+                                                                     ProductMask)):
+        blocks, raw = _solve_separated(region, band)
+    else:  # the block factor rejects other region types
+        blocks, raw = _solve_blocks(region, band, keep)
+    # shannon_fl is shannon, in either band; perfbench's span wraps that name
     return EigenResult(blocks, band, region, shannon_fl(region, band), raw, keep)
 
 
-# ---------------------------------------------------------------------------
-# Fourier-Bessel solve
-# ---------------------------------------------------------------------------
-
-def solve_fb(region, band: FourierBesselBand, keep: int | None = None) -> EigenResult:
-    """Concentration spectrum of the discretized Fourier-Bessel kernel.
-
-    Each order solves the W-symmetrized block B_m = F_m F_m^T through
-    `_solve_blocks`; `raw_eigenvalue_range` reports the eigenvalues actually
-    computed, and 0 when a block was padded.  A product region's order-m
-    Gram side is q r_m wide (q radial modes, r_m the rank of G^m).  Vector
-    entries are mapped back to coefficient samples f_{lm}(k_n) through
-    W^{-1/2}, so the discrete quadrature of sum_lm int |f_lm(k)|^2 dk is one.
-    `keep` is None (every vector down to _VECTOR_FLOOR) or an integer >= 0.
-    Raises ValueError when dk * R_max > pi (`kernels._check_k_sampling`).
-    """
-    _check_keep(keep)
-    w = fb_k_weights(band)
-    blocks, raw = _solve_blocks(region, band, keep, w)
-    return EigenResult(blocks, band, region, shannon_fb(region, band), raw, keep,
-                       k_weights=w, vector_floor=_VECTOR_FLOOR)
+solve_fl = solve_fb = solve  # the band-named entry points
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +461,7 @@ def shannon(region, band: SpectralBand) -> float:
     raise TypeError(f"unsupported region type {type(region)!r}")
 
 
-# the band-named entry points the solvers call
-shannon_fl = shannon_fb = shannon
+shannon_fl = shannon_fb = shannon  # the band-named entry points
 
 
 def angular_shannon(L: int, theta1: float, theta2: float) -> float:

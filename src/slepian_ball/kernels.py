@@ -14,25 +14,28 @@ with
     C_{l,l'}(k,k')  = (2/pi) k k' int_{R1}^{R2} r^2 j_l(kr) j_{l'}(k'r) dr.
 
 All three are quadrature sums: G Gauss-Legendre in cos t, exact, and every
-radial integral (E, the FB radial modes, the Shannon trace, energy grids)
-on the band's one rule for [R1, R2], `_radial_rule`.  Each block is then a
+radial integral (E, the radial modes, the Shannon trace, energy grids) on
+the band's one rule for [R1, R2], `_radial_rule`.  Each block is then a
 Gram matrix A A^T of square-root-weighted node values.  The fixed-order
 blocks of both bands are kept as such a factor, B_m = F_m F_m^T, and so is
 the angular coupling of a pixel mask, G_mask = A A^H with A the
-square-root-weighted Y_lm at the active pixels (`_mask_factor`).  Every
-region's F_m has one form (`_order_factors`): F_m = (direct sum over l of
-Q_l) K_m, with Q_l one orthonormal radial basis per degree, the QR of the
-members' radial modes side by side, and K_m a small dense array over
-(l, radial mode).  The radial modes are E's factor (FL) or the Bessel
-table's thin SVD (FB) for a product member, and the thin SVD of the
-radial table on the grid's radii for an azimuthally symmetric region; E,
-G^m and these tables are cut to their numerical rank by one rule
-(`_above_rank_floor`).  The block solver eigensolves the smaller side of
-K_m, the mask solver takes the SVD of A.  The test suite checks each
-against an analytic oracle (exponential moments in extended precision,
-Wigner-3j sums, Lommel closed forms for C) or a dense assembly and
-eigensolve.  `C_kernel` evaluates one entry of C through `_c_quad_rule`
-at its own k.
+square-root-weighted Y_lm at the active pixels (`_mask_factor`).
+
+The bands differ only in their radial functions (`_radial_table`), radial
+rule and k weights (`fb_k_weights`); all else runs one body.  Every region's
+F_m has one form (`_order_factors`): F_m = (direct sum over l of Q_l) K_m,
+Q_l one orthonormal radial basis per degree, the QR of the members' radial
+modes side by side, and K_m a small dense array over (l, radial mode).  The
+radial modes are one thin SVD of the radial table, on the `_radial_rule`
+nodes for a product member (`_radial_modes`), on the grid's radii for an
+azimuthally symmetric region; G^m and these tables are cut to their
+numerical rank by one rule (`_above_rank_floor`).  `kernel_fixed_order`
+(alias `kernel_fl_fixed_order`, `kernel_fb_fixed_order`) returns F_m F_m^T;
+the block solver eigensolves the smaller side of K_m, the mask solver
+takes the SVD of A.  The test suite checks each against an analytic
+oracle (exponential moments in extended precision, Wigner-3j sums, Lommel
+closed forms for C) or a dense assembly and eigensolve.  `C_kernel`
+evaluates one entry of C through `_c_quad_rule` at its own k.
 
 The continuous Fourier-Bessel spectrum is discretized on uniform samples
 k_n = n K / M; quadrature in k uses trapezoid weights (the k = 0 node
@@ -140,12 +143,17 @@ class FourierBesselBand:
 SpectralBand = FourierLaguerreBand | FourierBesselBand
 
 
-def fb_k_weights(band: FourierBesselBand) -> np.ndarray:
+def fb_k_weights(band: SpectralBand) -> np.ndarray | None:
     """Quadrature weights on the k samples: trapezoid on [0, K] with the
-    zero-integrand k = 0 node dropped."""
+    zero-integrand k = 0 node dropped.  None for a FL band, which has none."""
+    if isinstance(band, FourierLaguerreBand):
+        return None
     w = np.full(band.M, band.dk)
     w[-1] = band.dk / 2.0
     return w
+
+
+_CLAMP_TOL = 1e-9  # how far rounding may take a Gram's spectrum past [0, 1]
 
 
 def _check_hermitian(a: np.ndarray):
@@ -177,7 +185,7 @@ class KernelMatrix:
 
 
 # ---------------------------------------------------------------------------
-# radial coupling E
+# radial rules, tables and modes; radial coupling E
 # ---------------------------------------------------------------------------
 
 def _radial_rule(band: SpectralBand, R1: float, R2: float) -> specfun.QuadratureRule:
@@ -196,14 +204,41 @@ def _radial_rule(band: SpectralBand, R1: float, R2: float) -> specfun.Quadrature
     return specfun.gauss_legendre_rule(2 * band.P + 24, R1, R2)
 
 
+def _radial_table(band: SpectralBand, r: np.ndarray, k_rule=None) -> np.ndarray:
+    """The band's radial functions at radii r per degree: K_p(r), (1, P, n_r),
+    or sqrt(2 w_n / pi) k_n j_l(k_n r), (L, M, n_r), on the k samples and
+    weights w_n or on the nodes and weights of `k_rule`."""
+    if isinstance(band, FourierLaguerreBand):
+        return specfun.laguerre_K_table(band.P - 1, r)[None]
+    ks, w = ((band.k_samples, fb_k_weights(band)) if k_rule is None
+             else (k_rule.nodes, k_rule.weights))
+    J = specfun.spherical_jn_table(band.L - 1, np.multiply.outer(ks, r))
+    return J * (np.sqrt(2.0 / math.pi * w) * ks)[:, None]
+
+
+@functools.lru_cache(maxsize=8)
+def _radial_modes(band: SpectralBand, R1: float, R2: float) -> np.ndarray:
+    """A product member's radial modes T, (1 or L, n_rad, q), T_l T_l^T = E or
+    W^{1/2} C_l W^{1/2}: the thin SVD of the `_radial_table` on the
+    `_radial_rule` nodes under sqrt(r^2 w), cut on s^2.  Read-only: cached."""
+    rule = _radial_rule(band, R1, R2)
+    X = _radial_table(band, rule.nodes) * (rule.nodes * np.sqrt(rule.weights))
+    U, s, _ = np.linalg.svd(X.reshape(-1, rule.nodes.size), full_matrices=False)
+    q = int(np.count_nonzero(_above_rank_floor(s * s, U.shape[0])))
+    T = (U[:, :q] * s[:q]).reshape(X.shape[:2] + (q,))
+    T.flags.writeable = False
+    return T
+
+
 def E_matrix(P: int, R1: float, R2: float) -> np.ndarray:
     """Radial coupling E_{p,p'} = int_{R1}^{R2} r^2 K_p K_{p'} dr, p, p' < P:
     A A^T of the square-root-weighted r K_p on the `_radial_rule` nodes, for
     R2 finite or not, so symmetric positive semidefinite, spectrum in [0, 1]."""
     if not (R2 > R1 >= 0.0):
         raise ValueError(f"need 0 <= R1 < R2, got R1={R1}, R2={R2}")
-    rule = _radial_rule(FourierLaguerreBand(P, 1), R1, R2)
-    A = specfun.laguerre_K_table(P - 1, rule.nodes) * (np.sqrt(rule.weights) * rule.nodes)
+    band = FourierLaguerreBand(P, 1)
+    rule = _radial_rule(band, R1, R2)
+    A = _radial_table(band, rule.nodes)[0] * (np.sqrt(rule.weights) * rule.nodes)
     return A @ A.T
 
 
@@ -282,33 +317,11 @@ def C_kernel(ell: int, ell2: int, k: float, k2: float, R1: float, R2: float) -> 
     return 2.0 / math.pi * k * k2 * float(integ)
 
 
-def _fb_bessel_table(band: FourierBesselBand, r: np.ndarray) -> np.ndarray:
-    """sqrt(2 w_n / pi) k_n j_l(k_n r) as (L, M, n_r): the Fourier-Bessel
-    radial functions with the square-root k weights folded in."""
-    ks = band.k_samples
-    J = specfun.spherical_jn_table(band.L - 1, np.multiply.outer(ks, r))
-    return J * (np.sqrt(2.0 / math.pi * fb_k_weights(band)) * ks)[:, None]
-
-
-@functools.lru_cache(maxsize=8)
-def _fb_radial_modes(band: FourierBesselBand, R1: float, R2: float) -> np.ndarray:
-    """Radial factor T, (L, M, q), with W^{1/2} C W^{1/2} = T T^T: the thin SVD
-    of the Bessel table X on the `_radial_rule` nodes, cut as `_rank_factor`
-    cuts X X^T.  Read-only: it is cached."""
-    rule = _radial_rule(band, R1, R2)
-    X = (_fb_bessel_table(band, rule.nodes) * (rule.nodes * np.sqrt(rule.weights))
-         ).reshape(band.L * band.M, -1)
-    U, s, _ = np.linalg.svd(X, full_matrices=False)
-    q = int(np.count_nonzero(_above_rank_floor(s * s, X.shape[0])))
-    T = (U[:, :q] * s[:q]).reshape(band.L, band.M, q)
-    T.flags.writeable = False
-    return T
-
-
 def _above_rank_floor(lam: np.ndarray, n: int) -> np.ndarray:
     """Values above numpy.linalg.matrix_rank's default tolerance lam_max n eps:
-    the rank cut of the eigenvalues of E, G^m and the FB modes' Gram (n x n),
-    and of the singular values of an azimuthal region's radial table."""
+    the rank cut of the eigenvalues of G^m, of the squared singular values of
+    a product member's radial table (n rows, as its Gram is n x n), and of
+    the singular values of an azimuthal region's radial table."""
     return lam > lam.max() * n * np.finfo(float).eps
 
 
@@ -329,30 +342,22 @@ def _require_base_frame(region):
 
 
 def _order_factors(band: SpectralBand, region):
-    """The fixed-order kernel factors of either band: returns (Q, m -> K_m),
-    with B_m = F_m F_m^T and F_m = (direct sum over l in [m, L-1] of Q_l) K_m.
-
-    Rows of F_m run over (l, radial index), the radial index (p, or the k
-    sample n) fast; FB rows carry the W^{1/2} weights.  Each member's own
-    factor is T_l C_l per degree, radial modes T, (L, n_rad, q_i), times a
-    coupling C_l:
-    * product: T from `_fb_radial_modes` (FB) or the rank-cut E factor at
-      every degree (FL), and C_l = I (x) a_l, a_l the rows of the rank-cut
-      factor A_m of G^m (columns: radial mode, angular mode);
-    * azimuthally symmetric: T = U S of the thin SVD U S V^T of the radial
-      table on the grid's radii under the square root of their measure, cut
-      by its singular values, and C_l one column per active (r, theta)
-      node, V^T at r times Pbar_lm(theta) sqrt(theta weight).
+    """The fixed-order kernel factors: (Q, m -> K_m), with B_m = F_m F_m^T and
+    F_m = (direct sum over l in [m, L-1] of Q_l) K_m, rows (l, radial index),
+    the radial index (p, or the k sample n) fast; FB rows carry W^{1/2}.
+    Member i's own factor is T_l C_l per degree, radial modes T, (L, n_rad,
+    q_i), times a coupling C_l (`_member_factors`): for a product I (x) a_l,
+    a_l the rows of the rank-cut factor A_m of G^m; for an azimuthal region
+    one column per active (r, theta) node, V^T at r times Pbar_lm(theta)
+    sqrt(theta weight), with T = U S the thin SVD U S V^T of its radial table.
     Q_l R_l is the QR of all members' T_l side by side, so Q, (L, n_rad, q),
     is one orthonormal radial basis per degree, and member i's columns of
     K_m, ((L - m) q, n_cols), are R_l^(i) C_l^(i).  Q, R and T do not depend
     on m: a solve over all orders builds them once.
     """
-    fb = isinstance(band, FourierBesselBand)
     members = region.members if isinstance(region, reg_mod.RegionUnion) else (region,)
-    parts = [_member_factors(band, s, fb) for s in members]
-    if fb:
-        _check_k_sampling(band, max(_outer_radius(s) for s in members))
+    parts = [_member_factors(band, s) for s in members]
+    _check_k_sampling(band, max(_outer_radius(s) for s in members))
     Q, R = np.linalg.qr(np.concatenate([T for T, _ in parts], axis=2))
     Rs = np.split(R, np.cumsum([T.shape[2] for T, _ in parts])[:-1], axis=2)
 
@@ -378,101 +383,86 @@ def _outer_radius(region) -> float:
     return float(region.r_nodes[region.indicator.any(axis=1)].max(initial=0.0))
 
 
-def _check_k_sampling(band: FourierBesselBand, r_max: float):
-    """Reject k samples too coarse for the region: past dk * r_max = pi the
-    sampled k integral aliases radii r and 2 pi / dk - r, and the kernel is
-    no longer a projection (eigenvalues above one)."""
-    m_min = math.ceil(band.K * r_max / math.pi)
-    if band.M < m_min:
+def _check_k_sampling(band: SpectralBand, r_max: float):
+    """Reject FB k samples too coarse for radii up to r_max (FL has none): past
+    dk * r_max = pi the sampled k integral aliases radii r and 2 pi / dk - r,
+    and the kernel is no longer a projection (eigenvalues above one)."""
+    if isinstance(band, FourierBesselBand) and band.M < band.K * r_max / math.pi:
         raise ValueError(
             f"Fourier-Bessel k sampling too coarse: dk * R_max = {band.dk * r_max:.4g} "
             f"exceeds pi (dk = K/M = {band.dk:.4g}, R_max = {r_max:g}); "
-            f"use M >= {m_min}")
+            f"use M >= {math.ceil(band.K * r_max / math.pi)}")
 
 
-def _member_factors(band: SpectralBand, region, fb: bool):
+def _member_factors(band: SpectralBand, region):
     """One product or azimuthally symmetric region's part of `_order_factors`:
     its radial modes T, (L, n_rad, q_i), and the map (m, R) -> its columns of
     K_m as (L - m, q, n_cols), R being its columns of R_l, l in [m, L-1]."""
     _require_base_frame(region)
     L = band.L
     if isinstance(region, ProductSymmetric):
-        if fb:
-            T = _fb_radial_modes(band, region.R1, region.R2)
-        else:  # the E factor, the same at every degree l
-            T = _rank_factor(E_matrix(band.P, region.R1, region.R2))
-            T = np.broadcast_to(T, (L,) + T.shape)
+        T = _radial_modes(band, region.R1, region.R2)
 
-        def product(m: int, R: np.ndarray) -> np.ndarray:
+        def columns(m: int, R: np.ndarray) -> np.ndarray:
             A = _rank_factor(G_matrix(m, L, region.theta1, region.theta2))
             return (R[:, :, :, None] * A[:, None, None, :]).reshape(
                 R.shape[:2] + (R.shape[2] * A.shape[1],))
-        return T, product
-    if isinstance(region, AzimuthallySymmetric):
+    elif isinstance(region, AzimuthallySymmetric):
         # with fewer colatitude nodes than L the grid's Gram of the Pbar_lm
         # over the whole sphere is no longer I, and the region's can exceed it
         if region.theta_nodes.size < L:
             raise ValueError(
                 f"azimuthally symmetric region has {region.theta_nodes.size} colatitude "
                 f"nodes; the band L = {L} needs at least {L}")
-        r = region.r_nodes
+        _check_k_sampling(band, _outer_radius(region))  # so coarse k is not blamed on n_r
+        r, fb = region.r_nodes, isinstance(band, FourierBesselBand)
         sqrt_meas = r * np.sqrt(2.0 * math.pi * region.r_weights * region.indicator.any(axis=1))
-        if fb:
-            rad = _fb_bessel_table(band, r)
-        else:  # K_p(r), the same at every degree l
-            rad = specfun.laguerre_K_table(band.P - 1, r)[None]
-        X = (rad * sqrt_meas).reshape(-1, r.size)
-        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        # radially, each degree's Gram over the active radii, over 2 pi, is at
+        # most I if they resolve the band; FB takes k exactly (`_c_quad_rule`,
+        # k and r swapped), as its samples exceed I near dk R_max = pi
+        G = _radial_table(band, r, _c_quad_rule(r.max(), 0.0, band.K) if fb else None) * sqrt_meas
+        peak = np.linalg.svd(G, compute_uv=False)[:, 0].max() ** 2 / (2.0 * math.pi)
+        if peak > 1.0 + _CLAMP_TOL:
+            raise ValueError(
+                f"azimuthally symmetric region has n_r = {r.size} radial nodes, too few for "
+                f"the band: its radial Gram on them reaches {peak:.6f} > 1; raise n_r")
+        X = _radial_table(band, r) * sqrt_meas
+        U, s, Vt = np.linalg.svd(X.reshape(-1, r.size), full_matrices=False)
         # node columns see the dropped modes at first order: cut s, not s^2
-        q = int(np.count_nonzero(_above_rank_floor(s, max(X.shape))))
-        T = np.broadcast_to((U[:, :q] * s[:q]).reshape(rad.shape[:2] + (q,)),
-                            (L, rad.shape[1], q))
+        q = int(np.count_nonzero(_above_rank_floor(s, max(U.shape[0], r.size))))
+        T = (U[:, :q] * s[:q]).reshape(X.shape[:2] + (q,))
         ir, it = np.nonzero(region.indicator)
         V = Vt[:q, ir]
         sqrt_wt = np.sqrt(region.theta_weights[it])
 
-        def azimuthal(m: int, R: np.ndarray) -> np.ndarray:
+        def columns(m: int, R: np.ndarray) -> np.ndarray:
             Pb = specfun.norm_alf_table(L, m, region.theta_nodes)[:, it] * sqrt_wt
             return (R @ V) * Pb[:, None, :]
-        return T, azimuthal
-    raise TypeError(
-        "fixed-order kernels need a ProductSymmetric, AzimuthallySymmetric "
-        f"or RegionUnion region, got {type(region)!r}")
+    else:
+        raise TypeError(
+            "fixed-order kernels need a ProductSymmetric, AzimuthallySymmetric "
+            f"or RegionUnion region, got {type(region)!r}")
+    return np.broadcast_to(T, (L,) + T.shape[1:]), columns
 
 
 # ---------------------------------------------------------------------------
 # assembled kernels
 # ---------------------------------------------------------------------------
 
-def _fixed_order_factor(m: int, band: SpectralBand, region) -> np.ndarray:
-    """F_m = (direct sum over l of Q_l) K_m of `_order_factors`, as one array."""
+def kernel_fixed_order(m: int, band: SpectralBand, region) -> KernelMatrix:
+    """Fixed-order kernel F_m F_m^T of `_order_factors`, symmetric by
+    construction.  A FL product member contributes G^m (x) E, E cut to its
+    rank; FB gives B = W^{1/2} (C o G) W^{1/2}, W the k-sample weights, whose
+    eigenvectors map back to coefficient samples via W^{-1/2}, and raises
+    ValueError when dk * R_max > pi (`_check_k_sampling`)."""
     Q, factor = _order_factors(band, region)
-    K = factor(m)
-    return _lift(Q[abs(m):], K)
+    F = _lift(Q[abs(m):], factor(m))
+    w = fb_k_weights(band)
+    return KernelMatrix(F @ F.T, band, region, "FL" if w is None else "FB-discretized",
+                        order=abs(m), k_weights=w)
 
 
-def kernel_fb_fixed_order(m: int, band: FourierBesselBand, region) -> KernelMatrix:
-    """Symmetrized fixed-order Fourier-Bessel kernel B = W^{1/2} (C o G) W^{1/2}.
-
-    Rows/columns run over (l, n) with l in [m, L-1] (fast index n).  W holds
-    the k-sample quadrature weights, so B is symmetric positive semidefinite
-    and its eigenvectors map back to coefficient samples via W^{-1/2}.
-    Assembled as F F^T from `_fixed_order_factor`, so symmetric by construction.
-    Raises ValueError when dk * R_max > pi (`_check_k_sampling`).
-    """
-    F = _fixed_order_factor(m, band, region)
-    return KernelMatrix(F @ F.T, band, region, "FB-discretized", order=abs(m),
-                        k_weights=fb_k_weights(band))
-
-
-def kernel_fl_fixed_order(m: int, band: FourierLaguerreBand, region) -> KernelMatrix:
-    """Fixed-order Fourier-Laguerre kernel over (l, p), l in [m, L-1] (fast index p).
-
-    Assembled as F F^T from `_fixed_order_factor`, so symmetric by construction.
-    A product member contributes G^m (x) E with E cut to its numerical rank.
-    """
-    F = _fixed_order_factor(m, band, region)
-    return KernelMatrix(F @ F.T, band, region, "FL", order=abs(m))
+kernel_fl_fixed_order = kernel_fb_fixed_order = kernel_fixed_order  # band-named
 
 
 @dataclass(frozen=True)

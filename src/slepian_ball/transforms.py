@@ -5,8 +5,8 @@ signals: radially the scaled Gauss-Laguerre rule samples f K_p r^2, e^{-r}
 poly(2P), as it is; angularly Gauss-Legendre in cos(theta) times uniform phi.
 
 Synthesis in both bands first sums each coefficient vector against a
-radial table (K_p(r) for Fourier-Laguerre, the k-weighted j_l(k_n r) of
-`kernels._fb_bessel_table` for Fourier-Bessel), then against Y_lm.  On a
+radial table (`kernels._radial_table`: K_p(r) for Fourier-Laguerre, the
+k-weighted j_l(k_n r) for Fourier-Bessel), then against Y_lm.  On a
 separable grid, radial nodes x colatitudes x uniform azimuths,
 `synthesis_separable` is the analysis route below run backwards for a whole
 stack of vectors: the radial sums, one degree at a time in the stack's own
@@ -39,8 +39,8 @@ import numpy as np
 
 from . import specfun
 from .eigen import EigenResult, HarmonicCoeffs
-from .kernels import (FourierBesselBand, FourierLaguerreBand, _fb_bessel_table,
-                      _radial_rule, fb_k_weights)
+from .kernels import (FourierBesselBand, FourierLaguerreBand, _radial_rule, _radial_table,
+                      fb_k_weights)
 from .regions import AngularMask, BallPoint, ProductSymmetric
 
 
@@ -121,10 +121,10 @@ def _radial_sums(values, band, r) -> np.ndarray:
     """
     L = band.L
     C = np.asarray(values).reshape(-1, L * L, band.size // (L * L))
-    if isinstance(band, FourierLaguerreBand):
-        T = np.broadcast_to(specfun.laguerre_K_table(band.P - 1, r), (L, band.P, r.size))
-    else:
-        T = _fb_bessel_table(band, r) * np.sqrt(fb_k_weights(band))[:, None]  # (L, M, n_r)
+    T, w = _radial_table(band, r), fb_k_weights(band)
+    if w is not None:  # the k integral's weights, their square root already in T
+        T = T * np.sqrt(w)[:, None]
+    T = np.broadcast_to(T, (L,) + T.shape[1:])
     dtype = np.result_type(C, float)
     out = np.empty((C.shape[0], L * L, r.size), dtype)
     for l in range(L):

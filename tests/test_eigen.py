@@ -252,14 +252,16 @@ def test_solver_rejects_oriented_region():
 
 
 @pytest.mark.parametrize("solve, band", [(sb.solve_fl, sb.FourierLaguerreBand(3, 3)),
-                                         (sb.solve_fb, sb.FourierBesselBand(1.0, 3, 5))])
+                                         (sb.solve_fb, sb.FourierBesselBand(1.0, 3, 5))],
+                         ids=["solve_fl-band0", "solve_fb-band1"])  # one function, two names
 def test_solver_rejects_unsupported_region(solve, band):
     with pytest.raises(TypeError, match="class 'object'"):
         solve(object(), band)
 
 
 @pytest.mark.parametrize("solve, band", [(sb.solve_fl, sb.FourierLaguerreBand(3, 3)),
-                                         (sb.solve_fb, sb.FourierBesselBand(1.0, 3, 6))])
+                                         (sb.solve_fb, sb.FourierBesselBand(1.0, 3, 6))],
+                         ids=["solve_fl-band0", "solve_fb-band1"])  # one function, two names
 def test_solvers_reject_bad_keep(solve, band):
     # a negative keep used to drop each block's last vector (stored == -1)
     region = sb.ProductSymmetric(15, 16, 0.1, 0.2)
@@ -338,11 +340,13 @@ def test_vector_stack_is_row_major_in_the_blocks_dtype(name, ref_region):
 
 
 def _check_projector(res, rng):
-    # the block-matmul projector agrees with the materialized vectors
+    # the block-matmul projector agrees with the materialized vectors, in the
+    # band's inner product: FB weights the k samples by w_n
     h = rng.normal(size=res.band.size) + 1j * rng.normal(size=res.band.size)
     n = res.stored
     assert n > 0
-    assert np.abs(res.project(h)[:n] - res.vectors(n).conj().T @ h).max() < 1e-12
+    w = 1.0 if res.k_weights is None else np.tile(res.k_weights, res.band.L ** 2)
+    assert np.abs(res.project(h)[:n] - res.vectors(n).conj().T @ (w * h)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +369,30 @@ def test_fb_discretization_independence(ref_region):
     assert abs(s2 - s1) / s1 < 0.002
 
 
+@pytest.mark.parametrize("band, R2, n_r", [
+    (sb.FourierLaguerreBand(31, 20), 300.0, 64), (sb.FourierBesselBand(1.4, 20, 70), 25.0, 8)],
+    ids=["fl", "fb"])
+def test_azimuthal_region_needs_radial_nodes_for_the_band(band, R2, n_r, monkeypatch):
+    # too few radial nodes for the band let the solve find eigenvalues above
+    # one (1.0070 FL, 1.0008 FB) and raise ArithmeticError; now each degree's
+    # radial Gram over the active radii is checked first, and one ValueError
+    # names n_r before any eigensolve
+    solve = sb.solve_fl if isinstance(band, sb.FourierLaguerreBand) else sb.solve_fb
+
+    def cap(R2, n_r):
+        return sb.AzimuthallySymmetric.from_indicator(
+            lambda r, t: (t < 1.0).astype(float), 15.0, R2, n_r=n_r, n_theta=32)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("eigensolve ran"))
+        with pytest.raises(ValueError, match=f"n_r = {n_r} radial nodes"):
+            solve(cap(R2, n_r), band, keep=0)
+        with pytest.raises(ValueError, match="raise n_r"):
+            kernels.kernel_fixed_order(2, band, cap(R2, n_r))
+    # a grid that resolves the band passes and solves within the bounds
+    lo, hi = solve(cap(25.0, 12), band, keep=0).raw_eigenvalue_range
+    assert -1e-9 <= lo and hi <= 1 + 1e-9
+
+
 def test_fb_coefficient_normalization(ref_region):
     # discrete quadrature of sum_lm int |f_lm(k)|^2 dk equals one
     band = sb.FourierBesselBand(1.0, 5, 20)
@@ -374,6 +402,20 @@ def test_fb_coefficient_normalization(ref_region):
         c = res.coeffs(a).values.reshape(band.L * band.L, band.M)
         total = float(np.sum(np.abs(c) ** 2 * w))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fb_project_takes_the_band_inner_product(ref_region, rng):
+    # FB vectors are orthonormal under the k weights, so projecting one gives
+    # a unit vector (the plain sum gave about 1/dk = 20.003 at rank 0), and
+    # truncation at `stored` returns any signal in the stored span
+    band = sb.FourierBesselBand(1.0, 4, 20)
+    res = sb.solve_fb(ref_region, band)
+    n = res.stored
+    for a in (0, 1, 7, n // 2, n - 1):
+        assert np.abs(res.project(res.coeffs(a).values) - np.eye(n)[a]).max() < 1e-12, a
+    h = sb.HarmonicCoeffs(res.vectors(n) @ (rng.normal(size=n) + 1j * rng.normal(size=n)), band)
+    back = sb.truncate_reconstruct(sb.slepian_coeffs(h, res), res, n)
+    assert np.abs(back.values - h.values).max() < 1e-12 * np.abs(h.values).max()
 
 
 def test_fb_region_energy_equals_eigenvalue(ref_region):
@@ -532,18 +574,23 @@ def test_fb_azimuthal_block_solve_runs_no_eigensolve_wider_than_radial_basis(mon
 
 
 def test_fl_union_solve_builds_each_members_E_once(monkeypatch):
-    # E and its factor do not depend on the order: the blocks build each
-    # member's once per solve (not once per order); the Shannon number
-    # integrates the trace density on the radial rule and builds no E
-    calls, E_matrix = [], kernels.E_matrix
+    # a member's radial modes (T T^T = E) do not depend on the order: the
+    # blocks build each member's once per solve (not once per order), and
+    # neither they nor the Shannon number, which integrates the trace
+    # density on the radial rule, build E itself
+    modes, E_calls, radial_modes = [], [], kernels._radial_modes
 
-    def counting(P, R1, R2):
-        calls.append((R1, R2))
-        return E_matrix(P, R1, R2)
+    def counting(band, R1, R2):
+        modes.append((R1, R2))
+        return radial_modes(band, R1, R2)
 
-    monkeypatch.setattr(kernels, "E_matrix", counting)
-    sb.solve_fl(FB_TABLE_REGIONS["union"](), sb.FourierLaguerreBand(8, 6))
-    assert sorted(calls) == [(15.0, 19.0), (21.0, 25.0)]
+    monkeypatch.setattr(kernels, "_radial_modes", counting)
+    monkeypatch.setattr(kernels, "E_matrix", lambda *args: E_calls.append(args))
+    for _ in range(2):  # the second solve reads the cache, through one call per member
+        modes.clear()
+        sb.solve_fl(FB_TABLE_REGIONS["union"](), sb.FourierLaguerreBand(8, 6))
+        assert sorted(modes) == [(15.0, 19.0), (21.0, 25.0)]
+    assert E_calls == []
 
 
 # (region, band, keep): the small product band, the reference band, a band

@@ -402,7 +402,7 @@ def test_product_factor_gram_side_matches_dense_factor(ref_region):
     # the rank-cut factor A_m of G^m: F_m is D, and K_m^T K_m is its Gram side
     band = sb.FourierBesselBand(1.4, 20, 140)
     Q, factor = kernels._order_factors(band, ref_region)
-    T = kernels._fb_radial_modes(band, ref_region.R1, ref_region.R2)
+    T = kernels._radial_modes(band, ref_region.R1, ref_region.R2)
     assert Q.shape == T.shape
     gram_Q = Q.transpose(0, 2, 1) @ Q
     assert np.abs(gram_Q - np.eye(Q.shape[2])).max() < 1e-14
@@ -421,6 +421,19 @@ def test_product_factor_gram_side_matches_dense_factor(ref_region):
     assert all(small(m).shape[1] >= small(m).shape[0] for m in range(3))
 
 
+@pytest.mark.parametrize("R1, R2", [(15.0, 25.0), (5.0, 15.0), (20.0, 30.0), (15.0, math.inf)])
+@pytest.mark.parametrize("P", [31, 64])
+def test_fl_radial_modes_reproduce_E(P, R1, R2):
+    # FL product members take their radial modes from the SVD of the K_p
+    # table, as FB ones from the Bessel table: T T^T is E, and the rank, which
+    # sets each FL union's Gram side, is that of E's own rank-cut factor
+    E = sb.E_matrix(P, R1, R2)
+    T = kernels._radial_modes(sb.FourierLaguerreBand(P, 4), R1, R2)
+    assert T.shape[:2] == (1, P)
+    assert np.abs(T[0] @ T[0].T - E).max() < 1e-14 * np.linalg.norm(E, 2)
+    assert T.shape[2] == kernels._rank_factor(E).shape[1]
+
+
 def test_kernel_fl_fixed_order_raw_blocks_pass_hermitian_check():
     band = sb.FourierLaguerreBand(8, 6)
     azim = sb.AzimuthallySymmetric.from_indicator(
@@ -435,13 +448,15 @@ def test_kernel_fl_fixed_order_raw_blocks_pass_hermitian_check():
 
 
 def test_kernel_fl_fixed_order_check_sees_raw_assembly(monkeypatch):
-    # an asymmetric factor must reach the Hermitian check unsymmetrized
-    E_matrix = kernels.E_matrix
+    # an asymmetric Gram must reach the Hermitian check unsymmetrized:
+    # `_rank_factor` checks each G^m before its eigh
+    G_matrix = kernels.G_matrix
 
-    def skewed(P, R1, R2):
-        return E_matrix(P, R1, R2) + np.triu(np.full((P, P), 1e-6), 1)
+    def skewed(m, L, theta1, theta2):
+        G = G_matrix(m, L, theta1, theta2)
+        return G + np.triu(np.full(G.shape, 1e-6), 1)
 
-    monkeypatch.setattr(kernels, "E_matrix", skewed)
+    monkeypatch.setattr(kernels, "G_matrix", skewed)
     union = sb.RegionUnion((sb.ProductSymmetric(15.0, 19.0, T1, T2),))
     with pytest.raises(ValueError, match="not Hermitian"):
         kernels.kernel_fl_fixed_order(0, sb.FourierLaguerreBand(6, 4), union)
