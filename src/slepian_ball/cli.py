@@ -350,7 +350,8 @@ def cmd_eigen(cfg: RunConfig, region, band) -> int:
     _atomic_write(os.path.join(cfg.out, "eigenvalues.csv"), _eigen_csv(res))
     # the first `count` eigenvectors, written one degree's row slab at a time
     vec_ranks = np.arange(min(cfg.count, res.stored))
-    tag = _complex_tag(res._slabs(vec_ranks))
+    # the dtype settles a real stack; only a mask's complex one is scanned
+    tag = _complex_tag(res._slabs(vec_ranks)) if res._vector_dtype().kind == "c" else 0
     _atomic_write(os.path.join(cfg.out, "eigenvectors.mat"), _matrix_chunks(
         band.size, vec_ranks.size, res._slabs(vec_ranks), tag))
     _write_meta(os.path.join(cfg.out, "shannon.json"), cfg, shannon=res.shannon,

@@ -12,8 +12,8 @@ Every other case, in either band, solves per-order blocks B_m = F_m F_m^T
 through one block solver, `_solve_blocks`.  Every region's factor has one
 form, F_m = (direct sum over l of Q_l) K_m, with Q_l an orthonormal radial
 basis per degree and K_m a small dense array (`kernels._order_factors`),
-so each block is eigensolved on the smaller side of K_m and its vectors
-are lifted degree by degree through Q_l.
+so each block is eigensolved on the smaller side of K_m and keeps its
+vectors as coefficients over the Q_l, lifted only for the ranks read.
 
 Both routes hand their per-order blocks (a mask's one block spans the band)
 to one merge, `EigenResult`, whose per-rank state is arrays: `eigenvalues`,
@@ -114,7 +114,7 @@ class _Block:
     Entry k has eigenvalue lam[k] and ordering keys (i[k], j[k]).  Separated
     blocks hold eigenpairs (radial, U), (angular, V), V an `_AngularBasis`
     (reflectors complete a narrow mask's); entry (i, j) is V_j (x) U_i.
-    Fixed-order blocks hold their first vectors as columns Y over (l, radial index).
+    Fixed-order blocks hold coefficients C: vector k is W^{-1/2} (sum_l Q_l) C[:, k], W = I in FL.
     """
 
     m: int | None
@@ -126,17 +126,20 @@ class _Block:
     V: _AngularBasis | None = None
     radial: np.ndarray | None = None
     angular: np.ndarray | None = None
-    Y: np.ndarray | None = None
+    C: np.ndarray | None = None
+    Q: np.ndarray | None = None
+    w: np.ndarray | None = None
 
     def vectors(self, k: np.ndarray):
         """Vectors of entries k as a function of a range lo:hi of the block's
-        rows, (hi - lo, radial, k.size).  The angular columns of a separated
-        block are built once, here; each range only takes products or a gather."""
-        if self.Y is None:
+        rows, (hi - lo, radial, k.size).  A separated block's angular columns,
+        a fixed-order one's lifted ones, are built once, here."""
+        if self.C is None:
             ang, rad = self.V.columns(self.j[k]), self.U[:, self.i[k]]
             return lambda lo, hi: ang[lo:hi, None, :] * rad[None]
-        Y = self.Y.reshape(self.rows.size, -1, self.Y.shape[1])
-        return lambda lo, hi: Y[lo:hi][:, :, k]
+        C = np.ascontiguousarray(self.C[:, k].T).reshape(k.size, len(self.Q), -1, 1)
+        Y = (self.Q @ C)[..., 0].transpose(1, 2, 0)  # per column: bits independent of k
+        return lambda lo, hi: Y[lo:hi] / (1.0 if self.w is None else np.sqrt(self.w)[:, None])
 
 
 def _order_blocks(m: int | None, L: int, lam, keys=None, **vectors) -> list[_Block]:
@@ -159,12 +162,12 @@ class EigenResult:
         self.eigenvalues = lam[order]
         self.orders = None if blocks[0].m is None else m[order]
         self.lam_radial = self.lam_angular = None
-        if blocks[0].Y is None:
+        if blocks[0].C is None:
             self.lam_radial = np.concatenate([b.radial[b.i] for b in blocks])[order]
             self.lam_angular = np.concatenate([b.angular[b.j] for b in blocks])[order]
         # each block's vectors belong to its largest eigenvalues, so the
         # retained vectors are a prefix of the ranks
-        n_vectors = sum(b.lam.size if b.Y is None else b.Y.shape[1] for b in blocks)
+        n_vectors = sum(b.lam.size if b.C is None else b.C.shape[1] for b in blocks)
         self.stored = min(len(self) if keep is None else keep, n_vectors)
         rank = np.argsort(order)  # the inverse permutation
         self._blocks = blocks
@@ -177,7 +180,7 @@ class EigenResult:
                                      max(float(r.max()) for r in raw))
         self.k_weights = ker.fb_k_weights(band)  # of the band's inner product
         # block solves store vectors down to a floor, separated ones all
-        self.vector_floor = 0.0 if blocks[0].Y is None else _VECTOR_FLOOR
+        self.vector_floor = 0.0 if blocks[0].C is None else _VECTOR_FLOOR
 
     def __len__(self) -> int:
         return self.eigenvalues.size
@@ -237,8 +240,8 @@ class EigenResult:
     def _vector_dtype(self) -> np.dtype:
         """float64 for product, azimuthally symmetric and union regions in
         either band, complex128 for a pixel mask."""
-        # U (radial) is real in every separated solve; V or Y sets the dtype
-        return np.result_type(*{(b.V.V if b.Y is None else b.Y).dtype for b in self._blocks})
+        # U (radial) and Q are real in every solve; V or C sets the dtype
+        return np.result_type(*{(b.V.V if b.C is None else b.C).dtype for b in self._blocks})
 
     def _stack(self, ranks) -> np.ndarray:
         """Eigenvectors of `ranks` as the columns of a (band.size, ranks.size) array.
@@ -272,20 +275,20 @@ class EigenResult:
         """Inner products <values, f^alpha> for alpha = 0..count-1 in the
         band's inner product, weighting FB k samples by w_n.
 
-        One product per block, V^H H_rows U (separated) or Y^H vec(H_rows)
-        (fixed-order), with H = w values as (L^2, radial).  A narrow mask's V^H
-        applies its reflectors' Q^H once; coefficients with lam = 0 depend on
-        that completion, those with lam > 0 do not.  By default separated bases
-        project the whole spectrum, block bases the `stored` ranks.  `values`
-        of another length than band.size raise ValueError, a negative
-        `count` IndexError.
+        One product per block, V^H H_rows U (separated) or C^T (Q_l^T h_l) per
+        degree (fixed-order, unlifted), H = W^{1/2} values as (L^2, radial).
+        A narrow mask's V^H applies its reflectors' Q^H once; coefficients with
+        lam = 0 depend on that completion, those with lam > 0 do not.  By default
+        separated bases project the whole spectrum, block bases the `stored`
+        ranks.  `values` of another length than band.size raise ValueError, a
+        negative `count` IndexError.
         """
         H = np.asarray(values, dtype=complex)
         if H.size != self.band.size:
             raise ValueError(f"values have length {H.size}, band needs {self.band.size}")
         H = H.reshape(self.band.L ** 2, -1)
-        if self.k_weights is not None:
-            H = H * self.k_weights
+        if self.k_weights is not None:  # FB solves are never separated
+            H = H * np.sqrt(self.k_weights)
         limit = self.stored if self.lam_radial is None else len(self)
         count = limit if count is None else count
         if count < 0:
@@ -294,10 +297,10 @@ class EigenResult:
             self._require_stored(count - 1)
         out = np.zeros(len(self), dtype=complex)
         for block, ranks in zip(self._blocks, self._ranks):
-            if block.Y is None:
+            if block.C is None:
                 out[ranks] = (block.V.adjoint(H[block.rows]) @ block.U)[block.j, block.i]
             else:
-                out[ranks[:block.Y.shape[1]]] = block.Y.conj().T @ H[block.rows].ravel()
+                out[ranks[:block.C.shape[1]]] = block.C.T @ (H[block.rows, None] @ block.Q).ravel()
         return out[:count]
 
 
@@ -348,9 +351,9 @@ def _solve_blocks(region, band: SpectralBand, keep) -> tuple[list, list]:
     smaller side of K_m: on K_m K_m^T the eigenvectors are Q_l z, on the
     Gram side K_m^T K_m they are Q_l (K_m z) / sqrt(mu).  The rest of the
     block is padded with exact zeros, so the spectrum keeps one entry per
-    row, and the raw range counts those zeros.  Vectors are built for the
+    row, and the raw range counts those zeros.  Vectors are kept for the
     first `keep` eigenvalues of at least _VECTOR_FLOOR, above the numerical
-    null space; FB vectors map back to coefficient samples by W^{-1/2}.
+    null space, as coefficients over the Q_l, lifted when read (`_Block`).
     Returns (blocks, each block's raw eigenvalue range as [min, max]).
     """
     blocks, raw = [], []
@@ -362,13 +365,10 @@ def _solve_blocks(region, band: SpectralBand, keep) -> tuple[list, list]:
         lam_raw, Z = _descending_eigh(K.T @ K if gram else K @ K.T)
         n_vec = min(int(np.count_nonzero(lam_raw >= _VECTOR_FLOOR)),
                     lam_raw.size if keep is None else keep)
-        Z = Z[:, :n_vec]
-        Y = ker._lift(Q[m:], K @ (Z / np.sqrt(lam_raw[:n_vec])) if gram else Z)
-        if w is not None:
-            Y = Y / np.tile(np.sqrt(w), band.L - m)[:, None]
+        C = K @ (Z[:, :n_vec] / np.sqrt(lam_raw[:n_vec])) if gram else Z[:, :n_vec].copy()
         lam_raw = np.concatenate([lam_raw, np.zeros((band.L - m) * Q.shape[1] - lam_raw.size)])
         raw.append(np.array([lam_raw.min(), lam_raw.max()]))
-        blocks += _order_blocks(m, band.L, _validate_and_clamp(lam_raw), Y=Y)
+        blocks += _order_blocks(m, band.L, _validate_and_clamp(lam_raw), C=C, Q=Q[m:], w=w)
     return blocks, raw
 
 

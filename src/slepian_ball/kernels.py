@@ -394,6 +394,11 @@ def _check_k_sampling(band: SpectralBand, r_max: float):
             f"use M >= {math.ceil(band.K * r_max / math.pi)}")
 
 
+def _top_radial_gram(G: np.ndarray) -> float:
+    """Largest eigenvalue over degrees of G_l G_l^T / (2 pi), G (L, rows, n_r)."""
+    return float(np.linalg.svd(G, compute_uv=False)[:, 0].max()) ** 2 / (2.0 * math.pi)
+
+
 def _member_factors(band: SpectralBand, region):
     """One product or azimuthally symmetric region's part of `_order_factors`:
     its radial modes T, (L, n_rad, q_i), and the map (m, R) -> its columns of
@@ -421,12 +426,17 @@ def _member_factors(band: SpectralBand, region):
         # most I if they resolve the band; FB takes k exactly (`_c_quad_rule`,
         # k and r swapped), as its samples exceed I near dk R_max = pi
         G = _radial_table(band, r, _c_quad_rule(r.max(), 0.0, band.K) if fb else None) * sqrt_meas
-        peak = np.linalg.svd(G, compute_uv=False)[:, 0].max() ** 2 / (2.0 * math.pi)
+        peak = _top_radial_gram(G)
         if peak > 1.0 + _CLAMP_TOL:
             raise ValueError(
                 f"azimuthally symmetric region has n_r = {r.size} radial nodes, too few for "
                 f"the band: its radial Gram on them reaches {peak:.6f} > 1; raise n_r")
         X = _radial_table(band, r) * sqrt_meas
+        # the k samples can alias radii short of the pi / dk of `_check_k_sampling`
+        if fb and (peak := _top_radial_gram(X)) > 1.0 + _CLAMP_TOL:
+            raise ValueError(
+                f"Fourier-Bessel k sampling too coarse for the region: its radial Gram on "
+                f"the M = {band.M} k samples reaches {peak:.6f} > 1; raise M")
         U, s, Vt = np.linalg.svd(X.reshape(-1, r.size), full_matrices=False)
         # node columns see the dropped modes at first order: cut s, not s^2
         q = int(np.count_nonzero(_above_rank_floor(s, max(U.shape[0], r.size))))

@@ -635,15 +635,19 @@ def complex_vector_stack(res, count: int) -> np.ndarray:
     """The first `count` eigenvectors of an EigenResult as complex columns,
     (band.size, count), one rank at a time: separated blocks as V_j (x) U_i,
     with V_j read off the angular basis one column at a time, fixed-order
-    blocks from their column Y."""
+    blocks lifted from their coefficient column C[:, k] through Q_l, degree
+    by degree, and scaled by W^{-1/2} in FB."""
     L = res.band.L
     out = np.zeros((L * L, res.band.size // (L * L), count), dtype=complex)
     for block, ranks in zip(res._blocks, res._ranks):
         for k in np.flatnonzero(ranks < count).tolist():
-            if block.Y is None:
+            if block.C is None:
                 vec = np.outer(block.V.columns(block.j[k:k + 1]), block.U[:, block.i[k]])
             else:
-                vec = block.Y[:, k].reshape(block.rows.size, -1)
+                nl, _, q = block.Q.shape
+                vec = (block.Q @ block.C[:, [k]].reshape(nl, q, 1))[:, :, 0]
+                if block.w is not None:
+                    vec = vec / np.sqrt(block.w)
             out[block.rows, :, ranks[k]] = vec
     return out.reshape(res.band.size, count)
 

@@ -737,6 +737,16 @@ def test_streamed_eigen_files_match_whole_array_writers(tmp_path, monkeypatch, c
     assert (out / "eigenvalues.csv").read_text() == eigen_csv_per_value(res)
 
 
+def test_eigen_lifts_each_blocks_written_vectors_once(tmp_path, monkeypatch):
+    # the real stack's tag comes from its dtype, not from a first pass of slabs
+    lifted, vectors = [], eigen._Block.vectors
+    monkeypatch.setattr(eigen._Block, "vectors",
+                        lambda self, k: lifted.append(id(self)) or vectors(self, k))
+    cfg = RunConfig("eigen", domain="fb", count=5, out=str(tmp_path))
+    assert cli.cmd_eigen(cfg, sb.ProductSymmetric(15, 25, T1, T2), FB_SMALL) == 0
+    assert 0 < len(lifted) == len(set(lifted))
+
+
 def test_streamed_maps_values_and_decay_match_per_value_writer(tmp_path, monkeypatch, rng):
     # every file has a row count that is not a multiple of the 7-row chunk
     monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
@@ -911,15 +921,18 @@ AZIMUTHAL_SHELL = sb.AzimuthallySymmetric.from_indicator(
     lambda r, t: ((r < 20.0) & (t < 1.0)).astype(float), 15.0, 25.0, n_r=16, n_theta=8)
 
 
-@pytest.mark.parametrize("region, r_max", [
-    (sb.ProductSymmetric(15.0, 25.0, T1, T2), 25.0),
+@pytest.mark.parametrize("region, r_max, m_solve", [
+    (sb.ProductSymmetric(15.0, 25.0, T1, T2), 25.0, 12),
     (sb.RegionUnion((sb.ProductSymmetric(2.0, 5.0, T1, T2),
-                     sb.ProductSymmetric(15.0, 25.0, T1, T2))), 25.0),
-    (AZIMUTHAL_SHELL, AZIMUTHAL_SHELL.r_nodes[AZIMUTHAL_SHELL.r_nodes < 20.0].max()),
+                     sb.ProductSymmetric(15.0, 25.0, T1, T2))), 25.0, 12),
+    (AZIMUTHAL_SHELL, AZIMUTHAL_SHELL.r_nodes[AZIMUTHAL_SHELL.r_nodes < 20.0].max(), 10),
 ], ids=["product", "union", "azimuthal"])
-def test_fb_k_sampling_past_pi_rejected(region, r_max):
+def test_fb_k_sampling_past_pi_rejected(region, r_max, m_solve):
     # past dk * R_max = pi the sampled kernel is no projection: at the
-    # reference with M = 8 its top eigenvalue was 1.47
+    # reference with M = 8 its top eigenvalue was 1.47.  The shell's radii
+    # alias already at the smallest M admitted there, M = 9 (its radial Gram
+    # on the k samples reads 1.0030), and its first M that solves is 10; the
+    # product's top radial Gram at M = 12 reads 0.999996
     m_min = math.ceil(1.4 * r_max / math.pi)
     band = sb.FourierBesselBand(1.4, 4, m_min - 1)
     with pytest.raises(ValueError, match=f"use M >= {m_min}$"):
@@ -927,8 +940,32 @@ def test_fb_k_sampling_past_pi_rejected(region, r_max):
     with pytest.raises(ValueError, match=f"use M >= {m_min}$"):
         sb.kernel_fb_fixed_order(1, band, region)
     assert 0 < sb.shannon_fb(region, band) < math.inf
-    lo, hi = sb.solve_fb(region, sb.FourierBesselBand(1.4, 4, m_min), keep=0).raw_eigenvalue_range
+    for M in range(m_min, m_solve):
+        with pytest.raises(ValueError, match="raise M$"):
+            sb.solve_fb(region, sb.FourierBesselBand(1.4, 4, M))
+    lo, hi = sb.solve_fb(region, sb.FourierBesselBand(1.4, 4, m_solve),
+                         keep=0).raw_eigenvalue_range
     assert -1e-9 <= lo and hi <= 1 + 1e-9
+
+
+def test_fb_admitted_k_sampling_that_aliases_rejected_before_eigensolve(
+        tmp_path, capsys, monkeypatch):
+    # all colatitudes of the shell r < 20: at M = 9 its blocks' top
+    # eigenvalue would be 1.00297, its sampled radial Gram's; M = 10 solves
+    region = sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: (r < 20.0).astype(float), 15.0, 25.0, n_r=16, n_theta=8)
+    eighs, descending_eigh = [], eigen._descending_eigh
+    monkeypatch.setattr(eigen, "_descending_eigh",
+                        lambda a: eighs.append(a.shape) or descending_eigh(a))
+    with pytest.raises(ValueError, match=r"M = 9 k samples reaches 1\.00297\d > 1; raise M$"):
+        sb.solve_fb(region, sb.FourierBesselBand(1.4, 4, 9))
+    assert eighs == []
+    lo, hi = sb.solve_fb(region, sb.FourierBesselBand(1.4, 4, 10), keep=0).raw_eigenvalue_range
+    assert -1e-9 <= lo and 0.99 < hi <= 1 + 1e-9
+    monkeypatch.setattr(cli, "parse_region", lambda spec: region)
+    rc = main(["eigen", "--domain", "fb", "--K", "1.4", "--L", "4", "--M", "9",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2 and "raise M" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eigen", "kernel"])

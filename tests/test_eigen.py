@@ -322,11 +322,16 @@ VECTOR_STACK_CASES = {
     "fl-mask": (lambda ref: sb.solve_fl(sb.ProductMask(sb.AngularMask.full_sphere_grid(
         4, indicator=lambda t, p: ((t < 1.2) & (p < 2.0)).astype(float)), 15.0, 25.0),
         sb.FourierLaguerreBand(4, 4), keep=7), np.complex128),
+    "fb-union": (lambda ref: sb.solve_fb(sb.RegionUnion((
+        sb.ProductSymmetric(15.0, 19.0, T1, T2), sb.ProductSymmetric(21.0, 25.0, 0.2, 0.9))),
+        sb.FourierBesselBand(1.0, 4, 25), keep=7), np.float64),
+    "fb-azimuthal": (lambda ref: sb.solve_fb(_sloped_band(16), sb.FourierBesselBand(1.0, 4, 25),
+                                             keep=7), np.float64),
 }
 
 
 @pytest.mark.parametrize("name", list(VECTOR_STACK_CASES))
-def test_vector_stack_is_row_major_in_the_blocks_dtype(name, ref_region):
+def test_vector_stack_is_row_major_in_the_blocks_dtype(name, ref_region, rng):
     solve, dtype = VECTOR_STACK_CASES[name]
     res = solve(ref_region)
     assert res.stored == 7
@@ -337,6 +342,19 @@ def test_vector_stack_is_row_major_in_the_blocks_dtype(name, ref_region):
     ranks = np.array([6, 2, 3, 0])
     assert np.array_equal(res._stack(ranks), F[:, ranks])
     assert np.array_equal(res.coeffs(5).values, F[:, 5])
+    _check_projector(res, rng)
+
+
+@pytest.mark.parametrize("name", ["reference", "fb-union", "fb-azimuthal"])
+def test_fixed_order_blocks_store_radial_basis_coefficients(name, ref_region, ref_fb):
+    # a block keeps its vectors over (l, radial mode), q modes per degree,
+    # never lifted to the band's (l, k sample) rows
+    res = ref_fb if name == "reference" else VECTOR_STACK_CASES[name][0](ref_region)
+    n = res.band.size // res.band.L ** 2
+    for block in res._blocks:
+        nl, n_rad, q = block.Q.shape
+        assert (nl, n_rad) == (block.rows.size, n) and q < n
+        assert block.C.shape[0] == nl * q
 
 
 def _check_projector(res, rng):
