@@ -5,8 +5,7 @@ from .eigen import (EigenResult, HarmonicCoeffs, angular_shannon,
                     solve_fl, space_limit)
 from .kernels import (C_kernel, E_matrix, FourierBesselBand,
                       FourierLaguerreBand, G_mask_matrix, G_matrix,
-                      KernelMatrix, fb_k_weights, kernel_fb_fixed_order,
-                      kernel_fl_mask)
+                      KernelMatrix, fb_k_weights, kernel_fb_fixed_order)
 from .regions import (AngularMask, AzimuthallySymmetric, BallPoint,
                       ProductMask, ProductSymmetric, RegionUnion, contains,
                       contains_points, full_ball, solid_angle, volume)
@@ -24,11 +23,11 @@ __all__ = [
     "SpatialGrid", "analysis_fl", "analysis_grid", "angular_shannon",
     "contains", "contains_points", "fb_k_weights", "full_ball",
     "gauss_laguerre_rule", "gauss_legendre_rule", "kernel_fb_fixed_order",
-    "kernel_fl_mask", "quality_measure", "region_energy_grid",
-    "rotate_eigenfunction", "shannon_fb", "shannon_fl", "slepian_coeffs",
-    "solid_angle", "solve_fb", "solve_fl", "space_limit", "synthesis_fb",
-    "synthesis_fl", "synthesis_fl_grid", "synthesis_separable",
-    "truncate_reconstruct", "volume",
+    "quality_measure", "region_energy_grid", "rotate_eigenfunction",
+    "shannon_fb", "shannon_fl", "slepian_coeffs", "solid_angle", "solve_fb",
+    "solve_fl", "space_limit", "synthesis_fb", "synthesis_fl",
+    "synthesis_fl_grid", "synthesis_separable", "truncate_reconstruct",
+    "volume",
 ]
 
 __version__ = "0.1.0"

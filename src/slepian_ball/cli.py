@@ -300,27 +300,24 @@ def cmd_kernel(cfg: RunConfig, region, band) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     traces, orders = {}, (range(band.L) if cfg.order is None else [cfg.order])
     if cfg.domain == "fl":
-        if isinstance(region, ProductMask):
-            fac = kernels.kernel_fl_mask(band, region)
-            write_matrix(os.path.join(cfg.out, "E.mat"), fac.E)
-            write_matrix(os.path.join(cfg.out, "G_mask.mat"), fac.G_angular)
-            traces["E"] = float(np.trace(fac.E))
-            traces["G_mask"] = float(np.trace(fac.G_angular).real)
-            traces["kernel"] = fac.trace
-        elif isinstance(region, ProductSymmetric):
-            E = kernels.E_matrix(band.P, region.R1, region.R2)
-            write_matrix(os.path.join(cfg.out, "E.mat"), E)
-            traces["E"] = float(np.trace(E))
-            gsum = 0.0
-            for m in orders:
-                G = kernels.G_matrix(m, band.L, region.theta1, region.theta2)
-                write_matrix(os.path.join(cfg.out, f"G_m{m}.mat"), G)
-                gsum += (2.0 if m > 0 else 1.0) * float(np.trace(G))
-            if cfg.order is None:
-                traces["G_all_orders"] = gsum
-                traces["kernel"] = traces["E"] * gsum
-        else:
+        if not isinstance(region, (ProductMask, ProductSymmetric)):
             raise ValueError("kernel export supports product and mask regions")
+        # every Gram is formed before the first write, so a rejected mask grid writes none
+        E = kernels.E_matrix(band.P, region.R1, region.R2)
+        traces["E"] = float(np.trace(E))
+        if isinstance(region, ProductMask):
+            G = {"G_mask": kernels.G_mask_matrix(region.mask, band.L)}
+            traces["G_mask"] = float(np.trace(G["G_mask"]).real)
+            traces["kernel"] = traces["E"] * traces["G_mask"]
+        else:
+            G = {f"G_m{m}": kernels.G_matrix(m, band.L, region.theta1, region.theta2)
+                 for m in orders}
+            if cfg.order is None:
+                traces["G_all_orders"] = sum((2.0 if m > 0 else 1.0) * float(np.trace(g))
+                                             for m, g in zip(orders, G.values()))
+                traces["kernel"] = traces["E"] * traces["G_all_orders"]
+        for name, a in {"E": E, **G}.items():
+            write_matrix(os.path.join(cfg.out, f"{name}.mat"), a)
     else:
         total = 0.0
         for m in orders:

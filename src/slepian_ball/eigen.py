@@ -3,8 +3,9 @@
 Eigenfunctions are returned in spectral form (coefficient vectors over the
 band's index map) by one solve, `solve` (alias `solve_fl`, `solve_fb`).
 For product and mask regions the Fourier-Laguerre problem separates into a
-radial eigenproblem on E and angular ones on G^m (or G_mask); a combined
-eigenvalue is the product lam = lam_radial * lam_angular and the
+radial eigenproblem on E and angular ones on G^m (or G_mask), each solved
+by the thin SVD of the coupling's quadrature factor, so no Gram is formed;
+a combined eigenvalue is the product lam = lam_radial * lam_angular and the
 eigenvector is the outer product of the factors, so the full spectrum is
 available without ever forming the dense P L^2 kernel.
 
@@ -331,18 +332,6 @@ def _descending_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[::-1], V[:, ::-1]
 
 
-def _mask_angular(mask, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of G_mask = A A^H, descending, from the thin SVD A = V S W^H
-    of the pixel factor: lam = s^2, padded with exact zeros when the mask has
-    fewer active pixels than L^2.  A wide A gives a complete V, a narrow one
-    its range columns, which Householder reflectors complete (one completion
-    of many; `_AngularBasis.complete`) in place of a dense L^2 x L^2 basis.
-    """
-    A = ker._mask_factor(mask, L)
-    V, s, _ = np.linalg.svd(A, full_matrices=False)
-    return np.concatenate([s * s, np.zeros(A.shape[0] - s.size)]), V
-
-
 def _solve_blocks(region, band: SpectralBand, keep) -> tuple[list, list]:
     """Solve every fixed-order block B_m = F_m F_m^T, F_m = (sum Q_l) K_m
     (`kernels._order_factors`).
@@ -377,18 +366,23 @@ def _solve_blocks(region, band: SpectralBand, keep) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 
 def _solve_separated(region, band: FourierLaguerreBand) -> tuple[list, list]:
-    """Blocks of a FL product or mask region: E's eigenpairs times those of each
-    G^m or of G_mask (`_mask_angular`), so the largest eigensolve is E's."""
-    lam1_raw, U = _descending_eigh(ker.E_matrix(band.P, region.R1, region.R2))
+    """Blocks of a FL product or mask region: the eigenpairs of E times those
+    of each G^m or of G_mask, each from the thin SVD of its factor
+    (`kernels._gram_eigh`), so no Gram is formed or eigensolved.  A narrow
+    mask factor gives its range columns, which Householder reflectors
+    complete (one completion of many; `_AngularBasis.complete`)."""
+    lam1_raw, U = ker._gram_eigh(ker._radial_factor(band, region.R1, region.R2)[0])
     lam1 = _validate_and_clamp(lam1_raw)
     if isinstance(region, ProductMask):
-        angular = {None: _mask_angular(region.mask, band.L)}
+        factors = {None: ker._mask_factor(region.mask, band.L)}
     else:
-        angular = {m: _descending_eigh(ker.G_matrix(m, band.L, region.theta1, region.theta2))
+        factors = {m: ker._band_factor(m, band.L, region.theta1, region.theta2)
                    for m in range(band.L)}
     blocks, raw = [], []
-    for m, (lam2_raw, V) in angular.items():
-        raw.append(np.outer(lam1_raw, lam2_raw))
+    for m, A in factors.items():
+        lam2_raw, V = ker._gram_eigh(A)
+        # every s^2 >= 0, so the extremes of the products are those of the factors
+        raw.append(np.array([lam1_raw.min() * lam2_raw.min(), lam1_raw.max() * lam2_raw.max()]))
         lam2 = _validate_and_clamp(lam2_raw)
         # entry (i, j) pairs radial vector i with angular vector j, j slow
         lam = np.outer(lam2, lam1).ravel()

@@ -15,24 +15,28 @@ with
 
 All three are quadrature sums: G Gauss-Legendre in cos t, exact, and every
 radial integral (E, the radial modes, the Shannon trace, energy grids) on
-the band's one rule for [R1, R2], `_radial_rule`.  Each block is then a
-Gram matrix A A^T of square-root-weighted node values.  The fixed-order
-blocks of both bands are kept as such a factor, B_m = F_m F_m^T, and so is
-the angular coupling of a pixel mask, G_mask = A A^H with A the
-square-root-weighted Y_lm at the active pixels (`_mask_factor`).
+the band's one rule for [R1, R2], `_radial_rule`.  So each coupling is one
+factor A of square-root-weighted node values with Gram A A^H:
+`_radial_factor` (E, or C per degree), `_band_factor` (G^m) and
+`_mask_factor` (G_mask, the Y_lm at a pixel mask's active pixels).
+`E_matrix`, `G_matrix` and `G_mask_matrix` return those Grams; the solves
+never form them, and take every spectrum from the thin SVD of a factor
+(`_gram_eigh`), cut to its numerical rank where a factor is kept
+(`_rank_cut`).  The fixed-order blocks of both bands are kept as a factor
+too, B_m = F_m F_m^T.
 
 The bands differ only in their radial functions (`_radial_table`), radial
 rule and k weights (`fb_k_weights`); all else runs one body.  Every region's
 F_m has one form (`_order_factors`): F_m = (direct sum over l of Q_l) K_m,
 Q_l one orthonormal radial basis per degree, the QR of the members' radial
 modes side by side, and K_m a small dense array over (l, radial mode).  The
-radial modes are one thin SVD of the radial table, on the `_radial_rule`
-nodes for a product member (`_radial_modes`), on the grid's radii for an
-azimuthally symmetric region; G^m and these tables are cut to their
-numerical rank by one rule (`_above_rank_floor`).  `kernel_fixed_order`
+radial modes are the `_rank_cut` of the `_radial_factor` for a product
+member (`_radial_modes`), and one thin SVD of the radial table on the
+grid's radii for an azimuthally symmetric region; every cut, G^m's
+included, is one rule (`_above_rank_floor`).  `kernel_fixed_order`
 (alias `kernel_fl_fixed_order`, `kernel_fb_fixed_order`) returns F_m F_m^T;
-the block solver eigensolves the smaller side of K_m, the mask solver
-takes the SVD of A.  The test suite checks each against an analytic
+the block solver eigensolves the smaller side of K_m, as an SVD of K_m
+costs about five times more.  The test suite checks each against an analytic
 oracle (exponential moments in extended precision, Wigner-3j sums, Lommel
 closed forms for C) or a dense assembly and eigensolve.  `C_kernel`
 evaluates one entry of C through `_c_quad_rule` at its own k.
@@ -56,8 +60,7 @@ import numpy as np
 
 from . import regions as reg_mod
 from . import specfun
-from .regions import (AngularMask, AzimuthallySymmetric, ProductMask,
-                      ProductSymmetric)
+from .regions import AngularMask, AzimuthallySymmetric, ProductSymmetric
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +194,23 @@ class KernelMatrix:
 def _radial_rule(band: SpectralBand, R1: float, R2: float) -> specfun.QuadratureRule:
     """The rule for int_{R1}^{R2} f(r) dr behind every radial integral of a band.
 
-    FL integrands are e^{-r} poly(2P): Gauss-Legendre with 2P + 24 nodes
-    resolves them to rounding, and on [R1, inf) the scaled Gauss-Laguerre
-    rule with P + 1 nodes is exact.  FB: `_c_quad_rule` at K, bounded only.
+    FL integrands are e^{-r} poly(2P): on [R1, inf) the scaled Gauss-Laguerre
+    rule with P + 1 nodes is exact, and it stands for [R1, R2] too once the
+    tail's trace tr E(R2, inf), on the same rule from R2, is below 1e-16, as
+    that bounds the tail's norm.  Short of that, Gauss-Legendre with 2P + 24
+    nodes resolves the integrands to rounding.  FB: `_c_quad_rule` at K,
+    bounded only.
     """
     if isinstance(band, FourierBesselBand):
         if math.isinf(R2):
             raise ValueError("Fourier-Bessel kernels need a bounded region, got R2 = inf")
         return _c_quad_rule(band.K, R1, R2)
-    if math.isinf(R2):
-        return specfun.gauss_laguerre_scaled_rule(band.P + 1, R1)
-    return specfun.gauss_legendre_rule(2 * band.P + 24, R1, R2)
+    if math.isfinite(R2):
+        tail = specfun.gauss_laguerre_scaled_rule(band.P + 1, R2)
+        rK = specfun.laguerre_K_table(band.P - 1, tail.nodes) * tail.nodes
+        if np.sum(rK * rK, axis=0) @ tail.weights >= 1e-16:
+            return specfun.gauss_legendre_rule(2 * band.P + 24, R1, R2)
+    return specfun.gauss_laguerre_scaled_rule(band.P + 1, R1)
 
 
 def _radial_table(band: SpectralBand, r: np.ndarray, k_rule=None) -> np.ndarray:
@@ -216,29 +225,33 @@ def _radial_table(band: SpectralBand, r: np.ndarray, k_rule=None) -> np.ndarray:
     return J * (np.sqrt(2.0 / math.pi * w) * ks)[:, None]
 
 
+def _radial_factor(band: SpectralBand, R1: float, R2: float) -> np.ndarray:
+    """The radial coupling's factor A, (1 or L, n_rad, n_nodes): the
+    `_radial_table` on the `_radial_rule` nodes under sqrt(r^2 w), so that
+    A_l A_l^T is E (FL) or W^{1/2} C_l W^{1/2} (FB) at each degree."""
+    rule = _radial_rule(band, R1, R2)
+    return _radial_table(band, rule.nodes) * (rule.nodes * np.sqrt(rule.weights))
+
+
 @functools.lru_cache(maxsize=8)
 def _radial_modes(band: SpectralBand, R1: float, R2: float) -> np.ndarray:
-    """A product member's radial modes T, (1 or L, n_rad, q), T_l T_l^T = E or
-    W^{1/2} C_l W^{1/2}: the thin SVD of the `_radial_table` on the
-    `_radial_rule` nodes under sqrt(r^2 w), cut on s^2.  Read-only: cached."""
-    rule = _radial_rule(band, R1, R2)
-    X = _radial_table(band, rule.nodes) * (rule.nodes * np.sqrt(rule.weights))
-    U, s, _ = np.linalg.svd(X.reshape(-1, rule.nodes.size), full_matrices=False)
-    q = int(np.count_nonzero(_above_rank_floor(s * s, U.shape[0])))
-    T = (U[:, :q] * s[:q]).reshape(X.shape[:2] + (q,))
+    """A product member's radial modes T, (1 or L, n_rad, q), T_l T_l^T = A_l A_l^T
+    for the `_radial_factor` A: `_rank_cut` of A's degrees stacked.  Read-only:
+    cached."""
+    A = _radial_factor(band, R1, R2)
+    T = _rank_cut(A.reshape(-1, A.shape[2]))
+    T = T.reshape(A.shape[:2] + T.shape[1:])
     T.flags.writeable = False
     return T
 
 
 def E_matrix(P: int, R1: float, R2: float) -> np.ndarray:
     """Radial coupling E_{p,p'} = int_{R1}^{R2} r^2 K_p K_{p'} dr, p, p' < P:
-    A A^T of the square-root-weighted r K_p on the `_radial_rule` nodes, for
-    R2 finite or not, so symmetric positive semidefinite, spectrum in [0, 1]."""
+    the Gram A A^T of the FL `_radial_factor`, for R2 finite or not, so
+    symmetric positive semidefinite, spectrum in [0, 1]."""
     if not (R2 > R1 >= 0.0):
         raise ValueError(f"need 0 <= R1 < R2, got R1={R1}, R2={R2}")
-    band = FourierLaguerreBand(P, 1)
-    rule = _radial_rule(band, R1, R2)
-    A = _radial_table(band, rule.nodes)[0] * (np.sqrt(rule.weights) * rule.nodes)
+    A = _radial_factor(FourierLaguerreBand(P, 1), R1, R2)[0]
     return A @ A.T
 
 
@@ -246,23 +259,26 @@ def E_matrix(P: int, R1: float, R2: float) -> np.ndarray:
 # angular coupling G
 # ---------------------------------------------------------------------------
 
-def G_matrix(m: int, L: int, theta1: float, theta2: float) -> np.ndarray:
-    """Angular coupling G^m_{l,l'} for l, l' in [m, L-1] over a colatitude band.
-
-    Gauss-Legendre quadrature with L nodes in cos(theta) on
-    [cos theta2, cos theta1].  Pbar_{lm} Pbar_{l'm} is a polynomial of
-    degree <= 2L - 2 in cos(theta), so the rule is exact.  Assembled as
-    A A^T from the square-root-weighted Pbar_{lm} at the nodes: symmetric,
-    spectrum in [0, 1], and invariant under m -> -m.
-    """
+def _band_factor(m: int, L: int, theta1: float, theta2: float) -> np.ndarray:
+    """Factor A of the colatitude-band coupling G^m = A A^T, (L - |m|, L): the
+    square-root-weighted Pbar_{lm}, l in [|m|, L-1], at L Gauss-Legendre nodes
+    in cos(theta) on [cos theta2, cos theta1].  Pbar_{lm} Pbar_{l'm} is a
+    polynomial of degree <= 2L - 2 in cos(theta), so the rule is exact."""
     m = abs(m)
     if not (0 <= m < L):
         raise ValueError(f"need 0 <= |m| < L, got m={m}, L={L}")
     if not (0.0 <= theta1 < theta2 <= math.pi):
         raise ValueError(f"need 0 <= theta1 < theta2 <= pi, got {theta1}, {theta2}")
     rule = specfun.gauss_legendre_rule(L, math.cos(theta2), math.cos(theta1))
-    A = specfun.norm_alf_table(L, m, np.arccos(rule.nodes)) * np.sqrt(
+    return specfun.norm_alf_table(L, m, np.arccos(rule.nodes)) * np.sqrt(
         2.0 * math.pi * rule.weights)
+
+
+def G_matrix(m: int, L: int, theta1: float, theta2: float) -> np.ndarray:
+    """Angular coupling G^m_{l,l'} for l, l' in [m, L-1] over a colatitude band:
+    the Gram A A^T of `_band_factor`, so symmetric, spectrum in [0, 1], and
+    invariant under m -> -m."""
+    A = _band_factor(m, L, theta1, theta2)
     return A @ A.T
 
 
@@ -319,19 +335,26 @@ def C_kernel(ell: int, ell2: int, k: float, k2: float, R1: float, R2: float) -> 
 
 def _above_rank_floor(lam: np.ndarray, n: int) -> np.ndarray:
     """Values above numpy.linalg.matrix_rank's default tolerance lam_max n eps:
-    the rank cut of the eigenvalues of G^m, of the squared singular values of
-    a product member's radial table (n rows, as its Gram is n x n), and of
-    the singular values of an azimuthal region's radial table."""
+    the rank cut of the squared singular values of a factor with n rows (its
+    Gram is n x n; `_rank_cut`), and of the singular values of an azimuthal
+    region's radial table."""
     return lam > lam.max() * n * np.finfo(float).eps
 
 
-def _rank_factor(a: np.ndarray) -> np.ndarray:
-    """Factor X of a symmetric positive semidefinite a = X X^T, (n, r): the
-    eigenvectors of a above `_above_rank_floor`, scaled by sqrt(lam)."""
-    _check_hermitian(a)  # eigh reads one triangle and would hide a skew
-    lam, U = np.linalg.eigh(a)
-    keep = _above_rank_floor(lam, a.shape[0])
-    return U[:, keep] * np.sqrt(lam[keep])
+def _gram_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Gram A A^H from the thin SVD A = U S V^H: s^2,
+    descending and padded with exact zeros to A's row count, and U, whose
+    min(A.shape) columns are complete when A is wide, the range when narrow."""
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    return np.concatenate([s * s, np.zeros(A.shape[0] - s.size)]), U
+
+
+def _rank_cut(A: np.ndarray) -> np.ndarray:
+    """Factor U S of A A^H, (n, q), cut to the q eigenvalues s^2 of
+    `_gram_eigh` above `_above_rank_floor`."""
+    lam, U = _gram_eigh(A)
+    q = int(np.count_nonzero(_above_rank_floor(lam, A.shape[0])))
+    return U[:, :q] * np.sqrt(lam[:q])
 
 
 def _require_base_frame(region):
@@ -347,17 +370,19 @@ def _order_factors(band: SpectralBand, region):
     the radial index (p, or the k sample n) fast; FB rows carry W^{1/2}.
     Member i's own factor is T_l C_l per degree, radial modes T, (L, n_rad,
     q_i), times a coupling C_l (`_member_factors`): for a product I (x) a_l,
-    a_l the rows of the rank-cut factor A_m of G^m; for an azimuthal region
-    one column per active (r, theta) node, V^T at r times Pbar_lm(theta)
-    sqrt(theta weight), with T = U S the thin SVD U S V^T of its radial table.
+    a_l the rows of the `_rank_cut` of G^m's `_band_factor`; for an azimuthal
+    region one column per active (r, theta) node, V^T at r times
+    Pbar_lm(theta) sqrt(theta weight), with T = U S the thin SVD U S V^T of
+    its radial table.
     Q_l R_l is the QR of all members' T_l side by side, so Q, (L, n_rad, q),
     is one orthonormal radial basis per degree, and member i's columns of
     K_m, ((L - m) q, n_cols), are R_l^(i) C_l^(i).  Q, R and T do not depend
     on m: a solve over all orders builds them once.
     """
     members = region.members if isinstance(region, reg_mod.RegionUnion) else (region,)
-    parts = [_member_factors(band, s) for s in members]
+    # checked before any member's factor, so coarse k is not blamed on n_r
     _check_k_sampling(band, max(_outer_radius(s) for s in members))
+    parts = [_member_factors(band, s) for s in members]
     Q, R = np.linalg.qr(np.concatenate([T for T, _ in parts], axis=2))
     Rs = np.split(R, np.cumsum([T.shape[2] for T, _ in parts])[:-1], axis=2)
 
@@ -377,17 +402,24 @@ def _lift(Q: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 
 def _outer_radius(region) -> float:
-    """Largest radius of a product region, or of an azimuthal region's active nodes."""
+    """Largest radius of a product region, or of an azimuthal region's active
+    nodes; raises for a region with no fixed-order factor in its frame."""
+    _require_base_frame(region)
     if isinstance(region, ProductSymmetric):
         return region.R2
-    return float(region.r_nodes[region.indicator.any(axis=1)].max(initial=0.0))
+    if isinstance(region, AzimuthallySymmetric):
+        return float(region.r_nodes[region.indicator.any(axis=1)].max(initial=0.0))
+    raise TypeError(
+        "fixed-order kernels need a ProductSymmetric, AzimuthallySymmetric "
+        f"or RegionUnion region, got {type(region)!r}")
 
 
 def _check_k_sampling(band: SpectralBand, r_max: float):
     """Reject FB k samples too coarse for radii up to r_max (FL has none): past
     dk * r_max = pi the sampled k integral aliases radii r and 2 pi / dk - r,
-    and the kernel is no longer a projection (eigenvalues above one)."""
-    if isinstance(band, FourierBesselBand) and band.M < band.K * r_max / math.pi:
+    and the kernel is no longer a projection (eigenvalues above one).  An
+    unbounded r_max passes, for `_radial_rule` to reject."""
+    if isinstance(band, FourierBesselBand) and band.M < band.K * r_max / math.pi < math.inf:
         raise ValueError(
             f"Fourier-Bessel k sampling too coarse: dk * R_max = {band.dk * r_max:.4g} "
             f"exceeds pi (dk = K/M = {band.dk:.4g}, R_max = {r_max:g}); "
@@ -400,38 +432,37 @@ def _top_radial_gram(G: np.ndarray) -> float:
 
 
 def _member_factors(band: SpectralBand, region):
-    """One product or azimuthally symmetric region's part of `_order_factors`:
-    its radial modes T, (L, n_rad, q_i), and the map (m, R) -> its columns of
-    K_m as (L - m, q, n_cols), R being its columns of R_l, l in [m, L-1]."""
-    _require_base_frame(region)
+    """One product or azimuthally symmetric region's part of `_order_factors`,
+    past `_outer_radius`: its radial modes T, (L, n_rad, q_i), and the map
+    (m, R) -> its columns of K_m as (L - m, q, n_cols), R being its columns
+    of R_l, l in [m, L-1]."""
     L = band.L
     if isinstance(region, ProductSymmetric):
         T = _radial_modes(band, region.R1, region.R2)
 
         def columns(m: int, R: np.ndarray) -> np.ndarray:
-            A = _rank_factor(G_matrix(m, L, region.theta1, region.theta2))
+            A = _rank_cut(_band_factor(m, L, region.theta1, region.theta2))
             return (R[:, :, :, None] * A[:, None, None, :]).reshape(
                 R.shape[:2] + (R.shape[2] * A.shape[1],))
-    elif isinstance(region, AzimuthallySymmetric):
+    else:
         # with fewer colatitude nodes than L the grid's Gram of the Pbar_lm
         # over the whole sphere is no longer I, and the region's can exceed it
         if region.theta_nodes.size < L:
             raise ValueError(
                 f"azimuthally symmetric region has {region.theta_nodes.size} colatitude "
                 f"nodes; the band L = {L} needs at least {L}")
-        _check_k_sampling(band, _outer_radius(region))  # so coarse k is not blamed on n_r
         r, fb = region.r_nodes, isinstance(band, FourierBesselBand)
         sqrt_meas = r * np.sqrt(2.0 * math.pi * region.r_weights * region.indicator.any(axis=1))
         # radially, each degree's Gram over the active radii, over 2 pi, is at
         # most I if they resolve the band; FB takes k exactly (`_c_quad_rule`,
         # k and r swapped), as its samples exceed I near dk R_max = pi
-        G = _radial_table(band, r, _c_quad_rule(r.max(), 0.0, band.K) if fb else None) * sqrt_meas
+        X = _radial_table(band, r) * sqrt_meas
+        G = _radial_table(band, r, _c_quad_rule(r.max(), 0.0, band.K)) * sqrt_meas if fb else X
         peak = _top_radial_gram(G)
         if peak > 1.0 + _CLAMP_TOL:
             raise ValueError(
                 f"azimuthally symmetric region has n_r = {r.size} radial nodes, too few for "
                 f"the band: its radial Gram on them reaches {peak:.6f} > 1; raise n_r")
-        X = _radial_table(band, r) * sqrt_meas
         # the k samples can alias radii short of the pi / dk of `_check_k_sampling`
         if fb and (peak := _top_radial_gram(X)) > 1.0 + _CLAMP_TOL:
             raise ValueError(
@@ -448,10 +479,6 @@ def _member_factors(band: SpectralBand, region):
         def columns(m: int, R: np.ndarray) -> np.ndarray:
             Pb = specfun.norm_alf_table(L, m, region.theta_nodes)[:, it] * sqrt_wt
             return (R @ V) * Pb[:, None, :]
-    else:
-        raise TypeError(
-            "fixed-order kernels need a ProductSymmetric, AzimuthallySymmetric "
-            f"or RegionUnion region, got {type(region)!r}")
     return np.broadcast_to(T, (L,) + T.shape[1:]), columns
 
 
@@ -473,33 +500,3 @@ def kernel_fixed_order(m: int, band: SpectralBand, region) -> KernelMatrix:
 
 
 kernel_fl_fixed_order = kernel_fb_fixed_order = kernel_fixed_order  # band-named
-
-
-@dataclass(frozen=True)
-class FactoredKernelFL:
-    """Radially independent FL kernel in factored form E (x) G_angular.
-
-    The dense P L^2 x P L^2 product is only materialized on request.
-    """
-
-    E: np.ndarray          # (P, P) radial coupling
-    G_angular: np.ndarray  # (L^2, L^2) Hermitian angular coupling
-    band: FourierLaguerreBand
-    region: ProductMask
-
-    def __post_init__(self):
-        _check_hermitian(self.E)
-        _check_hermitian(self.G_angular)
-
-    def dense(self) -> np.ndarray:
-        return np.kron(self.G_angular, self.E)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.E).real * np.trace(self.G_angular).real)
-
-
-def kernel_fl_mask(band: FourierLaguerreBand, region: ProductMask) -> FactoredKernelFL:
-    """Factored FL kernel for an angular mask x radial interval region."""
-    G = G_mask_matrix(region.mask, band.L)
-    return FactoredKernelFL(E_matrix(band.P, region.R1, region.R2), G, band, region)

@@ -266,6 +266,30 @@ def test_kernel_command_writes_factors(tmp_path):
                                                      rel=1e-9)
 
 
+def test_kernel_command_mask_writes_the_grams(tmp_path):
+    # one E.mat for both FL region kinds: with G_mask.mat, the bytes of
+    # E_matrix and G_mask_matrix on the mask as the CLI reads it
+    mpath = tmp_path / "patch.txt"
+    sb.AngularMask.full_sphere_grid(
+        6, indicator=lambda t, p: ((t < 1.0) & (p < 2.0)).astype(float)).to_text(mpath)
+    spec, out = f"mask:{mpath},15,25", tmp_path / "k"
+    assert main(["kernel", "--domain", "fl", "--P", "5", "--L", "6", "--region", spec,
+                 "--out", str(out)]) == 0
+    region = cli.parse_region(spec)
+    E, G = sb.E_matrix(5, 15.0, 25.0), sb.G_mask_matrix(region.mask, 6)
+    assert (out / "E.mat").read_bytes() == matrix_file_bytes(E)
+    assert (out / "G_mask.mat").read_bytes() == matrix_file_bytes(G)
+    assert sorted(p.name for p in out.iterdir()) == ["E.mat", "G_mask.mat", "meta.json"]
+    traces = json.loads((out / "meta.json").read_text())["traces"]
+    assert traces["kernel"] == traces["E"] * traces["G_mask"]
+    assert traces["kernel"] == pytest.approx(traces["shannon"], rel=1e-9)
+    # every Gram is formed before the first write: a grid too coarse writes none
+    coarse = tmp_path / "coarse"
+    assert main(["kernel", "--domain", "fl", "--P", "5", "--L", "7", "--region", spec,
+                 "--out", str(coarse)]) == 2
+    assert list(coarse.glob("*.mat")) == []
+
+
 def test_kernel_command_fb_blocks(tmp_path):
     out = tmp_path / "kb"
     rc = run_cli("kernel", "--domain", "fb", "--K", "1.0", "--L", "3", "--M", "8",

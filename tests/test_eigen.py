@@ -130,6 +130,18 @@ def test_scaled_fl_spectrum_bounds(ref_region):
     assert abs(res.eigenvalues.sum() - res.shannon) / res.shannon < 1e-6
 
 
+def test_long_fl_interval_solves_as_the_half_line():
+    # tr E(1000, inf) < 1e-16 at P = 31, so [15, 1000] takes the half-line
+    # rule; it used to read N = 1992.148 and a top eigenvalue of 1.9995
+    band = sb.FourierLaguerreBand(31, 20)
+    region = sb.ProductSymmetric(15.0, 1000.0, 0.39, 1.18)
+    n = sb.shannon_fl(region, band)
+    assert round(n, 3) == 1992.587
+    assert n == sb.shannon_fl(sb.ProductSymmetric(15.0, math.inf, 0.39, 1.18), band)
+    lo, hi = sb.solve_fl(region, band, keep=0).raw_eigenvalue_range
+    assert 0.0 <= lo and hi <= 1.0
+
+
 def test_eigenvalue_transition_width(ref_fl):
     n_half = int((ref_fl.eigenvalues >= 0.5).sum())
     assert abs(n_half - ref_fl.shannon) < 0.05 * ref_fl.shannon
@@ -522,30 +534,24 @@ def test_fb_vector_floor_marks_null_space(ref_region):
 
 
 def _record_block_eighs(monkeypatch):
-    """Record (eigh size, smaller side of K_m) for every block eigensolve, and
-    the width q of each solve's radial basis Q; the eighs that build the
-    factors (E's and each G^m's rank cut) are not block eigensolves and are
-    left out."""
-    sides, dims, qs, building = [], [], [], []
+    """Record (eigh size, smaller side of K_m) for every eigensolve, and the
+    width q of each solve's radial basis Q.  Building the factors runs no
+    eigh (their rank cuts take SVDs), so each eigh is a block's."""
+    sides, dims, qs = [], [], []
     eigh, order_factors = np.linalg.eigh, kernels._order_factors
 
     def recording_factors(band, region):
-        building.append(True)
         Q, factor = order_factors(band, region)
-        building.pop()
         qs.append(Q.shape[2])
 
         def recording_factor(m):
-            building.append(True)
             K = factor(m)
-            building.pop()
             sides.append(min(K.shape))
             return K
         return Q, recording_factor
 
     def recording_eigh(a, *args, **kwargs):
-        if not building:
-            dims.append((a.shape[0], sides[-1]))
+        dims.append((a.shape[0], sides[-1]))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "_order_factors", recording_factors)
@@ -747,7 +753,8 @@ def test_fl_entry_points_by_region(name, rng):
     region = FB_TABLE_REGIONS[name]()
     res = sb.solve_fl(region, band)
     if name == "mask":
-        trace = sb.kernel_fl_mask(band, region).trace
+        trace = (np.trace(sb.E_matrix(band.P, region.R1, region.R2))
+                 * np.trace(sb.G_mask_matrix(region.mask, band.L)).real)
     else:
         trace = sum((2.0 if m else 1.0) * kernels.kernel_fl_fixed_order(m, band, region).trace
                     for m in range(band.L))
@@ -778,12 +785,17 @@ MASK_ORACLE_CASES = {
 }
 
 
+def _mask_angular(mask, L):
+    """The mask solve's angular eigenpairs: the thin SVD of the pixel factor."""
+    return kernels._gram_eigh(kernels._mask_factor(mask, L))
+
+
 @pytest.fixture(scope="module", params=list(MASK_ORACLE_CASES))
 def mask_vs_dense(request):
     make, n_active = MASK_ORACLE_CASES[request.param]
     mask = make()
     assert mask.indicator.sum() == n_active
-    return mask, eigen._mask_angular(mask, MASK_L), mask_dense_angular(mask, MASK_L)
+    return mask, _mask_angular(mask, MASK_L), mask_dense_angular(mask, MASK_L)
 
 
 def test_mask_angular_spectrum_matches_dense_oracle(mask_vs_dense):
@@ -896,7 +908,7 @@ def test_mask_solve_at_benchmark_size_matches_dense_oracle():
     L = 32
     mask = sb.AngularMask.full_sphere_grid(L, indicator=_patch)
     assert mask.indicator.sum() == 28
-    lam, V = eigen._mask_angular(mask, L)
+    lam, V = _mask_angular(mask, L)
     lam_dense, _ = mask_dense_angular(mask, L)
     assert np.abs(lam - lam_dense).max() < 1e-13
     assert np.count_nonzero(lam) <= 28
@@ -907,33 +919,47 @@ def test_mask_solve_at_benchmark_size_matches_dense_oracle():
     assert abs(res.eigenvalues.sum() - res.shannon) < 1e-6 * res.shannon
 
 
-@pytest.mark.parametrize("name", ["patch", "band"])
-def test_mask_solve_runs_no_eigensolve_larger_than_P(name, monkeypatch):
-    band = sb.FourierLaguerreBand(8, MASK_L)
-    mask = MASK_ORACLE_CASES[name][0]()
-    dims, svd_shapes = [], []
-    eigh, svd = np.linalg.eigh, np.linalg.svd
-
-    def recording_eigh(a, *args, **kwargs):
-        dims.append(a.shape[0])
-        return eigh(a, *args, **kwargs)
+def _record_separated_solve(monkeypatch, region, band):
+    """Solve, recording the shape of every SVD; any eigh fails the test."""
+    svd_shapes, svd = [], np.linalg.svd
 
     def recording_svd(a, *args, **kwargs):
         svd_shapes.append(a.shape)
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("eigh ran"))
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    res = sb.solve_fl(sb.ProductMask(mask, 15.0, 25.0), band)
-    assert dims and max(dims) <= band.P
-    assert svd_shapes == [(MASK_L ** 2, int(mask.indicator.sum()))]
+    return sb.solve_fl(region, band), svd_shapes
+
+
+@pytest.mark.parametrize("name", ["patch", "band"])
+def test_mask_solve_runs_no_eigensolve_larger_than_P(name, monkeypatch):
+    # no eigensolve at all: one thin SVD of E's factor (P x 2P + 24 radial
+    # nodes) and one of the pixel factor, so the raw spectrum is never negative
+    band = sb.FourierLaguerreBand(8, MASK_L)
+    mask = MASK_ORACLE_CASES[name][0]()
+    res, svd_shapes = _record_separated_solve(
+        monkeypatch, sb.ProductMask(mask, 15.0, 25.0), band)
+    assert svd_shapes == [(band.P, 2 * band.P + 24), (MASK_L ** 2, int(mask.indicator.sum()))]
     assert len(res) == band.size
+    assert res.raw_eigenvalue_range[0] >= 0.0
+
+
+def test_product_solve_runs_no_eigensolve(monkeypatch, ref_region):
+    # the reference product: one thin SVD of E's factor and one of each
+    # G^m's, (L - m) x L; an eigh of the formed E reads a raw minimum of -3.2e-16
+    band = sb.FourierLaguerreBand(31, 20)
+    res, svd_shapes = _record_separated_solve(monkeypatch, ref_region, band)
+    assert svd_shapes == [(31, 2 * 31 + 24)] + [(20 - m, 20) for m in range(20)]
+    assert len(res) == band.size
+    lo, hi = res.raw_eigenvalue_range
+    assert lo >= 0.0 and hi == res.eigenvalues[0]
 
 
 def test_empty_mask_solves_to_zero_spectrum(rng):
     band = sb.FourierLaguerreBand(4, 6)
     mask = sb.AngularMask.full_sphere_grid(6, indicator=lambda t, p: np.zeros_like(t))
-    lam, V = eigen._mask_angular(mask, band.L)
+    lam, V = _mask_angular(mask, band.L)
     assert np.all(lam == 0.0) and V.shape == (band.L ** 2, 0)
     # no range columns and no reflectors: the basis is the identity
     basis = eigen._AngularBasis.complete(V)

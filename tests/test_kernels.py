@@ -21,6 +21,13 @@ from slepian_ball.kernels import fb_k_weights
 T1, T2 = math.pi / 8, 3 * math.pi / 8
 
 
+def test_public_names_resolve_once():
+    # a removed export cannot linger in __all__
+    assert len(set(sb.__all__)) == len(sb.__all__)
+    for name in sb.__all__:
+        assert getattr(sb, name) is not None, name
+
+
 # ---------------------------------------------------------------------------
 # quadrature oracles (independent of the library's analytic paths)
 # ---------------------------------------------------------------------------
@@ -173,6 +180,22 @@ def test_e_matrix_open_interval_at_large_P():
     assert np.isfinite(E).all()
     lam = np.linalg.eigvalsh(E)
     assert lam.min() > -2e-15 and lam.max() < 1.0 + 1e-13
+
+
+@pytest.mark.parametrize("P, R_c", [(4, 65.0), (31, 200.0), (64, 345.0)])
+def test_e_matrix_on_long_intervals_stays_a_projection(P, R_c):
+    # from R_c on, tr E(R2, inf) < 1e-16 and [15, R2] takes the exact
+    # half-line rule; short of it the 2P + 24 Gauss-Legendre nodes resolve
+    # e^{-r}.  Both rules used to meet only at R2 = inf: P = 31 read a top
+    # eigenvalue of 1.9995 at R2 = 1000
+    band, E_inf = sb.FourierLaguerreBand(P, 1), sb.E_matrix(P, 15.0, math.inf)
+    for R2 in (30.0, 60.0, 100.0, 195.0, 250.0, 340.0, 500.0, 1000.0, 1e4, R_c - 5.0, R_c):
+        E = sb.E_matrix(P, 15.0, R2)
+        assert np.linalg.eigvalsh(E).max() <= 1.0 + 1e-12, R2
+        half_line = kernels._radial_rule(band, 15.0, R2).nodes.size == P + 1
+        assert half_line == (R2 >= R_c), R2
+        if R2 >= 500.0:
+            assert abs(np.trace(E) - np.trace(E_inf)) <= 1e-12, R2
 
 
 def test_e_matrix_domain_error():
@@ -399,7 +422,7 @@ def test_kernel_fb_union_is_sum_of_members():
 def test_product_factor_gram_side_matches_dense_factor(ref_region):
     # F_m = (sum Q_l) K_m with orthonormal Q_l, against the dense product
     # factor D[(l, n), (a, b)] = T[l, n, a] A_m[l, b] of the radial modes T and
-    # the rank-cut factor A_m of G^m: F_m is D, and K_m^T K_m is its Gram side
+    # the rank cut A_m of G^m's factor: F_m is D, and K_m^T K_m is its Gram side
     band = sb.FourierBesselBand(1.4, 20, 140)
     Q, factor = kernels._order_factors(band, ref_region)
     T = kernels._radial_modes(band, ref_region.R1, ref_region.R2)
@@ -407,7 +430,12 @@ def test_product_factor_gram_side_matches_dense_factor(ref_region):
     gram_Q = Q.transpose(0, 2, 1) @ Q
     assert np.abs(gram_Q - np.eye(Q.shape[2])).max() < 1e-14
     for m in (0, 5, 19):
-        A = kernels._rank_factor(sb.G_matrix(m, band.L, T1, T2))
+        A = kernels._rank_cut(kernels._band_factor(m, band.L, T1, T2))
+        G = sb.G_matrix(m, band.L, T1, T2)
+        assert np.abs(A @ A.T - G).max() < 1e-14
+        # the cut keeps the rank of G^m's own eigenvalues
+        assert A.shape[1] == np.count_nonzero(
+            kernels._above_rank_floor(np.linalg.eigvalsh(G), band.L - m))
         D = (T[m:, :, :, None] * A[:, None, None, :]).reshape((band.L - m) * band.M, -1)
         K = factor(m)
         assert K.shape == ((band.L - m) * Q.shape[2], D.shape[1])
@@ -426,12 +454,12 @@ def test_product_factor_gram_side_matches_dense_factor(ref_region):
 def test_fl_radial_modes_reproduce_E(P, R1, R2):
     # FL product members take their radial modes from the SVD of the K_p
     # table, as FB ones from the Bessel table: T T^T is E, and the rank, which
-    # sets each FL union's Gram side, is that of E's own rank-cut factor
+    # sets each FL union's Gram side, is that of E's own eigenvalues
     E = sb.E_matrix(P, R1, R2)
     T = kernels._radial_modes(sb.FourierLaguerreBand(P, 4), R1, R2)
     assert T.shape[:2] == (1, P)
     assert np.abs(T[0] @ T[0].T - E).max() < 1e-14 * np.linalg.norm(E, 2)
-    assert T.shape[2] == kernels._rank_factor(E).shape[1]
+    assert T.shape[2] == np.count_nonzero(kernels._above_rank_floor(np.linalg.eigvalsh(E), P))
 
 
 def test_kernel_fl_fixed_order_raw_blocks_pass_hermitian_check():
@@ -445,21 +473,6 @@ def test_kernel_fl_fixed_order_raw_blocks_pass_hermitian_check():
         for m in range(band.L):
             K = kernels.kernel_fl_fixed_order(m, band, region).matrix
             assert np.abs(K - K.T).max() <= 1e-12 * np.abs(K).max()
-
-
-def test_kernel_fl_fixed_order_check_sees_raw_assembly(monkeypatch):
-    # an asymmetric Gram must reach the Hermitian check unsymmetrized:
-    # `_rank_factor` checks each G^m before its eigh
-    G_matrix = kernels.G_matrix
-
-    def skewed(m, L, theta1, theta2):
-        G = G_matrix(m, L, theta1, theta2)
-        return G + np.triu(np.full(G.shape, 1e-6), 1)
-
-    monkeypatch.setattr(kernels, "G_matrix", skewed)
-    union = sb.RegionUnion((sb.ProductSymmetric(15.0, 19.0, T1, T2),))
-    with pytest.raises(ValueError, match="not Hermitian"):
-        kernels.kernel_fl_fixed_order(0, sb.FourierLaguerreBand(6, 4), union)
 
 
 def test_kernel_fl_fixed_order_matches_dense_oracle(ref_region):
@@ -531,13 +544,13 @@ def test_kernel_fl_mask_factored_trace():
     mask = sb.AngularMask.full_sphere_grid(
         L, indicator=lambda t, p: ((t > 0.7) & (t < 1.9) & (p < 4.0)).astype(float))
     region = sb.ProductMask(mask, 15.0, 25.0)
-    fac = sb.kernel_fl_mask(band, region)
+    E, G = sb.E_matrix(P, 15.0, 25.0), sb.G_mask_matrix(mask, L)
     # trace(E) * trace(G_mask) equals the radially-independent Shannon number
-    expect = sb.shannon_fl(region, band)
-    assert fac.trace == pytest.approx(expect, rel=1e-8)
-    dense = fac.dense()
+    trace = float(np.trace(E)) * float(np.trace(G).real)
+    assert trace == pytest.approx(sb.shannon_fl(region, band), rel=1e-8)
+    dense = np.kron(G, E)
     assert dense.shape == (band.size, band.size)
-    assert np.trace(dense).real == pytest.approx(fac.trace, rel=1e-12)
+    assert np.trace(dense).real == pytest.approx(trace, rel=1e-12)
 
 
 def test_g_mask_factor_matches_dense_oracle():
@@ -552,9 +565,8 @@ def test_g_mask_factor_matches_dense_oracle():
     assert np.abs(G - G.conj().T).max() < 1e-15
     # the dense FL mask kernel is E (x) G_mask over the band's index map
     band = sb.FourierLaguerreBand(3, L)
-    region = sb.ProductMask(mask, 15.0, 25.0)
     E = sb.E_matrix(3, 15.0, 25.0)
-    K = sb.kernel_fl_mask(band, region).dense()
+    K = np.kron(G, E)
     for a, b in (((2, 1, 0), (2, 1, 0)), ((4, -3, 1), (7, 2, 2))):
         row, col = a[0] ** 2 + a[0] + a[1], b[0] ** 2 + b[0] + b[1]
         assert K[band.flat_index(*a), band.flat_index(*b)] == pytest.approx(
@@ -562,25 +574,26 @@ def test_g_mask_factor_matches_dense_oracle():
 
 
 def test_factored_kernel_rejects_nonhermitian():
-    band = sb.FourierLaguerreBand(3, 4)
+    # the mask kernel's Grams E and G_mask are Hermitian as formed, and the
+    # Hermitian check every assembled kernel passes rejects a skew of either
     mask = sb.AngularMask.full_sphere_grid(4, indicator=lambda t, p: (t < 1.0).astype(float))
-    region = sb.ProductMask(mask, 15.0, 25.0)
-    fac = sb.kernel_fl_mask(band, region)
-    skewed = fac.G_angular.copy()
+    E, G = sb.E_matrix(3, 15.0, 25.0), sb.G_mask_matrix(mask, 4)
+    for a in (E, G):
+        kernels._check_hermitian(a)
+    skewed = G.copy()
     skewed[1, 2] += 1e-9 * np.abs(skewed).max()
     with pytest.raises(ValueError, match="not Hermitian"):
-        kernels.FactoredKernelFL(fac.E, skewed, band, region)
-    E_skewed = fac.E.copy()
+        kernels._check_hermitian(skewed)
+    E_skewed = E.copy()
     E_skewed[0, 1] += 1e-9
     with pytest.raises(ValueError, match="not Hermitian"):
-        kernels.FactoredKernelFL(E_skewed, fac.G_angular, band, region)
+        kernels._check_hermitian(E_skewed)
 
 
 def test_kernel_fl_mask_grid_too_coarse():
-    band = sb.FourierLaguerreBand(4, 8)
     mask = sb.AngularMask.full_sphere_grid(4)
-    with pytest.raises(ValueError):
-        sb.kernel_fl_mask(band, sb.ProductMask(mask, 1.0, 2.0))
+    with pytest.raises(ValueError, match="band-limit 4 is below L=8"):
+        sb.G_mask_matrix(mask, 8)
 
 
 def test_kernel_matrix_rejects_nonhermitian():

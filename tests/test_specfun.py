@@ -469,12 +469,14 @@ def test_gauss_legendre_standard_rule_cached(monkeypatch):
     regions.AzimuthallySymmetric.from_indicator(
         lambda r, t: np.ones_like(r), 1.0, 2.0, n_r=23, n_theta=23)
     # radial rules add one eigensolve each: the analysis grid's 12-node
-    # Gauss-Laguerre rule and the energy grid's 2P + 24 = 30-node Legendre one
+    # Gauss-Laguerre rule and the energy grid's 2P + 24 = 30-node Legendre
+    # one; a finite FL interval also weighs its tail past R2 on the
+    # uncached (P + 1)-node Gauss-Laguerre rule, at every call
     transforms.analysis_grid(kernels.FourierLaguerreBand(3, 23))
     for _ in range(2):
         transforms.region_energy_grid(
             regions.ProductSymmetric(1.0, 2.0, 0.3, 1.2), kernels.FourierLaguerreBand(3, 23))
-    assert calls == [23, 12, 30]
+    assert calls == [23, 12, 4, 30, 4]
     x, w = np.polynomial.legendre.leggauss(23)
     for a, rule in zip((-1.0, 0.0, 2.0), rules):
         assert np.array_equal(rule.nodes, (a + 0.75) + 0.75 * x)
