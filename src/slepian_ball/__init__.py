@@ -5,7 +5,7 @@ from .eigen import (EigenResult, HarmonicCoeffs, angular_shannon,
                     solve_fl, space_limit)
 from .kernels import (C_kernel, E_matrix, FourierBesselBand,
                       FourierLaguerreBand, G_mask_matrix, G_matrix,
-                      KernelMatrix, fb_k_weights, kernel_fb_fixed_order)
+                      fb_k_weights, kernel_fb_fixed_order)
 from .regions import (AngularMask, AzimuthallySymmetric, BallPoint,
                       ProductMask, ProductSymmetric, RegionUnion, contains,
                       contains_points, full_ball, solid_angle, volume)
@@ -18,7 +18,7 @@ from .transforms import (SpatialGrid, analysis_fl, analysis_grid,
 __all__ = [
     "AngularMask", "AzimuthallySymmetric", "BallPoint", "C_kernel",
     "E_matrix", "EigenResult", "FourierBesselBand", "FourierLaguerreBand",
-    "G_mask_matrix", "G_matrix", "HarmonicCoeffs", "KernelMatrix",
+    "G_mask_matrix", "G_matrix", "HarmonicCoeffs",
     "ProductMask", "ProductSymmetric", "QuadratureRule", "RegionUnion",
     "SpatialGrid", "analysis_fl", "analysis_grid", "angular_shannon",
     "contains", "contains_points", "fb_k_weights", "full_ball",

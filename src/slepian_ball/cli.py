@@ -321,9 +321,9 @@ def cmd_kernel(cfg: RunConfig, region, band) -> int:
     else:
         total = 0.0
         for m in orders:
-            km = kernels.kernel_fb_fixed_order(m, band, region)
-            write_matrix(os.path.join(cfg.out, f"B_m{m}.mat"), km.matrix)
-            total += (2.0 if m > 0 else 1.0) * km.trace
+            B = kernels.kernel_fb_fixed_order(m, band, region)
+            write_matrix(os.path.join(cfg.out, f"B_m{m}.mat"), B)
+            total += (2.0 if m > 0 else 1.0) * float(np.trace(B))
         if cfg.order is None:
             traces["kernel"] = total
     traces["shannon"] = eigen.shannon(region, band)

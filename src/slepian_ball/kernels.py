@@ -19,11 +19,13 @@ the band's one rule for [R1, R2], `_radial_rule`.  So each coupling is one
 factor A of square-root-weighted node values with Gram A A^H:
 `_radial_factor` (E, or C per degree), `_band_factor` (G^m) and
 `_mask_factor` (G_mask, the Y_lm at a pixel mask's active pixels).
-`E_matrix`, `G_matrix` and `G_mask_matrix` return those Grams; the solves
-never form them, and take every spectrum from the thin SVD of a factor
-(`_gram_eigh`), cut to its numerical rank where a factor is kept
-(`_rank_cut`).  The fixed-order blocks of both bands are kept as a factor
-too, B_m = F_m F_m^T.
+`E_matrix`, `G_matrix` and `G_mask_matrix` return those Grams as plain
+arrays; the solves never form them, and take every spectrum from the thin
+SVD of a factor (`_gram_eigh`), cut to its numerical rank where a factor is
+kept (`_rank_cut`).  The fixed-order blocks of both bands are kept as a
+factor too, B_m = F_m F_m^T.  numpy forms each Gram A A^H with one
+symmetric rank-k update and mirrors its triangle, so every Gram is exactly
+Hermitian and none is checked at run time.
 
 The bands differ only in their radial functions (`_radial_table`), radial
 rule and k weights (`fb_k_weights`); all else runs one body.  Every region's
@@ -34,11 +36,11 @@ radial modes are the `_rank_cut` of the `_radial_factor` for a product
 member (`_radial_modes`), and one thin SVD of the radial table on the
 grid's radii for an azimuthally symmetric region; every cut, G^m's
 included, is one rule (`_above_rank_floor`).  `kernel_fixed_order`
-(alias `kernel_fl_fixed_order`, `kernel_fb_fixed_order`) returns F_m F_m^T;
-the block solver eigensolves the smaller side of K_m, as an SVD of K_m
-costs about five times more.  The test suite checks each against an analytic
-oracle (exponential moments in extended precision, Wigner-3j sums, Lommel
-closed forms for C) or a dense assembly and eigensolve.  `C_kernel`
+(alias `kernel_fl_fixed_order`, `kernel_fb_fixed_order`) returns the array
+F_m F_m^T; the block solver eigensolves the smaller side of K_m, as an SVD
+of K_m costs about five times more.  The test suite checks each against an
+analytic oracle (exponential moments in extended precision, Wigner-3j sums,
+Lommel closed forms for C) or a dense assembly and eigensolve.  `C_kernel`
 evaluates one entry of C through `_c_quad_rule` at its own k.
 
 The continuous Fourier-Bessel spectrum is discretized on uniform samples
@@ -157,34 +159,6 @@ def fb_k_weights(band: SpectralBand) -> np.ndarray | None:
 
 
 _CLAMP_TOL = 1e-9  # how far rounding may take a Gram's spectrum past [0, 1]
-
-
-def _check_hermitian(a: np.ndarray):
-    """Raise ValueError unless a is Hermitian to 1e-12 of its largest entry."""
-    a = np.asarray(a)
-    herm = np.abs(a - a.conj().T).max()
-    scale = max(np.abs(a).max(), 1e-300)
-    if not herm <= 1e-12 * scale:  # a NaN entry fails too
-        raise ValueError(f"kernel is not Hermitian: rel asymmetry {herm / scale:.2e}")
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Assembled Hermitian kernel (full band or one fixed order m)."""
-
-    matrix: np.ndarray
-    band: SpectralBand
-    region: object
-    domain: str                  # "FL" or "FB-discretized"
-    order: int | None = None     # fixed azimuthal order, if block-assembled
-    k_weights: np.ndarray | None = None  # FB symmetrization weights
-
-    def __post_init__(self):
-        _check_hermitian(self.matrix)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
 
 
 # ---------------------------------------------------------------------------
@@ -486,17 +460,16 @@ def _member_factors(band: SpectralBand, region):
 # assembled kernels
 # ---------------------------------------------------------------------------
 
-def kernel_fixed_order(m: int, band: SpectralBand, region) -> KernelMatrix:
-    """Fixed-order kernel F_m F_m^T of `_order_factors`, symmetric by
-    construction.  A FL product member contributes G^m (x) E, E cut to its
-    rank; FB gives B = W^{1/2} (C o G) W^{1/2}, W the k-sample weights, whose
-    eigenvectors map back to coefficient samples via W^{-1/2}, and raises
-    ValueError when dk * R_max > pi (`_check_k_sampling`)."""
+def kernel_fixed_order(m: int, band: SpectralBand, region) -> np.ndarray:
+    """Fixed-order kernel F_m F_m^T of `_order_factors` as a plain array,
+    exactly symmetric (see the module docstring).  A FL product member
+    contributes G^m (x) E, E cut to its rank; FB gives B = W^{1/2} (C o G)
+    W^{1/2}, W the k-sample weights, whose eigenvectors map back to
+    coefficient samples via W^{-1/2}, and raises ValueError when
+    dk * R_max > pi (`_check_k_sampling`)."""
     Q, factor = _order_factors(band, region)
     F = _lift(Q[abs(m):], factor(m))
-    w = fb_k_weights(band)
-    return KernelMatrix(F @ F.T, band, region, "FL" if w is None else "FB-discretized",
-                        order=abs(m), k_weights=w)
+    return F @ F.T
 
 
 kernel_fl_fixed_order = kernel_fb_fixed_order = kernel_fixed_order  # band-named

@@ -74,13 +74,15 @@ def _orientation(value) -> tuple[float, float] | None:
 
 
 def _check_rule(name: str, nodes: np.ndarray, weights: np.ndarray, hi: float):
-    """ValueError unless `nodes` ascend strictly within [0, hi], one positive weight each."""
+    """ValueError unless finite `nodes` ascend strictly within [0, hi], one
+    positive finite weight each."""
     if nodes.ndim != 1 or nodes.size == 0 or weights.shape != nodes.shape:
         raise ValueError(f"{name} grid needs one weight per node")
-    if not (nodes[0] >= 0.0 and nodes[-1] <= hi and np.all(np.diff(nodes) > 0)):
-        raise ValueError(f"{name} nodes must ascend strictly within [0, {hi:.6g}]")
-    if not np.all(weights > 0):
-        raise ValueError(f"{name} weights must be positive")
+    if not (0.0 <= nodes[0] and nodes[-1] <= hi and math.isfinite(nodes[-1])
+            and np.all(np.diff(nodes) > 0)):
+        raise ValueError(f"{name} nodes must be finite and ascend strictly within [0, {hi:.6g}]")
+    if not np.all((weights > 0) & (weights < math.inf)):
+        raise ValueError(f"{name} weights must be positive and finite")
 
 
 def _value_eq(self, other):

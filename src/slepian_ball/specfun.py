@@ -95,9 +95,10 @@ def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule(mid + half * x, half * w, "gauss-legendre-on-interval")
 
 
-def gauss_laguerre_scaled_rule(n: int, a: float) -> QuadratureRule:
-    """Gauss-Laguerre rule on [a, inf) with scaled weights W_i = w_i e^{x_i}:
-    sum_i W_i f(a + x_i) = int_a^inf f dr for f = e^{-r} poly(2n - 1).
+@functools.lru_cache(maxsize=64)
+def _laggauss_scaled(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard Gauss-Laguerre nodes x_i and scaled weights W_i = w_i e^{x_i}
+    on [0, inf), read-only: `gauss_laguerre_scaled_rule` shifts them.
 
     Golub-Welsch nodes after one Newton step, L_n' = n (L_n - L_{n-1}) / x,
     and Christoffel weights W_i = 1 / sum_{k<n} (e^{-x_i/2} L_k(x_i))^2.
@@ -105,8 +106,6 @@ def gauss_laguerre_scaled_rule(n: int, a: float) -> QuadratureRule:
     L_{k+1} - L_k cancels, and from e^{-x/4}: |e^{-x/2} L_k| <= 1 keeps every
     value below e^{x/4}, finite for nodes up to 2800 (n up to about 700).
     """
-    if n < 1:
-        raise ValueError("need at least one node")
     off = np.arange(1.0, n)
     x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) - np.diag(off, 1) - np.diag(off, -1))
     for newton in (True, False):  # polish the nodes, then weigh them
@@ -118,7 +117,19 @@ def gauss_laguerre_scaled_rule(n: int, a: float) -> QuadratureRule:
             cur = cur + diff
         if newton:
             x = x - x * cur / (n * diff)
-    return QuadratureRule(a + x, 1.0 / total, "gauss-laguerre-scaled")
+    w = 1.0 / total
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_laguerre_scaled_rule(n: int, a: float) -> QuadratureRule:
+    """Gauss-Laguerre rule on [a, inf) with scaled weights W_i = w_i e^{x_i}:
+    sum_i W_i f(a + x_i) = int_a^inf f dr for f = e^{-r} poly(2n - 1).  The
+    standard rule (`_laggauss_scaled`) is cached per n and shifted by a."""
+    if n < 1:
+        raise ValueError("need at least one node")
+    x, w = _laggauss_scaled(n)
+    return QuadratureRule(a + x, w.copy(), "gauss-laguerre-scaled")
 
 
 def gauss_laguerre_rule(n: int) -> QuadratureRule:

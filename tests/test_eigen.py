@@ -738,7 +738,7 @@ def test_fb_entry_points_by_region(name, rng):
             sb.kernel_fb_fixed_order(0, band, region)
         return
     res = sb.solve_fb(region, band)
-    trace = sum((2.0 if m else 1.0) * sb.kernel_fb_fixed_order(m, band, region).trace
+    trace = sum((2.0 if m else 1.0) * np.trace(sb.kernel_fb_fixed_order(m, band, region))
                 for m in range(band.L))
     assert res.eigenvalues.sum() == pytest.approx(trace, rel=1e-10)
     assert res.eigenvalues.sum() == pytest.approx(shannon, rel=0.01)
@@ -756,7 +756,7 @@ def test_fl_entry_points_by_region(name, rng):
         trace = (np.trace(sb.E_matrix(band.P, region.R1, region.R2))
                  * np.trace(sb.G_mask_matrix(region.mask, band.L)).real)
     else:
-        trace = sum((2.0 if m else 1.0) * kernels.kernel_fl_fixed_order(m, band, region).trace
+        trace = sum((2.0 if m else 1.0) * np.trace(kernels.kernel_fl_fixed_order(m, band, region))
                     for m in range(band.L))
     assert res.eigenvalues.sum() == pytest.approx(trace, rel=1e-10)
     assert res.eigenvalues.sum() == pytest.approx(sb.shannon_fl(region, band), rel=1e-9)

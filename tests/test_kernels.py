@@ -8,6 +8,7 @@ precision, G Wigner-3j sums, C Lommel closed forms).
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,7 +336,7 @@ def test_kernel_fl_entry_full_ball_identity():
     # every fixed-order block of the full ball is the identity
     band = sb.FourierLaguerreBand(3, 3)
     for m in range(band.L):
-        K = kernels.kernel_fl_fixed_order(m, band, sb.full_ball()).matrix
+        K = kernels.kernel_fl_fixed_order(m, band, sb.full_ball())
         assert np.abs(K - np.eye((band.L - m) * band.P)).max() < 1e-12
 
 
@@ -367,7 +368,7 @@ def test_kernel_fl_entry_vs_2d_quadrature():
             trule.weights * np.sin(trule.nodes)
             * Pb[l - abs(m)] * Pb[l2 - abs(m)]))
         expect = rad * ang
-        K = kernels.kernel_fl_fixed_order(abs(m), band, region).matrix
+        K = kernels.kernel_fl_fixed_order(abs(m), band, region)
         got = K[(l - abs(m)) * band.P + p, (l2 - abs(m)) * band.P + p2]
         assert got == pytest.approx(expect, abs=1e-10)
 
@@ -380,8 +381,7 @@ def test_kernel_fl_entry_band_errors():
 
 def test_kernel_fb_fixed_order_symmetric_and_bounded(ref_region):
     band = sb.FourierBesselBand(1.0, 6, 20)
-    km = sb.kernel_fb_fixed_order(2, band, ref_region)
-    B = km.matrix
+    B = sb.kernel_fb_fixed_order(2, band, ref_region)
     assert np.abs(B - B.T).max() < 1e-12 * np.abs(B).max()
     ev = np.linalg.eigvalsh(B)
     assert ev.min() > -1e-9
@@ -392,8 +392,8 @@ def test_kernel_fb_trace_matches_shannon(ref_region):
     band = sb.FourierBesselBand(1.0, 8, 60)
     total = 0.0
     for m in range(band.L):
-        km = sb.kernel_fb_fixed_order(m, band, ref_region)
-        total += (2.0 if m > 0 else 1.0) * km.trace
+        B = sb.kernel_fb_fixed_order(m, band, ref_region)
+        total += (2.0 if m > 0 else 1.0) * float(np.trace(B))
     analytic = sb.shannon_fb(ref_region, band)
     assert total == pytest.approx(analytic, rel=0.01)
 
@@ -404,7 +404,7 @@ def test_kernel_fb_fixed_order_matches_dense_oracle(ref_region):
         lambda r, t: (t < 1.0).astype(float), 15.0, 25.0, n_r=24, n_theta=12)
     for region in (ref_region, shell):
         for m in (0, 2, 5):
-            B = sb.kernel_fb_fixed_order(m, band, region).matrix
+            B = sb.kernel_fb_fixed_order(m, band, region)
             assert np.abs(B - fb_dense_block(m, band, region)).max() < 1e-13
 
 
@@ -413,10 +413,23 @@ def test_kernel_fb_union_is_sum_of_members():
     a = sb.ProductSymmetric(15.0, 19.0, T1, T2)
     b = sb.ProductSymmetric(21.0, 25.0, 0.2, 0.9)
     for m in (0, 3):
-        B = sb.kernel_fb_fixed_order(m, band, sb.RegionUnion((a, b))).matrix
-        parts = (sb.kernel_fb_fixed_order(m, band, a).matrix
-                 + sb.kernel_fb_fixed_order(m, band, b).matrix)
+        B = sb.kernel_fb_fixed_order(m, band, sb.RegionUnion((a, b)))
+        parts = (sb.kernel_fb_fixed_order(m, band, a)
+                 + sb.kernel_fb_fixed_order(m, band, b))
         assert np.abs(B - parts).max() < 1e-14
+
+
+def test_kernel_fixed_order_peak_is_its_result(ref_region):
+    # the block is one product F F^T: no temporary of its size rides along
+    band = sb.FourierBesselBand(1.4, 20, 70)
+    tracemalloc.start()
+    try:
+        B = kernels.kernel_fixed_order(0, band, ref_region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert B.shape == (band.L * band.M,) * 2
+    assert peak <= 1.25 * B.nbytes, (peak, B.nbytes)
 
 
 def test_product_factor_gram_side_matches_dense_factor(ref_region):
@@ -462,17 +475,26 @@ def test_fl_radial_modes_reproduce_E(P, R1, R2):
     assert T.shape[2] == np.count_nonzero(kernels._above_rank_floor(np.linalg.eigvalsh(E), P))
 
 
-def test_kernel_fl_fixed_order_raw_blocks_pass_hermitian_check():
-    band = sb.FourierLaguerreBand(8, 6)
-    azim = sb.AzimuthallySymmetric.from_indicator(
-        lambda r, t: ((t > T1) & (t < T2)).astype(float), 15.0, 25.0,
-        n_r=32, n_theta=24)
+def test_grams_are_exactly_hermitian():
+    # every Gram is formed as A A^H, which numpy builds from one triangle and
+    # mirrors, so no entry may differ from its transpose by even one rounding
+    # (a plain product F @ F.T.copy() leaves ~1e-17 skews at these sizes)
+    sloped = sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: ((t > 0.3 + 0.02 * (r - 15.0)) & (t < 1.2)).astype(float),
+        15.0, 25.0, n_r=16, n_theta=16)
     union = sb.RegionUnion((sb.ProductSymmetric(15.0, 19.0, T1, T2),
                             sb.ProductSymmetric(21.0, 25.0, 0.2, 0.9)))
-    for region in (azim, union):
-        for m in range(band.L):
-            K = kernels.kernel_fl_fixed_order(m, band, region).matrix
-            assert np.abs(K - K.T).max() <= 1e-12 * np.abs(K).max()
+    grams = [(sb.E_matrix(31, 15.0, R2), R2) for R2 in (25.0, math.inf)]
+    grams += [(sb.G_matrix(m, 20, T1, T2), m) for m in range(20)]
+    mask = sb.AngularMask.full_sphere_grid(
+        12, indicator=lambda t, p: ((t > 0.7) & (t < 1.9) & (p < 4.0)).astype(float))
+    grams.append((sb.G_mask_matrix(mask, 10), "mask"))
+    for band in (sb.FourierLaguerreBand(31, 8), sb.FourierBesselBand(1.0, 6, 20)):
+        for region in (sb.ProductSymmetric(15.0, 25.0, T1, T2), union, sloped):
+            grams += [(kernels.kernel_fixed_order(m, band, region), (band, region, m))
+                      for m in range(band.L)]
+    for K, case in grams:
+        assert np.array_equal(K, K.conj().T), case
 
 
 def test_kernel_fl_fixed_order_matches_dense_oracle(ref_region):
@@ -487,7 +509,7 @@ def test_kernel_fl_fixed_order_matches_dense_oracle(ref_region):
                                  sb.ProductSymmetric(15.0, math.inf, T1, T2)))
     for region in (ref_region, azim, union, open_union):
         for m in (0, 2, 5):
-            K = kernels.kernel_fl_fixed_order(m, band, region).matrix
+            K = kernels.kernel_fl_fixed_order(m, band, region)
             dense = fl_dense_block(m, band, region)
             assert np.abs(K - dense).max() < 1e-13 * np.abs(dense).max(), (region, m)
 
@@ -573,34 +595,10 @@ def test_g_mask_factor_matches_dense_oracle():
             E[a[2], b[2]] * G[row, col], abs=1e-15)
 
 
-def test_factored_kernel_rejects_nonhermitian():
-    # the mask kernel's Grams E and G_mask are Hermitian as formed, and the
-    # Hermitian check every assembled kernel passes rejects a skew of either
-    mask = sb.AngularMask.full_sphere_grid(4, indicator=lambda t, p: (t < 1.0).astype(float))
-    E, G = sb.E_matrix(3, 15.0, 25.0), sb.G_mask_matrix(mask, 4)
-    for a in (E, G):
-        kernels._check_hermitian(a)
-    skewed = G.copy()
-    skewed[1, 2] += 1e-9 * np.abs(skewed).max()
-    with pytest.raises(ValueError, match="not Hermitian"):
-        kernels._check_hermitian(skewed)
-    E_skewed = E.copy()
-    E_skewed[0, 1] += 1e-9
-    with pytest.raises(ValueError, match="not Hermitian"):
-        kernels._check_hermitian(E_skewed)
-
-
 def test_kernel_fl_mask_grid_too_coarse():
     mask = sb.AngularMask.full_sphere_grid(4)
     with pytest.raises(ValueError, match="band-limit 4 is below L=8"):
         sb.G_mask_matrix(mask, 8)
-
-
-def test_kernel_matrix_rejects_nonhermitian():
-    band = sb.FourierLaguerreBand(2, 2)
-    bad = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        sb.KernelMatrix(bad, band, sb.full_ball(), "FL")
 
 
 def test_analytic_vs_quadrature_randomized(rng):

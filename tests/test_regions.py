@@ -340,6 +340,7 @@ def test_product_mask_region():
 
 AZIMUTHAL = sb.AzimuthallySymmetric.from_indicator(
     lambda r, t: ((r < 20.0) & (t < 1.0)).astype(float), 15.0, 25.0, n_r=4, n_theta=4)
+MASK_BAND = sb.AngularMask.band(T1, T2, 4)
 
 
 @pytest.mark.parametrize("bad", [
@@ -355,6 +356,29 @@ def test_azimuthal_grid_checked_at_construction(bad):
     assert sb.volume(AZIMUTHAL) > 0
     with pytest.raises(ValueError):
         dataclasses.replace(AZIMUTHAL, **bad)
+
+
+def _inf_at_end(a):
+    a = a.copy()
+    a[-1] = math.inf
+    return a
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: dataclasses.replace(AZIMUTHAL, r_nodes=_inf_at_end(AZIMUTHAL.r_nodes)),
+     "radial nodes must be finite"),
+    (lambda: dataclasses.replace(AZIMUTHAL, r_weights=_inf_at_end(AZIMUTHAL.r_weights)),
+     "radial weights must be positive and finite"),
+    (lambda: dataclasses.replace(AZIMUTHAL, theta_weights=_inf_at_end(AZIMUTHAL.theta_weights)),
+     "colatitude weights must be positive and finite"),
+    (lambda: dataclasses.replace(MASK_BAND, theta_weights=_inf_at_end(MASK_BAND.theta_weights)),
+     "mask colatitude weights must be positive and finite"),
+], ids=["inf-r-node", "inf-r-weight", "inf-theta-weight", "inf-mask-row-weight"])
+def test_non_finite_grid_rejected_at_construction(make, match):
+    # once accepted: volume and shannon_fl then read nan or inf, and solve_fl's
+    # SVD did not converge for three of the four
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 def test_masks_and_sampled_regions_compare_by_value():

@@ -460,6 +460,7 @@ def test_gauss_legendre_standard_rule_cached(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     specfun._leggauss.cache_clear()
+    specfun._laggauss_scaled.cache_clear()
     rules = [gauss_legendre_rule(23, a, a + 1.5) for a in (-1.0, 0.0, 2.0)]
     kernels.G_matrix(0, 23, 0.3, 1.2)
     kernels.G_matrix(5, 23, 0.1, 2.2)
@@ -468,15 +469,15 @@ def test_gauss_legendre_standard_rule_cached(monkeypatch):
     regions.AngularMask.band(0.3, 1.2, 23)
     regions.AzimuthallySymmetric.from_indicator(
         lambda r, t: np.ones_like(r), 1.0, 2.0, n_r=23, n_theta=23)
-    # radial rules add one eigensolve each: the analysis grid's 12-node
-    # Gauss-Laguerre rule and the energy grid's 2P + 24 = 30-node Legendre
-    # one; a finite FL interval also weighs its tail past R2 on the
-    # uncached (P + 1)-node Gauss-Laguerre rule, at every call
+    # radial rules add one eigensolve per n: the analysis grid's 12-node
+    # Gauss-Laguerre rule, the energy grid's 2P + 24 = 30-node Legendre one
+    # and the (P + 1)-node Gauss-Laguerre rule on which a finite FL interval
+    # weighs its tail past R2, cached like the Legendre rules
     transforms.analysis_grid(kernels.FourierLaguerreBand(3, 23))
     for _ in range(2):
         transforms.region_energy_grid(
             regions.ProductSymmetric(1.0, 2.0, 0.3, 1.2), kernels.FourierLaguerreBand(3, 23))
-    assert calls == [23, 12, 4, 30, 4]
+    assert calls == [23, 12, 4, 30]
     x, w = np.polynomial.legendre.leggauss(23)
     for a, rule in zip((-1.0, 0.0, 2.0), rules):
         assert np.array_equal(rule.nodes, (a + 0.75) + 0.75 * x)
@@ -486,6 +487,12 @@ def test_gauss_legendre_standard_rule_cached(monkeypatch):
         specfun._leggauss(23)[0][0] = 0.0
     rules[0].nodes[0] = 99.0
     assert gauss_legendre_rule(23, -1.0, 0.5).nodes[0] != 99.0
+    laguerre = specfun.gauss_laguerre_scaled_rule(4, 0.0)
+    with pytest.raises(ValueError):
+        specfun._laggauss_scaled(4)[1][0] = 0.0
+    laguerre.nodes[0] = laguerre.weights[0] = 99.0
+    again = specfun.gauss_laguerre_scaled_rule(4, 0.0)
+    assert again.nodes[0] != 99.0 and again.weights[0] != 99.0
 
 
 def test_gauss_laguerre_exactness():
