@@ -1,8 +1,7 @@
 """Slepian spatial-spectral concentration on the three-dimensional ball."""
 
-from .eigen import (EigenResult, HarmonicCoeffs, angular_shannon,
-                    rotate_eigenfunction, shannon_fb, shannon_fl, solve_fb,
-                    solve_fl, space_limit)
+from .eigen import (EigenResult, HarmonicCoeffs, angular_shannon, rotate_eigenfunction,
+                    shannon_fb, shannon_fl, solve_fb, solve_fl)
 from .kernels import (C_kernel, E_matrix, FourierBesselBand,
                       FourierLaguerreBand, G_mask_matrix, G_matrix,
                       fb_k_weights, kernel_fb_fixed_order)
@@ -12,7 +11,7 @@ from .regions import (AngularMask, AzimuthallySymmetric, BallPoint,
 from .specfun import QuadratureRule, gauss_laguerre_rule, gauss_legendre_rule
 from .transforms import (SpatialGrid, analysis_fl, analysis_grid,
                          quality_measure, region_energy_grid, slepian_coeffs,
-                         synthesis_fb, synthesis_fl, synthesis_fl_grid,
+                         space_limit, synthesis_fb, synthesis_fl, synthesis_fl_grid,
                          synthesis_separable, truncate_reconstruct)
 
 __all__ = [

@@ -300,8 +300,6 @@ def cmd_kernel(cfg: RunConfig, region, band) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     traces, orders = {}, (range(band.L) if cfg.order is None else [cfg.order])
     if cfg.domain == "fl":
-        if not isinstance(region, (ProductMask, ProductSymmetric)):
-            raise ValueError("kernel export supports product and mask regions")
         # every Gram is formed before the first write, so a rejected mask grid writes none
         E = kernels.E_matrix(band.P, region.R1, region.R2)
         traces["E"] = float(np.trace(E))
@@ -358,8 +356,7 @@ def cmd_eigen(cfg: RunConfig, region, band) -> int:
         ranks = np.arange(res.stored)
         if cfg.order is not None:
             ranks = ranks[res.orders[:res.stored] == cfg.order]
-        r_max = getattr(region, "R2", None)
-        r_max = 2.0 * r_max if r_max and not math.isinf(r_max) else 50.0
+        r_max = 50.0 if math.isinf(region.R2) else 2.0 * region.R2
         rs = np.linspace(r_max / n_r, r_max, n_r)
         ts = np.linspace(0.0, math.pi, n_t)
         Rg, Tg = np.meshgrid(rs, ts, indexing="ij")

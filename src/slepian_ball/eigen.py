@@ -1,4 +1,4 @@
-"""Concentration eigenproblems: solve, order, normalize; Shannon numbers; duals.
+"""Concentration eigenproblems: solve, order, normalize; Shannon numbers; rotation.
 
 Eigenfunctions are returned in spectral form (coefficient vectors over the
 band's index map) by one solve, `solve` (alias `solve_fl`, `solve_fb`).
@@ -44,9 +44,8 @@ from . import kernels as ker
 from . import specfun
 from .kernels import _CLAMP_TOL, FourierBesselBand, FourierLaguerreBand, SpectralBand
 from .regions import (AzimuthallySymmetric, ProductMask, ProductSymmetric,
-                      RegionUnion, contains_points, solid_angle)
+                      RegionUnion, _orientation, solid_angle)
 
-_SPACE_LIMIT_MIN_LAM = 1e-12
 # A Gram-side block eigenvector F z / sqrt(mu) loses orthonormality like
 # eps / mu; at or above this floor the residual stays below 1e-10.
 _VECTOR_FLOOR = 1e-5
@@ -156,7 +155,7 @@ def _order_blocks(m: int | None, L: int, lam, keys=None, **vectors) -> list[_Blo
 class EigenResult:
     """Sorted spectrum merged from per-order blocks; see the module docstring."""
 
-    def __init__(self, blocks, band, region, shannon, raw, keep):
+    def __init__(self, blocks, band, shannon, raw, keep):
         lam, m, i, j = (np.concatenate(c) for c in zip(*(
             (b.lam, np.full(b.lam.size, b.m or 0), b.i, b.j) for b in blocks)))
         order = _spectrum_order(lam, m, i, j)
@@ -174,7 +173,6 @@ class EigenResult:
         self._blocks = blocks
         self._ranks = np.split(rank, np.cumsum([b.lam.size for b in blocks])[:-1])
         self.band = band
-        self.region = region
         self.shannon = float(shannon)
         # the range of the eigenvalues the solve computed, before clamping
         self.raw_eigenvalue_range = (min(float(r.min()) for r in raw),
@@ -410,7 +408,7 @@ def solve(region, band: SpectralBand, keep: int | None = None) -> EigenResult:
     else:  # the block factor rejects other region types
         blocks, raw = _solve_blocks(region, band, keep)
     # shannon_fl is shannon, in either band; perfbench's span wraps that name
-    return EigenResult(blocks, band, region, shannon_fl(region, band), raw, keep)
+    return EigenResult(blocks, band, shannon_fl(region, band), raw, keep)
 
 
 solve_fl = solve_fb = solve  # the band-named entry points
@@ -468,41 +466,8 @@ def angular_shannon(L: int, theta1: float, theta2: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# space-limited duals and rotation
+# rotation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpaceLimited:
-    """Space-limited dual g = S_R f / sqrt(lam) of a band-limited eigenfunction.
-
-    `coeffs` holds the in-band spectral coefficients sqrt(lam) * f (valid on
-    the band only; g itself is band-unlimited).  `evaluate` gives pointwise
-    spatial values in either band.
-    """
-
-    source: HarmonicCoeffs
-    lam: float
-    region: object
-
-    @property
-    def coeffs(self) -> HarmonicCoeffs:
-        return HarmonicCoeffs(math.sqrt(self.lam) * self.source.values,
-                              self.source.band)
-
-    def evaluate(self, points) -> np.ndarray:
-        from . import transforms
-        vals = transforms._synthesis_points(self.source, points)
-        inside = contains_points(self.region, *transforms._points_arrays(points))
-        return vals * inside / math.sqrt(self.lam)
-
-
-def space_limit(f: HarmonicCoeffs, lam: float, region) -> SpaceLimited:
-    """Unit-energy space-limited dual of eigenfunction f with eigenvalue lam."""
-    if lam < _SPACE_LIMIT_MIN_LAM:
-        raise ValueError(f"eigenvalue {lam} below {_SPACE_LIMIT_MIN_LAM}; "
-                         "the space-limited dual is not defined")
-    return SpaceLimited(f, float(lam), region)
-
 
 def rotate_eigenfunction(f: HarmonicCoeffs, theta0: float, phi0: float) -> HarmonicCoeffs:
     """Rotate a coefficient vector of either band by R_z(phi0) R_y(theta0).
@@ -511,7 +476,9 @@ def rotate_eigenfunction(f: HarmonicCoeffs, theta0: float, phi0: float) -> Harmo
     f'_{lm.} = sum_n e^{-i m phi0} d^l_{mn}(theta0) f_{ln.}, with one
     d^l matrix per degree (`specfun.wigner_d_matrix`); the radial index
     (p in Fourier-Laguerre, the k sample in Fourier-Bessel) is untouched.
+    Angles that are not finite raise ValueError (`regions._orientation`).
     """
+    theta0, phi0 = _orientation((theta0, phi0))
     L = f.band.L
     blocks = f.values.reshape(L * L, -1)  # rows l*l + l + m, radial index fast
     out = np.empty_like(blocks)

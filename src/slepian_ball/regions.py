@@ -37,8 +37,8 @@ class BallPoint:
     phi: float
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"radius must be >= 0, got {self.r}")
+        if not (0.0 <= self.r < math.inf):
+            raise ValueError(f"radius must be finite and >= 0, got {self.r}")
         if not (0.0 <= self.theta <= math.pi):
             raise ValueError(f"colatitude must be in [0, pi], got {self.theta}")
         if not (0.0 <= self.phi < 2.0 * math.pi):

@@ -16,8 +16,8 @@ the rest of the package:
   would overflow at once);
 * radial Laguerre functions ``K_p(r) = sqrt(p!/(p+2)!) e^{-r/2} L_p^{(2)}(r)``,
   orthonormal under the measure ``r^2 dr`` on the half line;
-* orthonormal spherical harmonics with the Condon-Shortley phase carried
-  by the associated Legendre recurrence;
+* orthonormal spherical harmonics, one order over all degrees at a time, with
+  the Condon-Shortley phase carried by the associated Legendre recurrence;
 * the real Wigner d-matrix of one degree, from the eigendecomposition of
   the angular-momentum component J_y;
 * Gauss-Legendre and Gauss-Laguerre quadrature rules, the only integration
@@ -278,7 +278,8 @@ def norm_alf_table(L: int, m: int, theta: np.ndarray) -> np.ndarray:
 def sph_harm_matrix(L: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """All Y_{l m} with l < L at given points; shape (L*L, npts).
 
-    Row ordering is flat = l*l + l + m (the package-wide angular ordering).
+    Row ordering is flat = l*l + l + m (the package-wide angular ordering);
+    each order m fills the rows of all its degrees, and of -m, in one step.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
@@ -286,10 +287,10 @@ def sph_harm_matrix(L: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     for m in range(L):
         pb = norm_alf_table(L, m, theta)
         e = np.exp(1j * m * phi)
-        for l in range(m, L):
-            out[l * l + l + m] = pb[l - m] * e
-            if m > 0:
-                out[l * l + l - m] = (-1) ** m * pb[l - m] * np.conj(e)
+        ls = np.arange(m, L)
+        out[ls * ls + ls + m] = pb * e
+        if m > 0:
+            out[ls * ls + ls - m] = (-1) ** m * pb * np.conj(e)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Transforms on the ball and Slepian-basis representation.
+"""Transforms on the ball, space-limited duals and Slepian-basis representation.
 
 The Fourier-Laguerre analysis/synthesis pair here is exact for band-limited
 signals: radially the scaled Gauss-Laguerre rule samples f K_p r^2, e^{-r}
@@ -12,9 +12,11 @@ separable grid, radial nodes x colatitudes x uniform azimuths,
 stack of vectors: the radial sums, one degree at a time in the stack's own
 dtype, one Pbar_lm(cos theta) table per order m contracting the degrees
 into azimuthal bin m mod n_phi, and one inverse FFT over the bins.  No Y_lm
-table of the grid is built.  `synthesis_fl_grid` and the CLI's eigenfunction maps and
-`synth` grids go through it.  `synthesis_fl` and `synthesis_fb` evaluate
-one vector at scattered points with the same radial tables.
+table of the grid is built; `synthesis_fl_grid` (either band) and the CLI's
+eigenfunction maps and `synth` grids go through it.  `synthesis` (alias
+`synthesis_fl`, `synthesis_fb`) evaluates one vector of either band at
+scattered points; the duals of `space_limit` evaluate through it, so the
+modules import downward only: specfun, regions, kernels, eigen, transforms, cli.
 
 Fourier-Laguerre analysis takes the quadrature sum one axis at a time and
 never holds a Y_lm table of the grid: the weighted K_p(r) table contracts
@@ -39,9 +41,10 @@ import numpy as np
 
 from . import specfun
 from .eigen import EigenResult, HarmonicCoeffs
-from .kernels import (FourierBesselBand, FourierLaguerreBand, _radial_rule, _radial_table,
-                      fb_k_weights)
-from .regions import AngularMask, BallPoint, ProductSymmetric
+from .kernels import FourierLaguerreBand, _radial_rule, _radial_table, fb_k_weights
+from .regions import AngularMask, ProductSymmetric, contains_points
+
+_SPACE_LIMIT_MIN_LAM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,17 +99,19 @@ def region_energy_grid(region, band) -> SpatialGrid:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Laguerre synthesis / analysis
+# synthesis in either band, Fourier-Laguerre analysis
 # ---------------------------------------------------------------------------
 
 def _points_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(points, np.ndarray):
-        pts = np.atleast_2d(points)
-        return pts[:, 0], pts[:, 1], pts[:, 2]
-    r = np.array([p.r for p in points])
-    th = np.array([p.theta for p in points])
-    ph = np.array([p.phi for p in points])
-    return r, th, ph
+    """(r, theta, phi) of BallPoints or of an (N, 3) array, whose values must
+    be finite with r >= 0 and 0 <= theta <= pi (any phi: it is periodic)."""
+    if not isinstance(points, np.ndarray):
+        points = np.array([(p.r, p.theta, p.phi) for p in points]).reshape(-1, 3)
+    pts = np.atleast_2d(points)
+    r, th = pts[:, 0], pts[:, 1]
+    if not (np.isfinite(pts).all() and (r >= 0).all() and ((th >= 0) & (th <= math.pi)).all()):
+        raise ValueError("points need finite (r, theta, phi), r >= 0 and 0 <= theta <= pi")
+    return r, th, pts[:, 2]
 
 
 def _radial_sums(values, band, r) -> np.ndarray:
@@ -169,7 +174,13 @@ def synthesis_separable(values, band, r, theta, n_phi: int) -> np.ndarray:
     return np.fft.ifft(out, axis=-1, norm="forward")
 
 
-def _synthesis_points(coeffs: HarmonicCoeffs, points) -> np.ndarray:
+def synthesis(coeffs: HarmonicCoeffs, points) -> np.ndarray:
+    """Evaluate coefficients of either band at BallPoints or (N, 3) (r, theta, phi).
+
+    The radial sums (`_radial_sums`) times Y_lm, 512 points at a time:
+    f = sum f_{lmp} K_p(r) Y_lm in Fourier-Laguerre, and in Fourier-Bessel the
+    Riemann sum f = sum w_n f_{lm}(k_n) X_{lm}(k_n, r) over the kernels' k weights.
+    """
     r, th, ph = _points_arrays(points)
     out = np.empty(r.size, dtype=complex)
     # chunks bound the Fourier-Bessel radial table, L * M * 8 bytes per point
@@ -179,21 +190,12 @@ def _synthesis_points(coeffs: HarmonicCoeffs, points) -> np.ndarray:
     return out
 
 
-def synthesis_fl(coeffs: HarmonicCoeffs, points) -> np.ndarray:
-    """Evaluate f(r) = sum f_{lmp} K_p(r) Y_{lm}(theta, phi) at points.
-
-    `points` is a list of BallPoint or an (N, 3) array of (r, theta, phi).
-    """
-    if not isinstance(coeffs.band, FourierLaguerreBand):
-        raise TypeError("synthesis_fl needs Fourier-Laguerre coefficients")
-    return _synthesis_points(coeffs, points)
+synthesis_fl = synthesis_fb = synthesis  # the band-named entry points
 
 
 def synthesis_fl_grid(coeffs: HarmonicCoeffs, grid: SpatialGrid) -> np.ndarray:
     """Synthesis on a separable grid whose azimuths are 2 pi j / n_phi (others
-    raise ValueError); returns (n_r, n_theta, n_phi) values."""
-    if not isinstance(coeffs.band, FourierLaguerreBand):
-        raise TypeError("synthesis_fl_grid needs Fourier-Laguerre coefficients")
+    raise ValueError), in either band; returns (n_r, n_theta, n_phi) values."""
     if grid.angular_band < coeffs.band.L:
         raise ValueError("grid angular band below coefficient band")
     return synthesis_separable(coeffs.values[None], coeffs.band, grid.radial_nodes,
@@ -238,19 +240,38 @@ def analysis_fl(values: np.ndarray, grid: SpatialGrid,
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Bessel synthesis
+# space-limited duals
 # ---------------------------------------------------------------------------
 
-def synthesis_fb(coeffs: HarmonicCoeffs, points) -> np.ndarray:
-    """Riemann-sum synthesis of discretized Fourier-Bessel coefficients.
+@dataclass(frozen=True)
+class SpaceLimited:
+    """Space-limited dual g = S_R f / sqrt(lam) of a band-limited eigenfunction.
 
-    f(r) = sum_{l,m,n} w_n f_{lm}(k_n) X_{lm}(k_n, r), with the same k
-    weights used in kernel symmetrization so energy identities transfer to
-    the discrete setting.
+    `coeffs` holds the in-band spectral coefficients sqrt(lam) * f (valid on
+    the band only; g itself is band-unlimited).  `evaluate` gives pointwise
+    spatial values in either band.
     """
-    if not isinstance(coeffs.band, FourierBesselBand):
-        raise TypeError("synthesis_fb needs Fourier-Bessel coefficients")
-    return _synthesis_points(coeffs, points)
+
+    source: HarmonicCoeffs
+    lam: float
+    region: object
+
+    @property
+    def coeffs(self) -> HarmonicCoeffs:
+        return HarmonicCoeffs(math.sqrt(self.lam) * self.source.values,
+                              self.source.band)
+
+    def evaluate(self, points) -> np.ndarray:
+        inside = contains_points(self.region, *_points_arrays(points))
+        return synthesis(self.source, points) * inside / math.sqrt(self.lam)
+
+
+def space_limit(f: HarmonicCoeffs, lam: float, region) -> SpaceLimited:
+    """Unit-energy space-limited dual of eigenfunction f, eigenvalue lam in [1e-12, 1]."""
+    if not _SPACE_LIMIT_MIN_LAM <= lam <= 1.0:
+        raise ValueError(f"eigenvalue {lam} outside [{_SPACE_LIMIT_MIN_LAM}, 1]; "
+                         "the space-limited dual is not defined")
+    return SpaceLimited(f, float(lam), region)
 
 
 # ---------------------------------------------------------------------------

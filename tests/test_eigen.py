@@ -1140,6 +1140,15 @@ def test_space_limit_rejects_null_eigenvalue(ref_region):
         sb.space_limit(res.coeffs(0), 1e-13, ref_region)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 2.0, 1.0 + 1e-12])
+def test_space_limit_rejects_eigenvalues_above_one_or_not_finite(lam, ref_region):
+    # a projection's eigenvalues lie in [0, 1]; the dual takes [1e-12, 1]
+    f = sb.solve_fl(ref_region, sb.FourierLaguerreBand(4, 4)).coeffs(0)
+    with pytest.raises(ValueError, match="outside"):
+        sb.space_limit(f, lam, ref_region)
+    assert sb.space_limit(f, 1.0, ref_region).coeffs.values.tolist() == f.values.tolist()
+
+
 # ---------------------------------------------------------------------------
 # rotation
 # ---------------------------------------------------------------------------
@@ -1202,6 +1211,14 @@ def test_rotation_matches_jacobi_oracle(L, rng):
     for th0, ph0 in [(0.8, 2.1), (2.9, -0.4)]:
         out = sb.rotate_eigenfunction(c, th0, ph0)
         assert np.abs(out.values - rotate_jacobi(c.values, band, th0, ph0)).max() < 1e-13
+
+
+@pytest.mark.parametrize("angles", [(math.nan, 0.1), (0.2, math.inf)])
+def test_rotation_rejects_non_finite_angles(angles):
+    band = sb.FourierLaguerreBand(3, 3)
+    c = sb.HarmonicCoeffs(np.ones(band.size), band)
+    with pytest.raises(ValueError, match="finite"):
+        sb.rotate_eigenfunction(c, *angles)
 
 
 def test_fb_rotation_equals_fl_rotation(rng):

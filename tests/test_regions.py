@@ -27,6 +27,12 @@ def test_ballpoint_validation():
         sb.BallPoint(1.0, 0.5, 7.0)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_ballpoint_rejects_non_finite_radius(r):
+    with pytest.raises(ValueError, match="radius must be finite"):
+        sb.BallPoint(r, 0.5, 0.5)
+
+
 def test_solid_angle_full_sphere():
     mask = sb.AngularMask.full_sphere_grid(8)
     assert mask.solid_angle == pytest.approx(4 * math.pi, abs=1e-10)

@@ -1,8 +1,10 @@
 """Transform and Slepian-representation tests."""
 
+import ast
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +289,84 @@ def test_scaled_grid_synthesis_bounded_memory_round_trip(rng):
     assert peak < 64e6
     back = sb.analysis_fl(vals, grid, band)
     assert np.abs(back.values - c.values).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# one synthesis for both bands; points; module order
+# ---------------------------------------------------------------------------
+
+def test_band_named_synthesis_entry_points_are_one_function():
+    assert transforms.synthesis_fl is transforms.synthesis_fb is transforms.synthesis
+    assert sb.synthesis_fl is sb.synthesis_fb is transforms.synthesis
+
+
+def test_fb_coefficients_through_fl_named_entry_points(rng):
+    # synthesis_fl and synthesis_fl_grid take coefficients of either band
+    band = sb.FourierBesselBand(1.0, 4, 8)
+    c = random_coeffs(band, rng)
+    grid = transforms.region_energy_grid(sb.ProductSymmetric(15.0, 25.0, T1, T2), band)
+    pts = _grid_points(grid.radial_nodes, grid.theta_nodes, grid.phi_nodes.size)
+    want = sb.synthesis_fb(c, pts)
+    assert np.array_equal(sb.synthesis_fl(c, pts), want)
+    got = sb.synthesis_fl_grid(c, grid)
+    assert got.shape == (grid.radial_nodes.size, grid.theta_nodes.size, grid.phi_nodes.size)
+    assert np.abs(got.ravel() - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("row", [(-1.0, 0.5, 0.5), (2.0, 4.0, 0.5), (2.0, -0.1, 0.5),
+                                 (math.nan, 0.5, 0.5), (math.inf, 0.5, 0.5),
+                                 (2.0, math.nan, 0.5), (2.0, 0.5, math.nan), (2.0, 0.5, -math.inf)],
+                         ids=["r<0", "theta>pi", "theta<0", "r-nan", "r-inf", "theta-nan",
+                              "phi-nan", "phi-inf"])
+def test_point_arrays_reject_invalid_points(row, rng):
+    band = sb.FourierLaguerreBand(3, 3)
+    c = random_coeffs(band, rng)
+    region = sb.ProductSymmetric(15.0, 25.0, T1, T2)
+    pts = np.array([[2.0, 0.5, 0.5], row])
+    with pytest.raises(ValueError, match="points need finite"):
+        sb.synthesis_fl(c, pts)
+    with pytest.raises(ValueError, match="points need finite"):
+        sb.space_limit(c, 0.5, region).evaluate(pts)
+
+
+def test_point_arrays_take_any_finite_azimuth(rng):
+    # the azimuth is periodic: phi outside [0, 2 pi) is the same point
+    band = sb.FourierLaguerreBand(3, 3)
+    c = random_coeffs(band, rng)
+    got = sb.synthesis_fl(c, np.array([[2.0, 0.5, 0.5 + 2 * math.pi], [2.0, 0.5, -5.0]]))
+    want = sb.synthesis_fl(c, np.array([[2.0, 0.5, 0.5], [2.0, 0.5, 2 * math.pi - 5.0]]))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+_MODULE_ORDER = ["specfun", "regions", "kernels", "eigen", "transforms", "cli"]
+
+
+def _package_imports(tree):
+    """Package modules named by the imports anywhere in `tree`, function bodies included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "slepian_ball":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                yield module.partition(".")[0]
+            else:
+                yield from (a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (a.name.split(".")[1] for a in node.names
+                        if a.name.startswith("slepian_ball."))
+
+
+def test_modules_import_downward_only():
+    # specfun <- regions <- kernels <- eigen <- transforms <- cli, at every level
+    src = Path(sb.__file__).parent
+    assert {p.stem for p in src.glob("*.py")} - {"__init__", "__main__"} == set(_MODULE_ORDER)
+    upward = [(name, target) for rank, name in enumerate(_MODULE_ORDER)
+              for target in _package_imports(ast.parse((src / f"{name}.py").read_text()))
+              if _MODULE_ORDER.index(target) >= rank]
+    assert upward == []
 
 
 # ---------------------------------------------------------------------------
