@@ -53,7 +53,8 @@ _VECTOR_FLOOR = 1e-5
 
 @dataclass(frozen=True)
 class HarmonicCoeffs:
-    """Flat complex coefficient vector over a band's index map."""
+    """Flat complex coefficient vector over a band's index map; its values
+    must be finite."""
 
     values: np.ndarray
     band: SpectralBand
@@ -64,6 +65,8 @@ class HarmonicCoeffs:
         if v.shape != (self.band.size,):
             raise ValueError(
                 f"coefficient vector has length {v.shape}, band needs {self.band.size}")
+        if not np.isfinite(v).all():
+            raise ValueError("coefficient vector holds non-finite values")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))

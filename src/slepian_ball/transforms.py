@@ -8,12 +8,14 @@ Synthesis in both bands first sums each coefficient vector against a
 radial table (`kernels._radial_table`: K_p(r) for Fourier-Laguerre, the
 k-weighted j_l(k_n r) for Fourier-Bessel), then against Y_lm.  On a
 separable grid, radial nodes x colatitudes x uniform azimuths,
-`synthesis_separable` is the analysis route below run backwards for a whole
-stack of vectors: the radial sums, one degree at a time in the stack's own
-dtype, one Pbar_lm(cos theta) table per order m contracting the degrees
-into azimuthal bin m mod n_phi, and one inverse FFT over the bins.  No Y_lm
-table of the grid is built; `synthesis_fl_grid` (either band) and the CLI's
-eigenfunction maps and `synth` grids go through it.  `synthesis` (alias
+`synthesis_separable` is the analysis route below run backwards, one vector
+of a stack at a time: that vector's radial sums, one degree at a time in the
+stack's own dtype, then one Pbar_lm(cos theta) table per order m that some
+vector of the stack occupies, built once, contracting the degrees into
+azimuthal bin m mod n_phi, and one inverse FFT over the bins, in place.
+Neither a Y_lm table of the grid nor the radial sums of the whole stack are
+built; `synthesis_fl_grid` (either band) and the CLI's eigenfunction maps
+and `synth` grids go through it.  `synthesis` (alias
 `synthesis_fl`, `synthesis_fb`) evaluates one vector of either band at
 scattered points; the duals of `space_limit` evaluate through it, so the
 modules import downward only: specfun, regions, kernels, eigen, transforms, cli.
@@ -103,26 +105,29 @@ def region_energy_grid(region, band) -> SpatialGrid:
 # ---------------------------------------------------------------------------
 
 def _points_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r, theta, phi) of BallPoints or of an (N, 3) array, whose values must
-    be finite with r >= 0 and 0 <= theta <= pi (any phi: it is periodic)."""
+    """(r, theta, phi) of BallPoints or of an (N, 3) or (3,) array, whose values
+    must be finite with r >= 0 and 0 <= theta <= pi (any phi: it is periodic)."""
     if not isinstance(points, np.ndarray):
         points = np.array([(p.r, p.theta, p.phi) for p in points]).reshape(-1, 3)
     pts = np.atleast_2d(points)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points need shape (N, 3) or (3,), got {points.shape}")
     r, th = pts[:, 0], pts[:, 1]
     if not (np.isfinite(pts).all() and (r >= 0).all() and ((th >= 0) & (th <= math.pi)).all()):
         raise ValueError("points need finite (r, theta, phi), r >= 0 and 0 <= theta <= pi")
     return r, th, pts[:, 2]
 
 
-def _radial_sums(values, band, r) -> np.ndarray:
-    """Radial sums of a stack of coefficient vectors at radii r, (count, L^2, n_r).
+def _radial_sums(values, band, r):
+    """Radial sums of a stack of coefficient vectors at radii r: yields one
+    (L^2, n_r) array per vector, in the stack's order.
 
     Fourier-Laguerre: sum_p f_{lmp} K_p(r).  Fourier-Bessel: the discretized
     k integral sqrt(2/pi) sum_n w_n k_n f_{lm}(k_n) j_l(k_n r).  `values`,
-    (count, band.size), is read one degree at a time, each degree's rows
-    made contiguous in the stack's own dtype: a transposed stack is not
-    copied whole, and the products (and their rounding) do not depend on
-    its layout.
+    (count, band.size), is read one vector and degree at a time, each
+    degree's rows made contiguous in the stack's own dtype: a transposed
+    stack is not copied whole, and the products (and their rounding) do not
+    depend on its layout.
     """
     L = band.L
     C = np.asarray(values).reshape(-1, L * L, band.size // (L * L))
@@ -131,11 +136,12 @@ def _radial_sums(values, band, r) -> np.ndarray:
         T = T * np.sqrt(w)[:, None]
     T = np.broadcast_to(T, (L,) + T.shape[1:])
     dtype = np.result_type(C, float)
-    out = np.empty((C.shape[0], L * L, r.size), dtype)
-    for l in range(L):
-        rows = slice(l * l, (l + 1) ** 2)
-        out[:, rows] = np.ascontiguousarray(C[:, rows], dtype=dtype) @ T[l]
-    return out
+    for c in C:
+        out = np.empty((L * L, r.size), dtype)
+        for l in range(L):
+            rows = slice(l * l, (l + 1) ** 2)
+            out[rows] = np.ascontiguousarray(c[rows], dtype=dtype) @ T[l]
+        yield out
 
 
 def _fft_azimuths(phi) -> int:
@@ -151,11 +157,13 @@ def synthesis_separable(values, band, r, theta, n_phi: int) -> np.ndarray:
     """Evaluate a stack of coefficient vectors on radii x colatitudes x azimuths.
 
     `values` is (count, band.size) in either band; the azimuths are
-    phi_j = 2 pi j / n_phi.  Returns (count, r.size, theta.size, n_phi).  After
-    the radial sums, in the stack's dtype, one table Pbar_{lm}(cos theta) per
-    order m contracts the degrees of +m into azimuthal bin m mod n_phi and,
-    times (-1)^m, those of -m into bin -m mod n_phi; an unnormalized inverse
-    FFT over the bins gives sum_m e^{i m phi_j}, exact at any n_phi >= 1.
+    phi_j = 2 pi j / n_phi.  Returns (count, r.size, theta.size, n_phi).  For
+    one vector at a time, tables Pbar_{lm}(cos theta) contract its radial
+    sums, in the stack's dtype: the degrees of +m into azimuthal bin
+    m mod n_phi and, times (-1)^m, those of -m into bin -m mod n_phi.  A table
+    is built once, for each order with a nonzero coefficient in some vector
+    (the others add exact zeros).  An unnormalized inverse FFT over the bins,
+    in place, gives sum_m e^{i m phi_j}, exact at any n_phi >= 1.
     """
     if np.shape(values)[-1] != band.size:
         raise ValueError(f"coefficient vectors have length {np.shape(values)[-1]}, "
@@ -163,15 +171,21 @@ def synthesis_separable(values, band, r, theta, n_phi: int) -> np.ndarray:
     if n_phi < 1:
         raise ValueError(f"n_phi must be >= 1, got {n_phi}")
     L, theta = band.L, np.asarray(theta, dtype=float).ravel()
-    rad = _radial_sums(values, band, np.asarray(r, dtype=float).ravel())  # (count, L^2, n_r)
-    out = np.zeros((rad.shape[0], rad.shape[2], theta.size, n_phi), dtype=complex)
-    for m in range(L):
-        pb = specfun.norm_alf_table(L, m, theta)                 # (L - m, n_theta)
-        ls = np.arange(m, L)
-        out[..., m % n_phi] += rad[:, ls * ls + ls + m].transpose(0, 2, 1) @ pb
-        if m > 0:
-            out[..., -m % n_phi] += (-1) ** m * (rad[:, ls * ls + ls - m].transpose(0, 2, 1) @ pb)
-    return np.fft.ifft(out, axis=-1, norm="forward")
+    r = np.asarray(r, dtype=float).ravel()
+    C = np.asarray(values).reshape(-1, L * L, band.size // (L * L))
+    deg = np.arange(L)
+    m_rows = np.abs(np.arange(L * L) - np.repeat(deg * deg + deg, 2 * deg + 1))  # |m| of each row
+    live = np.unique(m_rows[C.any(axis=(0, 2))]).tolist()  # orders with a nonzero coefficient
+    tables = {m: specfun.norm_alf_table(L, m, theta) for m in live}
+    out = np.zeros((C.shape[0], r.size, theta.size, n_phi), dtype=complex)
+    for o, rad in zip(out, _radial_sums(C, band, r)):         # rad: (L^2, n_r)
+        for m, pb in tables.items():                           # pb: (L - m, n_theta)
+            ls = np.arange(m, L)
+            o[..., m % n_phi] += rad[ls * ls + ls + m].T @ pb
+            if m > 0:
+                o[..., -m % n_phi] += (-1) ** m * (rad[ls * ls + ls - m].T @ pb)
+        np.fft.ifft(o, axis=-1, norm="forward", out=o)
+    return out
 
 
 def synthesis(coeffs: HarmonicCoeffs, points) -> np.ndarray:
@@ -186,7 +200,7 @@ def synthesis(coeffs: HarmonicCoeffs, points) -> np.ndarray:
     # chunks bound the Fourier-Bessel radial table, L * M * 8 bytes per point
     for c in (slice(s, s + 512) for s in range(0, r.size, 512)):
         Y = specfun.sph_harm_matrix(coeffs.band.L, th[c], ph[c])
-        out[c] = np.einsum("qn,qn->n", Y, _radial_sums(coeffs.values, coeffs.band, r[c])[0])
+        out[c] = np.einsum("qn,qn->n", Y, next(_radial_sums(coeffs.values, coeffs.band, r[c])))
     return out
 
 

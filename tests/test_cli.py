@@ -606,6 +606,13 @@ def test_csv_rows_matches_per_value_writer(rng):
     assert n % cli._CSV_CHUNK
     assert [c.count(b"\n") for c in chunks] == \
         [cli._CSV_CHUNK] * (n // cli._CSV_CHUNK) + [n % cli._CSV_CHUNK]
+    # guard: columns whose chunks repeat their values, some of them across
+    # chunk boundaries, with signed zeros, NaNs and infinities among them
+    few = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 0.1, -2.5])
+    repeated = (np.resize(np.repeat(few, 700), n), rng.choice(few, size=n), np.resize(few, n),
+                np.where(np.arange(n) % 3, floats, -0.0), np.repeat(floats[::400], 400)[:n])
+    columns = (ints, *repeated, strings)
+    assert b"".join(_csv_rows(*columns)).decode() == csv_rows_per_value(*columns)
     assert list(_csv_rows(np.arange(3), None)) == [b"0,\n1,\n2,\n"]
     assert list(_csv_rows(np.zeros(0), np.zeros(0, dtype=int))) == []
 
@@ -849,8 +856,8 @@ def test_fb_reference_eigen_command_holds_no_whole_output(tmp_path, monkeypatch)
 
 def test_fl_eigen_grid_holds_one_vector_stack(tmp_path, monkeypatch):
     # --grid at P = L = 64 with --count 25 holds one stack of 64^3 x 25
-    # doubles (52 MB) and its 13 MB of radial sums; the radial sums read the
-    # transposed stack one degree at a time, with no second whole copy
+    # doubles (52 MB) and one vector's radial sums at a time; the radial sums
+    # read the transposed stack one degree at a time, with no second whole copy
     solve = eigen.solve_fl
 
     def solve_then_trace(*args, **kwargs):
@@ -1077,6 +1084,25 @@ def test_bad_signal_exits_2_before_output(tmp_path, capsys, command, extra):
                *extra, "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", [False, True], ids=["coefficients", "samples"])
+def test_project_non_finite_signal_exits_2_before_output(tmp_path, capsys, samples):
+    # a NaN coefficient used to project to all-NaN Slepian coefficients
+    band = sb.FourierLaguerreBand(3, 3)
+    grid = transforms.analysis_grid(band)
+    shape = (grid.radial_nodes.size, grid.theta_nodes.size * grid.phi_nodes.size) if samples \
+        else (band.size, 1)
+    signal = np.ones(shape)
+    signal[1, 0] = math.nan
+    sig = tmp_path / "c.mat"
+    write_matrix(sig, signal)
+    out = tmp_path / "o"
+    rc = main(["project", "--P", "3", "--L", "3", "--region", REGION, "--signal", str(sig),
+               "--out", str(out)])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
 
 

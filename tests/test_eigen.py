@@ -448,6 +448,17 @@ def test_fb_project_takes_the_band_inner_product(ref_region, rng):
     assert np.abs(back.values - h.values).max() < 1e-12 * np.abs(h.values).max()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)],
+                         ids=["nan", "inf", "imag-inf"])
+def test_harmonic_coeffs_reject_non_finite_values(bad):
+    # a NaN vector used to construct, and project gave all-NaN Slepian coefficients
+    band = sb.FourierLaguerreBand(3, 3)
+    values = np.ones(band.size, dtype=complex)
+    values[band.size // 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        sb.HarmonicCoeffs(values, band)
+
+
 def test_fb_region_energy_equals_eigenvalue(ref_region):
     band = sb.FourierBesselBand(1.0, 5, 20)
     res = sb.solve_fb(ref_region, band)

@@ -291,6 +291,71 @@ def test_scaled_grid_synthesis_bounded_memory_round_trip(rng):
     assert np.abs(back.values - c.values).max() < 1e-10
 
 
+def _order_vectors(band, orders):
+    """Eigenvectors of the reference product region, the first of each azimuthal order."""
+    solve = sb.solve_fl if isinstance(band, sb.FourierLaguerreBand) else sb.solve_fb
+    res = solve(sb.ProductSymmetric(15.0, 25.0, T1, T2), band, keep=None)
+    ranks = [int(np.flatnonzero(res.orders == m)[0]) for m in orders]
+    return res._stack(np.array(ranks)).T
+
+
+@pytest.mark.parametrize("band", [sb.FourierLaguerreBand(5, 8), sb.FourierBesselBand(1.0, 8, 10)],
+                         ids=["fl", "fb"])
+def test_synthesis_separable_of_one_order_builds_one_legendre_table(band, monkeypatch):
+    values = _order_vectors(band, [2, -2])
+    calls = []
+    table = specfun.norm_alf_table
+    monkeypatch.setattr(specfun, "norm_alf_table", lambda L, m, th: calls.append(m) or
+                        table(L, m, th))
+    transforms.synthesis_separable(values, band, np.array([16.0, 20.0]), np.linspace(0, 3, 4), 5)
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("band", [sb.FourierLaguerreBand(5, 8), sb.FourierBesselBand(1.0, 8, 10)],
+                         ids=["fl", "fb"])
+def test_synthesis_separable_rows_do_not_depend_on_the_rest_of_the_stack(band):
+    # guard: the orders another vector occupies add exact zeros to this one
+    v2, v5 = _order_vectors(band, [2, 5])
+    r, theta = np.array([16.0, 20.0, 24.0]), np.linspace(0.0, math.pi, 5)
+    for n_phi in (1, 3, 16):
+        both = transforms.synthesis_separable(np.array([v2, v5]), band, r, theta, n_phi)
+        one = transforms.synthesis_separable(v2[None], band, r, theta, n_phi)
+        assert both[0].tobytes() == one[0].tobytes()
+
+
+def test_reference_eigenfunction_maps_stay_below_the_whole_radial_sums(ref_region, ref_fl_band):
+    # the 12 order-2 maps of `eigen --order 2 --grid 64,48`: summing all 12
+    # vectors' radial sums at once held (12, 400, 64) doubles, 2.5 MB, and
+    # traced 4.8 MB with the stack; one vector's sums take 0.2 MB
+    band = ref_fl_band
+    res = sb.solve_fl(ref_region, band, keep=None)
+    ranks = np.flatnonzero(res.orders == 2)[:12]
+    rs, ts = np.linspace(50.0 / 64, 50.0, 64), np.linspace(0.0, math.pi, 48)
+    tracemalloc.start()
+    try:
+        maps = transforms.synthesis_separable(res._stack(ranks).T, band, rs, ts, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert maps.shape == (12, 64, 48, 1)
+    assert peak <= 3e6
+
+
+def test_point_arrays_reject_other_shapes(rng):
+    band = sb.FourierLaguerreBand(3, 3)
+    c = random_coeffs(band, rng)
+    region = sb.ProductSymmetric(15.0, 25.0, T1, T2)
+    # a fourth column was dropped, and two columns raised IndexError
+    for pts in (np.array([[2.0, 0.5, 0.5, 99.0]]), np.array([[2.0, 0.5]]), np.zeros((2, 3, 1)),
+                np.array([2.0, 0.5])):
+        with pytest.raises(ValueError, match=r"points need shape \(N, 3\) or \(3,\)"):
+            sb.synthesis_fl(c, pts)
+        with pytest.raises(ValueError, match=r"points need shape"):
+            sb.space_limit(c, 0.5, region).evaluate(pts)
+    one = np.array([2.0, 0.5, 0.5])
+    assert np.array_equal(sb.synthesis_fl(c, one), sb.synthesis_fl(c, one[None]))
+
+
 # ---------------------------------------------------------------------------
 # one synthesis for both bands; points; module order
 # ---------------------------------------------------------------------------
