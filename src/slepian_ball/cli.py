@@ -14,9 +14,7 @@ so no whole eigenvector stack is held; the slabs are real for every region
 but a pixel mask, whose tag is decided from its slabs before the header is
 written.  Reading checks the payload length against the header and fills
 the array in one read.  CSV output carries 17 significant digits so doubles
-round-trip, and is formatted and written `_CSV_CHUNK` rows at a time; in a
-chunk where at least half of a float column's values repeat, each distinct
-value (by bit pattern, so -0.0 stays apart from 0.0) is formatted once.  All
+round-trip, and is formatted and written `_CSV_CHUNK` rows at a time.  All
 files are written atomically (temp file + rename) with mode 0o666 less the
 umask, as `open` would create them.
 
@@ -171,22 +169,8 @@ def read_matrix(path: str):
     return out
 
 
-_CSV_FORMATS = {"f": "%.17g", "i": "%d", "U": "%s", "O": "%s"}
+_CSV_FORMATS = {"f": "%.17g", "i": "%d", "U": "%s"}
 _CSV_CHUNK = 512  # rows formatted and encoded at a time
-
-
-def _csv_cells(chunk):
-    """A chunk of one column as %-format arguments, and their format.  A
-    float64 chunk in which at least half the values repeat becomes the %.17g
-    text of each distinct bit pattern (so -0.0 stays apart from 0.0),
-    formatted once; any other chunk is passed as it is."""
-    if chunk.dtype == np.float64:
-        bits = np.sort(chunk.view(np.int64))  # a cheap test first: most chunks fail it
-        if 2 * (1 + np.count_nonzero(bits[1:] != bits[:-1])) <= chunk.size:
-            bits, inverse = np.unique(chunk.view(np.int64), return_inverse=True)
-            text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-            return text[inverse], "%s"
-    return chunk, _CSV_FORMATS[chunk.dtype.kind]
 
 
 def _csv_rows(*columns):
@@ -194,22 +178,17 @@ def _csv_rows(*columns):
     chunks of _CSV_CHUNK rows.
 
     Float columns print as %.17g (17 significant digits, so doubles
-    round-trip), integer columns as %d and string columns (str or object
-    arrays of str) as they are; a None column stays empty.  All rows of a
-    chunk go through one %-format, and a value repeated within a chunk is
-    formatted once (`_csv_cells`).
+    round-trip), integer columns as %d and string columns as they are; a
+    None column stays empty.  All rows of a chunk go through one %-format.
     """
     columns = [None if c is None else np.asarray(c) for c in columns]
     present = [c for c in columns if c is not None]
     n = len(present[0])
+    row = ",".join("" if c is None else _CSV_FORMATS[c.dtype.kind] for c in columns) + "\n"
     for start in range(0, n, _CSV_CHUNK):
         cells = np.empty((min(_CSV_CHUNK, n - start), len(present)), dtype=object)
-        formats = []
         for j, c in enumerate(present):
-            cells[:, j], fmt = _csv_cells(c[start:start + _CSV_CHUNK])
-            formats.append(fmt)
-        formats = iter(formats)
-        row = ",".join("" if c is None else next(formats) for c in columns) + "\n"
+            cells[:, j] = c[start:start + _CSV_CHUNK]
         yield ((row * len(cells)) % tuple(cells.ravel().tolist())).encode()
 
 
@@ -381,8 +360,7 @@ def cmd_eigen(cfg: RunConfig, region, band) -> int:
         rs = np.linspace(r_max / n_r, r_max, n_r)
         ts = np.linspace(0.0, math.pi, n_t)
         Rg, Tg = np.meshgrid(rs, ts, indexing="ij")
-        prefix = np.array(b"".join(_csv_rows(Rg.ravel(), Tg.ravel())).decode().splitlines(),
-                          dtype=object)
+        prefix = np.array(b"".join(_csv_rows(Rg.ravel(), Tg.ravel())).decode().splitlines())
         ranks = ranks[:cfg.count]
         maps = transforms.synthesis_separable(res._stack(ranks).T, band, rs, ts, 1)
         for rank, vals in zip(ranks.tolist(), maps):

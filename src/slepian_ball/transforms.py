@@ -8,14 +8,15 @@ Synthesis in both bands first sums each coefficient vector against a
 radial table (`kernels._radial_table`: K_p(r) for Fourier-Laguerre, the
 k-weighted j_l(k_n r) for Fourier-Bessel), then against Y_lm.  On a
 separable grid, radial nodes x colatitudes x uniform azimuths,
-`synthesis_separable` is the analysis route below run backwards, one vector
-of a stack at a time: that vector's radial sums, one degree at a time in the
-stack's own dtype, then one Pbar_lm(cos theta) table per order m that some
-vector of the stack occupies, built once, contracting the degrees into
-azimuthal bin m mod n_phi, and one inverse FFT over the bins, in place.
-Neither a Y_lm table of the grid nor the radial sums of the whole stack are
-built; `synthesis_fl_grid` (either band) and the CLI's eigenfunction maps
-and `synth` grids go through it.  `synthesis` (alias
+`synthesis_separable` is the analysis route below run backwards: the radial
+sums, one degree at a time in the stack's own dtype, then one
+Pbar_lm(cos theta) table per order m that some vector of the stack occupies,
+contracting the degrees into azimuthal bin m mod n_phi, and one inverse FFT
+over the bins.  It holds either every such table or the radial sums of the
+whole stack, the tables only when they are the smaller and shared by
+several vectors, and no Y_lm table of the grid;
+`synthesis_fl_grid` (either band) and the CLI's eigenfunction maps and
+`synth` grids go through it.  `synthesis` (alias
 `synthesis_fl`, `synthesis_fb`) evaluates one vector of either band at
 scattered points; the duals of `space_limit` evaluate through it, so the
 modules import downward only: specfun, regions, kernels, eigen, transforms, cli.
@@ -157,13 +158,20 @@ def synthesis_separable(values, band, r, theta, n_phi: int) -> np.ndarray:
     """Evaluate a stack of coefficient vectors on radii x colatitudes x azimuths.
 
     `values` is (count, band.size) in either band; the azimuths are
-    phi_j = 2 pi j / n_phi.  Returns (count, r.size, theta.size, n_phi).  For
-    one vector at a time, tables Pbar_{lm}(cos theta) contract its radial
-    sums, in the stack's dtype: the degrees of +m into azimuthal bin
-    m mod n_phi and, times (-1)^m, those of -m into bin -m mod n_phi.  A table
-    is built once, for each order with a nonzero coefficient in some vector
-    (the others add exact zeros).  An unnormalized inverse FFT over the bins,
-    in place, gives sum_m e^{i m phi_j}, exact at any n_phi >= 1.
+    phi_j = 2 pi j / n_phi.  Returns (count, r.size, theta.size, n_phi).
+    Tables Pbar_{lm}(cos theta) contract the radial sums, in the stack's
+    dtype: the degrees of +m into azimuthal bin m mod n_phi and, times
+    (-1)^m, those of -m into bin -m mod n_phi; only the orders with a nonzero
+    coefficient in some vector get a table (the others add exact zeros).  An
+    unnormalized inverse FFT over the bins gives sum_m e^{i m phi_j}, exact
+    at any n_phi >= 1.
+
+    A stack of several vectors whose live orders' tables, sum (L - m) x
+    theta.size values, are no larger than its radial sums, count x L^2 x
+    r.size, builds every table first and then runs one vector at a time, each
+    with its own radial sums.  Otherwise the stack's radial sums are formed
+    first and the tables built one at a time.  The products are the same
+    either way.
     """
     if np.shape(values)[-1] != band.size:
         raise ValueError(f"coefficient vectors have length {np.shape(values)[-1]}, "
@@ -176,15 +184,21 @@ def synthesis_separable(values, band, r, theta, n_phi: int) -> np.ndarray:
     deg = np.arange(L)
     m_rows = np.abs(np.arange(L * L) - np.repeat(deg * deg + deg, 2 * deg + 1))  # |m| of each row
     live = np.unique(m_rows[C.any(axis=(0, 2))]).tolist()  # orders with a nonzero coefficient
-    tables = {m: specfun.norm_alf_table(L, m, theta) for m in live}
-    out = np.zeros((C.shape[0], r.size, theta.size, n_phi), dtype=complex)
-    for o, rad in zip(out, _radial_sums(C, band, r)):         # rad: (L^2, n_r)
-        for m, pb in tables.items():                           # pb: (L - m, n_theta)
+    tables = ((m, specfun.norm_alf_table(L, m, theta)) for m in live)
+    rads = _radial_sums(C, band, r)                            # one (L^2, n_r) per vector
+    out = outs = np.zeros((C.shape[0], r.size, theta.size, n_phi), dtype=complex)
+    if 1 < C.shape[0] and sum(L - m for m in live) * theta.size <= C.shape[0] * L * L * r.size:
+        tables = list(tables)                                  # every table at once
+    else:
+        outs, rads = [out], [np.array(list(rads))]             # the whole stack at once
+    for o, rad in zip(outs, rads):                             # rad: ([count,] L^2, n_r)
+        for m, pb in tables:                                   # pb: (L - m, n_theta)
             ls = np.arange(m, L)
-            o[..., m % n_phi] += rad[ls * ls + ls + m].T @ pb
+            o[..., m % n_phi] += np.swapaxes(rad[..., ls * ls + ls + m, :], -1, -2) @ pb
             if m > 0:
-                o[..., -m % n_phi] += (-1) ** m * (rad[ls * ls + ls - m].T @ pb)
-        np.fft.ifft(o, axis=-1, norm="forward", out=o)
+                o[..., -m % n_phi] += (-1) ** m * (
+                    np.swapaxes(rad[..., ls * ls + ls - m, :], -1, -2) @ pb)
+        o[...] = np.fft.ifft(o, axis=-1, norm="forward")
     return out
 
 

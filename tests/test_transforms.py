@@ -323,6 +323,38 @@ def test_synthesis_separable_rows_do_not_depend_on_the_rest_of_the_stack(band):
         assert both[0].tobytes() == one[0].tobytes()
 
 
+@pytest.mark.parametrize("band", [sb.FourierLaguerreBand(5, 8), sb.FourierBesselBand(1.0, 8, 10)],
+                         ids=["fl", "fb"])
+def test_synthesis_separable_rows_do_not_depend_on_what_it_holds(band):
+    # guard: one order-2 vector on 50 colatitudes holds its radial sums (192
+    # values) in place of its table (300); 40 copies hold the table in place
+    # of the sums (7,680); every row is the same bytes either way
+    v2 = _order_vectors(band, [2])
+    r, theta = np.array([16.0, 20.0, 24.0]), np.linspace(0.0, math.pi, 50)
+    one = transforms.synthesis_separable(v2, band, r, theta, 3)
+    many = transforms.synthesis_separable(np.repeat(v2, 40, axis=0), band, r, theta, 3)
+    assert all(row.tobytes() == one[0].tobytes() for row in many)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_dense_stack_on_many_colatitudes_holds_one_table_at_a_time(rng, count):
+    # dense vectors at L = 32 on 2,000 colatitudes: the tables of all 32
+    # orders come to 528 x 2,000 doubles (8.4 MB), the vectors' radial sums
+    # to count x 1,024 x 4, so the sums are held and one table at a time
+    band = sb.FourierLaguerreBand(2, 32)
+    values = rng.standard_normal((count, band.size))
+    r, theta = np.linspace(1.0, 40.0, 4), np.linspace(0.0, math.pi, 2000)
+    transforms.synthesis_separable(values, band, r, theta[:3], 1)
+    tracemalloc.start()
+    try:
+        maps = transforms.synthesis_separable(values, band, r, theta, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert maps.shape == (count, 4, 2000, 1)
+    assert peak <= 3e6
+
+
 def test_reference_eigenfunction_maps_stay_below_the_whole_radial_sums(ref_region, ref_fl_band):
     # the 12 order-2 maps of `eigen --order 2 --grid 64,48`: summing all 12
     # vectors' radial sums at once held (12, 400, 64) doubles, 2.5 MB, and
