@@ -412,15 +412,12 @@ def cmd_synth(cfg: RunConfig, region, band) -> int:
     if not cfg.grid:
         raise ValueError("synth needs --grid nr,ntheta,nphi")
     n_r, n_t, n_p = _grid_counts(cfg.grid, "nr,ntheta,nphi")
-    vec = read_matrix(cfg.signal).reshape(-1)
-    if vec.size != band.size:
-        raise ValueError(
-            f"signal file has {vec.size} coefficients, band needs {band.size}")
+    h = eigen.HarmonicCoeffs(read_matrix(cfg.signal).reshape(-1), band)
     os.makedirs(cfg.out, exist_ok=True)
     rs = np.linspace(50.0 / n_r, 50.0, n_r)
     ts = np.linspace(0.0, math.pi, n_t)
     ps = np.linspace(0.0, 2 * math.pi, n_p, endpoint=False)
-    vals = transforms.synthesis_separable(vec[None], band, rs, ts, n_p)
+    vals = transforms.synthesis_separable(h.values[None], band, rs, ts, n_p)
     Rg, Tg, Pg = np.meshgrid(rs, ts, ps, indexing="ij")   # the columns of values.csv
     _atomic_write(os.path.join(cfg.out, "values.csv"), _csv(
         "r,theta,phi,re,im", Rg.ravel(), Tg.ravel(), Pg.ravel(), vals.real.ravel(),

@@ -275,6 +275,15 @@ def norm_alf_table(L: int, m: int, theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _signed_orders(L: int, m: int):
+    """Yields (mu, rows, sign) for mu = m and, if m > 0, -m: the flat rows
+    l*l + l + mu, l = m..L-1, and Y_{l mu} = sign Pbar_{l m} e^{i mu phi}."""
+    ls = np.arange(m, L)
+    yield m, ls * ls + ls + m, 1
+    if m > 0:
+        yield -m, ls * ls + ls - m, (-1) ** m
+
+
 def sph_harm_matrix(L: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """All Y_{l m} with l < L at given points; shape (L*L, npts).
 
@@ -287,10 +296,8 @@ def sph_harm_matrix(L: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     for m in range(L):
         pb = norm_alf_table(L, m, theta)
         e = np.exp(1j * m * phi)
-        ls = np.arange(m, L)
-        out[ls * ls + ls + m] = pb * e
-        if m > 0:
-            out[ls * ls + ls - m] = (-1) ** m * pb * np.conj(e)
+        for mu, rows, sign in _signed_orders(L, m):
+            out[rows] = sign * pb * (e if mu >= 0 else np.conj(e))
     return out
 
 

@@ -4,21 +4,18 @@ The Fourier-Laguerre analysis/synthesis pair here is exact for band-limited
 signals: radially the scaled Gauss-Laguerre rule samples f K_p r^2, e^{-r}
 poly(2P), as it is; angularly Gauss-Legendre in cos(theta) times uniform phi.
 
-Synthesis in both bands first sums each coefficient vector against a
-radial table (`kernels._radial_table`: K_p(r) for Fourier-Laguerre, the
-k-weighted j_l(k_n r) for Fourier-Bessel), then against Y_lm.  On a
-separable grid, radial nodes x colatitudes x uniform azimuths,
-`synthesis_separable` is the analysis route below run backwards: the radial
-sums, one degree at a time in the stack's own dtype, then one
-Pbar_lm(cos theta) table per order m that some vector of the stack occupies,
-contracting the degrees into azimuthal bin m mod n_phi, and one inverse FFT
-over the bins.  It holds either every such table or the radial sums of the
-whole stack, the tables only when they are the smaller and shared by
-several vectors, and no Y_lm table of the grid;
-`synthesis_fl_grid` (either band) and the CLI's eigenfunction maps and
-`synth` grids go through it.  `synthesis` (alias
-`synthesis_fl`, `synthesis_fb`) evaluates one vector of either band at
-scattered points; the duals of `space_limit` evaluate through it, so the
+Synthesis in both bands first sums each coefficient vector against one
+radial table (`_synthesis_table`: K_p(r) for Fourier-Laguerre, the
+k-weighted j_l(k_n r) for Fourier-Bessel), then against Y_lm = Pbar_lm(cos
+theta) e^{i m phi}.  On a separable grid, radial nodes x colatitudes x
+uniform azimuths, `synthesis_separable` is the analysis route below run
+backwards, one order m at a time: the radial sums of the stack's rows of
+orders +-m, the order's one Pbar_lm(cos theta) table contracting them into
+azimuthal bins, and after the last order an inverse FFT over the bins.  It
+holds no Y_lm table of the grid; `synthesis_fl_grid` (either band) and the
+CLI's eigenfunction maps and `synth` grids go through it.  `synthesis`
+(alias `synthesis_fl`, `synthesis_fb`) evaluates one vector of either band
+at scattered points; the duals of `space_limit` evaluate through it, so the
 modules import downward only: specfun, regions, kernels, eigen, transforms, cli.
 
 Fourier-Laguerre analysis takes the quadrature sum one axis at a time and
@@ -45,7 +42,7 @@ import numpy as np
 from . import specfun
 from .eigen import EigenResult, HarmonicCoeffs
 from .kernels import FourierLaguerreBand, _radial_rule, _radial_table, fb_k_weights
-from .regions import AngularMask, ProductSymmetric, contains_points
+from .regions import AngularMask, BallPoint, ProductSymmetric, contains_points
 
 _SPACE_LIMIT_MIN_LAM = 1e-12
 
@@ -106,10 +103,16 @@ def region_energy_grid(region, band) -> SpatialGrid:
 # ---------------------------------------------------------------------------
 
 def _points_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r, theta, phi) of BallPoints or of an (N, 3) or (3,) array, whose values
-    must be finite with r >= 0 and 0 <= theta <= pi (any phi: it is periodic)."""
+    """(r, theta, phi) of BallPoints or of an (N, 3) or (3,) array or list, whose
+    values must be finite with r >= 0 and 0 <= theta <= pi (any phi: periodic)."""
     if not isinstance(points, np.ndarray):
-        points = np.array([(p.r, p.theta, p.phi) for p in points]).reshape(-1, 3)
+        points = list(points)
+        if all(isinstance(p, BallPoint) for p in points):
+            points = np.array([(p.r, p.theta, p.phi) for p in points]).reshape(-1, 3)
+    try:
+        points = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as err:  # ragged nesting, or items that are not numbers
+        raise ValueError(f"points need shape (N, 3) or (3,): {err}") from None
     pts = np.atleast_2d(points)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points need shape (N, 3) or (3,), got {points.shape}")
@@ -119,30 +122,29 @@ def _points_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return r, th, pts[:, 2]
 
 
-def _radial_sums(values, band, r):
-    """Radial sums of a stack of coefficient vectors at radii r: yields one
-    (L^2, n_r) array per vector, in the stack's order.
+def _synthesis_table(band, r) -> np.ndarray:
+    """The band's radial table at radii r, (1 or L, K, n_r), that synthesis sums
+    over: `_radial_table` with Fourier-Bessel's k weights w_n in full."""
+    T, w = _radial_table(band, r), fb_k_weights(band)
+    return T if w is None else T * np.sqrt(w)[:, None]
+
+
+def _radial_sums(values, band, r) -> np.ndarray:
+    """Radial sums of one coefficient vector at radii r, (L^2, n_r), one
+    degree at a time.
 
     Fourier-Laguerre: sum_p f_{lmp} K_p(r).  Fourier-Bessel: the discretized
-    k integral sqrt(2/pi) sum_n w_n k_n f_{lm}(k_n) j_l(k_n r).  `values`,
-    (count, band.size), is read one vector and degree at a time, each
-    degree's rows made contiguous in the stack's own dtype: a transposed
-    stack is not copied whole, and the products (and their rounding) do not
-    depend on its layout.
+    k integral sqrt(2/pi) sum_n w_n k_n f_{lm}(k_n) j_l(k_n r).
     """
     L = band.L
-    C = np.asarray(values).reshape(-1, L * L, band.size // (L * L))
-    T, w = _radial_table(band, r), fb_k_weights(band)
-    if w is not None:  # the k integral's weights, their square root already in T
-        T = T * np.sqrt(w)[:, None]
+    c = np.asarray(values).reshape(L * L, -1)
+    T = _synthesis_table(band, r)
     T = np.broadcast_to(T, (L,) + T.shape[1:])
-    dtype = np.result_type(C, float)
-    for c in C:
-        out = np.empty((L * L, r.size), dtype)
-        for l in range(L):
-            rows = slice(l * l, (l + 1) ** 2)
-            out[rows] = np.ascontiguousarray(c[rows], dtype=dtype) @ T[l]
-        yield out
+    out = np.empty((L * L, r.size), complex)
+    for l in range(L):
+        rows = slice(l * l, (l + 1) ** 2)
+        out[rows] = c[rows] @ T[l]
+    return out
 
 
 def _fft_azimuths(phi) -> int:
@@ -159,19 +161,13 @@ def synthesis_separable(values, band, r, theta, n_phi: int) -> np.ndarray:
 
     `values` is (count, band.size) in either band; the azimuths are
     phi_j = 2 pi j / n_phi.  Returns (count, r.size, theta.size, n_phi).
-    Tables Pbar_{lm}(cos theta) contract the radial sums, in the stack's
-    dtype: the degrees of +m into azimuthal bin m mod n_phi and, times
-    (-1)^m, those of -m into bin -m mod n_phi; only the orders with a nonzero
-    coefficient in some vector get a table (the others add exact zeros).  An
-    unnormalized inverse FFT over the bins gives sum_m e^{i m phi_j}, exact
-    at any n_phi >= 1.
-
-    A stack of several vectors whose live orders' tables, sum (L - m) x
-    theta.size values, are no larger than its radial sums, count x L^2 x
-    r.size, builds every table first and then runs one vector at a time, each
-    with its own radial sums.  Otherwise the stack's radial sums are formed
-    first and the tables built one at a time.  The products are the same
-    either way.
+    One order m at a time, outermost: the radial sums of the whole stack's
+    rows of order +m, and of -m, then the order's one table
+    Pbar_{lm}(cos theta) contracting their degrees into azimuthal bin
+    m mod n_phi and, times (-1)^m, -m mod n_phi.  An order whose
+    coefficients are all zero gets no table (it would add exact zeros).  An
+    unnormalized inverse FFT over the bins, one vector at a time, gives
+    sum_m e^{i m phi_j}, exact at any n_phi >= 1.
     """
     if np.shape(values)[-1] != band.size:
         raise ValueError(f"coefficient vectors have length {np.shape(values)[-1]}, "
@@ -181,23 +177,21 @@ def synthesis_separable(values, band, r, theta, n_phi: int) -> np.ndarray:
     L, theta = band.L, np.asarray(theta, dtype=float).ravel()
     r = np.asarray(r, dtype=float).ravel()
     C = np.asarray(values).reshape(-1, L * L, band.size // (L * L))
-    deg = np.arange(L)
-    m_rows = np.abs(np.arange(L * L) - np.repeat(deg * deg + deg, 2 * deg + 1))  # |m| of each row
-    live = np.unique(m_rows[C.any(axis=(0, 2))]).tolist()  # orders with a nonzero coefficient
-    tables = ((m, specfun.norm_alf_table(L, m, theta)) for m in live)
-    rads = _radial_sums(C, band, r)                            # one (L^2, n_r) per vector
-    out = outs = np.zeros((C.shape[0], r.size, theta.size, n_phi), dtype=complex)
-    if 1 < C.shape[0] and sum(L - m for m in live) * theta.size <= C.shape[0] * L * L * r.size:
-        tables = list(tables)                                  # every table at once
-    else:
-        outs, rads = [out], [np.array(list(rads))]             # the whole stack at once
-    for o, rad in zip(outs, rads):                             # rad: ([count,] L^2, n_r)
-        for m, pb in tables:                                   # pb: (L - m, n_theta)
-            ls = np.arange(m, L)
-            o[..., m % n_phi] += np.swapaxes(rad[..., ls * ls + ls + m, :], -1, -2) @ pb
-            if m > 0:
-                o[..., -m % n_phi] += (-1) ** m * (
-                    np.swapaxes(rad[..., ls * ls + ls - m, :], -1, -2) @ pb)
+    T = _synthesis_table(band, r)
+    out = np.zeros((C.shape[0], r.size, theta.size, n_phi), dtype=complex)
+    nonzero = C.any(axis=(0, 2))                                     # per flat (l, m) row
+    for m in range(L):
+        signed = [s for s in specfun._signed_orders(L, m) if nonzero[s[1]].any()]
+        if not signed:
+            continue
+        pb = specfun.norm_alf_table(L, m, theta)                    # (L - m, n_theta)
+        for mu, rows, sign in signed:
+            c = C[:, rows]                                           # (count, L - m, K)
+            rad = (c @ T[0] if T.shape[0] == 1                       # one K_p(r) table
+                   else (c[:, :, None] @ T[m:])[:, :, 0])            # j_l(k r) of each degree
+            # negation is exact, so sign * pb gives the bits of sign * (rad^T pb)
+            out[..., mu % n_phi] += np.swapaxes(rad, -1, -2) @ (sign * pb)
+    for o in out:  # one vector's copy at a time, not a second whole output
         o[...] = np.fft.ifft(o, axis=-1, norm="forward")
     return out
 
@@ -214,7 +208,7 @@ def synthesis(coeffs: HarmonicCoeffs, points) -> np.ndarray:
     # chunks bound the Fourier-Bessel radial table, L * M * 8 bytes per point
     for c in (slice(s, s + 512) for s in range(0, r.size, 512)):
         Y = specfun.sph_harm_matrix(coeffs.band.L, th[c], ph[c])
-        out[c] = np.einsum("qn,qn->n", Y, next(_radial_sums(coeffs.values, coeffs.band, r[c])))
+        out[c] = np.einsum("qn,qn->n", Y, _radial_sums(coeffs.values, coeffs.band, r[c]))
     return out
 
 
@@ -260,10 +254,8 @@ def analysis_fl(values: np.ndarray, grid: SpatialGrid,
     C = np.empty((L * L, P), dtype=complex)
     for m in range(L):
         pb = specfun.norm_alf_table(L, m, grid.theta_nodes)   # (L - m, n_theta)
-        ls = np.arange(m, L)
-        C[ls * ls + ls + m] = pb @ F[:, :, m].T
-        if m > 0:
-            C[ls * ls + ls - m] = (-1) ** m * (pb @ F[:, :, -m].T)
+        for mu, rows, sign in specfun._signed_orders(L, m):
+            C[rows] = sign * (pb @ F[:, :, mu].T)
     return HarmonicCoeffs(C.reshape(-1), band)
 
 

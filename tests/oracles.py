@@ -683,7 +683,7 @@ def synthesis_separable_dense(values, band, r, theta, phi) -> np.ndarray:
     (theta[i], phi[i]), through the library's radial sums and the whole
     (L^2, n_ang) Y_lm table of the points; (count, r.size, theta.size)."""
     r = np.asarray(r, dtype=float).ravel()
-    rad = np.array(list(_radial_sums(values, band, r)))      # (count, L^2, n_r)
+    rad = np.array([_radial_sums(v, band, r) for v in values])  # (count, L^2, n_r)
     Y = specfun.sph_harm_matrix(band.L, theta, phi)          # (L^2, n_ang)
     out = rad.transpose(0, 2, 1).reshape(-1, band.L ** 2) @ Y
     return out.reshape(rad.shape[0], r.size, Y.shape[1])

@@ -856,8 +856,8 @@ def test_fb_reference_eigen_command_holds_no_whole_output(tmp_path, monkeypatch)
 
 def test_fl_eigen_grid_holds_one_vector_stack(tmp_path, monkeypatch):
     # --grid at P = L = 64 with --count 25 holds one stack of 64^3 x 25
-    # doubles (52 MB) and one vector's radial sums at a time; the radial sums
-    # read the transposed stack one degree at a time, with no second whole copy
+    # doubles (52 MB) and one order's rows of it at a time; the transposed
+    # stack is not copied whole
     solve = eigen.solve_fl
 
     def solve_then_trace(*args, **kwargs):
@@ -1104,6 +1104,20 @@ def test_project_non_finite_signal_exits_2_before_output(tmp_path, capsys, sampl
     assert rc == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_synth_non_finite_signal_exits_2_before_output(tmp_path, capsys):
+    # a NaN coefficient used to write nan cells into values.csv and exit 0
+    signal = np.ones((sb.FourierLaguerreBand(3, 3).size, 1))
+    signal[1, 0] = math.nan
+    sig = tmp_path / "c.mat"
+    write_matrix(sig, signal)
+    out = tmp_path / "o"
+    rc = main(["synth", "--P", "3", "--L", "3", "--signal", str(sig), "--grid", "2,2,2",
+               "--out", str(out)])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "values.csv").exists()
 
 
 def test_negative_J_rejected_before_output(tmp_path, capsys):

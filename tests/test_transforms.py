@@ -326,9 +326,8 @@ def test_synthesis_separable_rows_do_not_depend_on_the_rest_of_the_stack(band):
 @pytest.mark.parametrize("band", [sb.FourierLaguerreBand(5, 8), sb.FourierBesselBand(1.0, 8, 10)],
                          ids=["fl", "fb"])
 def test_synthesis_separable_rows_do_not_depend_on_what_it_holds(band):
-    # guard: one order-2 vector on 50 colatitudes holds its radial sums (192
-    # values) in place of its table (300); 40 copies hold the table in place
-    # of the sums (7,680); every row is the same bytes either way
+    # guard: one order-2 vector on 50 colatitudes and 40 copies of it give the
+    # same bytes in every row, whatever the stack's size
     v2 = _order_vectors(band, [2])
     r, theta = np.array([16.0, 20.0, 24.0]), np.linspace(0.0, math.pi, 50)
     one = transforms.synthesis_separable(v2, band, r, theta, 3)
@@ -339,8 +338,8 @@ def test_synthesis_separable_rows_do_not_depend_on_what_it_holds(band):
 @pytest.mark.parametrize("count", [1, 2])
 def test_dense_stack_on_many_colatitudes_holds_one_table_at_a_time(rng, count):
     # dense vectors at L = 32 on 2,000 colatitudes: the tables of all 32
-    # orders come to 528 x 2,000 doubles (8.4 MB), the vectors' radial sums
-    # to count x 1,024 x 4, so the sums are held and one table at a time
+    # orders come to 528 x 2,000 doubles (8.4 MB); one order's table is held
+    # at a time
     band = sb.FourierLaguerreBand(2, 32)
     values = rng.standard_normal((count, band.size))
     r, theta = np.linspace(1.0, 40.0, 4), np.linspace(0.0, math.pi, 2000)
@@ -355,10 +354,29 @@ def test_dense_stack_on_many_colatitudes_holds_one_table_at_a_time(rng, count):
     assert peak <= 3e6
 
 
+def test_dense_stack_holds_one_order_at_a_time(rng):
+    # 4 dense vectors at P = 2, L = 64 on 64 radii x 64 colatitudes: the
+    # tables of all 64 orders take 2,080 x 64 doubles (1.06 MB) and the
+    # stack's radial sums 4 x 4,096 x 64 (8.4 MB); one order's sums and table
+    # next to the 0.26 MB of output stay below either
+    band = sb.FourierLaguerreBand(2, 64)
+    values = rng.standard_normal((4, band.size))
+    r, theta = np.linspace(1.0, 40.0, 64), np.linspace(0.0, math.pi, 64)
+    transforms.synthesis_separable(values, band, r[:2], theta[:3], 1)
+    tracemalloc.start()
+    try:
+        maps = transforms.synthesis_separable(values, band, r, theta, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert maps.shape == (4, 64, 64, 1)
+    assert peak < 1.0e6
+
+
 def test_reference_eigenfunction_maps_stay_below_the_whole_radial_sums(ref_region, ref_fl_band):
-    # the 12 order-2 maps of `eigen --order 2 --grid 64,48`: summing all 12
-    # vectors' radial sums at once held (12, 400, 64) doubles, 2.5 MB, and
-    # traced 4.8 MB with the stack; one vector's sums take 0.2 MB
+    # the 12 order-2 maps of `eigen --order 2 --grid 64,48`: the radial sums
+    # of all 12 vectors' every row would be (12, 400, 64) doubles, 2.5 MB;
+    # those of order 2's rows take 0.1 MB
     band = ref_fl_band
     res = sb.solve_fl(ref_region, band, keep=None)
     ranks = np.flatnonzero(res.orders == 2)[:12]
@@ -386,6 +404,20 @@ def test_point_arrays_reject_other_shapes(rng):
             sb.space_limit(c, 0.5, region).evaluate(pts)
     one = np.array([2.0, 0.5, 0.5])
     assert np.array_equal(sb.synthesis_fl(c, one), sb.synthesis_fl(c, one[None]))
+
+
+def test_point_lists_work_like_arrays(rng):
+    # a nested list of coordinates used to be read as BallPoints: AttributeError
+    c = random_coeffs(sb.FourierLaguerreBand(3, 3), rng)
+    pts = [[2.0, 0.5, 0.5], [7.0, 1.5, 4.0]]
+    want = sb.synthesis_fl(c, np.array(pts))
+    assert np.array_equal(sb.synthesis_fl(c, pts), want)
+    assert np.array_equal(sb.synthesis_fl(c, pts[0]), want[:1])
+    balls = [sb.BallPoint(*p) for p in pts]
+    assert np.array_equal(sb.synthesis_fl(c, balls), want)
+    for bad in ([[2.0, 0.5, 0.5], [7.0, 1.5]], [balls[0], [7.0, 1.5, 4.0]]):
+        with pytest.raises(ValueError, match=r"points need shape \(N, 3\) or \(3,\)"):
+            sb.synthesis_fl(c, bad)
 
 
 # ---------------------------------------------------------------------------
