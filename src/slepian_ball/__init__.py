@@ -8,7 +8,7 @@ from .kernels import (C_kernel, E_matrix, FourierBesselBand,
 from .regions import (AngularMask, AzimuthallySymmetric, BallPoint,
                       ProductMask, ProductSymmetric, RegionUnion, contains,
                       contains_points, full_ball, solid_angle, volume)
-from .specfun import QuadratureRule, gauss_laguerre_rule, gauss_legendre_rule
+from .specfun import QuadratureRule, gauss_legendre_rule
 from .transforms import (SpatialGrid, analysis_fl, analysis_grid,
                          quality_measure, region_energy_grid, slepian_coeffs,
                          space_limit, synthesis_fb, synthesis_fl, synthesis_fl_grid,
@@ -21,7 +21,7 @@ __all__ = [
     "ProductMask", "ProductSymmetric", "QuadratureRule", "RegionUnion",
     "SpatialGrid", "analysis_fl", "analysis_grid", "angular_shannon",
     "contains", "contains_points", "fb_k_weights", "full_ball",
-    "gauss_laguerre_rule", "gauss_legendre_rule", "kernel_fb_fixed_order",
+    "gauss_legendre_rule", "kernel_fb_fixed_order",
     "quality_measure", "region_energy_grid", "rotate_eigenfunction",
     "shannon_fb", "shannon_fl", "slepian_coeffs", "solid_angle", "solve_fb",
     "solve_fl", "space_limit", "synthesis_fb", "synthesis_fl",

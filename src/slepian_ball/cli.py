@@ -103,9 +103,10 @@ _OPTIONS = {f.name: {"int": int, "float": float}.get(f.type.split(" |")[0], str)
 
 def _atomic_write(path: str, chunks):
     """Write the buffers of the iterable `chunks` in turn to `path`, through a
-    temp file and a rename.  The file gets mode 0o666 less the umask, not the
-    temp file's 0o600."""
+    temp file and a rename, creating missing parent directories first.  The
+    file gets mode 0o666 less the umask, not the temp file's 0o600."""
     d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -143,6 +144,7 @@ def _matrix_chunks(rows: int, cols: int, blocks, tag: int):
 
 
 def write_matrix(path: str, arr):
+    """Write a matrix or vector to `path`, creating missing parent directories."""
     a = np.atleast_2d(np.asarray(arr))
     if a.ndim != 2:
         raise ValueError("only matrices and vectors are supported")
@@ -289,7 +291,6 @@ def cmd_shannon(cfg: RunConfig, region, band) -> int:
     if math.isinf(n):  # FB, R2 = inf
         raise ValueError("the Fourier-Bessel Shannon number of an unbounded region is "
                          "infinite; need a bounded region")
-    os.makedirs(cfg.out, exist_ok=True)
     _write_meta(os.path.join(cfg.out, "shannon.json"), cfg, shannon=n)
     print(f"shannon {cfg.domain}: {n:.17g}")
     return 0
@@ -297,7 +298,6 @@ def cmd_shannon(cfg: RunConfig, region, band) -> int:
 
 def cmd_kernel(cfg: RunConfig, region, band) -> int:
     kernels._require_base_frame(region)
-    os.makedirs(cfg.out, exist_ok=True)
     traces, orders = {}, (range(band.L) if cfg.order is None else [cfg.order])
     if cfg.domain == "fl":
         # every Gram is formed before the first write, so a rejected mask grid writes none
@@ -337,7 +337,6 @@ def _eigen_csv(res):
 def cmd_eigen(cfg: RunConfig, region, band) -> int:
     if cfg.grid:
         n_r, n_t = _grid_counts(cfg.grid, "nr,ntheta")
-    os.makedirs(cfg.out, exist_ok=True)
     # an order filter needs ranks beyond the first `count`, so retain all
     keep = None if (cfg.grid and cfg.order is not None) else cfg.count
     solve = eigen.solve_fl if cfg.domain == "fl" else eigen.solve_fb
@@ -389,7 +388,6 @@ def cmd_project(cfg: RunConfig, region, band) -> int:
                 f"({grid.radial_nodes.size}, {n_ang})")
         h = transforms.analysis_fl(raw, grid, band)
     del raw  # not alive through the solve
-    os.makedirs(cfg.out, exist_ok=True)
     res = eigen.solve_fl(region, band)
     h_alpha = transforms.slepian_coeffs(h, res)
     J = cfg.J if cfg.J is not None else int(math.floor(res.shannon))
@@ -413,7 +411,6 @@ def cmd_synth(cfg: RunConfig, region, band) -> int:
         raise ValueError("synth needs --grid nr,ntheta,nphi")
     n_r, n_t, n_p = _grid_counts(cfg.grid, "nr,ntheta,nphi")
     h = eigen.HarmonicCoeffs(read_matrix(cfg.signal).reshape(-1), band)
-    os.makedirs(cfg.out, exist_ok=True)
     rs = np.linspace(50.0 / n_r, 50.0, n_r)
     ts = np.linspace(0.0, math.pi, n_t)
     ps = np.linspace(0.0, 2 * math.pi, n_p, endpoint=False)

@@ -146,13 +146,12 @@ class _Block:
 
 
 def _order_blocks(m: int | None, L: int, lam, keys=None, **vectors) -> list[_Block]:
-    """Blocks of orders -m and m (all rows if m is None) sharing lam, keys and vectors."""
+    """Blocks of orders m and -m (all rows if m is None) sharing lam, keys and vectors."""
     i, j = keys or (np.arange(lam.size), np.zeros(lam.size, dtype=int))
     if m is None:
         return [_Block(None, np.arange(L * L), lam, i, j, **vectors)]
-    ls = np.arange(m, L)
-    return [_Block(s, ls * ls + ls + s, lam, i, j, **vectors)
-            for s in ((m,) if m == 0 else (-m, m))]
+    return [_Block(mu, rows, lam, i, j, **vectors)
+            for mu, rows, _ in specfun._signed_orders(L, m)]
 
 
 class EigenResult:

@@ -96,17 +96,6 @@ class FourierLaguerreBand:
             raise IndexError(f"(l={l}, m={m}, p={p}) outside band P={self.P}, L={self.L}")
         return (l * l + l + m) * self.P + p
 
-    def triple(self, flat: int) -> tuple[int, int, int]:
-        lm, p = divmod(flat, self.P)
-        l = int(math.isqrt(lm))
-        return l, lm - l * l - l, p
-
-    def triples(self):
-        for l in range(self.L):
-            for m in range(-l, l + 1):
-                for p in range(self.P):
-                    yield (l, m, p)
-
 
 @dataclass(frozen=True)
 class FourierBesselBand:
@@ -138,11 +127,6 @@ class FourierBesselBand:
         if not (0 <= l < self.L and abs(m) <= l and 1 <= n <= self.M):
             raise IndexError(f"(l={l}, m={m}, n={n}) outside band M={self.M}, L={self.L}")
         return (l * l + l + m) * self.M + (n - 1)
-
-    def triple(self, flat: int) -> tuple[int, int, int]:
-        lm, n0 = divmod(flat, self.M)
-        l = int(math.isqrt(lm))
-        return l, lm - l * l - l, n0 + 1
 
 
 SpectralBand = FourierLaguerreBand | FourierBesselBand

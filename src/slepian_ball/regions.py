@@ -44,12 +44,6 @@ class BallPoint:
         if not (0.0 <= self.phi < 2.0 * math.pi):
             raise ValueError(f"azimuth must be in [0, 2pi), got {self.phi}")
 
-    def cartesian(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return self.r * np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
-
 
 def _rotation_matrix(theta0: float, phi0: float) -> np.ndarray:
     """R_z(phi0) @ R_y(theta0): carries the +z axis to (theta0, phi0)."""
@@ -349,9 +343,6 @@ class RegionUnion:
                 angular = a.theta1 < b.theta2 and b.theta1 < a.theta2
                 if radial and angular:
                     raise ValueError(f"union members overlap: {a} and {b}")
-
-
-Region = ProductSymmetric | AzimuthallySymmetric | ProductMask | RegionUnion
 
 
 def full_ball() -> ProductSymmetric:

@@ -21,8 +21,8 @@ the rest of the package:
 * the real Wigner d-matrix of one degree, from the eigendecomposition of
   the angular-momentum component J_y;
 * Gauss-Legendre and Gauss-Laguerre quadrature rules, the only integration
-  route the kernels use; every Gauss-Laguerre rule comes from one routine,
-  `gauss_laguerre_scaled_rule`, whose weights w_i e^{x_i} do not underflow.
+  route the kernels use; the one Gauss-Laguerre builder,
+  `gauss_laguerre_scaled_rule`, has weights w_i e^{x_i}, which do not underflow.
 
 Each quantity is computed as a table over all degrees (and all points) at
 once; the scalar one-value-at-a-time forms serve the tests as oracles.
@@ -44,17 +44,11 @@ from numpy.polynomial.legendre import leggauss
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and positive weights of a fixed quadrature rule.
-
-    kind is "gauss-legendre-on-interval" (exact for polynomials of degree
-    <= 2n-1 on [a, b]), "gauss-laguerre-weighted" (exact for e^{-r} *
-    polynomial of degree <= 2n-1 on the half line) or "gauss-laguerre-scaled"
-    (f itself sampled on [a, inf), exact for f = e^{-r} * such polynomials).
-    """
+    """Nodes and positive weights of a fixed quadrature rule, which applies to
+    f as `f(nodes) @ weights`; its builders say what it integrates exactly."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -68,9 +62,6 @@ class QuadratureRule:
         if not np.all((weights > 0) & (weights < math.inf)):
             raise ValueError("quadrature weights must be positive and finite")
 
-    def integrate(self, values: np.ndarray):
-        return np.asarray(values) @ self.weights
-
 
 @functools.lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +74,7 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Legendre rule with n nodes on [a, b]."""
+    """Gauss-Legendre rule with n nodes on [a, b], exact for polynomials of degree < 2n."""
     if n < 1:
         raise ValueError("need at least one node")
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -92,7 +83,7 @@ def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
         raise ValueError("interval must satisfy b > a")
     x, w = _leggauss(n)
     mid, half = 0.5 * (b + a), 0.5 * (b - a)
-    return QuadratureRule(mid + half * x, half * w, "gauss-legendre-on-interval")
+    return QuadratureRule(mid + half * x, half * w)
 
 
 @functools.lru_cache(maxsize=64)
@@ -129,15 +120,7 @@ def gauss_laguerre_scaled_rule(n: int, a: float) -> QuadratureRule:
     if n < 1:
         raise ValueError("need at least one node")
     x, w = _laggauss_scaled(n)
-    return QuadratureRule(a + x, w.copy(), "gauss-laguerre-scaled")
-
-
-def gauss_laguerre_rule(n: int) -> QuadratureRule:
-    """Gauss-Laguerre rule (weight e^{-r}) with n nodes on [0, inf): the
-    scaled rule's weights times e^{-x_i}, which underflow past about n = 180."""
-    rule = gauss_laguerre_scaled_rule(n, 0.0)
-    return QuadratureRule(rule.nodes, rule.weights * np.exp(-rule.nodes),
-                          "gauss-laguerre-weighted")
+    return QuadratureRule(a + x, w.copy())
 
 
 # ---------------------------------------------------------------------------

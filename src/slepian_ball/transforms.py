@@ -104,7 +104,7 @@ def region_energy_grid(region, band) -> SpatialGrid:
 
 def _points_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(r, theta, phi) of BallPoints or of an (N, 3) or (3,) array or list, whose
-    values must be finite with r >= 0 and 0 <= theta <= pi (any phi: periodic)."""
+    values `_check_coordinates` admits."""
     if not isinstance(points, np.ndarray):
         points = list(points)
         if all(isinstance(p, BallPoint) for p in points):
@@ -116,10 +116,16 @@ def _points_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pts = np.atleast_2d(points)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points need shape (N, 3) or (3,), got {points.shape}")
-    r, th = pts[:, 0], pts[:, 1]
-    if not (np.isfinite(pts).all() and (r >= 0).all() and ((th >= 0) & (th <= math.pi)).all()):
+    _check_coordinates(*pts.T)
+    return pts[:, 0], pts[:, 1], pts[:, 2]
+
+
+def _check_coordinates(r, theta, phi=0.0) -> None:
+    """ValueError unless the coordinates are finite with r >= 0 and
+    0 <= theta <= pi (any finite phi: the azimuth is periodic)."""
+    if not (((r >= 0) & (r < math.inf)).all() and ((theta >= 0) & (theta <= math.pi)).all()
+            and np.isfinite(phi).all()):
         raise ValueError("points need finite (r, theta, phi), r >= 0 and 0 <= theta <= pi")
-    return r, th, pts[:, 2]
 
 
 def _synthesis_table(band, r) -> np.ndarray:
@@ -159,7 +165,8 @@ def _fft_azimuths(phi) -> int:
 def synthesis_separable(values, band, r, theta, n_phi: int) -> np.ndarray:
     """Evaluate a stack of coefficient vectors on radii x colatitudes x azimuths.
 
-    `values` is (count, band.size) in either band; the azimuths are
+    `values` is (count, band.size) in either band, finite; the radii and
+    colatitudes obey `synthesis`'s rule for points, and the azimuths are
     phi_j = 2 pi j / n_phi.  Returns (count, r.size, theta.size, n_phi).
     One order m at a time, outermost: the radial sums of the whole stack's
     rows of order +m, and of -m, then the order's one table
@@ -176,6 +183,7 @@ def synthesis_separable(values, band, r, theta, n_phi: int) -> np.ndarray:
         raise ValueError(f"n_phi must be >= 1, got {n_phi}")
     L, theta = band.L, np.asarray(theta, dtype=float).ravel()
     r = np.asarray(r, dtype=float).ravel()
+    _check_coordinates(r, theta)
     C = np.asarray(values).reshape(-1, L * L, band.size // (L * L))
     T = _synthesis_table(band, r)
     out = np.zeros((C.shape[0], r.size, theta.size, n_phi), dtype=complex)
@@ -187,6 +195,8 @@ def synthesis_separable(values, band, r, theta, n_phi: int) -> np.ndarray:
         pb = specfun.norm_alf_table(L, m, theta)                    # (L - m, n_theta)
         for mu, rows, sign in signed:
             c = C[:, rows]                                           # (count, L - m, K)
+            if not np.isfinite(c).all():
+                raise ValueError("coefficient vectors hold non-finite values")
             rad = (c @ T[0] if T.shape[0] == 1                       # one K_p(r) table
                    else (c[:, :, None] @ T[m:])[:, :, 0])            # j_l(k r) of each degree
             # negation is exact, so sign * pb gives the bits of sign * (rad^T pb)

@@ -659,10 +659,11 @@ def complex_vector_stack(res, count: int) -> np.ndarray:
 def synthesis_fl_scalar(coeffs, points) -> np.ndarray:
     """sum_{lmp} f_{lmp} K_p(r) Y_lm(theta, phi) at (N, 3) points, term by term."""
     band = coeffs.band
+    # the flat index (l*l + l + m) * P + p runs in the loop order l, m, p
+    lmp = [(l, m, p) for l in range(band.L) for m in range(-l, l + 1) for p in range(band.P)]
     out = np.zeros(len(points), dtype=complex)
     for k, (r, theta, phi) in enumerate(points):
-        for flat, c in enumerate(coeffs.values):
-            l, m, p = band.triple(flat)
+        for c, (l, m, p) in zip(coeffs.values, lmp):
             out[k] += c * laguerre_K(p, r) * spherical_harmonic(l, m, theta, phi)
     return out
 
@@ -716,7 +717,9 @@ def _base_frame_point(point, orientation) -> tuple[float, float]:
     """(r, theta) of a BallPoint in the unrotated frame of an oriented region."""
     if orientation is None:
         return point.r, point.theta
-    xyz = _rotation_matrix(*orientation).T @ point.cartesian()
+    st = math.sin(point.theta)
+    xyz = _rotation_matrix(*orientation).T @ (point.r * np.array(
+        [st * math.cos(point.phi), st * math.sin(point.phi), math.cos(point.theta)]))
     r = float(np.linalg.norm(xyz))
     if r == 0.0:
         return 0.0, 0.0

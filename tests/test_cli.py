@@ -916,6 +916,26 @@ def test_fb_infinite_shannon_exits_2_before_any_output(tmp_path, capsys, region)
     assert sb.shannon_fb(parse_region(region), sb.FourierBesselBand(1.0, 3, 8)) == math.inf
 
 
+@pytest.mark.parametrize("command, domain, region", [
+    ("eigen", "fb", "mask"), ("kernel", "fb", "mask"), ("eigen", "fl", "oriented"),
+    ("project", "fl", "oriented"), ("eigen", "fb", "fullball"), ("kernel", "fb", "fullball")])
+def test_rejected_region_leaves_no_output_directory(tmp_path, capsys, command, domain, region):
+    # the solve or kernel refuses the region; --out is created at the first write only
+    sb.AngularMask.band(T1, T2, 4).to_text(tmp_path / "band.txt")
+    (tmp_path / "r.json").write_text(json.dumps({
+        "type": "product", "R1": 15, "R2": 25, "theta1": T1, "theta2": T2,
+        "orientation": [0.7, 1.3]}))
+    write_matrix(tmp_path / "c.mat", np.ones((sb.FourierLaguerreBand(3, 4).size, 1)))
+    spec = {"mask": f"mask:{tmp_path / 'band.txt'},15,25",
+            "oriented": f"json:{tmp_path / 'r.json'}", "fullball": "fullball"}[region]
+    out = tmp_path / "o"
+    rc = main([command, "--domain", domain, "--P", "3", "--K", "1.0", "--L", "4", "--M", "8",
+               "--region", spec, "--signal", str(tmp_path / "c.mat"), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("configuration error")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # rejected Fourier-Bessel inputs
 # ---------------------------------------------------------------------------

@@ -58,13 +58,11 @@ def c_quad_oracle(l, l2, k, k2, R1, R2, n=300):
 # ---------------------------------------------------------------------------
 
 def test_fl_index_map_bijective():
+    # flat = (l*l + l + m) * P + p: the loop order l, m, p covers 0..size-1 once
     band = sb.FourierLaguerreBand(3, 4)
-    seen = set()
-    for (l, m, p) in band.triples():
-        flat = band.flat_index(l, m, p)
-        assert band.triple(flat) == (l, m, p)
-        seen.add(flat)
-    assert seen == set(range(band.size))
+    flats = [band.flat_index(l, m, p)
+             for l in range(4) for m in range(-l, l + 1) for p in range(3)]
+    assert flats == list(range(band.size))
     assert band.size == 3 * 16
 
 
@@ -73,8 +71,10 @@ def test_fb_index_map():
     assert band.dk == pytest.approx(1.4 / 5)
     assert band.k_samples[0] == pytest.approx(band.dk)
     assert band.k_samples[-1] == pytest.approx(1.4)
-    flat = band.flat_index(2, -1, 3)
-    assert band.triple(flat) == (2, -1, 3)
+    flats = [band.flat_index(l, m, n)
+             for l in range(3) for m in range(-l, l + 1) for n in range(1, 6)]
+    assert flats == list(range(band.size))
+    assert band.flat_index(2, -1, 3) == (4 + 2 - 1) * 5 + 2
     assert band.size == 5 * 9
 
 

@@ -20,10 +20,8 @@ from scipy.integrate import quad
 from oracles import (radial_moment_integral, spherical_jn_per_degree, wigner_3j,
                      wigner_d_beta, wigner_d_jacobi)
 from slepian_ball import kernels, regions, specfun, transforms
-from slepian_ball.specfun import (QuadratureRule, gauss_laguerre_rule,
-                                  gauss_legendre_rule, laguerre_K_table,
-                                  sph_harm_matrix, spherical_jn_table,
-                                  wigner_d_matrix)
+from slepian_ball.specfun import (QuadratureRule, gauss_legendre_rule, laguerre_K_table,
+                                  sph_harm_matrix, spherical_jn_table, wigner_d_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +208,9 @@ def test_laguerre_binomial_oracle_low_degree():
 def test_laguerre_orthonormality():
     # Gauss-Laguerre with >= 2P nodes: integrand e^{-r} poly(2p+2) is exact
     P = 41
-    rule = gauss_laguerre_rule(2 * P)
+    rule = specfun.gauss_laguerre_scaled_rule(2 * P, 0.0)
     Kt = specfun.laguerre_K_table(P - 1, rule.nodes)
-    W = Kt * (rule.weights * np.exp(rule.nodes) * rule.nodes ** 2)
+    W = Kt * (rule.weights * rule.nodes ** 2)
     gram = W @ Kt.T
     assert np.abs(gram - np.eye(P)).max() < 1e-10
 
@@ -444,7 +442,7 @@ def test_gauss_legendre_polynomial_exactness():
     rule = gauss_legendre_rule(n, a, b)
     for deg in (0, 5, 2 * n - 1):
         exact = (b ** (deg + 1) - a ** (deg + 1)) / (deg + 1)
-        got = rule.integrate(rule.nodes ** deg)
+        got = rule.nodes ** deg @ rule.weights
         assert got == pytest.approx(exact, rel=1e-12)
 
 
@@ -495,23 +493,13 @@ def test_gauss_legendre_standard_rule_cached(monkeypatch):
     assert again.nodes[0] != 99.0 and again.weights[0] != 99.0
 
 
-def test_gauss_laguerre_exactness():
-    rule = gauss_laguerre_rule(12)
-    for deg in (0, 3, 23):
-        assert rule.integrate(rule.nodes ** deg) == pytest.approx(
-            math.factorial(deg), rel=1e-12)
-
-
 @pytest.mark.parametrize("n", [1, 12, 65])
 def test_gauss_laguerre_scaled_rule_matches_numpy(n):
     # the same nodes and weights as numpy's laggauss, where its weights are finite
     x, w = np.polynomial.laguerre.laggauss(n)
     rule = specfun.gauss_laguerre_scaled_rule(n, 2.5)
-    assert rule.kind == "gauss-laguerre-scaled"
     assert np.abs(rule.nodes - 2.5 - x).max() < 1e-14 * x.max()
     assert np.abs(rule.weights * np.exp(-x) / w - 1.0)[w > 1e-250].max() < 1e-11
-    assert np.array_equal(gauss_laguerre_rule(n).nodes,
-                          specfun.gauss_laguerre_scaled_rule(n, 0.0).nodes)
 
 
 def test_gauss_laguerre_scaled_rule_is_exact_past_the_plain_weights():
@@ -520,10 +508,8 @@ def test_gauss_laguerre_scaled_rule_is_exact_past_the_plain_weights():
     rule = specfun.gauss_laguerre_scaled_rule(400, 0.0)
     assert np.all(np.isfinite(rule.weights)) and rule.weights.min() > 0
     for j in (0, 1, 5, 40):
-        assert rule.integrate(np.exp(-rule.nodes) * rule.nodes ** j) == pytest.approx(
+        assert np.exp(-rule.nodes) * rule.nodes ** j @ rule.weights == pytest.approx(
             math.factorial(j), rel=1e-13)
-    with pytest.raises(ValueError, match="weights must be positive"):
-        gauss_laguerre_rule(400)
 
 
 @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
@@ -534,6 +520,6 @@ def test_gauss_legendre_rule_rejects_non_finite_bounds(a, b):
 
 def test_quadrature_rule_validation():
     with pytest.raises(ValueError):
-        QuadratureRule(np.array([1.0, 0.5]), np.array([1.0, 1.0]), "x")
+        QuadratureRule(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        QuadratureRule(np.array([0.5, 1.0]), np.array([1.0, -1.0]), "x")
+        QuadratureRule(np.array([0.5, 1.0]), np.array([1.0, -1.0]))

@@ -458,6 +458,31 @@ def test_point_arrays_reject_invalid_points(row, rng):
         sb.space_limit(c, 0.5, region).evaluate(pts)
 
 
+@pytest.mark.parametrize("r, theta", [(-1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5),
+                                      (2.0, math.nan), (2.0, 4.0), (2.0, -0.1)],
+                         ids=["r<0", "r-nan", "r-inf", "theta-nan", "theta>pi", "theta<0"])
+@pytest.mark.parametrize("band", [sb.FourierLaguerreBand(3, 3), sb.FourierBesselBand(1.2, 3, 5)],
+                         ids=["fl", "fb"])
+def test_synthesis_separable_rejects_invalid_coordinates(band, r, theta, rng):
+    # the grid route takes the radii and colatitudes that synthesis takes as points
+    values = np.array([random_coeffs(band, rng).values])
+    with pytest.raises(ValueError, match="points need finite"):
+        transforms.synthesis_separable(values, band, np.array([2.0, r]),
+                                       np.array([0.5, theta]), 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("band", [sb.FourierLaguerreBand(3, 3), sb.FourierBesselBand(1.2, 3, 5)],
+                         ids=["fl", "fb"])
+def test_synthesis_separable_rejects_non_finite_coefficients(band, bad, rng):
+    # as HarmonicCoeffs does for synthesis; the rest of the stack is finite
+    values = np.array([random_coeffs(band, rng).values for _ in range(2)])
+    values[1, band.size // 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        transforms.synthesis_separable(values, band, np.array([2.0, 7.0]),
+                                       np.linspace(0.1, 3.0, 4), 3)
+
+
 def test_point_arrays_take_any_finite_azimuth(rng):
     # the azimuth is periodic: phi outside [0, 2 pi) is the same point
     band = sb.FourierLaguerreBand(3, 3)
