@@ -9,14 +9,16 @@ imaginary parts are all zero is written as float64 (tag 0).  The payload is
 written in row blocks, each from its own buffer: a C-contiguous float64 or
 complex128 block is written with no copy, any other block is copied once.
 `write_matrix` writes a whole array as one block.  `eigen` writes
-`eigenvectors.mat` one degree's row slab at a time (`EigenResult._slabs`),
-so no whole eigenvector stack is held; the slabs are real for every region
-but a pixel mask, whose tag is decided from its slabs before the header is
-written.  Reading checks the payload length against the header and fills
-the array in one read.  CSV output carries 17 significant digits so doubles
-round-trip, and is formatted and written `_CSV_CHUNK` rows at a time.  All
-files are written atomically (temp file + rename) with mode 0o666 less the
-umask, as `open` would create them.
+`eigenvectors.mat` one band row (l, m) at a time, its (radial, count) rows
+(`EigenResult._slabs`), so no whole eigenvector stack is held; the rows are
+real for every region but a pixel mask, whose tag is decided from its rows
+before the header is written.  Reading checks the payload length against
+the header and fills the array in one read.  CSV output carries 17
+significant digits so doubles round-trip, and is formatted and written
+`_CSV_CHUNK` rows at a time; the zero tail of a block solve's
+`eigenvalues.csv`, the rows ``rank,0,m,,``, takes one `str` per rank and no
+float formatting.  All files are written atomically (temp file + rename)
+with mode 0o666 less the umask, as `open` would create them.
 
 Region descriptors: ``product:R1,R2,theta1,theta2`` (radians),
 ``mask:<path>,R1,R2`` (pixel list ``theta phi indicator``), ``fullball``,
@@ -329,9 +331,32 @@ def cmd_kernel(cfg: RunConfig, region, band) -> int:
     return 0
 
 
+def _zero_tail_rows(start: int, orders):
+    """CSV lines `rank,0,m,,` of ranks start, start + 1, ... with orders
+    `orders`, as encoded chunks of _CSV_CHUNK rows.  Each run of one order
+    in a chunk is one join of its ranks' `str`, with no %-format."""
+    for lo in range(0, len(orders), _CSV_CHUNK):
+        m = orders[lo:lo + _CSV_CHUNK]
+        cuts = [0, *(np.flatnonzero(np.diff(m)) + 1).tolist(), m.size]
+        lines = []
+        for a, b in zip(cuts, cuts[1:]):
+            end = f",0,{int(m[a])},,\n"
+            lines.append(end.join(map(str, range(start + lo + a, start + lo + b))) + end)
+        yield "".join(lines).encode()
+
+
 def _eigen_csv(res):
-    return _csv("rank,lambda,m,lambda_radial,lambda_angular", np.arange(len(res)),
-                res.eigenvalues, res.orders, res.lam_radial, res.lam_angular)
+    """The chunks of eigenvalues.csv.  A block solve ends in a tail of +0.0
+    eigenvalues, its padding and clamped zeros; those rows are written by
+    `_zero_tail_rows`, all others by `_csv_rows`."""
+    n = len(res)
+    if res.lam_radial is None:  # a block solve; +0.0 is the one all-zero bit pattern
+        nonzero = np.flatnonzero(res.eigenvalues.view(np.int64))
+        n = int(nonzero[-1]) + 1 if nonzero.size else 0
+    columns = (res.eigenvalues, res.orders, res.lam_radial, res.lam_angular)
+    head = _csv("rank,lambda,m,lambda_radial,lambda_angular", np.arange(n),
+                *(None if c is None else c[:n] for c in columns))
+    return itertools.chain(head, _zero_tail_rows(n, res.orders[n:]) if n < len(res) else [])
 
 
 def cmd_eigen(cfg: RunConfig, region, band) -> int:
@@ -342,7 +367,7 @@ def cmd_eigen(cfg: RunConfig, region, band) -> int:
     solve = eigen.solve_fl if cfg.domain == "fl" else eigen.solve_fb
     res = solve(region, band, keep=keep)
     _atomic_write(os.path.join(cfg.out, "eigenvalues.csv"), _eigen_csv(res))
-    # the first `count` eigenvectors, written one degree's row slab at a time
+    # the first `count` eigenvectors, written one band row (l, m) at a time
     vec_ranks = np.arange(min(cfg.count, res.stored))
     # the dtype settles a real stack; only a mask's complex one is scanned
     tag = _complex_tag(res._slabs(vec_ranks)) if res._vector_dtype().kind == "c" else 0

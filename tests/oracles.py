@@ -22,6 +22,10 @@ serve the tests as oracles:
 * the pixel-mask angular coupling assembled densely over all (l, m), with
   its dense L^2 x L^2 eigensolve;
 * the spectrum ordering rule as a Python sort key over entry tuples;
+* the block merge that builds its padding (`padded_block_merge`): every
+  order's raw spectrum padded with exact zeros to one entry per block row,
+  then one np.lexsort over all entries, against the library's merge of the
+  computed entries with the padding placed in closed form;
 * the spherical Bessel table j_l(x), l = 0..lmax, one scipy spherical_jn
   call per degree (`spherical_jn_per_degree`), against the library's
   downward recurrence;
@@ -47,6 +51,7 @@ from __future__ import annotations
 import math
 import struct
 from functools import lru_cache
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -631,15 +636,16 @@ def matrix_file_bytes(arr) -> bytes:
     return b"SLEPB001" + struct.pack("<IIB", a.shape[0], a.shape[1], tag) + payload
 
 
-def complex_vector_stack(res, count: int) -> np.ndarray:
+def complex_vector_stack(res, count: int, block_ranks=None) -> np.ndarray:
     """The first `count` eigenvectors of an EigenResult as complex columns,
     (band.size, count), one rank at a time: separated blocks as V_j (x) U_i,
     with V_j read off the angular basis one column at a time, fixed-order
     blocks lifted from their coefficient column C[:, k] through Q_l, degree
-    by degree, and scaled by W^{-1/2} in FB."""
+    by degree, and scaled by W^{-1/2} in FB.  `block_ranks` gives each
+    block's entries their ranks (by default the result's own)."""
     L = res.band.L
     out = np.zeros((L * L, res.band.size // (L * L), count), dtype=complex)
-    for block, ranks in zip(res._blocks, res._ranks):
+    for block, ranks in zip(res._blocks, block_ranks or res._ranks):
         for k in np.flatnonzero(ranks < count).tolist():
             if block.C is None:
                 vec = np.outer(block.V.columns(block.j[k:k + 1]), block.U[:, block.i[k]])
@@ -650,6 +656,35 @@ def complex_vector_stack(res, count: int) -> np.ndarray:
                     vec = vec / np.sqrt(block.w)
             out[block.rows, :, ranks[k]] = vec
     return out.reshape(res.band.size, count)
+
+
+def padded_block_merge(res, raw_spectra, keep) -> SimpleNamespace:
+    """The spectrum of a block solve merged with its padding built: each
+    block's raw eigenvalues (`raw_spectra[|m|]`, descending) padded with
+    exact zeros to one entry per block row, its raw range read off the
+    padded array, then clamped to [0, 1] and sorted, keys (lam descending,
+    m, in-block index), with one np.lexsort over every entry.  Returns the
+    eigenvalues, orders, raw_eigenvalue_range, stored and the first `stored`
+    vectors (`complex_vector_stack` under these ranks)."""
+    radial = res.band.size // res.band.L ** 2
+    lam, m, raw = [], [], []
+    for block in res._blocks:
+        spectrum = raw_spectra[abs(block.m)]
+        padded = np.concatenate([spectrum, np.zeros(block.rows.size * radial - spectrum.size)])
+        raw.append((float(padded.min()), float(padded.max())))
+        lam.append(np.clip(padded, 0.0, 1.0))
+        m.append(np.full(padded.size, block.m))
+    sizes = [a.size for a in lam]
+    lam, m = np.concatenate(lam), np.concatenate(m)
+    i = np.concatenate([np.arange(n) for n in sizes])
+    order = np.lexsort((np.zeros_like(i), i, m, -lam))
+    ranks = np.split(np.argsort(order), np.cumsum(sizes)[:-1])
+    n_vectors = sum(block.C.shape[1] for block in res._blocks)
+    stored = min(lam.size if keep is None else keep, n_vectors)
+    return SimpleNamespace(
+        eigenvalues=lam[order], orders=m[order], stored=stored,
+        raw_eigenvalue_range=(min(r[0] for r in raw), max(r[1] for r in raw)),
+        vectors=complex_vector_stack(res, stored, ranks))
 
 
 # ---------------------------------------------------------------------------

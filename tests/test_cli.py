@@ -623,12 +623,18 @@ def _mask_region(tmp_path, L):
     return f"mask:{mpath},15,25"
 
 
-@pytest.mark.parametrize("case", ["fl", "fb", "mask"])
-def test_eigen_csv_matches_per_value_writer(tmp_path, case):
+@pytest.mark.parametrize("case", ["fl", "fb", "fb-padded", "mask"])
+def test_eigen_csv_matches_per_value_writer(tmp_path, monkeypatch, case):
     # product FL fills every column; FB leaves the factor columns empty and
-    # a mask the m column
+    # a mask the m column.  7 rows a chunk, so the padded FB spectrum's zero
+    # tail spans chunks, and runs of one order end inside them
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
     if case == "fb":
         res = sb.solve_fb(sb.ProductSymmetric(15, 25, T1, T2), sb.FourierBesselBand(1.0, 3, 8))
+    elif case == "fb-padded":
+        res = sb.solve_fb(sb.ProductSymmetric(15, 25, T1, T2), sb.FourierBesselBand(1.0, 6, 30))
+        tail = len(res) - np.flatnonzero(res.eigenvalues)[-1] - 1
+        assert tail > 7 * sum(b.pad > 0 for b in res._blocks) > 0
     elif case == "fl":
         res = sb.solve_fl(sb.ProductSymmetric(15, 25, T1, T2), sb.FourierLaguerreBand(5, 4))
     else:
@@ -739,6 +745,8 @@ STREAMED_EIGEN_CASES = {
     "fl-product": (lambda tmp: sb.ProductSymmetric(15, 25, T1, T2), sb.FourierLaguerreBand(4, 4)),
     "fl-mask": (lambda tmp: parse_region(_mask_region(tmp, 4)), sb.FourierLaguerreBand(3, 4)),
     "fb-product": (lambda tmp: sb.ProductSymmetric(15, 25, T1, T2), FB_SMALL),
+    "fb-padded": (lambda tmp: sb.ProductSymmetric(15, 25, T1, T2),
+                  sb.FourierBesselBand(1.0, 4, 25)),
     "fb-union": (lambda tmp: sb.RegionUnion((sb.ProductSymmetric(15, 20, 0.3, 1.0),
                                              sb.ProductSymmetric(20, 25, 1.2, 1.8))), FB_SMALL),
     "fb-azimuthal": (lambda tmp: sb.AzimuthallySymmetric.from_indicator(
@@ -769,7 +777,7 @@ def test_streamed_eigen_files_match_whole_array_writers(tmp_path, monkeypatch, c
 
 
 def test_eigen_lifts_each_blocks_written_vectors_once(tmp_path, monkeypatch):
-    # the real stack's tag comes from its dtype, not from a first pass of slabs
+    # the real stack's tag comes from its dtype, not from a first pass of rows
     lifted, vectors = [], eigen._Block.vectors
     monkeypatch.setattr(eigen._Block, "vectors",
                         lambda self, k: lifted.append(id(self)) or vectors(self, k))
@@ -832,8 +840,9 @@ def test_eigen_output_files_honour_the_umask(tmp_path, umask, mode):
 
 def test_fb_reference_eigen_command_holds_no_whole_output(tmp_path, monkeypatch):
     # the acceptance FB solve at M = 140 with --count 25: from the end of the
-    # solve to exit the CLI holds slabs and chunks only; the 11.2 MB vector
-    # stack or the 5.6 MB eigenvalues.csv as one string would not fit
+    # solve to exit the CLI holds band rows and chunks only; the 11.2 MB
+    # vector stack, a 1.1 MB degree slab or the 5.6 MB eigenvalues.csv as
+    # one string would not fit
     solve = eigen.solve_fb
 
     def solve_then_trace(*args, **kwargs):
@@ -851,7 +860,7 @@ def test_fb_reference_eigen_command_holds_no_whole_output(tmp_path, monkeypatch)
         tracemalloc.stop()
     assert rc == 0
     assert (out / "eigenvectors.mat").stat().st_size == 17 + 140 * 20 ** 2 * 25 * 8
-    assert peak < 4e6
+    assert peak < 1e6
 
 
 def test_fl_eigen_grid_holds_one_vector_stack(tmp_path, monkeypatch):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import slepian_ball as sb
-from oracles import (complex_vector_stack, dense_solve, mask_dense_angular, rotate_jacobi,
-                     spectrum_sort_key)
+from oracles import (complex_vector_stack, dense_solve, mask_dense_angular,
+                     padded_block_merge, rotate_jacobi, spectrum_sort_key)
 from slepian_ball import eigen, kernels, specfun, transforms
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
@@ -494,6 +494,22 @@ def test_fb_empty_azimuthal_region():
     res = sb.solve_fb(region, band)
     assert len(res) == band.size and not res.eigenvalues.any()
     assert res.raw_eigenvalue_range == (0.0, 0.0)
+
+
+def test_fb_reference_solve_builds_no_padding(ref_region):
+    # the acceptance FB solve at M = 140, keep = 25, once a first solve has
+    # cached its radial modes: 51,853 of its 56,000 entries are padding,
+    # never built as arrays, so the merge sorts 4,147 entries
+    band = sb.FourierBesselBand(1.4, 20, 140)
+    sb.solve_fb(ref_region, band, keep=0)
+    tracemalloc.start()
+    try:
+        res = sb.solve_fb(ref_region, band, keep=25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(b.lam.size for b in res._blocks) < 0.1 * len(res)
+    assert peak < 3.5e6
 
 
 def test_fb_raw_range_counts_padded_zeros(ref_region):
@@ -1004,6 +1020,9 @@ ORDER_CASES = {
 
 @pytest.mark.parametrize("name", list(ORDER_CASES))
 def test_spectrum_order_equals_tuple_sort(name, ref_region, monkeypatch):
+    # _spectrum_order sorts the computed entries only; a block's padding,
+    # exact zeros with keys (lam.size, 0), (lam.size + 1, 0), ..., is rebuilt
+    # here from its count, and the whole spectrum is held to the tuple sort
     calls = []
     order_fn = eigen._spectrum_order
 
@@ -1018,11 +1037,62 @@ def test_spectrum_order_equals_tuple_sort(name, ref_region, monkeypatch):
     entries = list(zip(lam.tolist(), m.tolist(), i.tolist(), j.tolist()))
     expect = sorted(range(len(entries)), key=lambda k: spectrum_sort_key(entries[k]))
     assert order.tolist() == expect
-    assert np.array_equal(res.eigenvalues, lam[order])
+    for b in res._blocks:
+        entries += [(0.0, b.m, k, 0) for k in range(b.lam.size, b.lam.size + b.pad)]
+    assert len(entries) == len(res)
+    if name == "fb-m70":
+        assert len(res) > 5 * lam.size  # most of the FB spectrum is padding
+    entries.sort(key=spectrum_sort_key)
+    assert res.eigenvalues.tolist() == [e[0] for e in entries]
     if name == "mask-patch":
         assert res.orders is None
     else:
-        assert res.orders.tolist() == m[order].tolist()
+        assert res.orders.tolist() == [e[1] for e in entries]
+
+
+def _computed_zeros_between_paddings(res) -> bool:
+    """Some order holds clamped computed zeros, and orders below and above it pad."""
+    padded = [b.m for b in res._blocks if b.pad]
+    return any(np.any(b.lam == 0) and min(padded) < b.m < max(padded) for b in res._blocks)
+
+
+# block solves that pad (FL pads where P exceeds the radial rank), each
+# merged against the padded merge; keep as the solve takes it
+PADDED_MERGE_CASES = {
+    "fb-product": (lambda ref: ref, sb.FourierBesselBand(1.0, 4, 25), None),
+    "fb-union": (lambda ref: sb.RegionUnion((sb.ProductSymmetric(15.0, 19.0, T1, T2),
+                                             sb.ProductSymmetric(21.0, 25.0, 0.2, 0.9))),
+                 sb.FourierBesselBand(1.0, 4, 25), 7),
+    "fb-azimuthal": (lambda ref: _sloped_band(16), sb.FourierBesselBand(1.0, 4, 25), None),
+    "fb-empty": (lambda ref: sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: np.zeros_like(r), 15.0, 25.0, n_r=8, n_theta=6),
+        sb.FourierBesselBand(1.0, 3, 5), None),
+    "fl-union": (lambda ref: sb.RegionUnion((sb.ProductSymmetric(15.0, 19.0, T1, T2),
+                                             sb.ProductSymmetric(21.0, 25.0, 0.2, 0.9))),
+                 sb.FourierLaguerreBand(24, 4), None),
+    "fl-azimuthal": (lambda ref: _sloped_band(16), sb.FourierLaguerreBand(24, 4), 5),
+    "fb-computed-zeros": (lambda ref: ref, sb.FourierBesselBand(1.0, 6, 30), None),
+}
+
+
+@pytest.mark.parametrize("name", list(PADDED_MERGE_CASES))
+def test_merge_places_padding_as_the_padded_merge_sorts_it(name, ref_region, monkeypatch):
+    region_of, band, keep = PADDED_MERGE_CASES[name]
+    raw_spectra, eigh = [], eigen._descending_eigh  # one call per order m = 0 .. L-1
+    monkeypatch.setattr(eigen, "_descending_eigh",
+                        lambda a: raw_spectra.append(eigh(a)[0]) or eigh(a))
+    res = (sb.solve_fl if isinstance(band, sb.FourierLaguerreBand) else sb.solve_fb)(
+        region_of(ref_region), band, keep=keep)
+    assert len(raw_spectra) == band.L and any(b.pad for b in res._blocks)
+    if name == "fb-computed-zeros":
+        assert _computed_zeros_between_paddings(res)
+    expect = padded_block_merge(res, raw_spectra, keep)
+    assert res.eigenvalues.tobytes() == expect.eigenvalues.tobytes()
+    assert res.orders.tobytes() == expect.orders.tobytes()
+    assert res.raw_eigenvalue_range == expect.raw_eigenvalue_range
+    assert res.stored == expect.stored
+    assert not expect.vectors.imag.any()
+    assert res.vectors(res.stored).tobytes() == expect.vectors.real.tobytes()
 
 
 # ---------------------------------------------------------------------------
