@@ -13,12 +13,10 @@ complex128 block is written with no copy, any other block is copied once.
 (`EigenResult._slabs`), so no whole eigenvector stack is held; the rows are
 real for every region but a pixel mask, whose tag is decided from its rows
 before the header is written.  Reading checks the payload length against
-the header and fills the array in one read.  CSV output carries 17
-significant digits so doubles round-trip, and is formatted and written
-`_CSV_CHUNK` rows at a time; the zero tail of a block solve's
-`eigenvalues.csv`, the rows ``rank,0,m,,``, takes one `str` per rank and no
-float formatting.  All files are written atomically (temp file + rename)
-with mode 0o666 less the umask, as `open` would create them.
+the header and fills the array in one read.  CSV files are formatted and
+written in chunks of rows by `csvout`.  All files are written atomically
+(temp file + rename) with mode 0o666 less the umask, as `open` would create
+them.
 
 Region descriptors: ``product:R1,R2,theta1,theta2`` (radians),
 ``mask:<path>,R1,R2`` (pixel list ``theta phi indicator``), ``fullball``,
@@ -44,7 +42,6 @@ failure (an ArithmeticError or numpy.linalg.LinAlgError).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -56,6 +53,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import eigen, kernels, transforms
+from .csvout import _Gathered, _csv, _eigen_csv
 from .kernels import FourierBesselBand, FourierLaguerreBand
 from .regions import AngularMask, ProductMask, ProductSymmetric, full_ball
 
@@ -171,34 +169,6 @@ def read_matrix(path: str):
         out = np.empty((rows, cols), dtype=dtype)
         fh.readinto(out)
     return out
-
-
-_CSV_FORMATS = {"f": "%.17g", "i": "%d", "U": "%s"}
-_CSV_CHUNK = 512  # rows formatted and encoded at a time
-
-
-def _csv_rows(*columns):
-    """CSV lines of equal-length columns, one line per row, as encoded
-    chunks of _CSV_CHUNK rows.
-
-    Float columns print as %.17g (17 significant digits, so doubles
-    round-trip), integer columns as %d and string columns as they are; a
-    None column stays empty.  All rows of a chunk go through one %-format.
-    """
-    columns = [None if c is None else np.asarray(c) for c in columns]
-    present = [c for c in columns if c is not None]
-    n = len(present[0])
-    row = ",".join("" if c is None else _CSV_FORMATS[c.dtype.kind] for c in columns) + "\n"
-    for start in range(0, n, _CSV_CHUNK):
-        cells = np.empty((min(_CSV_CHUNK, n - start), len(present)), dtype=object)
-        for j, c in enumerate(present):
-            cells[:, j] = c[start:start + _CSV_CHUNK]
-        yield ((row * len(cells)) % tuple(cells.ravel().tolist())).encode()
-
-
-def _csv(header: str, *columns):
-    """The chunks of a CSV file: its `header` line, then `_csv_rows(*columns)`."""
-    return itertools.chain([(header + "\n").encode()], _csv_rows(*columns))
 
 
 def _write_meta(path: str, cfg: RunConfig, **results):
@@ -331,34 +301,6 @@ def cmd_kernel(cfg: RunConfig, region, band) -> int:
     return 0
 
 
-def _zero_tail_rows(start: int, orders):
-    """CSV lines `rank,0,m,,` of ranks start, start + 1, ... with orders
-    `orders`, as encoded chunks of _CSV_CHUNK rows.  Each run of one order
-    in a chunk is one join of its ranks' `str`, with no %-format."""
-    for lo in range(0, len(orders), _CSV_CHUNK):
-        m = orders[lo:lo + _CSV_CHUNK]
-        cuts = [0, *(np.flatnonzero(np.diff(m)) + 1).tolist(), m.size]
-        lines = []
-        for a, b in zip(cuts, cuts[1:]):
-            end = f",0,{int(m[a])},,\n"
-            lines.append(end.join(map(str, range(start + lo + a, start + lo + b))) + end)
-        yield "".join(lines).encode()
-
-
-def _eigen_csv(res):
-    """The chunks of eigenvalues.csv.  A block solve ends in a tail of +0.0
-    eigenvalues, its padding and clamped zeros; those rows are written by
-    `_zero_tail_rows`, all others by `_csv_rows`."""
-    n = len(res)
-    if res.lam_radial is None:  # a block solve; +0.0 is the one all-zero bit pattern
-        nonzero = np.flatnonzero(res.eigenvalues.view(np.int64))
-        n = int(nonzero[-1]) + 1 if nonzero.size else 0
-    columns = (res.eigenvalues, res.orders, res.lam_radial, res.lam_angular)
-    head = _csv("rank,lambda,m,lambda_radial,lambda_angular", np.arange(n),
-                *(None if c is None else c[:n] for c in columns))
-    return itertools.chain(head, _zero_tail_rows(n, res.orders[n:]) if n < len(res) else [])
-
-
 def cmd_eigen(cfg: RunConfig, region, band) -> int:
     if cfg.grid:
         n_r, n_t = _grid_counts(cfg.grid, "nr,ntheta")
@@ -377,19 +319,18 @@ def cmd_eigen(cfg: RunConfig, region, band) -> int:
                 eigenvalue_sum=float(res.eigenvalues.sum()),
                 raw_eigenvalue_range=list(res.raw_eigenvalue_range))
     if cfg.grid:
-        ranks = np.arange(res.stored)
-        if cfg.order is not None:
-            ranks = ranks[res.orders[:res.stored] == cfg.order]
+        # the maps of the written vectors, or of the first `count` of order `cfg.order`
+        ranks = vec_ranks if cfg.order is None else \
+            np.flatnonzero(res.orders[:res.stored] == cfg.order)[:cfg.count]
         r_max = 50.0 if math.isinf(region.R2) else 2.0 * region.R2
         rs = np.linspace(r_max / n_r, r_max, n_r)
         ts = np.linspace(0.0, math.pi, n_t)
-        Rg, Tg = np.meshgrid(rs, ts, indexing="ij")
-        prefix = np.array(b"".join(_csv_rows(Rg.ravel(), Tg.ravel())).decode().splitlines())
-        ranks = ranks[:cfg.count]
+        # the r, theta columns of every map
+        coords = [_Gathered(g) for g in np.meshgrid(rs, ts, indexing="ij")]
         maps = transforms.synthesis_separable(res._stack(ranks).T, band, rs, ts, 1)
         for rank, vals in zip(ranks.tolist(), maps):
             _atomic_write(os.path.join(cfg.out, f"eigenfunction_{rank:04d}.csv"),
-                          _csv("r,theta,value", prefix, vals.real.ravel()))
+                          _csv("r,theta,value", *coords, vals.real.ravel()))
     return 0
 
 
@@ -440,10 +381,9 @@ def cmd_synth(cfg: RunConfig, region, band) -> int:
     ts = np.linspace(0.0, math.pi, n_t)
     ps = np.linspace(0.0, 2 * math.pi, n_p, endpoint=False)
     vals = transforms.synthesis_separable(h.values[None], band, rs, ts, n_p)
-    Rg, Tg, Pg = np.meshgrid(rs, ts, ps, indexing="ij")   # the columns of values.csv
+    grid = [_Gathered(g) for g in np.meshgrid(rs, ts, ps, indexing="ij")]  # r, theta, phi
     _atomic_write(os.path.join(cfg.out, "values.csv"), _csv(
-        "r,theta,phi,re,im", Rg.ravel(), Tg.ravel(), Pg.ravel(), vals.real.ravel(),
-        vals.imag.ravel()))
+        "r,theta,phi,re,im", *grid, vals.real.ravel(), vals.imag.ravel()))
     return 0
 
 

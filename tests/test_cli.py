@@ -15,9 +15,10 @@ import pytest
 
 import slepian_ball as sb
 from oracles import csv_rows_per_value, eigen_csv_per_value, matrix_file_bytes
-from slepian_ball import cli, eigen, transforms
-from slepian_ball.cli import (RunConfig, _complex_tag, _csv_rows, _eigen_csv, _matrix_chunks,
-                              main, parse_region, read_matrix, write_matrix)
+from slepian_ball import cli, csvout, eigen, transforms
+from slepian_ball.cli import (RunConfig, _complex_tag, _matrix_chunks, main, parse_region,
+                              read_matrix, write_matrix)
+from slepian_ball.csvout import _Gathered, _csv_rows, _eigen_csv
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
 REGION = f"product:15,25,{T1},{T2}"
@@ -598,14 +599,14 @@ def test_csv_rows_matches_per_value_writer(rng):
     floats = np.concatenate([special, bits, rng.normal(size=5_000)])
     n = floats.size
     ints = rng.integers(-2 ** 62, 2 ** 62, size=n)
-    strings = np.array([f"s{i}" for i in range(n)])
+    strings = np.array([f"s{i}" for i in range(n)], dtype=object)
     columns = (ints, floats, None, floats[::-1].copy(), strings, None)
     chunks = list(_csv_rows(*columns))
     assert b"".join(chunks).decode() == csv_rows_per_value(*columns)
     # full chunks, then one short one: n is not a multiple of the chunk size
-    assert n % cli._CSV_CHUNK
+    assert n % csvout._CSV_CHUNK
     assert [c.count(b"\n") for c in chunks] == \
-        [cli._CSV_CHUNK] * (n // cli._CSV_CHUNK) + [n % cli._CSV_CHUNK]
+        [csvout._CSV_CHUNK] * (n // csvout._CSV_CHUNK) + [n % csvout._CSV_CHUNK]
     # guard: columns whose chunks repeat their values, some of them across
     # chunk boundaries, with signed zeros, NaNs and infinities among them
     few = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 0.1, -2.5])
@@ -615,6 +616,69 @@ def test_csv_rows_matches_per_value_writer(rng):
     assert b"".join(_csv_rows(*columns)).decode() == csv_rows_per_value(*columns)
     assert list(_csv_rows(np.arange(3), None)) == [b"0,\n1,\n2,\n"]
     assert list(_csv_rows(np.zeros(0), np.zeros(0, dtype=int))) == []
+
+
+def test_gathered_columns_match_per_value_writer(monkeypatch, rng):
+    # 7 rows a chunk, so runs of one value cross chunk boundaries; the table
+    # holds one string per bit pattern, so a table of distinct values
+    # (np.unique merges 0.0 and -0.0, and NaNs) cannot pass
+    monkeypatch.setattr(csvout, "_CSV_CHUNK", 7)
+    nan_payload = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    few = np.array([0.0, -0.0, math.nan, -math.nan, nan_payload, math.inf, -math.inf,
+                    5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, sys.float_info.max,
+                    0.1, 1 / 3, -2.5])
+    n = 1000
+    assert n % 7
+    columns = (np.resize(np.repeat(few, 9), n), rng.choice(few, size=n), np.resize(few, n),
+               np.full(n, -0.0))
+    for c in columns:
+        assert len(_Gathered(c).strings) == len(set(c.view(np.int64).tolist()))
+    mixed = (np.arange(n), columns[0], *map(_Gathered, columns), None, rng.normal(size=n))
+    oracle = (np.arange(n), columns[0], *columns, None, mixed[-1])
+    assert b"".join(_csv_rows(*mixed)).decode() == csv_rows_per_value(*oracle)
+    assert list(_csv_rows(_Gathered(np.zeros(0)), np.zeros(0))) == []
+
+
+def test_fl_product_eigen_command_matches_per_value_writers(tmp_path, monkeypatch):
+    # the fl_product_eigen benchmark command in process, 7 rows a chunk.
+    # While a map is written the command holds the 12 maps (0.59 MB) and
+    # the coordinate tables; the 3,072 coordinate rows as one string array
+    # (0.34 MB) would not fit under the bound
+    monkeypatch.setattr(csvout, "_CSV_CHUNK", 7)
+    solve, write, peaks = eigen.solve_fl, cli._atomic_write, []
+
+    def solve_then_trace(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        tracemalloc.start()
+        return res
+
+    def traced_write(path, chunks):
+        tracemalloc.reset_peak()
+        write(path, chunks)
+        if "eigenfunction_" in path:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(eigen, "solve_fl", solve_then_trace)
+    monkeypatch.setattr(cli, "_atomic_write", traced_write)
+    out = tmp_path / "out"
+    try:
+        rc = main(["eigen", "--domain", "fl", "--P", "31", "--L", "20", "--region", REGION,
+                   "--count", "12", "--order", "2", "--grid", "64,48", "--out", str(out)])
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and len(peaks) == 12
+    assert max(peaks) < 0.85e6
+
+    band = sb.FourierLaguerreBand(31, 20)
+    res = solve(sb.ProductSymmetric(15, 25, T1, T2), band)
+    assert (out / "eigenvalues.csv").read_text() == eigen_csv_per_value(res)
+    ranks = np.flatnonzero(res.orders == 2)[:12]
+    rs, ts = np.linspace(50.0 / 64, 50.0, 64), np.linspace(0.0, math.pi, 48)
+    Rg, Tg = np.meshgrid(rs, ts, indexing="ij")
+    maps = transforms.synthesis_separable(res._stack(ranks).T, band, rs, ts, 1)
+    for rank, vals in zip(ranks.tolist(), maps):
+        assert (out / f"eigenfunction_{rank:04d}.csv").read_text() == "r,theta,value\n" + \
+            csv_rows_per_value(Rg.ravel(), Tg.ravel(), vals.real.ravel())
 
 
 def _mask_region(tmp_path, L):
@@ -628,7 +692,7 @@ def test_eigen_csv_matches_per_value_writer(tmp_path, monkeypatch, case):
     # product FL fills every column; FB leaves the factor columns empty and
     # a mask the m column.  7 rows a chunk, so the padded FB spectrum's zero
     # tail spans chunks, and runs of one order end inside them
-    monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
+    monkeypatch.setattr(csvout, "_CSV_CHUNK", 7)
     if case == "fb":
         res = sb.solve_fb(sb.ProductSymmetric(15, 25, T1, T2), sb.FourierBesselBand(1.0, 3, 8))
     elif case == "fb-padded":
@@ -760,7 +824,7 @@ STREAMED_EIGEN_CASES = {
 def test_streamed_eigen_files_match_whole_array_writers(tmp_path, monkeypatch, case, count):
     # 7 rows a chunk, so eigenvalues.csv spans chunks and ends in a short one;
     # count 10_000 lies beyond every case's stored vectors
-    monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
+    monkeypatch.setattr(csvout, "_CSV_CHUNK", 7)
     region_of, band = STREAMED_EIGEN_CASES[case]
     region = region_of(tmp_path)
     fl = isinstance(band, sb.FourierLaguerreBand)
@@ -788,7 +852,7 @@ def test_eigen_lifts_each_blocks_written_vectors_once(tmp_path, monkeypatch):
 
 def test_streamed_maps_values_and_decay_match_per_value_writer(tmp_path, monkeypatch, rng):
     # every file has a row count that is not a multiple of the 7-row chunk
-    monkeypatch.setattr(cli, "_CSV_CHUNK", 7)
+    monkeypatch.setattr(csvout, "_CSV_CHUNK", 7)
     band = sb.FourierLaguerreBand(4, 4)
     region = sb.ProductSymmetric(15, 25, T1, T2)
     vec = rng.normal(size=band.size) + 1j * rng.normal(size=band.size)

@@ -492,7 +492,7 @@ def test_point_arrays_take_any_finite_azimuth(rng):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-_MODULE_ORDER = ["specfun", "regions", "kernels", "eigen", "transforms", "cli"]
+_MODULE_ORDER = ["specfun", "regions", "kernels", "eigen", "transforms", "csvout", "cli"]
 
 
 def _package_imports(tree):
@@ -514,7 +514,7 @@ def _package_imports(tree):
 
 
 def test_modules_import_downward_only():
-    # specfun <- regions <- kernels <- eigen <- transforms <- cli, at every level
+    # specfun <- regions <- kernels <- eigen <- transforms <- csvout <- cli, at every level
     src = Path(sb.__file__).parent
     assert {p.stem for p in src.glob("*.py")} - {"__init__", "__main__"} == set(_MODULE_ORDER)
     upward = [(name, target) for rank, name in enumerate(_MODULE_ORDER)
