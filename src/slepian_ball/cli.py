@@ -10,7 +10,7 @@ written in row blocks, each from its own buffer: a C-contiguous float64 or
 complex128 block is written with no copy, any other block is copied once.
 `write_matrix` writes a whole array as one block.  `eigen` writes
 `eigenvectors.mat` one band row (l, m) at a time, its (radial, count) rows
-(`EigenResult._slabs`), so no whole eigenvector stack is held; the rows are
+(`EigenResult._rows`), so no whole eigenvector stack is held; the rows are
 real for every region but a pixel mask, whose tag is decided from its rows
 before the header is written.  Reading checks the payload length against
 the header and fills the array in one read.  CSV files are formatted and
@@ -52,7 +52,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import eigen, kernels, transforms
+from . import eigen, kernels, specfun, transforms
 from .csvout import _Gathered, _csv, _eigen_csv
 from .kernels import FourierBesselBand, FourierLaguerreBand
 from .regions import AngularMask, ProductMask, ProductSymmetric, full_ball
@@ -83,7 +83,7 @@ class RunConfig:
         """The checks no library type makes; the band checks K and M."""
         if self.domain not in ("fl", "fb"):
             raise ValueError(f"domain must be 'fl' or 'fb', got {self.domain!r}")
-        kernels._check_band_limits(P=self.P, L=self.L)
+        specfun._check_counts("band limit", P=self.P, L=self.L)
         if self.count < 0:
             raise ValueError(f"count must be >= 0, got {self.count}")
         if self.J is not None and self.J < 0:
@@ -311,23 +311,27 @@ def cmd_eigen(cfg: RunConfig, region, band) -> int:
     _atomic_write(os.path.join(cfg.out, "eigenvalues.csv"), _eigen_csv(res))
     # the first `count` eigenvectors, written one band row (l, m) at a time
     vec_ranks = np.arange(min(cfg.count, res.stored))
+    rows = res._rows(vec_ranks)
     # the dtype settles a real stack; only a mask's complex one is scanned
-    tag = _complex_tag(res._slabs(vec_ranks)) if res._vector_dtype().kind == "c" else 0
+    tag = _complex_tag(rows.slabs()) if rows.dtype.kind == "c" else 0
     _atomic_write(os.path.join(cfg.out, "eigenvectors.mat"), _matrix_chunks(
-        band.size, vec_ranks.size, res._slabs(vec_ranks), tag))
+        band.size, vec_ranks.size, rows.slabs(), tag))
     _write_meta(os.path.join(cfg.out, "shannon.json"), cfg, shannon=res.shannon,
                 eigenvalue_sum=float(res.eigenvalues.sum()),
                 raw_eigenvalue_range=list(res.raw_eigenvalue_range))
     if cfg.grid:
         # the maps of the written vectors, or of the first `count` of order `cfg.order`
-        ranks = vec_ranks if cfg.order is None else \
-            np.flatnonzero(res.orders[:res.stored] == cfg.order)[:cfg.count]
+        ranks = vec_ranks
+        if cfg.order is not None:
+            ranks = np.flatnonzero(res.orders[:res.stored] == cfg.order)[:cfg.count]
+            rows = res._rows(ranks)
         r_max = 50.0 if math.isinf(region.R2) else 2.0 * region.R2
         rs = np.linspace(r_max / n_r, r_max, n_r)
         ts = np.linspace(0.0, math.pi, n_t)
         # the r, theta columns of every map
         coords = [_Gathered(g) for g in np.meshgrid(rs, ts, indexing="ij")]
-        maps = transforms.synthesis_separable(res._stack(ranks).T, band, rs, ts, 1)
+        # fed one signed order's rows at a time; no whole vector stack is held
+        maps = transforms.synthesis_separable(rows, band, rs, ts, 1)
         for rank, vals in zip(ranks.tolist(), maps):
             _atomic_write(os.path.join(cfg.out, f"eigenfunction_{rank:04d}.csv"),
                           _csv("r,theta,value", *coords, vals.real.ravel()))

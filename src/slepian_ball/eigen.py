@@ -27,8 +27,10 @@ clamped eigenvalue is >= 0, so the zeros form the tail of the ranks, one
 order after another by signed m, each order's computed zeros before its
 padding.  The first `stored` ranks have eigenvectors, gathered one band
 row (l, m) at a time, as the (radial, n) rows of the row-major
-(band.size, n) stack (`EigenResult._slabs`), in the blocks' dtype: real
-for every region but a pixel mask.  Fourier-Bessel vectors are coefficient
+(band.size, n) stack, by the band-row accessor of a rank set
+(`EigenResult._rows`, `_BandRows`), in the blocks' dtype: real for every
+region but a pixel mask.  Map synthesis reads one signed order's rows from
+it at a time, so no whole stack is gathered for maps.  Fourier-Bessel vectors are coefficient
 samples f(k_n) with sum_n w_n |f(k_n)|^2 = 1 over the k weights, and
 `project` takes inner products under the same weights.
 
@@ -50,7 +52,7 @@ from . import kernels as ker
 from . import specfun
 from .kernels import _CLAMP_TOL, FourierBesselBand, FourierLaguerreBand, SpectralBand
 from .regions import (AzimuthallySymmetric, ProductMask, ProductSymmetric,
-                      RegionUnion, _orientation, solid_angle)
+                      RegionUnion, _check_band, _orientation, solid_angle)
 
 # A Gram-side block eigenvector F z / sqrt(mu) loses orthonormality like
 # eps / mu; at or above this floor the residual stays below 1e-10.
@@ -158,6 +160,52 @@ class _Block:
         return lambda at: Y[at]
 
 
+@dataclass(frozen=True)
+class _BandRows:
+    """The eigenvectors of one rank set, read one band row (l, m) at a time
+    and built once per rank set (`EigenResult._rows`).  Band row
+    l^2 + l + m is the (radial, count) slice of the row-major (band.size,
+    count) stack, its rows row radial .. (row + 1) radial - 1.
+
+    `part` gives each band row's index into `parts`, or -1 for a row no
+    stored vector reaches, and `at` its position among its block's rows;
+    `parts` holds each block's (columns, vectors).
+    """
+
+    shape: tuple[int, int]
+    dtype: np.dtype
+    part: list
+    at: list
+    parts: list
+
+    @property
+    def count(self) -> int:
+        return self.shape[1]
+
+    def row(self, index: int, out=None) -> np.ndarray:
+        """Band row `index`, a fresh array, or `out` (zeros of `shape`) filled in place."""
+        buf = np.zeros(self.shape, self.dtype) if out is None else out
+        p = self.part[index]
+        if p >= 0:
+            col, vectors = self.parts[p]
+            buf[:, col] = vectors(self.at[index])
+        return buf
+
+    def slabs(self):
+        """Every band row in the row order l^2 + l + m, one fresh array at a time."""
+        return (self.row(index) for index in range(len(self.part)))
+
+    def take(self, rows) -> np.ndarray:
+        """Band rows `rows` of every vector, (count, rows.size, radial): the
+        values and the memory layout, rows outermost and vectors innermost,
+        of the stack's fancy-index gather `stack.T.reshape(count, L^2,
+        radial)[:, rows]`, so products with it round alike."""
+        out = np.zeros((len(rows),) + self.shape, self.dtype)
+        for index, buf in zip(np.asarray(rows).tolist(), out):
+            self.row(index, buf)
+        return out.transpose(2, 0, 1)
+
+
 def _order_blocks(m: int | None, L: int, lam, keys=None, **fields) -> list[_Block]:
     """Blocks of orders m and -m (all rows if m is None) sharing lam, keys,
     padding and vectors."""
@@ -229,20 +277,15 @@ class EigenResult:
                    if lam < self.vector_floor else "keep= too small")
             raise IndexError(f"eigenvector {alpha} was not retained ({why})")
 
-    def _slabs(self, ranks, out=None):
-        """Eigenvectors of `ranks` one band row (l, m) at a time, in the row
-        order l^2 + l + m: the rows row radial .. (row + 1) radial - 1 of the
-        row-major (band.size, ranks.size) stack, as one (radial, ranks.size)
-        array per band row.
+    def _rows(self, ranks) -> _BandRows:
+        """The band-row accessor of the eigenvectors of `ranks`
+        (`_BandRows`), the one gather route of the eigenvectors.
 
-        This is the one gather route of the eigenvectors.  Each block's
-        vectors for the requested ranks are built once (`_Block.vectors`),
-        before the first row; one inverse-position array maps every rank to
-        its column, and every band row is mapped once to the part that holds
-        it and its position among that block's rows.  Rows are fresh arrays,
-        or, with `out` (a zero (L^2, radial, ranks.size) array), views of
-        `out` filled in place.  Their dtype is that of the block vectors
-        (`_vector_dtype`).
+        Each block's vectors for the requested ranks are built once
+        (`_Block.vectors`), here; one inverse-position array maps every rank
+        to its column, and every band row is mapped once to the part that
+        holds it and its position among that block's rows.  Rows are in the
+        dtype of the block vectors (`_vector_dtype`).
         """
         ranks = np.asarray(ranks)
         if ranks.size:
@@ -266,17 +309,8 @@ class EigenResult:
                 part[block.rows] = len(parts)
                 at[block.rows] = np.arange(block.rows.size)
                 parts.append((col, block.vectors(k)))
-        shape = (self.band.size // n_rows, ranks.size)
-        dtype = self._vector_dtype()
-
-        def rows():
-            for row, (p, a) in enumerate(zip(part.tolist(), at.tolist())):
-                buf = np.zeros(shape, dtype) if out is None else out[row]
-                if p >= 0:
-                    col, vectors = parts[p]
-                    buf[:, col] = vectors(a)
-                yield buf
-        return rows()
+        return _BandRows((self.band.size // n_rows, ranks.size), self._vector_dtype(),
+                         part.tolist(), at.tolist(), parts)
 
     def _vector_dtype(self) -> np.dtype:
         """float64 for product, azimuthally symmetric and union regions in
@@ -287,16 +321,15 @@ class EigenResult:
     def _stack(self, ranks) -> np.ndarray:
         """Eigenvectors of `ranks` as the columns of a (band.size, ranks.size) array.
 
-        The array is C-contiguous and filled row by row in place
-        (`_slabs`), so row-major it is the (band.size, n) matrix
+        The array is C-contiguous and filled one band row at a time in place
+        (`_BandRows.row`), so row-major it is the (band.size, n) matrix
         `cli.write_matrix` writes without a copy.
         """
-        ranks = np.asarray(ranks)
-        L = self.band.L
-        out = np.zeros((L * L, self.band.size // (L * L), ranks.size), self._vector_dtype())
-        for _row in self._slabs(ranks, out):  # each row is a view of `out`
-            pass
-        return out.reshape(self.band.size, ranks.size)
+        rows = self._rows(ranks)
+        out = np.zeros((self.band.L ** 2,) + rows.shape, rows.dtype)
+        for index, buf in enumerate(out):
+            rows.row(index, buf)
+        return out.reshape(self.band.size, rows.count)
 
     def coeffs(self, alpha: int) -> HarmonicCoeffs:
         """Coefficient vector of the alpha-th eigenfunction (0-based rank)."""
@@ -508,8 +541,12 @@ def angular_shannon(L: int, theta1: float, theta2: float) -> float:
     """N_L = sum over l < L, |m| <= l of G^m_{l,l} = L^2/2 (cos t1 - cos t2).
 
     The trace of the band projection: sum_{m,l} |Ybar_lm|^2 = L^2 / (4 pi)
-    at every point, integrated over the band's solid angle.
+    at every point, integrated over the band's solid angle.  L must be an
+    integer >= 1 and 0 <= theta1 < theta2 <= pi (TypeError, ValueError), as
+    for the band's G^m.
     """
+    specfun._check_counts("band limit", L=L)
+    _check_band(theta1, theta2)
     return L * L / 2.0 * (math.cos(theta1) - math.cos(theta2))
 
 

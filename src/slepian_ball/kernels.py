@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,14 +68,6 @@ from .regions import AngularMask, AzimuthallySymmetric, ProductSymmetric
 # spectral bands and index maps
 # ---------------------------------------------------------------------------
 
-def _check_band_limits(**limits):
-    for name, value in limits.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"band limit {name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"band limit {name} must be >= 1, got {value}")
-
-
 @dataclass(frozen=True)
 class FourierLaguerreBand:
     """Band limit p < P, l < L; dimension P * L^2."""
@@ -85,7 +76,7 @@ class FourierLaguerreBand:
     L: int
 
     def __post_init__(self):
-        _check_band_limits(P=self.P, L=self.L)
+        specfun._check_counts("band limit", P=self.P, L=self.L)
 
     @property
     def size(self) -> int:
@@ -108,7 +99,7 @@ class FourierBesselBand:
     def __post_init__(self):
         if not 0 < self.K < math.inf:
             raise ValueError(f"K must be positive and finite, got {self.K!r}")
-        _check_band_limits(L=self.L, M=self.M)
+        specfun._check_counts("band limit", L=self.L, M=self.M)
 
     @property
     def dk(self) -> float:
@@ -225,8 +216,7 @@ def _band_factor(m: int, L: int, theta1: float, theta2: float) -> np.ndarray:
     m = abs(m)
     if not (0 <= m < L):
         raise ValueError(f"need 0 <= |m| < L, got m={m}, L={L}")
-    if not (0.0 <= theta1 < theta2 <= math.pi):
-        raise ValueError(f"need 0 <= theta1 < theta2 <= pi, got {theta1}, {theta2}")
+    reg_mod._check_band(theta1, theta2)
     rule = specfun.gauss_legendre_rule(L, math.cos(theta2), math.cos(theta1))
     return specfun.norm_alf_table(L, m, np.arccos(rule.nodes)) * np.sqrt(
         2.0 * math.pi * rule.weights)

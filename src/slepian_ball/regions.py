@@ -67,6 +67,13 @@ def _orientation(value) -> tuple[float, float] | None:
     return float(angles[0]), float(angles[1])
 
 
+def _check_band(theta1: float, theta2: float):
+    """ValueError unless 0 <= theta1 < theta2 <= pi: a colatitude band that is
+    not empty, inverted or NaN."""
+    if not (0.0 <= theta1 < theta2 <= math.pi):
+        raise ValueError(f"need 0 <= theta1 < theta2 <= pi, got {theta1}, {theta2}")
+
+
 def _check_rule(name: str, nodes: np.ndarray, weights: np.ndarray, hi: float):
     """ValueError unless finite `nodes` ascend strictly within [0, hi], one
     positive finite weight each."""
@@ -175,8 +182,7 @@ class AngularMask:
         2 L_grid azimuths, so sums over the mask reproduce band integrals
         of harmonic products exactly (the band-as-mask oracle for G matrices).
         """
-        if not (0.0 <= theta1 < theta2 <= math.pi):
-            raise ValueError(f"need 0 <= theta1 < theta2 <= pi, got {theta1}, {theta2}")
+        _check_band(theta1, theta2)
         rule = gauss_legendre_rule(L_grid, math.cos(theta2), math.cos(theta1))
         return AngularMask(np.arccos(rule.nodes[::-1]), rule.weights[::-1], 2 * L_grid,
                            np.ones(2 * L_grid * L_grid))
@@ -263,9 +269,7 @@ class ProductSymmetric:
     def __post_init__(self):
         if not (0.0 <= self.R1 < self.R2):
             raise ValueError(f"need 0 <= R1 < R2, got R1={self.R1}, R2={self.R2}")
-        if not (0.0 <= self.theta1 < self.theta2 <= math.pi):
-            raise ValueError(
-                f"need 0 <= theta1 < theta2 <= pi, got {self.theta1}, {self.theta2}")
+        _check_band(self.theta1, self.theta2)
         object.__setattr__(self, "orientation", _orientation(self.orientation))
 
 

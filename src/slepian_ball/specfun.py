@@ -21,8 +21,13 @@ the rest of the package:
 * the real Wigner d-matrix of one degree, from the eigendecomposition of
   the angular-momentum component J_y;
 * Gauss-Legendre and Gauss-Laguerre quadrature rules, the only integration
-  route the kernels use; the one Gauss-Laguerre builder,
-  `gauss_laguerre_scaled_rule`, has weights w_i e^{x_i}, which do not underflow.
+  route the kernels use.  Both standard rules are built here the same way,
+  Golub-Welsch nodes polished by one Newton step and Christoffel weights,
+  with no call into numpy.polynomial: the Gauss-Legendre weights are
+  within 7e-14 relative of a 40-digit reference at each n checked up to
+  160 (numpy's `leggauss`: 4.7e-12 at n = 152).  The one Gauss-Laguerre
+  builder, `gauss_laguerre_scaled_rule`, has weights w_i e^{x_i}, which do
+  not underflow.
 
 Each quantity is computed as a table over all degrees (and all points) at
 once; the scalar one-value-at-a-time forms serve the tests as oracles.
@@ -32,10 +37,10 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 
 # ---------------------------------------------------------------------------
@@ -63,20 +68,55 @@ class QuadratureRule:
             raise ValueError("quadrature weights must be positive and finite")
 
 
+def _check_counts(kind: str, **counts):
+    """TypeError unless each count is an integer and not a bool, ValueError
+    if one is below 1; the messages name it as `kind` and its keyword."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{kind} {name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{kind} {name} must be >= 1, got {value}")
+
+
 @functools.lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Standard Gauss-Legendre nodes and weights on [-1, 1], read-only:
-    `leggauss` runs an eigensolve, and the kernels and grids reuse a few n
-    often."""
-    x, w = leggauss(n)
+    """Standard Gauss-Legendre nodes x_i and weights w_i on [-1, 1], read-only:
+    `gauss_legendre_rule` maps them, and the kernels and grids reuse a few n.
+
+    Golub-Welsch nodes, the eigenvalues of the Jacobi matrix with
+    off-diagonal k / sqrt(4k^2 - 1), after one Newton step on P_n, and
+    Christoffel weights w_i = 2 / ((1 - x_i)(1 + x_i) P_n'(x_i)^2), with
+    P_n' = n (P_{n-1} - x P_n) / (1 - x^2) from the three-term recurrence.
+    Each weight is taken at the rounded node and carried to the exact one by
+    its first-order term: w'/w = -2x / (1 - x^2) there, times the residual
+    Newton step P_n / P_n'.  That slope is large near x = +-1, where the
+    term takes the weights' error from 2.9e-13 to 2.6e-14 (n = 128).  Nodes
+    and weights are then symmetrized.  Against a 40-digit reference the
+    weights are within 7e-14 relative at each n checked up to 160, and
+    1.7e-13 at n = 300.
+    """
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    for newton in (True, False):  # polish the nodes, then weigh them
+        prev, cur = np.zeros_like(x), np.ones_like(x)
+        for j in range(1, n + 1):  # P_{j-1}, P_j
+            prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+        s = (1.0 - x) * (1.0 + x)
+        d = n * (prev - x * cur) / s
+        step = cur / d
+        if newton:
+            x = x - step
+    w = 2.0 / (s * d * d) * (1.0 + 2.0 * x * step / s)
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
 def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Legendre rule with n nodes on [a, b], exact for polynomials of degree < 2n."""
-    if n < 1:
-        raise ValueError("need at least one node")
+    """Gauss-Legendre rule with n nodes on [a, b], exact for polynomials of
+    degree < 2n.  n must be an integer >= 1 (TypeError, ValueError)."""
+    _check_counts("node count", n=n)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"Gauss-Legendre needs finite bounds, got [{a}, {b}]")
     if not (b > a):
@@ -116,9 +156,9 @@ def _laggauss_scaled(n: int) -> tuple[np.ndarray, np.ndarray]:
 def gauss_laguerre_scaled_rule(n: int, a: float) -> QuadratureRule:
     """Gauss-Laguerre rule on [a, inf) with scaled weights W_i = w_i e^{x_i}:
     sum_i W_i f(a + x_i) = int_a^inf f dr for f = e^{-r} poly(2n - 1).  The
-    standard rule (`_laggauss_scaled`) is cached per n and shifted by a."""
-    if n < 1:
-        raise ValueError("need at least one node")
+    standard rule (`_laggauss_scaled`) is cached per n and shifted by a; n
+    must be an integer >= 1 (TypeError, ValueError)."""
+    _check_counts("node count", n=n)
     x, w = _laggauss_scaled(n)
     return QuadratureRule(a + x, w.copy())
 

@@ -357,6 +357,46 @@ def test_vector_stack_is_row_major_in_the_blocks_dtype(name, ref_region, rng):
     _check_projector(res, rng)
 
 
+@pytest.mark.parametrize("name", list(VECTOR_STACK_CASES))
+def test_band_row_accessor_feeds_synthesis_as_the_stack_does(name, ref_region):
+    # the first stored ranks (`eigen --grid`) and those of one order
+    # (`--order 1`, where the region has orders), in any order: each band row
+    # and each block of rows equals the stack's, and the maps synthesized from
+    # the accessor equal those of the stack, bit for bit
+    res = VECTOR_STACK_CASES[name][0](ref_region)
+    rank_sets = [np.arange(res.stored), np.array([6, 2, 3, 0])]
+    if res.orders is not None:
+        rank_sets.append(np.flatnonzero(res.orders[:res.stored] == 1))
+    band, L = res.band, res.band.L
+    r, theta = np.array([15.5, 19.0, 24.0]), np.linspace(0.0, math.pi, 7)
+    for ranks in rank_sets:
+        assert ranks.size
+        rows, F = res._rows(ranks), res._stack(ranks)
+        assert rows.count == ranks.size and rows.dtype == F.dtype
+        per_row = F.reshape(L * L, -1, ranks.size)
+        assert all(np.array_equal(a, b) for a, b in zip(rows.slabs(), per_row, strict=True))
+        for m in range(L):
+            for _, index, _ in specfun._signed_orders(L, m):
+                block, gather = rows.take(index), F.T.reshape(ranks.size, L * L, -1)[:, index]
+                assert np.array_equal(block, gather)
+                # the same memory layout, up to the strides of length-1 axes
+                assert all(a == b for a, b, n in zip(block.strides, gather.strides, block.shape)
+                           if n > 1)
+        for n_phi in (1, 4):
+            want = transforms.synthesis_separable(F.T, band, r, theta, n_phi)
+            got = transforms.synthesis_separable(rows, band, r, theta, n_phi)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_band_row_accessor_is_checked_against_the_band(ref_region):
+    res = sb.solve_fl(ref_region, sb.FourierLaguerreBand(4, 4), keep=3)
+    with pytest.raises(ValueError, match="length 64, band needs 80"):
+        transforms.synthesis_separable(res._rows([0]), sb.FourierLaguerreBand(5, 4),
+                                       [16.0], [0.5], 1)
+    with pytest.raises(IndexError, match="eigenvector 3 was not retained"):
+        res._rows([3])
+
+
 @pytest.mark.parametrize("name", ["reference", "fb-union", "fb-azimuthal"])
 def test_fixed_order_blocks_store_radial_basis_coefficients(name, ref_region, ref_fb):
     # a block keeps its vectors over (l, radial mode), q modes per degree,
@@ -1139,6 +1179,21 @@ def test_shannon_fl_monotone_in_P(ref_region):
 def test_angular_shannon_closed_form():
     n = sb.angular_shannon(20, T1, T2)
     assert n == pytest.approx(200 * (math.cos(T1) - math.cos(T2)), abs=1e-9)
+
+
+def test_angular_shannon_rejects_what_the_band_factor_rejects():
+    # an inverted band gave -2.698; each case fails as `_band_factor` does
+    for t1, t2 in [(1.0, 0.5), (0.5, 0.5), (-0.1, 1.0), (0.5, 3.2), (math.nan, 1.0)]:
+        with pytest.raises(ValueError, match="0 <= theta1 < theta2 <= pi"):
+            sb.angular_shannon(4, t1, t2)
+        with pytest.raises(ValueError, match="0 <= theta1 < theta2 <= pi"):
+            kernels._band_factor(0, 4, t1, t2)
+    for L in (True, 4.0, "4"):
+        with pytest.raises(TypeError, match="band limit L must be an integer"):
+            sb.angular_shannon(L, 0.5, 1.0)
+    with pytest.raises(ValueError, match="band limit L must be >= 1"):
+        sb.angular_shannon(0, 0.5, 1.0)
+    assert sb.angular_shannon(1, 0.0, math.pi) == 1.0
 
 
 # ---------------------------------------------------------------------------
