@@ -10,10 +10,11 @@ written in row blocks, each from its own buffer: a C-contiguous float64 or
 complex128 block is written with no copy, any other block is copied once.
 `write_matrix` writes a whole array as one block.  `eigen` writes
 `eigenvectors.mat` one band row (l, m) at a time, its (radial, count) rows
-(`EigenResult._rows`), so no whole eigenvector stack is held; the rows are
-real for every region but a pixel mask, whose tag is decided from its rows
-before the header is written.  Reading checks the payload length against
-the header and fills the array in one read.  CSV files are formatted and
+read from the result's band-row reader (`EigenResult._rows`), so no whole
+eigenvector stack is held; `_complex_tag` decides the tag from the rows
+before the header is written (a real first row settles it; a pixel mask's
+complex rows are scanned).  Reading checks the payload length against the
+header and fills the array in one read.  CSV files are formatted and
 written in chunks of rows by `csvout`.  All files are written atomically
 (temp file + rename) with mode 0o666 less the umask, as `open` would create
 them.
@@ -23,7 +24,10 @@ Region descriptors: ``product:R1,R2,theta1,theta2`` (radians),
 or ``json:<path>``, a file holding one object whose ``type`` is
 ``product`` (keys ``R1``, ``R2``, ``theta1``, ``theta2`` and an optional
 ``orientation`` ``[theta0, phi0]``), ``mask`` (keys ``path``, ``R1``,
-``R2``) or ``fullball``.
+``R2``) or ``fullball``.  Every form becomes one descriptor dict, checked in
+`parse_region`: the file must hold an object, each radius and angle must be
+a real number and not a bool, and ``path`` a string; anything else is a
+ValueError naming the file and the key.
 
 Options: every `RunConfig` field after ``command`` is both a flag
 ``--<name>`` and a config-file key ``<name>``, parsed as the type its
@@ -183,38 +187,38 @@ def _write_meta(path: str, cfg: RunConfig, **results):
 # region and config parsing
 # ---------------------------------------------------------------------------
 
+_REGION_KEYS = {"fullball": (), "product": ("R1", "R2", "theta1", "theta2"),
+                "mask": ("path", "R1", "R2")}
+
+
 def parse_region(spec: str):
-    if spec == "fullball":
-        return full_ball()
+    """The region of a descriptor (module docstring): each form becomes one
+    descriptor dict, checked and constructed here."""
     kind, _, rest = spec.partition(":")
-    if kind == "product":
-        parts = rest.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"region 'product' needs R1,R2,theta1,theta2; got {rest!r}")
-        r1, r2, t1, t2 = map(float, parts)
-        return ProductSymmetric(r1, r2, t1, t2)
-    if kind == "mask":
-        parts = rest.rsplit(",", 2)
-        if len(parts) != 3:
-            raise ValueError(f"region 'mask' needs <path>,R1,R2; got {rest!r}")
-        path, r1, r2 = parts[0], float(parts[1]), float(parts[2])
-        mask = AngularMask.from_text(path)
-        return ProductMask(mask, r1, r2)
     if kind == "json":
         with open(rest) as fh:
             desc = json.load(fh)
-        t = desc.get("type")
-        if t == "fullball":
-            return full_ball()
-        if t == "product":
-            return ProductSymmetric(desc["R1"], desc["R2"], desc["theta1"],
-                                    desc["theta2"], desc.get("orientation"))
-        if t == "mask":
-            mask = AngularMask.from_text(desc["path"])
-            return ProductMask(mask, desc["R1"], desc["R2"])
-        raise ValueError(f"unknown region type in {rest}: {t!r}")
-    raise ValueError(f"unknown region descriptor {spec!r} "
-                     "(expected product:..., mask:..., json:..., or fullball)")
+    elif spec == "fullball" or kind in ("product", "mask"):
+        keys = _REGION_KEYS[kind]  # split from the right: a mask path may hold commas
+        desc = {key: v if key == "path" else float(v)
+                for key, v in zip(keys, rest.rsplit(",", len(keys) - 1))}
+        desc["type"] = kind
+    else:
+        raise ValueError(f"unknown region descriptor {spec!r} "
+                         "(expected product:..., mask:..., json:..., or fullball)")
+    # `in` a tuple compares an unhashable type without hashing it
+    if type(desc) is not dict or desc.get("type") not in tuple(_REGION_KEYS):
+        raise ValueError(f"{spec}: not an object of type product, mask or fullball")
+    kind = desc["type"]
+    for key in _REGION_KEYS[kind]:  # numbers are int or float (not bool), a path str
+        if type(desc.get(key)) not in ((str,) if key == "path" else (int, float)):
+            raise ValueError(f"{spec}: region key {key!r} is missing or of the wrong "
+                             f"type: {desc.get(key)!r}")
+    if kind == "fullball":
+        return full_ball()
+    if kind == "product":
+        return ProductSymmetric(*map(desc.get, _REGION_KEYS[kind]), desc.get("orientation"))
+    return ProductMask(AngularMask.from_text(desc["path"]), desc["R1"], desc["R2"])
 
 
 def _read_config_file(path: str) -> dict:
@@ -311,11 +315,10 @@ def cmd_eigen(cfg: RunConfig, region, band) -> int:
     _atomic_write(os.path.join(cfg.out, "eigenvalues.csv"), _eigen_csv(res))
     # the first `count` eigenvectors, written one band row (l, m) at a time
     vec_ranks = np.arange(min(cfg.count, res.stored))
-    rows = res._rows(vec_ranks)
-    # the dtype settles a real stack; only a mask's complex one is scanned
-    tag = _complex_tag(rows.slabs()) if rows.dtype.kind == "c" else 0
+    take = res._rows(vec_ranks)
+    slabs = lambda: (take([index])[0] for index in range(band.L ** 2))
     _atomic_write(os.path.join(cfg.out, "eigenvectors.mat"), _matrix_chunks(
-        band.size, vec_ranks.size, rows.slabs(), tag))
+        band.size, vec_ranks.size, slabs(), _complex_tag(slabs())))
     _write_meta(os.path.join(cfg.out, "shannon.json"), cfg, shannon=res.shannon,
                 eigenvalue_sum=float(res.eigenvalues.sum()),
                 raw_eigenvalue_range=list(res.raw_eigenvalue_range))
@@ -324,14 +327,14 @@ def cmd_eigen(cfg: RunConfig, region, band) -> int:
         ranks = vec_ranks
         if cfg.order is not None:
             ranks = np.flatnonzero(res.orders[:res.stored] == cfg.order)[:cfg.count]
-            rows = res._rows(ranks)
+            take = res._rows(ranks)
         r_max = 50.0 if math.isinf(region.R2) else 2.0 * region.R2
         rs = np.linspace(r_max / n_r, r_max, n_r)
         ts = np.linspace(0.0, math.pi, n_t)
         # the r, theta columns of every map
         coords = [_Gathered(g) for g in np.meshgrid(rs, ts, indexing="ij")]
         # fed one signed order's rows at a time; no whole vector stack is held
-        maps = transforms.synthesis_separable(rows, band, rs, ts, 1)
+        maps = transforms.synthesis_separable(take, band, rs, ts, 1)
         for rank, vals in zip(ranks.tolist(), maps):
             _atomic_write(os.path.join(cfg.out, f"eigenfunction_{rank:04d}.csv"),
                           _csv("r,theta,value", *coords, vals.real.ravel()))

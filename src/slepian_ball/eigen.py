@@ -27,10 +27,10 @@ clamped eigenvalue is >= 0, so the zeros form the tail of the ranks, one
 order after another by signed m, each order's computed zeros before its
 padding.  The first `stored` ranks have eigenvectors, gathered one band
 row (l, m) at a time, as the (radial, n) rows of the row-major
-(band.size, n) stack, by the band-row accessor of a rank set
-(`EigenResult._rows`, `_BandRows`), in the blocks' dtype: real for every
-region but a pixel mask.  Map synthesis reads one signed order's rows from
-it at a time, so no whole stack is gathered for maps.  Fourier-Bessel vectors are coefficient
+(band.size, n) stack, by the one band-row reader of a rank set
+(`EigenResult._rows`), in the blocks' dtype: real for every region but a
+pixel mask.  Maps read one signed order's rows from it at a time, so no
+whole stack is gathered for them.  Fourier-Bessel vectors are coefficient
 samples f(k_n) with sum_n w_n |f(k_n)|^2 = 1 over the k weights, and
 `project` takes inner products under the same weights.
 
@@ -127,7 +127,7 @@ class _Block:
     them, kept as a count.  Separated blocks hold eigenpairs (radial, U),
     (angular, V), V an `_AngularBasis` (reflectors complete a narrow mask's);
     entry (i, j) is V_j (x) U_i.  Fixed-order blocks hold coefficients C:
-    vector k is W^{-1/2} (sum_l Q_l) C[:, k], W = I in FL.
+    vector k is W^{-1/2} (sum_l Q_l) C[:, k], W = I in FL, scaled when read.
     """
 
     m: int | None
@@ -142,68 +142,18 @@ class _Block:
     angular: np.ndarray | None = None
     C: np.ndarray | None = None
     Q: np.ndarray | None = None
-    w: np.ndarray | None = None
 
     def vectors(self, k: np.ndarray):
         """Vectors of entries k as a function of a position among the block's
-        rows, (radial, k.size).  A separated block's angular columns, a
-        fixed-order one's lifted ones, scaled by W^{-1/2} in place, are built
-        once, here."""
+        rows, (radial, k.size), unscaled by W^{-1/2}.  A separated block's
+        angular columns, a fixed-order one's lifted ones, are built once, here."""
         if self.C is None:
             ang = self.V.columns(self.j[k])
             rad = self.U[:, self.i[k]].astype(ang.dtype)  # the cast each product would make
             return lambda at: ang[at] * rad
         C = np.ascontiguousarray(self.C[:, k].T).reshape(k.size, len(self.Q), -1, 1)
         Y = (self.Q @ C)[..., 0].transpose(1, 2, 0)  # per column: bits independent of k
-        if self.w is not None:
-            Y /= np.sqrt(self.w)[:, None]
         return lambda at: Y[at]
-
-
-@dataclass(frozen=True)
-class _BandRows:
-    """The eigenvectors of one rank set, read one band row (l, m) at a time
-    and built once per rank set (`EigenResult._rows`).  Band row
-    l^2 + l + m is the (radial, count) slice of the row-major (band.size,
-    count) stack, its rows row radial .. (row + 1) radial - 1.
-
-    `part` gives each band row's index into `parts`, or -1 for a row no
-    stored vector reaches, and `at` its position among its block's rows;
-    `parts` holds each block's (columns, vectors).
-    """
-
-    shape: tuple[int, int]
-    dtype: np.dtype
-    part: list
-    at: list
-    parts: list
-
-    @property
-    def count(self) -> int:
-        return self.shape[1]
-
-    def row(self, index: int, out=None) -> np.ndarray:
-        """Band row `index`, a fresh array, or `out` (zeros of `shape`) filled in place."""
-        buf = np.zeros(self.shape, self.dtype) if out is None else out
-        p = self.part[index]
-        if p >= 0:
-            col, vectors = self.parts[p]
-            buf[:, col] = vectors(self.at[index])
-        return buf
-
-    def slabs(self):
-        """Every band row in the row order l^2 + l + m, one fresh array at a time."""
-        return (self.row(index) for index in range(len(self.part)))
-
-    def take(self, rows) -> np.ndarray:
-        """Band rows `rows` of every vector, (count, rows.size, radial): the
-        values and the memory layout, rows outermost and vectors innermost,
-        of the stack's fancy-index gather `stack.T.reshape(count, L^2,
-        radial)[:, rows]`, so products with it round alike."""
-        out = np.zeros((len(rows),) + self.shape, self.dtype)
-        for index, buf in zip(np.asarray(rows).tolist(), out):
-            self.row(index, buf)
-        return out.transpose(2, 0, 1)
 
 
 def _order_blocks(m: int | None, L: int, lam, keys=None, **fields) -> list[_Block]:
@@ -277,15 +227,16 @@ class EigenResult:
                    if lam < self.vector_floor else "keep= too small")
             raise IndexError(f"eigenvector {alpha} was not retained ({why})")
 
-    def _rows(self, ranks) -> _BandRows:
-        """The band-row accessor of the eigenvectors of `ranks`
-        (`_BandRows`), the one gather route of the eigenvectors.
+    def _rows(self, ranks):
+        """The one reader of the stored eigenvectors of `ranks`: `take(rows)`
+        gives band rows `rows` (l^2 + l + m), the (radial, ranks.size) slices
+        of the row-major (band.size, ranks.size) stack, as a zero-filled,
+        C-contiguous (len(rows), radial, ranks.size) array in the blocks'
+        dtype (complex128 for a pixel mask, else float64), Fourier-Bessel
+        rows scaled by W^{-1/2} (`k_weights`) as they are read.
 
         Each block's vectors for the requested ranks are built once
-        (`_Block.vectors`), here; one inverse-position array maps every rank
-        to its column, and every band row is mapped once to the part that
-        holds it and its position among that block's rows.  Rows are in the
-        dtype of the block vectors (`_vector_dtype`).
+        (`_Block.vectors`), here, and every band row is mapped once to them.
         """
         ranks = np.asarray(ranks)
         if ranks.size:
@@ -294,9 +245,7 @@ class EigenResult:
         column = np.full(self.stored, -1)
         column[ranks] = np.arange(ranks.size)
         n_rows = self.band.L ** 2
-        part = np.full(n_rows, -1)  # the part holding each band row; -1: none
-        at = np.zeros(n_rows, dtype=int)  # the row's position among its block's rows
-        parts = []
+        reads = [None] * n_rows  # per band row: (columns, vectors, position among block rows)
         for block, rank in zip(self._blocks, self._ranks):
             k = np.flatnonzero(rank < self.stored)
             col = column[rank[k]]
@@ -306,30 +255,31 @@ class EigenResult:
                 k, col = k[by_col], col[by_col]
                 if col[-1] - col[0] == col.size - 1:  # one run of columns
                     col = slice(col[0], col[-1] + 1)
-                part[block.rows] = len(parts)
-                at[block.rows] = np.arange(block.rows.size)
-                parts.append((col, block.vectors(k)))
-        return _BandRows((self.band.size // n_rows, ranks.size), self._vector_dtype(),
-                         part.tolist(), at.tolist(), parts)
-
-    def _vector_dtype(self) -> np.dtype:
-        """float64 for product, azimuthally symmetric and union regions in
-        either band, complex128 for a pixel mask."""
+                vectors = block.vectors(k)
+                for at, row in enumerate(block.rows.tolist()):
+                    reads[row] = (col, vectors, at)
         # U (radial) and Q are real in every solve; V or C sets the dtype
-        return np.result_type(*{(b.V.V if b.C is None else b.C).dtype for b in self._blocks})
+        dtype = np.result_type(*{(b.V.V if b.C is None else b.C).dtype for b in self._blocks})
+        shape = (self.band.size // n_rows, ranks.size)
+        scale = None if self.k_weights is None else np.sqrt(self.k_weights)[:, None]
+
+        def take(rows) -> np.ndarray:
+            out = np.zeros((len(rows),) + shape, dtype)
+            for index, buf in zip(np.asarray(rows).tolist(), out):
+                if reads[index]:
+                    col, vectors, at = reads[index]
+                    buf[:, col] = vectors(at)
+            if scale is not None:
+                out /= scale
+            return out
+        return take
 
     def _stack(self, ranks) -> np.ndarray:
-        """Eigenvectors of `ranks` as the columns of a (band.size, ranks.size) array.
-
-        The array is C-contiguous and filled one band row at a time in place
-        (`_BandRows.row`), so row-major it is the (band.size, n) matrix
-        `cli.write_matrix` writes without a copy.
-        """
-        rows = self._rows(ranks)
-        out = np.zeros((self.band.L ** 2,) + rows.shape, rows.dtype)
-        for index, buf in enumerate(out):
-            rows.row(index, buf)
-        return out.reshape(self.band.size, rows.count)
+        """Eigenvectors of `ranks` as the columns of a C-contiguous (band.size,
+        ranks.size) array, every band row read at once (`_rows`): row-major,
+        the matrix `cli.write_matrix` writes without a copy."""
+        F = self._rows(ranks)(range(self.band.L ** 2))
+        return F.reshape(self.band.size, F.shape[-1])
 
     def coeffs(self, alpha: int) -> HarmonicCoeffs:
         """Coefficient vector of the alpha-th eigenfunction (0-based rank)."""
@@ -424,7 +374,6 @@ def _solve_blocks(region, band: SpectralBand, keep) -> tuple[list, list]:
     """
     blocks, raw = [], []
     Q, factor = ker._order_factors(band, region)
-    w = ker.fb_k_weights(band)
     for m in range(band.L):
         K = factor(m)
         gram = K.shape[1] < K.shape[0]
@@ -436,7 +385,7 @@ def _solve_blocks(region, band: SpectralBand, keep) -> tuple[list, list]:
         ends = np.append(lam_raw, np.zeros(min(pad, 1)))  # one zero stands for the padding
         raw.append(np.array([ends.min(), ends.max()]))
         blocks += _order_blocks(m, band.L, _validate_and_clamp(lam_raw), pad=pad,
-                                C=C, Q=Q[m:], w=w)
+                                C=C, Q=Q[m:])
     return blocks, raw
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .eigen import EigenResult, HarmonicCoeffs, _BandRows
+from .eigen import EigenResult, HarmonicCoeffs
 from .kernels import FourierLaguerreBand, _radial_rule, _radial_table, fb_k_weights
 from .regions import AngularMask, BallPoint, ProductSymmetric, contains_points
 
@@ -165,38 +165,39 @@ def _fft_azimuths(phi) -> int:
 def synthesis_separable(values, band, r, theta, n_phi: int) -> np.ndarray:
     """Evaluate a stack of coefficient vectors on radii x colatitudes x azimuths.
 
-    `values` is (count, band.size) in either band, or the band-row accessor
+    `values` is (count, band.size) in either band, or the band-row reader
     of count eigenvectors (`EigenResult._rows`); its values must be finite.
     The radii and colatitudes obey `synthesis`'s rule for points, and the
     azimuths are phi_j = 2 pi j / n_phi.  Returns (count, r.size,
-    theta.size, n_phi).  One order m at a time, outermost: the (count,
-    L - m, K) rows of order +m, and of -m, taken from the accessor (an
-    array is wrapped as one, its fancy-index gather, whose memory layout the
-    accessor's blocks share), so only one order's rows of the stack are
-    held; their radial sums, then the order's one table Pbar_{lm}(cos theta) contracting their degrees into
-    azimuthal bin m mod n_phi and, times (-1)^m, -m mod n_phi.  An order
-    whose coefficients are all zero gets no table (it would add exact
-    zeros).  An unnormalized inverse FFT over the bins, one vector at a
-    time, gives sum_m e^{i m phi_j}, exact at any n_phi >= 1.
+    theta.size, n_phi).  An array is wrapped as a reader over its
+    fancy-index gather, whose memory layout the reader's blocks share; a
+    zero-row read gives the count and radial size.  One order m at a time,
+    outermost: the (count, L - m, K) rows of order +m, and of -m, read from
+    the reader, so only one order's rows of the stack are held; their
+    radial sums, then the order's one table Pbar_{lm}(cos theta)
+    contracting their degrees into azimuthal bin m mod n_phi and, times
+    (-1)^m, -m mod n_phi.  An order whose coefficients are all zero gets no
+    table (it would add exact zeros).  An unnormalized inverse FFT over the
+    bins, one vector at a time, gives sum_m e^{i m phi_j}, exact at any
+    n_phi >= 1.
     """
-    L, accessor = band.L, isinstance(values, _BandRows)
-    size = values.shape[0] * L * L if accessor else np.shape(values)[-1]
+    L, take = band.L, values
+    size = take([]).shape[1] * L * L if callable(take) else np.shape(values)[-1]
     if size != band.size:
         raise ValueError(f"coefficient vectors have length {size}, band needs {band.size}")
     if n_phi < 1:
         raise ValueError(f"n_phi must be >= 1, got {n_phi}")
-    if accessor:
-        take, count = values.take, values.count
-    else:
+    if not callable(take):  # an array: a reader over its fancy-index gather
         C = np.asarray(values).reshape(-1, L * L, size // (L * L))
-        take, count = (lambda rows: C[:, rows]), C.shape[0]
+        take = lambda rows: C[:, rows].transpose(1, 2, 0)
+    count = take([]).shape[2]
     theta, r = np.asarray(theta, dtype=float).ravel(), np.asarray(r, dtype=float).ravel()
     _check_coordinates(r, theta)
     T = _synthesis_table(band, r)
     out = np.zeros((count, r.size, theta.size, n_phi), dtype=complex)
     for m in range(L):
         signed = [(mu, sign, c) for mu, rows, sign in specfun._signed_orders(L, m)
-                  if (c := take(rows)).any()]                        # (count, L - m, K)
+                  if (c := take(rows).transpose(2, 0, 1)).any()]     # (count, L - m, K)
         if not signed:
             continue
         pb = specfun.norm_alf_table(L, m, theta)                    # (L - m, n_theta)

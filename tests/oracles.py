@@ -652,8 +652,8 @@ def complex_vector_stack(res, count: int, block_ranks=None) -> np.ndarray:
             else:
                 nl, _, q = block.Q.shape
                 vec = (block.Q @ block.C[:, [k]].reshape(nl, q, 1))[:, :, 0]
-                if block.w is not None:
-                    vec = vec / np.sqrt(block.w)
+                if res.k_weights is not None:
+                    vec = vec / np.sqrt(res.k_weights)
             out[block.rows, :, ranks[k]] = vec
     return out.reshape(res.band.size, count)
 

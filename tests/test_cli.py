@@ -219,6 +219,31 @@ def test_json_product_orientation_checked_by_the_region(tmp_path, capsys, orient
     assert "orientation must be two finite angles" in capsys.readouterr().err
 
 
+_PRODUCT = {"type": "product", "R1": 15, "R2": 25, "theta1": T1, "theta2": T2}
+
+
+@pytest.mark.parametrize("desc, key", [
+    ([1, 2], "not an object"), (3, "not an object"), ("product", "not an object"),
+    ({**_PRODUCT, "R1": True}, "'R1'"), ({**_PRODUCT, "R2": "25"}, "'R2'"),
+    ({**_PRODUCT, "theta1": None}, "'theta1'"), ({**_PRODUCT, "theta2": [T2]}, "'theta2'"),
+    ({"type": "product", "R2": 25, "theta1": T1, "theta2": T2}, "'R1'"),
+    ({"type": "mask", "path": 3, "R1": 15, "R2": 25}, "'path'"),
+    ({"type": "mask", "path": "m.txt", "R1": False, "R2": 25}, "'R1'"),
+    ({"type": ["product"]}, "not an object of type"),
+], ids=["list", "number", "string", "bool-radius", "string-radius", "null-angle",
+        "list-angle", "missing-radius", "number-path", "bool-mask-radius", "list-type"])
+def test_malformed_json_region_exits_2_naming_file_and_key(tmp_path, capsys, desc, key):
+    path, out = tmp_path / "r.json", tmp_path / "o"
+    path.write_text(json.dumps(desc))
+    rc = main(["shannon", "--domain", "fl", "--P", "4", "--L", "3",
+               "--region", f"json:{path}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.strip().splitlines()) == 1
+    assert str(path) in err and key in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
