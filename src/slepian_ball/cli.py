@@ -365,13 +365,14 @@ def cmd_project(cfg: RunConfig, region, band) -> int:
     h_alpha = transforms.slepian_coeffs(h, res)
     J = cfg.J if cfg.J is not None else int(math.floor(res.shannon))
     J = min(J, h_alpha.size)
+    # before any write: a signal with no energy in the region raises here
+    q_rows = {str(j): transforms.quality_measure(h_alpha, res, j)
+              for j in sorted({J, h_alpha.size, max(J // 2, 1)})}
     fl_sorted = np.sort(np.abs(h.values))[::-1]
     sl_sorted = np.sort(np.abs(h_alpha))[::-1]
     _atomic_write(os.path.join(cfg.out, "decay.csv"), _csv(
         "index,abs_fl_sorted,abs_slepian_sorted",
         np.arange(1, fl_sorted.size + 1), fl_sorted, sl_sorted))
-    q_rows = {str(j): transforms.quality_measure(h_alpha, res, j)
-              for j in sorted({J, h_alpha.size, max(J // 2, 1)})}
     _write_meta(os.path.join(cfg.out, "q.json"), cfg, J=J, shannon=res.shannon, Q=q_rows)
     print(f"Q({J}) = {q_rows[str(J)]:.17g}")
     return 0

@@ -88,8 +88,8 @@ def _eigen_csv(res):
     """The chunks of eigenvalues.csv, through `_csv_rows`.  A separable
     solve's factor columns draw on short tables, of at most P radial and
     L (L + 1) / 2 angular values, so they are `_Gathered`.  A block solve
-    ends in a tail of +0.0 eigenvalues, its padding and clamped zeros, whose
-    rows `_zero_tail_rows` writes."""
+    ends in a tail of +0.0 eigenvalues, its padding (clamped zeros included),
+    whose rows `_zero_tail_rows` writes."""
     header = "rank,lambda,m,lambda_radial,lambda_angular"
     if res.lam_radial is not None:
         return _csv(header, np.arange(len(res)), res.eigenvalues, res.orders,

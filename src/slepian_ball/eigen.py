@@ -21,11 +21,11 @@ built: 51,853 of the 56,000 entries at the FB reference.
 Both routes hand their per-order blocks (a mask's one block spans the band)
 to one merge, `EigenResult`, whose per-rank state is arrays: `eigenvalues`,
 `orders` (signed m; None for a mask, whose eigenfunctions have no order), and
-`lam_radial`, `lam_angular` (None unless the solve separates).  The merge
-sorts the computed entries and places the padding in closed form: every
-clamped eigenvalue is >= 0, so the zeros form the tail of the ranks, one
-order after another by signed m, each order's computed zeros before its
-padding.  The first `stored` ranks have eigenvectors, gathered one band
+`lam_radial`, `lam_angular` (None unless the solve separates).  A block
+solve's clamped zeros join its padding, so the merge sorts the computed
+entries and places the padding in closed form: every clamped eigenvalue is
+>= 0, so the padding is the tail of the ranks, one order after another by
+signed m.  The first `stored` ranks have eigenvectors, gathered one band
 row (l, m) at a time, as the (radial, n) rows of the row-major
 (band.size, n) stack, by the one band-row reader of a rank set
 (`EigenResult._rows`), in the blocks' dtype: real for every region but a
@@ -124,10 +124,11 @@ class _Block:
 
     Computed entry k has eigenvalue lam[k] and ordering keys (i[k], j[k]);
     `pad` exact zeros with keys (lam.size, 0), (lam.size + 1, 0), ... follow
-    them, kept as a count.  Separated blocks hold eigenpairs (radial, U),
-    (angular, V), V an `_AngularBasis` (reflectors complete a narrow mask's);
-    entry (i, j) is V_j (x) U_i.  Fixed-order blocks hold coefficients C:
-    vector k is W^{-1/2} (sum_l Q_l) C[:, k], W = I in FL, scaled when read.
+    them, kept as a count; a fixed-order block's lam holds no zero.  Separated
+    blocks hold eigenpairs (radial, U), (angular, V), V an `_AngularBasis`
+    (reflectors complete a narrow mask's); entry (i, j) is V_j (x) U_i.
+    Fixed-order blocks hold coefficients C: vector k is W^{-1/2} (sum_l Q_l)
+    C[:, k], W = I in FL, scaled when read.
     """
 
     m: int | None
@@ -135,6 +136,7 @@ class _Block:
     lam: np.ndarray
     i: np.ndarray
     j: np.ndarray
+    raw: tuple[float, float]  # (lo, hi) of lam before clamping, padding counted
     pad: int = 0
     U: np.ndarray | None = None
     V: _AngularBasis | None = None
@@ -158,7 +160,7 @@ class _Block:
 
 def _order_blocks(m: int | None, L: int, lam, keys=None, **fields) -> list[_Block]:
     """Blocks of orders m and -m (all rows if m is None) sharing lam, keys,
-    padding and vectors."""
+    padding, raw range and vectors."""
     i, j = keys or (np.arange(lam.size), np.zeros(lam.size, dtype=int))
     if m is None:
         return [_Block(None, np.arange(L * L), lam, i, j, **fields)]
@@ -167,9 +169,9 @@ def _order_blocks(m: int | None, L: int, lam, keys=None, **fields) -> list[_Bloc
 
 
 class EigenResult:
-    """Sorted spectrum merged from per-order blocks; see the module docstring."""
+    """Sorted spectrum merged from blocks: computed entries, then padding by signed m."""
 
-    def __init__(self, blocks, band, shannon, raw, keep):
+    def __init__(self, blocks, band, shannon, keep):
         # only the computed entries are sorted; the padding is placed below
         lam, m, i, j = (np.concatenate(c) for c in zip(*(
             (b.lam, np.full(b.lam.size, b.m or 0), b.i, b.j) for b in blocks)))
@@ -177,27 +179,18 @@ class EigenResult:
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)  # the inverse permutation
         self._blocks = blocks
-        # views of `rank`: shifting a block's ranks below shifts `rank`
         self._ranks = np.split(rank, np.cumsum([b.lam.size for b in blocks])[:-1])
-        n = lam.size + sum(b.pad for b in blocks)
-        self.eigenvalues = np.zeros(n)
-        self.orders = None if blocks[0].m is None else np.empty(n, dtype=m.dtype)
-        # every clamped eigenvalue is >= 0, so the zeros are the tail of the
-        # ranks, ordered by signed m, then by i: per order ascending, its
-        # computed zeros, then its padding.  A computed zero moves down by the
-        # padding of the orders below its own.
-        t, below = np.count_nonzero(lam), 0
-        for k in sorted(range(len(blocks)), key=lambda k: blocks[k].m or 0):
-            b, zero = blocks[k], blocks[k].lam == 0
-            self._ranks[k][zero] += below
-            t += np.count_nonzero(zero)
-            if b.pad:  # only fixed-order blocks pad, and they have orders
-                self.orders[t:t + b.pad] = b.m
-            t += b.pad
-            below += b.pad
+        self.eigenvalues = np.zeros(lam.size + sum(b.pad for b in blocks))
         self.eigenvalues[rank] = lam
+        self.orders = None if blocks[0].m is None else np.empty_like(self.eigenvalues, m.dtype)
         if self.orders is not None:
             self.orders[rank] = m
+            # no clamped eigenvalue is < 0 and no padded block computes a zero, so the
+            # padding is the tail, by signed m, filled in place (no temporary to raise RSS)
+            t = lam.size
+            for b in sorted(blocks, key=lambda b: b.m):
+                self.orders[t:t + b.pad] = b.m
+                t += b.pad
         self.lam_radial = self.lam_angular = None
         if blocks[0].C is None:  # separated blocks have no padding
             self.lam_radial = np.concatenate([b.radial[b.i] for b in blocks])[order]
@@ -209,8 +202,8 @@ class EigenResult:
         self.band = band
         self.shannon = float(shannon)
         # the range of the eigenvalues the solve computed, before clamping
-        self.raw_eigenvalue_range = (min(float(r.min()) for r in raw),
-                                     max(float(r.max()) for r in raw))
+        self.raw_eigenvalue_range = (min(b.raw[0] for b in blocks),
+                                     max(b.raw[1] for b in blocks))
         self.k_weights = ker.fb_k_weights(band)  # of the band's inner product
         # block solves store vectors down to a floor, separated ones all
         self.vector_floor = 0.0 if blocks[0].C is None else _VECTOR_FLOOR
@@ -357,7 +350,7 @@ def _descending_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[::-1], V[:, ::-1]
 
 
-def _solve_blocks(region, band: SpectralBand, keep) -> tuple[list, list]:
+def _solve_blocks(region, band: SpectralBand, keep) -> list[_Block]:
     """Solve every fixed-order block B_m = F_m F_m^T, F_m = (sum Q_l) K_m
     (`kernels._order_factors`).
 
@@ -366,13 +359,13 @@ def _solve_blocks(region, band: SpectralBand, keep) -> tuple[list, list]:
     Gram side K_m^T K_m they are Q_l (K_m z) / sqrt(mu).  The rest of the
     block is exact zeros, kept as the block's padding count (`_Block.pad`)
     and never built, so the spectrum keeps one entry per row; the raw range
-    counts those zeros.  A K_m with no columns is all padding.  Vectors are
-    kept for the first `keep` eigenvalues of at least _VECTOR_FLOOR, above
-    the numerical null space, as coefficients over the Q_l, lifted when read
-    (`_Block`).
-    Returns (blocks, each block's raw eigenvalue range as [min, max]).
+    counts those zeros.  The eigenvalues that clamp to zero join the
+    padding, so no block holds a zero.  A K_m with no columns is all
+    padding.  Vectors are kept for the first `keep` eigenvalues of at least
+    _VECTOR_FLOOR, above the numerical null space, as coefficients over the
+    Q_l, lifted when read (`_Block`).
     """
-    blocks, raw = [], []
+    blocks = []
     Q, factor = ker._order_factors(band, region)
     for m in range(band.L):
         K = factor(m)
@@ -383,17 +376,18 @@ def _solve_blocks(region, band: SpectralBand, keep) -> tuple[list, list]:
         C = K @ (Z[:, :n_vec] / np.sqrt(lam_raw[:n_vec])) if gram else Z[:, :n_vec].copy()
         pad = (band.L - m) * Q.shape[1] - lam_raw.size
         ends = np.append(lam_raw, np.zeros(min(pad, 1)))  # one zero stands for the padding
-        raw.append(np.array([ends.min(), ends.max()]))
-        blocks += _order_blocks(m, band.L, _validate_and_clamp(lam_raw), pad=pad,
-                                C=C, Q=Q[m:])
-    return blocks, raw
+        lam = _validate_and_clamp(lam_raw)
+        nz = np.count_nonzero(lam)  # the zeros are a suffix: lam_raw descends
+        blocks += _order_blocks(m, band.L, lam[:nz], pad=pad + lam.size - nz,
+                                raw=(float(ends.min()), float(ends.max())), C=C, Q=Q[m:])
+    return blocks
 
 
 # ---------------------------------------------------------------------------
 # the solve
 # ---------------------------------------------------------------------------
 
-def _solve_separated(region, band: FourierLaguerreBand) -> tuple[list, list]:
+def _solve_separated(region, band: FourierLaguerreBand) -> list[_Block]:
     """Blocks of a FL product or mask region: the eigenpairs of E times those
     of each G^m or of G_mask, each from the thin SVD of its factor
     (`kernels._gram_eigh`), so no Gram is formed or eigensolved.  A narrow
@@ -406,18 +400,18 @@ def _solve_separated(region, band: FourierLaguerreBand) -> tuple[list, list]:
     else:
         factors = {m: ker._band_factor(m, band.L, region.theta1, region.theta2)
                    for m in range(band.L)}
-    blocks, raw = [], []
+    blocks = []
     for m, A in factors.items():
         lam2_raw, V = ker._gram_eigh(A)
         # every s^2 >= 0, so the extremes of the products are those of the factors
-        raw.append(np.array([lam1_raw.min() * lam2_raw.min(), lam1_raw.max() * lam2_raw.max()]))
+        raw = (float(lam1_raw.min() * lam2_raw.min()), float(lam1_raw.max() * lam2_raw.max()))
         lam2 = _validate_and_clamp(lam2_raw)
         # entry (i, j) pairs radial vector i with angular vector j, j slow
         lam = np.outer(lam2, lam1).ravel()
         j, i = np.divmod(np.arange(lam.size), lam1.size)
-        blocks += _order_blocks(m, band.L, lam, (i, j), U=U, V=_AngularBasis.complete(V),
-                                radial=lam1, angular=lam2)
-    return blocks, raw
+        blocks += _order_blocks(m, band.L, lam, (i, j), raw=raw, U=U,
+                                V=_AngularBasis.complete(V), radial=lam1, angular=lam2)
+    return blocks
 
 
 def solve(region, band: SpectralBand, keep: int | None = None) -> EigenResult:
@@ -434,11 +428,11 @@ def solve(region, band: SpectralBand, keep: int | None = None) -> EigenResult:
     ker._require_base_frame(region)
     if isinstance(band, FourierLaguerreBand) and isinstance(region, (ProductSymmetric,
                                                                      ProductMask)):
-        blocks, raw = _solve_separated(region, band)
+        blocks = _solve_separated(region, band)
     else:  # the block factor rejects other region types
-        blocks, raw = _solve_blocks(region, band, keep)
+        blocks = _solve_blocks(region, band, keep)
     # shannon_fl is shannon, in either band; perfbench's span wraps that name
-    return EigenResult(blocks, band, shannon_fl(region, band), raw, keep)
+    return EigenResult(blocks, band, shannon_fl(region, band), keep)
 
 
 solve_fl = solve_fb = solve  # the band-named entry points

@@ -198,8 +198,7 @@ def E_matrix(P: int, R1: float, R2: float) -> np.ndarray:
     """Radial coupling E_{p,p'} = int_{R1}^{R2} r^2 K_p K_{p'} dr, p, p' < P:
     the Gram A A^T of the FL `_radial_factor`, for R2 finite or not, so
     symmetric positive semidefinite, spectrum in [0, 1]."""
-    if not (R2 > R1 >= 0.0):
-        raise ValueError(f"need 0 <= R1 < R2, got R1={R1}, R2={R2}")
+    reg_mod._check_radii(R1, R2)
     A = _radial_factor(FourierLaguerreBand(P, 1), R1, R2)[0]
     return A @ A.T
 

@@ -67,6 +67,13 @@ def _orientation(value) -> tuple[float, float] | None:
     return float(angles[0]), float(angles[1])
 
 
+def _check_radii(R1: float, R2: float):
+    """ValueError unless 0 <= R1 < R2: a radial interval that is not empty,
+    inverted, negative or NaN."""
+    if not (0.0 <= R1 < R2):
+        raise ValueError(f"need 0 <= R1 < R2, got R1={R1}, R2={R2}")
+
+
 def _check_band(theta1: float, theta2: float):
     """ValueError unless 0 <= theta1 < theta2 <= pi: a colatitude band that is
     not empty, inverted or NaN."""
@@ -267,8 +274,7 @@ class ProductSymmetric:
     orientation: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.R1 < self.R2):
-            raise ValueError(f"need 0 <= R1 < R2, got R1={self.R1}, R2={self.R2}")
+        _check_radii(self.R1, self.R2)
         _check_band(self.theta1, self.theta2)
         object.__setattr__(self, "orientation", _orientation(self.orientation))
 
@@ -322,8 +328,7 @@ class ProductMask:
     R2: float
 
     def __post_init__(self):
-        if not (0.0 <= self.R1 < self.R2):
-            raise ValueError(f"need 0 <= R1 < R2, got R1={self.R1}, R2={self.R2}")
+        _check_radii(self.R1, self.R2)
 
 
 @dataclass(frozen=True)

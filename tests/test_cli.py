@@ -1285,6 +1285,19 @@ def test_negative_J_rejected_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_signal_with_no_region_energy_exits_1_before_output(tmp_path, capsys):
+    # decay.csv used to be written before Q found no energy to divide by
+    sig = tmp_path / "c.mat"
+    write_matrix(sig, np.zeros((sb.FourierLaguerreBand(4, 4).size, 1)))
+    out = tmp_path / "o"
+    rc = main(["project", "--domain", "fl", "--P", "4", "--L", "4", "--region", REGION,
+               "--signal", str(sig), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "numerical failure: signal carries no energy inside the region\n")
+    assert not out.exists()
+
+
 def test_band_limit_message_names_the_limit(tmp_path, capsys):
     rc = main(["shannon", "--P", "0", "--out", str(tmp_path / "o")])
     assert rc == 2

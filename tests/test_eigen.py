@@ -10,7 +10,7 @@ import pytest
 import slepian_ball as sb
 from oracles import (complex_vector_stack, dense_solve, mask_dense_angular,
                      padded_block_merge, rotate_jacobi, spectrum_sort_key)
-from slepian_ball import eigen, kernels, specfun, transforms
+from slepian_ball import cli, eigen, kernels, specfun, transforms
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
 
@@ -1094,10 +1094,14 @@ def test_spectrum_order_equals_tuple_sort(name, ref_region, monkeypatch):
         assert res.orders.tolist() == [e[1] for e in entries]
 
 
-def _computed_zeros_between_paddings(res) -> bool:
-    """Some order holds clamped computed zeros, and orders below and above it pad."""
-    padded = [b.m for b in res._blocks if b.pad]
-    return any(np.any(b.lam == 0) and min(padded) < b.m < max(padded) for b in res._blocks)
+def _computed_zeros_between_paddings(res, raw_spectra) -> bool:
+    """Some order computes a raw eigenvalue <= 0 (one that clamps to zero),
+    and orders below and above it pad: their raw spectra (`raw_spectra[|m|]`)
+    hold fewer entries than their blocks have rows."""
+    radial = res.band.size // res.band.L ** 2
+    raw = {b.m: raw_spectra[abs(b.m)] for b in res._blocks}
+    padded = [b.m for b in res._blocks if raw[b.m].size < b.rows.size * radial]
+    return any(np.any(lam <= 0) and min(padded) < m < max(padded) for m, lam in raw.items())
 
 
 # block solves that pad (FL pads where P exceeds the radial rank), each
@@ -1129,7 +1133,7 @@ def test_merge_places_padding_as_the_padded_merge_sorts_it(name, ref_region, mon
         region_of(ref_region), band, keep=keep)
     assert len(raw_spectra) == band.L and any(b.pad for b in res._blocks)
     if name == "fb-computed-zeros":
-        assert _computed_zeros_between_paddings(res)
+        assert _computed_zeros_between_paddings(res, raw_spectra)
     expect = padded_block_merge(res, raw_spectra, keep)
     assert res.eigenvalues.tobytes() == expect.eigenvalues.tobytes()
     assert res.orders.tobytes() == expect.orders.tobytes()
@@ -1137,6 +1141,39 @@ def test_merge_places_padding_as_the_padded_merge_sorts_it(name, ref_region, mon
     assert res.stored == expect.stored
     assert not expect.vectors.imag.any()
     assert res.vectors(res.stored).tobytes() == expect.vectors.real.tobytes()
+
+
+@pytest.mark.parametrize("name", list(PADDED_MERGE_CASES))
+def test_block_solve_holds_no_zero(name, ref_region):
+    # a block's clamped zeros join its padding, so every zero of the
+    # spectrum is padding, placed after every computed entry
+    region_of, band, keep = PADDED_MERGE_CASES[name]
+    res = eigen.solve(region_of(ref_region), band, keep=keep)
+    assert all(b.C is not None and b.lam.all() for b in res._blocks)
+    computed = sum(b.lam.size for b in res._blocks)
+    assert res.eigenvalues[:computed].all() and not res.eigenvalues[computed:].any()
+
+
+def test_negative_zero_merges_as_positive_zero(ref_region, tmp_path, monkeypatch):
+    # np.clip keeps a raw -0.0, which eigenvalues.csv used to write as "-0"
+    # rows ahead of the zero tail; folded into the padding, it is +0.0
+    signed, eigh = [], eigen._descending_eigh
+
+    def negative_zero_tail(a):
+        lam, Z = eigh(a)
+        lam = np.where(lam <= 0, -0.0, lam)
+        signed.append(np.signbit(lam).any())
+        return lam, Z
+
+    monkeypatch.setattr(eigen, "_descending_eigh", negative_zero_tail)
+    res = sb.solve_fb(ref_region, sb.FourierBesselBand(1.0, 6, 30))
+    assert any(signed) and not np.signbit(res.eigenvalues).any()
+    rc = cli.main(["eigen", "--domain", "fb", "--K", "1.0", "--L", "6", "--M", "30",
+                   "--region", f"product:15,25,{T1},{T2}", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = (tmp_path / "eigenvalues.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(res)
+    assert not [row for row in rows if row.split(",")[1].startswith("-")]
 
 
 # ---------------------------------------------------------------------------

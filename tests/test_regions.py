@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 
@@ -342,6 +343,19 @@ def test_product_mask_region():
         sb.volume(sb.ProductSymmetric(15, 25, T1, T2)), rel=1e-10)
     assert sb.contains(pm, sb.BallPoint(20.0, math.pi / 4, 0.1))
     assert not sb.contains(pm, sb.BallPoint(5.0, math.pi / 4, 0.1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda R1, R2: sb.ProductSymmetric(R1, R2, T1, T2),
+    lambda R1, R2: sb.ProductMask(sb.AngularMask.band(T1, T2, 4), R1, R2),
+    lambda R1, R2: sb.E_matrix(3, R1, R2),
+], ids=["product", "mask", "E_matrix"])
+@pytest.mark.parametrize("R1, R2", [(25.0, 15.0), (20.0, 20.0), (-1.0, 10.0),
+                                    (math.nan, 10.0), (15.0, math.nan)])
+def test_radial_interval_checked_alike(build, R1, R2):
+    # one check, one message, for every caller that takes a radial interval
+    with pytest.raises(ValueError, match=re.escape(f"need 0 <= R1 < R2, got R1={R1}, R2={R2}")):
+        build(R1, R2)
 
 
 AZIMUTHAL = sb.AzimuthallySymmetric.from_indicator(
