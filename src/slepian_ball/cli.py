@@ -59,7 +59,7 @@ import numpy as np
 from . import eigen, kernels, specfun, transforms
 from .csvout import _Gathered, _csv, _eigen_csv
 from .kernels import FourierBesselBand, FourierLaguerreBand
-from .regions import AngularMask, ProductMask, ProductSymmetric, full_ball
+from .regions import AngularMask, ProductMask, ProductSymmetric, _azimuths, full_ball
 
 MAGIC = b"SLEPB001"
 
@@ -353,7 +353,7 @@ def cmd_project(cfg: RunConfig, region, band) -> int:
         # sampled-signal file: rows are radial nodes of the band's analysis
         # grid, columns the flattened angular grid
         grid = transforms.analysis_grid(band)
-        n_ang = grid.theta_nodes.size * grid.phi_nodes.size
+        n_ang = grid.theta_nodes.size * grid.n_phi
         if raw.shape != (grid.radial_nodes.size, n_ang):
             raise ValueError(
                 f"signal file shape {raw.shape} matches neither the band size "
@@ -387,9 +387,8 @@ def cmd_synth(cfg: RunConfig, region, band) -> int:
     h = eigen.HarmonicCoeffs(read_matrix(cfg.signal).reshape(-1), band)
     rs = np.linspace(50.0 / n_r, 50.0, n_r)
     ts = np.linspace(0.0, math.pi, n_t)
-    ps = np.linspace(0.0, 2 * math.pi, n_p, endpoint=False)
     vals = transforms.synthesis_separable(h.values[None], band, rs, ts, n_p)
-    grid = [_Gathered(g) for g in np.meshgrid(rs, ts, ps, indexing="ij")]  # r, theta, phi
+    grid = [_Gathered(g) for g in np.meshgrid(rs, ts, _azimuths(n_p), indexing="ij")]
     _atomic_write(os.path.join(cfg.out, "values.csv"), _csv(
         "r,theta,phi,re,im", *grid, vals.real.ravel(), vals.imag.ravel()))
     return 0

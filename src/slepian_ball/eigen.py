@@ -334,7 +334,7 @@ def _validate_and_clamp(raw: np.ndarray) -> np.ndarray:
     """`raw` clamped to [0, 1] once it lies within the projection bounds; it
     may be empty."""
     mn, mx = (float(raw.min()), float(raw.max())) if raw.size else (0.0, 0.0)
-    if mn < -_CLAMP_TOL or mx > 1.0 + _CLAMP_TOL:
+    if not (mn >= -_CLAMP_TOL and mx <= 1.0 + _CLAMP_TOL):  # NaN fails
         raise ArithmeticError(
             f"eigenvalue outside projection bounds [-1e-9, 1+1e-9]: min={mn}, max={mx}")
     return np.clip(raw, 0.0, 1.0)

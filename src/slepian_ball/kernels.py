@@ -267,10 +267,10 @@ def C_kernel(ell: int, ell2: int, k: float, k2: float, R1: float, R2: float) -> 
     """
     if ell < 0 or ell2 < 0:
         raise ValueError("degrees must be >= 0")
-    if k <= 0 or k2 <= 0:
-        raise ValueError("wavenumbers must be positive")
-    if R1 < 0 or R2 < R1:
-        raise ValueError(f"need 0 <= R1 <= R2, got R1={R1}, R2={R2}")
+    if not (0 < k < math.inf and 0 < k2 < math.inf):  # so that NaN fails
+        raise ValueError(f"wavenumbers must be positive and finite, got k={k}, k2={k2}")
+    if not (0 <= R1 <= R2 < math.inf):
+        raise ValueError(f"need 0 <= R1 <= R2 < inf, got R1={R1}, R2={R2}")
     if R1 == R2:
         return 0.0
     rule = _c_quad_rule(max(k, k2), R1, R2)

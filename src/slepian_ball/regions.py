@@ -93,6 +93,11 @@ def _check_rule(name: str, nodes: np.ndarray, weights: np.ndarray, hi: float):
         raise ValueError(f"{name} weights must be positive and finite")
 
 
+def _azimuths(n_phi: int) -> np.ndarray:
+    """The n_phi uniform azimuths 2 pi j / n_phi of a grid row."""
+    return 2.0 * math.pi * np.arange(n_phi) / n_phi
+
+
 def _value_eq(self, other):
     """Dataclass equality that compares array fields by value."""
     if type(other) is not type(self):
@@ -150,7 +155,7 @@ class AngularMask:
 
     @property
     def phi_nodes(self) -> np.ndarray:
-        return 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
+        return _azimuths(self.n_phi)
 
     @property
     def L_grid(self) -> int:
@@ -226,10 +231,10 @@ class AngularMask:
         """Load a `theta phi indicator` pixel list written against a known grid.
 
         Sorted by (theta, phi), the pixels must form full rows of one
-        colatitude each, at the azimuths 2 pi j / n_phi, and the row
+        colatitude each, at the azimuths `_azimuths(n_phi)`, and the row
         colatitudes must be Gauss-Legendre nodes in cos(theta) on some
-        interval (both to 1e-9).  The rows take the weights of that rule by
-        position; any other layout fails to load with ValueError.
+        interval (both to 1e-9, which a NaN fails).  The rows take the
+        weights of that rule by position; any other layout raises ValueError.
         """
         data = np.loadtxt(path, ndmin=2)
         if data.shape[1] != 3:
@@ -240,7 +245,7 @@ class AngularMask:
         n_phi = theta.size // n_theta
         if n_phi * n_theta != theta.size or not np.array_equal(starts, n_phi * np.arange(n_theta)):
             raise ValueError("mask pixel list is not a full theta x phi grid")
-        if np.abs(phi.reshape(n_theta, n_phi) - 2.0 * math.pi * np.arange(n_phi) / n_phi).max() > 1e-9:
+        if not (np.abs(phi.reshape(n_theta, n_phi) - _azimuths(n_phi)).max() <= 1e-9):
             raise ValueError("mask azimuths are not 2 pi j / n_phi in every theta row")
         if n_theta < 2:
             raise ValueError("one theta row cannot fix the Gauss-Legendre grid of a mask")
@@ -363,7 +368,9 @@ def full_ball() -> ProductSymmetric:
 # ---------------------------------------------------------------------------
 
 def solid_angle(region_or_mask) -> float:
-    """Solid angle (steradians) of the angular footprint."""
+    """Solid angle (steradians) of the angular footprint, over all radii: a
+    union's is that of the union of its members' colatitude bands, so a
+    band that members at other radii share counts once."""
     if isinstance(region_or_mask, AngularMask):
         return region_or_mask.solid_angle
     if isinstance(region_or_mask, ProductMask):
@@ -372,7 +379,12 @@ def solid_angle(region_or_mask) -> float:
         return 2.0 * math.pi * (math.cos(region_or_mask.theta1)
                                 - math.cos(region_or_mask.theta2))
     if isinstance(region_or_mask, RegionUnion):
-        return sum(solid_angle(m) for m in region_or_mask.members)
+        omega, top = 0.0, 0.0  # top: the largest colatitude counted so far
+        for t1, t2 in sorted((m.theta1, m.theta2) for m in region_or_mask.members):
+            if t2 > top:
+                omega += 2.0 * math.pi * (math.cos(max(t1, top)) - math.cos(t2))
+                top = t2
+        return omega
     if isinstance(region_or_mask, AzimuthallySymmetric):
         covered = region_or_mask.indicator.max(axis=0) > 0
         return 2.0 * math.pi * float(region_or_mask.theta_weights @ covered)

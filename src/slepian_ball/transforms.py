@@ -2,7 +2,7 @@
 
 The Fourier-Laguerre analysis/synthesis pair here is exact for band-limited
 signals: radially the scaled Gauss-Laguerre rule samples f K_p r^2, e^{-r}
-poly(2P), as it is; angularly Gauss-Legendre in cos(theta) times uniform phi.
+poly(2P), as it is; angularly Gauss-Legendre in cos(theta) x n_phi azimuths.
 
 Synthesis in both bands first sums each coefficient vector against one
 radial table (`_synthesis_table`: K_p(r) for Fourier-Laguerre, the
@@ -20,8 +20,8 @@ modules import downward only: specfun, regions, kernels, eigen, transforms, cli.
 
 Fourier-Laguerre analysis takes the quadrature sum one axis at a time and
 never holds a Y_lm table of the grid: the weighted K_p(r) table contracts
-the radii, an FFT over the uniform azimuths gives every order m at once,
-and one Pbar_lm(cos theta) table per order contracts the colatitudes.
+the radii, an FFT over the azimuths 2 pi j / n_phi gives every order m at
+once, and one Pbar_lm(cos theta) table per order contracts the colatitudes.
 
 Slepian projection: for a band-limited signal h with coefficient vector
 h_band and a concentration eigenbasis {f^alpha}, the Slepian coefficients
@@ -42,14 +42,14 @@ import numpy as np
 from . import specfun
 from .eigen import EigenResult, HarmonicCoeffs
 from .kernels import FourierLaguerreBand, _radial_rule, _radial_table, fb_k_weights
-from .regions import AngularMask, BallPoint, ProductSymmetric, contains_points
+from .regions import AngularMask, BallPoint, ProductSymmetric, _azimuths, contains_points
 
 _SPACE_LIMIT_MIN_LAM = 1e-12
 
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Separable ball grid: radial nodes x (theta x phi) angular grid.
+    """Separable ball grid: radial nodes x colatitudes x n_phi uniform azimuths.
 
     radial_weights integrate f -> int f(r) r^2 dr over the radial support;
     angular_weights integrate over solid angle.  `angular_band` records what
@@ -59,9 +59,13 @@ class SpatialGrid:
     radial_nodes: np.ndarray
     radial_weights: np.ndarray
     theta_nodes: np.ndarray
-    phi_nodes: np.ndarray
+    n_phi: int                    # azimuths 2 pi j / n_phi (`phi_nodes`) per colatitude
     angular_weights: np.ndarray   # per (theta, phi) pixel, flattened C-order
     angular_band: int             # exact for harmonic products below this L
+
+    @property
+    def phi_nodes(self) -> np.ndarray:
+        return _azimuths(self.n_phi)
 
     def angular_points(self) -> tuple[np.ndarray, np.ndarray]:
         T, P = np.meshgrid(self.theta_nodes, self.phi_nodes, indexing="ij")
@@ -73,7 +77,7 @@ def _separable_grid(rule, theta1: float, theta2: float, L: int) -> SpatialGrid:
     Gauss-Legendre colatitudes in cos(theta) on the band x 2L azimuths."""
     mask = AngularMask.band(theta1, theta2, L)
     return SpatialGrid(rule.nodes, rule.weights * rule.nodes ** 2, mask.theta_nodes,
-                       mask.phi_nodes, mask.weight, L)
+                       mask.n_phi, mask.weight, L)
 
 
 def analysis_grid(band: FourierLaguerreBand) -> SpatialGrid:
@@ -153,15 +157,6 @@ def _radial_sums(values, band, r) -> np.ndarray:
     return out
 
 
-def _fft_azimuths(phi) -> int:
-    """The count n_phi of azimuths phi_j = 2 pi j / n_phi; other azimuths,
-    which an FFT over phi cannot serve, raise ValueError."""
-    n = phi.size
-    if n < 1 or np.abs(phi - 2.0 * math.pi * np.arange(n) / n).max() > 1e-12:
-        raise ValueError("grid azimuths are not 2 pi j / n_phi, as the FFT needs")
-    return n
-
-
 def synthesis_separable(values, band, r, theta, n_phi: int) -> np.ndarray:
     """Evaluate a stack of coefficient vectors on radii x colatitudes x azimuths.
 
@@ -233,12 +228,12 @@ synthesis_fl = synthesis_fb = synthesis  # the band-named entry points
 
 
 def synthesis_fl_grid(coeffs: HarmonicCoeffs, grid: SpatialGrid) -> np.ndarray:
-    """Synthesis on a separable grid whose azimuths are 2 pi j / n_phi (others
-    raise ValueError), in either band; returns (n_r, n_theta, n_phi) values."""
+    """Synthesis on a separable grid, at its azimuths 2 pi j / n_phi, in
+    either band; returns (n_r, n_theta, n_phi) values."""
     if grid.angular_band < coeffs.band.L:
         raise ValueError("grid angular band below coefficient band")
     return synthesis_separable(coeffs.values[None], coeffs.band, grid.radial_nodes,
-                               grid.theta_nodes, _fft_azimuths(grid.phi_nodes))[0]
+                               grid.theta_nodes, grid.n_phi)[0]
 
 
 def analysis_fl(values: np.ndarray, grid: SpatialGrid,
@@ -251,7 +246,7 @@ def analysis_fl(values: np.ndarray, grid: SpatialGrid,
     each pixel, an FFT over phi gives sum_j f e^{-i m phi_j} for every m,
     and for each order m one table Pbar_{lm}(cos theta) contracts the
     colatitudes, for +m and (with the factor (-1)^m) for -m.  The FFT needs
-    the azimuths phi_j = 2 pi j / n_phi with n_phi >= 2L - 1; other grids
+    n_phi >= 2L - 1 of the grid's azimuths phi_j = 2 pi j / n_phi; fewer
     raise ValueError.  Exact when `values` samples a signal band-limited
     within `band` and the grid's exactness covers it.
     """
@@ -260,7 +255,7 @@ def analysis_fl(values: np.ndarray, grid: SpatialGrid,
         raise ValueError(f"grid angular band {grid.angular_band} below L={L}")
     if grid.radial_nodes.size <= P:  # a Gauss-Laguerre rule needs P + 1 nodes
         raise ValueError("grid radial rule is not exact for this band")
-    n_r, n_t, n_p = grid.radial_nodes.size, grid.theta_nodes.size, _fft_azimuths(grid.phi_nodes)
+    n_r, n_t, n_p = grid.radial_nodes.size, grid.theta_nodes.size, grid.n_phi
     if n_p < 2 * L - 1:
         raise ValueError(f"grid has {n_p} azimuths, L={L} needs at least {2 * L - 1}")
     vals = np.asarray(values, dtype=complex).reshape(n_r, n_t * n_p)

@@ -19,6 +19,7 @@ from slepian_ball import cli, csvout, eigen, transforms
 from slepian_ball.cli import (RunConfig, _complex_tag, _matrix_chunks, main, parse_region,
                               read_matrix, write_matrix)
 from slepian_ball.csvout import _Gathered, _csv_rows, _eigen_csv
+from slepian_ball.regions import _azimuths
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
 REGION = f"product:15,25,{T1},{T2}"
@@ -446,6 +447,19 @@ def test_synth_command_matches_library(tmp_path, rng):
     assert float(r0[4]) == pytest.approx(val.imag, rel=1e-15)
 
 
+def test_synth_labels_the_azimuths_it_evaluated(tmp_path):
+    # the FFT evaluates at 2 pi j / n_phi; linspace's azimuths differ from
+    # those in the last bit at 2 of these 12
+    assert not np.array_equal(np.linspace(0.0, 2 * math.pi, 12, endpoint=False), _azimuths(12))
+    sig = tmp_path / "c.mat"
+    write_matrix(sig, np.ones((sb.FourierLaguerreBand(3, 2).size, 1)))
+    out = tmp_path / "o"
+    assert main(["synth", "--P", "3", "--L", "2", "--signal", str(sig), "--grid", "4,3,12",
+                 "--out", str(out)]) == 0
+    phi = np.loadtxt(out / "values.csv", delimiter=",", skiprows=1, usecols=2)
+    assert np.array_equal(phi.reshape(4 * 3, 12), np.tile(_azimuths(12), (4 * 3, 1)))
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("P = 7\nL = 5\nregion = fullball\n")
@@ -625,6 +639,22 @@ def test_mask_with_coarse_azimuths(tmp_path, capsys, command):
     else:
         assert rc == 2
         assert "band-limit 3 is below L=12" in err
+
+
+def test_mask_with_a_nan_azimuth_is_refused(tmp_path, capsys):
+    # NaN used to pass the azimuth check, and the mask loaded
+    band = sb.AngularMask.band(T1, T2, 4)
+    phi = band.phi_nodes
+    phi[-1] = math.nan
+    T, P = np.meshgrid(band.theta_nodes, phi, indexing="ij")
+    mpath = tmp_path / "nan.txt"
+    np.savetxt(mpath, np.column_stack([T.ravel(), P.ravel(), np.ones(T.size)]), fmt="%.17g")
+    out = tmp_path / "o"
+    rc = main(["shannon", "--domain", "fl", "--P", "3", "--L", "4",
+               "--region", f"mask:{mpath},15,25", "--out", str(out)])
+    assert rc == 2
+    assert "mask azimuths are not 2 pi j / n_phi" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eigen", "kernel"])
@@ -932,9 +962,9 @@ def test_streamed_maps_values_and_decay_match_per_value_writer(tmp_path, monkeyp
         assert (out / f"eigenfunction_{rank:04d}.csv").read_text() == "r,theta,value\n" + \
             csv_rows_per_value(Rg.ravel(), Tg.ravel(), vals.real.ravel())
 
-    rs, ps = np.linspace(50.0 / 4, 50.0, 4), np.linspace(0.0, 2 * math.pi, 5, endpoint=False)
+    rs = np.linspace(50.0 / 4, 50.0, 4)
     vals = transforms.synthesis_separable(vec[None], band, rs, ts, 5)
-    Rg, Tg, Pg = np.meshgrid(rs, ts, ps, indexing="ij")
+    Rg, Tg, Pg = np.meshgrid(rs, ts, _azimuths(5), indexing="ij")
     assert (out / "values.csv").read_text() == "r,theta,phi,re,im\n" + csv_rows_per_value(
         Rg.ravel(), Tg.ravel(), Pg.ravel(), vals.real.ravel(), vals.imag.ravel())
 
@@ -1271,6 +1301,31 @@ def test_synth_non_finite_signal_exits_2_before_output(tmp_path, capsys):
     assert rc == 2
     assert "non-finite" in capsys.readouterr().err
     assert not (out / "values.csv").exists()
+
+
+@pytest.mark.parametrize("command, flags, config, message", [
+    ("shannon", ["--count", "-1"], None, "count must be >= 0, got -1"),
+    ("shannon", [], "P 3\n", "bad config line (need key = value): 'P 3'"),
+    ("shannon", [], "colour = red\n", "unknown config key 'colour'"),
+    ("project", ["--domain", "fb", "--signal", "c.mat"], None,
+     "projection is provided for the Fourier-Laguerre domain"),
+    ("project", [], None, "project needs --signal"),
+    ("synth", ["--grid", "2,2,2"], None, "synth needs --signal"),
+    ("synth", ["--signal", "c.mat"], None, "synth needs --grid nr,ntheta,nphi"),
+])
+def test_configuration_errors_exit_2_before_output(tmp_path, capsys, command, flags, config,
+                                                   message):
+    write_matrix(tmp_path / "c.mat", np.ones((sb.FourierLaguerreBand(3, 3).size, 1)))
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        flags = [*flags, "--config", str(tmp_path / "run.cfg")]
+    flags = [str(tmp_path / f) if f == "c.mat" else f for f in flags]
+    out = tmp_path / "o"
+    rc = main([command, "--P", "3", "--L", "3", "--region", REGION, *flags, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert not out.exists()
 
 
 def test_negative_J_rejected_before_output(tmp_path, capsys):

@@ -1176,6 +1176,30 @@ def test_negative_zero_merges_as_positive_zero(ref_region, tmp_path, monkeypatch
     assert not [row for row in rows if row.split(",")[1].startswith("-")]
 
 
+@pytest.mark.parametrize("raw", [[0.5, math.nan], [1.1], [math.nan], [-2e-9, 0.5]])
+def test_clamp_refuses_eigenvalues_outside_the_projection_bounds(raw):
+    # a NaN min or max fails `<` and `>` tests alike, and np.clip keeps it
+    with pytest.raises(ArithmeticError, match="outside projection bounds"):
+        eigen._validate_and_clamp(np.array(raw))
+
+
+def test_nan_eigenvalue_fails_the_block_solve(ref_region, tmp_path, monkeypatch):
+    eigh = eigen._descending_eigh
+
+    def nan_tail(a):
+        lam, Z = eigh(a)
+        lam[-1] = math.nan
+        return lam, Z
+
+    monkeypatch.setattr(eigen, "_descending_eigh", nan_tail)
+    with pytest.raises(ArithmeticError, match="max=nan"):
+        sb.solve_fb(ref_region, sb.FourierBesselBand(1.0, 6, 30))
+    out = tmp_path / "o"
+    rc = cli.main(["eigen", "--domain", "fb", "--K", "1.0", "--L", "6", "--M", "30",
+                   "--region", f"product:15,25,{T1},{T2}", "--out", str(out)])
+    assert rc == 1 and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Shannon numbers
 # ---------------------------------------------------------------------------

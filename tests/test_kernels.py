@@ -328,6 +328,26 @@ def test_c_domain_errors():
         sb.C_kernel(0, 0, 0.0, 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("k, k2, R1, R2, message", [
+    (math.inf, 1.0, 15.0, 25.0, "wavenumbers must be positive and finite"),
+    (1.0, math.inf, 15.0, 25.0, "wavenumbers must be positive and finite"),
+    (math.nan, 1.0, 15.0, 25.0, "wavenumbers must be positive and finite"),
+    (1.0, math.nan, 15.0, 25.0, "wavenumbers must be positive and finite"),
+    (1.0, -1.0, 15.0, 25.0, "wavenumbers must be positive and finite"),
+    (1.0, 1.0, 15.0, math.inf, r"need 0 <= R1 <= R2 < inf"),
+    (1.0, 1.0, math.inf, math.inf, r"need 0 <= R1 <= R2 < inf"),
+    (1.0, 1.0, 15.0, math.nan, r"need 0 <= R1 <= R2 < inf"),
+    (1.0, 1.0, math.nan, 25.0, r"need 0 <= R1 <= R2 < inf"),
+    (1.0, 1.0, -1.0, 25.0, r"need 0 <= R1 <= R2 < inf"),
+    (1.0, 1.0, 25.0, 15.0, r"need 0 <= R1 <= R2 < inf"),
+])
+def test_c_rejects_non_finite_and_out_of_range_arguments(k, k2, R1, R2, message):
+    # an infinite k or R2 used to raise OverflowError, a NaN one a raw
+    # "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=message):
+        sb.C_kernel(2, 3, k, k2, R1, R2)
+
+
 # ---------------------------------------------------------------------------
 # assembled kernels
 # ---------------------------------------------------------------------------

@@ -52,6 +52,38 @@ def test_band_as_mask_solid_angle():
     assert mask.solid_angle == pytest.approx(BAND_OMEGA, abs=1e-10)
 
 
+def _band_omega(t1, t2):
+    return 2 * math.pi * (math.cos(t1) - math.cos(t2))
+
+
+@pytest.mark.parametrize("bands, footprint", [
+    ([(0.2, 0.9), (0.2, 0.9)], [(0.2, 0.9)]),                     # stacked
+    ([(0.2, 0.9), (1.5, 2.4)], [(0.2, 0.9), (1.5, 2.4)]),         # disjoint
+    ([(0.5, 1.4), (0.2, 0.9)], [(0.2, 1.4)]),                     # partly overlapping
+    ([(0.2, 1.4), (0.5, 0.9), (2.0, 2.4)], [(0.2, 1.4), (2.0, 2.4)]),  # nested
+])
+def test_union_solid_angle_counts_shared_colatitudes_once(bands, footprint):
+    # members at other radii may share colatitudes; the footprint holds them once
+    members = [sb.ProductSymmetric(5 + 15 * i, 15 + 15 * i, t1, t2)
+               for i, (t1, t2) in enumerate(bands)]
+    union = sb.RegionUnion(members)
+    assert sb.solid_angle(union) == pytest.approx(
+        sum(_band_omega(*b) for b in footprint), rel=1e-14)
+    assert sb.volume(union) == pytest.approx(sum(sb.volume(m) for m in members), rel=1e-15)
+
+
+def test_azimuthal_solid_angle_is_the_footprint_over_radii():
+    # inner radii cover theta < 1, outer ones 0.5 <= theta < 1.5
+    reg = sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: ((r < 20) & (t < 1.0) | (r >= 20) & (t >= 0.5) & (t < 1.5)).astype(float),
+        15.0, 25.0, n_r=8, n_theta=32)
+    covered = reg.theta_nodes < 1.5
+    assert sb.solid_angle(reg) == 2 * math.pi * float(reg.theta_weights @ covered)
+    # 32 rows resolve the band edge to about 0.2 sr; each radius alone gives
+    # 2.9 or 4.4 sr, their sum 7.2
+    assert sb.solid_angle(reg) == pytest.approx(_band_omega(0.0, 1.5), abs=0.25)
+
+
 def test_partial_mask_solid_angle(rng):
     # indicator zeroing half the pixels: sum w*I is the defining measure
     mask = sb.AngularMask.full_sphere_grid(12)
@@ -281,7 +313,9 @@ def test_mask_text_at_eleven_digits_loads(tmp_path):
 
 
 @pytest.mark.parametrize("phi_row", [[0.0, 1.0, 2.0, 4.0],
-                                     0.1 + 2 * math.pi * np.arange(4) / 4])
+                                     0.1 + 2 * math.pi * np.arange(4) / 4,
+                                     # sorts last; a NaN difference passes a `>` test
+                                     [*(2 * math.pi * np.arange(3) / 4), math.nan]])
 def test_mask_from_text_rejects_uneven_azimuths(tmp_path, phi_row):
     path = tmp_path / "uneven.txt"
     _pixel_file(path, sb.AngularMask.band(T1, T2, 4).theta[::8], phi_row)

@@ -16,6 +16,7 @@ from slepian_ball import specfun, transforms
 from oracles import (analysis_fl_dense, laguerre_K, spherical_bessel_j, spherical_harmonic,
                      synthesis_fb_per_degree, synthesis_fl_scalar, synthesis_separable_dense)
 from slepian_ball.kernels import fb_k_weights
+from slepian_ball.regions import _azimuths
 
 T1, T2 = math.pi / 8, 3 * math.pi / 8
 
@@ -157,14 +158,10 @@ def test_analysis_rejects_grids_the_fft_cannot_serve():
     band = sb.FourierLaguerreBand(4, 4)
     grid = transforms.analysis_grid(band)
     vals = np.ones((grid.radial_nodes.size, grid.angular_weights.size))
-    shifted = dataclasses.replace(grid, phi_nodes=grid.phi_nodes + 0.1)
-    with pytest.raises(ValueError, match="azimuths are not"):
-        sb.analysis_fl(vals, shifted, band)
     n_t, n_p = grid.theta_nodes.size, 2 * band.L - 2
     coarse = dataclasses.replace(
-        grid, phi_nodes=2 * math.pi * np.arange(n_p) / n_p,
-        angular_weights=np.repeat(grid.angular_weights[::grid.phi_nodes.size],
-                                  n_p) * grid.phi_nodes.size / n_p)
+        grid, n_phi=n_p,
+        angular_weights=np.repeat(grid.angular_weights[::grid.n_phi], n_p) * grid.n_phi / n_p)
     with pytest.raises(ValueError, match="needs at least 7"):
         sb.analysis_fl(vals[:, :n_t * n_p], coarse, band)
 
@@ -198,10 +195,6 @@ def test_fb_synthesis_linearity(rng):
     lhs = sb.synthesis_fb(sb.HarmonicCoeffs(a * x.values + b * y.values, band), pts)
     rhs = a * sb.synthesis_fb(x, pts) + b * sb.synthesis_fb(y, pts)
     assert np.abs(lhs - rhs).max() < 1e-13 * max(1.0, np.abs(rhs).max())
-
-
-def _azimuths(n_phi):
-    return 2 * math.pi * np.arange(n_phi) / n_phi
 
 
 def _grid_points(r, theta, n_phi):
@@ -265,14 +258,14 @@ def test_synthesis_fl_grid_folds_coarse_azimuths_and_rejects_others(rng):
     c = random_coeffs(band, rng)
     grid = transforms.analysis_grid(band)
     n_p = 3
-    coarse = dataclasses.replace(grid, phi_nodes=_azimuths(n_p))
+    coarse = dataclasses.replace(grid, n_phi=n_p)
     got = sb.synthesis_fl_grid(c, coarse)
     assert got.shape == (grid.radial_nodes.size, grid.theta_nodes.size, n_p)
     want = synthesis_fl_scalar(c, _grid_points(grid.radial_nodes[:2], grid.theta_nodes, n_p))
     assert np.abs(got[:2].ravel() - want).max() <= 1e-13 * np.abs(want).max()
-    shifted = dataclasses.replace(grid, phi_nodes=grid.phi_nodes + 0.1)
-    with pytest.raises(ValueError, match="azimuths are not"):
-        sb.synthesis_fl_grid(c, shifted)
+    low = dataclasses.replace(grid, angular_band=band.L - 1)
+    with pytest.raises(ValueError, match="angular band below"):
+        sb.synthesis_fl_grid(c, low)
 
 
 def test_scaled_grid_synthesis_bounded_memory_round_trip(rng):
