@@ -32,10 +32,15 @@ rule and k weights (`fb_k_weights`); all else runs one body.  Every region's
 F_m has one form (`_order_factors`): F_m = (direct sum over l of Q_l) K_m,
 Q_l one orthonormal radial basis per degree, the QR of the members' radial
 modes side by side, and K_m a small dense array over (l, radial mode).  The
-radial modes are the `_rank_cut` of the `_radial_factor` for a product
-member (`_radial_modes`), and one thin SVD of the radial table on the
-grid's radii for an azimuthally symmetric region; every cut, G^m's
-included, is one rule (`_above_rank_floor`).  `kernel_fixed_order`
+radial modes are T = A V_q for the stacked `_radial_factor` A of a product
+member (`_radial_modes`), or the radial table A on the grid's radii of an
+azimuthally symmetric region, with V the right singular vectors of A cut
+to its rank.  `_stacked_svd` takes A's singular values and V from the R of
+a QR accumulated one degree at a time: A = Q R has exactly A's singular
+values and right vectors (Chan 1982, R-SVD), so each cut is still read off
+an SVD of the quadrature factor, never a Gram, while no copy of the stack
+and no tall U is made.  Every cut, G^m's included, is one rule
+(`_above_rank_floor`).  `kernel_fixed_order`
 (alias `kernel_fl_fixed_order`, `kernel_fb_fixed_order`) returns the array
 F_m F_m^T; the block solver eigensolves the smaller side of K_m, as an SVD
 of K_m costs about five times more.  The test suite checks each against an
@@ -171,7 +176,8 @@ def _radial_table(band: SpectralBand, r: np.ndarray, k_rule=None) -> np.ndarray:
     ks, w = ((band.k_samples, fb_k_weights(band)) if k_rule is None
              else (k_rule.nodes, k_rule.weights))
     J = specfun.spherical_jn_table(band.L - 1, np.multiply.outer(ks, r))
-    return J * (np.sqrt(2.0 / math.pi * w) * ks)[:, None]
+    J *= (np.sqrt(2.0 / math.pi * w) * ks)[:, None]
+    return J
 
 
 def _radial_factor(band: SpectralBand, R1: float, R2: float) -> np.ndarray:
@@ -179,17 +185,22 @@ def _radial_factor(band: SpectralBand, R1: float, R2: float) -> np.ndarray:
     `_radial_table` on the `_radial_rule` nodes under sqrt(r^2 w), so that
     A_l A_l^T is E (FL) or W^{1/2} C_l W^{1/2} (FB) at each degree."""
     rule = _radial_rule(band, R1, R2)
-    return _radial_table(band, rule.nodes) * (rule.nodes * np.sqrt(rule.weights))
+    A = _radial_table(band, rule.nodes)
+    A *= rule.nodes * np.sqrt(rule.weights)
+    return A
 
 
 @functools.lru_cache(maxsize=8)
 def _radial_modes(band: SpectralBand, R1: float, R2: float) -> np.ndarray:
     """A product member's radial modes T, (1 or L, n_rad, q), T_l T_l^T = A_l A_l^T
-    for the `_radial_factor` A: `_rank_cut` of A's degrees stacked.  Read-only:
-    cached."""
+    for the `_radial_factor` A: T = A V_q, V_q the right singular vectors of
+    A's degrees stacked (`_stacked_svd`) whose s^2 pass `_above_rank_floor`
+    for the stack's n = L n_rad rows, as `_rank_cut` cuts a factor.
+    Read-only: cached."""
     A = _radial_factor(band, R1, R2)
-    T = _rank_cut(A.reshape(-1, A.shape[2]))
-    T = T.reshape(A.shape[:2] + T.shape[1:])
+    s, Vt = _stacked_svd(A)
+    q = np.count_nonzero(_above_rank_floor(s * s, A.shape[0] * A.shape[1]))
+    T = A @ Vt[:q].T
     T.flags.writeable = False
     return T
 
@@ -296,6 +307,19 @@ def _gram_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([s * s, np.zeros(A.shape[0] - s.size)]), U
 
 
+def _stacked_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values s and right vectors Vt of a stacked radial table A,
+    (n_l, n_rows, n_nodes), read as one (n_l n_rows, n_nodes) matrix.  They
+    are those of the R of A = Q R (Chan's R-SVD), and R is accumulated one
+    degree at a time, R = qr([R; A_l]): the stack is never copied whole and
+    no tall U is formed, so every SVD is at most n_nodes square."""
+    R = np.empty((0, A.shape[2]))
+    for A_l in A:
+        R = np.linalg.qr(np.concatenate([R, A_l]), mode="r")
+    _, s, Vt = np.linalg.svd(R, full_matrices=False)
+    return s, Vt
+
+
 def _rank_cut(A: np.ndarray) -> np.ndarray:
     """Factor U S of A A^H, (n, q), cut to the q eigenvalues s^2 of
     `_gram_eigh` above `_above_rank_floor`."""
@@ -319,8 +343,8 @@ def _order_factors(band: SpectralBand, region):
     q_i), times a coupling C_l (`_member_factors`): for a product I (x) a_l,
     a_l the rows of the `_rank_cut` of G^m's `_band_factor`; for an azimuthal
     region one column per active (r, theta) node, V^T at r times
-    Pbar_lm(theta) sqrt(theta weight), with T = U S the thin SVD U S V^T of
-    its radial table.
+    Pbar_lm(theta) sqrt(theta weight), with T = X V and V from the
+    `_stacked_svd` of its radial table X, cut on s.
     Q_l R_l is the QR of all members' T_l side by side, so Q, (L, n_rad, q),
     is one orthonormal radial basis per degree, and member i's columns of
     K_m, ((L - m) q, n_cols), are R_l^(i) C_l^(i).  Q, R and T do not depend
@@ -400,11 +424,16 @@ def _member_factors(band: SpectralBand, region):
                 f"nodes; the band L = {L} needs at least {L}")
         r, fb = region.r_nodes, isinstance(band, FourierBesselBand)
         sqrt_meas = r * np.sqrt(2.0 * math.pi * region.r_weights * region.indicator.any(axis=1))
+
+        def weighted(k_rule=None):
+            table = _radial_table(band, r, k_rule)
+            table *= sqrt_meas
+            return table
         # radially, each degree's Gram over the active radii, over 2 pi, is at
         # most I if they resolve the band; FB takes k exactly (`_c_quad_rule`,
         # k and r swapped), as its samples exceed I near dk R_max = pi
-        X = _radial_table(band, r) * sqrt_meas
-        G = _radial_table(band, r, _c_quad_rule(r.max(), 0.0, band.K)) * sqrt_meas if fb else X
+        X = weighted()
+        G = weighted(_c_quad_rule(r.max(), 0.0, band.K)) if fb else X
         peak = _top_radial_gram(G)
         if peak > 1.0 + _CLAMP_TOL:
             raise ValueError(
@@ -415,10 +444,10 @@ def _member_factors(band: SpectralBand, region):
             raise ValueError(
                 f"Fourier-Bessel k sampling too coarse for the region: its radial Gram on "
                 f"the M = {band.M} k samples reaches {peak:.6f} > 1; raise M")
-        U, s, Vt = np.linalg.svd(X.reshape(-1, r.size), full_matrices=False)
+        s, Vt = _stacked_svd(X)
         # node columns see the dropped modes at first order: cut s, not s^2
-        q = int(np.count_nonzero(_above_rank_floor(s, max(U.shape[0], r.size))))
-        T = (U[:, :q] * s[:q]).reshape(X.shape[:2] + (q,))
+        q = np.count_nonzero(_above_rank_floor(s, max(X.shape[0] * X.shape[1], r.size)))
+        T = X @ Vt[:q].T
         ir, it = np.nonzero(region.indicator)
         V = Vt[:q, ir]
         sqrt_wt = np.sqrt(region.theta_weights[it])

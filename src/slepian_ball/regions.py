@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -236,7 +237,11 @@ class AngularMask:
         interval (both to 1e-9, which a NaN fails).  The rows take the
         weights of that rule by position; any other layout raises ValueError.
         """
-        data = np.loadtxt(path, ndmin=2)
+        with warnings.catch_warnings():  # numpy's no-data warning; the error follows
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, ndmin=2)
+        if data.size == 0:
+            raise ValueError(f"mask pixel list {path} is empty")
         if data.shape[1] != 3:
             raise ValueError("mask pixel list needs the three columns theta phi indicator")
         theta, phi, ind = np.ascontiguousarray(data[np.lexsort((data[:, 1], data[:, 0]))].T)
@@ -412,9 +417,14 @@ def contains_points(region, r, theta, phi) -> np.ndarray:
     """Closed-set membership of the points (r, theta, phi), elementwise over
     arrays of one shape.  Masks and sampled regions answer from the nearest
     pixel or grid node; a mask holds no point outside the colatitude band
-    its grid spans."""
+    its grid spans.  No region holds a point with a NaN or infinite
+    coordinate, which is read as the origin so that no lookup sees it."""
     r, theta, phi = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                           for x in (r, theta, phi)))
+    finite = np.isfinite(r) & np.isfinite(theta) & np.isfinite(phi)
+    if not finite.all():
+        r, theta, phi = (np.where(finite, x, 0.0) for x in (r, theta, phi))
+        return finite & contains_points(region, r, theta, phi)
     if isinstance(region, ProductSymmetric):
         r, theta = _base_frame(r, theta, phi, region.orientation)
         return ((region.R1 <= r) & (r <= region.R2)

@@ -188,9 +188,11 @@ def spherical_jn_table(lmax: int, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)) or np.any(x < 0):
         raise ValueError("arguments must be finite and >= 0")
     flat = x.ravel()
-    out = np.empty((lmax + 1, flat.size))
     series = flat < _BESSEL_SERIES_X
     with np.errstate(under="ignore"):
+        if flat.size and not series.any():  # the recurrence's table is the result
+            return _jn_downward(lmax, flat).reshape((lmax + 1,) + x.shape)
+        out = np.empty((lmax + 1, flat.size))
         if series.any():
             term = np.ones(np.count_nonzero(series))
             for l in range(lmax + 1):
@@ -224,7 +226,8 @@ def _jn_downward(lmax: int, x: np.ndarray) -> np.ndarray:
             norm[big] /= _BESSEL_RESCALE ** 2
             out[l:, big] /= _BESSEL_RESCALE
     out[0] = cur
-    return out / np.sqrt(norm)
+    out /= np.sqrt(norm)
+    return out
 
 
 def spherical_j_minus1(x: np.ndarray) -> np.ndarray:

@@ -15,6 +15,8 @@ serve the tests as oracles:
 * Wigner d elements through Jacobi polynomials (`wigner_d_beta`), and
   rotation through them (`rotate_jacobi`), against the library's J_y
   eigendecomposition;
+* a band's radial modes by one thin SVD of its whole stacked radial table
+  (`radial_modes_svd`), against the library's SVD of a per-degree QR's R;
 * the fixed-order kernels assembled densely, Fourier-Bessel as C o G and
   Fourier-Laguerre as a sum of G^m (x) E over union members (both also
   over the grid of an azimuthally symmetric region), with their dense
@@ -467,6 +469,23 @@ def rotate_jacobi(values, band, theta0: float, phi0: float) -> np.ndarray:
         rows = slice(l * l, (l + 1) * (l + 1))
         out[rows] = (phase[:, None] * wigner_d_jacobi(l, theta0)) @ f[rows]
     return out.reshape(-1)
+
+
+# ---------------------------------------------------------------------------
+# radial modes by one thin SVD of the stacked table
+# ---------------------------------------------------------------------------
+
+def radial_modes_svd(A: np.ndarray, squared: bool = True) -> np.ndarray:
+    """Radial modes of a stacked table A, (n_l, n_rows, n_nodes), from the
+    thin SVD U S V^T of all its degrees as one (n_l n_rows, n_nodes) matrix:
+    U S, reshaped per degree and cut to the values above max * n * eps, on
+    s^2 with n = n_l n_rows (a product member's factor), or with squared
+    False on s with n = max(n_l n_rows, n_nodes) (an azimuthal region's
+    table on its radii)."""
+    U, s, _ = np.linalg.svd(A.reshape(-1, A.shape[2]), full_matrices=False)
+    lam, n = (s * s, U.shape[0]) if squared else (s, max(U.shape[0], A.shape[2]))
+    q = int(np.count_nonzero(lam > lam.max() * n * np.finfo(float).eps))
+    return (U[:, :q] * s[:q]).reshape(A.shape[:2] + (q,))
 
 
 # ---------------------------------------------------------------------------

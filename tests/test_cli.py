@@ -657,6 +657,21 @@ def test_mask_with_a_nan_azimuth_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["", "# theta phi indicator\n"], ids=["empty", "comments"])
+def test_empty_pixel_file_is_refused(tmp_path, capsys, recwarn, text):
+    # numpy warned "input contained no data" and the error blamed the columns
+    mpath = tmp_path / "empty.txt"
+    mpath.write_text(text)
+    out = tmp_path / "o"
+    rc = main(["shannon", "--domain", "fl", "--P", "3", "--L", "4",
+               "--region", f"mask:{mpath},15,25", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: mask pixel list {mpath} is empty\n"
+    assert len(recwarn) == 0, [str(w.message) for w in recwarn]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eigen", "kernel"])
 def test_order_on_mask_region_rejected(tmp_path, capsys, command):
     mpath = tmp_path / "band.txt"

@@ -1027,6 +1027,26 @@ def test_product_solve_runs_no_eigensolve(monkeypatch, ref_region):
     assert lo >= 0.0 and hi == res.eigenvalues[0]
 
 
+@pytest.mark.parametrize("M", [70, 140])
+def test_fb_solve_runs_no_svd_taller_than_its_radial_rule(M, monkeypatch, ref_region):
+    # the radial modes come from the SVD of the R of a per-degree QR of the
+    # (L, M, n) Bessel factor, not from one of the (L M) x n stack, whose
+    # tall U and copies set the cold solve's memory peak
+    band = sb.FourierBesselBand(1.4, 20, M)
+    n = kernels._radial_rule(band, ref_region.R1, ref_region.R2).nodes.size
+    svd_shapes, svd = [], np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        svd_shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    kernels._radial_modes.cache_clear()  # a cached build would take no SVD
+    sb.solve_fb(ref_region, band, keep=1)
+    assert (n, n) in svd_shapes  # the R of the stacked factor
+    assert all(shape[-2] <= n for shape in svd_shapes), svd_shapes
+
+
 def test_empty_mask_solves_to_zero_spectrum(rng):
     band = sb.FourierLaguerreBand(4, 6)
     mask = sb.AngularMask.full_sphere_grid(6, indicator=lambda t, p: np.zeros_like(t))

@@ -15,7 +15,7 @@ import pytest
 
 import slepian_ball as sb
 from oracles import (C_closed_form, E_matrix_mp, G_diag_sum_3j, G_mask_dense, G_matrix_3j,
-                     _c_tensor, fb_dense_block, fl_dense_block)
+                     _c_tensor, fb_dense_block, fl_dense_block, radial_modes_svd)
 from slepian_ball import kernels, specfun
 from slepian_ball.kernels import fb_k_weights
 
@@ -495,13 +495,61 @@ def test_fl_radial_modes_reproduce_E(P, R1, R2):
     assert T.shape[2] == np.count_nonzero(kernels._above_rank_floor(np.linalg.eigvalsh(E), P))
 
 
+def _sloped_band():
+    """0.3 + 0.02 (r - 15) < theta < 1.2 on [15, 25], 16 x 16 nodes."""
+    return sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: ((t > 0.3 + 0.02 * (r - 15.0)) & (t < 1.2)).astype(float),
+        15.0, 25.0, n_r=16, n_theta=16)
+
+
+def _assert_same_mode_grams(T, ref):
+    # modes are unique only up to a rotation; their per-degree Grams are not
+    assert T.shape == ref.shape
+    gram, gram_ref = T @ T.transpose(0, 2, 1), ref @ ref.transpose(0, 2, 1)
+    assert np.abs(gram - gram_ref).max() <= 1e-13 * np.abs(gram_ref).max()
+
+
+# (band, R1, R2, q): the FB ranks are those of the acceptance configurations
+RADIAL_MODE_CASES = {
+    "fb-M70": (sb.FourierBesselBand(1.4, 20, 70), 15.0, 25.0, 14),
+    "fb-M140": (sb.FourierBesselBand(1.4, 20, 140), 15.0, 25.0, 13),
+    "fb-L64-M280": (sb.FourierBesselBand(1.4, 64, 280), 15.0, 25.0, 13),
+    "fl-P31": (sb.FourierLaguerreBand(31, 4), 15.0, 25.0, None),
+    "fl-P31-open": (sb.FourierLaguerreBand(31, 4), 15.0, math.inf, None),
+    "fl-P64": (sb.FourierLaguerreBand(64, 4), 15.0, 25.0, None),
+    "fl-P64-open": (sb.FourierLaguerreBand(64, 4), 15.0, math.inf, None),
+}
+
+
+@pytest.mark.parametrize("name", list(RADIAL_MODE_CASES))
+def test_radial_modes_match_the_tall_svd(name):
+    # the SVD of the R of a per-degree QR has the stack's own singular values
+    # and right vectors, so it cuts the same rank and spans the same modes
+    band, R1, R2, q = RADIAL_MODE_CASES[name]
+    T = kernels._radial_modes(band, R1, R2)
+    ref = radial_modes_svd(kernels._radial_factor(band, R1, R2))
+    _assert_same_mode_grams(T, ref)
+    assert q is None or T.shape[2] == q
+
+
+@pytest.mark.parametrize("band", [sb.FourierBesselBand(1.0, 6, 25), sb.FourierLaguerreBand(24, 4)],
+                         ids=["fb", "fl"])
+def test_azimuthal_radial_modes_match_the_tall_svd(band):
+    # the azimuthal branch cuts the singular values themselves, not squares
+    region = _sloped_band()
+    r = region.r_nodes
+    X = kernels._radial_table(band, r) * (
+        r * np.sqrt(2.0 * math.pi * region.r_weights * region.indicator.any(axis=1)))
+    ref = radial_modes_svd(X, squared=False)
+    T = kernels._member_factors(band, region)[0]
+    _assert_same_mode_grams(T[:X.shape[0]], ref)
+
+
 def test_grams_are_exactly_hermitian():
     # every Gram is formed as A A^H, which numpy builds from one triangle and
     # mirrors, so no entry may differ from its transpose by even one rounding
     # (a plain product F @ F.T.copy() leaves ~1e-17 skews at these sizes)
-    sloped = sb.AzimuthallySymmetric.from_indicator(
-        lambda r, t: ((t > 0.3 + 0.02 * (r - 15.0)) & (t < 1.2)).astype(float),
-        15.0, 25.0, n_r=16, n_theta=16)
+    sloped = _sloped_band()
     union = sb.RegionUnion((sb.ProductSymmetric(15.0, 19.0, T1, T2),
                             sb.ProductSymmetric(21.0, 25.0, 0.2, 0.9)))
     grams = [(sb.E_matrix(31, 15.0, R2), R2) for R2 in (25.0, math.inf)]

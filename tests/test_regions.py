@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,42 @@ def test_contains_points_matches_scalar_form(name, rng):
     assert np.array_equal(grid.ravel(), inside)
 
 
+def _low_cap():
+    """r < 20, theta < 1 on [15, 25]: an azimuthal region holding its first node."""
+    return sb.AzimuthallySymmetric.from_indicator(
+        lambda r, t: ((r < 20) & (t < 1)).astype(float), 15.0, 25.0, n_r=16, n_theta=8)
+
+
+@pytest.mark.parametrize("region, inside, point", [
+    (lambda: sb.ProductMask(sb.AngularMask.band(0.3, 1.2, 4), 15, 25),
+     (20.0, 0.5, 0.3), (20.0, 0.5, math.nan)),
+    (_low_cap, (17.0, 0.5, 0.0), (20.0, math.nan, 0.0)),
+], ids=["mask-nan-phi", "azimuthal-nan-theta"])
+def test_contains_points_drops_a_nan_lookup(region, inside, point):
+    # argmin over an all-NaN distance row returns 0, which answered for
+    # pixel column 0 or colatitude node 0, both inside these regions
+    region = region()
+    assert sb.contains_points(region, *inside)
+    assert not sb.contains_points(region, *point)
+
+
+@pytest.mark.parametrize("name", [*CONTAINS_REGIONS, "low-cap", "full-ball"])
+def test_contains_points_holds_no_non_finite_point(name):
+    region = {"low-cap": _low_cap, "full-ball": sb.full_ball, **CONTAINS_REGIONS}[name]()
+    r = np.array([20.0, 17.0, 15.5, 0.0, 12.0])
+    theta = np.array([0.5, 0.9, 1.0, 0.0, 0.6])
+    phi = np.array([0.3, 1.0, 0.5, 0.0, 1.5])
+    inside = sb.contains_points(region, r, theta, phi)
+    for coord in range(3):
+        for bad in (math.nan, math.inf, -math.inf):
+            point = [r, theta, phi]
+            point[coord] = np.full(r.shape, bad)
+            assert not sb.contains_points(region, *point).any(), (coord, bad)
+            point[coord] = np.where(np.arange(r.size) == 1, bad, (r, theta, phi)[coord])
+            expect = inside & (np.arange(r.size) != 1)
+            assert np.array_equal(sb.contains_points(region, *point), expect), (coord, bad)
+
+
 def test_mask_holds_no_point_outside_its_grid_band():
     band_mask = sb.ProductMask(sb.AngularMask.band(T1, T2, 16), 15, 25)
     band_region = sb.ProductSymmetric(15, 25, T1, T2)
@@ -267,6 +304,17 @@ def test_mask_from_text_leaves_numpy_ma_unimported(tmp_path):
     code = ("import sys; import slepian_ball as sb; sb.AngularMask.from_text(sys.argv[1]); "
             "sys.exit('numpy.ma' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code, str(path)]).returncode == 0
+
+
+@pytest.mark.parametrize("text", ["", "# theta phi indicator\n\n"], ids=["empty", "comments"])
+def test_mask_from_text_rejects_an_empty_pixel_list(tmp_path, text):
+    # numpy warns on a file with no data rows and returns shape (0, 1)
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="pixel list .* is empty"):
+            sb.AngularMask.from_text(path)
 
 
 def test_mask_from_text_rejects_non_grid(tmp_path):

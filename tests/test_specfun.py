@@ -179,6 +179,22 @@ def test_bessel_table_keeps_argument_shape():
     assert np.array_equal(J.reshape(10, -1), specfun.spherical_jn_table(9, x.ravel()))
 
 
+def test_bessel_table_without_series_arguments_is_the_recurrence_table():
+    # with no argument in the series range the recurrence's table is returned
+    # as it is; the columns equal those of a call that also takes the series
+    x = np.linspace(0.5, 40.0, 9)
+    mixed = specfun.spherical_jn_table(12, np.append(x, 0.0))
+    assert np.array_equal(specfun.spherical_jn_table(12, x), mixed[:, :-1])
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_radial_tables_of_no_arguments_are_empty(shape):
+    # an empty argument array has no largest value to start a recurrence from
+    x = np.empty(shape)
+    assert specfun.spherical_jn_table(7, x).shape == (8,) + shape
+    assert specfun.laguerre_K_table(7, x).shape == (8,) + shape
+
+
 @pytest.mark.parametrize("bad", [-0.5, -1e-300, np.nan, np.inf, -np.inf])
 def test_bessel_table_rejects_bad_arguments(bad):
     with pytest.raises(ValueError):
