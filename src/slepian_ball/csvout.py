@@ -76,7 +76,7 @@ def _zero_tail_rows(start: int, orders):
     in a chunk is one join of its ranks' `str`, with no %-format."""
     for lo in range(0, len(orders), _CSV_CHUNK):
         m = orders[lo:lo + _CSV_CHUNK]
-        cuts = [0, *(np.flatnonzero(np.diff(m)) + 1).tolist(), m.size]
+        cuts = [0, *(np.flatnonzero(m[1:] != m[:-1]) + 1).tolist(), m.size]
         lines = []
         for a, b in zip(cuts, cuts[1:]):
             end = f",0,{int(m[a])},,\n"

@@ -37,7 +37,10 @@ samples f(k_n) with sum_n w_n |f(k_n)|^2 = 1 over the k weights, and
 Eigenvalues are validated against the projection-operator bounds
 [-1e-9, 1 + 1e-9] before being clamped to [0, 1]; anything outside fails
 the solve.  Ordering is deterministic: lam descending, then signed order m
-ascending, then radial index, then angular index.
+ascending, then radial index i, then angular index j.  The merge realizes
+it by layout: blocks in ascending signed m, each listing its entries in key
+order, entry k = i * angular.size + j (a fixed-order block's k = i), so one
+stable sort of -lam gives the order and each key follows from a position.
 """
 
 from __future__ import annotations
@@ -122,20 +125,19 @@ class _AngularBasis:
 class _Block:
     """One signed order's spectrum on band rows l^2 + l + m (a mask: every row).
 
-    Computed entry k has eigenvalue lam[k] and ordering keys (i[k], j[k]);
-    `pad` exact zeros with keys (lam.size, 0), (lam.size + 1, 0), ... follow
-    them, kept as a count; a fixed-order block's lam holds no zero.  Separated
-    blocks hold eigenpairs (radial, U), (angular, V), V an `_AngularBasis`
-    (reflectors complete a narrow mask's); entry (i, j) is V_j (x) U_i.
-    Fixed-order blocks hold coefficients C: vector k is W^{-1/2} (sum_l Q_l)
-    C[:, k], W = I in FL, scaled when read.
+    Computed entries are listed in key order (i, j), the merge's layout:
+    entry k = i * angular.size + j has eigenvalue lam[k].  `pad` exact zeros
+    with keys (lam.size, 0), (lam.size + 1, 0), ... follow them, kept as a
+    count; a fixed-order block's lam holds no zero.  Separated blocks hold
+    eigenpairs (radial, U), (angular, V), V an `_AngularBasis` (reflectors
+    complete a narrow mask's); entry (i, j) is V_j (x) U_i.  Fixed-order
+    blocks hold coefficients C: entry k has keys (k, 0) and vector W^{-1/2}
+    (sum_l Q_l) C[:, k], W = I in FL, scaled when read.
     """
 
     m: int | None
     rows: np.ndarray
     lam: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
     raw: tuple[float, float]  # (lo, hi) of lam before clamping, padding counted
     pad: int = 0
     U: np.ndarray | None = None
@@ -150,21 +152,21 @@ class _Block:
         rows, (radial, k.size), unscaled by W^{-1/2}.  A separated block's
         angular columns, a fixed-order one's lifted ones, are built once, here."""
         if self.C is None:
-            ang = self.V.columns(self.j[k])
-            rad = self.U[:, self.i[k]].astype(ang.dtype)  # the cast each product would make
+            i, j = np.divmod(k, self.angular.size)
+            ang = self.V.columns(j)
+            rad = self.U[:, i].astype(ang.dtype)  # the cast each product would make
             return lambda at: ang[at] * rad
         C = np.ascontiguousarray(self.C[:, k].T).reshape(k.size, len(self.Q), -1, 1)
         Y = (self.Q @ C)[..., 0].transpose(1, 2, 0)  # per column: bits independent of k
         return lambda at: Y[at]
 
 
-def _order_blocks(m: int | None, L: int, lam, keys=None, **fields) -> list[_Block]:
-    """Blocks of orders m and -m (all rows if m is None) sharing lam, keys,
+def _order_blocks(m: int | None, L: int, lam, **fields) -> list[_Block]:
+    """Blocks of orders m and -m (all rows if m is None) sharing lam,
     padding, raw range and vectors."""
-    i, j = keys or (np.arange(lam.size), np.zeros(lam.size, dtype=int))
     if m is None:
-        return [_Block(None, np.arange(L * L), lam, i, j, **fields)]
-    return [_Block(mu, rows, lam, i, j, **fields)
+        return [_Block(None, np.arange(L * L), lam, **fields)]
+    return [_Block(mu, rows, lam, **fields)
             for mu, rows, _ in specfun._signed_orders(L, m)]
 
 
@@ -172,29 +174,32 @@ class EigenResult:
     """Sorted spectrum merged from blocks: computed entries, then padding by signed m."""
 
     def __init__(self, blocks, band, shannon, keep):
-        # only the computed entries are sorted; the padding is placed below
-        lam, m, i, j = (np.concatenate(c) for c in zip(*(
-            (b.lam, np.full(b.lam.size, b.m or 0), b.i, b.j) for b in blocks)))
-        order = _spectrum_order(lam, m, i, j)
+        # the computed entries in (m, i, j) order, so a stable sort of -lam
+        # ranks them by the module's rule; the padding is placed below
+        blocks = sorted(blocks, key=lambda b: b.m or 0)
+        lam = np.concatenate([b.lam for b in blocks])
+        order = np.argsort(-lam, kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)  # the inverse permutation
         self._blocks = blocks
         self._ranks = np.split(rank, np.cumsum([b.lam.size for b in blocks])[:-1])
         self.eigenvalues = np.zeros(lam.size + sum(b.pad for b in blocks))
         self.eigenvalues[rank] = lam
-        self.orders = None if blocks[0].m is None else np.empty_like(self.eigenvalues, m.dtype)
-        if self.orders is not None:
-            self.orders[rank] = m
+        self.orders = self.lam_radial = self.lam_angular = None
+        if blocks[0].m is not None:  # the narrowest signed type holding -L, so +-(L - 1)
+            self.orders = np.empty(len(self), np.min_scalar_type(-band.L))
             # no clamped eigenvalue is < 0 and no padded block computes a zero, so the
             # padding is the tail, by signed m, filled in place (no temporary to raise RSS)
             t = lam.size
-            for b in sorted(blocks, key=lambda b: b.m):
+            for b, r in zip(blocks, self._ranks):
+                self.orders[r] = b.m
                 self.orders[t:t + b.pad] = b.m
                 t += b.pad
-        self.lam_radial = self.lam_angular = None
         if blocks[0].C is None:  # separated blocks have no padding
-            self.lam_radial = np.concatenate([b.radial[b.i] for b in blocks])[order]
-            self.lam_angular = np.concatenate([b.angular[b.j] for b in blocks])[order]
+            self.lam_radial, self.lam_angular = np.empty(lam.size), np.empty(lam.size)
+            for b, r in zip(blocks, self._ranks):
+                self.lam_radial[r] = np.repeat(b.radial, b.angular.size)
+                self.lam_angular[r] = np.tile(b.angular, b.radial.size)
         # each block's vectors belong to its largest eigenvalues, so the
         # retained vectors are a prefix of the ranks
         n_vectors = sum(b.lam.size if b.C is None else b.C.shape[1] for b in blocks)
@@ -315,7 +320,7 @@ class EigenResult:
         out = np.zeros(len(self), dtype=complex)
         for block, ranks in zip(self._blocks, self._ranks):
             if block.C is None:
-                out[ranks] = (block.V.adjoint(H[block.rows]) @ block.U)[block.j, block.i]
+                out[ranks] = (block.V.adjoint(H[block.rows]) @ block.U).T.ravel()
             else:
                 out[ranks[:block.C.shape[1]]] = block.C.T @ (H[block.rows, None] @ block.Q).ravel()
         return out[:count]
@@ -338,11 +343,6 @@ def _validate_and_clamp(raw: np.ndarray) -> np.ndarray:
         raise ArithmeticError(
             f"eigenvalue outside projection bounds [-1e-9, 1+1e-9]: min={mn}, max={mx}")
     return np.clip(raw, 0.0, 1.0)
-
-
-def _spectrum_order(lam, m, i, j) -> np.ndarray:
-    """Permutation that sorts spectrum entries by the module's ordering rule."""
-    return np.lexsort((j, i, m, -lam))
 
 
 def _descending_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -406,10 +406,8 @@ def _solve_separated(region, band: FourierLaguerreBand) -> list[_Block]:
         # every s^2 >= 0, so the extremes of the products are those of the factors
         raw = (float(lam1_raw.min() * lam2_raw.min()), float(lam1_raw.max() * lam2_raw.max()))
         lam2 = _validate_and_clamp(lam2_raw)
-        # entry (i, j) pairs radial vector i with angular vector j, j slow
-        lam = np.outer(lam2, lam1).ravel()
-        j, i = np.divmod(np.arange(lam.size), lam1.size)
-        blocks += _order_blocks(m, band.L, lam, (i, j), raw=raw, U=U,
+        # entry i * lam2.size + j pairs radial vector i with angular vector j
+        blocks += _order_blocks(m, band.L, np.outer(lam1, lam2).ravel(), raw=raw, U=U,
                                 V=_AngularBasis.complete(V), radial=lam1, angular=lam2)
     return blocks
 

@@ -667,7 +667,8 @@ def complex_vector_stack(res, count: int, block_ranks=None) -> np.ndarray:
     for block, ranks in zip(res._blocks, block_ranks or res._ranks):
         for k in np.flatnonzero(ranks < count).tolist():
             if block.C is None:
-                vec = np.outer(block.V.columns(block.j[k:k + 1]), block.U[:, block.i[k]])
+                i, j = divmod(k, block.angular.size)  # entry k = i * angular.size + j
+                vec = np.outer(block.V.columns(np.array([j])), block.U[:, i])
             else:
                 nl, _, q = block.Q.shape
                 vec = (block.Q @ block.C[:, [k]].reshape(nl, q, 1))[:, :, 0]

@@ -1070,7 +1070,7 @@ def test_mask_solve_rejects_coarse_grid():
 
 
 # ---------------------------------------------------------------------------
-# spectrum ordering: one lexsort over arrays
+# spectrum ordering: one stable sort over entries laid out in key order
 # ---------------------------------------------------------------------------
 
 ORDER_CASES = {
@@ -1079,39 +1079,74 @@ ORDER_CASES = {
         sb.ProductMask(MASK_ORACLE_CASES["patch"][0](), 15.0, 25.0),
         sb.FourierLaguerreBand(16, MASK_L)),
     "fb-m70": lambda ref: sb.solve_fb(ref, sb.FourierBesselBand(1.4, 20, 70)),
+    # 3,196 adjacent ranks of different |m| within 64 eps lam of each other
+    "fl-64": lambda ref: sb.solve_fl(ref, sb.FourierLaguerreBand(64, 64)),
 }
 
 
+def _entry_keys(block) -> list:
+    """(lam, m, i, j) of a block's entries, computed then padding, rebuilt
+    from each entry's position k: (i, j) = divmod(k, angular.size), or (k, 0)
+    in a fixed-order block."""
+    width = 1 if block.C is not None else block.angular.size
+    lam = block.lam.tolist() + [0.0] * block.pad
+    return [(v, block.m, *divmod(k, width)) for k, v in enumerate(lam)]
+
+
 @pytest.mark.parametrize("name", list(ORDER_CASES))
-def test_spectrum_order_equals_tuple_sort(name, ref_region, monkeypatch):
-    # _spectrum_order sorts the computed entries only; a block's padding,
-    # exact zeros with keys (lam.size, 0), (lam.size + 1, 0), ..., is rebuilt
-    # here from its count, and the whole spectrum is held to the tuple sort
-    calls = []
-    order_fn = eigen._spectrum_order
-
-    def recording_order(lam, m, i, j):
-        order = order_fn(lam, m, i, j)
-        calls.append((lam, m, i, j, order))
-        return order
-
-    monkeypatch.setattr(eigen, "_spectrum_order", recording_order)
+def test_merge_ranks_entries_as_the_tuple_sort(name, ref_region):
+    # every entry's keys are rebuilt from its block and position, padding
+    # included, and the merge's ranks and per-rank arrays are held to the
+    # Python tuple sort of them
     res = ORDER_CASES[name](ref_region)
-    (lam, m, i, j, order), = calls
-    entries = list(zip(lam.tolist(), m.tolist(), i.tolist(), j.tolist()))
-    expect = sorted(range(len(entries)), key=lambda k: spectrum_sort_key(entries[k]))
-    assert order.tolist() == expect
-    for b in res._blocks:
-        entries += [(0.0, b.m, k, 0) for k in range(b.lam.size, b.lam.size + b.pad)]
+    blocks = res._blocks
+    entries = sorted(((key, b, k) for b, block in enumerate(blocks)
+                      for k, key in enumerate(_entry_keys(block))),
+                     key=lambda e: spectrum_sort_key(e[0]))
     assert len(entries) == len(res)
     if name == "fb-m70":
-        assert len(res) > 5 * lam.size  # most of the FB spectrum is padding
-    entries.sort(key=spectrum_sort_key)
-    assert res.eigenvalues.tolist() == [e[0] for e in entries]
+        assert len(res) > 5 * sum(b.lam.size for b in blocks)  # mostly padding
+    ranks = [np.full(b.lam.size, -1) for b in blocks]
+    for rank, (_, b, k) in enumerate(entries):
+        if k < blocks[b].lam.size:
+            ranks[b][k] = rank
+    assert all(np.array_equal(got, want) for got, want in zip(res._ranks, ranks))
+    keys = [key for key, _, _ in entries]
+    assert res.eigenvalues.tolist() == [key[0] for key in keys]
     if name == "mask-patch":
         assert res.orders is None
     else:
-        assert res.orders.tolist() == [e[1] for e in entries]
+        assert res.orders.tolist() == [key[1] for key in keys]
+        # the solver emits orders 0, 1, -1, 2, ...: laid out in that order,
+        # the exact ties of m and -m rank otherwise, so the check can fail
+        emitted = sorted(range(len(blocks)), key=lambda b: (abs(blocks[b].m), -blocks[b].m))
+        lam = np.concatenate([blocks[b].lam for b in emitted])
+        rank = np.empty(lam.size, dtype=int)
+        rank[np.argsort(-lam, kind="stable")] = np.arange(lam.size)
+        assert not np.array_equal(rank, np.concatenate([res._ranks[b] for b in emitted]))
+    if name == "fb-m70":
+        assert res.lam_radial is None and res.lam_angular is None
+    else:  # FL product and mask solves separate
+        assert res.lam_radial.tolist() == [
+            blocks[b].radial[key[2]] for key, b, _ in entries]
+        assert res.lam_angular.tolist() == [
+            blocks[b].angular[key[3]] for key, b, _ in entries]
+        # so entry k's eigenvalue is the product of the factors it names
+        assert np.array_equal(res.eigenvalues, res.lam_radial * res.lam_angular)
+
+
+@pytest.mark.parametrize("L", [128, 129])
+def test_orders_hold_both_ends_of_the_band(L, ref_region):
+    # +-(L - 1) in the narrowest signed type: int8 at L = 128, int16 at 129,
+    # where m = 128 would wrap in int8
+    res = sb.solve_fl(ref_region, sb.FourierLaguerreBand(1, L), keep=0)
+    info = np.iinfo(res.orders.dtype)
+    assert info.min <= -(L - 1) and info.max >= L - 1
+    assert res.orders.min() == -(L - 1) and res.orders.max() == L - 1
+    want = np.empty(len(res), dtype=np.int64)
+    for block, ranks in zip(res._blocks, res._ranks):
+        want[ranks] = block.m
+    assert np.array_equal(res.orders, want)
 
 
 def _computed_zeros_between_paddings(res, raw_spectra) -> bool:
@@ -1156,7 +1191,8 @@ def test_merge_places_padding_as_the_padded_merge_sorts_it(name, ref_region, mon
         assert _computed_zeros_between_paddings(res, raw_spectra)
     expect = padded_block_merge(res, raw_spectra, keep)
     assert res.eigenvalues.tobytes() == expect.eigenvalues.tobytes()
-    assert res.orders.tobytes() == expect.orders.tobytes()
+    assert res.orders.tobytes() == expect.orders.astype(res.orders.dtype).tobytes()
+    assert np.array_equal(res.orders, expect.orders)
     assert res.raw_eigenvalue_range == expect.raw_eigenvalue_range
     assert res.stored == expect.stored
     assert not expect.vectors.imag.any()
